@@ -1,9 +1,9 @@
 """Microbench: raw event throughput of the discrete-event engine.
 
-The 128-256-worker fat-tree sweeps are engine-bound — every tensor in
-the scale model takes a virtual (size-only) backing, so wall-clock is
-events processed per second, nothing else.  This benchmark drives the
-engine's two hot paths directly, with no cluster on top:
+The 128-256-worker fat-tree sweeps are meant to be engine-bound:
+storage follows content, so a tensor nobody can read takes a size-only
+backing and wall-clock is events processed per second.  This benchmark
+drives the engine's hot paths directly, with no cluster on top:
 
 * the bare-delay fast path (``yield 1e-6`` — allocation-free timeouts),
   which executor, NIC, and transfer loops sit on;
@@ -17,10 +17,17 @@ It prints the sustained events/second and asserts a conservative floor
 so a future regression to the scheduling core (an accidental object
 per yield, a linear scan in the heap path) fails loudly rather than
 silently doubling the scale-sweep CI budget.
+
+One layer up, a verb-level bandwidth test (after blue-rdma's
+``testcase_bandwidth_test.py``) posts WRITEs of 64 B / 64 KiB / 4 MiB
+between two size-only regions and between two dense ones and bounds
+the *host* microseconds each costs: a size-only verb must cost the
+same whatever it moves, a dense one may grow with its bytes.
 """
 
-import time
+import pytest
 
+from repro.simnet import Cluster, Opcode, WorkRequest
 from repro.simnet.simulator import Simulator, SleepUntil
 
 
@@ -125,3 +132,42 @@ def test_sleep_until_throughput(benchmark):
     # The absolute-time sentinel must stay on the allocation-free fast
     # path: one heap event per poll visit, no Timeout object churn.
     assert rate > 200_000
+
+
+def _run_writes(size: int, dense: bool, verbs: int) -> None:
+    cluster = Cluster(2)
+    a, b = cluster.hosts
+    cq = a.nic.create_cq()
+    qp_a = a.nic.create_qp(cq)
+    qp_b = b.nic.create_qp(b.nic.create_cq())
+    qp_a.connect(qp_b)
+    src = a.allocate(size, dense=dense)
+    dst = b.allocate(size, dense=dense)
+    src_mr = a.nic.register_memory(src)
+    dst_mr = b.nic.register_memory(dst)
+    for _ in range(verbs):
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=size, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
+        cluster.sim.run()
+        (completion,) = cq.poll()
+        assert completion.ok
+
+
+# Measured 14 / 22 / 21 us size-only and 14 / 30 / 930 us dense; the
+# ceilings trip on a per-byte loop, not on a slow CI minute.
+@pytest.mark.parametrize("storage,size,verbs,ceiling_us", [
+    ("size-only", 64, 500, 150.0),
+    ("size-only", 64 << 10, 500, 250.0),
+    ("size-only", 4 << 20, 500, 250.0),
+    ("dense", 64, 500, 150.0),
+    ("dense", 64 << 10, 500, 400.0),
+    ("dense", 4 << 20, 50, 10_000.0),
+])
+def test_write_host_cost_per_verb(benchmark, storage, size, verbs, ceiling_us):
+    benchmark.pedantic(_run_writes, args=(size, storage == "dense", verbs),
+                       rounds=3, iterations=1)
+    per_verb_us = benchmark.stats.stats.min / verbs * 1e6
+    print(f"\nWRITE {size} B {storage}: {per_verb_us:.1f} host us/verb "
+          f"= {size / per_verb_us:.1f} MB/s of simulated payload")
+    assert per_verb_us < ceiling_us

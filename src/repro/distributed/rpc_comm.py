@@ -28,6 +28,7 @@ from ..rpc.core import RpcEndpoint, RpcError
 from ..rpc.serialization import Message, Payload
 from ..rpc.transport_rdma import GrpcRdmaServer, connect_grpc_rdma
 from ..rpc.transport_tcp import GrpcTcpServer, connect_grpc_tcp
+from ..simnet.memory import DENSE_LIMIT
 from ..simnet.simulator import Store
 from ..simnet.topology import Endpoint
 
@@ -110,8 +111,16 @@ class GrpcCommRuntime(CommRuntime):
             key = request["key"]
             iteration = request["iteration"]
             tensor: Tensor = yield rendezvous.consume(key, iteration)
+            # framing.py puts concrete and virtual spans in separate
+            # fragments, so the payload kind decides the fragment count
+            # and with it the simulated clock.  It is therefore pinned
+            # to the buffer's size, not to whether the executor tracked
+            # the content: an untracked tensor that fits DENSE_LIMIT
+            # still travels as concrete (zero) bytes.
             if tensor.is_dense:
                 payload = Payload(data=tensor.array.tobytes())
+            elif tensor.buffer.size <= DENSE_LIMIT:
+                payload = Payload(data=bytes(tensor.nbytes))
             else:
                 payload = Payload(size=tensor.nbytes)
             dims = [int(d) for d in tensor.shape.dims]

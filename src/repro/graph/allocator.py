@@ -61,7 +61,10 @@ class BaseAllocator:
 
     def allocate_tensor(self, dtype: DType, shape: Shape,
                         node_name: Optional[str] = None,
-                        alloc_index: int = 0) -> Tensor:
+                        alloc_index: int = 0,
+                        dense: Optional[bool] = None) -> Tensor:
+        """Allocate a tensor; ``dense`` asks for real bytes (True),
+        size-only storage (False) or the allocator's default (None)."""
         raise NotImplementedError
 
     def free_tensor(self, tensor: Tensor) -> None:
@@ -179,7 +182,10 @@ class ArenaAllocator(BaseAllocator):
 
     def allocate_tensor(self, dtype: DType, shape: Shape,
                         node_name: Optional[str] = None,
-                        alloc_index: int = 0) -> Tensor:
+                        alloc_index: int = 0,
+                        dense: Optional[bool] = None) -> Tensor:
+        # ``dense`` is ignored: a tensor carved from the arena shares
+        # the storage kind of the arena's one registered buffer.
         nbytes = tensor_nbytes(dtype, shape)
         offset = self.allocate_block(max(nbytes, 1))
         tensor = Tensor(dtype, shape, self.backing, offset=offset)

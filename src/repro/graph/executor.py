@@ -140,18 +140,24 @@ class Executor:
         return self.heap
 
     def allocate_output(self, node: Node, index: int, dtype: DType,
-                        shape: Shape) -> Tensor:
+                        shape: Shape, dense: Optional[bool] = None) -> Tensor:
         """Allocate storage for output ``index`` of ``node``.
 
         Allocations made during an iteration are transient: their
         storage is reclaimed when the next iteration starts (mirroring
         the runtime's per-step tensor lifetime).  Variable storage is
         allocated before iteration 0 and lives forever.
+
+        Storage follows content: a caller whose output nothing can read
+        (its inputs are untracked, or the op computes nothing) passes
+        ``dense=False`` and gets a size-only buffer whatever its size;
+        ``None`` leaves the choice to the allocator (real bytes up to
+        ``DENSE_LIMIT``).
         """
         allocator = self.pick_allocator(node.name, index)
         tensor = allocator.allocate_tensor(dtype, shape,
                                            node_name=node.name,
-                                           alloc_index=index)
+                                           alloc_index=index, dense=dense)
         if self.iteration >= 0:
             self._transient.append((allocator, tensor))
         return tensor
@@ -386,7 +392,7 @@ class Executor:
         if op_type == "ApplyGradient":
             return Outcome.done([self._apply_gradient(node, inputs)])
         if op_type == "SyntheticCompute":
-            outputs = [self.allocate_output(node, i, dtype, shape)
+            outputs = [self.allocate_output(node, i, dtype, shape, dense=False)
                        for i, (dtype, shape)
                        in enumerate(zip(node.output_dtypes, node.output_shapes))]
             return Outcome.done(outputs)
@@ -444,8 +450,10 @@ class Executor:
                     tensor.copy_from(array)
                 outputs.append(tensor)
             return outputs
-        # Virtual path: contents are not tracked; partially-unknown
-        # static shapes are resolved from the runtime input shapes.
+        # Virtual path: contents are not tracked, so the outputs are
+        # size-only whatever their size and everything downstream of
+        # them does no byte work; partially-unknown static shapes are
+        # resolved from the runtime input shapes.
         if not all(s.is_fully_defined for s in node.output_shapes):
             op.infer(node, [t.shape for t in inputs],
                      [t.dtype for t in inputs])
@@ -456,5 +464,6 @@ class Executor:
                 raise ExecutorError(
                     f"{node.name}: could not resolve a concrete shape "
                     f"for output {index} ({shape})")
-            outputs.append(self.allocate_output(node, index, dtype, shape))
+            outputs.append(self.allocate_output(node, index, dtype, shape,
+                                                dense=False))
         return outputs

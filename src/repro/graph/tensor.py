@@ -8,8 +8,10 @@ in some host's simulated address space:
   (:attr:`Tensor.array`), so computation writes directly into the very
   memory the NIC transfers — this is what makes the zero-copy claims
   testable end to end;
-* *virtual* buffers carry only a size, used by the large benchmark
-  models where content is irrelevant but timing is not.
+* *virtual* buffers carry only a size: the large benchmark models,
+  and every tensor computed from one (storage follows content — see
+  ``Executor.allocate_output``), where content is irrelevant but
+  timing is not.
 
 :class:`TensorMeta` is the fixed-size metadata block of §3.3 (number
 of dimensions, per-dimension sizes, element type, remote data address)

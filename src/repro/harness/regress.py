@@ -7,7 +7,7 @@ drift in a simulated step time is a behavior change, not noise.
 Wall-clock figures in the baselines (``wall_s``, ``events_per_s``)
 are machine-dependent and never gated.
 
-Three probes, each re-running a small, fixed slice of a committed
+Six probes, each re-running a small, fixed slice of a committed
 benchmark's configuration and comparing per-metric:
 
 * ``overlap`` — barrier vs eager+priority step times for a model
@@ -40,7 +40,7 @@ history of gate verdicts alongside the telemetry seed.
 
 Usage::
 
-    python -m repro.harness.regress                    # all probes
+    python -m repro.harness.regress       # every probe with a baseline
     python -m repro.harness.regress --probes scale
     python -m repro.harness.regress --tolerance 0.08 --json gate.json
 """
@@ -69,6 +69,11 @@ DEFAULT_OVERLAP_MODELS = ("AlexNet", "FCN-5")
 TRAJECTORY_KEEP = 20
 
 PROBES = ("overlap", "scale", "serving", "netreduce", "lossy", "llm")
+
+
+def baseline_file(probe: str) -> str:
+    """The results file ``probe`` gates against (in ``--baseline-dir``)."""
+    return f"BENCH_{probe}.json"
 
 
 @dataclass
@@ -142,8 +147,8 @@ class GateReport:
                 "errors": list(self.errors)}
 
 
-def _load_baseline(baseline_dir: str, name: str) -> Optional[Dict]:
-    path = os.path.join(baseline_dir, name)
+def _load_baseline(baseline_dir: str, probe: str) -> Optional[Dict]:
+    path = os.path.join(baseline_dir, baseline_file(probe))
     if not os.path.exists(path):
         return None
     with open(path) as handle:
@@ -158,7 +163,7 @@ def probe_overlap(report: GateReport, baseline_dir: str, tolerance: float,
     """Re-run barrier vs eager+priority for a model subset."""
     from ..distributed.runner import run_training_benchmark
 
-    baseline = _load_baseline(baseline_dir, "BENCH_overlap.json")
+    baseline = _load_baseline(baseline_dir, "overlap")
     if baseline is None:
         report.errors.append("overlap: no BENCH_overlap.json baseline")
         return
@@ -202,7 +207,7 @@ def probe_scale(report: GateReport, baseline_dir: str, tolerance: float,
     from ..distributed.runner import run_training_benchmark
     from .experiments import _scale_spec
 
-    baseline = _load_baseline(baseline_dir, "BENCH_scale.json")
+    baseline = _load_baseline(baseline_dir, "scale")
     if baseline is None:
         report.errors.append("scale: no BENCH_scale.json baseline")
         return
@@ -246,7 +251,7 @@ def probe_serving(report: GateReport, baseline_dir: str,
     """Re-run the committed batched serving configuration."""
     from ..serving import run_serving_benchmark
 
-    baseline = _load_baseline(baseline_dir, "BENCH_serving.json")
+    baseline = _load_baseline(baseline_dir, "serving")
     if baseline is None:
         report.errors.append("serving: no BENCH_serving.json baseline")
         return
@@ -281,7 +286,7 @@ def probe_netreduce(report: GateReport, baseline_dir: str,
     """Re-run one in-network cell of the netreduce sweep."""
     from ..distributed.runner import run_training_benchmark
 
-    baseline = _load_baseline(baseline_dir, "BENCH_netreduce.json")
+    baseline = _load_baseline(baseline_dir, "netreduce")
     if baseline is None:
         report.errors.append("netreduce: no BENCH_netreduce.json baseline")
         return
@@ -344,7 +349,7 @@ def probe_lossy(report: GateReport, baseline_dir: str,
     from ..distributed.runner import (comm_config, run_training_benchmark,
                                       swap_comm_config)
 
-    baseline = _load_baseline(baseline_dir, "BENCH_lossy.json")
+    baseline = _load_baseline(baseline_dir, "lossy")
     if baseline is None:
         report.errors.append("lossy: no BENCH_lossy.json baseline")
         return
@@ -416,7 +421,7 @@ def probe_llm(report: GateReport, baseline_dir: str, tolerance: float,
     from ..distributed.runner import run_training_benchmark
     from ..llm import run_llm_serving_benchmark
 
-    baseline = _load_baseline(baseline_dir, "BENCH_llm.json")
+    baseline = _load_baseline(baseline_dir, "llm")
     if baseline is None:
         report.errors.append("llm: no BENCH_llm.json baseline")
         return
@@ -575,8 +580,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.harness.regress",
         description="Compare fresh probe runs against committed "
                     "BENCH_*.json baselines; exit nonzero on regression.")
-    parser.add_argument("--probes", default=",".join(PROBES),
-                        help=f"comma-separated subset of {PROBES}")
+    parser.add_argument("--probes", default=None,
+                        help=f"comma-separated subset of {PROBES}; a named "
+                             "probe without a baseline is an error "
+                             "(default: every probe whose baseline file "
+                             "exists in --baseline-dir)")
     parser.add_argument("--baseline-dir", default="results",
                         help="directory holding the BENCH_*.json baselines")
     parser.add_argument("--tolerance", type=float,
@@ -591,12 +599,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not 0.0 < args.tolerance < 1.0:
         parser.error(f"--tolerance must be in (0, 1), got {args.tolerance}")
-    probes = [p.strip() for p in args.probes.split(",") if p.strip()]
-    for probe in probes:
-        if probe not in _PROBE_FNS:
-            parser.error(f"unknown probe {probe!r}; have {PROBES}")
-
     report = GateReport()
+    if args.probes is None:
+        # Not every experiment's results file is committed (netreduce
+        # and lossy take minutes to regenerate): gate what has a
+        # baseline and say what was left out.
+        probes = [p for p in PROBES if os.path.exists(
+            os.path.join(args.baseline_dir, baseline_file(p)))]
+        for probe in PROBES:
+            if probe not in probes:
+                print(f"[regress] skipped   {probe}: no "
+                      f"{baseline_file(probe)} in {args.baseline_dir}")
+        if not probes:
+            report.errors.append(
+                f"no baseline for any probe in {args.baseline_dir}")
+    else:
+        probes = [p.strip() for p in args.probes.split(",") if p.strip()]
+        for probe in probes:
+            if probe not in _PROBE_FNS:
+                parser.error(f"unknown probe {probe!r}; have {PROBES}")
+
     for probe in probes:
         print(f"[regress] probe: {probe}", flush=True)
         try:

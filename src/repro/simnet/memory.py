@@ -3,12 +3,17 @@
 Each simulated host owns a flat virtual :class:`AddressSpace`.  Buffers
 carved out of it are backed either by a real ``numpy`` byte array
 (:class:`DenseBacking`) — used for control data, metadata slots, flag
-bytes, and any tensor small enough to verify byte-exactly — or by a
-:class:`VirtualBacking` that tracks which ranges have been written
-without storing payload bytes.  Virtual backings let the benchmarks
-move multi-hundred-megabyte "tensors" per iteration without exhausting
-real RAM; the flag-byte completion protocol still works because sparse
-explicit bytes (the flag, metadata headers) are stored for real.
+bytes, and any tensor whose content is tracked and small enough to
+verify byte-exactly — or by a :class:`VirtualBacking` that tracks which
+ranges have been written without storing payload bytes.  Virtual
+backings let the benchmarks move multi-hundred-megabyte "tensors" per
+iteration without exhausting real RAM; the flag-byte completion
+protocol still works because small explicit writes (the flag, metadata
+headers) are stored for real, in pages created on demand.
+
+The allocator's default picks by size (``DENSE_LIMIT``); a caller that
+knows nobody can read the content (the graph executor, for outputs
+downstream of an untracked tensor) asks for size-only storage outright.
 
 RDMA registration is modelled by :class:`MemoryRegion` entries in the
 NIC's :class:`MrTable`, which enforces the hardware cap on the number
@@ -72,7 +77,7 @@ class DenseBacking(Backing):
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
-        self.array[offset:offset + len(data)] = np.frombuffer(bytes(data), dtype=np.uint8)
+        self.array[offset:offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     def write_virtual(self, offset: int, length: int) -> None:
         # A virtual write into dense storage leaves content unchanged;
@@ -95,43 +100,89 @@ class VirtualBacking(Backing):
 
     Reads of never-written bytes return 0.  Writes of at most
     ``sparse_limit`` bytes are stored for real (flag bytes, metadata
-    headers); larger writes only record their byte count.
+    headers); larger writes only record their byte count and keep their
+    head and tail windows.
+
+    Kept bytes live in ``page_size`` pages created on first non-zero
+    write, so an access costs O(pages touched) however many bytes it
+    covers, and a region nobody writes content into holds no pages.
     """
 
     sparse_limit = 64 * 1024
+    page_size = 4096
 
     def __init__(self, size: int) -> None:
         super().__init__(size)
-        self._sparse: Dict[int, int] = {}
+        self._pages: Dict[int, bytearray] = {}
         self.bytes_written = 0
 
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        sparse = self._sparse
-        return bytes(sparse.get(offset + i, 0) for i in range(length))
+        pages = self._pages
+        if not pages:
+            return bytes(length)
+        page_size = self.page_size
+        index, start = divmod(offset, page_size)
+        if start + length <= page_size:
+            # The 64-byte head/tail windows every size-only verb reads.
+            page = pages.get(index)
+            return bytes(length) if page is None else bytes(page[start:start + length])
+        out = bytearray(length)
+        pos = 0
+        while pos < length:
+            take = min(page_size - start, length - pos)
+            page = pages.get(index)
+            if page is not None:
+                out[pos:pos + take] = page[start:start + take]
+            pos += take
+            index += 1
+            start = 0
+        return bytes(out)
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
-        self.bytes_written += len(data)
-        if len(data) <= self.sparse_limit:
-            for i, b in enumerate(data):
-                self._sparse[offset + i] = b
+        if not isinstance(data, (bytes, bytearray)):
+            data = bytes(data)
+        length = len(data)
+        self._check(offset, length)
+        self.bytes_written += length
+        if length <= self.sparse_limit:
+            self._store(offset, data)
         else:
             # Content intentionally dropped, but keep the head and tail
-            # windows for real: protocol headers and flag bytes live there.
+            # windows for real: protocol headers and flag bytes live
+            # there.  Bytes stored earlier under the middle stay.
             keep = 64
-            for i in range(keep):
-                self._sparse[offset + i] = data[i]
-            for i in range(len(data) - keep, len(data)):
-                self._sparse[offset + i] = data[i]
+            self._store(offset, data[:keep])
+            self._store(offset + length - keep, data[length - keep:])
+
+    def _store(self, offset: int, data: bytes) -> None:
+        pages = self._pages
+        page_size = self.page_size
+        length = len(data)
+        index, start = divmod(offset, page_size)
+        pos = 0
+        while pos < length:
+            take = min(page_size - start, length - pos)
+            piece = data if take == length else data[pos:pos + take]
+            page = pages.get(index)
+            if page is None and piece.count(0) != take:
+                page = pages[index] = bytearray(page_size)
+            if page is not None:
+                page[start:start + take] = piece
+            pos += take
+            index += 1
+            start = 0
 
     def write_virtual(self, offset: int, length: int) -> None:
         self._check(offset, length)
         self.bytes_written += length
 
     def read_byte(self, offset: int) -> int:
-        self._check(offset, 1)
-        return self._sparse.get(offset, 0)
+        # Flag pollers call this every sweep (60-90 times per verb).
+        if not 0 <= offset < self.size:
+            self._check(offset, 1)
+        page = self._pages.get(offset // self.page_size)
+        return 0 if page is None else page[offset % self.page_size]
 
 
 @dataclass
@@ -177,6 +228,9 @@ class AddressSpace:
         self._next_addr = base_index << 44  # 16 TiB apart per host
         self._buffers: List[Buffer] = []    # sorted by addr
         self._addrs: List[int] = []         # parallel sorted start addresses
+        #: bytes of real storage ever handed out (never decremented):
+        #: the host memory the simulator itself pays for this host
+        self.dense_bytes_allocated = 0
 
     def allocate(self, size: int, label: str = "",
                  dense: Optional[bool] = None) -> Buffer:
@@ -185,7 +239,11 @@ class AddressSpace:
             raise MemoryError_(f"allocation size must be positive, got {size}")
         if dense is None:
             dense = size <= DENSE_LIMIT
-        backing = DenseBacking(size) if dense else VirtualBacking(size)
+        if dense:
+            backing: Backing = DenseBacking(size)
+            self.dense_bytes_allocated += size
+        else:
+            backing = VirtualBacking(size)
         buf = Buffer(addr=self._next_addr, size=size, backing=backing,
                      host_name=self.host_name, label=label)
         # Align the next allocation to 64 bytes, like a cache-line allocator.

@@ -1,0 +1,39 @@
+"""Storage-kind clock pinning: golden fat-tree and gRPC step times.
+
+Whether a tensor's buffer holds real bytes or only a size is a host
+memory decision and must not move a simulated clock.  It can in exactly
+one place: ``rpc/framing.py`` puts concrete and virtual spans in
+separate fragments, so ``distributed/rpc_comm.py`` pins the payload
+kind to the buffer's size instead of following the tensor (left to
+follow it, the FCN-5 gRPC.RDMA step below becomes 253.82 ms over 7360
+verbs).  These constants are exact ``repr()`` captures from the commit
+before storage started following content; re-record them only in a PR
+that *intends* to change fat-tree or gRPC timing, and say so there.
+"""
+
+from repro.distributed import run_training_benchmark
+from repro.harness.experiments import _scale_spec
+from repro.models import MB, get_model
+
+GOLDEN_HIER16_SYNTH24 = ["0.014562679480000059", "0.011614363480000466"]
+
+GOLDEN_FCN5_GRPC_RDMA = ["0.2535015876558077", "0.25350158765579384"]
+GOLDEN_FCN5_GRPC_RDMA_VERBS = 7264
+
+
+def test_hierarchical_fat_tree_clock_bit_identical():
+    bench = run_training_benchmark(
+        _scale_spec(num_variables=1), "RDMA", num_servers=16, batch_size=1, iterations=2,
+        strategy="hierarchical", topology="fat-tree", hosts_per_rack=8,
+        oversubscription=4.0, fusion_bytes=64 * MB)
+    assert ([repr(t) for t in bench.stats.iteration_times]
+            == GOLDEN_HIER16_SYNTH24)
+
+
+def test_fcn5_grpc_rdma_step_and_verbs_bit_identical():
+    bench = run_training_benchmark(get_model("FCN-5"), "gRPC.RDMA",
+                                   num_servers=8, batch_size=32,
+                                   iterations=2, collect_metrics=True)
+    assert ([repr(t) for t in bench.stats.iteration_times]
+            == GOLDEN_FCN5_GRPC_RDMA)
+    assert bench.metrics.count() == GOLDEN_FCN5_GRPC_RDMA_VERBS

@@ -3,6 +3,8 @@ the trajectory record, and the CLI contract (exit nonzero on regression).
 """
 
 import json
+import os
+import re
 
 import pytest
 
@@ -319,3 +321,61 @@ class TestTrajectory:
             append_trajectory(self._report(), str(path))
         payload = json.loads(path.read_text())
         assert len(payload["trajectory"]) == regress.TRAJECTORY_KEEP
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+class TestDefaultProbesHaveBaselines:
+    def test_default_gate_runs_only_probes_with_a_baseline(
+            self, tmp_path, monkeypatch, capsys):
+        ran = []
+        for probe in regress.PROBES:
+            monkeypatch.setitem(
+                regress._PROBE_FNS, probe,
+                lambda report, d, tol, probe=probe: ran.append(probe))
+        for probe in ("overlap", "llm"):
+            (tmp_path / regress.baseline_file(probe)).write_text("{}")
+        assert main(["--baseline-dir", str(tmp_path)]) == 0
+        assert ran == ["overlap", "llm"]
+        out = capsys.readouterr().out
+        for probe in ("scale", "serving", "netreduce", "lossy"):
+            assert f"skipped   {probe}: no BENCH_{probe}.json" in out
+
+    def test_named_probe_without_baseline_still_fails(self, tmp_path,
+                                                      capsys):
+        assert main(["--probes", "netreduce",
+                     "--baseline-dir", str(tmp_path)]) == 1
+        assert ("netreduce: no BENCH_netreduce.json baseline"
+                in capsys.readouterr().out)
+
+    def test_empty_baseline_dir_is_not_a_green_gate(self, tmp_path):
+        assert main(["--baseline-dir", str(tmp_path)]) == 1
+
+    def test_committed_results_give_the_default_gate_work(self):
+        results = os.path.join(REPO_ROOT, "results")
+        present = [p for p in regress.PROBES if os.path.exists(
+            os.path.join(results, regress.baseline_file(p)))]
+        assert {"overlap", "scale", "serving", "llm"} <= set(present)
+        for probe in present:
+            assert regress._load_baseline(results, probe)
+
+
+class TestDocsNameOnlyResultsThatExist:
+    PATH = re.compile(r"results/[A-Za-z0-9_.]+\.(?:json|txt)")
+
+    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md",
+                                     "DESIGN.md"])
+    def test_results_paths_exist_or_are_marked_generated(self, doc):
+        with open(os.path.join(REPO_ROOT, doc)) as handle:
+            paragraphs = handle.read().split("\n\n")
+        unresolved = []
+        for paragraph in paragraphs:
+            for path in self.PATH.findall(paragraph):
+                if os.path.exists(os.path.join(REPO_ROOT, path)):
+                    continue
+                if "generated, not committed" in " ".join(paragraph.split()):
+                    continue
+                unresolved.append(path)
+        assert unresolved == []

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet import Cluster, Opcode, WorkRequest
-from repro.simnet.memory import AddressSpace, DenseBacking, VirtualBacking
+from repro.simnet.memory import (AddressSpace, DenseBacking, MemoryError_,
+                                 VirtualBacking)
 from repro.simnet.nic import Pipe
 from repro.simnet.simulator import Simulator
 
@@ -104,6 +105,129 @@ class TestMemoryProperties:
         spans = sorted((b.addr, b.end) for b in buffers)
         for (a1, e1), (a2, e2) in zip(spans, spans[1:]):
             assert e1 <= a2
+
+
+class _PerByteVirtualBacking:
+    """Reference model: ``VirtualBacking`` as it was before the paged
+    store — one dict entry per kept byte, Python loops throughout."""
+
+    def __init__(self, sparse_limit):
+        self.sparse_limit = sparse_limit
+        self._sparse = {}
+        self.bytes_written = 0
+
+    def read(self, offset, length):
+        return bytes(self._sparse.get(offset + i, 0) for i in range(length))
+
+    def write(self, offset, data):
+        self.bytes_written += len(data)
+        if len(data) <= self.sparse_limit:
+            for i, b in enumerate(data):
+                self._sparse[offset + i] = b
+        else:
+            keep = 64
+            for i in range(keep):
+                self._sparse[offset + i] = data[i]
+            for i in range(len(data) - keep, len(data)):
+                self._sparse[offset + i] = data[i]
+
+    def write_virtual(self, offset, length):
+        self.bytes_written += length
+
+    def read_byte(self, offset):
+        return self._sparse.get(offset, 0)
+
+
+class TestVirtualBackingAgainstPerByteModel:
+    SIZE = 128 * 1024
+    LIMIT = VirtualBacking.sparse_limit
+    PAGE = VirtualBacking.page_size
+
+    #: lengths either side of the sparse limit, of the 64-byte edge
+    #: windows and of a page
+    lengths = st.one_of(
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 7,
+                         LIMIT - 1, LIMIT, LIMIT + 1, LIMIT + 129,
+                         LIMIT + PAGE + 5]))
+    #: positions at, just before and just after page boundaries, where
+    #: a range either starts or ends
+    anchors = st.one_of(
+        st.integers(min_value=0, max_value=SIZE - 1),
+        st.builds(lambda page, delta: page * 4096 + delta,
+                  st.integers(min_value=0, max_value=SIZE // 4096 - 1),
+                  st.integers(min_value=-70, max_value=70)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_operation_sequences_agree(self, data):
+        real = VirtualBacking(self.SIZE)
+        model = _PerByteVirtualBacking(self.LIMIT)
+        steps = data.draw(st.integers(min_value=1, max_value=12))
+        for _ in range(steps):
+            op = data.draw(st.sampled_from(
+                ["write", "write", "write_virtual", "read", "read_byte"]))
+            length = 1 if op == "read_byte" else data.draw(self.lengths)
+            anchor = data.draw(self.anchors)
+            if data.draw(st.booleans()):
+                anchor -= length  # the range *ends* at the anchor
+            offset = max(0, min(anchor, self.SIZE - length))
+            if op == "write":
+                seed = data.draw(st.binary(min_size=1, max_size=97))
+                content = (seed * (length // len(seed) + 1))[:length]
+                real.write(offset, content)
+                model.write(offset, content)
+            elif op == "write_virtual":
+                real.write_virtual(offset, length)
+                model.write_virtual(offset, length)
+            elif op == "read":
+                assert real.read(offset, length) == model.read(offset, length)
+            else:
+                assert real.read_byte(offset) == model.read_byte(offset)
+        assert real.bytes_written == model.bytes_written
+        assert real.read(0, self.SIZE) == model.read(0, self.SIZE)
+
+    def test_every_range_around_a_page_boundary_agrees(self):
+        page = self.PAGE
+        real = VirtualBacking(4 * page)
+        model = _PerByteVirtualBacking(self.LIMIT)
+        pattern = bytes(range(1, 252)) * (4 * page // 251 + 1)
+        for backing in (real, model):
+            backing.write(0, pattern[:4 * page])
+        deltas = (-2, -1, 0, 1, 2)
+        for start in (page + d for d in deltas):
+            for end in (2 * page + d for d in deltas):
+                assert (real.read(start, end - start)
+                        == model.read(start, end - start))
+            for length in (1, 2, 3):
+                assert real.read(start, length) == model.read(start, length)
+                for backing in (real, model):
+                    backing.write(start, b"\xff" * length)
+                    backing.write(start + page, bytes(length))
+        assert real.read(0, 4 * page) == model.read(0, 4 * page)
+
+    def test_read_byte_bounds_checked(self):
+        import pytest
+        backing = VirtualBacking(128)
+        assert backing.read_byte(127) == 0
+        for bad in (-1, 128):
+            with pytest.raises(MemoryError_):
+                backing.read_byte(bad)
+
+    def test_zero_writes_allocate_nothing(self):
+        backing = VirtualBacking(1 << 30)
+        backing.write(12345, bytes(64))
+        backing.write(1 << 20, bytes(self.LIMIT + 1))
+        assert backing.read(12345, 64) == bytes(64)
+        assert not backing._pages
+
+    def test_non_bytes_buffers_accepted(self):
+        import numpy as np
+        backing = VirtualBacking(1024)
+        backing.write(10, memoryview(b"abc"))
+        backing.write(20, np.arange(1, 5, dtype=np.uint8))
+        assert backing.read(10, 3) == b"abc"
+        assert backing.read(20, 4) == bytes([1, 2, 3, 4])
 
 
 class TestWriteCommitProperties:
