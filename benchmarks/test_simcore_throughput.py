@@ -22,12 +22,19 @@ One layer up, a verb-level bandwidth test (after blue-rdma's
 ``testcase_bandwidth_test.py``) posts WRITEs of 64 B / 64 KiB / 4 MiB
 between two size-only regions and between two dense ones and bounds
 the *host* microseconds each costs: a size-only verb must cost the
-same whatever it moves, a dense one may grow with its bytes.
+same whatever it moves, a dense one may grow with its bytes.  A second
+table runs WRITE / READ / SEND through both link servers (the
+backfilling pipe and the 512 KiB quantum server) and pins the heap
+events each verb costs exactly, so a stray push on either path fails
+here before it shows up as wall-clock.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.simnet import Cluster, Opcode, WorkRequest
+from repro.simnet.costmodel import DEFAULT_COST_MODEL
 from repro.simnet.simulator import Simulator, SleepUntil
 
 
@@ -134,24 +141,35 @@ def test_sleep_until_throughput(benchmark):
     assert rate > 200_000
 
 
-def _run_writes(size: int, dense: bool, verbs: int) -> None:
-    cluster = Cluster(2)
+def _run_verbs(opcode: Opcode, quantum: int, size: int, dense: bool,
+               verbs: int) -> int:
+    """Post ``verbs`` verbs one at a time; returns the heap events used."""
+    cluster = Cluster(2, cost=replace(DEFAULT_COST_MODEL,
+                                      wire_quantum_bytes=quantum))
     a, b = cluster.hosts
     cq = a.nic.create_cq()
+    recv_cq = b.nic.create_cq()
     qp_a = a.nic.create_qp(cq)
-    qp_b = b.nic.create_qp(b.nic.create_cq())
+    qp_b = b.nic.create_qp(recv_cq)
     qp_a.connect(qp_b)
-    src = a.allocate(size, dense=dense)
-    dst = b.allocate(size, dense=dense)
-    src_mr = a.nic.register_memory(src)
-    dst_mr = b.nic.register_memory(dst)
+    local = a.allocate(size, dense=dense)
+    remote = b.allocate(size, dense=dense)
+    local_mr = a.nic.register_memory(local)
+    remote_mr = b.nic.register_memory(remote)
     for _ in range(verbs):
+        if opcode is Opcode.SEND:
+            qp_b.post_recv(WorkRequest(
+                opcode=Opcode.RECV, size=size, local_addr=remote.addr,
+                lkey=remote_mr.lkey))
         qp_a.post_send(WorkRequest(
-            opcode=Opcode.WRITE, size=size, local_addr=src.addr,
-            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
+            opcode=opcode, size=size, local_addr=local.addr,
+            lkey=local_mr.lkey, remote_addr=remote.addr,
+            rkey=remote_mr.rkey))
         cluster.sim.run()
         (completion,) = cq.poll()
         assert completion.ok
+        recv_cq.poll()
+    return cluster.sim.event_count
 
 
 # Measured 14 / 22 / 21 us size-only and 14 / 30 / 930 us dense; the
@@ -165,9 +183,35 @@ def _run_writes(size: int, dense: bool, verbs: int) -> None:
     ("dense", 4 << 20, 50, 10_000.0),
 ])
 def test_write_host_cost_per_verb(benchmark, storage, size, verbs, ceiling_us):
-    benchmark.pedantic(_run_writes, args=(size, storage == "dense", verbs),
-                       rounds=3, iterations=1)
+    benchmark.pedantic(_run_verbs, rounds=3, iterations=1, args=(
+        Opcode.WRITE, 0, size, storage == "dense", verbs))
     per_verb_us = benchmark.stats.stats.min / verbs * 1e6
     print(f"\nWRITE {size} B {storage}: {per_verb_us:.1f} host us/verb "
           f"= {size / per_verb_us:.1f} MB/s of simulated payload")
+    assert per_verb_us < ceiling_us
+
+
+# Measured 23.5 / 23.1 / 17.8 us on the pipe and 39.4 / 39.7 / 34.4 us
+# on the quantum server (64 KiB size-only).  A one-sided verb is four
+# commit chunks and a CQE; a SEND is the delivery, the RECV commit and a
+# CQE; the quantum server adds one decide and one finish event per
+# direction.  The two servers stay two because of exactly this gap.
+@pytest.mark.parametrize("quantum,ceiling_us,events", [
+    (0, 250.0, {Opcode.WRITE: 5, Opcode.READ: 5, Opcode.SEND: 3}),
+    (512 << 10, 400.0, {Opcode.WRITE: 9, Opcode.READ: 9, Opcode.SEND: 7}),
+], ids=["pipe", "quantum"])
+@pytest.mark.parametrize("opcode", [Opcode.WRITE, Opcode.READ, Opcode.SEND],
+                         ids=lambda op: op.name)
+def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
+                                   events):
+    verbs, size = 500, 64 << 10
+    counts = []
+    benchmark.pedantic(
+        lambda: counts.append(_run_verbs(opcode, quantum, size, False, verbs)),
+        rounds=3, iterations=1)
+    per_verb_us = benchmark.stats.stats.min / verbs * 1e6
+    print(f"\n{opcode.name} {size} B size-only, quantum {quantum}: "
+          f"{per_verb_us:.1f} host us/verb, "
+          f"{counts[0] / verbs:g} events/verb")
+    assert counts == [events[opcode] * verbs] * 3
     assert per_verb_us < ceiling_us

@@ -50,6 +50,7 @@ from ..graph.executor import Executor
 from ..graph.tensor import Tensor
 from ..graph.transfer_api import Outcome
 from ..simnet.fabric import AggregationPlane, rack_groups
+from ..simnet.nic import record_wire
 from ..simnet.verbs import (ROLE_COLLECTIVE_CHUNK, ROLE_INNETWORK_AGGREGATE,
                             ROLE_INNETWORK_RESULT, ROLE_RETRANSMIT, Opcode,
                             WorkRequest)
@@ -79,7 +80,8 @@ class _Member:
         self.tensor = tensor
         self.flag_offset = flag_offset
         self.round = 0
-        #: last egress wire-scheduler booking (per-member FIFO chain)
+        #: tail of this member's uplink bookings: the quantum server's
+        #: per-member FIFO chain (a pipe hands back none)
         self.egress_tail = None
         #: send process parked on the in-flight window, if any
         self.window_event = None
@@ -309,8 +311,8 @@ class InNetworkGroup:
 
         def arrived(start: float, egress_end: float) -> None:
             arrival = egress_end + latency
-            self._record(member.host.name, tor_link.dst.name, size,
-                         start, arrival, role)
+            record_wire(self.cluster, "RDMA_WRITE", member.host.name,
+                        tor_link.dst.name, size, start, arrival, role)
             if lost:
                 sim.call_at(arrival, lambda: self._send_up(
                     member, round_id, chunk_index, size, payload,
@@ -320,17 +322,8 @@ class InNetworkGroup:
                 self.group_id, round_id, chunk_index, member.index, size,
                 payload, arrival))
 
-        nic = member.nic
-        if nic.egress_sched is not None:
-            booking = nic.egress_sched.submit(
-                size, self.priority, data_ready=sim.now,
-                after=member.egress_tail)
-            member.egress_tail = booking
-            booking.on_complete = (
-                lambda b=booking: arrived(b.first_start, b.end))
-        else:
-            start, egress_end = nic.egress.reserve(sim.now, size)
-            arrived(start, egress_end)
+        member.egress_tail = member.nic.egress.book(
+            size, sim.now, arrived, self.priority, after=member.egress_tail)
 
     # -- downstream delivery -----------------------------------------------------
 
@@ -344,18 +337,15 @@ class InNetworkGroup:
             begin = ready + link.latency
             link.bytes_carried += size
             link.transfers += 1
-            nic = member.nic
-            if nic.ingress_sched is not None:
-                booking = nic.ingress_sched.submit(
-                    size, self.priority, data_ready=begin)
-                booking.on_complete = (
-                    lambda b=booking, m=member, o=offset: self._land(
-                        m, round_id, o, size, payload, link.src.name,
-                        b.first_start, b.end, ROLE_INNETWORK_RESULT))
-            else:
-                start, end = nic.ingress.reserve(begin, size)
-                self._land(member, round_id, offset, size, payload,
-                           link.src.name, begin, end, ROLE_INNETWORK_RESULT)
+
+            # The wire span runs from the first bit reaching the port,
+            # so time queued behind other ingress traffic is part of it.
+            def landed(_start: float, end: float, member=member,
+                       src=link.src.name, begin=begin) -> None:
+                self._land(member, round_id, offset, size, payload, src,
+                           begin, end, ROLE_INNETWORK_RESULT)
+
+            member.nic.ingress.book(size, begin, landed, self.priority)
 
     def _land(self, member: _Member, round_id: int, offset: int, size: int,
               payload, src_name: str, start: float, end: float,
@@ -364,7 +354,8 @@ class InNetworkGroup:
         # Self-deliveries never hit the wire; tree hops were already
         # accounted by the transfer that carried them here.
         if record and src_name != member.host.name:
-            self._record(src_name, member.host.name, size, start, end, role)
+            record_wire(self.cluster, "RDMA_WRITE", src_name,
+                        member.host.name, size, start, end, role)
         raw = payload.tobytes() if payload is not None else None
         member.nic._schedule_ascending_commit(
             member.tensor.buffer.backing, offset, size, raw, start, end)
@@ -472,14 +463,16 @@ class InNetworkGroup:
     def _tree_land(self, member: _Member, round_id: int, offset: int,
                    size: int, payload, src_name: str, now: float) -> None:
         """Terminal hop of the tree: commit into the receive region."""
+        def land(start: float, end: float) -> None:
+            self._land(member, round_id, offset, size, payload, src_name,
+                       start, end, ROLE_COLLECTIVE_CHUNK, record=False)
+
         if src_name == member.host.name:
             # The node already holds the result locally (leader / root):
             # no wire, just the commit.
-            start = end = now
+            land(now, now)
         else:
-            start, end = member.nic.ingress.reserve(now, size)
-        self._land(member, round_id, offset, size, payload, src_name,
-                   start, end, ROLE_COLLECTIVE_CHUNK, record=False)
+            member.nic.ingress.book(size, now, land, self.priority)
 
     def _tree_transfer(self, src: _Member, dst: _Member, size: int,
                        then) -> None:
@@ -490,15 +483,17 @@ class InNetworkGroup:
         at the destination arrival time.  The destination's own ingress
         booking happens at the terminal hop.
         """
-        sim = self.sim
-        start, egress_end = src.nic.egress.reserve(sim.now, size)
-        path = self.fabric.traverse(src.host.name, dst.host.name,
-                                    start, egress_end, size)
-        arrival = path.last_byte if path is not None \
-            else egress_end + self.cost.rdma_base_latency
-        self._record(src.host.name, dst.host.name, size, start, arrival,
-                     ROLE_COLLECTIVE_CHUNK)
-        sim.call_at(arrival, lambda: then(arrival))
+        def sent(start: float, egress_end: float) -> None:
+            path = self.fabric.traverse(src.host.name, dst.host.name,
+                                        start, egress_end, size)
+            arrival = path.last_byte if path is not None \
+                else egress_end + self.cost.rdma_base_latency
+            record_wire(self.cluster, "RDMA_WRITE", src.host.name,
+                        dst.host.name, size, start, arrival,
+                        ROLE_COLLECTIVE_CHUNK)
+            self.sim.call_at(arrival, lambda: then(arrival))
+
+        src.nic.egress.book(size, self.sim.now, sent, self.priority)
 
     def _combine_time(self, size: int) -> float:
         return self.cost.op_overhead + \
@@ -514,19 +509,6 @@ class InNetworkGroup:
         return result
 
     # -- helpers ------------------------------------------------------------------
-
-    def _record(self, src: str, dst: str, size: int, start: float,
-                end: float, role: str) -> None:
-        metrics = self.cluster.metrics
-        if metrics is not None:
-            metrics.record_transfer("RDMA_WRITE", src, dst, size,
-                                    start, end, role=role)
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.record("wire", f"RDMA_WRITE {size}B", src, "nic:wire",
-                          start, end,
-                          args={"dst": dst, "nbytes": size, "role": role})
-            tracer.metrics.histogram("transfer_size_bytes").observe(size)
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -48,52 +48,49 @@ _IDLE_BACKOFF_MAX = 500e-6
 
 
 class _ReadyQueue:
-    """The executor's ready queue: FIFO by default, priority when enabled.
+    """The executor's ready queue: urgent sends first, the rest FIFO.
 
-    Priority mode makes two deliberate changes to the service order:
-    nodes enqueued for (re-)polling sort after every fresh ready node —
-    a poll-miss sweep must not starve runnable compute — and transfer
-    nodes (``_Send``/``_Recv``) with a higher ``priority`` attr are
-    issued first, so an urgent tensor reaches the wire scheduler ahead
-    of bulk traffic.  Compute nodes keep their FIFO order regardless of
-    any priority attr: reordering compute would push collective
-    pack/unpack work ahead of the backward chain and lengthen the very
-    critical path the scheduler exists to shorten.  FIFO mode keeps the
-    exact legacy deque ordering so default-mode clocks are
-    bit-identical.
+    One deque holds everything in arrival order; a small heap beside it
+    only ever holds ``_Send`` nodes with a positive ``priority`` attr
+    and is served first, so an urgent tensor reaches the wire scheduler
+    ahead of bulk traffic.  FIFO mode (``priority=False``) is the case
+    where nothing is urgent.  Two things never jump the line: a node
+    re-enqueued for polling (``retry``) — a poll-miss sweep must neither
+    starve runnable compute nor preempt it — and compute nodes, whose
+    reordering would push collective pack/unpack work ahead of the
+    backward chain and lengthen the critical path.
     """
 
     def __init__(self, nodes=(), priority: bool = False) -> None:
         self._priority = priority
         self._fifo: Deque[Node] = deque()
-        self._heap: List[Tuple[int, int, int, Node]] = []
+        self._urgent: List[Tuple[int, int, Node]] = []
         self._seq = itertools.count()
         for node in nodes:
             self.append(node)
 
     def append(self, node: Node, retry: bool = False) -> None:
-        if not self._priority:
-            self._fifo.append(node)
-        else:
-            urgency = (node.attrs.get("priority", 0)
-                       if not retry and node.op_type == "_Send" else 0)
-            heappush(self._heap, (-urgency, next(self._seq), node))
+        if self._priority and not retry and node.op_type == "_Send":
+            urgency = node.attrs.get("priority", 0)
+            if urgency > 0:
+                heappush(self._urgent, (-urgency, next(self._seq), node))
+                return
+        self._fifo.append(node)
 
     def popleft(self) -> Node:
-        if not self._priority:
-            return self._fifo.popleft()
-        return heappop(self._heap)[-1]
+        if self._urgent:
+            return heappop(self._urgent)[-1]
+        return self._fifo.popleft()
 
     def __len__(self) -> int:
-        return len(self._fifo) + len(self._heap)
+        return len(self._fifo) + len(self._urgent)
 
     def __bool__(self) -> bool:
-        return bool(self._fifo) or bool(self._heap)
+        return bool(self._fifo) or bool(self._urgent)
 
     def __iter__(self) -> Iterator[Node]:
-        if not self._priority:
-            return iter(self._fifo)
-        return iter(entry[-1] for entry in self._heap)
+        yield from (entry[-1] for entry in self._urgent)
+        yield from self._fifo
 
 
 class Executor:

@@ -2,19 +2,24 @@
 
 Timing model
 ------------
-Each NIC port has two :class:`Pipe` objects (egress and ingress), each
-a FIFO bandwidth reservation: a transfer of ``S`` bytes occupies the
-pipe for ``S / bandwidth`` seconds starting no earlier than the pipe's
-previous reservation ends.  A cross-host transfer reserves the sender's
-egress and the receiver's ingress with cut-through overlap, so an
-uncontended transfer costs one serialization delay while fan-in to a
-hot receiver (the parameter-server pattern) queues on its ingress.
+Every posted verb runs one pipeline (:meth:`RdmaNic._post`): fault gate,
+resolve endpoints and payload, book the wire, land (commit or deliver,
+wire record, CQE, verb span).  A READ is a WRITE with the two NICs
+swapped plus a request leg; a SEND is a WRITE delivered to the remote
+RECV queue.  The wire is a cut-through booking of the sender's egress
+and the receiver's ingress: an uncontended transfer costs one
+serialization delay, fan-in to a hot receiver queues on its ingress.
 
-When ``CostModel.wire_quantum_bytes > 0`` each direction instead runs a
-:class:`WireScheduler` — a preemptive priority quantum server in which
-large transfers are sliced into quantum bookings so a high-priority
-small transfer can interleave mid-flight; an uncontended transfer still
-costs exactly the legacy ``verb + latency + size/bandwidth`` time.
+Each direction of a port is a *link server* answering ``book(size,
+ready, then, priority, after)``; ``CostModel.wire_quantum_bytes`` picks
+which.  :class:`Pipe` (0) books one contiguous interval, backfills idle
+gaps and resolves at booking time with no heap events (64 KiB WRITE /
+READ / SEND: 5 / 5 / 3 events).  :class:`WireScheduler` serves a quantum
+at a time in (priority, arrival) order so an urgent transfer preempts a
+bulk one mid-flight, at 4 more events per verb (9 / 9 / 7) and ~70 %
+more host time; alone on the wire it reproduces the pipe's clock.  Each
+does what the other cannot, so both stay, and only the verbs'
+cut-through booking (``_book_wire_*``) knows which one it talks to.
 
 Semantics model
 ---------------
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -42,11 +47,27 @@ from .simulator import Event, Simulator
 from .verbs import Completion, Opcode, WcStatus, WorkRequest
 
 
+#: What a link server calls when a booking resolves: ``(start, end)``.
+Then = Callable[[float, float], None]
+
 #: Maximum number of commit chunks per WRITE/READ; bounds event count so
 #: large simulated transfers stay cheap to simulate.
 MAX_COMMIT_CHUNKS = 4
 #: Writes at or below this size commit in a single chunk.
 SINGLE_CHUNK_LIMIT = 4096
+
+
+def record_wire(cluster, kind: str, src: str, dst: str, size: int,
+                start: float, end: float, role: str = "") -> None:
+    """Account one wire transfer to the cluster's metrics and tracer."""
+    metrics = cluster.metrics
+    if metrics is not None:
+        metrics.record_transfer(kind, src, dst, size, start, end, role=role)
+    tracer = cluster.tracer
+    if tracer is not None:
+        tracer.record("wire", f"{kind} {size}B", src, "nic:wire", start, end,
+                      args={"dst": dst, "nbytes": size, "role": role})
+        tracer.metrics.histogram("transfer_size_bytes").observe(size)
 
 
 class Pipe:
@@ -71,8 +92,11 @@ class Pipe:
         """Time at which all booked work is done."""
         return self._busy[-1][1] if self._busy else 0.0
 
-    def _book(self, earliest: float, duration: float) -> Tuple[float, float]:
-        """Find the first gap of ``duration`` starting >= ``earliest``."""
+    def reserve(self, earliest: float, size: int) -> Tuple[float, float]:
+        """Reserve ``size`` bytes in the first gap that fits them and
+        starts >= ``earliest``; returns (start, end) times."""
+        self.bytes_carried += size
+        duration = size / self.bandwidth
         if duration <= 0:
             return earliest, earliest
         cursor = earliest
@@ -102,12 +126,14 @@ class Pipe:
             self._busy.pop(index)
         return slot
 
-    def reserve(self, earliest: float, size: int) -> Tuple[float, float]:
-        """Reserve ``size`` bytes; returns (start, end) times."""
-        duration = size / self.bandwidth
-        start, end = self._book(earliest, duration)
-        self.bytes_carried += size
-        return start, end
+    def book(self, size: int, ready: float, then: Then, priority: int = 0,
+             after: None = None) -> None:
+        """The link-server call shared with :class:`WireScheduler`:
+        reserve and call ``then(start, end)`` — synchronously, a pipe
+        resolves at booking time.  ``priority`` and ``after`` are the
+        quantum server's; a pipe backfills, so it hands back no tail.
+        """
+        then(*self.reserve(ready, size))
 
     def reserve_after(self, earliest: float, size: int, data_ready: float) -> float:
         """Reserve capacity that cannot finish before ``data_ready``.
@@ -126,18 +152,18 @@ class WireBooking:
 
     ``first_start``/``end`` are filled in as the scheduler serves the
     booking; ``on_start`` fires when the first quantum begins (used to
-    release the cut-through ingress half), ``on_complete`` when the
-    last quantum ends.  ``_done_callbacks`` implement ``after``
-    chaining: a booking gated on this one is enqueued the moment this
-    one finishes.
+    release the cut-through ingress half), ``then(first_start, end)``
+    when the last quantum ends.  ``_done_callbacks`` implement
+    ``after`` chaining: a booking gated on this one is enqueued the
+    moment this one finishes.
     """
 
     __slots__ = ("size", "priority", "data_ready", "quantum", "remaining",
-                 "first_start", "end", "on_start", "on_complete", "done",
+                 "first_start", "end", "on_start", "then", "done",
                  "_done_callbacks", "_after", "seq")
 
     def __init__(self, size: int, priority: int, data_ready: Optional[float],
-                 quantum: int, seq: int) -> None:
+                 quantum: int, seq: int, then: Then) -> None:
         self.size = size
         self.priority = priority
         self.data_ready = data_ready
@@ -146,7 +172,7 @@ class WireBooking:
         self.first_start: Optional[float] = None
         self.end: Optional[float] = None
         self.on_start: Optional[Callable[[], None]] = None
-        self.on_complete: Optional[Callable[[], None]] = None
+        self.then = then
         self.done = False
         self._done_callbacks: List[Callable[[], None]] = []
         self._after: Optional["WireBooking"] = None
@@ -185,15 +211,18 @@ class WireScheduler:
 
     # -- booking lifecycle -------------------------------------------------------
 
-    def submit(self, size: int, priority: int = 0, data_ready: float = 0.0,
-               after: Optional[WireBooking] = None) -> WireBooking:
-        """Book ``size`` bytes, runnable once ``data_ready`` passes and
-        ``after`` (if given) has finished."""
-        booking = self._make(size, priority, data_ready)
+    def book(self, size: int, ready: float, then: Then, priority: int = 0,
+             after: Optional[WireBooking] = None) -> WireBooking:
+        """The link-server call shared with :class:`Pipe`: serve ``size``
+        bytes once ``ready`` passes and ``after`` (an earlier booking
+        of this server, if given) has finished, then call ``then(start,
+        end)``.  Returns the booking — the tail a later call passes as
+        ``after`` to stay behind this one."""
+        booking = self._make(size, priority, ready, then)
         self._gate(booking, after)
         return booking
 
-    def hold(self, size: int, priority: int = 0,
+    def hold(self, size: int, then: Then, priority: int = 0,
              after: Optional[WireBooking] = None) -> WireBooking:
         """Create a booking that is not yet runnable (see :meth:`release`).
 
@@ -202,7 +231,7 @@ class WireScheduler:
         but it only becomes runnable once the sender's egress starts and
         the first bit's arrival time is known.
         """
-        booking = self._make(size, priority, None)
+        booking = self._make(size, priority, None, then)
         booking._after = after
         return booking
 
@@ -211,11 +240,11 @@ class WireScheduler:
         booking.data_ready = data_ready
         self._gate(booking, booking._after)
 
-    def _make(self, size: int, priority: int,
-              data_ready: Optional[float]) -> WireBooking:
+    def _make(self, size: int, priority: int, data_ready: Optional[float],
+              then: Then) -> WireBooking:
         quantum = max(self.quantum_bytes, -(-size // self.max_quanta))
         booking = WireBooking(size, priority, data_ready, quantum,
-                              next(self._seq))
+                              next(self._seq), then)
         self.bytes_carried += size
         return booking
 
@@ -280,8 +309,7 @@ class WireScheduler:
         else:
             booking.end = self.sim.now
             booking.done = True
-            if booking.on_complete is not None:
-                booking.on_complete()
+            booking.then(booking.first_start, booking.end)
             callbacks, booking._done_callbacks = booking._done_callbacks, []
             for callback in callbacks:
                 callback()
@@ -328,6 +356,19 @@ class CompletionQueue:
         return event
 
 
+class _Arrivals:
+    """Delivery order of one QP's verbs at one destination: a later verb
+    never lands before an earlier one.  A pipe clamps landing times to
+    ``watermark``; the quantum server interleaves transfers, so there
+    the ingress bookings are chained behind ``chain`` instead."""
+
+    __slots__ = ("watermark", "chain")
+
+    def __init__(self) -> None:
+        self.watermark = 0.0
+        self.chain: Optional[WireBooking] = None
+
+
 class QueuePair:
     """A reliable-connected queue pair bound to send and receive CQs."""
 
@@ -345,14 +386,12 @@ class QueuePair:
         self.broken = False
         self._recv_queue: Deque[WorkRequest] = deque()
         self._pending_sends: Deque = deque()
-        #: per-QP FIFO guarantees (verbs on one QP execute in order)
+        #: per-QP FIFO guarantees (verbs on one QP execute in order):
+        #: the send queue's tail — a time under a pipe, the last egress
+        #: booking under the quantum server — and the delivery order
         self._egress_free = 0.0
-        self._last_arrival = 0.0
-        #: tail of this QP's booking chains when the NIC runs the
-        #: priority wire scheduler (the quantum server interleaves
-        #: transfers, so FIFO must be enforced by chaining here)
         self._egress_chain: Optional[WireBooking] = None
-        self._ingress_chain: Optional[WireBooking] = None
+        self._arrivals = _Arrivals()
 
     # -- connection management ---------------------------------------------------
 
@@ -376,19 +415,10 @@ class QueuePair:
             raise MemoryError_(f"QP {self.qp_num} is not connected")
         return self.remote
 
-    def _clamp_arrival(self, remote_qp: "QueuePair", end: float) -> float:
-        """Per-QP ordering: a later verb never lands before an earlier
-        one.  RC QPs keep a single watermark; shared QPs override this
-        with a per-destination watermark (DCT orders per target)."""
-        end = max(end, self._last_arrival)
-        self._last_arrival = end
-        return end
-
-    def _get_ingress_chain(self, remote_qp: "QueuePair"):
-        return self._ingress_chain
-
-    def _set_ingress_chain(self, remote_qp: "QueuePair", booking) -> None:
-        self._ingress_chain = booking
+    def _arrivals_at(self, remote_qp: "QueuePair") -> _Arrivals:
+        """RC QPs have one destination; shared QPs override this with
+        per-destination state (DCT orders per target)."""
+        return self._arrivals
 
     # -- posting -----------------------------------------------------------------
 
@@ -404,14 +434,9 @@ class QueuePair:
 
     def post_send(self, wr: WorkRequest) -> None:
         """Post a WRITE, READ, or SEND; executes asynchronously."""
-        if wr.opcode is Opcode.WRITE:
-            self.nic._execute_write(self, wr)
-        elif wr.opcode is Opcode.READ:
-            self.nic._execute_read(self, wr)
-        elif wr.opcode is Opcode.SEND:
-            self.nic._execute_send(self, wr)
-        else:
+        if wr.opcode is Opcode.RECV:
             raise ValueError(f"cannot post {wr.opcode} to the send queue")
+        self.nic._post(self, wr)
 
     # -- send/recv matching (called by the remote NIC) ----------------------------
 
@@ -428,15 +453,16 @@ class QueuePair:
                       head: bytes = b"", tail: bytes = b"") -> None:
         recv_wr = self._recv_queue.popleft()
         sim = self.nic.sim
-        if len(data) > 0 and recv_wr.size < len(data):
+        # A size-only payload arrives as b"": its length is the WR's.
+        size = len(data) if data else send_wr.size
+        if recv_wr.size < size:
             def fail() -> None:
                 self.recv_cq.push(Completion(
                     wr_id=recv_wr.wr_id, opcode=Opcode.RECV,
-                    status=WcStatus.LOCAL_LENGTH_ERROR, byte_len=len(data),
+                    status=WcStatus.LOCAL_LENGTH_ERROR, byte_len=size,
                     qp_num=self.qp_num, timestamp=sim.now))
             sim.call_at(arrival, fail)
             return
-        size = len(data) if data else send_wr.size
 
         def commit() -> None:
             space = self.nic.host.address_space
@@ -472,8 +498,8 @@ class SharedQp(QueuePair):
       (``_egress_free`` / ``_egress_chain`` stay shared — the DCT
       scalability trade the loss-recovery paper calls out);
     * delivery ordering is only guaranteed *per target*: the arrival
-      watermark and priority-mode ingress chains are keyed by the
-      destination endpoint, matching what per-peer RC QPs enforce;
+      state is keyed by the destination endpoint, matching what
+      per-peer RC QPs enforce;
     * on the receive side the shared QP behaves as an SRQ: every
       peer's SENDs consume from the one ``_recv_queue`` in FIFO order;
     * an injected ``qp_break`` has a wider blast radius than RC: the
@@ -484,8 +510,7 @@ class SharedQp(QueuePair):
     def __init__(self, nic: "RdmaNic", send_cq: CompletionQueue,
                  recv_cq: CompletionQueue) -> None:
         super().__init__(nic, send_cq, recv_cq)
-        self._arrival_by_target: Dict[int, float] = {}
-        self._ingress_chain_by_target: Dict[int, Optional[WireBooking]] = {}
+        self._arrivals_by_target: Dict[int, _Arrivals] = defaultdict(_Arrivals)
 
     def connect(self, remote: "QueuePair") -> None:
         raise MemoryError_(
@@ -498,17 +523,8 @@ class SharedQp(QueuePair):
                 f"shared QP {self.qp_num} needs wr.dct_target")
         return wr.dct_target
 
-    def _clamp_arrival(self, remote_qp: QueuePair, end: float) -> float:
-        key = remote_qp.qp_num
-        end = max(end, self._arrival_by_target.get(key, 0.0))
-        self._arrival_by_target[key] = end
-        return end
-
-    def _get_ingress_chain(self, remote_qp: QueuePair):
-        return self._ingress_chain_by_target.get(remote_qp.qp_num)
-
-    def _set_ingress_chain(self, remote_qp: QueuePair, booking) -> None:
-        self._ingress_chain_by_target[remote_qp.qp_num] = booking
+    def _arrivals_at(self, remote_qp: QueuePair) -> _Arrivals:
+        return self._arrivals_by_target[remote_qp.qp_num]
 
 
 class RdmaNic:
@@ -519,20 +535,17 @@ class RdmaNic:
         self.host = host
         self.cost = cost
         self.mr_table = MrTable(cost.mr_table_capacity)
-        self.egress = Pipe(cost.rdma_bandwidth)
-        self.ingress = Pipe(cost.rdma_bandwidth)
-        # Priority mode: each direction becomes a preemptive quantum
-        # server instead of a contiguous-booking pipe.
+        # One link server per direction (see the module docstring).
         if cost.wire_quantum_bytes > 0:
-            self.egress_sched: Optional[WireScheduler] = WireScheduler(
-                sim, cost.rdma_bandwidth, cost.wire_quantum_bytes,
-                cost.wire_max_quanta)
-            self.ingress_sched: Optional[WireScheduler] = WireScheduler(
-                sim, cost.rdma_bandwidth, cost.wire_quantum_bytes,
-                cost.wire_max_quanta)
+            self.egress, self.ingress = (
+                WireScheduler(sim, cost.rdma_bandwidth,
+                              cost.wire_quantum_bytes, cost.wire_max_quanta)
+                for _ in range(2))
+            self._book_wire = self._book_wire_quantum
         else:
-            self.egress_sched = None
-            self.ingress_sched = None
+            self.egress = Pipe(cost.rdma_bandwidth)
+            self.ingress = Pipe(cost.rdma_bandwidth)
+            self._book_wire = self._book_wire_pipe
         self.registration_time_spent = 0.0
         #: QP objects this NIC has created — the O(1)-vs-O(N) state
         #: footprint that shared (DCT) endpoints exist to collapse
@@ -574,28 +587,14 @@ class RdmaNic:
     #: so flag bytes (tail) and metadata headers (head) are preserved.
     EDGE_WINDOW = 64
 
-    def _local_payload(self, wr: WorkRequest) -> Tuple[Optional[bytes], bytes, bytes]:
-        """Fetch outgoing bytes as (full_payload, head_window, tail_window).
-
-        ``full_payload`` is None for virtual sources, in which case only
-        the head/tail windows carry real content.
-        """
-        if wr.inline_data is not None:
-            return bytes(wr.inline_data), b"", b""
-        region = self.mr_table.lookup(wr.lkey, wr.local_addr, wr.size)
-        buf = region.buffer
-        offset = wr.local_addr - buf.addr
-        if isinstance(buf.backing, DenseBacking):
-            return buf.backing.read(offset, wr.size), b"", b""
-        # Virtual source: move timing, not bytes — except the edges.
-        win = min(self.EDGE_WINDOW, wr.size)
-        head = buf.backing.read(offset, win)
-        tail = buf.backing.read(offset + wr.size - win, win) if wr.size > win else b""
-        return None, head, tail
-
     @staticmethod
     def _edge_payload(backing: Backing, offset: int, size: int) -> Tuple[Optional[bytes], bytes, bytes]:
-        """Like :meth:`_local_payload` but for an already-resolved buffer."""
+        """Fetch outgoing bytes as (full_payload, head_window, tail_window).
+
+        ``full_payload`` is None for size-only sources: they move timing,
+        not bytes — except the head/tail windows, which carry real
+        content.
+        """
         if isinstance(backing, DenseBacking):
             return backing.read(offset, size), b"", b""
         win = min(RdmaNic.EDGE_WINDOW, size)
@@ -608,24 +607,21 @@ class RdmaNic:
                           byte_len=0, qp_num=qp.qp_num, timestamp=self.sim.now)
         self.sim.call_after(self.cost.rdma_verb_overhead, lambda: qp.send_cq.push(comp))
 
-    def _fault_gate(self, qp: QueuePair,
-                    wr: WorkRequest) -> Tuple[bool, Optional[FaultVerdict]]:
+    def _fault_gate(self, qp: QueuePair, wr: WorkRequest, target: QueuePair
+                    ) -> Tuple[bool, Optional[FaultVerdict]]:
         """Broken-QP flush + fault-plane consult for one posted verb.
 
         Returns ``(proceed, verdict)``.  With no fault plane installed
         this is two attribute checks and schedules nothing, so clean
         runs keep bit-identical timing.
         """
-        target = wr.dct_target if wr.dct_target is not None else qp.remote
-        if qp.broken or (target is not None and target.broken):
+        if qp.broken or target.broken:
             self._fail(qp, wr, WcStatus.WR_FLUSH_ERR)
             return False, None
         plane = self.host.cluster.fault_plane
         if plane is None:
             return True, None
-        verdict = plane.on_post(
-            self, qp, wr,
-            dst=target.nic.host.name if target is not None else None)
+        verdict = plane.on_post(self, qp, wr, dst=target.nic.host.name)
         if verdict is None:
             return True, None
         if verdict.kind == "blackhole":
@@ -636,9 +632,7 @@ class RdmaNic:
             self._fail(qp, wr, verdict.status)
             return False, None
         if verdict.break_qp:
-            qp.broken = True
-            if target is not None:
-                target.broken = True
+            qp.broken = target.broken = True
         return True, verdict
 
     def _faulted_commit(self, verdict: Optional[FaultVerdict],
@@ -685,360 +679,157 @@ class RdmaNic:
                 return latency
         return self.cost.rdma_base_latency
 
-    def _execute_write(self, qp: QueuePair, wr: WorkRequest) -> None:
-        proceed, verdict = self._fault_gate(qp, wr)
+    def _post(self, qp: QueuePair, wr: WorkRequest) -> None:
+        """The one verb pipeline: gate, resolve, book the wire, land.
+
+        A READ is the same transfer as a WRITE with source and
+        destination NIC swapped: the data leg leaves the *remote*
+        egress one request round trip late and does not advance this
+        QP's egress tail.  A SEND is a WRITE whose delivery is the
+        remote QP's RECV matching instead of an ascending commit.
+        """
+        remote_qp = qp._require_remote(wr)
+        proceed, verdict = self._fault_gate(qp, wr, remote_qp)
         if not proceed:
             return
-        remote_qp = qp._require_remote(wr)
-        remote_nic = remote_qp.nic
+        opcode, size = wr.opcode, wr.size
+        src_nic, dst_nic, lead = self, remote_qp.nic, 0.0
+        source = None         # stays None for an inline payload
+        dest_backing = None   # stays None for SEND: delivery is two-sided
         try:
-            payload, head, tail = self._local_payload(wr)
-            remote_nic.mr_table.lookup(wr.rkey, wr.remote_addr, wr.size)
-            dest_buf, dest_off = remote_nic.host.address_space.resolve(
-                wr.remote_addr, max(wr.size, 1))
+            if opcode is Opcode.READ:
+                src_nic, dst_nic = dst_nic, self
+                lead = self.cost.rdma_read_extra_rtt
+                source = src_nic.mr_table.lookup(
+                    wr.rkey, wr.remote_addr, size).buffer
+                source_off = wr.remote_addr - source.addr
+                local = self.mr_table.lookup(
+                    wr.lkey, wr.local_addr, size).buffer
+                dest_backing, dest_off = local.backing, wr.local_addr - local.addr
+            elif wr.inline_data is None:
+                source = self.mr_table.lookup(
+                    wr.lkey, wr.local_addr, size).buffer
+                source_off = wr.local_addr - source.addr
+            if source is None:
+                payload, head, tail = bytes(wr.inline_data), b"", b""
+            else:
+                payload, head, tail = self._edge_payload(
+                    source.backing, source_off, size)
+            if opcode is Opcode.WRITE:
+                dst_nic.mr_table.lookup(wr.rkey, wr.remote_addr, size)
+                remote, dest_off = dst_nic.host.address_space.resolve(
+                    wr.remote_addr, max(size, 1))
+                dest_backing = remote.backing
         except MemoryError_:
             self._fail(qp, wr, WcStatus.REMOTE_ACCESS_ERROR)
             return
-
-        if self.egress_sched is not None and remote_nic.ingress_sched is not None:
-            self._execute_write_prio(qp, wr, remote_qp, payload, head, tail,
-                                     dest_buf, dest_off, verdict)
-            return
-
-        extra = verdict.delay if verdict is not None else 0.0
-        depart = max(self.sim.now + self.cost.rdma_verb_overhead + extra,
-                     qp._egress_free)
-        start, egress_end = self.egress.reserve(depart, wr.size)
-        qp._egress_free = egress_end
-        path = self._fabric_traverse(remote_nic, start, egress_end, wr.size)
-        if path is None:
-            data_ready = start + self.cost.rdma_base_latency + wr.size / self.cost.rdma_bandwidth
-            end = remote_nic.ingress.reserve_after(
-                start + self.cost.rdma_base_latency, wr.size, data_ready)
-        else:
-            end = remote_nic.ingress.reserve_after(
-                path.first_bit, wr.size, path.last_byte)
-        # Per-QP ordering: a later verb never lands before an earlier one.
-        end = qp._clamp_arrival(remote_qp, end)
-
-        self._faulted_commit(verdict, dest_buf.backing, dest_off, wr.size,
-                             payload, start, end, head, tail,
-                             wake_host=remote_nic.host)
-        self._record(Opcode.WRITE, self.host, remote_nic.host, wr.size,
-                     start, end, role=wr.role)
-        status = WcStatus.SUCCESS if verdict is None else verdict.status
-        # Error completions are delivered even for unsignaled posts:
-        # the NIC always reports failed work requests.
-        if wr.signaled or status is not WcStatus.SUCCESS:
-            done = end + self.cost.rdma_completion_overhead
-            comp = Completion(wr_id=wr.wr_id, opcode=Opcode.WRITE,
-                              status=status,
-                              byte_len=wr.size if status is WcStatus.SUCCESS else 0,
-                              qp_num=qp.qp_num, timestamp=done)
-            self.sim.call_at(done, lambda: qp.send_cq.push(comp))
-        self._trace_verb(qp, wr, end + self.cost.rdma_completion_overhead
-                         if wr.signaled else end)
-
-    def _execute_write_prio(self, qp: QueuePair, wr: WorkRequest,
-                            remote_qp: QueuePair,
-                            payload: Optional[bytes], head: bytes,
-                            tail: bytes, dest_buf, dest_off: int,
-                            verdict: Optional[FaultVerdict] = None) -> None:
-        """WRITE under the priority quantum scheduler (cut-through).
-
-        The egress booking becomes runnable once the WQE is processed;
-        the ingress booking is created immediately (so the QP's FIFO
-        chain covers it) but held until the egress actually starts,
-        when the first bit's arrival time is known.  The transfer is
-        finished when both directions have served all quanta; the last
-        byte additionally cannot land before it was sent
-        (``egress end + propagation``).
-        """
         posted = self.sim.now
-        remote_nic = remote_qp.nic
-        latency = self._fabric_latency(remote_nic)
-        extra = verdict.delay if verdict is not None else 0.0
-        depart = posted + self.cost.rdma_verb_overhead + extra
-        eb = self.egress_sched.submit(wr.size, wr.priority, data_ready=depart,
-                                      after=qp._egress_chain)
-        qp._egress_chain = eb
-        ib = remote_nic.ingress_sched.hold(
-            wr.size, wr.priority, after=qp._get_ingress_chain(remote_qp))
-        qp._set_ingress_chain(remote_qp, ib)
-        eb.on_start = lambda: remote_nic.ingress_sched.release(
-            ib, eb.first_start + latency)
 
-        def finish() -> None:
+        def land(start: float, end: float) -> None:
+            status = WcStatus.SUCCESS if verdict is None else verdict.status
+            ok = status is WcStatus.SUCCESS
+            if dest_backing is not None:
+                self._faulted_commit(verdict, dest_backing, dest_off, size,
+                                     payload, start, end, head, tail,
+                                     wake_host=dst_nic.host)
+            elif ok:
+                # A faulted SEND never reaches the remote RECV queue:
+                # the message vanishes and only the error CQE reports it.
+                data = payload if payload is not None else b""
+                self.sim.call_at(end, lambda: remote_qp._incoming_send(
+                    wr, data, end, head, tail))
+            record_wire(self.host.cluster, opcode.value, src_nic.host.name,
+                        dst_nic.host.name, size, start, end, wr.role)
+            completed = end
+            # Error completions are delivered even for unsignaled
+            # posts: the NIC always reports failed work requests.
+            if wr.signaled or not ok:
+                completed = end + self.cost.rdma_completion_overhead
+                comp = Completion(wr_id=wr.wr_id, opcode=opcode,
+                                  status=status,
+                                  byte_len=size if ok else 0,
+                                  qp_num=qp.qp_num, timestamp=completed)
+                self.sim.call_at(completed, lambda: qp.send_cq.push(comp))
+            self._trace_verb(qp, wr, posted, completed)
+
+        extra = verdict.delay if verdict is not None else 0.0
+        self._book_wire(qp, remote_qp, wr, src_nic, dst_nic,
+                        posted + self.cost.rdma_verb_overhead + extra, lead,
+                        land)
+
+    # -- cut-through booking: the only code that knows the link server ---------------
+
+    def _book_wire_pipe(self, qp: QueuePair, remote_qp: QueuePair,
+                        wr: WorkRequest, src_nic: "RdmaNic",
+                        dst_nic: "RdmaNic", ready: float, lead: float,
+                        land: Then) -> None:
+        """Book both directions at post time and land synchronously.
+
+        The ingress half starts when the first bit can arrive and cannot
+        finish before the last byte was sent; on a fabric the routed
+        path supplies both times (trunk queueing included).
+        """
+        size = wr.size
+        depart = max(ready, qp._egress_free) + lead
+        start, egress_end = src_nic.egress.reserve(depart, size)
+        if wr.opcode is not Opcode.READ:
+            qp._egress_free = egress_end
+        path = src_nic._fabric_traverse(dst_nic, start, egress_end, size)
+        if path is None:
+            first_bit = start + self.cost.rdma_base_latency
+            last_byte = first_bit + size / self.cost.rdma_bandwidth
+        else:
+            first_bit, last_byte = path.first_bit, path.last_byte
+        arrivals = qp._arrivals_at(remote_qp)
+        arrivals.watermark = end = max(
+            dst_nic.ingress.reserve_after(first_bit, size, last_byte),
+            arrivals.watermark)
+        land(start, end)
+
+    def _book_wire_quantum(self, qp: QueuePair, remote_qp: QueuePair,
+                           wr: WorkRequest, src_nic: "RdmaNic",
+                           dst_nic: "RdmaNic", ready: float, lead: float,
+                           land: Then) -> None:
+        """Chain both directions behind the QP's earlier verbs and land
+        when both have served all quanta.
+
+        The ingress booking exists from post time (so the QP's FIFO
+        chain covers it) but is held until the egress actually starts,
+        when the first bit's arrival time is known.  The last byte
+        cannot land before it was sent (``egress end + propagation``);
+        trunk capacity is charged once the egress booking is known.
+        """
+        size, priority = wr.size, wr.priority
+        latency = src_nic._fabric_latency(dst_nic)
+        ingress = dst_nic.ingress
+
+        def finish(_start: float, _end: float) -> None:
             if not (eb.done and ib.done):
                 return
             end = max(ib.end, eb.end + latency)
-            # Trunk capacity is charged once the egress booking is known;
-            # uplink queueing pushes the last byte's landing time.
-            path = self._fabric_traverse(remote_nic, eb.first_start, eb.end,
-                                         wr.size)
+            path = src_nic._fabric_traverse(dst_nic, eb.first_start, eb.end,
+                                            size)
             if path is not None:
                 end = max(end, path.last_byte)
-            self._faulted_commit(verdict, dest_buf.backing, dest_off,
-                                 wr.size, payload, eb.first_start, end,
-                                 head, tail, wake_host=remote_nic.host)
-            self._record(Opcode.WRITE, self.host, remote_nic.host, wr.size,
-                         eb.first_start, end, role=wr.role)
-            status = WcStatus.SUCCESS if verdict is None else verdict.status
-            completed = end
-            if wr.signaled or status is not WcStatus.SUCCESS:
-                completed = end + self.cost.rdma_completion_overhead
-                comp = Completion(wr_id=wr.wr_id, opcode=Opcode.WRITE,
-                                  status=status,
-                                  byte_len=wr.size if status is WcStatus.SUCCESS else 0,
-                                  qp_num=qp.qp_num, timestamp=completed)
-                self.sim.call_at(completed, lambda: qp.send_cq.push(comp))
-            self._trace_verb(qp, wr, completed, posted=posted)
+            land(eb.first_start, end)
 
-        eb.on_complete = finish
-        ib.on_complete = finish
+        eb = src_nic.egress.book(size, ready + lead, finish, priority,
+                                 after=qp._egress_chain)
+        if wr.opcode is not Opcode.READ:
+            qp._egress_chain = eb
+        arrivals = qp._arrivals_at(remote_qp)
+        arrivals.chain = ib = ingress.hold(size, finish, priority,
+                                           after=arrivals.chain)
+        eb.on_start = lambda: ingress.release(ib, eb.first_start + latency)
 
-    def _execute_read(self, qp: QueuePair, wr: WorkRequest) -> None:
-        proceed, verdict = self._fault_gate(qp, wr)
-        if not proceed:
-            return
-        remote_qp = qp._require_remote(wr)
-        remote_nic = remote_qp.nic
-        try:
-            remote_region = remote_nic.mr_table.lookup(wr.rkey, wr.remote_addr, wr.size)
-            local_region = self.mr_table.lookup(wr.lkey, wr.local_addr, wr.size)
-        except MemoryError_:
-            self._fail(qp, wr, WcStatus.REMOTE_ACCESS_ERROR)
-            return
-
-        src_buf = remote_region.buffer
-        src_off = wr.remote_addr - src_buf.addr
-        payload, head, tail = self._edge_payload(src_buf.backing, src_off, wr.size)
-        dest_buf = local_region.buffer
-        dest_off = wr.local_addr - dest_buf.addr
-
-        if self.ingress_sched is not None and remote_nic.egress_sched is not None:
-            self._execute_read_prio(qp, wr, remote_qp, payload, head, tail,
-                                    dest_buf, dest_off, verdict)
-            return
-
-        # Request leg to the remote NIC, then data flows back.
-        extra = verdict.delay if verdict is not None else 0.0
-        request_arrives = (max(self.sim.now + self.cost.rdma_verb_overhead
-                               + extra, qp._egress_free)
-                           + self.cost.rdma_read_extra_rtt)
-        start, src_egress_end = remote_nic.egress.reserve(request_arrives,
-                                                          wr.size)
-        path = remote_nic._fabric_traverse(self, start, src_egress_end,
-                                           wr.size)
-        if path is None:
-            data_ready = start + self.cost.rdma_base_latency + wr.size / self.cost.rdma_bandwidth
-            end = self.ingress.reserve_after(
-                start + self.cost.rdma_base_latency, wr.size, data_ready)
-        else:
-            end = self.ingress.reserve_after(
-                path.first_bit, wr.size, path.last_byte)
-        end = qp._clamp_arrival(remote_qp, end)
-
-        self._faulted_commit(verdict, dest_buf.backing, dest_off, wr.size,
-                             payload, start, end, head, tail,
-                             wake_host=self.host)
-        self._record(Opcode.READ, remote_nic.host, self.host, wr.size,
-                     start, end, role=wr.role)
-        status = WcStatus.SUCCESS if verdict is None else verdict.status
-        if wr.signaled or status is not WcStatus.SUCCESS:
-            done = end + self.cost.rdma_completion_overhead
-            comp = Completion(wr_id=wr.wr_id, opcode=Opcode.READ,
-                              status=status,
-                              byte_len=wr.size if status is WcStatus.SUCCESS else 0,
-                              qp_num=qp.qp_num, timestamp=done)
-            self.sim.call_at(done, lambda: qp.send_cq.push(comp))
-        self._trace_verb(qp, wr, end + self.cost.rdma_completion_overhead
-                         if wr.signaled else end)
-
-    def _execute_read_prio(self, qp: QueuePair, wr: WorkRequest,
-                           remote_qp: QueuePair, payload: Optional[bytes],
-                           head: bytes, tail: bytes, dest_buf,
-                           dest_off: int,
-                           verdict: Optional[FaultVerdict] = None) -> None:
-        """READ under the priority quantum scheduler.
-
-        The data leg flows on the *remote* egress after the request
-        leg's extra RTT; the remote egress booking is chained after this
-        QP's egress chain (mirroring the legacy ``_egress_free`` gate on
-        the request departure) but does not advance it — legacy READs do
-        not occupy the local egress either.
-        """
-        posted = self.sim.now
-        remote_nic = remote_qp.nic
-        latency = remote_nic._fabric_latency(self)
-        extra = verdict.delay if verdict is not None else 0.0
-        request_arrives = (posted + self.cost.rdma_verb_overhead + extra
-                           + self.cost.rdma_read_extra_rtt)
-        reb = remote_nic.egress_sched.submit(wr.size, wr.priority,
-                                             data_ready=request_arrives,
-                                             after=qp._egress_chain)
-        ib = self.ingress_sched.hold(
-            wr.size, wr.priority, after=qp._get_ingress_chain(remote_qp))
-        qp._set_ingress_chain(remote_qp, ib)
-        reb.on_start = lambda: self.ingress_sched.release(
-            ib, reb.first_start + latency)
-
-        def finish() -> None:
-            if not (reb.done and ib.done):
-                return
-            end = max(ib.end, reb.end + latency)
-            path = remote_nic._fabric_traverse(self, reb.first_start,
-                                               reb.end, wr.size)
-            if path is not None:
-                end = max(end, path.last_byte)
-            self._faulted_commit(verdict, dest_buf.backing, dest_off,
-                                 wr.size, payload, reb.first_start, end,
-                                 head, tail, wake_host=self.host)
-            self._record(Opcode.READ, remote_nic.host, self.host, wr.size,
-                         reb.first_start, end, role=wr.role)
-            status = WcStatus.SUCCESS if verdict is None else verdict.status
-            completed = end
-            if wr.signaled or status is not WcStatus.SUCCESS:
-                completed = end + self.cost.rdma_completion_overhead
-                comp = Completion(wr_id=wr.wr_id, opcode=Opcode.READ,
-                                  status=status,
-                                  byte_len=wr.size if status is WcStatus.SUCCESS else 0,
-                                  qp_num=qp.qp_num, timestamp=completed)
-                self.sim.call_at(completed, lambda: qp.send_cq.push(comp))
-            self._trace_verb(qp, wr, completed, posted=posted)
-
-        reb.on_complete = finish
-        ib.on_complete = finish
-
-    def _execute_send(self, qp: QueuePair, wr: WorkRequest) -> None:
-        proceed, verdict = self._fault_gate(qp, wr)
-        if not proceed:
-            return
-        remote_qp = qp._require_remote(wr)
-        try:
-            payload, head, tail = self._local_payload(wr)
-        except MemoryError_:
-            self._fail(qp, wr, WcStatus.REMOTE_ACCESS_ERROR)
-            return
-        if self.egress_sched is not None and \
-                remote_qp.nic.ingress_sched is not None:
-            self._execute_send_prio(qp, wr, remote_qp, payload, head, tail,
-                                    verdict)
-            return
-        extra = verdict.delay if verdict is not None else 0.0
-        depart = max(self.sim.now + self.cost.rdma_verb_overhead + extra,
-                     qp._egress_free)
-        start, egress_end = self.egress.reserve(depart, wr.size)
-        qp._egress_free = egress_end
-        path = self._fabric_traverse(remote_qp.nic, start, egress_end,
-                                     wr.size)
-        if path is None:
-            data_ready = start + self.cost.rdma_base_latency + wr.size / self.cost.rdma_bandwidth
-            arrival = remote_qp.nic.ingress.reserve_after(
-                start + self.cost.rdma_base_latency, wr.size, data_ready)
-        else:
-            arrival = remote_qp.nic.ingress.reserve_after(
-                path.first_bit, wr.size, path.last_byte)
-        arrival = qp._clamp_arrival(remote_qp, arrival)
-
-        data = payload if payload is not None else b""
-        size = wr.size
-        self._record(Opcode.SEND, self.host, remote_qp.nic.host, size,
-                     start, arrival, role=wr.role)
-        status = WcStatus.SUCCESS if verdict is None else verdict.status
-        if status is WcStatus.SUCCESS:
-            # A faulted SEND never reaches the remote RECV queue: the
-            # message vanishes and only the error CQE reports it.
-            self.sim.call_at(
-                arrival,
-                lambda: remote_qp._incoming_send(wr, data, arrival, head, tail))
-        if wr.signaled or status is not WcStatus.SUCCESS:
-            done = arrival + self.cost.rdma_completion_overhead
-            comp = Completion(wr_id=wr.wr_id, opcode=Opcode.SEND,
-                              status=status,
-                              byte_len=size if status is WcStatus.SUCCESS else 0,
-                              qp_num=qp.qp_num, timestamp=done)
-            self.sim.call_at(done, lambda: qp.send_cq.push(comp))
-        self._trace_verb(qp, wr, arrival + self.cost.rdma_completion_overhead
-                         if wr.signaled else arrival)
-
-    def _execute_send_prio(self, qp: QueuePair, wr: WorkRequest,
-                           remote_qp: QueuePair, payload: Optional[bytes],
-                           head: bytes, tail: bytes,
-                           verdict: Optional[FaultVerdict] = None) -> None:
-        """SEND under the priority quantum scheduler."""
-        remote_nic = remote_qp.nic
-        posted = self.sim.now
-        latency = self._fabric_latency(remote_nic)
-        extra = verdict.delay if verdict is not None else 0.0
-        depart = posted + self.cost.rdma_verb_overhead + extra
-        eb = self.egress_sched.submit(wr.size, wr.priority, data_ready=depart,
-                                      after=qp._egress_chain)
-        qp._egress_chain = eb
-        ib = remote_nic.ingress_sched.hold(
-            wr.size, wr.priority, after=qp._get_ingress_chain(remote_qp))
-        qp._set_ingress_chain(remote_qp, ib)
-        eb.on_start = lambda: remote_nic.ingress_sched.release(
-            ib, eb.first_start + latency)
-        data = payload if payload is not None else b""
-
-        def finish() -> None:
-            if not (eb.done and ib.done):
-                return
-            arrival = max(ib.end, eb.end + latency)
-            path = self._fabric_traverse(remote_nic, eb.first_start, eb.end,
-                                         wr.size)
-            if path is not None:
-                arrival = max(arrival, path.last_byte)
-            self._record(Opcode.SEND, self.host, remote_nic.host, wr.size,
-                         eb.first_start, arrival, role=wr.role)
-            status = WcStatus.SUCCESS if verdict is None else verdict.status
-            if status is WcStatus.SUCCESS:
-                self.sim.call_at(
-                    arrival,
-                    lambda: remote_qp._incoming_send(wr, data, arrival, head, tail))
-            completed = arrival
-            if wr.signaled or status is not WcStatus.SUCCESS:
-                completed = arrival + self.cost.rdma_completion_overhead
-                comp = Completion(wr_id=wr.wr_id, opcode=Opcode.SEND,
-                                  status=status,
-                                  byte_len=wr.size if status is WcStatus.SUCCESS else 0,
-                                  qp_num=qp.qp_num, timestamp=completed)
-                self.sim.call_at(completed, lambda: qp.send_cq.push(comp))
-            self._trace_verb(qp, wr, completed, posted=posted)
-
-        eb.on_complete = finish
-        ib.on_complete = finish
-
-    def _record(self, opcode: Opcode, src_host, dst_host, size: int,
-                start: float, end: float, role: str = "") -> None:
-        metrics = src_host.cluster.metrics
-        if metrics is not None:
-            metrics.record_transfer(opcode.value, src_host.name,
-                                    dst_host.name, size, start, end,
-                                    role=role)
-        tracer = src_host.cluster.tracer
-        if tracer is not None:
-            tracer.record(
-                "wire", f"{opcode.value} {size}B", src_host.name, "nic:wire",
-                start, end,
-                args={"dst": dst_host.name, "nbytes": size, "role": role})
-            tracer.metrics.histogram("transfer_size_bytes").observe(size)
-
-    def _trace_verb(self, qp: QueuePair, wr: WorkRequest,
-                    completed: float, posted: Optional[float] = None) -> None:
-        """Span from verb post to completion delivery on the QP track.
-
-        The priority paths trace from deferred callbacks, so they pass
-        the post time explicitly; the legacy paths trace synchronously
-        and default to ``sim.now``.
-        """
+    def _trace_verb(self, qp: QueuePair, wr: WorkRequest, posted: float,
+                    completed: float) -> None:
+        """Span from verb post to completion delivery on the QP track."""
         tracer = self.host.cluster.tracer
         if tracer is not None:
             tracer.record(
                 "verb", f"{wr.opcode.value} {wr.size}B", self.host.name,
-                f"nic:qp{qp.qp_num}",
-                self.sim.now if posted is None else posted, completed,
+                f"nic:qp{qp.qp_num}", posted, completed,
                 args={"wr_id": wr.wr_id, "nbytes": wr.size, "role": wr.role,
                       "signaled": wr.signaled})
 

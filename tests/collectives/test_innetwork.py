@@ -169,6 +169,38 @@ def test_slot_exhaustion_spills_only_excess_chunks():
     assert plane["spilled_chunks"]["innet"] == snap["chunks_spilled"]
 
 
+@pytest.mark.parametrize("fault_spec", [
+    None,                               # switched rounds
+    "switch-fail:host=tor0,p=1.0",      # host-tree fallback
+], ids=["switched", "host-tree"])
+def test_quantum_link_server_carries_every_booking(fault_spec):
+    # Under the quantum server there is no pipe beside it: uplinks,
+    # downlinks and every fallback tree hop book the one server, so each
+    # NIC direction carried exactly the bytes the metrics recorded for
+    # that host — and the sum is still exact.  (A tree hop books the
+    # receiver's ingress only at its terminal hop, leader -> member.)
+    arrays = _integer_arrays(4, seed=21)
+    expected = np.sum(arrays, axis=0)
+    cost = CostModel(wire_quantum_bytes=8000)
+    session, cluster, outputs = _run_innetwork(
+        arrays, 2, cost=cost, fault_spec=fault_spec, iterations=2)
+    for out in outputs:
+        np.testing.assert_array_equal(
+            session.numpy(out.node.name, out.index), expected)
+    snap = session.comm.innetwork.snapshot()["innet"]
+    assert snap["rounds_degraded"] == (2 if fault_spec else 0)
+    leaders = {"server0", "server2"} if fault_spec else set()
+    for host in cluster.hosts:
+        sent = sum(t.nbytes for t in cluster.metrics.transfers
+                   if t.src_host == host.name)
+        landed = sum(t.nbytes for t in cluster.metrics.transfers
+                     if t.dst_host == host.name)
+        assert host.nic.egress.bytes_carried == sent > 0
+        assert host.nic.ingress.bytes_carried == \
+            (0 if host.name in leaders else landed)
+        assert landed > 0
+
+
 def test_single_worker_is_identity():
     builder = GraphBuilder("innet1")
     arrays = _integer_arrays(1, seed=5)

@@ -255,6 +255,24 @@ class TestSendRecv:
         comps = cq_b.poll()
         assert comps[0].status is WcStatus.LOCAL_LENGTH_ERROR
 
+    def test_recv_buffer_too_small_errors_size_only(self, pair):
+        """A size-only payload carries no bytes to measure, so the RECV
+        length check must use the SEND's declared size."""
+        cluster, a, b, qp_a, qp_b, _, cq_b = pair
+        src, src_mr = register(a, 4096, dense=False)
+        dst, dst_mr = register(b, 64)
+        dst.write(b"\xee" * 64)
+        qp_b.post_recv(WorkRequest(opcode=Opcode.RECV, size=8,
+                                   local_addr=dst.addr, lkey=dst_mr.lkey))
+        qp_a.post_send(WorkRequest(opcode=Opcode.SEND, size=4096,
+                                   local_addr=src.addr, lkey=src_mr.lkey))
+        cluster.sim.run()
+        (comp,) = cq_b.poll()
+        assert comp.status is WcStatus.LOCAL_LENGTH_ERROR
+        assert comp.byte_len == 4096
+        # nothing landed past (or inside) the 8-byte posted extent
+        assert dst.read(0, 64) == b"\xee" * 64
+
     def test_inline_send(self, pair):
         cluster, a, b, qp_a, qp_b, _, cq_b = pair
         dst, dst_mr = register(b, 64)
@@ -399,3 +417,44 @@ class TestRegistration:
         register(host, 64)
         with pytest.raises(MemoryError_, match="exhausted"):
             register(host, 64)
+
+
+class TestVerbSpan:
+    """The traced verb span ends when the CQE is delivered — also for
+    an unsignaled verb, which still gets a CQE when it fails."""
+
+    @staticmethod
+    def _torn_unsignaled_write(quantum, traced):
+        from dataclasses import replace
+        from repro.simnet import FaultInjector
+        from repro.simnet.costmodel import DEFAULT_COST_MODEL
+        cluster = Cluster(2, cost=replace(DEFAULT_COST_MODEL,
+                                          wire_quantum_bytes=quantum))
+        tracer = cluster.enable_tracing() if traced else None
+        cluster.install_faults(FaultInjector.from_spec("partial:frac=0.5"))
+        a, b = cluster.hosts
+        cq = a.nic.create_cq()
+        qp_a = a.nic.create_qp(cq)
+        qp_a.connect(b.nic.create_qp(b.nic.create_cq()))
+        size = 64 * 1024
+        src, src_mr = register(a, size, dense=True)
+        dst, dst_mr = register(b, size, dense=True)
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=size, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey,
+            signaled=False))
+        (comp,) = drain(cluster, cq)
+        assert comp.status is WcStatus.RETRY_EXC_ERR
+        return comp, tracer, cluster.sim.now
+
+    @pytest.mark.parametrize("quantum", [0, 16 * 1024],
+                             ids=["pipe", "quantum"])
+    def test_unsignaled_error_span_ends_at_cqe(self, quantum):
+        comp, tracer, traced_now = self._torn_unsignaled_write(quantum, True)
+        (span,) = tracer.spans_by_category("verb")
+        assert span.start == 0.0
+        assert span.end == comp.timestamp
+        untraced, _, untraced_now = self._torn_unsignaled_write(quantum,
+                                                               False)
+        assert repr(untraced.timestamp) == repr(comp.timestamp)
+        assert repr(untraced_now) == repr(traced_now)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.simnet import Cluster, Opcode, WorkRequest
+from repro.simnet import Cluster, Opcode, Pipe, WorkRequest
 from repro.simnet.costmodel import DEFAULT_COST_MODEL, KB, MB
 
 
@@ -196,15 +196,15 @@ class TestQpOrdering:
         qp_a.post_send(write_wr(src, mr, dst, dmr, size))
         cluster.sim.run()
         assert cq_a.poll()[0].ok
-        assert a.nic.egress_sched.bytes_carried == size
-        assert b.nic.ingress_sched.bytes_carried == size
+        assert a.nic.egress.bytes_carried == size
+        assert b.nic.ingress.bytes_carried == size
 
 
 class TestLegacyModeUntouched:
     def test_quantum_zero_keeps_pipes(self):
         cluster, a, b, qp_a, _, cq_a, _ = make_pair(cost=DEFAULT_COST_MODEL)
-        assert a.nic.egress_sched is None
-        assert a.nic.ingress_sched is None
+        assert isinstance(a.nic.egress, Pipe)
+        assert isinstance(a.nic.ingress, Pipe)
         size = 1 * MB
         src, mr = register(a, size)
         dst, dmr = register(b, size)
