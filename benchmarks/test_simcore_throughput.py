@@ -27,13 +27,26 @@ table runs WRITE / READ / SEND through both link servers (the
 backfilling pipe and the 512 KiB quantum server) and pins the heap
 events each verb costs exactly, so a stray push on either path fails
 here before it shows up as wall-clock.
+
+A third group bounds the host cost of each layer of the gRPC baseline
+(codec, framing, one call over gRPC.TCP, one over gRPC.RDMA) as
+point-to-point latency, back-to-back bandwidth and an 8-to-1 fan-in,
+over uniform and skewed payload mixes: the baseline charges its copies
+in simulated time, so a concrete payload may cost the host the copies
+the layer really makes and a virtual one may not cost its size at all.
 """
 
+import functools
+import resource
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.simnet import Cluster, Opcode, WorkRequest
+from repro.rpc import (GrpcRdmaServer, GrpcTcpServer, HEADER_SIZE, Message,
+                       Payload, Reassembler, connect_grpc_rdma,
+                       connect_grpc_tcp, decode_parts, encode_parts, fragment)
+from repro.simnet import Cluster, Endpoint, Opcode, WorkRequest
 from repro.simnet.costmodel import DEFAULT_COST_MODEL
 from repro.simnet.simulator import Simulator, SleepUntil
 
@@ -215,3 +228,215 @@ def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
           f"{counts[0] / verbs:g} events/verb")
     assert counts == [events[opcode] * verbs] * 3
     assert per_verb_us < ceiling_us
+
+
+# -- host cost per rpc layer (after Biswas et al.'s gRPC micro-benchmarks) ----------
+#
+# The gRPC baselines charge their copies in simulated time and perform
+# as few as the model lets them: none in the codec, in framing or over
+# gRPC.TCP (parts travel by reference), and over gRPC.RDMA the four the
+# modelled library makes where someone reads the result (the gather into
+# the SEND, the NIC into the RECV slot, the slot into the ring record,
+# the records into the application's payload).  A cell's ceiling is
+#
+#     base_us + fragment_us x declared MiB + 2 x copies x copy_us x concrete MiB
+#
+# per message: a wide fixed allowance, the bookkeeping of one fragment
+# per MiB where the layer fragments (a verb, a credit and a ring record
+# each - virtual bytes cost that and nothing else), and the layer's
+# copies of its concrete bytes at what those same four copies cost in
+# this process, with 2x slack.  Where ``copies`` is 0 nothing may grow
+# with size at all.
+# The clock is user-mode CPU time: a copy is user time, while what the
+# page faults on its fresh memory cost is system time and follows the
+# machine's minute (4 to 200 ms per 16 MiB gRPC.RDMA message, same code,
+# same box, a minute apart).
+
+KIB, MIB = 1 << 10, 1 << 20
+#: mix -> one batch of calls as (payload bytes, virtual)
+RPC_PAYLOADS = {
+    "64K": [(64 * KIB, False)] * 8,
+    "4M": [(4 * MIB, False)] * 8,
+    "16M": [(16 * MIB, False)] * 8,
+    "64M-virtual": [(64 * MIB, True)] * 8,
+    # LSTM-like: many small tensors, a few large ones
+    "skewed": ([(4 * KIB, False)] * 7 + [(8 * MIB, False)]) * 4,
+}
+
+
+def _user_seconds() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
+def _in_user_time(run):
+    """``run`` wrapped to log the user-mode CPU seconds of each call."""
+    spent = []
+
+    def timed(*args):
+        start = _user_seconds()
+        run(*args)
+        spent.append(_user_seconds() - start)
+    return timed, spent
+
+
+@functools.lru_cache(maxsize=None)
+def _four_copies_us_per_mib() -> float:
+    """User microseconds for the four copies gRPC.RDMA makes of one MiB
+    (gather, slot write, slot read, join), as 16 MiB cost here and now."""
+    source, header = memoryview(bytes(16 * MIB)), bytes(HEADER_SIZE)
+    slot = np.zeros(MIB + HEADER_SIZE, dtype=np.uint8)
+
+    def copies():
+        records = []
+        for start in range(0, len(source), MIB):
+            wire = b"".join((header, source[start:start + MIB]))
+            slot[...] = np.frombuffer(wire, dtype=np.uint8)
+            records.append(memoryview(slot.tobytes())[HEADER_SIZE:])
+        return b"".join(records)
+    timed, spent = _in_user_time(copies)
+    for _ in range(5):
+        timed()
+    return sorted(spent)[2] / 16 * 1e6
+
+
+@functools.lru_cache(maxsize=None)
+def _zeros(size: int) -> bytes:
+    return bytes(size)
+
+
+def _reply(size: int, virtual: bool, **envelope) -> Message:
+    """What ``recv_tensor`` answers."""
+    payload = Payload(size=size) if virtual else Payload(data=_zeros(size))
+    return Message(data=payload, dims=[size // 4], dtype=1, **envelope)
+
+
+def _wire_parts(size: int, virtual: bool):
+    return encode_parts(_reply(size, virtual, _method="recv_tensor", _id=1,
+                               _kind=1))
+
+
+def _assert_rpc_ceiling(label, seconds, payloads, base_us, fragment_us,
+                        copies):
+    count = len(payloads)
+    declared = sum(size for size, _ in payloads) / MIB / count
+    concrete = sum(size for size, virtual in payloads
+                   if not virtual) / MIB / count
+    per_message_us = seconds / count * 1e6
+    ceiling_us = base_us + fragment_us * declared
+    if copies:
+        ceiling_us += (2.0 * copies / 4 * _four_copies_us_per_mib()
+                       * concrete)
+    print(f"\n{label}: {per_message_us:.0f} user us/message "
+          f"(ceiling {ceiling_us:.0f}; {declared:.2f} MiB declared, "
+          f"{concrete:.2f} concrete)")
+    assert per_message_us < ceiling_us
+
+
+def _run_codec(payloads):
+    for size, virtual in payloads:
+        parts, _ = _wire_parts(size, virtual)
+        assert decode_parts(parts)["data"].size == size
+
+
+def _run_framing(payloads):
+    body_max = DEFAULT_COST_MODEL.rpc_ring_buffer_size // 4 - HEADER_SIZE
+    for size, virtual in payloads:
+        parts, virtual_size = _wire_parts(size, virtual)
+        assembler, whole = Reassembler(), None
+        for frag in fragment(1, parts, virtual_size, body_max):
+            whole = assembler.add(frag)
+        assert whole.total_size == sum(map(len, parts)) + virtual_size
+
+
+# Measured user us/message at 64K / 4M / 16M / 64M-virtual / skewed:
+# codec 20 / 20 / 22 / 20 / 22 (25 / 738 / 3 683 / 22 / 249 while it
+# joined and sliced), framing 12 / 16 / 38 / 75 / 14 (12 / 1 307 /
+# 4 197 / 75 / 273).
+@pytest.mark.parametrize("mix", sorted(RPC_PAYLOADS))
+@pytest.mark.parametrize("layer,run,fragment_us", [
+    ("codec", _run_codec, 0.0), ("framing", _run_framing, 20.0)])
+def test_rpc_codec_and_framing_host_cost(benchmark, layer, run, fragment_us,
+                                         mix):
+    payloads = RPC_PAYLOADS[mix]
+    timed, spent = _in_user_time(run)
+    benchmark.pedantic(timed, rounds=3, iterations=1, args=(payloads,))
+    _assert_rpc_ceiling(f"{layer} {mix}", min(spent), payloads, 200.0,
+                        fragment_us, copies=0)
+
+
+def _rpc_rig(transport: str, clients: int):
+    """One server, ``clients`` dialled channels, a recv_tensor handler."""
+    cluster = Cluster(clients + 1)
+    server_host = cluster.hosts[clients]
+    address = Endpoint(server_host.name, 4000)
+    if transport == "tcp":
+        server = GrpcTcpServer(server_host, 4000)
+        connect = connect_grpc_tcp
+    else:
+        server = GrpcRdmaServer(server_host, 4000)
+        connect = connect_grpc_rdma
+    server.register("recv_tensor", lambda request: _reply(
+        request["size"], bool(request["virtual"])))
+    return cluster, [connect(host, address)
+                     for host in cluster.hosts[:clients]]
+
+
+def _run_calls(cluster, channels, payloads, pipelined: bool):
+    """Deal the calls round-robin over the channels; a pipelined channel
+    posts all of its calls before it reads the first reply."""
+    def client(channel, mine):
+        futures = []
+        for size, virtual in mine:
+            future = channel.call("recv_tensor", Message(
+                size=size, virtual=int(virtual)))
+            if pipelined:
+                futures.append(future)
+            else:
+                assert (yield future)["data"].size == size
+        for future in futures:
+            yield future
+    done = [cluster.sim.spawn(client(channel, payloads[i::len(channels)]))
+            for i, channel in enumerate(channels)]
+    for process in done:
+        cluster.sim.run_until_complete(process, limit=600.0)
+
+
+# Measured user us/call at 64K / 4M / 16M / 64M-virtual / skewed.
+# gRPC.TCP: 120-220 in every cell (latency 96 / 1 278 / 3 590 / 78 /
+# 321 while it joined and sliced).  gRPC.RDMA: latency 220 / 2 100 /
+# 8 000 / 3 300 / 700, fan-in 250 / 2 700 / 8 900 / 3 500 / 760 (latency
+# 338 / 7 568 / 27 104 / 5 263 / 2 038, fan-in 274 / 8 500 / 33 948 /
+# 5 814 / 2 384 with eleven copies and a 4 MiB ring array); a 64 MiB
+# virtual reply is 65 fragments of about 50 us each.
+@pytest.mark.parametrize("mix", sorted(RPC_PAYLOADS))
+@pytest.mark.parametrize("pattern,clients,pipelined", [
+    ("latency", 1, False), ("bandwidth", 1, True), ("fan-in", 8, True)])
+@pytest.mark.parametrize("transport,base_us,fragment_us,copies", [
+    ("tcp", 1000.0, 0.0, 0), ("rdma", 2500.0, 150.0, 4)])
+def test_rpc_call_host_cost(benchmark, transport, base_us, fragment_us,
+                            copies, pattern, clients, pipelined, mix):
+    payloads = RPC_PAYLOADS[mix]
+    timed, spent = _in_user_time(_run_calls)
+    benchmark.pedantic(
+        timed, rounds=3, iterations=1,
+        setup=lambda: ((*_rpc_rig(transport, clients), payloads, pipelined),
+                       {}))
+    _assert_rpc_ceiling(f"gRPC.{transport.upper()} {pattern} {mix}",
+                        min(spent), payloads, base_us, fragment_us, copies)
+
+
+# Measured 0.2-0.3 ms; 1.5-3.6 ms while each side allocated a zero-filled
+# 4 MiB ring array (16-32 ms per connection inside a training run, where
+# the allocator recycles freed blocks and the fill is a real memset).
+def test_grpc_rdma_connect_host_cost(benchmark):
+    cluster = Cluster(2)
+    address = Endpoint(cluster.hosts[1].name, 4000)
+    GrpcRdmaServer(cluster.hosts[1], 4000)
+    dials, channels = 16, []
+    benchmark.pedantic(
+        lambda: channels.extend(connect_grpc_rdma(cluster.hosts[0], address)
+                                for _ in range(dials)),
+        rounds=3, iterations=1)
+    per_connect_ms = benchmark.stats.stats.min / dials * 1e3
+    print(f"\nconnect_grpc_rdma: {per_connect_ms:.2f} host ms/connection")
+    assert per_connect_ms < 1.0

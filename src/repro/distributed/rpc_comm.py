@@ -12,13 +12,19 @@ RPC transport underneath:
 
 Every transfer pays the full RPC toll the paper identifies: request
 leg, serialization, transport copies, deserialization, and a final
-copy into a freshly allocated destination tensor.
+copy into a freshly allocated destination tensor — in simulated time.
+On the host, bytes are copied twice per tracked byte (the sender's
+snapshot, the receiver's delivery) and untracked tensors travel as
+lengths.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Tuple
 
+import numpy as np
+
+from ..graph.dtypes import DType
 from ..graph.executor import Executor
 from ..graph.node import Node
 from ..graph.shapes import Shape
@@ -111,15 +117,19 @@ class GrpcCommRuntime(CommRuntime):
             key = request["key"]
             iteration = request["iteration"]
             tensor: Tensor = yield rendezvous.consume(key, iteration)
-            # framing.py puts concrete and virtual spans in separate
-            # fragments, so the payload kind decides the fragment count
-            # and with it the simulated clock.  It is therefore pinned
-            # to the buffer's size, not to whether the executor tracked
-            # the content: an untracked tensor that fits DENSE_LIMIT
-            # still travels as concrete (zero) bytes.
             if tensor.is_dense:
+                # A snapshot: ApplyGradient updates variables in place,
+                # so the payload must not alias the live array.
                 payload = Payload(data=tensor.array.tobytes())
-            elif tensor.buffer.size <= DENSE_LIMIT:
+            elif (self.transport == "rdma"
+                  and tensor.buffer.size <= DENSE_LIMIT):
+                # gRPC.RDMA only: framing.py puts concrete and virtual
+                # spans in separate fragments, so the payload kind
+                # decides the fragment count and with it the simulated
+                # clock (TCP books one message of the total size and
+                # never sees the kind).  Over RDMA the kind therefore
+                # stays pinned to the buffer's size: an untracked tensor
+                # that fits DENSE_LIMIT travels as concrete (zero) bytes.
                 payload = Payload(data=bytes(tensor.nbytes))
             else:
                 payload = Payload(size=tensor.nbytes)
@@ -136,6 +146,7 @@ class GrpcCommRuntime(CommRuntime):
 
     def execute_send(self, executor: Executor, node: Node, tensor: Tensor):
         """Send is a local rendezvous deposit (TF semantics): cheap."""
+        self.bytes_sent += tensor.nbytes
         if self.gpu_tensors:
             # Without GPUDirect the tensor must be staged to host memory
             # before the RPC layer can serialize it.
@@ -148,7 +159,6 @@ class GrpcCommRuntime(CommRuntime):
             return deposit()
         self.rendezvous[executor.device].produce(
             node.attrs["key"], executor.iteration, tensor)
-        self.bytes_sent += tensor.nbytes
         return Outcome.done([])
 
     def execute_recv(self, executor: Executor, node: Node):
@@ -165,18 +175,19 @@ class GrpcCommRuntime(CommRuntime):
             if error:
                 raise RpcError(error)
             payload: Payload = reply["data"]
-            dims = reply["dims"]
-            from ..graph.dtypes import DType
             dtype = DType.from_code(reply["dtype"])
-            shape = Shape(dims)
-            tensor = executor.allocate_output(node, 0, dtype, shape)
+            shape = Shape(reply["dims"])
+            # The receive tensor follows the payload: a virtual payload
+            # is an untracked tensor, size-only whatever its size.
+            tensor = executor.allocate_output(
+                node, 0, dtype, shape,
+                dense=False if payload.is_virtual else None)
             # The RPC path cannot deliver into the consumer's buffer:
             # one more copy from the deserialized message into the
             # freshly allocated tensor.
             yield from executor.host.cpu.run(
                 executor.cost.memcpy_time(payload.size))
             if tensor.is_dense and payload.data is not None:
-                import numpy as np
                 tensor.copy_from(
                     np.frombuffer(payload.data, dtype=dtype.np).reshape(
                         shape.as_tuple()))

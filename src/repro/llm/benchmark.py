@@ -87,8 +87,7 @@ def run_llm_serving_benchmark(
     def main() -> Generator:
         yield load.done
         yield from park_until(sim, cluster.hosts[0],
-                              lambda: all(r.terminal
-                                          for r in load.requests))
+                              lambda: frontend.drained(requests))
 
     sim.run_until_complete(sim.spawn(main(), name="llm-main"),
                            limit=time_limit)

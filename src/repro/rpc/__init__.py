@@ -8,6 +8,10 @@ two transports:
   (the ``gRPC.TCP`` baseline);
 * :mod:`transport_rdma` — gRPC over RDMA SEND/RECV verbs with private
   message buffers (the ``gRPC.RDMA`` baseline, as in TensorFlow r1.0+).
+
+The stack moves lengths and references: every copy the modelled library
+makes is charged in simulated time, and performed only where someone
+can read the result.
 """
 
 from .core import Handler, RpcEndpoint, RpcError, WireLink, check_reply
@@ -15,7 +19,7 @@ from .framing import (AssembledMessage, Fragment, FramingError, HEADER_SIZE,
                       Reassembler, fragment)
 from .ring_buffer import RingBuffer, RingBufferFull
 from .serialization import (Message, Payload, SerializationError, decode,
-                            encode)
+                            decode_parts, encode, encode_parts)
 from .transport_rdma import (CreditGate, GrpcRdmaServer, connect_grpc_rdma)
 from .transport_tcp import GrpcTcpServer, connect_grpc_tcp
 
@@ -24,5 +28,6 @@ __all__ = [
     "GrpcRdmaServer", "GrpcTcpServer", "HEADER_SIZE", "Handler", "Message",
     "Payload", "Reassembler", "RingBuffer", "RingBufferFull", "RpcEndpoint",
     "RpcError", "SerializationError", "WireLink", "check_reply",
-    "connect_grpc_rdma", "connect_grpc_tcp", "decode", "encode", "fragment",
+    "connect_grpc_rdma", "connect_grpc_tcp", "decode", "decode_parts",
+    "encode", "encode_parts", "fragment",
 ]

@@ -16,11 +16,11 @@ request-id matching for futures.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Sequence
 
 from ..simnet.costmodel import CostModel
 from ..simnet.simulator import Event, Simulator
-from .serialization import Message, Payload, decode, encode
+from .serialization import Message, Part, decode_parts, encode_parts
 
 
 class RpcError(RuntimeError):
@@ -36,12 +36,12 @@ class WireLink:
     #: the host whose CPU engine performs this link's per-byte work
     host: object
 
-    def send(self, control: bytes, virtual_size: int) -> Generator:
-        """Process: transmit one wire message (control + virtual bytes)."""
+    def send(self, parts: Sequence[Part], virtual_size: int) -> Generator:
+        """Process: transmit one wire message (real parts + virtual bytes)."""
         raise NotImplementedError
 
     def recv(self) -> Generator:
-        """Process: receive one wire message -> (control, virtual_size)."""
+        """Process: receive one wire message -> (parts, virtual_size)."""
         raise NotImplementedError
 
 
@@ -56,8 +56,6 @@ class RpcEndpoint:
     started with :meth:`start` before any traffic flows.
     """
 
-    _req_ids = itertools.count(1)
-
     def __init__(self, sim: Simulator, cost: CostModel, link: WireLink,
                  name: str = "rpc") -> None:
         self.sim = sim
@@ -66,6 +64,7 @@ class RpcEndpoint:
         self.name = name
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
+        self._req_ids = itertools.count(1)
         self._started = False
         self.requests_served = 0
 
@@ -119,20 +118,20 @@ class RpcEndpoint:
                   body: Message) -> Generator:
         envelope = Message(_method=method, _id=req_id, _kind=kind,
                            **body.fields)
-        control, virtual = encode(envelope)
-        total = len(control) + virtual
+        parts, virtual = encode_parts(envelope)
+        total = sum(map(len, parts)) + virtual
         # Serialization is real CPU work proportional to message size,
         # performed on the host's bounded communication lanes.
         yield from self.link.host.cpu.run(self.cost.serialize_time(total))
-        yield from self.link.send(control, virtual)
+        yield from self.link.send(parts, virtual)
 
     def _dispatch_loop(self) -> Generator:
         while True:
-            control, virtual = yield from self.link.recv()
-            total = len(control) + virtual
+            parts, virtual = yield from self.link.recv()
+            total = sum(map(len, parts)) + virtual
             yield from self.link.host.cpu.run(
                 self.cost.deserialize_time(total))
-            envelope = decode(control)
+            envelope = decode_parts(parts)
             kind = envelope["_kind"]
             if kind == 0:
                 self.sim.spawn(

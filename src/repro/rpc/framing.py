@@ -5,7 +5,9 @@ receive buffers must split messages larger than the buffer into
 fragments, each carrying a header for reassembly, which costs an extra
 copy at the sender.  This module implements exactly that: fragments
 have a real 24-byte header and reassembly validates ordering and
-completeness.
+completeness.  The extra copy is charged by the transport, not made
+here: a concrete fragment body is a list of views over the message's
+parts, and reassembly hands the bodies back as parts.
 
 Fragment payloads may be virtual (size-only) just like message
 payloads; reassembly then reconstructs a virtual body of the right
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from .serialization import Part
 
 
 # msg_id, frag_index, frag_count, body_size, concrete-flag
@@ -36,7 +40,8 @@ class Fragment:
     index: int
     count: int
     body_size: int
-    body: Optional[bytes] = None  # None = virtual
+    #: views whose concatenation is the body; None = virtual
+    body: Optional[Sequence[Part]] = None
     #: set by :meth:`parse_header`: what the wire header claimed
     header_says_concrete: Optional[bool] = None
 
@@ -60,28 +65,39 @@ class Fragment:
         return frag
 
 
-def fragment(msg_id: int, control: bytes, virtual_size: int,
-             max_fragment_body: int) -> List[Fragment]:
+def fragment(msg_id: int, control: Union[Part, Sequence[Part]],
+             virtual_size: int, max_fragment_body: int) -> List[Fragment]:
     """Split a wire message into fragments of bounded body size.
 
-    The message body is ``control`` (real bytes) followed by
-    ``virtual_size`` virtual bytes.  Real and virtual spans are kept in
-    separate fragments where they meet, so each fragment body is either
-    fully concrete or fully virtual.
+    The message body is ``control`` (real bytes, flat or as parts)
+    followed by ``virtual_size`` virtual bytes.  Real and virtual spans
+    are kept in separate fragments where they meet, so each fragment
+    body is either fully concrete or fully virtual.
     """
     if max_fragment_body < 1:
         raise FramingError("max_fragment_body must be positive")
-    spans: List[Tuple[int, Optional[bytes]]] = []
-    for start in range(0, len(control), max_fragment_body):
-        chunk = control[start:start + max_fragment_body]
-        spans.append((len(chunk), chunk))
+    parts = [control] if isinstance(control, (bytes, memoryview)) else control
+    spans: List[Tuple[int, Optional[List[Part]]]] = []
+    views: List[Part] = []  # the concrete body being filled
+    room = max_fragment_body
+    for part in parts:
+        rest = memoryview(part)
+        while len(rest):
+            piece, rest = rest[:room], rest[room:]
+            views.append(piece)
+            room -= len(piece)
+            if not room:
+                spans.append((max_fragment_body, views))
+                views, room = [], max_fragment_body
+    if views:
+        spans.append((max_fragment_body - room, views))
     remaining = virtual_size
     while remaining > 0:
         body = min(remaining, max_fragment_body)
         spans.append((body, None))
         remaining -= body
     if not spans:
-        spans.append((0, b""))
+        spans.append((0, []))
     count = len(spans)
     return [Fragment(msg_id=msg_id, index=i, count=count,
                      body_size=size, body=body)
@@ -93,12 +109,17 @@ class AssembledMessage:
     """Reassembly result: real prefix plus trailing virtual byte count."""
 
     msg_id: int
-    control: bytes
+    #: the real prefix as the fragments delivered it, in order
+    parts: List[Part]
     virtual_size: int
 
     @property
+    def control(self) -> bytes:
+        return b"".join(self.parts)
+
+    @property
     def total_size(self) -> int:
-        return len(self.control) + self.virtual_size
+        return sum(map(len, self.parts)) + self.virtual_size
 
 
 class Reassembler:
@@ -128,7 +149,7 @@ class Reassembler:
             return None
         del self._partial[frag.msg_id]
         ordered = [bucket[i] for i in range(frag.count)]
-        control_parts: List[bytes] = []
+        parts: List[Part] = []
         virtual = 0
         for piece in ordered:
             if piece.body is not None:
@@ -136,9 +157,8 @@ class Reassembler:
                     raise FramingError(
                         "concrete fragment after virtual span; "
                         "senders keep real bytes first")
-                control_parts.append(piece.body)
+                parts.extend(piece.body)
             else:
                 virtual += piece.body_size
-        return AssembledMessage(msg_id=frag.msg_id,
-                                control=b"".join(control_parts),
+        return AssembledMessage(msg_id=frag.msg_id, parts=parts,
                                 virtual_size=virtual)

@@ -3,22 +3,24 @@
 The paper's gRPC.RDMA baseline (and FaRM's messaging primitive, §2.3)
 receives messages into a fixed circular in-library buffer per channel,
 then copies each record out to the application buffer.  This module is
-that circular buffer: variable-size records with a 4-byte length
-prefix, a producer cursor and a consumer cursor, and explicit overflow
-(producers must back off until the consumer frees space).
+that circular buffer's *accounting*: variable-size records with a
+4-byte length prefix, a producer cursor and a consumer cursor, and
+explicit overflow (producers must back off until the consumer frees
+space).
 
-It stores real bytes so tests can verify exact data recovery across
-wrap-around; virtual payloads are represented by zero-filled spans at
-the transport layer.
+Records are held by reference in FIFO order, not copied into a backing
+array: what the model needs from the ring is its byte occupancy and its
+order, and the copy out of it is charged by the transport.  A ring
+therefore costs nothing to create, whatever its capacity.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
-
-_LEN = struct.Struct("<I")
+#: bytes of length prefix stored before each record
+RECORD_OVERHEAD = 4
 
 
 class RingBufferFull(RuntimeError):
@@ -29,10 +31,10 @@ class RingBuffer:
     """Circular byte buffer of variable-length records."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= _LEN.size:
+        if capacity <= RECORD_OVERHEAD:
             raise ValueError("ring capacity too small for even one record")
         self.capacity = capacity
-        self._data = bytearray(capacity)
+        self._records: Deque[bytes] = deque()
         self._head = 0          # absolute write offset
         self._tail = 0          # absolute read offset
         self.records_written = 0
@@ -49,37 +51,17 @@ class RingBuffer:
         return self.capacity - self.used
 
     def fits(self, record_size: int) -> bool:
-        return _LEN.size + record_size <= self.free
+        return RECORD_OVERHEAD + record_size <= self.free
 
     def max_record_size(self) -> int:
         """Largest record that could ever fit (even in an empty ring)."""
-        return self.capacity - _LEN.size
-
-    # -- raw circular IO ----------------------------------------------------------
-
-    def _write_at(self, pos: int, data: bytes) -> None:
-        start = pos % self.capacity
-        end = start + len(data)
-        if end <= self.capacity:
-            self._data[start:end] = data
-        else:
-            first = self.capacity - start
-            self._data[start:] = data[:first]
-            self._data[:end - self.capacity] = data[first:]
-
-    def _read_at(self, pos: int, length: int) -> bytes:
-        start = pos % self.capacity
-        end = start + length
-        if end <= self.capacity:
-            return bytes(self._data[start:end])
-        first = self.capacity - start
-        return bytes(self._data[start:]) + bytes(self._data[:end - self.capacity])
+        return self.capacity - RECORD_OVERHEAD
 
     # -- record API ----------------------------------------------------------------
 
     def push(self, record: bytes) -> None:
         """Append one record; raises :class:`RingBufferFull` on overflow."""
-        needed = _LEN.size + len(record)
+        needed = RECORD_OVERHEAD + len(record)
         if len(record) > self.max_record_size():
             raise RingBufferFull(
                 f"record of {len(record)} bytes can never fit in a "
@@ -87,33 +69,26 @@ class RingBuffer:
         if needed > self.free:
             raise RingBufferFull(
                 f"ring full: need {needed}, have {self.free} free")
-        self._write_at(self._head, _LEN.pack(len(record)))
-        self._write_at(self._head + _LEN.size, record)
+        self._records.append(record)
         self._head += needed
         self.records_written += 1
 
     def pop(self) -> Optional[bytes]:
         """Remove and return the oldest record, or None if empty."""
-        if self.used == 0:
+        if not self._records:
             return None
-        (length,) = _LEN.unpack(self._read_at(self._tail, _LEN.size))
-        record = self._read_at(self._tail + _LEN.size, length)
-        self._tail += _LEN.size + length
+        record = self._records.popleft()
+        self._tail += RECORD_OVERHEAD + len(record)
         self.records_read += 1
         return record
 
     def peek(self) -> Optional[bytes]:
         """Return the oldest record without consuming it."""
-        if self.used == 0:
-            return None
-        (length,) = _LEN.unpack(self._read_at(self._tail, _LEN.size))
-        return self._read_at(self._tail + _LEN.size, length)
+        return self._records[0] if self._records else None
 
     def drain(self) -> List[bytes]:
         """Pop every queued record."""
         out: List[bytes] = []
-        while True:
-            record = self.pop()
-            if record is None:
-                return out
-            out.append(record)
+        while self._records:
+            out.append(self.pop())
+        return out

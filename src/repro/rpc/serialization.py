@@ -5,6 +5,13 @@ structure, so messages here are genuinely encoded to bytes and decoded
 back.  Supported field values: ``int``, ``float``, ``str``, ``bytes``,
 :class:`Payload`, and flat lists of those.
 
+The wire stream is produced and read as *parts*: small header pieces,
+and each concrete payload's ``data`` by reference.  A transport that
+hands the parts over untouched delivers the payload object itself; the
+simulated cost of the copies a real library makes is charged by length,
+not performed.  :func:`encode` / :func:`decode` are the joined and
+single-part forms of the same codec.
+
 Large tensor payloads can be *virtual* — a :class:`Payload` that knows
 its size but carries no content.  Virtual payloads encode as a size
 marker so the control structure still round-trips exactly; the
@@ -15,7 +22,10 @@ via the cost model (proportional to ``Message.wire_size``).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+#: one run of the wire stream
+Part = Union[bytes, memoryview]
 
 
 class SerializationError(ValueError):
@@ -104,8 +114,8 @@ class Message:
     @property
     def wire_size(self) -> int:
         """Exact encoded size in bytes, counting virtual payload sizes."""
-        control, payload = encode(self)
-        return len(control) + payload
+        parts, virtual = encode_parts(self)
+        return sum(map(len, parts)) + virtual
 
 
 def _encode_value(out: List[bytes], value: Any) -> int:
@@ -129,7 +139,8 @@ def _encode_value(out: List[bytes], value: Any) -> int:
         if value.is_virtual:
             out.append(struct.pack("<BQ", _T_PAYLOAD_VIRTUAL, value.size))
             return value.size
-        out.append(struct.pack("<BQ", _T_PAYLOAD, value.size) + value.data)
+        out.append(struct.pack("<BQ", _T_PAYLOAD, value.size))
+        out.append(value.data)  # by reference: its own part
         return 0
     if isinstance(value, list):
         header_index = len(out)
@@ -144,13 +155,13 @@ def _encode_value(out: List[bytes], value: Any) -> int:
     raise SerializationError(f"unsupported field type: {type(value).__name__}")
 
 
-def encode(message: Message) -> Tuple[bytes, int]:
-    """Encode a message; returns (control_bytes, virtual_payload_bytes).
+def encode_parts(message: Message) -> Tuple[List[bytes], int]:
+    """Encode a message; returns (parts, virtual_payload_bytes).
 
-    ``control_bytes`` contains everything that physically exists,
-    including concrete payload content; ``virtual_payload_bytes`` is
-    the number of additional bytes the wire message *represents* for
-    virtual payloads.
+    The parts, concatenated, are everything that physically exists,
+    including concrete payload content (each payload's ``data`` is one
+    part, by reference); ``virtual_payload_bytes`` is the number of
+    additional bytes the wire message *represents* for virtual payloads.
     """
     out: List[bytes] = [_MAGIC, struct.pack("<I", len(message.fields))]
     virtual = 0
@@ -158,20 +169,39 @@ def encode(message: Message) -> Tuple[bytes, int]:
         raw_name = name.encode("utf-8")
         out.append(struct.pack("<H", len(raw_name)) + raw_name)
         virtual += _encode_value(out, value)
-    return b"".join(out), virtual
+    return out, virtual
+
+
+def encode(message: Message) -> Tuple[bytes, int]:
+    """:func:`encode_parts` joined: (control_bytes, virtual_payload_bytes)."""
+    parts, virtual = encode_parts(message)
+    return b"".join(parts), virtual
 
 
 class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
+    """A cursor over the parts of a wire stream."""
+
+    def __init__(self, parts: Sequence[Part]) -> None:
+        self.parts = parts
+        self.index = 0
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SerializationError("truncated message")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+    def take(self, n: int) -> Part:
+        """The next ``n`` bytes: the part itself when it is exactly
+        those, a slice inside one part, a join only across parts."""
+        pieces: List[Part] = []
+        while n:
+            if self.index == len(self.parts):
+                raise SerializationError("truncated message")
+            part = self.parts[self.index]
+            whole = self.pos == 0 and len(part) <= n
+            piece = part if whole else part[self.pos:self.pos + n]
+            pieces.append(piece)
+            n -= len(piece)
+            self.pos += len(piece)
+            if self.pos == len(part):
+                self.index, self.pos = self.index + 1, 0
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -185,10 +215,10 @@ def _decode_value(reader: _Reader) -> Any:
         return reader.unpack("<d")[0]
     if tag == _T_STR:
         (length,) = reader.unpack("<I")
-        return reader.take(length).decode("utf-8")
+        return str(reader.take(length), "utf-8")
     if tag == _T_BYTES:
         (length,) = reader.unpack("<I")
-        return reader.take(length)
+        return bytes(reader.take(length))
     if tag == _T_PAYLOAD:
         (size,) = reader.unpack("<Q")
         return Payload(data=reader.take(size))
@@ -201,18 +231,25 @@ def _decode_value(reader: _Reader) -> Any:
     raise SerializationError(f"unknown wire tag {tag}")
 
 
-def decode(control: bytes) -> Message:
-    """Decode control bytes produced by :func:`encode`."""
-    reader = _Reader(control)
+def decode_parts(parts: Sequence[Part]) -> Message:
+    """Decode the parts produced by :func:`encode_parts`, however the
+    transport re-cut them; a payload that arrives as one whole part is
+    returned by reference."""
+    reader = _Reader(parts)
     if reader.take(4) != _MAGIC:
         raise SerializationError("bad magic: not an RPC message")
     (field_count,) = reader.unpack("<I")
     message = Message()
     for _ in range(field_count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = str(reader.take(name_len), "utf-8")
         message[name] = _decode_value(reader)
-    if reader.pos != len(control):
-        raise SerializationError(
-            f"{len(control) - reader.pos} trailing bytes after message")
+    trailing = sum(map(len, parts[reader.index:])) - reader.pos
+    if trailing:
+        raise SerializationError(f"{trailing} trailing bytes after message")
     return message
+
+
+def decode(control: bytes) -> Message:
+    """:func:`decode_parts` of one flat part."""
+    return decode_parts([control])

@@ -21,7 +21,8 @@ keeps the RPC abstraction's structural costs:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..simnet.costmodel import CostModel
 from ..simnet.memory import Buffer
@@ -30,12 +31,8 @@ from ..simnet.topology import Endpoint, Host
 from ..simnet.verbs import Opcode, WorkRequest
 from .core import RpcEndpoint, RpcError, WireLink
 from .framing import Fragment, HEADER_SIZE, Reassembler, fragment
-from .ring_buffer import RingBuffer, RingBufferFull
-
-_msg_ids = itertools.count(1)
-
-#: per-record ring-buffer overhead (its 4-byte length prefix)
-RECORD_OVERHEAD = 4
+from .ring_buffer import RECORD_OVERHEAD, RingBuffer, RingBufferFull
+from .serialization import Part
 
 
 class CreditGate:
@@ -51,7 +48,7 @@ class CreditGate:
         self.capacity = capacity
         self.available = capacity
         self.return_latency = return_latency
-        self._waiters: List[Tuple[int, Event]] = []
+        self._waiters: Deque[Tuple[int, Event]] = deque()
 
     def acquire(self, amount: int) -> Generator:
         if amount > self.capacity:
@@ -69,7 +66,7 @@ class CreditGate:
         def credit_arrives() -> None:
             self.available += amount
             while self._waiters and self._waiters[0][0] <= self.available:
-                need, event = self._waiters.pop(0)
+                need, event = self._waiters.popleft()
                 self.available -= need
                 event.succeed()
         self.sim.call_after(self.return_latency, credit_arrives)
@@ -135,16 +132,16 @@ class _ConnectionSide:
                     continue
                 if not completion.ok:
                     raise RpcError(f"recv failed: {completion.status}")
-                raw_header = self.recv_region.read(0, HEADER_SIZE)
-                frag = Fragment.parse_header(raw_header)
+                record = self.recv_region.read(0, HEADER_SIZE)
+                frag = Fragment.parse_header(record)
                 if frag.header_says_concrete:
-                    body = self.recv_region.read(HEADER_SIZE, frag.body_size)
-                    frag.body = body
-                    self.ring.push(raw_header + body)
-                else:
-                    # Virtual body: the ring record keeps only the header;
-                    # byte occupancy is enforced by the peer's CreditGate.
-                    self.ring.push(raw_header)
+                    # The one copy out of the slot is the ring record;
+                    # the fragment body is a view of it.
+                    record = self.recv_region.read(0, frag.wire_size)
+                    frag.body = [memoryview(record)[HEADER_SIZE:]]
+                # (A virtual body's record is only the header: byte
+                # occupancy is enforced by the peer's CreditGate.)
+                self.ring.push(record)
                 self._post_recv()
                 self.records.put(frag)
 
@@ -158,21 +155,22 @@ class GrpcRdmaLink(WireLink):
         self.cost = side.cost
         self.host = side.host
         self._reassembler = Reassembler()
+        self._msg_ids = itertools.count(1)
 
     # -- sending -------------------------------------------------------------------
 
-    def send(self, control: bytes, virtual_size: int) -> Generator:
-        total = len(control) + virtual_size
+    def send(self, parts: Sequence[Part], virtual_size: int) -> Generator:
+        total = sum(map(len, parts)) + virtual_size
         if total > self.cost.rpc_max_message_size:
             # TensorFlow's gRPC.RDMA crashes beyond 1 GB (paper §5.1).
             raise RpcError(
                 f"gRPC.RDMA: message of {total} bytes exceeds the maximum "
                 f"of {self.cost.rpc_max_message_size}; transfer aborted")
-        msg_id = next(_msg_ids)
-        fragments = fragment(msg_id, control, virtual_size,
+        fragments = fragment(next(self._msg_ids), parts, virtual_size,
                              self.side.frag_body_max)
         # The RPC library cannot transmit from the caller's buffer: it
-        # copies the whole serialized message into registered staging.
+        # copies the whole serialized message into registered staging
+        # (charged here; performed per fragment as the gather below).
         yield from self.host.cpu.run(self.cost.memcpy_time(total))
         assert self.side.credits is not None, "link not connected"
         for frag in fragments:
@@ -183,7 +181,7 @@ class GrpcRdmaLink(WireLink):
             if frag.body is not None:
                 self.side.qp.post_send(WorkRequest(
                     opcode=Opcode.SEND,
-                    inline_data=frag.header_bytes() + frag.body))
+                    inline_data=b"".join((frag.header_bytes(), *frag.body))))
             else:
                 # Virtual fragment: header really lands via the staging
                 # region's head window; the body moves as timing only.
@@ -213,7 +211,7 @@ class GrpcRdmaLink(WireLink):
             peer_credits.release(frag.wire_size + RECORD_OVERHEAD)
             assembled = self._reassembler.add(frag)
             if assembled is not None:
-                return assembled.control, assembled.virtual_size
+                return assembled.parts, assembled.virtual_size
 
 
 class GrpcRdmaListener:

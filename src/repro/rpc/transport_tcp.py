@@ -10,12 +10,13 @@ avoided without redesigning the abstraction).
 
 from __future__ import annotations
 
-from typing import Generator, Tuple
+from typing import Generator, Sequence
 
 from ..simnet.costmodel import CostModel
 from ..simnet.tcp import Socket, TcpMessage
 from ..simnet.topology import Endpoint, Host
 from .core import RpcEndpoint, WireLink
+from .serialization import Part
 
 
 class TcpWireLink(WireLink):
@@ -27,18 +28,18 @@ class TcpWireLink(WireLink):
         self.cost = socket.stack.cost
         self.host = socket.stack.host
 
-    def send(self, control: bytes, virtual_size: int) -> Generator:
-        total = len(control) + virtual_size
-        message = TcpMessage(size=total, meta=(control, virtual_size))
+    def send(self, parts: Sequence[Part], virtual_size: int) -> Generator:
+        total = sum(map(len, parts)) + virtual_size
+        message = TcpMessage(size=total, meta=(parts, virtual_size))
         yield from self.socket.send(message)
 
     def recv(self) -> Generator:
         message = yield from self.socket.recv()
-        control, virtual_size = message.meta
         # The RPC library copies from its in-library receive buffer into
-        # the application-visible message (the unavoidable extra copy).
+        # the application-visible message (the unavoidable extra copy):
+        # charged here, while the parts themselves arrive by reference.
         yield from self.host.cpu.run(self.cost.memcpy_time(message.size))
-        return control, virtual_size
+        return message.meta
 
 
 class GrpcTcpServer:

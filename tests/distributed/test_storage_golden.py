@@ -3,13 +3,19 @@
 Whether a tensor's buffer holds real bytes or only a size is a host
 memory decision and must not move a simulated clock.  It can in exactly
 one place: ``rpc/framing.py`` puts concrete and virtual spans in
-separate fragments, so ``distributed/rpc_comm.py`` pins the payload
-kind to the buffer's size instead of following the tensor (left to
-follow it, the FCN-5 gRPC.RDMA step below becomes 253.82 ms over 7360
-verbs).  These constants are exact ``repr()`` captures from the commit
-before storage started following content; re-record them only in a PR
-that *intends* to change fat-tree or gRPC timing, and say so there.
+separate fragments, so over gRPC.RDMA ``distributed/rpc_comm.py`` pins
+the payload kind to the buffer's size instead of following the tensor
+(left to follow it, the FCN-5 gRPC.RDMA step below becomes 253.82 ms
+over 7360 verbs).  gRPC.TCP books one message of the total size
+whatever the kind, so there untracked tensors travel as lengths; the
+gRPC.TCP constants below were captured while they still travelled as
+zero bytes.  All constants are exact ``repr()`` captures from the
+commit before the storage rule they guard changed; re-record them only
+in a PR that *intends* to change fat-tree or gRPC timing, and say so
+there.
 """
+
+import pytest
 
 from repro.distributed import run_training_benchmark
 from repro.harness.experiments import _scale_spec
@@ -19,6 +25,12 @@ GOLDEN_HIER16_SYNTH24 = ["0.014562679480000059", "0.011614363480000466"]
 
 GOLDEN_FCN5_GRPC_RDMA = ["0.2535015876558077", "0.25350158765579384"]
 GOLDEN_FCN5_GRPC_RDMA_VERBS = 7264
+
+#: model -> (iteration time reprs, TCP messages recorded)
+GOLDEN_GRPC_TCP = {
+    "FCN-5": (["0.680075736535318", "0.6800755296811527"], 640),
+    "LSTM": (["0.1276772375544567", "0.12767732581834523"], 896),
+}
 
 
 def test_hierarchical_fat_tree_clock_bit_identical():
@@ -37,3 +49,13 @@ def test_fcn5_grpc_rdma_step_and_verbs_bit_identical():
     assert ([repr(t) for t in bench.stats.iteration_times]
             == GOLDEN_FCN5_GRPC_RDMA)
     assert bench.metrics.count() == GOLDEN_FCN5_GRPC_RDMA_VERBS
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_GRPC_TCP))
+def test_grpc_tcp_step_and_messages_bit_identical(model):
+    bench = run_training_benchmark(get_model(model), "gRPC.TCP",
+                                   num_servers=8, batch_size=32,
+                                   iterations=2, collect_metrics=True)
+    times, messages = GOLDEN_GRPC_TCP[model]
+    assert [repr(t) for t in bench.stats.iteration_times] == times
+    assert bench.metrics.count(kind="TCP") == messages

@@ -126,6 +126,64 @@ class TestRequestResponse:
         assert sorted(replies) == [0, 1, 2, 3, 4]
 
 
+class TestCopies:
+    def test_tcp_delivers_the_payload_object_itself(self):
+        """Between the handler's snapshot and the caller, gRPC.TCP
+        charges its copies by length and performs none."""
+        cluster = Cluster(2)
+        server, client = make_pair(cluster, "tcp")
+        blob = bytes(i % 251 for i in range(300_000))
+        server.register("get", lambda msg: Message(
+            data=Payload(data=blob), dims=[300_000], dtype=1))
+        reply = run_call(cluster, client, "get", Message(key="w"))
+        assert reply["data"].data is blob
+        assert reply["dims"] == [300_000]
+
+    def test_rdma_mixed_message_fragments_as_before(self):
+        """3 MiB concrete + 5 MiB virtual: the bytes come back equal and
+        each leg is the fragment count, wire size and wire bytes captured
+        before fragment bodies became views (4 concrete fragments, the
+        virtual tail in 6 of its own)."""
+        cluster = Cluster(2)
+        collector = cluster.enable_metrics()
+        server, client = make_pair(cluster, "rdma")
+        blob = bytes(i % 251 for i in range(3 * MB))
+        server.register("mirror", lambda msg: Message(
+            back=msg["blob"], tail=msg["tail"]))
+        reply = run_call(cluster, client, "mirror", Message(
+            blob=Payload(data=blob), tail=Payload(size=5 * MB)))
+        assert reply["back"].data == blob
+        assert reply["tail"] == Payload(size=5 * MB)
+        assert reply.wire_size == 8388646
+        assert client.link.side.ring.records_written == 10
+        assert server.endpoints[0].link.side.ring.records_written == 10
+        assert collector.count() == 20
+        assert collector.total_bytes() == 16777892
+        assert repr(cluster.sim.now) == "0.009088826443333331"
+
+    def test_rdma_header_bytes_do_not_depend_on_process_history(
+            self, monkeypatch):
+        """Message and request ids are numbered per link and per
+        endpoint: two identical runs in one process put identical
+        bytes on the wire, in both directions."""
+        from repro.simnet.nic import QueuePair
+        sent = []
+        post_send = QueuePair.post_send
+        monkeypatch.setattr(QueuePair, "post_send", lambda qp, wr: (
+            sent.append(wr.inline_data), post_send(qp, wr))[1])
+
+        def run():
+            del sent[:]
+            cluster = Cluster(2)
+            server, client = make_pair(cluster, "rdma")
+            server.register("echo", lambda msg: Message(text=msg["text"]))
+            for text in ("one", "two"):
+                run_call(cluster, client, "echo", Message(text=text))
+            return list(sent)
+        first, second = run(), run()
+        assert len(first) == 4 and first == second
+
+
 class TestTransportTiming:
     def _timed_transfer(self, transport, size):
         cluster = Cluster(2)

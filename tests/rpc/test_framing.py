@@ -10,7 +10,7 @@ class TestFragment:
     def test_single_small_message(self):
         frags = fragment(1, b"hello", 0, max_fragment_body=1024)
         assert len(frags) == 1
-        assert frags[0].body == b"hello"
+        assert b"".join(frags[0].body) == b"hello"
         assert frags[0].count == 1
 
     def test_control_split_into_chunks(self):
@@ -22,7 +22,7 @@ class TestFragment:
     def test_virtual_tail_fragments(self):
         frags = fragment(3, b"ctl", 2048, max_fragment_body=1024)
         assert len(frags) == 3
-        assert frags[0].body == b"ctl"
+        assert b"".join(frags[0].body) == b"ctl"
         assert frags[1].body is None and frags[1].body_size == 1024
         assert frags[2].body is None and frags[2].body_size == 1024
 

@@ -104,3 +104,18 @@ class TestOverflow:
         ring.push(b"x" * 10)
         assert ring.used == 14  # 4-byte length prefix + 10
         assert ring.free == 86
+
+
+class TestHostCost:
+    def test_rings_cost_nothing_to_create(self):
+        """FCN-5 on 8 servers dials 256 connection sides of 4 MiB: a
+        zero-filled backing array per ring was 1 GiB before step one."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            rings = [RingBuffer(4 * 1024 * 1024) for _ in range(256)]
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rings) == 256
+        assert current < 1024 * 1024

@@ -42,6 +42,22 @@ class TestContinuousBatching:
         assert cont.ttft.get("p99", 0.0) <= static.ttft.get("p99", 0.0)
 
 
+class TestDrainCost:
+    def test_drain_poll_does_not_walk_every_request(self, monkeypatch):
+        """The drain tail polls every <= 50 us of sim time; a predicate
+        that walks the request list makes the run O(N x polls)."""
+        from repro.serving.llm import LLMRequest
+        calls = []
+        terminal = LLMRequest.terminal.fget
+        monkeypatch.setattr(LLMRequest, "terminal", property(
+            lambda request: calls.append(1) or terminal(request)))
+        requests = 200
+        run = run_llm_serving_benchmark(
+            TINY, mode="continuous", **{**COMMON, "requests": requests})
+        assert run.completed + run.shed == requests
+        assert len(calls) <= 4 * requests
+
+
 class TestKVPressure:
     def test_preemption_under_tiny_budget(self):
         # ~3 MB holds two mid-flight requests at most: growth denials
