@@ -2,14 +2,20 @@
 
 Usage::
 
-    python -m repro.harness                 # fast mode (trimmed sweeps)
-    python -m repro.harness --full          # full sweeps (several minutes)
-    python -m repro.harness table2 figure8  # a subset
+    python -m repro.harness                 # every experiment, smoke grids
+    python -m repro.harness --full          # full grids (tens of minutes)
+    python -m repro.harness table2 figure8  # a subset, smoke grids
+    python -m repro.harness --full scale --bench-dir results
+                                            # regenerate a committed file
+
+Exits nonzero, printing each, when a payload violates one of its
+experiment's headline invariants: a CI smoke is just this command.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -21,7 +27,7 @@ from ..distributed.allreduce import ALLREDUCE_ALGORITHMS
 from ..serving.config import configure_serving
 from ..observability.capture import (configure_capture, flush_capture,
                                      reset_capture)
-from .experiments import ALL_EXPERIMENTS, run_all
+from .experiments import ALL_EXPERIMENTS, execute
 
 
 def main(argv=None) -> int:
@@ -33,7 +39,13 @@ def main(argv=None) -> int:
                         help="subset to run (default: all); known names: "
                              + ", ".join(ALL_EXPERIMENTS))
     parser.add_argument("--full", action="store_true",
-                        help="full sweeps instead of the fast trimmed ones")
+                        help="each experiment's full grid (what its "
+                             "committed results file holds) instead of its "
+                             "smoke grid")
+    parser.add_argument("--bench-dir", default=None, metavar="DIR",
+                        help="write each results-owning experiment's "
+                             "payload to DIR/BENCH_<name>.json, rewritten "
+                             "after every finished cell")
     parser.add_argument("--num-cqs", type=int, default=None, metavar="N",
                         help="completion queues per RDMA device (default 4)")
     parser.add_argument("--qps-per-peer", type=int, default=None,
@@ -279,6 +291,10 @@ def main(argv=None) -> int:
                       kv_budget_mb=args.kv_budget_mb,
                       max_width=args.max_width)
     if capturing:
+        # like --bench-dir, a capture path may name a directory to create
+        for path in (args.trace_out, args.metrics_json, args.telemetry_out):
+            if path is not None:
+                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         from ..observability.capture import DEFAULT_TRACE_EVENT_CAP
         configure_capture(trace_out=args.trace_out,
                           metrics_json=args.metrics_json,
@@ -287,18 +303,19 @@ def main(argv=None) -> int:
                                            if args.trace_event_cap is not None
                                            else DEFAULT_TRACE_EVENT_CAP))
 
+    violated = []
     try:
-        if args.experiments:
-            selected = {name: ALL_EXPERIMENTS[name]
-                        for name in args.experiments}
-            results = {}
-            for name, fn in selected.items():
-                started = time.time()
-                results[name] = fn()
-                print(f"[{name} regenerated in {time.time() - started:.1f}s]",
-                      file=sys.stderr)
-        else:
-            results = run_all(fast=not args.full)
+        for name in args.experiments or ALL_EXPERIMENTS:
+            entry = ALL_EXPERIMENTS[name]
+            started = time.time()
+            grid = entry.full if args.full else entry.smoke
+            payload = execute(entry, grid, args.bench_dir)
+            print(f"[{name} regenerated in {time.time() - started:.1f}s]",
+                  file=sys.stderr)
+            print(entry.table(payload).render())
+            print()
+            violated += [f"{name}: {headline}"
+                         for headline in entry.headlines(payload)]
 
         if capturing:
             for kind, path in flush_capture().items():
@@ -307,10 +324,9 @@ def main(argv=None) -> int:
         if capturing:
             reset_capture()
 
-    for result in results.values():
-        print(result.render())
-        print()
-    return 0
+    for headline in violated:
+        print(f"[headline violated] {headline}", file=sys.stderr)
+    return 1 if violated else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,47 @@ class TestCli:
         assert excinfo.value.code == 0
 
 
+class TestRegistryReaders:
+    """The CLI reads the experiment table: which grid, where the file
+    goes, what the exit status is."""
+
+    @staticmethod
+    def _stub(monkeypatch, name, violated=()):
+        """Replace ``name``'s run (records its grid, simulates nothing)."""
+        from dataclasses import replace
+
+        from repro.harness import ALL_EXPERIMENTS, ExperimentResult
+        grids = []
+        entry = ALL_EXPERIMENTS[name]
+        monkeypatch.setitem(ALL_EXPERIMENTS, name, replace(
+            entry, run=lambda **grid: iter([grids.append(grid)]),
+            headlines=lambda payload: list(violated),
+            table=lambda payload: ExperimentResult(name, "stub", [])))
+        return entry, grids
+
+    def test_full_picks_the_grid_named_or_not(self, monkeypatch, capsys):
+        entry, grids = self._stub(monkeypatch, "overlap")
+        assert main(["overlap"]) == main(["--full", "overlap"]) == 0
+        assert grids == [entry.smoke, entry.full]
+
+    def test_violated_headline_fails_and_is_named(self, monkeypatch, capsys):
+        self._stub(monkeypatch, "overlap", violated=["eager got slower"])
+        assert main(["overlap", "table2"]) == 1
+        captured = capsys.readouterr()
+        assert "overlap: eager got slower" in captured.err
+        assert "Table 2" in captured.out  # the later experiment still ran
+
+    def test_bench_dir_receives_the_payload(self, capsys, tmp_path):
+        import json
+        assert main(["llmserve", "table2", "--bench-dir",
+                     str(tmp_path / "out")]) == 0
+        (written,) = (tmp_path / "out").iterdir()  # table2 owns no file
+        assert written.name == "BENCH_llmserve.json"
+        payload = json.loads(written.read_text())
+        assert payload["config"]["model"] == "TF-Tiny"  # the smoke grid
+        assert len(payload["cells"]) == 3
+
+
 class TestCommFlags:
     def teardown_method(self):
         from repro.distributed import reset_comm_config
@@ -116,10 +157,13 @@ class TestPipelineFlags:
 
     def test_pinned_flags_narrow_llmtrain(self, capsys):
         from repro.distributed import configure_comm
-        from repro.harness.experiments import llmtrain
+        from repro.harness.experiments import ALL_EXPERIMENTS, execute
         configure_comm(pipeline_stages=2, microbatches=2,
                        schedule="1f1b")
-        result = llmtrain(model="TF-Tiny", batch_size=4, iterations=2)
+        entry = ALL_EXPERIMENTS["llmtrain"]
+        result = entry.table(execute(entry, dict(
+            model="TF-Tiny", stage_counts=(2, 4, 8), batch_size=4,
+            iterations=2)))
         assert result.column("stages") == [2]
         assert result.column("schedule") == ["1f1b"]
         # single-schedule run: no gpipe cell, so no headline note
@@ -161,8 +205,9 @@ class TestCaptureFlags:
     def test_trace_and_metrics_written(self, capsys, tmp_path):
         import json
 
-        trace_path = tmp_path / "run.trace.json"
-        metrics_path = tmp_path / "run.metrics.json"
+        # neither directory exists yet (CI writes into a fresh artifacts/)
+        trace_path = tmp_path / "artifacts" / "run.trace.json"
+        metrics_path = tmp_path / "metrics" / "run.metrics.json"
         assert main(["stallreport", "--trace-out", str(trace_path),
                      "--metrics-json", str(metrics_path)]) == 0
         err = capsys.readouterr().err
@@ -236,7 +281,7 @@ class TestTelemetryFlags:
     def test_telemetry_out_written(self, capsys, tmp_path):
         import json
 
-        telemetry_path = tmp_path / "telemetry.json"
+        telemetry_path = tmp_path / "artifacts" / "telemetry.json"
         assert main(["stallreport", "--telemetry-out",
                      str(telemetry_path), "--trace-sample", "0.1"]) == 0
         assert "telemetry written to" in capsys.readouterr().err

@@ -1,16 +1,19 @@
-"""Perf-regression gate: verdict math, probes vs fabricated baselines,
-the trajectory record, and the CLI contract (exit nonzero on regression).
-"""
+"""Perf-regression gate: verdict math, every gate round-tripped through
+the BENCH writer, and the CLI contract (exit nonzero on regression)."""
 
+import copy
 import json
-import os
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.harness import regress
-from repro.harness.regress import (Check, GateReport, append_trajectory,
-                                   main, probe_netreduce, probe_overlap)
+from repro.harness.experiments import ALL_EXPERIMENTS, bench_file
+from repro.harness.regress import (PROBES, Check, GateReport, compare, main,
+                                   probe)
+
+from .test_registry import DOCTORED, _cell
 
 
 class TestCheckEvaluate:
@@ -74,274 +77,170 @@ class TestArgValidation:
             main(["--tolerance", "1.5"])
 
 
-def _fresh_overlap_rows(models=("FCN-5",)):
-    """Run the overlap probe workloads once and return baseline rows."""
-    from repro.distributed.runner import run_training_benchmark
-    from repro.models.zoo import get_model
-    from repro.simnet.costmodel import MB
+class GateRoundTrip:
+    """One gated experiment: written by the writer at a tier-1 grid
+    (``recorded``), then judged by the gate's generic loop."""
 
-    config = {"num_servers": 2, "batch_size": 32, "iterations": 2,
-              "algorithm": "ring", "fusion_mb": 8}
-    rows = []
-    for name in models:
-        common = dict(num_servers=2, batch_size=32, iterations=2,
-                      strategy="ring", fusion_bytes=8 * MB)
-        barrier = run_training_benchmark(get_model(name), "RDMA",
-                                         eager_flush=False,
-                                         priority_sched=False, **common)
-        eager = run_training_benchmark(get_model(name), "RDMA",
-                                       eager_flush=True,
-                                       priority_sched=True, **common)
-        rows.append({"benchmark": name,
-                     "barrier_step_ms": barrier.step_time * 1e3,
-                     "eager_priority_step_ms": eager.step_time * 1e3,
-                     "faster": eager.step_time < barrier.step_time})
-    return {"config": config, "models": rows}
+    name = None
 
-
-@pytest.fixture(scope="module")
-def overlap_baseline():
-    return _fresh_overlap_rows()
-
-
-class TestOverlapProbeEndToEnd:
-    def test_matching_baseline_passes(self, overlap_baseline, tmp_path):
-        (tmp_path / "BENCH_overlap.json").write_text(
-            json.dumps(overlap_baseline))
+    def _judge(self, recorded, edit_committed=lambda payload: None,
+               edit_fresh=lambda payload: None, tolerance=0.05):
+        committed = copy.deepcopy(recorded.committed[self.name])
+        grid, fresh = copy.deepcopy(recorded.fresh[self.name])
+        edit_committed(committed)
+        edit_fresh(fresh)
         report = GateReport()
-        probe_overlap(report, str(tmp_path), tolerance=0.05,
-                      models=("FCN-5",))
+        compare(report, ALL_EXPERIMENTS[self.name], committed, fresh, grid,
+                tolerance)
+        return report
+
+    def test_matching_baseline_passes(self, recorded):
+        report = recorded.reports[self.name]
         assert report.errors == []
-        assert len(report.checks) == 2
-        # determinism: the rerun reproduces the baseline exactly
-        assert all(c.verdict == "ok" and c.fresh == c.baseline
-                   for c in report.checks)
-        assert report.ok
+        # determinism: the rerun reproduces the written file exactly
+        assert report.checks and all(
+            c.verdict == "ok" and c.fresh == c.baseline
+            for c in report.checks)
 
-    def test_perturbed_baseline_regresses(self, overlap_baseline, tmp_path):
-        doctored = json.loads(json.dumps(overlap_baseline))
-        # pretend the committed run was 20% faster than today's code
-        doctored["models"][0]["barrier_step_ms"] *= 0.8
-        (tmp_path / "BENCH_overlap.json").write_text(json.dumps(doctored))
-        report = GateReport()
-        probe_overlap(report, str(tmp_path), tolerance=0.05,
-                      models=("FCN-5",))
+    def test_perturbed_baseline_regresses(self, recorded):
+        gate = ALL_EXPERIMENTS[self.name].gate
+        metric, direction = gate.fields[0]
+        target = next(c for c in recorded.fresh[self.name][1]["cells"]
+                      if c.get(metric))
+
+        def better_once(committed):
+            # pretend the committed run was 20% better than today's code
+            cell = next(c for c in committed["cells"]
+                        if all(c[k] == target[k] for k in gate.key))
+            cell[metric] *= 1.25 if direction == "higher_better" else 0.8
+        report = self._judge(recorded, edit_committed=better_once)
         assert [c.metric for c in report.regressions] \
-            == ["FCN-5.barrier_step_ms"]
-        assert not report.ok
+            == [f"{gate.label.format(**target)}.{metric}"]
+        assert report.errors == []
 
-    def test_lost_speedup_is_an_error(self, overlap_baseline, tmp_path):
-        doctored = json.loads(json.dumps(overlap_baseline))
-        row = doctored["models"][0]
-        # the committed row promises eager < barrier with step times the
-        # rerun reproduces; invert the fresh comparison by swapping the
-        # baseline columns and widening tolerance so only the flag trips
-        row["barrier_step_ms"], row["eager_priority_step_ms"] = \
-            row["eager_priority_step_ms"], row["barrier_step_ms"]
-        (tmp_path / "BENCH_overlap.json").write_text(json.dumps(doctored))
-        report = GateReport()
-        probe_overlap(report, str(tmp_path), tolerance=0.99,
-                      models=("FCN-5",))
-        assert report.errors == []  # tolerance hides the swap...
-        assert report.ok            # ...and the faster flag still holds
+    def test_broken_headline_is_one_error(self, recorded):
+        edit, message = next(case[1:] for case in DOCTORED
+                             if case[0] == self.name)
+        report = self._judge(recorded, edit_fresh=edit)
+        assert report.errors == [f"{self.name}: {message}"]
+        assert not report.regressions and not report.ok
+
+    def test_baseline_from_other_flags_is_an_error(self, recorded):
+        report = self._judge(recorded, edit_fresh=lambda fresh:
+                             fresh["config"].update(qp_mode="shared"))
+        assert report.errors == [f"{self.name}: committed under "
+                                 f"qp_mode=None, re-run under 'shared'"]
 
     def test_missing_baseline_is_an_error(self, tmp_path):
         report = GateReport()
-        probe_overlap(report, str(tmp_path), tolerance=0.05)
-        assert report.errors == ["overlap: no BENCH_overlap.json baseline"]
-        assert not report.ok
-
-    def test_unknown_model_is_an_error(self, overlap_baseline, tmp_path):
-        (tmp_path / "BENCH_overlap.json").write_text(
-            json.dumps(overlap_baseline))
-        report = GateReport()
-        probe_overlap(report, str(tmp_path), tolerance=0.05,
-                      models=("NotAModel",))
+        probe(report, ALL_EXPERIMENTS[self.name], str(tmp_path), 0.05)
         assert report.errors \
-            == ["overlap: model 'NotAModel' not in baseline"]
-
-
-def _fresh_netreduce_baseline(model="GRU", workers=8, hosts_per_rack=4):
-    """Run the netreduce probe workloads once and return a baseline."""
-    from repro.distributed.runner import run_training_benchmark
-    from repro.models.zoo import get_model
-    from repro.simnet.costmodel import MB
-
-    config = {"models": [model], "worker_counts": [workers],
-              "hosts_per_rack": hosts_per_rack, "oversubscription": 4.0,
-              "batch_size": 8, "iterations": 2, "fusion_mb": 8,
-              "max_flat_ring_workers": 0}
-    entry = {"model": model, "workers": workers,
-             "racks": workers // hosts_per_rack}
-    common = dict(num_servers=workers, batch_size=8, iterations=2,
-                  fusion_bytes=8 * MB, topology="fat-tree",
-                  hosts_per_rack=hosts_per_rack, oversubscription=4.0,
-                  collect_metrics=True)
-    for strategy in ("hierarchical", "innetwork"):
-        bench = run_training_benchmark(get_model(model), "RDMA",
-                                       strategy=strategy, **common)
-        entry[strategy] = {
-            "step_ms": bench.step_time * 1e3,
-            "wire_mb_per_worker": bench.wire_bytes_per_worker() / MB,
-        }
-    entry["innetwork_speedup_vs_hierarchical"] = \
-        (entry["hierarchical"]["step_ms"] / entry["innetwork"]["step_ms"])
-    return {"config": config, "sweep": [entry]}
-
-
-@pytest.fixture(scope="module")
-def netreduce_baseline():
-    return _fresh_netreduce_baseline()
-
-
-class TestNetreduceProbeEndToEnd:
-    def test_matching_baseline_passes(self, netreduce_baseline, tmp_path):
-        (tmp_path / "BENCH_netreduce.json").write_text(
-            json.dumps(netreduce_baseline))
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.05, workers=8)
-        assert report.errors == []
-        assert len(report.checks) == 3
-        # determinism: the rerun reproduces the baseline exactly
-        assert all(c.verdict == "ok" and c.fresh == c.baseline
-                   for c in report.checks)
-        assert report.ok
-
-    def test_perturbed_step_time_regresses(self, netreduce_baseline,
-                                           tmp_path):
-        doctored = json.loads(json.dumps(netreduce_baseline))
-        # pretend the committed in-network run was 20% faster
-        doctored["sweep"][0]["innetwork"]["step_ms"] *= 0.8
-        (tmp_path / "BENCH_netreduce.json").write_text(
-            json.dumps(doctored))
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.05, workers=8)
-        assert [c.metric for c in report.regressions] \
-            == ["GRU.n8.innetwork_step_ms"]
+            == [f"{self.name}: no BENCH_{self.name}.json baseline"]
         assert not report.ok
 
-    def test_wire_drift_regresses_both_directions(self, netreduce_baseline,
-                                                  tmp_path):
+
+class TestOverlapProbeEndToEnd(GateRoundTrip):
+    name = "overlap"
+
+    def test_lost_speedup_is_an_error(self, recorded):
+        # "eager is faster" is judged on the *fresh* run, so swapping
+        # the committed columns cannot fake a lost speedup: with a
+        # tolerance wide enough to hide the swap the gate still passes
+        def swap(committed):
+            row = committed["cells"][0]
+            row["barrier_step_ms"], row["eager_priority_step_ms"] = \
+                row["eager_priority_step_ms"], row["barrier_step_ms"]
+        report = self._judge(recorded, edit_committed=swap, tolerance=0.99)
+        assert report.errors == [] and report.ok
+
+    def test_empty_slice_is_an_error_not_a_pass(self, recorded):
+        report = self._judge(recorded, edit_fresh=lambda fresh:
+                             fresh["cells"].clear())
+        assert report.errors == ["overlap: gate slice produced no cells"]
+
+    def test_unknown_model_is_an_error(self, recorded):
+        report = self._judge(recorded, edit_committed=lambda committed:
+                             committed["cells"][0].update(benchmark="Other"))
+        assert report.errors == ["overlap: no committed cell FCN-5"]
+
+
+class TestNetreduceProbeEndToEnd(GateRoundTrip):
+    name = "netreduce"
+
+    def _scaled(self, recorded, metric, factor, tolerance=0.05):
+        """Judge against a committed in-network cell scaled by ``factor``."""
+        def edit(committed):
+            _cell(committed, strategy="innetwork")[metric] *= factor
+        return self._judge(recorded, edit_committed=edit,
+                           tolerance=tolerance)
+
+    def test_perturbed_step_time_regresses(self, recorded):
+        report = self._scaled(recorded, "step_ms", 0.8)
+        assert [c.metric for c in report.regressions] \
+            == ["TF-Tiny.n8.innetwork.step_ms"]
+
+    def test_wire_drift_regresses_both_directions(self, recorded):
         # Fewer wire bytes is not an improvement here: the identity is
         # exact, so any drift means the collective changed shape.
-        doctored = json.loads(json.dumps(netreduce_baseline))
-        doctored["sweep"][0]["innetwork"]["wire_mb_per_worker"] *= 1.2
-        (tmp_path / "BENCH_netreduce.json").write_text(
-            json.dumps(doctored))
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.05, workers=8)
+        report = self._scaled(recorded, "wire_mb_per_worker", 1.2)
         assert [c.metric for c in report.regressions] \
-            == ["GRU.n8.innetwork_wire_mb"]
+            == ["TF-Tiny.n8.innetwork.wire_mb_per_worker"]
 
-    def test_speedup_flag_judges_fresh_runs(self, netreduce_baseline,
-                                            tmp_path):
-        # The "in-network is faster" bit compares the *fresh* runs, so
-        # doctored baseline step times can't fake a lost speedup: with
-        # tolerance wide enough to hide the doctoring, the gate still
-        # passes because today's code really is faster.
-        doctored = json.loads(json.dumps(netreduce_baseline))
-        doctored["sweep"][0]["innetwork"]["step_ms"] *= 0.6
-        (tmp_path / "BENCH_netreduce.json").write_text(
-            json.dumps(doctored))
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.99, workers=8)
-        assert report.errors == []
-        assert report.ok
+    def test_speedup_flag_judges_fresh_runs(self, recorded):
+        # doctored committed step times can't fake a lost speedup
+        report = self._scaled(recorded, "step_ms", 0.6, tolerance=0.99)
+        assert report.errors == [] and report.ok
 
-    def test_missing_baseline_is_an_error(self, tmp_path):
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.05)
+    def test_missing_worker_count_is_an_error(self, recorded):
+        report = self._judge(recorded, edit_committed=lambda committed:
+                             committed["cells"].pop())  # the in-network cell
         assert report.errors \
-            == ["netreduce: no BENCH_netreduce.json baseline"]
+            == ["netreduce: no committed cell TF-Tiny.n8.innetwork"]
 
-    def test_missing_worker_count_is_an_error(self, netreduce_baseline,
-                                              tmp_path):
-        (tmp_path / "BENCH_netreduce.json").write_text(
-            json.dumps(netreduce_baseline))
-        report = GateReport()
-        probe_netreduce(report, str(tmp_path), tolerance=0.05, workers=256)
-        assert report.errors \
-            == ["netreduce: no innetwork baseline at n=256"]
+
+class TestEveryOtherGate(GateRoundTrip):
+    @pytest.fixture(autouse=True,
+                    params=sorted(set(PROBES) - {"overlap", "netreduce"}))
+    def _each_gate(self, request):
+        self.name = request.param
 
 
 class TestMainExitCodes:
-    def test_pass_and_fail_exit_codes(self, overlap_baseline, tmp_path,
-                                      monkeypatch, capsys):
-        monkeypatch.setitem(
-            regress._PROBE_FNS, "overlap",
-            lambda report, d, tol: probe_overlap(report, d, tol,
-                                                 models=("FCN-5",)))
-        (tmp_path / "BENCH_overlap.json").write_text(
-            json.dumps(overlap_baseline))
+    def test_pass_and_fail_exit_codes(self, recorded, tmp_path, capsys):
+        path = tmp_path / bench_file("overlap")
+        path.write_text(json.dumps(recorded.committed["overlap"]))
         gate_json = tmp_path / "gate.json"
-        code = main(["--probes", "overlap",
-                     "--baseline-dir", str(tmp_path),
-                     "--json", str(gate_json)])
-        assert code == 0
+        assert main(["--probes", "overlap", "--baseline-dir", str(tmp_path),
+                     "--json", str(gate_json)]) == 0
         assert "PASS" in capsys.readouterr().out
         dumped = json.loads(gate_json.read_text())
         assert dumped["ok"] is True and dumped["regressions"] == 0
 
-        doctored = json.loads(json.dumps(overlap_baseline))
-        doctored["models"][0]["eager_priority_step_ms"] *= 0.5
-        (tmp_path / "BENCH_overlap.json").write_text(json.dumps(doctored))
-        code = main(["--probes", "overlap",
-                     "--baseline-dir", str(tmp_path)])
-        assert code == 1
+        doctored = copy.deepcopy(recorded.committed["overlap"])
+        doctored["cells"][0]["eager_priority_step_ms"] *= 0.5
+        path.write_text(json.dumps(doctored))
+        assert main(["--probes", "overlap",
+                     "--baseline-dir", str(tmp_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestTrajectory:
-    def _report(self):
-        report = GateReport()
-        report.add(Check("scale", "n64.step_ms", 10.0, 10.0,
-                         "lower_better", 0.05))
-        return report
-
-    def test_appends_and_preserves_payload(self, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        path.write_text(json.dumps({"experiment": "telemetry",
-                                    "runs": [{"run": "clean"}]}))
-        append_trajectory(self._report(), str(path))
-        payload = json.loads(path.read_text())
-        assert payload["experiment"] == "telemetry"  # untouched
-        assert payload["runs"] == [{"run": "clean"}]
-        (entry,) = payload["trajectory"]
-        assert entry["ok"] is True
-        assert entry["metrics"] == {"scale.n64.step_ms": 10.0}
-
-    def test_creates_file_when_absent(self, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        append_trajectory(self._report(), str(path))
-        assert len(json.loads(path.read_text())["trajectory"]) == 1
-
-    def test_trims_to_keep_limit(self, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        for _ in range(regress.TRAJECTORY_KEEP + 5):
-            append_trajectory(self._report(), str(path))
-        payload = json.loads(path.read_text())
-        assert len(payload["trajectory"]) == regress.TRAJECTORY_KEEP
-
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+REPO_ROOT = Path(__file__).parents[2]
 
 
 class TestDefaultProbesHaveBaselines:
     def test_default_gate_runs_only_probes_with_a_baseline(
             self, tmp_path, monkeypatch, capsys):
         ran = []
-        for probe in regress.PROBES:
-            monkeypatch.setitem(
-                regress._PROBE_FNS, probe,
-                lambda report, d, tol, probe=probe: ran.append(probe))
-        for probe in ("overlap", "llm"):
-            (tmp_path / regress.baseline_file(probe)).write_text("{}")
+        monkeypatch.setattr(
+            regress, "probe",
+            lambda report, entry, d, tol: ran.append(entry.name))
+        for name in ("overlap", "llmserve"):
+            (tmp_path / bench_file(name)).write_text("{}")
         assert main(["--baseline-dir", str(tmp_path)]) == 0
-        assert ran == ["overlap", "llm"]
+        assert ran == ["overlap", "llmserve"]
         out = capsys.readouterr().out
-        for probe in ("scale", "serving", "netreduce", "lossy"):
-            assert f"skipped   {probe}: no BENCH_{probe}.json" in out
+        for name in set(PROBES) - set(ran):
+            assert f"skipped   {name}: no BENCH_{name}.json" in out
 
     def test_named_probe_without_baseline_still_fails(self, tmp_path,
                                                       capsys):
@@ -354,28 +253,34 @@ class TestDefaultProbesHaveBaselines:
         assert main(["--baseline-dir", str(tmp_path)]) == 1
 
     def test_committed_results_give_the_default_gate_work(self):
-        results = os.path.join(REPO_ROOT, "results")
-        present = [p for p in regress.PROBES if os.path.exists(
-            os.path.join(results, regress.baseline_file(p)))]
-        assert {"overlap", "scale", "serving", "llm"} <= set(present)
-        for probe in present:
-            assert regress._load_baseline(results, probe)
+        # every gate has its file (the default gate skips nothing), and
+        # the file holds the grid ``--full`` regenerates
+        for name in PROBES:
+            config = json.loads(_read(f"results/{bench_file(name)}"))["config"]
+            for key, value in ALL_EXPERIMENTS[name].full.items():
+                assert config[key] == (list(value) if isinstance(value, tuple)
+                                       else value), (name, key)
+
+
+DOCS = pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md",
+                                       "DESIGN.md"])
+
+
+def _read(doc):
+    return (REPO_ROOT / doc).read_text()
 
 
 class TestDocsNameOnlyResultsThatExist:
-    PATH = re.compile(r"results/[A-Za-z0-9_.]+\.(?:json|txt)")
-
-    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md",
-                                     "DESIGN.md"])
+    @DOCS
     def test_results_paths_exist_or_are_marked_generated(self, doc):
-        with open(os.path.join(REPO_ROOT, doc)) as handle:
-            paragraphs = handle.read().split("\n\n")
-        unresolved = []
-        for paragraph in paragraphs:
-            for path in self.PATH.findall(paragraph):
-                if os.path.exists(os.path.join(REPO_ROOT, path)):
-                    continue
-                if "generated, not committed" in " ".join(paragraph.split()):
-                    continue
-                unresolved.append(path)
-        assert unresolved == []
+        # every gate's baseline is committed now: nothing a doc names under
+        # results/ may be missing, "generated, not committed" or otherwise
+        named = re.findall(r"results/[A-Za-z0-9_.]+\.(?:json|txt)", _read(doc))
+        assert [p for p in named if not (REPO_ROOT / p).exists()] == []
+
+    @DOCS
+    def test_bench_files_named_are_some_entrys_file(self, doc):
+        owned = {bench_file(entry.name)
+                 for entry in ALL_EXPERIMENTS.values() if entry.bench}
+        named = re.findall(r"BENCH_[A-Za-z0-9]+\.json", _read(doc))
+        assert set(named) <= owned

@@ -78,39 +78,24 @@ class TestFastExperiments:
                           message_bytes=1 * MB)
         assert rdma < tcp
 
-    def test_overlap_single_model(self, tmp_path):
-        import json
-
-        from repro.harness.experiments import overlap
-
-        json_path = tmp_path / "bench.json"
-        result = overlap(models=("FCN-5",), num_servers=2,
-                         json_path=str(json_path))
-        assert len(result.rows) == 1
+    def test_overlap_single_model(self, recorded):
+        payload = recorded.committed["overlap"]
+        result = ALL_EXPERIMENTS["overlap"].table(payload)
         assert result.cell("faster", benchmark="FCN-5") is True
-        barrier = result.cell("barrier_ms", benchmark="FCN-5")
-        eager = result.cell("eager_priority_ms", benchmark="FCN-5")
-        assert eager < barrier
-        payload = json.loads(json_path.read_text())
-        assert payload["model_count"] == 1
-        assert payload["models"][0]["faster"] is True
-        assert payload["models"][0]["eager_overlap_efficiency"] > \
-            payload["models"][0]["barrier_overlap_efficiency"]
+        assert result.cell("eager_priority_ms", benchmark="FCN-5") \
+            < result.cell("barrier_ms", benchmark="FCN-5")
+        # What the parent's ci.yml asserted of the FCN-5 + GRU smoke; no
+        # headline, it does not hold on the committed 4-server grid.
+        assert [c["benchmark"] for c in payload["cells"]] == ["FCN-5", "GRU"]
+        for cell in payload["cells"]:
+            assert cell["eager_overlap_efficiency"] \
+                > cell["barrier_overlap_efficiency"]
 
-    def test_serving_experiment(self, tmp_path):
-        import json
-
-        from repro.harness.experiments import serving
-
-        json_path = tmp_path / "bench.json"
-        result = serving(requests=200, json_path=str(json_path))
-        assert len(result.rows) == 4
-        payload = json.loads(json_path.read_text())
-        assert payload["batching_wins"] is True
-        assert payload["priority_wins"] is True
-        assert payload["torn_serves_total"] == 0
-        assert len(payload["runs"]) == 4
-        fifo = next(r for r in payload["runs"] if r["run"] == "fifo+training")
-        prio = next(r for r in payload["runs"]
-                    if r["run"] == "priority+training")
+    def test_serving_experiment(self, recorded):
+        payload = recorded.committed["serving"]
+        result = ALL_EXPERIMENTS["serving"].table(payload)
+        assert [row[0] for row in result.rows] == payload["config"]["runs"]
+        assert "batching_wins=True" in result.notes[0]
+        assert "priority_wins=True" in result.notes[1]
+        fifo, prio = payload["cells"][2:]
         assert prio["latency"]["p99"] < fifo["latency"]["p99"]
