@@ -8,10 +8,7 @@ drives the engine's hot paths directly, with no cluster on top:
 * the bare-delay fast path (``yield 1e-6`` — allocation-free timeouts),
   which executor, NIC, and transfer loops sit on;
 * the event-wait path (``yield event`` park/wake pairs), which models
-  completion signalling;
-* the absolute-time path (``yield SleepUntil(t)``), which the
-  executors' batched poll visits ride: dispatch + flag check merged
-  into one heap event per polling sweep.
+  completion signalling.
 
 It prints the sustained events/second and asserts a conservative floor
 so a future regression to the scheduling core (an accidental object
@@ -28,6 +25,12 @@ backfilling pipe and the 512 KiB quantum server) and pins the heap
 events each verb costs exactly, so a stray push on either path fails
 here before it shows up as wall-clock.
 
+Beside it, the event the repository simulates most: a polling-async
+miss.  One executor holds 1 or 32 scripted pollers that miss a fixed
+number of times, tracer off and on, and the test pins the heap events
+a visit costs (2 per miss — the flag check and the requeue — and 1 per
+hit) and bounds its host microseconds.
+
 A third group bounds the host cost of each layer of the gRPC baseline
 (codec, framing, one call over gRPC.TCP, one over gRPC.RDMA) as
 point-to-point latency, back-to-back bandwidth and an 8-to-1 fan-in,
@@ -43,12 +46,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.graph import (CommRuntime, DType, GraphBuilder, Outcome, Session,
+                         Shape)
 from repro.rpc import (GrpcRdmaServer, GrpcTcpServer, HEADER_SIZE, Message,
                        Payload, Reassembler, connect_grpc_rdma,
                        connect_grpc_tcp, decode_parts, encode_parts, fragment)
 from repro.simnet import Cluster, Endpoint, Opcode, WorkRequest
 from repro.simnet.costmodel import DEFAULT_COST_MODEL
-from repro.simnet.simulator import Simulator, SleepUntil
+from repro.simnet.simulator import Simulator
 
 
 def _run_bare_delay(num_processes: int, yields_per_process: int) -> int:
@@ -87,25 +92,6 @@ def _run_event_pingpong(pairs: int, rounds: int) -> int:
     return sim.event_count
 
 
-def _run_sleep_until(num_processes: int, wakes_per_process: int) -> int:
-    sim = Simulator()
-
-    def poller(period):
-        # Replays the executor's poll-visit pattern: the process
-        # precomputes its wake time (dispatch + flag check back to
-        # back) and parks on the absolute-time sentinel.
-        when = 0.0
-        for _ in range(wakes_per_process):
-            when = when + period
-            yield SleepUntil(when)
-
-    for i in range(num_processes):
-        # Distinct periods keep the heap honestly interleaved.
-        sim.spawn(poller(1e-6 * (1 + i % 7)))
-    sim.run()
-    return sim.event_count
-
-
 def test_bare_delay_throughput(benchmark):
     events = {}
 
@@ -135,23 +121,6 @@ def test_event_wait_throughput(benchmark):
     print(f"\nevent-wait: {events['count']} events in {wall:.3f}s "
           f"= {rate / 1e6:.2f}M events/s")
     assert rate > 100_000
-
-
-def test_sleep_until_throughput(benchmark):
-    events = {}
-
-    def run():
-        events["count"] = _run_sleep_until(num_processes=64,
-                                           wakes_per_process=2000)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    wall = benchmark.stats.stats.mean
-    rate = events["count"] / wall
-    print(f"\nsleep-until: {events['count']} events in {wall:.3f}s "
-          f"= {rate / 1e6:.2f}M events/s")
-    # The absolute-time sentinel must stay on the allocation-free fast
-    # path: one heap event per poll visit, no Timeout object churn.
-    assert rate > 200_000
 
 
 def _run_verbs(opcode: Opcode, quantum: int, size: int, dense: bool,
@@ -228,6 +197,97 @@ def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
           f"{counts[0] / verbs:g} events/verb")
     assert counts == [events[opcode] * verbs] * 3
     assert per_verb_us < ceiling_us
+
+
+# -- host cost and heap events per poll visit ---------------------------------------
+#
+# A polling-async recv (paper section 4) is visited until its flag is
+# set.  A miss is two heap events - ``check`` where dispatch + flag read
+# end, ``requeue`` where the op has rejoined the tail of the ready queue
+# - and a hit is one: the op completes inside its ``check``.  When a whole
+# sweep of the queue has missed the executor parks with backoff: a
+# ``Timeout`` and the ``AnyOf`` it wakes.  The counts are pinned so that
+# eliding miss chains (ROADMAP item 1b) has to change them on purpose.
+
+EVENTS_PER_MISS, EVENTS_PER_HIT, EVENTS_PER_PARK = 2, 1, 2
+
+
+class _ScriptedFlags(CommRuntime):
+    """Every recv polls: ``misses`` misses, then a hit (after
+    ``tests/graph/test_polling_async.py::ScriptedComm``); with
+    ``misses=None`` the recv completes at once, visited never."""
+
+    name = "scripted"
+
+    def __init__(self, misses) -> None:
+        self.misses = misses
+
+    def execute_send(self, executor, node, tensor):
+        return Outcome.done([])
+
+    def execute_recv(self, executor, node):
+        done = Outcome.done([executor.allocate_output(
+            node, 0, DType.float32, Shape([4]), dense=False)])
+        if self.misses is None:
+            return done
+        left = [self.misses]
+
+        def poll() -> bool:
+            left[0] -= 1
+            return left[0] < 0
+        return Outcome.polling(poll=poll, complete=lambda: done)
+
+
+def _poller_session(pollers: int, misses, traced: bool) -> Session:
+    """``pollers`` cut edges worker0 -> ps0: ps0's executor polls them."""
+    cluster = Cluster(2)
+    if traced:
+        cluster.enable_tracing()
+    b = GraphBuilder()
+    for i in range(pollers):
+        x = b.synthetic_compute(0.0, outputs=[(DType.float32, Shape([4]))],
+                                name=f"x{i}", device="worker0")
+        b.synthetic_compute(0.0, inputs=[x], name=f"sink{i}", device="ps0")
+    return Session(cluster, b.finalize(),
+                   {"worker0": cluster.hosts[0], "ps0": cluster.hosts[1]},
+                   comm=_ScriptedFlags(misses))
+
+
+# Measured user us/miss: 1 poller 5.9 untraced / 10.9 traced (every miss
+# is a whole sweep, so each is followed by a park: two generator round
+# trips, a Timeout and an AnyOf), 32 pollers 1.1 / 2.2 (one park per 32
+# misses; traced, three account() calls per visit).  While a visit was
+# two generator round trips: 9.3 / 12.9 and 3.0 / 4.4.
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("pollers,sweeps,ceiling_us", [
+    (1, 20_000, {False: 12.0, True: 22.0}),
+    (32, 1_000, {False: 2.5, True: 5.0})], ids=["1-poller", "32-pollers"])
+def test_poll_visit_host_cost_and_events(benchmark, pollers, sweeps,
+                                         ceiling_us, traced):
+    baseline = _poller_session(pollers, None, traced)
+    baseline.run()
+    sessions = []
+
+    def setup():
+        sessions.append(_poller_session(pollers, sweeps, traced))
+        return (sessions[-1],), {}
+    timed, spent = _in_user_time(Session.run)
+    benchmark.pedantic(timed, setup=setup, rounds=3, iterations=1)
+    misses = pollers * sweeps
+    per_miss_us = min(spent) / misses * 1e6
+    visit_events = [s.sim.event_count - baseline.sim.event_count
+                    for s in sessions]
+    print(f"\n{pollers} pollers x {sweeps} missed sweeps, "
+          f"{'traced' if traced else 'untraced'}: {per_miss_us:.2f} user "
+          f"us/miss, {visit_events[0]} heap events for {misses} misses, "
+          f"{pollers} hits and {sweeps} parks")
+    assert [s.executor_for("ps0").poll_misses for s in sessions] == [misses] * 3
+    # + 1: the first completion notifies the wake event the last park
+    # left pending
+    assert visit_events == [misses * EVENTS_PER_MISS
+                            + pollers * EVENTS_PER_HIT
+                            + sweeps * EVENTS_PER_PARK + 1] * 3
+    assert per_miss_us < ceiling_us[traced]
 
 
 # -- host cost per rpc layer (after Biswas et al.'s gRPC micro-benchmarks) ----------

@@ -28,7 +28,7 @@ from typing import Any, Deque, Dict, Generator, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..observability.tracer import executor_track
-from ..simnet.simulator import Event, Simulator, SleepUntil
+from ..simnet.simulator import SUSPEND, Event, Simulator
 from ..simnet.topology import Host
 from .allocator import ArenaAllocator, BaseAllocator, HostAllocator
 from .dtypes import DType
@@ -214,9 +214,9 @@ class Executor:
         hostname = self.host.name
         iteration = self.iteration
         polls_since_park = 0
-        # Hot-loop locals: this loop runs once per scheduled node visit
-        # (including every poll-miss sweep), so attribute loads add up
-        # at 100+ simulated hosts.
+        # Hot-path locals: the loop and the poll callbacks below run
+        # once per node visit (every poll miss included), so attribute
+        # loads add up at 100+ simulated hosts.
         sim = self.sim
         sched_dispatch = self.cost.sched_dispatch
         poll_check = self.cost.poll_check
@@ -238,6 +238,59 @@ class Executor:
                     fresh_in_queue += 1
             self._notify()
 
+        # A poll visit is two plain heap callbacks, not two generator
+        # round trips: ``check`` when the dispatch and the flag read end,
+        # ``requeue`` when a miss has rejoined the tail.  Meanwhile the
+        # generator is suspended, with no heap entry of its own, until a
+        # visit hits, pops a fresh node, or a whole sweep has missed.
+        # The callbacks make exactly the pushes the two yields made, at
+        # the same instants in the same order, so every (when, seq) in
+        # the heap — hence every clock — is what it was.
+        # They share the loop's ``node`` and its polling ``outcome``, and
+        # the visit's clock, carried so that no callback reads it: the
+        # span being accounted starts at t0, the flag is read at t2.
+        me = sim.active_process
+        fifo = ready._fifo
+
+        def check() -> None:
+            nonlocal t0, polls_since_park
+            if tracer is not None:
+                t1 = t0 + sched_dispatch
+                tracer.account(hostname, track, iteration, "sched",
+                               t0, t1, emit=False)
+                tracer.account(hostname, track, iteration, "poll",
+                               t1, t2, emit=False)
+                polls_since_park += 1
+            try:
+                hit = outcome.poll()
+            except Exception as exc:  # noqa: BLE001 - fails the iteration
+                me.resume(exception=exc)
+                return
+            if hit:
+                me.resume()
+                return
+            self.poll_misses += 1
+            t0 = t2 + poll_requeue  # where the next visit starts
+            sim.call_at(t0, requeue)
+
+        def requeue() -> None:
+            nonlocal node, outcome, t2, sweep_misses
+            if tracer is not None:
+                tracer.account(hostname, track, iteration, "poll",
+                               t2, t0, emit=False)
+            fifo.append(node)  # at the tail: a retry never jumps the line
+            sweep_misses += 1
+            if fresh_in_queue == 0 and sweep_misses >= len(fifo):
+                me.resume(True)  # a whole sweep missed: park
+                return
+            node = ready.popleft()
+            outcome = polling.get(node.name)
+            if outcome is None:
+                me.resume()  # a fresh node: the generator runs it
+            else:
+                t2 = t0 + sched_dispatch + poll_check
+                sim.call_at(t2, check)
+
         while completed < total:
             if not ready:
                 # Nothing runnable: wait for an async completion.
@@ -253,48 +306,27 @@ class Executor:
                 continue
             node = ready.popleft()
             t0 = sim.now
-
-            if node.name in polling:
-                # Batched dispatch+check: a poll visit always pays
-                # sched_dispatch then poll_check back to back, so both
-                # delays ride one heap event.  The wake time replays the
-                # exact float-addition chain two separate yields would
-                # produce, keeping traced clocks bit-identical.
-                outcome = polling[node.name]
-                t1 = t0 + sched_dispatch
-                t2 = t1 + poll_check
-                yield SleepUntil(t2)
-                if tracer is not None:
-                    tracer.account(hostname, track, iteration, "sched",
-                                   t0, t1, emit=False)
-                    tracer.account(hostname, track, iteration, "poll",
-                                   t1, t2, emit=False)
-                    polls_since_park += 1
-                if not outcome.poll():
-                    self.poll_misses += 1
+            outcome = polling.get(node.name)
+            if outcome is not None:
+                t2 = t0 + sched_dispatch + poll_check
+                sim.call_at(t2, check)
+                if (yield SUSPEND):  # until ``node`` is a hit or fresh, or:
+                    # A whole sweep of pollers missed and nothing
+                    # else is runnable: idle with growing backoff so
+                    # polling does not monopolize the simulated CPU.
                     t0 = sim.now
-                    yield poll_requeue
+                    yield self._wait_for_wake(timeout=idle_backoff)
                     if tracer is not None:
-                        tracer.account(hostname, track, iteration, "poll",
-                                       t0, sim.now, emit=False)
-                    ready.append(node, retry=True)
-                    sweep_misses += 1
-                    if sweep_misses >= len(ready) and fresh_in_queue == 0:
-                        # A whole sweep of pollers missed and nothing
-                        # else is runnable: idle with growing backoff so
-                        # polling does not monopolize the simulated CPU.
-                        t0 = sim.now
-                        yield self._wait_for_wake(timeout=idle_backoff)
-                        if tracer is not None:
-                            tracer.account(hostname, track, iteration,
-                                           "poll_wait", t0, sim.now)
-                            tracer.metrics.histogram(
-                                "poll_iterations_per_wake").observe(
-                                    polls_since_park)
-                            polls_since_park = 0
-                        idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
-                        sweep_misses = 0
+                        tracer.account(hostname, track, iteration,
+                                       "poll_wait", t0, sim.now)
+                        tracer.metrics.histogram(
+                            "poll_iterations_per_wake").observe(
+                                polls_since_park)
+                        polls_since_park = 0
+                    idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
+                    sweep_misses = 0
                     continue
+            if outcome is not None:  # the visit hit
                 idle_backoff = self.cost.idle_poll_interval
                 sweep_misses = 0
                 del polling[node.name]

@@ -116,15 +116,13 @@ class Session:
                 for device, executor in self.executors.items()
             ]
             barrier = self.sim.all_of(procs)
-            while not barrier.triggered:
-                if not self.sim._queue:
-                    raise SimulationError(
-                        f"deadlock in iteration {iteration}")
-                if self.sim._queue[0][0] > start_total + time_limit:
-                    raise SimulationError(
-                        f"time limit exceeded in iteration {iteration}")
-                self.sim.step()
-            _ = barrier.value  # surface executor exceptions
+            try:
+                # Reads the barrier's value, so raises what an executor raised.
+                self.sim.run_until_complete(barrier, start_total + time_limit)
+            except SimulationError as exc:
+                if barrier.triggered:
+                    raise  # an executor's own error, not the loop's
+                raise SimulationError(f"{exc} in iteration {iteration}") from None
             stats.iteration_times.append(self.sim.now - start)
             stats.iteration_end_times.append(self.sim.now)
             if self.cluster.tracer is not None:
@@ -171,7 +169,7 @@ class Session:
     def iteration_process(self, feeds: Optional[Dict[str, np.ndarray]] = None):
         """Spawn one iteration as an event without driving the simulator.
 
-        :meth:`run` owns the event loop (it steps the simulator until
+        :meth:`run` owns the event loop (it runs the simulator until
         its barrier fires), which makes a session the *only* activity
         in the cluster.  The serving plane instead runs many sessions
         plus routers, pollers and load generators on one simulator, so

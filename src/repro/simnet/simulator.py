@@ -111,20 +111,10 @@ class Timeout(Event):
         sim._schedule_event(self, delay=delay)
 
 
-class SleepUntil:
-    """Yieldable sentinel: sleep until an *absolute* simulated time.
-
-    Unlike a bare-delay yield (which the engine adds to ``sim.now``),
-    the wake-up lands at exactly ``when`` — the caller controls the
-    float-addition chain that produced the target, so two delays whose
-    sum is known in advance can be merged into a single heap event
-    without perturbing bit-identical clocks.
-    """
-
-    __slots__ = ("when",)
-
-    def __init__(self, when: float) -> None:
-        self.when = when
+#: Yielded by a process to suspend *without* a heap entry; whoever holds
+#: the process (``sim.active_process``, read while it runs) wakes it with
+#: :meth:`Process.resume`, inside the caller's own heap entry.
+SUSPEND = object()
 
 
 class Process(Event):
@@ -136,7 +126,7 @@ class Process(Event):
     ``result = yield sim.spawn(child())``
     """
 
-    __slots__ = ("generator", "name", "_target", "_wait_token")
+    __slots__ = ("generator", "name", "_target", "_wait_token", "_suspended")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         super().__init__(sim)
@@ -145,6 +135,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: invalidates in-flight plain-delay wake-ups on interrupt
         self._wait_token = 0
+        self._suspended = False
         # Bootstrap: resume the generator at the current time.
         sim.call_at(sim.now, lambda: self._resume(None, None))
 
@@ -166,6 +157,22 @@ class Process(Event):
                 pass
         self.sim.call_at(self.sim.now, lambda: self._resume(None, Interrupt(cause)))
 
+    def resume(self, value: Any = None,
+               exception: Optional[BaseException] = None) -> None:
+        """Run a process that yielded :data:`SUSPEND`, here and now.
+
+        The generator runs inside the caller's heap entry, up to its
+        next yield, before this returns: no push, so no ``(when, seq)``
+        of its own.  ``value`` is what the ``yield`` evaluates to;
+        ``exception`` is raised there instead.  A finished process
+        ignores it, like every other wake-up.
+        """
+        if self._triggered:
+            return
+        if not self._suspended:
+            raise SimulationError(f"process {self.name!r} is not suspended")
+        self._resume(value, exception)
+
     def _on_event(self, event: Event) -> None:
         if event._exception is not None:
             self._resume(None, event._exception)
@@ -176,6 +183,9 @@ class Process(Event):
         if self._triggered:
             return
         self._target = None
+        self._suspended = False
+        sim = self.sim
+        caller, sim.active_process = sim.active_process, self
         try:
             if exception is not None:
                 target = self.generator.throw(exception)
@@ -192,6 +202,8 @@ class Process(Event):
             # An uncaught exception ends the process; waiters see it.
             self.fail(exc)
             return
+        finally:
+            sim.active_process = caller
         if not isinstance(target, Event):
             # Fast path: a bare non-negative number is a plain timeout.
             # Semantically identical to ``yield sim.timeout(delay)`` —
@@ -202,7 +214,6 @@ class Process(Event):
             if type(target) is float or type(target) is int:
                 if target >= 0:
                     self._wait_token = token = self._wait_token + 1
-                    sim = self.sim
                     sim._seq += 1
                     heapq.heappush(
                         sim._queue,
@@ -213,23 +224,8 @@ class Process(Event):
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded negative delay {target!r}"))
                 return
-            if type(target) is SleepUntil:
-                # Absolute-time variant of the fast path above: the
-                # wake-up lands at exactly ``target.when``.
-                when = target.when
-                if when >= self.sim._now:
-                    self._wait_token = token = self._wait_token + 1
-                    sim = self.sim
-                    sim._seq += 1
-                    heapq.heappush(
-                        sim._queue,
-                        (when, sim._seq, None,
-                         lambda: self._delay_wake(token)))
-                    return
-                self.generator.close()
-                self.fail(SimulationError(
-                    f"process {self.name!r} slept until {when!r}, "
-                    f"already past {self.sim._now!r}"))
+            if target is SUSPEND:
+                self._suspended = True
                 return
             self.generator.close()
             self.fail(SimulationError(
@@ -313,7 +309,8 @@ class Simulator:
         self._now = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
-        self._event_count = 0
+        #: the process whose generator is running right now, if any
+        self.active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -322,8 +319,10 @@ class Simulator:
 
     @property
     def event_count(self) -> int:
-        """Total number of events processed so far (for diagnostics)."""
-        return self._event_count
+        """Heap entries processed so far: every push takes a ``_seq``, so
+        it is pushes minus what is still queued — exact whenever read,
+        with no counter for the event loops to keep."""
+        return self._seq - len(self._queue)
 
     # -- scheduling primitives -------------------------------------------------
 
@@ -370,7 +369,6 @@ class Simulator:
         """Process the single next scheduled entry."""
         when, _seq, event, fn = heapq.heappop(self._queue)
         self._now = when
-        self._event_count += 1
         if fn is not None:
             fn()
             return
@@ -399,21 +397,31 @@ class Simulator:
                 self._now = until
         return self._now
 
-    def run_until_complete(self, process: Process, limit: float = float("inf")) -> Any:
-        """Run until ``process`` finishes; return its value.
+    def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
+        """Run until ``event`` (a process, a barrier, ...) triggers; return its value.
 
         Raises :class:`SimulationError` if the queue drains (deadlock)
-        or ``limit`` simulated seconds pass before the process ends.
+        or ``limit`` simulated seconds pass before the event triggers.
+        This is the loop every session and benchmark run sits in, so it
+        is :meth:`step` inlined: no method call or property per entry.
         """
-        while not process.triggered:
-            if not self._queue:
+        queue, heappop = self._queue, heapq.heappop
+        while not event._triggered:
+            if not queue or queue[0][0] > limit:
+                what = (f"process {event.name!r}" if isinstance(event, Process)
+                        else type(event).__name__)
                 raise SimulationError(
-                    f"deadlock: process {process.name!r} never completed")
-            if self._queue[0][0] > limit:
-                raise SimulationError(
-                    f"time limit {limit}s exceeded waiting for {process.name!r}")
-            self.step()
-        return process.value
+                    f"deadlock: {what} never completed" if not queue else
+                    f"time limit {limit}s exceeded waiting for {what}")
+            self._now, _seq, fired, fn = heappop(queue)
+            if fn is not None:
+                fn()
+                continue
+            fired._processed = True
+            callbacks, fired.callbacks = fired.callbacks, []
+            for callback in callbacks:
+                callback(fired)
+        return event.value
 
 
 class Resource:

@@ -28,6 +28,17 @@ GOLDEN_GRU = {
                                      "0.036956287680000234"],
     (3, "ring", True): ["0.03901281854669927", "0.03649596168000036"],
 }
+#: heap entries each GRU run processes (``BenchmarkResult.sim_events``),
+#: RC and shared-QP alike; captured at the commit before poll visits
+#: became heap callbacks (PR 19's tree).  The event stream is part of
+#: the golden: a host-cost change makes the same pushes, so an added or
+#: dropped one moves these before it moves a clock.
+GOLDEN_GRU_EVENTS = {
+    (2, "ps", False): 11968,
+    (4, "ring", False): 9225,
+    (4, "halving-doubling", False): 6041,
+    (3, "ring", True): 5341,
+}
 
 
 def test_microbench_clock_bit_identical():
@@ -48,6 +59,8 @@ def _iteration_reprs(num_servers, strategy, priority_sched, qp_mode="rc"):
                                        iterations=2, **kwargs)
     finally:
         swap_comm_config(previous)
+    assert (bench.sim_events
+            == GOLDEN_GRU_EVENTS[(num_servers, strategy, priority_sched)])
     return [repr(t) for t in bench.stats.iteration_times]
 
 

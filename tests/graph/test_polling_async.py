@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph import GraphBuilder, Outcome, Session
 from repro.graph.transfer_api import CommRuntime
-from repro.simnet import Cluster
+from repro.simnet import Cluster, SimulationError
 
 
 class ScriptedComm(CommRuntime):
@@ -121,3 +121,111 @@ class TestPollingAsync:
         session.run(iterations=3,
                     feeds={"x": np.zeros(4, dtype=np.float32)})
         assert len(comm.send_log) == 3
+
+    def test_poll_that_raises_fails_the_run(self):
+        """The flag read runs in a heap callback; its exception must
+        still fail the executor's process — and so the run — instead of
+        escaping through the event loop."""
+        class BrokenFlag(ScriptedComm):
+            def execute_recv(self, executor, node):
+                def poll() -> bool:
+                    self.poll_calls += 1
+                    if self.poll_calls == 3:
+                        raise KeyError("flag region unmapped")
+                    return False
+                return Outcome.polling(poll=poll, complete=None)
+
+        comm = BrokenFlag(ready_at=0.0)
+        cluster, session = build_session(comm)
+        executor = session.executor_for("ps0")
+        with pytest.raises(KeyError, match="flag region unmapped"):
+            session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
+        assert (comm.poll_calls, executor.poll_misses) == (3, 2)
+
+    def test_wait_nobody_triggers_is_a_deadlock_naming_the_iteration(self):
+        class NeverArrives(ScriptedComm):
+            def execute_recv(self, executor, node):
+                return Outcome.wait(executor.sim.event())
+
+        cluster, session = build_session(NeverArrives(ready_at=0.0))
+        with pytest.raises(SimulationError,
+                           match="deadlock.*in iteration 0"):
+            session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
+
+
+class SweepComm(ScriptedComm):
+    """Pollers ``a`` and ``b`` never hit before ``ready_at``; the recv of
+    ``c`` is asynchronous and completes when ``a`` is polled the third
+    time — mid-sweep, with ``a`` in flight and ``b`` queued."""
+
+    def __init__(self, ready_at: float) -> None:
+        super().__init__(ready_at)
+        self.log = []
+        self.hits = 0
+        self._arrived = self._c_key = None
+
+    def execute_recv(self, executor, node):
+        key = node.attrs["key"]
+        source = key[0]  # keys start with the producer's name: a, b, c
+        if source == "c":
+            self._arrived, self._c_key = executor.sim.event(), key
+            return Outcome.wait(self._arrived)
+        outcome = super().execute_recv(executor, node)
+
+        def poll() -> bool:
+            self.log.append(f"poll:{source}")
+            if source == "a" and self.log.count("poll:a") == 3:
+                self._arrived.succeed([self._tensors[self._c_key]])
+            hit = outcome.poll()
+            self.hits += hit
+            return hit
+        return Outcome.polling(poll=poll, complete=outcome.complete)
+
+
+class TestSweepOrder:
+    def _run(self, ready_at=0.004):
+        comm = SweepComm(ready_at)
+        cluster = Cluster(2)
+        b = GraphBuilder()
+        for name in "abc":
+            x = b.placeholder([4], name=name, device="worker0")
+            b.identity(x, name=f"out_{name}", device="ps0")
+        b.synthetic_compute(0.001, inputs=[b.graph.node("out_c").output(0)],
+                            name="busy", device="ps0")
+        session = Session(cluster, b.finalize(),
+                          {"worker0": cluster.hosts[0],
+                           "ps0": cluster.hosts[1]}, comm=comm)
+        executor = session.executor_for("ps0")
+        original = executor._execute
+
+        def logged(node, feeds):
+            comm.log.append(f"run:{node.name}")
+            return (yield from original(node, feeds))
+        executor._execute = logged
+        feed = np.zeros(4, dtype=np.float32)
+        session.run(feeds={name: feed for name in "abc"})
+        return comm, executor
+
+    def test_fresh_node_appended_mid_sweep_waits_its_turn(self):
+        """`finish()` appends the dependent of an async completion at
+        the tail while the pollers are being swept: it runs after the
+        poller queued ahead of it, before any poller is visited again,
+        and the sweep then resumes in queue order."""
+        comm, _ = self._run()
+        log = comm.log
+        arrival = [i for i, entry in enumerate(log)
+                   if entry == "poll:a"][2]
+        assert log[arrival:arrival + 7] == [
+            "poll:a",            # c arrives; a is in flight, b queued
+            "poll:b",            # queued ahead of the fresh node
+            "run:out_c",         # popped by the requeue of b's miss
+            "poll:a", "poll:b",  # out_c made busy ready: behind both
+            "run:busy",
+            "poll:a"]
+
+    def test_miss_counter_with_two_pollers(self):
+        comm, executor = self._run()
+        polls = sum(entry.startswith("poll:") for entry in comm.log)
+        assert comm.hits == 2
+        assert executor.poll_misses == polls - comm.hits
+        assert executor.ops_executed == len(executor.graph)

@@ -102,6 +102,8 @@ class TestEndToEndAcceptance:
             iterations=3, strategy="ring")
         assert (untraced.stats.iteration_times
                 == traced_bench.stats.iteration_times)
+        # ... nor the event stream: the tracer accounts, it never pushes
+        assert untraced.sim_events == traced_bench.sim_events
 
     def test_untraced_run_has_no_tracer(self):
         bench = run_training_benchmark(
@@ -186,6 +188,8 @@ class TestPrioritySchedulerAcceptance:
             priority_sched=True, eager_flush=True)
         assert (untraced.stats.iteration_times
                 == traced_bench.stats.iteration_times)
+        # ... nor the event stream: the tracer accounts, it never pushes
+        assert untraced.sim_events == traced_bench.sim_events
 
     def test_overlap_efficiency_in_range(self, traced_bench):
         report = traced_bench.stall_report()

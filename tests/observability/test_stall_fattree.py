@@ -56,6 +56,8 @@ class TestFatTreeStallInvariants:
         untraced = run_training_benchmark(_tiny_spec(), "RDMA", **FABRIC)
         assert (untraced.stats.iteration_times
                 == traced_bench.stats.iteration_times)
+        # ... nor the event stream: the tracer accounts, it never pushes
+        assert untraced.sim_events == traced_bench.sim_events
 
     def test_telemetry_rollups_cover_both_racks(self, traced_bench):
         telemetry = traced_bench.tracer.telemetry

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.simnet.simulator import (
-    AllOf, AnyOf, Event, Interrupt, Resource, SimulationError, Simulator,
-    Store, Timeout)
+    SUSPEND, AllOf, AnyOf, Event, Interrupt, Resource, SimulationError,
+    Simulator, Store, Timeout)
 
 
 @pytest.fixture
@@ -328,9 +328,132 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_complete(p)
 
+    def test_run_until_complete_takes_any_event(self, sim):
+        barrier = sim.all_of([sim.timeout(2, value="a"), sim.timeout(3)])
+        assert sim.run_until_complete(barrier) == ["a", None]
+        assert sim.now == 3.0
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_complete(sim.all_of([sim.event()]))
+
+    def test_run_until_complete_time_limit(self, sim):
+        def proc():
+            yield 5.0
+
+        p = sim.spawn(proc())
+        with pytest.raises(SimulationError, match="time limit"):
+            sim.run_until_complete(p, limit=1.0)
+        assert sim.now == 0.0 and p.is_alive  # the late entry stays queued
+
     def test_spawn_requires_generator(self, sim):
         with pytest.raises(SimulationError):
             sim.spawn(lambda: None)
+
+
+class TestSuspendAndResume:
+    """``yield SUSPEND``: sleep with no heap entry, woken by a direct
+    :meth:`Process.resume` that runs inside the caller's entry."""
+
+    @staticmethod
+    def _suspended(sim, log):
+        """A process parked on SUSPEND (logging what resumes it) and the
+        handle it read from ``sim.active_process``."""
+        handle = []
+
+        def sleeper():
+            handle.append(sim.active_process)
+            try:
+                log.append(("got", (yield SUSPEND)))
+            except KeyError as exc:
+                log.append(("raised", exc))
+                raise
+            return "done"
+
+        proc = sim.spawn(sleeper())
+        sim.run()
+        assert handle == [proc] and sim.active_process is None
+        return proc
+
+    def test_suspension_adds_no_heap_entry(self, sim):
+        proc = self._suspended(sim, [])
+        # one entry ran (the bootstrap); suspending pushed nothing
+        assert (sim.event_count, len(sim._queue)) == (1, 0)
+        assert proc.is_alive
+
+    def test_resume_runs_generator_inside_the_callers_entry(self, sim):
+        log = []
+        proc = self._suspended(sim, log)
+
+        def waker():
+            proc.resume("flag")
+            log.append(("back in waker", sim.event_count, proc.is_alive))
+
+        sim.call_at(2.0, waker)
+        sim.run()
+        # the generator ran to its end before resume() returned, in the
+        # waker's entry (the 2nd); its completion is the 3rd and last
+        assert log == [("got", "flag"), ("back in waker", 2, False)]
+        assert (proc.value, sim.now, sim.event_count) == ("done", 2.0, 3)
+
+    def test_resume_with_exception_raises_at_the_suspension_point(self, sim):
+        log = []
+        proc = self._suspended(sim, log)
+        barrier = sim.all_of([proc])
+        boom = KeyError("flag")
+        sim.call_at(1.0, lambda: proc.resume(exception=boom))
+        with pytest.raises(KeyError):
+            sim.run_until_complete(barrier)
+        assert log == [("raised", boom)]
+        assert not proc.is_alive and not proc.ok
+
+    def test_resume_requires_a_suspended_process(self, sim):
+        def on_event():
+            yield sim.event()
+
+        def on_delay():
+            yield 5.0
+
+        for proc in (sim.spawn(on_event()), sim.spawn(on_delay())):
+            sim.run(until=1.0)
+            with pytest.raises(SimulationError, match="not suspended"):
+                proc.resume()
+
+    def test_resume_of_finished_process_is_a_noop(self, sim):
+        log = []
+        proc = self._suspended(sim, log)
+        proc.resume(1)
+        proc.resume(2)
+        assert log == [("got", 1)]
+
+    def test_interrupt_reaches_suspended_process(self, sim):
+        log = []
+
+        def sleeper():
+            try:
+                yield SUSPEND
+            except Interrupt as inter:
+                log.append((sim.now, inter.cause))
+
+        proc = sim.spawn(sleeper())
+        sim.call_at(1.0, lambda: proc.interrupt("wake"))
+        sim.run()
+        assert log == [(1.0, "wake")] and not proc.is_alive
+
+    def test_active_process_nests(self, sim):
+        seen = []
+
+        def inner():
+            yield SUSPEND
+            seen.append(("inner", sim.active_process))
+
+        def outer(child):
+            yield 1.0
+            child.resume()
+            seen.append(("outer", sim.active_process))
+
+        child = sim.spawn(inner())
+        parent = sim.spawn(outer(child))
+        sim.run()
+        assert seen == [("inner", child), ("outer", parent)]
 
 
 class TestCombinators:
@@ -508,3 +631,24 @@ class TestCallbacks:
         sim.call_after(1, lambda: None)
         sim.run()
         assert sim.event_count >= 1
+
+    @pytest.mark.parametrize("drive", [
+        lambda sim, done: sim.run(),
+        lambda sim, done: sim.run_until_complete(done)])
+    def test_event_count_is_exact_whenever_read(self, sim, drive):
+        """Read mid-run, from inside an entry, it counts that entry and
+        none of the pushes the entry has made."""
+        seen = []
+
+        def proc():
+            for _ in range(3):
+                yield 1.0
+                sim.call_after(0.5, lambda: seen.append(sim.event_count))
+                seen.append(sim.event_count)
+
+        drive(sim, sim.spawn(proc()))
+        sim.run()
+        # bootstrap=1, wake=2, callback=3, wake=4, callback=5, wake=6,
+        # process completion=7, callback=8
+        assert seen == [2, 3, 4, 5, 6, 8]
+        assert sim.event_count == 8
