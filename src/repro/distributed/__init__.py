@@ -8,17 +8,14 @@ from .placement import (greedy_placement, placement_balance,
                         round_robin_placement)
 from .replication import TrainingJob, build_training_graph
 from .rpc_comm import GrpcCommRuntime
-from .runner import (MECHANISMS, STRATEGIES, BenchmarkResult, CommConfig,
-                     comm_config, configure_comm, make_mechanism,
-                     reset_comm_config, run_training_benchmark,
-                     swap_comm_config)
+from .runner import (MECHANISMS, STRATEGIES, BenchmarkResult, RunConfig,
+                     make_mechanism, run_training_benchmark)
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS", "AllreduceTrainingJob", "BenchmarkResult",
-    "CommConfig", "GrpcCommRuntime", "MECHANISMS", "STRATEGIES",
+    "GrpcCommRuntime", "MECHANISMS", "RunConfig", "STRATEGIES",
     "TrainingJob", "ModelParallelJob", "build_allreduce_training_graph",
-    "build_model_parallel_graph", "build_training_graph", "comm_config",
-    "configure_comm", "greedy_placement", "make_mechanism",
-    "reset_comm_config", "split_stages", "placement_balance",
-    "round_robin_placement", "run_training_benchmark", "swap_comm_config",
+    "build_model_parallel_graph", "build_training_graph",
+    "greedy_placement", "make_mechanism", "split_stages",
+    "placement_balance", "round_robin_placement", "run_training_benchmark",
 ]

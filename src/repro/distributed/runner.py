@@ -27,7 +27,8 @@ from ..core.device import QP_MODES
 from ..core.rdma_comm import RdmaCommRuntime
 from ..core.recovery import RetryPolicy
 from ..graph.session import RunStats, Session
-from ..simnet.faults import FaultInjector
+from ..serving.config import ServingConfig
+from ..simnet.faults import FaultInjector, parse_fault_spec
 from ..observability.anomaly import Incident, detect_run_anomalies
 from ..observability.capture import capture_enabled, capture_run
 from ..observability.registry import Histogram
@@ -57,8 +58,8 @@ STRATEGIES = ("ps", "ring", "halving-doubling", "hierarchical",
 
 TOPOLOGIES = ("flat", "fat-tree")
 
-#: pipeline-schedule fallbacks when neither the call site nor the comm
-#: config pins them (``strategy="llm"``)
+#: pipeline-schedule fallbacks when the run's config does not pin them
+#: (``strategy="llm"``)
 DEFAULT_MICROBATCHES = 4
 DEFAULT_SCHEDULE = "1f1b"
 
@@ -91,15 +92,15 @@ def resolve_trace_hosts(spec: str, num_servers: int,
 
 
 @dataclass(frozen=True)
-class CommConfig:
-    """Harness-level communication-runtime knobs.
+class RunConfig:
+    """Everything a run takes from the harness rather than from its cell.
 
-    Historically ``RdmaCommRuntime``'s constructor defaults were the
-    only way to pick the completion-queue and queue-pair layout; the
-    harness CLI now writes this config (``--num-cqs``,
-    ``--qps-per-peer``, ``--backend``) so sweeps can vary them without
-    code edits.  ``backend`` names the mechanism used wherever an
-    experiment asks for the configured default (``"auto"``).
+    One immutable value, validated at construction (so
+    ``dataclasses.replace`` re-validates): the CLI builds one from its
+    flags and hands it down ``execute -> entry.run ->
+    run_*_benchmark -> make_mechanism``; a programmatic caller passes
+    ``config=`` or per-call overrides.  Precedence is override, then
+    the config that was handed in; nothing reads process-wide state.
     """
 
     num_cqs: int = 4
@@ -109,7 +110,6 @@ class CommConfig:
     #: ``"shared"`` multiplexes every peer over O(1) DCT-style shared
     #: endpoints per NIC
     qp_mode: str = "rc"
-    backend: str = "RDMA"
     #: fusion-bucket capacity for collective strategies (``--fusion-mb``);
     #: None keeps ``DEFAULT_FUSION_BYTES``
     fusion_bytes: Optional[int] = None
@@ -164,6 +164,64 @@ class CommConfig:
     #: pipeline schedule (``--schedule``): ``"gpipe"`` or ``"1f1b"``;
     #: None = :data:`DEFAULT_SCHEDULE` (and llmtrain runs both)
     schedule: Optional[str] = None
+    #: the inference serving plane's knobs (``--replicas`` ...)
+    serving: ServingConfig = ServingConfig()
+
+    def __post_init__(self) -> None:
+        if self.num_cqs < 1:
+            raise ValueError("num_cqs must be at least 1")
+        if self.num_qps_per_peer < 1:
+            raise ValueError("num_qps_per_peer must be at least 1")
+        if self.qp_mode not in QP_MODES:
+            raise ValueError(f"unknown qp_mode {self.qp_mode!r}; "
+                             f"have {QP_MODES}")
+        if self.fusion_bytes is not None and self.fusion_bytes < 1:
+            raise ValueError("fusion_bytes must be positive")
+        # An empty spec and a zero rate both mean "off".
+        if not self.fault_spec:
+            object.__setattr__(self, "fault_spec", None)
+        else:
+            # Validate eagerly so a bad --fault-spec fails here.
+            parse_fault_spec(self.fault_spec)
+        if not self.loss_rate:
+            object.__setattr__(self, "loss_rate", None)
+        elif not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), "
+                             f"got {self.loss_rate}")
+        if self.retry_limit is not None and self.retry_limit < 0:
+            raise ValueError("retry_limit must be non-negative")
+        if self.retry_timeout is not None and self.retry_timeout <= 0:
+            raise ValueError("retry_timeout must be positive")
+        if self.retry_backoff is not None and self.retry_backoff <= 0:
+            raise ValueError("retry_backoff must be positive")
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {self.topology!r}; "
+                             f"have {TOPOLOGIES}")
+        if self.racks is not None and self.racks < 1:
+            raise ValueError("racks must be at least 1")
+        if self.hosts_per_rack is not None and self.hosts_per_rack < 1:
+            raise ValueError("hosts_per_rack must be at least 1")
+        if self.oversubscription < 1.0:
+            raise ValueError("oversubscription must be at least 1.0 "
+                             "(1.0 = full bisection)")
+        if self.collective not in ALLREDUCE_ALGORITHMS:
+            raise ValueError(f"unknown collective {self.collective!r}; "
+                             f"have {ALLREDUCE_ALGORITHMS}")
+        if self.trace_sample is not None \
+                and not 0.0 < self.trace_sample <= 1.0:
+            raise ValueError(f"trace_sample must be in (0, 1], "
+                             f"got {self.trace_sample}")
+        if self.trace_hosts is not None:
+            # The spec's shape only: prefix-count bounds are checked
+            # against num_servers at run time.
+            resolve_trace_hosts(self.trace_hosts, num_servers=1 << 30)
+        if self.pipeline_stages is not None and self.pipeline_stages < 1:
+            raise ValueError("pipeline_stages must be at least 1")
+        if self.microbatches is not None and self.microbatches < 1:
+            raise ValueError("microbatches must be at least 1")
+        if self.schedule is not None and self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}; "
+                             f"have {SCHEDULES}")
 
     def trace_budget(self, num_servers: int,
                      name_prefix: str = "server") -> Optional[TraceBudget]:
@@ -217,196 +275,32 @@ class CommConfig:
                           else default.tcp_fallback))
 
 
-_COMM_CONFIG = CommConfig()
+#: per-mechanism ``RdmaCommRuntime`` flags.  ``RDMA.gpu`` keeps tensors
+#: in GPU memory without GPUDirect: PCIe staging on both ends of every
+#: transfer (the Table 3 "RDMA" column).
+_RDMA_MECHANISMS = {
+    "RDMA": dict(zero_copy=True),
+    "RDMA.cp": dict(zero_copy=False),
+    "RDMA.gpu": dict(zero_copy=True, gpu_tensors=True),
+    "RDMA+GDR": dict(zero_copy=True, gpu_tensors=True, gpudirect=True),
+}
 
 
-def comm_config() -> CommConfig:
-    """The currently configured communication-runtime knobs."""
-    return _COMM_CONFIG
-
-
-def configure_comm(num_cqs: Optional[int] = None,
-                   num_qps_per_peer: Optional[int] = None,
-                   qp_mode: Optional[str] = None,
-                   backend: Optional[str] = None,
-                   fusion_bytes: Optional[int] = None,
-                   priority_sched: Optional[bool] = None,
-                   eager_flush: Optional[bool] = None,
-                   fault_spec: Optional[str] = None,
-                   fault_seed: Optional[int] = None,
-                   loss_rate: Optional[float] = None,
-                   retry_limit: Optional[int] = None,
-                   retry_timeout: Optional[float] = None,
-                   retry_backoff: Optional[float] = None,
-                   tcp_fallback: Optional[bool] = None,
-                   topology: Optional[str] = None,
-                   racks: Optional[int] = None,
-                   hosts_per_rack: Optional[int] = None,
-                   oversubscription: Optional[float] = None,
-                   collective: Optional[str] = None,
-                   trace_sample: Optional[float] = None,
-                   trace_hosts: Optional[str] = None,
-                   pipeline_stages: Optional[int] = None,
-                   microbatches: Optional[int] = None,
-                   schedule: Optional[str] = None) -> CommConfig:
-    """Override selected comm-runtime knobs; returns the new config."""
-    global _COMM_CONFIG
-    changes = {}
-    if num_cqs is not None:
-        if num_cqs < 1:
-            raise ValueError("num_cqs must be at least 1")
-        changes["num_cqs"] = num_cqs
-    if num_qps_per_peer is not None:
-        if num_qps_per_peer < 1:
-            raise ValueError("num_qps_per_peer must be at least 1")
-        changes["num_qps_per_peer"] = num_qps_per_peer
-    if qp_mode is not None:
-        if qp_mode not in QP_MODES:
-            raise ValueError(f"unknown qp_mode {qp_mode!r}; have {QP_MODES}")
-        changes["qp_mode"] = qp_mode
-    if backend is not None:
-        if backend == "auto" or backend not in MECHANISMS:
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"have {MECHANISMS}")
-        changes["backend"] = backend
-    if fusion_bytes is not None:
-        if fusion_bytes < 1:
-            raise ValueError("fusion_bytes must be positive")
-        changes["fusion_bytes"] = fusion_bytes
-    if priority_sched is not None:
-        changes["priority_sched"] = priority_sched
-    if eager_flush is not None:
-        changes["eager_flush"] = eager_flush
-    if fault_spec is not None:
-        # Validate eagerly so a bad --fault-spec fails at configure time.
-        from ..simnet.faults import parse_fault_spec
-        parse_fault_spec(fault_spec)
-        changes["fault_spec"] = fault_spec or None
-    if fault_seed is not None:
-        changes["fault_seed"] = fault_seed
-    if loss_rate is not None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        changes["loss_rate"] = loss_rate or None
-    if retry_limit is not None:
-        if retry_limit < 0:
-            raise ValueError("retry_limit must be non-negative")
-        changes["retry_limit"] = retry_limit
-    if retry_timeout is not None:
-        if retry_timeout <= 0:
-            raise ValueError("retry_timeout must be positive")
-        changes["retry_timeout"] = retry_timeout
-    if retry_backoff is not None:
-        if retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
-        changes["retry_backoff"] = retry_backoff
-    if tcp_fallback is not None:
-        changes["tcp_fallback"] = tcp_fallback
-    if topology is not None:
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}; "
-                             f"have {TOPOLOGIES}")
-        changes["topology"] = topology
-    if racks is not None:
-        if racks < 1:
-            raise ValueError("racks must be at least 1")
-        changes["racks"] = racks
-    if hosts_per_rack is not None:
-        if hosts_per_rack < 1:
-            raise ValueError("hosts_per_rack must be at least 1")
-        changes["hosts_per_rack"] = hosts_per_rack
-    if oversubscription is not None:
-        if oversubscription < 1.0:
-            raise ValueError("oversubscription must be at least 1.0 "
-                             "(1.0 = full bisection)")
-        changes["oversubscription"] = oversubscription
-    if collective is not None:
-        if collective not in ALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown collective {collective!r}; "
-                             f"have {ALLREDUCE_ALGORITHMS}")
-        changes["collective"] = collective
-    if trace_sample is not None:
-        if not 0.0 < trace_sample <= 1.0:
-            raise ValueError(f"trace_sample must be in (0, 1], "
-                             f"got {trace_sample}")
-        changes["trace_sample"] = trace_sample
-    if trace_hosts is not None:
-        # Validate the spec's shape eagerly (prefix-count bounds are
-        # checked against num_servers at run time).
-        resolve_trace_hosts(trace_hosts, num_servers=1 << 30)
-        changes["trace_hosts"] = trace_hosts
-    if pipeline_stages is not None:
-        if pipeline_stages < 1:
-            raise ValueError("pipeline_stages must be at least 1")
-        changes["pipeline_stages"] = pipeline_stages
-    if microbatches is not None:
-        if microbatches < 1:
-            raise ValueError("microbatches must be at least 1")
-        changes["microbatches"] = microbatches
-    if schedule is not None:
-        if schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {schedule!r}; "
-                             f"have {SCHEDULES}")
-        changes["schedule"] = schedule
-    _COMM_CONFIG = replace(_COMM_CONFIG, **changes)
-    return _COMM_CONFIG
-
-
-def reset_comm_config() -> None:
-    """Restore the built-in comm-runtime defaults."""
-    global _COMM_CONFIG
-    _COMM_CONFIG = CommConfig()
-
-
-def swap_comm_config(config: CommConfig) -> CommConfig:
-    """Install a full config, returning the previous one.
-
-    For experiments/tests that need a scoped override-and-restore —
-    ``configure_comm`` can only merge non-None changes, so it cannot
-    return a field to its unset state.
-    """
-    global _COMM_CONFIG
-    previous = _COMM_CONFIG
-    _COMM_CONFIG = config
-    return previous
-
-
-def make_mechanism(name: str) -> CommRuntime:
+def make_mechanism(name: str, config: RunConfig = RunConfig()) -> CommRuntime:
     """Instantiate a transfer mechanism by its evaluation label.
 
-    ``"auto"`` resolves to the configured default backend (see
-    :func:`configure_comm`); RDMA mechanisms pick up the configured
-    CQ/QP layout.
+    RDMA mechanisms pick up ``config``'s CQ/QP layout and retry policy.
     """
-    if name == "auto":
-        name = _COMM_CONFIG.backend
-    cqs = _COMM_CONFIG.num_cqs
-    qps = _COMM_CONFIG.num_qps_per_peer
-    mode = _COMM_CONFIG.qp_mode
-    retry = _COMM_CONFIG.retry_policy()
     if name == "gRPC.TCP":
         return GrpcCommRuntime(transport="tcp")
     if name == "gRPC.RDMA":
         return GrpcCommRuntime(transport="rdma")
-    if name == "RDMA":
-        return RdmaCommRuntime(zero_copy=True, num_cqs=cqs,
-                               num_qps_per_peer=qps, retry_policy=retry,
-                               qp_mode=mode)
-    if name == "RDMA.cp":
-        return RdmaCommRuntime(zero_copy=False, num_cqs=cqs,
-                               num_qps_per_peer=qps, retry_policy=retry,
-                               qp_mode=mode)
-    if name == "RDMA.gpu":
-        # Tensors in GPU memory without GPUDirect: PCIe staging on
-        # both ends of every transfer (the Table 3 "RDMA" column).
-        return RdmaCommRuntime(zero_copy=True, gpu_tensors=True,
-                               num_cqs=cqs, num_qps_per_peer=qps,
-                               retry_policy=retry, qp_mode=mode)
-    if name == "RDMA+GDR":
-        return RdmaCommRuntime(zero_copy=True, gpu_tensors=True,
-                               gpudirect=True, num_cqs=cqs,
-                               num_qps_per_peer=qps, retry_policy=retry,
-                               qp_mode=mode)
+    if name in _RDMA_MECHANISMS:
+        return RdmaCommRuntime(num_cqs=config.num_cqs,
+                               num_qps_per_peer=config.num_qps_per_peer,
+                               retry_policy=config.retry_policy(),
+                               qp_mode=config.qp_mode,
+                               **_RDMA_MECHANISMS[name])
     if name == "Local":
         return NullComm()
     raise ValueError(f"unknown mechanism {name!r}; have {MECHANISMS}")
@@ -524,26 +418,16 @@ class BenchmarkResult:
 
 def run_training_benchmark(spec: ModelSpec, mechanism: str,
                            num_servers: int, batch_size: int,
-                           iterations: int = 4,
+                           iterations: int = 4, *,
+                           config: RunConfig = RunConfig(),
                            cost: Optional[CostModel] = None,
                            comm: Optional[CommRuntime] = None,
                            placement: str = "round_robin",
                            strategy: str = "ps",
-                           fusion_bytes: Optional[int] = None,
-                           priority_sched: Optional[bool] = None,
-                           eager_flush: Optional[bool] = None,
                            collect_metrics: bool = False,
                            collect_trace: bool = False,
-                           fault_spec: Optional[str] = None,
-                           fault_seed: Optional[int] = None,
-                           loss_rate: Optional[float] = None,
-                           microbatches: Optional[int] = None,
-                           schedule: Optional[str] = None,
-                           topology: Optional[str] = None,
-                           racks: Optional[int] = None,
-                           hosts_per_rack: Optional[int] = None,
-                           oversubscription: Optional[float] = None,
-                           time_limit: float = 36000.0) -> BenchmarkResult:
+                           time_limit: float = 36000.0,
+                           **overrides) -> BenchmarkResult:
     """Run one (model, mechanism, scale, batch) configuration.
 
     ``comm`` overrides the mechanism object (for ablations); the
@@ -551,8 +435,10 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
     (oversized messages, §5.1/§5.2) are captured as a crashed result
     rather than raising, mirroring how the paper reports them.
 
-    ``priority_sched``/``eager_flush``/``fusion_bytes`` default to the
-    configured comm knobs (see :func:`configure_comm`).  Enabling
+    ``overrides`` are :class:`RunConfig` fields by name, applied over
+    ``config`` for this call (``fusion_bytes=``, ``topology=``,
+    ``loss_rate=``, ...): an unknown name is a ``TypeError``, a bad
+    value the ``ValueError`` constructing the config would raise.
     ``priority_sched`` turns on the NIC's priority quantum scheduler
     (unless ``cost`` already sets ``wire_quantum_bytes``) and the
     executors' priority-aware ready queues; ``eager_flush=False``
@@ -565,37 +451,13 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
-    if fusion_bytes is None:
-        fusion_bytes = _COMM_CONFIG.fusion_bytes
-    if priority_sched is None:
-        priority_sched = _COMM_CONFIG.priority_sched
-    if eager_flush is None:
-        eager_flush = _COMM_CONFIG.eager_flush
-    if fault_spec is None:
-        fault_spec = _COMM_CONFIG.fault_spec
-    if fault_seed is None:
-        fault_seed = _COMM_CONFIG.fault_seed
-    if loss_rate is None:
-        loss_rate = _COMM_CONFIG.loss_rate
-    if loss_rate:
-        clause = f"loss:p={loss_rate}"
+    config = replace(config, **overrides)
+    priority_sched, topology = config.priority_sched, config.topology
+    fault_spec = config.fault_spec
+    if config.loss_rate:
+        clause = f"loss:p={config.loss_rate}"
         fault_spec = f"{fault_spec};{clause}" if fault_spec else clause
-    if topology is None:
-        topology = _COMM_CONFIG.topology
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; have {TOPOLOGIES}")
-    if oversubscription is None:
-        oversubscription = _COMM_CONFIG.oversubscription
-    if racks is None:
-        racks = _COMM_CONFIG.racks
-    if hosts_per_rack is None:
-        hosts_per_rack = _COMM_CONFIG.hosts_per_rack
-    if hosts_per_rack is not None:
-        rack_width: Optional[int] = hosts_per_rack
-    elif racks is not None:
-        rack_width = (num_servers + racks - 1) // racks
-    else:
-        rack_width = None
+    rack_width = config.rack_width(num_servers)
     if priority_sched:
         base_cost = cost if cost is not None else DEFAULT_COST_MODEL
         if base_cost.wire_quantum_bytes <= 0:
@@ -610,14 +472,6 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
         if local:
             raise ValueError("the llm strategy pipelines across servers; "
                              "it has no Local mode")
-        if microbatches is None:
-            microbatches = (_COMM_CONFIG.microbatches
-                            if _COMM_CONFIG.microbatches is not None
-                            else DEFAULT_MICROBATCHES)
-        if schedule is None:
-            schedule = (_COMM_CONFIG.schedule
-                        if _COMM_CONFIG.schedule is not None
-                        else DEFAULT_SCHEDULE)
         # Transformers ship real sequence activations (seq_len x
         # hidden per sample); other specs keep the generic width.
         elements = 4096
@@ -628,7 +482,8 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
         job = build_model_parallel_graph(
             spec, num_stages=num_servers, batch_size=batch_size,
             activation_elements_per_sample=elements,
-            microbatches=microbatches, schedule=schedule)
+            microbatches=config.microbatches or DEFAULT_MICROBATCHES,
+            schedule=config.schedule or DEFAULT_SCHEDULE)
         predicted = job.cross_stage_bytes_per_step / max(num_servers, 1)
     elif strategy == "ps" or local:
         job = build_training_graph(spec,
@@ -637,8 +492,8 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
                                    placement=placement)
     else:
         kwargs = {}
-        if fusion_bytes is not None:
-            kwargs["fusion_bytes"] = fusion_bytes
+        if config.fusion_bytes is not None:
+            kwargs["fusion_bytes"] = config.fusion_bytes
         algorithm = strategy
         if strategy == "innetwork" and topology != "fat-tree":
             # There is no switch to aggregate in on a flat fabric:
@@ -655,7 +510,7 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
             kwargs["hosts_per_rack"] = rack_width
         job = build_allreduce_training_graph(
             spec, num_workers=num_servers, batch_size=batch_size,
-            algorithm=algorithm, eager_flush=eager_flush, **kwargs)
+            algorithm=algorithm, eager_flush=config.eager_flush, **kwargs)
         predicted = job.bytes_per_worker_per_step
     fabric: Optional[Fabric] = None
     if topology == "fat-tree" and not local:
@@ -664,12 +519,12 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
                 "the fat-tree topology needs a rack shape; set racks= or "
                 "hosts_per_rack= (or --racks/--hosts-per-rack)")
         fabric = build_fat_tree(num_servers, rack_width,
-                                oversubscription=oversubscription,
+                                oversubscription=config.oversubscription,
                                 cost=cost)
     cluster = Cluster(1 if local else num_servers, cost=cost, fabric=fabric)
     if fault_spec:
         cluster.install_faults(
-            FaultInjector.from_spec(fault_spec, seed=fault_seed))
+            FaultInjector.from_spec(fault_spec, seed=config.fault_seed))
     tracing = collect_trace or capture_enabled()
     collector = (cluster.enable_metrics()
                  if collect_metrics or tracing else None)
@@ -678,8 +533,7 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
         # The telemetry digest sees every span before any sampling, so
         # anomaly detection is independent of the retention budget.
         tracer = cluster.enable_tracing(
-            budget=(None if local
-                    else _COMM_CONFIG.trace_budget(num_servers)),
+            budget=None if local else config.trace_budget(num_servers),
             telemetry=Telemetry(
                 hosts_per_rack=rack_width or max(num_servers, 1)))
     device_hosts = {}
@@ -695,7 +549,7 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
             device_hosts[device] = cluster.hosts[index]
     worker_hosts = tuple(sorted({host.name
                                  for host in device_hosts.values()}))
-    comm = comm or make_mechanism(mechanism)
+    comm = comm or make_mechanism(mechanism, config)
     try:
         session = Session(cluster, job.graph, device_hosts, comm=comm,
                           priority_sched=priority_sched)

@@ -20,11 +20,9 @@ import sys
 import time
 
 from ..core.device import QP_MODES
-from ..distributed.runner import (MECHANISMS, SCHEDULES, TOPOLOGIES,
-                                  comm_config, configure_comm,
-                                  resolve_trace_hosts)
+from ..distributed.runner import SCHEDULES, TOPOLOGIES, RunConfig
 from ..distributed.allreduce import ALLREDUCE_ALGORITHMS
-from ..serving.config import configure_serving
+from ..serving.config import ServingConfig
 from ..observability.capture import (configure_capture, flush_capture,
                                      reset_capture)
 from .experiments import ALL_EXPERIMENTS, execute
@@ -56,9 +54,6 @@ def main(argv=None) -> int:
                              "reliable-connected pairs (default); 'shared' "
                              "multiplexes every peer over O(1) DCT-style "
                              "shared endpoints per NIC")
-    parser.add_argument("--backend", choices=MECHANISMS, default=None,
-                        help="transfer mechanism used where an experiment "
-                             "asks for the configured default")
     parser.add_argument("--fusion-mb", type=float, default=None,
                         metavar="MB",
                         help="gradient fusion bucket size in MiB for "
@@ -215,19 +210,60 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)} "
                      f"(known: {', '.join(ALL_EXPERIMENTS)})")
 
-    fabric_flags = (args.racks is not None
-                    or args.hosts_per_rack is not None
-                    or args.oversubscription is not None)
-    topology = args.topology
-    if fabric_flags and (topology or comm_config().topology) == "flat":
+    def given(**flags):
+        return {key: value for key, value in flags.items()
+                if value is not None}
+    try:
+        # The config's own validation is the one copy of every range
+        # check: a bad value is a usage error, not a traceback.
+        config = RunConfig(
+            serving=ServingConfig(**given(
+                replicas=args.replicas,
+                qps=args.qps,
+                max_batch=args.max_batch,
+                batch_timeout=args.batch_timeout,
+                slo_ms=args.slo_ms,
+                kv_budget_mb=args.kv_budget_mb,
+                max_width=args.max_width)),
+            **given(
+                num_cqs=args.num_cqs,
+                num_qps_per_peer=args.qps_per_peer,
+                qp_mode=args.qp_mode,
+                fusion_bytes=(None if args.fusion_mb is None
+                              else int(args.fusion_mb * 1024 * 1024)),
+                priority_sched=args.priority_sched,
+                eager_flush=args.eager_flush,
+                fault_spec=args.fault_spec,
+                fault_seed=args.fault_seed,
+                loss_rate=args.loss,
+                retry_limit=args.retry_limit,
+                retry_timeout=args.retry_timeout,
+                tcp_fallback=args.tcp_fallback,
+                topology=args.topology,
+                racks=args.racks,
+                hosts_per_rack=args.hosts_per_rack,
+                oversubscription=args.oversubscription,
+                collective=args.collective,
+                trace_sample=args.trace_sample,
+                trace_hosts=args.trace_hosts,
+                pipeline_stages=args.pipeline_stages,
+                microbatches=args.microbatches,
+                schedule=args.schedule))
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    # Pairings the runner does not hold: it accepts a rack shape for
+    # the hierarchical collective on a flat fabric and degrades
+    # innetwork to it; the command line refuses both.
+    rack_shape = args.racks is not None or args.hosts_per_rack is not None
+    if config.topology == "flat" \
+            and (rack_shape or args.oversubscription is not None):
         parser.error("--racks/--hosts-per-rack/--oversubscription describe "
                      "a fat tree; add --topology fat-tree")
-    if topology == "fat-tree" and args.racks is None \
-            and args.hosts_per_rack is None:
+    if config.topology == "fat-tree" and not rack_shape:
         parser.error("--topology fat-tree needs a rack shape; give "
                      "--racks or --hosts-per-rack")
-    if (args.collective or comm_config().collective) == "innetwork" \
-            and (topology or comm_config().topology) != "fat-tree":
+    if config.collective == "innetwork" and config.topology != "fat-tree":
         parser.error("--collective innetwork aggregates gradients in the "
                      "ToR/spine switches; add --topology fat-tree (plus "
                      "--racks or --hosts-per-rack)")
@@ -243,53 +279,9 @@ def main(argv=None) -> int:
     if args.trace_event_cap is not None and args.trace_out is None:
         parser.error("--trace-event-cap bounds the merged Chrome trace; "
                      "add --trace-out")
-    if args.loss is not None and not 0.0 <= args.loss < 1.0:
-        parser.error(f"--loss must be in [0, 1), got {args.loss}")
-    if args.trace_sample is not None \
-            and not 0.0 < args.trace_sample <= 1.0:
-        parser.error(f"--trace-sample must be in (0, 1], got "
-                     f"{args.trace_sample}")
     if args.trace_event_cap is not None and args.trace_event_cap < 1:
         parser.error("--trace-event-cap must be positive")
-    if args.trace_hosts is not None:
-        try:
-            # Shape check only; prefix-count bounds depend on the run size.
-            resolve_trace_hosts(args.trace_hosts, num_servers=1 << 30)
-        except ValueError as exc:
-            parser.error(f"--trace-hosts: {exc}")
 
-    fusion_bytes = (None if args.fusion_mb is None
-                    else int(args.fusion_mb * 1024 * 1024))
-    configure_comm(num_cqs=args.num_cqs,
-                   num_qps_per_peer=args.qps_per_peer,
-                   qp_mode=args.qp_mode,
-                   backend=args.backend,
-                   fusion_bytes=fusion_bytes,
-                   priority_sched=args.priority_sched,
-                   eager_flush=args.eager_flush,
-                   fault_spec=args.fault_spec,
-                   fault_seed=args.fault_seed,
-                   loss_rate=args.loss,
-                   retry_limit=args.retry_limit,
-                   retry_timeout=args.retry_timeout,
-                   tcp_fallback=args.tcp_fallback,
-                   topology=args.topology,
-                   racks=args.racks,
-                   hosts_per_rack=args.hosts_per_rack,
-                   oversubscription=args.oversubscription,
-                   collective=args.collective,
-                   trace_sample=args.trace_sample,
-                   trace_hosts=args.trace_hosts,
-                   pipeline_stages=args.pipeline_stages,
-                   microbatches=args.microbatches,
-                   schedule=args.schedule)
-    configure_serving(replicas=args.replicas,
-                      qps=args.qps,
-                      max_batch=args.max_batch,
-                      batch_timeout=args.batch_timeout,
-                      slo_ms=args.slo_ms,
-                      kv_budget_mb=args.kv_budget_mb,
-                      max_width=args.max_width)
     if capturing:
         # like --bench-dir, a capture path may name a directory to create
         for path in (args.trace_out, args.metrics_json, args.telemetry_out):
@@ -309,7 +301,7 @@ def main(argv=None) -> int:
             entry = ALL_EXPERIMENTS[name]
             started = time.time()
             grid = entry.full if args.full else entry.smoke
-            payload = execute(entry, grid, args.bench_dir)
+            payload = execute(entry, grid, args.bench_dir, config)
             print(f"[{name} regenerated in {time.time() - started:.1f}s]",
                   file=sys.stderr)
             print(entry.table(payload).render())

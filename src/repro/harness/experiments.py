@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import wraps
 from itertools import groupby
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -30,8 +29,8 @@ import numpy as np
 from ..models.convergence import APPS
 from ..models.spec import MB, ModelSpec, VariableSpec
 from ..models.zoo import (get_model, paper_model_names, paper_models)
-from ..distributed.runner import (BenchmarkResult, comm_config,
-                                  run_training_benchmark, swap_comm_config)
+from ..distributed.runner import (BenchmarkResult, RunConfig,
+                                  run_training_benchmark)
 from ..workloads.microbench import MICRO_MECHANISMS, sweep_microbench
 from .series import ExperimentResult
 
@@ -88,15 +87,15 @@ def figure7() -> ExperimentResult:
     return result
 
 
-def figure8(sizes: Sequence[int] = FIGURE8_SIZES,
-            iterations: int = 4) -> ExperimentResult:
+def figure8(sizes: Sequence[int] = FIGURE8_SIZES, iterations: int = 4,
+            config: RunConfig = RunConfig()) -> ExperimentResult:
     """Figure 8: two-server micro-benchmark transfer speed."""
     result = ExperimentResult(
         experiment="Figure 8",
         title="Send/receive micro-benchmark between two servers",
         columns=["mechanism", "message_bytes", "transfer_ms",
                  "throughput_gbps"])
-    sweep = sweep_microbench(sizes, iterations=iterations)
+    sweep = sweep_microbench(sizes, iterations=iterations, config=config)
     for mechanism, points in sweep.items():
         for point in points:
             ms = (None if point.transfer_seconds is None
@@ -114,7 +113,8 @@ def figure8(sizes: Sequence[int] = FIGURE8_SIZES,
 def figure9(models: Optional[Sequence[str]] = None,
             batches: Sequence[int] = FIGURE9_BATCHES,
             mechanisms: Sequence[str] = FIGURE9_MECHANISMS,
-            num_servers: int = 8, iterations: int = 3) -> ExperimentResult:
+            num_servers: int = 8, iterations: int = 3,
+            config: RunConfig = RunConfig()) -> ExperimentResult:
     """Figure 9: throughput vs mini-batch size, 6 benchmarks."""
     result = ExperimentResult(
         experiment="Figure 9",
@@ -127,7 +127,7 @@ def figure9(models: Optional[Sequence[str]] = None,
             for batch in batches:
                 bench = run_training_benchmark(
                     spec, mechanism, num_servers=num_servers,
-                    batch_size=batch, iterations=iterations)
+                    batch_size=batch, iterations=iterations, config=config)
                 if bench.crashed:
                     result.add_row(name, mechanism, batch, None, None)
                     result.note(f"{name}/{mechanism}/b{batch} crashed: "
@@ -139,8 +139,8 @@ def figure9(models: Optional[Sequence[str]] = None,
     return result
 
 
-def figure10(steps: int = 150, num_servers: int = 8,
-             iterations: int = 3) -> ExperimentResult:
+def figure10(steps: int = 150, num_servers: int = 8, iterations: int = 3,
+             config: RunConfig = RunConfig()) -> ExperimentResult:
     """Figure 10: convergence vs wall-clock for the three applications.
 
     The per-step metric comes from real SGD (mechanism-independent);
@@ -159,7 +159,7 @@ def figure10(steps: int = 150, num_servers: int = 8,
         for mechanism in mechanisms:
             bench = run_training_benchmark(
                 spec, mechanism, num_servers=num_servers, batch_size=32,
-                iterations=iterations)
+                iterations=iterations, config=config)
             if bench.crashed:
                 step_times[mechanism] = None
                 result.note(f"{app_name}/{mechanism} crashed: "
@@ -182,7 +182,8 @@ def figure10(steps: int = 150, num_servers: int = 8,
 
 def figure11(models: Sequence[str] = FIGURE11_MODELS,
              server_counts: Sequence[int] = (1, 2, 4, 8),
-             batch_size: int = 32, iterations: int = 3) -> ExperimentResult:
+             batch_size: int = 32, iterations: int = 3,
+             config: RunConfig = RunConfig()) -> ExperimentResult:
     """Figure 11: scalability (throughput vs number of servers)."""
     result = ExperimentResult(
         experiment="Figure 11",
@@ -193,13 +194,14 @@ def figure11(models: Sequence[str] = FIGURE11_MODELS,
         spec = get_model(name)
         local = run_training_benchmark(spec, "Local", num_servers=1,
                                        batch_size=batch_size,
-                                       iterations=iterations)
+                                       iterations=iterations, config=config)
         result.add_row(name, "Local", 1, round(local.throughput, 2), 1.0)
         for mechanism in ("gRPC.TCP", "gRPC.RDMA", "RDMA"):
             for servers in server_counts:
                 bench = run_training_benchmark(
                     spec, mechanism, num_servers=servers,
-                    batch_size=batch_size, iterations=iterations)
+                    batch_size=batch_size, iterations=iterations,
+                    config=config)
                 if bench.crashed:
                     result.add_row(name, mechanism, servers, None, None)
                     continue
@@ -216,7 +218,8 @@ def figure11(models: Sequence[str] = FIGURE11_MODELS,
 
 def figure12(batch_size: int = 8, num_servers: int = 8,
              iterations: int = 3,
-             models: Optional[Sequence[str]] = None) -> ExperimentResult:
+             models: Optional[Sequence[str]] = None,
+             config: RunConfig = RunConfig()) -> ExperimentResult:
     """Figure 12: sender-side memory-copy overhead (zero-copy on/off)."""
     result = ExperimentResult(
         experiment="Figure 12",
@@ -227,11 +230,11 @@ def figure12(batch_size: int = 8, num_servers: int = 8,
         spec = get_model(name)
         fast = run_training_benchmark(spec, "RDMA", num_servers=num_servers,
                                       batch_size=batch_size,
-                                      iterations=iterations)
+                                      iterations=iterations, config=config)
         slow = run_training_benchmark(spec, "RDMA.cp",
                                       num_servers=num_servers,
                                       batch_size=batch_size,
-                                      iterations=iterations)
+                                      iterations=iterations, config=config)
         gain = (slow.step_time - fast.step_time) / fast.step_time * 100
         result.add_row(name, round(fast.step_time * 1e3, 2),
                        round(slow.step_time * 1e3, 2), round(gain, 1))
@@ -242,7 +245,8 @@ def figure12(batch_size: int = 8, num_servers: int = 8,
 
 def table3(batch_size: int = 32, num_servers: int = 8,
            iterations: int = 3,
-           models: Optional[Sequence[str]] = None) -> ExperimentResult:
+           models: Optional[Sequence[str]] = None,
+           config: RunConfig = RunConfig()) -> ExperimentResult:
     """Table 3: GPUDirect RDMA average mini-batch times (8 workers)."""
     result = ExperimentResult(
         experiment="Table 3",
@@ -253,11 +257,11 @@ def table3(batch_size: int = 32, num_servers: int = 8,
         base = run_training_benchmark(spec, "RDMA.gpu",
                                       num_servers=num_servers,
                                       batch_size=batch_size,
-                                      iterations=iterations)
+                                      iterations=iterations, config=config)
         gdr = run_training_benchmark(spec, "RDMA+GDR",
                                      num_servers=num_servers,
                                      batch_size=batch_size,
-                                     iterations=iterations)
+                                     iterations=iterations, config=config)
         improvement = (base.step_time - gdr.step_time) / gdr.step_time * 100
         result.add_row(name, round(base.step_time * 1e3, 1),
                        round(gdr.step_time * 1e3, 1), round(improvement, 1))
@@ -269,8 +273,8 @@ def table3(batch_size: int = 32, num_servers: int = 8,
 def extension_allreduce(models: Sequence[str] = ("FCN-5", "VGGNet-16"),
                         server_counts: Sequence[int] = (2, 4, 8),
                         mechanisms: Sequence[str] = ("RDMA", "gRPC.TCP"),
-                        batch_size: int = 32,
-                        iterations: int = 3) -> ExperimentResult:
+                        batch_size: int = 32, iterations: int = 3,
+                        config: RunConfig = RunConfig()) -> ExperimentResult:
     """Extension: PS vs collective allreduce scalability (figure-11 style).
 
     Runs the same models over the parameter-server graph and the
@@ -289,7 +293,7 @@ def extension_allreduce(models: Sequence[str] = ("FCN-5", "VGGNet-16"),
         spec = get_model(name)
         local = run_training_benchmark(spec, "Local", num_servers=1,
                                        batch_size=batch_size,
-                                       iterations=iterations)
+                                       iterations=iterations, config=config)
         result.add_row(name, "local", "Local", 1,
                        round(local.step_time * 1e3, 2),
                        round(local.throughput, 2), 1.0, 0.0, 0.0)
@@ -299,7 +303,8 @@ def extension_allreduce(models: Sequence[str] = ("FCN-5", "VGGNet-16"),
                     bench = run_training_benchmark(
                         spec, mechanism, num_servers=servers,
                         batch_size=batch_size, iterations=iterations,
-                        strategy=strategy, collect_metrics=True)
+                        strategy=strategy, collect_metrics=True,
+                        config=config)
                     if bench.crashed:
                         result.add_row(name, strategy, mechanism, servers,
                                        None, None, None, None, None)
@@ -324,8 +329,8 @@ def extension_allreduce(models: Sequence[str] = ("FCN-5", "VGGNet-16"),
 
 def stallreport(model: str = "FCN-5", num_servers: int = 2,
                 batch_size: int = 32, iterations: int = 3,
-                strategy: str = "ring",
-                mechanism: str = "RDMA") -> ExperimentResult:
+                strategy: str = "ring", mechanism: str = "RDMA",
+                config: RunConfig = RunConfig()) -> ExperimentResult:
     """Observability demo: per-iteration stall attribution (Figure-8 style).
 
     Runs one traced benchmark and decomposes each iteration's wall time
@@ -345,7 +350,7 @@ def stallreport(model: str = "FCN-5", num_servers: int = 2,
     bench = run_training_benchmark(
         get_model(model), mechanism, num_servers=num_servers,
         batch_size=batch_size, iterations=iterations, strategy=strategy,
-        collect_trace=True)
+        collect_trace=True, config=config)
     if bench.crashed:
         result.note(f"benchmark crashed: {bench.crash_reason[:120]}")
         return result
@@ -423,22 +428,14 @@ def _payload(name: str, grid: Dict, **resolved) -> Dict:
     ``grid`` is the run's keyword arguments (its ``dict(locals())`` on
     entry), echoed into ``config`` under their own names — the
     regression gate re-runs a committed file by passing them back —
-    with ``resolved``, what the run took from the process-wide configs
-    instead, over and beside them.
+    with ``resolved``, what the run took from its :class:`RunConfig`
+    instead, over and beside them.  The ``RunConfig`` argument itself
+    is not a grid axis and is not echoed.
     """
     config = {key: list(value) if isinstance(value, tuple) else value
-              for key, value in {**grid, **resolved}.items()}
+              for key, value in {**grid, **resolved}.items()
+              if key != "config"}
     return {"experiment": name, "config": config, "cells": []}
-
-
-@contextmanager
-def _comm(**changes):
-    """Run a cell under a changed copy of the module-global comm config."""
-    previous = swap_comm_config(replace(comm_config(), **changes))
-    try:
-        yield
-    finally:
-        swap_comm_config(previous)
 
 
 def _uncrashed(bench: BenchmarkResult, what: str) -> BenchmarkResult:
@@ -459,8 +456,8 @@ def _pairs(cells: Sequence[Dict], axis: str, first, second,
 
 def _overlap_run(models: Sequence[str], num_servers: int,
                  batch_size: int = 32, iterations: int = 3,
-                 fusion_mb: float = 8.0,
-                 algorithm: str = "ring") -> Iterator[Dict]:
+                 fusion_mb: float = 8.0, algorithm: str = "ring",
+                 config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: priority scheduling + backward-overlapped eager flush.
 
     Compares two allreduce schedules over the same fused-bucket plan:
@@ -484,10 +481,11 @@ def _overlap_run(models: Sequence[str], num_servers: int,
     for name in models:
         spec = get_model(name)
         barrier = _uncrashed(run_training_benchmark(
-            spec, "RDMA", eager_flush=False, priority_sched=False, **common),
-            f"overlap {name}/barrier")
+            spec, "RDMA", config=config, eager_flush=False,
+            priority_sched=False, **common), f"overlap {name}/barrier")
         eager = _uncrashed(run_training_benchmark(
-            spec, "RDMA", eager_flush=True, priority_sched=True, **common),
+            spec, "RDMA", config=config, eager_flush=True,
+            priority_sched=True, **common),
             f"overlap {name}/eager+priority")
         payload["cells"].append({
             "benchmark": name,
@@ -535,7 +533,7 @@ def _chaos_run(seeds: Sequence[int], model: str = "FCN-5",
                fault_spec: str = ("drop:p=0.05;partial:p=0.04,frac=0.6;"
                                   "blackhole:p=0.02;"
                                   "straggler:p=0.04,delay=8e-4"),
-               ) -> Iterator[Dict]:
+               config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: chaos harness — seeded faults against the recovery layer.
 
     Runs one small training job fault-free, then once per seed with the
@@ -549,11 +547,12 @@ def _chaos_run(seeds: Sequence[int], model: str = "FCN-5",
     spec = get_model(model)
     common = dict(num_servers=num_servers, batch_size=batch_size,
                   iterations=iterations)
-    clean = run_training_benchmark(spec, "RDMA", **common)
+    clean = run_training_benchmark(spec, "RDMA", config=config, **common)
     payload["clean_step_ms"] = clean.step_time * 1e3
     for seed in seeds:
-        run = run_training_benchmark(spec, "RDMA", fault_spec=fault_spec,
-                                     fault_seed=seed, **common)
+        run = run_training_benchmark(spec, "RDMA", config=config,
+                                     fault_spec=fault_spec, fault_seed=seed,
+                                     **common)
         if run.crashed:
             payload["cells"].append({"seed": seed, "completed": False,
                                      "crash_reason": run.crash_reason})
@@ -610,11 +609,12 @@ def _chaos_headlines(payload: Dict) -> List[str]:
 
 
 def _serving_run(requests: int, model: str = "FCN-5", seed: int = 7,
-                 runs: Optional[Sequence[str]] = None) -> Iterator[Dict]:
+                 runs: Optional[Sequence[str]] = None,
+                 config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: the inference serving plane, both headline effects.
 
-    Four runs of the same deployment shape (taken from the serving
-    config, so the CLI's ``--replicas``/``--qps``/``--max-batch``/
+    Four runs of the same deployment shape (``config.serving``, so
+    the CLI's ``--replicas``/``--qps``/``--max-batch``/
     ``--batch-timeout``/``--slo-ms`` flags steer this experiment):
 
     * **batch=1 vs batch=N** at fixed replicas — dynamic batching must
@@ -630,8 +630,8 @@ def _serving_run(requests: int, model: str = "FCN-5", seed: int = 7,
     ``batch-N`` alone).
     """
     grid = dict(locals())
-    from ..serving import run_serving_benchmark, serving_config
-    cfg = serving_config()
+    from ..serving import run_serving_benchmark
+    cfg = config.serving
     spec = get_model(model)
     deployment = dict(replicas=cfg.replicas, qps=cfg.qps,
                       batch_timeout=cfg.batch_timeout, slo_ms=cfg.slo_ms,
@@ -640,19 +640,17 @@ def _serving_run(requests: int, model: str = "FCN-5", seed: int = 7,
                       broadcast=cfg.broadcast)
     variants = {
         "batch-1": dict(max_batch=1, priority_sched=True),
-        f"batch-{cfg.max_batch}": dict(max_batch=cfg.max_batch,
-                                       priority_sched=True),
-        "fifo+training": dict(max_batch=cfg.max_batch, priority_sched=False,
+        f"batch-{cfg.max_batch}": dict(priority_sched=True),
+        "fifo+training": dict(priority_sched=False,
                               background_training=True),
-        "priority+training": dict(max_batch=cfg.max_batch,
-                                  priority_sched=True,
+        "priority+training": dict(priority_sched=True,
                                   background_training=True),
     }
     payload = _payload("serving", grid, runs=list(runs or variants),
                        max_batch=cfg.max_batch, **deployment)
     for name in payload["config"]["runs"]:
-        run = run_serving_benchmark(spec, requests=requests, seed=seed,
-                                    **variants[name], **deployment)
+        run = run_serving_benchmark(spec, config=cfg, requests=requests,
+                                    seed=seed, **variants[name])
         payload["cells"].append({"run": name, **run.to_dict()})
         yield payload
 
@@ -750,7 +748,8 @@ def _scale_run(worker_counts: Sequence[int],
                oversubscription: Optional[float] = None,
                iterations: int = 2, batch_size: int = 1,
                fusion_mb: float = 64.0, max_flat_ring_workers: int = 128,
-               collective: Optional[str] = None) -> Iterator[Dict]:
+               collective: Optional[str] = None,
+               config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: multi-rack scale sweep on an oversubscribed fat tree.
 
     For each worker count, trains the synthetic large-tensor model on a
@@ -771,18 +770,17 @@ def _scale_run(worker_counts: Sequence[int],
     """
     grid = dict(locals())
     spec = _scale_spec()
-    cfg = comm_config()
     # A fat-tree shape configured via --topology/--hosts-per-rack/
     # --oversubscription is authoritative; otherwise the sweep's
     # canonical 8-wide racks at 4:1.
     if hosts_per_rack is None:
-        hosts_per_rack = (cfg.hosts_per_rack
-                          if cfg.topology == "fat-tree"
-                          and cfg.hosts_per_rack else 8)
+        hosts_per_rack = (config.hosts_per_rack
+                          if config.topology == "fat-tree"
+                          and config.hosts_per_rack else 8)
     if oversubscription is None:
-        oversubscription = (cfg.oversubscription
-                            if cfg.topology == "fat-tree" else 4.0)
-    treatment = collective or cfg.collective
+        oversubscription = (config.oversubscription
+                            if config.topology == "fat-tree" else 4.0)
+    treatment = collective or config.collective
     payload = _payload("scale", grid, hosts_per_rack=hosts_per_rack,
                        oversubscription=oversubscription,
                        collective=treatment, model=spec.name,
@@ -797,7 +795,7 @@ def _scale_run(worker_counts: Sequence[int],
             started = time.time()
             bench = _uncrashed(run_training_benchmark(
                 spec, "RDMA", num_servers=workers, batch_size=batch_size,
-                iterations=iterations, strategy=strategy,
+                iterations=iterations, strategy=strategy, config=config,
                 fusion_bytes=int(fusion_mb * MB), topology="fat-tree",
                 hosts_per_rack=hosts_per_rack,
                 oversubscription=oversubscription),
@@ -866,8 +864,8 @@ def _scale_headlines(payload: Dict) -> List[str]:
 def _netreduce_run(worker_counts: Sequence[int], models: Sequence[str],
                    hosts_per_rack: int = 8, oversubscription: float = 4.0,
                    iterations: int = 2, batch_size: int = 1,
-                   fusion_mb: float = 64.0,
-                   max_flat_ring_workers: int = 8) -> Iterator[Dict]:
+                   fusion_mb: float = 64.0, max_flat_ring_workers: int = 8,
+                   config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: in-network reduction vs host collectives, validated.
 
     For each model and worker count, trains on an oversubscribed fat
@@ -901,7 +899,8 @@ def _netreduce_run(worker_counts: Sequence[int], models: Sequence[str],
                 bench = _uncrashed(run_training_benchmark(
                     spec, "RDMA", num_servers=workers,
                     batch_size=batch_size, iterations=iterations,
-                    strategy=strategy, fusion_bytes=int(fusion_mb * MB),
+                    strategy=strategy, config=config,
+                    fusion_bytes=int(fusion_mb * MB),
                     topology="fat-tree", hosts_per_rack=hosts_per_rack,
                     oversubscription=oversubscription,
                     collect_metrics=True),
@@ -992,7 +991,8 @@ def _telemetry_run(iterations: int, model: str = "FCN-5",
                    num_servers: int = 8, hosts_per_rack: int = 4,
                    batch_size: int = 32, trace_sample: float = 0.05,
                    straggler_host: str = "server5",
-                   straggler_delay_ms: float = 2.0) -> Iterator[Dict]:
+                   straggler_delay_ms: float = 2.0,
+                   config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: fleet telemetry + online anomaly detection, validated.
 
     Three runs of one fat-tree hierarchical configuration:
@@ -1014,16 +1014,15 @@ def _telemetry_run(iterations: int, model: str = "FCN-5",
     common = dict(num_servers=num_servers, batch_size=batch_size,
                   iterations=iterations, strategy="hierarchical",
                   topology="fat-tree", hosts_per_rack=hosts_per_rack)
-    budget = dict(trace_sample=trace_sample)
-    for label, config, traced in (
-            ("untraced", {}, {}),
-            ("traced-clean", budget, dict(collect_trace=True)),
-            ("traced-straggler", budget,
-             dict(collect_trace=True, fault_spec=fault, fault_seed=1))):
-        with _comm(**config):
-            run = _uncrashed(run_training_benchmark(spec, "RDMA", **traced,
-                                                    **common),
-                             "telemetry run")
+    traced = dict(collect_trace=True, trace_sample=trace_sample)
+    for label, cell_args in (
+            ("untraced", {}),
+            ("traced-clean", traced),
+            ("traced-straggler",
+             dict(traced, fault_spec=fault, fault_seed=1))):
+        run = _uncrashed(run_training_benchmark(
+            spec, "RDMA", config=config, **cell_args, **common),
+            "telemetry run")
         cell: Dict[str, object] = {
             "run": label, "step_ms": run.step_time * 1e3,
             "iteration_times": list(run.stats.iteration_times)}
@@ -1106,7 +1105,8 @@ def _lossy_run(worker_counts: Sequence[int],
                oversubscription: float = 4.0, model: str = "GRU",
                iterations: int = 2, batch_size: int = 1,
                max_flat_ring_workers: int = 8, max_retx_ratio: float = 3.0,
-               fault_seed: int = 3) -> Iterator[Dict]:
+               fault_seed: int = 3,
+               config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: loss-tolerant transport on a PFC-less fabric, validated.
 
     For each worker count and allreduce backend (flat ring up to
@@ -1145,9 +1145,10 @@ def _lossy_run(worker_counts: Sequence[int],
             for rate in loss_rates:
                 started = time.time()
                 bench = _uncrashed(run_training_benchmark(
-                    spec, "RDMA", strategy=strategy, loss_rate=rate or None,
-                    fault_seed=fault_seed, collect_metrics=rate > 0.0,
-                    **common), f"lossy {strategy}/n{workers}/p={rate}")
+                    spec, "RDMA", strategy=strategy, config=config,
+                    loss_rate=rate, fault_seed=fault_seed,
+                    collect_metrics=rate > 0.0, **common),
+                    f"lossy {strategy}/n{workers}/p={rate}")
                 cell: Dict[str, object] = {
                     "workers": workers, "strategy": strategy,
                     "hosts_per_rack": hosts_per_rack, "loss_rate": rate,
@@ -1162,9 +1163,9 @@ def _lossy_run(worker_counts: Sequence[int],
                     # The loss-free cell doubles as the QP-mode identity
                     # check: shared endpoints must keep the RC clock.
                     clean_step = cell["step_ms"]
-                    with _comm(qp_mode="shared"):
-                        shared = run_training_benchmark(
-                            spec, "RDMA", strategy=strategy, **common)
+                    shared = run_training_benchmark(
+                        spec, "RDMA", strategy=strategy, config=config,
+                        loss_rate=rate, qp_mode="shared", **common)
                     cell["shared_qp_identical"] = (
                         shared.stats.iteration_times
                         == bench.stats.iteration_times)
@@ -1253,7 +1254,8 @@ def _lossy_headlines(payload: Dict) -> List[str]:
 
 def _llmtrain_run(model: str, stage_counts: Sequence[int],
                   microbatches: int = 4, batch_size: int = 8,
-                  iterations: int = 3) -> Iterator[Dict]:
+                  iterations: int = 3,
+                  config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: pipeline-parallel transformer training, GPipe vs 1F1B.
 
     Trains the decoder-only transformer over the ``llm`` strategy at
@@ -1280,21 +1282,20 @@ def _llmtrain_run(model: str, stage_counts: Sequence[int],
     from ..distributed.model_parallel import pipeline_bubble_report
 
     spec = get_model(model)
-    cfg = comm_config()
-    if cfg.pipeline_stages is not None:
-        stage_counts = (cfg.pipeline_stages,)
-    if cfg.microbatches is not None:
-        microbatches = cfg.microbatches
-    schedules = ("gpipe", "1f1b") if cfg.schedule is None \
-        else (cfg.schedule,)
+    if config.pipeline_stages is not None:
+        stage_counts = (config.pipeline_stages,)
+    if config.microbatches is not None:
+        microbatches = config.microbatches
+    schedules = ("gpipe", "1f1b") if config.schedule is None \
+        else (config.schedule,)
     payload = _payload("llmtrain", grid, stage_counts=stage_counts,
                        microbatches=microbatches, schedules=schedules,
-                       backend=cfg.backend)
+                       backend="RDMA")  # the mechanism every cell runs
     for stages in stage_counts:
         for schedule in schedules:
             bench = _uncrashed(run_training_benchmark(
                 spec, "RDMA", num_servers=stages, batch_size=batch_size,
-                iterations=iterations, strategy="llm",
+                iterations=iterations, strategy="llm", config=config,
                 microbatches=microbatches, schedule=schedule,
                 collect_trace=True), f"llmtrain {schedule}/s{stages}")
             report = pipeline_bubble_report(bench.pipeline,
@@ -1359,8 +1360,8 @@ def _llmtrain_headlines(payload: Dict) -> List[str]:
 
 
 def _llmserve_run(model: str, requests: int, qps: float,
-                  static_timeouts: Sequence[float],
-                  seed: int = 11) -> Iterator[Dict]:
+                  static_timeouts: Sequence[float], seed: int = 11,
+                  config: RunConfig = RunConfig()) -> Iterator[Dict]:
     """Extension: continuous batching vs the fixed batcher, KV-budgeted.
 
     Serves the same seeded trace (Poisson arrivals, uniform prompt and
@@ -1381,20 +1382,18 @@ def _llmserve_run(model: str, requests: int, qps: float,
     """
     grid = dict(locals())
     from ..llm import run_llm_serving_benchmark
-    from ..serving import serving_config
 
-    cfg = serving_config()
+    cfg = config.serving
     spec = get_model(model)
     deployment = dict(replicas=cfg.replicas, arrival=cfg.arrival,
                       admission_limit=cfg.admission_limit,
                       max_batch=cfg.max_batch, max_width=cfg.max_width)
     payload = _payload("llmserve", grid, kv_budget_mb=cfg.kv_budget_mb,
                        **deployment)
-    common = dict(qps=qps, requests=requests, seed=seed,
-                  kv_budget_bytes=int(cfg.kv_budget_mb * MB), **deployment)
     for mode in [dict(mode="continuous")] + [
             dict(mode="static", batch_timeout=t) for t in static_timeouts]:
-        run = run_llm_serving_benchmark(spec, **mode, **common)
+        run = run_llm_serving_benchmark(spec, config=cfg, qps=qps,
+                                        requests=requests, seed=seed, **mode)
         payload["cells"].append(run.to_dict())
         yield payload
 
@@ -1524,11 +1523,13 @@ class Experiment:
     gate: Optional[Gate] = None
 
 
-def _figure(fn: Callable[..., ExperimentResult]) -> Callable[..., Iterator]:
-    """A paper figure's one payload is its finished table."""
+def _figure(fn: Callable[..., ExperimentResult],
+            simulates: bool = True) -> Callable[..., Iterator]:
+    """A paper figure's one payload is its finished table; one that only
+    reads the model zoo (``simulates=False``) has no use for the config."""
     @wraps(fn)
-    def run(**grid):
-        yield fn(**grid)
+    def run(config: RunConfig = RunConfig(), **grid):
+        yield fn(config=config, **grid) if simulates else fn(**grid)
     return run
 
 
@@ -1539,8 +1540,8 @@ def _prefer(committed: Dict, axis: str, value) -> tuple:
 
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
-    Experiment("table2", _figure(table2)),
-    Experiment("figure7", _figure(figure7)),
+    Experiment("table2", _figure(table2, simulates=False)),
+    Experiment("figure7", _figure(figure7, simulates=False)),
     Experiment("figure8", _figure(figure8),
                smoke=dict(sizes=(1 * MB, 64 * MB, 1 * GB), iterations=3)),
     Experiment("figure9", _figure(figure9),
@@ -1679,9 +1680,9 @@ def bench_file(name: str, directory: str = "") -> str:
     return os.path.join(directory, f"BENCH_{name}.json")
 
 
-def execute(entry: Experiment, grid: Dict,
-            bench_dir: Optional[str] = None):
-    """Drive ``entry.run(**grid)`` to its final payload.
+def execute(entry: Experiment, grid: Dict, bench_dir: Optional[str] = None,
+            config: RunConfig = RunConfig()):
+    """Drive ``entry.run(**grid)`` under ``config`` to its final payload.
 
     With ``bench_dir``, a ``bench`` entry's file is rewritten after
     every finished cell: a long sweep that dies keeps everything
@@ -1689,7 +1690,7 @@ def execute(entry: Experiment, grid: Dict,
     128-worker Inception-v3 netreduce cell was located).
     """
     payload = None
-    for payload in entry.run(**grid):
+    for payload in entry.run(config=config, **grid):
         if bench_dir is not None and entry.bench:
             os.makedirs(bench_dir, exist_ok=True)
             with open(bench_file(entry.name, bench_dir), "w") as handle:

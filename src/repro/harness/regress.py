@@ -135,8 +135,8 @@ def compare(report: GateReport, entry: Experiment, committed: Dict,
                                  cell_value(base, metric),
                                  cell_value(cell, metric), direction,
                                  tolerance))
-    # What the grid does not pin comes from the process-wide configs:
-    # a baseline generated under other flags is not this run's baseline.
+    # What the grid does not pin comes from the run's RunConfig — the
+    # defaults here: a baseline written under flags is not this run's.
     for key, value in fresh["config"].items():
         if key not in grid and committed["config"].get(key) != value:
             report.errors.append(

@@ -10,13 +10,14 @@ batching against the fixed-batcher baseline on identical arrivals.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from dataclasses import replace
+from typing import Generator, Tuple
 
 from ..core.publication import park_until
 from ..models.spec import MB
 from ..models.transformer import TransformerSpec
 from ..observability.registry import MetricsRegistry
-from ..serving.config import serving_config
+from ..serving.config import ServingConfig
 from ..serving.llm import (LLMFrontend, LLMReplica, LLMServingResult,
                            LLM_MODES)
 from ..simnet.topology import Cluster
@@ -25,42 +26,30 @@ from .workload import (DEFAULT_OUTPUT_RANGE, DEFAULT_PROMPT_RANGE,
 
 
 def run_llm_serving_benchmark(
-        spec: TransformerSpec, *, mode: str = "continuous",
-        replicas: Optional[int] = None, qps: float = 60.0,
-        requests: int = 200, seed: int = 0, arrival: Optional[str] = None,
-        kv_budget_bytes: Optional[int] = None,
-        max_width: Optional[int] = None, max_batch: Optional[int] = None,
-        batch_timeout: Optional[float] = None,
-        admission_limit: Optional[int] = None,
+        spec: TransformerSpec, *, config: ServingConfig = ServingConfig(),
+        mode: str = "continuous", qps: float = 60.0,
+        requests: int = 200, seed: int = 0,
         prompt_range: Tuple[int, int] = DEFAULT_PROMPT_RANGE,
         output_range: Tuple[int, int] = DEFAULT_OUTPUT_RANGE,
-        time_limit: float = 3600.0) -> LLMServingResult:
+        time_limit: float = 3600.0, **overrides) -> LLMServingResult:
     """Run one LLM serving deployment to completion.
 
-    Unset knobs default to the serving config (see
-    :func:`repro.serving.config.configure_serving`), so the CLI's
-    ``--kv-budget-mb``/``--max-width`` flags reach this path.
+    The deployment shape (replicas, arrival process, KV budget, batch
+    width, batcher, admission limit) is ``config`` with ``overrides``
+    applied — :class:`~repro.serving.config.ServingConfig` fields by
+    name, validated like any other construction.  The offered load is
+    this call's ``qps``, not the config's.
     """
     if not isinstance(spec, TransformerSpec):
         raise ValueError(f"{spec.name} is not a transformer; LLM serving "
                          "needs a KV-cache cost model")
     if mode not in LLM_MODES:
         raise ValueError(f"unknown llm mode {mode!r}; have {LLM_MODES}")
-    config = serving_config()
-    if replicas is None:
-        replicas = config.replicas
-    if arrival is None:
-        arrival = config.arrival
-    if kv_budget_bytes is None:
-        kv_budget_bytes = int(config.kv_budget_mb * MB)
-    if max_width is None:
-        max_width = config.max_width
-    if max_batch is None:
-        max_batch = config.max_batch
-    if batch_timeout is None:
-        batch_timeout = config.batch_timeout
-    if admission_limit is None:
-        admission_limit = config.admission_limit
+    config = replace(config, **overrides)
+    replicas, arrival = config.replicas, config.arrival
+    max_width, max_batch = config.max_width, config.max_batch
+    batch_timeout = config.batch_timeout
+    kv_budget_bytes = int(config.kv_budget_mb * MB)
 
     cluster = Cluster(1 + replicas, name_prefix="llm")
     sim = cluster.sim
@@ -71,7 +60,8 @@ def run_llm_serving_benchmark(
                    batch_timeout=batch_timeout, metrics=metrics)
         for rank in range(replicas)
     ]
-    frontend = LLMFrontend(replica_objs, admission_limit=admission_limit,
+    frontend = LLMFrontend(replica_objs,
+                           admission_limit=config.admission_limit,
                            metrics=metrics)
     load = LLMLoadGenerator(sim, frontend, cluster.hosts[0], qps=qps,
                             count=requests, seed=seed, arrival=arrival,

@@ -4,10 +4,11 @@
 Benchmark entry points are several layers below the CLI (experiment ->
 series -> ``run_training_benchmark``), and one harness invocation may
 execute many benchmark configurations.  Rather than thread output
-paths through every signature, the CLI configures a module-level sink
-(the same pattern as ``CommConfig`` in ``distributed/runner.py``);
+paths through every signature, the CLI configures a module-level sink;
 each traced run registers itself with a label, and ``flush_capture``
-finalizes the outputs at the end.
+finalizes the outputs at the end.  The sink is an accumulator with a
+flush, not configuration: it is the one piece of ambient state
+``run_training_benchmark`` reads (everything else is its ``RunConfig``).
 
 The Chrome trace is **streamed**: the sink opens the file on the first
 registered run and appends events run by run (runs separated into

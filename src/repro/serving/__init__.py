@@ -17,8 +17,7 @@ Three planes on one simulated cluster:
 
 from .batcher import DynamicBatcher
 from .benchmark import ServingResult, run_serving_benchmark
-from .config import (ServingConfig, configure_serving,
-                     reset_serving_config, serving_config)
+from .config import ServingConfig
 from .frontend import Router
 from .load import (DEFAULT_REQUEST_BYTES, DEFAULT_RESPONSE_BYTES,
                    LoadGenerator, Request)
@@ -27,6 +26,5 @@ from .replica import Replica, forward_time
 __all__ = [
     "DEFAULT_REQUEST_BYTES", "DEFAULT_RESPONSE_BYTES", "DynamicBatcher",
     "LoadGenerator", "Replica", "Request", "Router", "ServingConfig",
-    "ServingResult", "configure_serving", "forward_time",
-    "reset_serving_config", "run_serving_benchmark", "serving_config",
+    "ServingResult", "forward_time", "run_serving_benchmark",
 ]

@@ -35,6 +35,7 @@ from ..simnet.simulator import Simulator
 from ..simnet.topology import Cluster, Endpoint
 from ..simnet.verbs import ROLE_TRAIN_SYNC, TRAIN_SYNC_PRIORITY
 from .batcher import DynamicBatcher
+from .config import ServingConfig
 from .frontend import Router
 from .load import (DEFAULT_REQUEST_BYTES, DEFAULT_RESPONSE_BYTES,
                    LoadGenerator)
@@ -103,21 +104,24 @@ class ServingResult:
 
 
 def run_serving_benchmark(
-        spec: ModelSpec, *, replicas: int = 2, qps: float = 1200.0,
-        max_batch: int = 8, batch_timeout: float = 2e-3,
-        slo_ms: float = 25.0, requests: int = 400, seed: int = 0,
-        arrival: str = "poisson", transport: str = "tcp",
+        spec: ModelSpec, *, config: ServingConfig = ServingConfig(),
+        requests: int = 400, seed: int = 0, transport: str = "tcp",
         priority_sched: bool = True, background_training: bool = False,
         background_bytes: int = 32 * MB, publish: bool = True,
-        publish_interval: float = 25e-3, broadcast: str = "direct",
+        publish_interval: float = 25e-3,
         fault_spec: Optional[str] = None, fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        admission_limit: int = 128, dispatch_timeout: float = 0.1,
+        dispatch_timeout: float = 0.1,
         request_bytes: int = DEFAULT_REQUEST_BYTES,
         response_bytes: int = DEFAULT_RESPONSE_BYTES,
         kill_replica: Optional[Tuple[int, float]] = None,
-        time_limit: float = 600.0) -> ServingResult:
+        time_limit: float = 600.0, **overrides) -> ServingResult:
     """Run one serving deployment to completion; returns its result.
+
+    The deployment shape (replicas, offered qps, batcher, SLO, arrival
+    process, admission limit, broadcast schedule) is ``config`` with
+    ``overrides`` applied — :class:`~repro.serving.config.ServingConfig`
+    fields by name, validated like any other construction.
 
     ``kill_replica=(rank, at)`` crashes one replica mid-run to
     exercise the router's timeout detection and rerouting.  A fault
@@ -125,6 +129,8 @@ def run_serving_benchmark(
     through the recovery layer, the combination the torn-read chaos
     sweep asserts against.
     """
+    config = replace(config, **overrides)
+    replicas, max_batch = config.replicas, config.max_batch
     cost = DEFAULT_COST_MODEL
     if priority_sched:
         cost = replace(cost, wire_quantum_bytes=DEFAULT_WIRE_QUANTUM_BYTES)
@@ -147,7 +153,7 @@ def run_serving_benchmark(
     subscribers: List = [None] * replicas
     if publish:
         publisher, subscribers = build_publication(
-            trainer_device, replica_devices, spec, mode=broadcast,
+            trainer_device, replica_devices, spec, mode=config.broadcast,
             recovery=recovery, metrics=metrics, qp_idx=0)
 
     replica_objs = [
@@ -156,16 +162,18 @@ def run_serving_benchmark(
                 subscriber=subscribers[rank], metrics=metrics)
         for rank, device in enumerate(replica_devices)
     ]
-    batcher = DynamicBatcher(sim, max_batch, batch_timeout, metrics=metrics)
+    batcher = DynamicBatcher(sim, max_batch, config.batch_timeout,
+                             metrics=metrics)
     router = Router(router_device, batcher, max_batch=max_batch,
                     request_bytes=request_bytes,
                     response_bytes=response_bytes,
-                    admission_limit=admission_limit,
+                    admission_limit=config.admission_limit,
                     dispatch_timeout=dispatch_timeout, metrics=metrics)
     for replica in replica_objs:
         router.attach_replica(replica)
-    load = LoadGenerator(sim, router, qps=qps, count=requests, seed=seed,
-                         arrival=arrival, transport=transport,
+    load = LoadGenerator(sim, router, qps=config.qps, count=requests,
+                         seed=seed, arrival=config.arrival,
+                         transport=transport,
                          request_bytes=request_bytes,
                          response_bytes=response_bytes)
 
@@ -220,17 +228,19 @@ def run_serving_benchmark(
     hist = Histogram("serving.latency_s")
     for latency in router.latencies:
         hist.observe(latency)
-    slo = slo_ms * 1e-3
+    slo = config.slo_ms * 1e-3
     attained = sum(1 for latency in router.latencies if latency <= slo)
     incidents = [incident.to_dict() for incident in
                  slo_burn_alerts(router.latency_samples, slo)]
     batch_hist = metrics.histograms.get("serving.batch_size")
     staleness_hist = metrics.histograms.get("serving.staleness_versions")
     return ServingResult(
-        model=spec.name, replicas=replicas, qps=qps, max_batch=max_batch,
-        batch_timeout=batch_timeout, slo_ms=slo_ms, arrival=arrival,
+        model=spec.name, replicas=replicas, qps=config.qps,
+        max_batch=max_batch, batch_timeout=config.batch_timeout,
+        slo_ms=config.slo_ms, arrival=config.arrival,
         seed=seed, priority_sched=priority_sched,
-        background_training=background_training, broadcast=broadcast,
+        background_training=background_training,
+        broadcast=config.broadcast,
         fault_spec=fault_spec, total=requests,
         completed=router.completed, shed=router.shed, failed=router.failed,
         makespan=makespan,

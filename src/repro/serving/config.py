@@ -1,16 +1,16 @@
 """Harness-level knobs for the inference serving plane.
 
-Mirrors the :class:`repro.distributed.runner.CommConfig` idiom: the
-CLI writes one process-global config (``--replicas``, ``--qps``,
-``--max-batch``, ``--batch-timeout``, ``--slo-ms``) and the serving
-experiment reads it back, so sweeps vary the serving shape without
-code edits.
+One frozen value, validated at construction: the CLI builds it from
+``--replicas``, ``--qps``, ``--max-batch``, ``--batch-timeout``,
+``--slo-ms``, ``--kv-budget-mb`` and ``--max-width`` (as the ``serving``
+field of :class:`repro.distributed.runner.RunConfig`) and the serving
+experiments hand it to the benchmark they call, so sweeps vary the
+serving shape without code edits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from ..collectives.broadcast import BROADCAST_MODES
 from ..simnet.arrivals import ARRIVAL_KINDS
@@ -45,75 +45,26 @@ class ServingConfig:
     #: continuous batching: running-batch width cap per replica
     max_width: int = 16
 
-
-_SERVING_CONFIG = ServingConfig()
-
-
-def serving_config() -> ServingConfig:
-    """The currently configured serving-plane knobs."""
-    return _SERVING_CONFIG
-
-
-def configure_serving(replicas: Optional[int] = None,
-                      qps: Optional[float] = None,
-                      max_batch: Optional[int] = None,
-                      batch_timeout: Optional[float] = None,
-                      slo_ms: Optional[float] = None,
-                      arrival: Optional[str] = None,
-                      admission_limit: Optional[int] = None,
-                      broadcast: Optional[str] = None,
-                      kv_budget_mb: Optional[float] = None,
-                      max_width: Optional[int] = None) -> ServingConfig:
-    """Override selected serving knobs; returns the new config."""
-    global _SERVING_CONFIG
-    changes = {}
-    if replicas is not None:
-        if replicas < 1:
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
-        changes["replicas"] = replicas
-    if qps is not None:
-        if qps <= 0:
+        if self.qps <= 0:
             raise ValueError("qps must be positive")
-        changes["qps"] = qps
-    if max_batch is not None:
-        if max_batch < 1:
+        if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        changes["max_batch"] = max_batch
-    if batch_timeout is not None:
-        if batch_timeout < 0:
+        if self.batch_timeout < 0:
             raise ValueError("batch_timeout must be non-negative")
-        changes["batch_timeout"] = batch_timeout
-    if slo_ms is not None:
-        if slo_ms <= 0:
+        if self.slo_ms <= 0:
             raise ValueError("slo_ms must be positive")
-        changes["slo_ms"] = slo_ms
-    if arrival is not None:
-        if arrival not in ARRIVAL_KINDS:
-            raise ValueError(f"unknown arrival kind {arrival!r}; "
+        if self.arrival not in ARRIVAL_KINDS:
+            raise ValueError(f"unknown arrival kind {self.arrival!r}; "
                              f"have {ARRIVAL_KINDS}")
-        changes["arrival"] = arrival
-    if admission_limit is not None:
-        if admission_limit < 1:
+        if self.admission_limit < 1:
             raise ValueError("admission_limit must be at least 1")
-        changes["admission_limit"] = admission_limit
-    if broadcast is not None:
-        if broadcast not in BROADCAST_MODES:
-            raise ValueError(f"unknown broadcast mode {broadcast!r}; "
+        if self.broadcast not in BROADCAST_MODES:
+            raise ValueError(f"unknown broadcast mode {self.broadcast!r}; "
                              f"have {BROADCAST_MODES}")
-        changes["broadcast"] = broadcast
-    if kv_budget_mb is not None:
-        if kv_budget_mb <= 0:
+        if self.kv_budget_mb <= 0:
             raise ValueError("kv_budget_mb must be positive")
-        changes["kv_budget_mb"] = kv_budget_mb
-    if max_width is not None:
-        if max_width < 1:
+        if self.max_width < 1:
             raise ValueError("max_width must be at least 1")
-        changes["max_width"] = max_width
-    _SERVING_CONFIG = replace(_SERVING_CONFIG, **changes)
-    return _SERVING_CONFIG
-
-
-def reset_serving_config() -> None:
-    """Restore the built-in serving defaults."""
-    global _SERVING_CONFIG
-    _SERVING_CONFIG = ServingConfig()

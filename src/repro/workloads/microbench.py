@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.rdma_comm import RdmaCommRuntime
 from ..distributed.rpc_comm import GrpcCommRuntime
-from ..distributed.runner import make_mechanism
+from ..distributed.runner import RunConfig, make_mechanism
 from ..graph.builder import GraphBuilder
 from ..graph.dtypes import DType
 from ..graph.session import Session
@@ -44,7 +44,8 @@ class MicrobenchResult:
 
 def run_microbench(mechanism: str, message_bytes: int,
                    iterations: int = 4,
-                   cost: Optional[CostModel] = None) -> MicrobenchResult:
+                   cost: Optional[CostModel] = None,
+                   config: RunConfig = RunConfig()) -> MicrobenchResult:
     """Measure one (mechanism, size) point of the micro-benchmark."""
     elements = max(1, message_bytes // 4)
     cluster = Cluster(2, cost=cost)
@@ -54,7 +55,7 @@ def run_microbench(mechanism: str, message_bytes: int,
         name="produce", device="sender")
     b.reduce_max(tensor, name="consume", device="receiver")
     graph = b.finalize()
-    comm = make_mechanism(mechanism)
+    comm = make_mechanism(mechanism, config)
     try:
         session = Session(cluster, graph,
                           {"sender": cluster.hosts[0],
@@ -72,10 +73,12 @@ def run_microbench(mechanism: str, message_bytes: int,
 def sweep_microbench(sizes: Sequence[int],
                      mechanisms: Sequence[str] = MICRO_MECHANISMS,
                      iterations: int = 4,
-                     cost: Optional[CostModel] = None
+                     cost: Optional[CostModel] = None,
+                     config: RunConfig = RunConfig()
                      ) -> Dict[str, List[MicrobenchResult]]:
     """The full Figure 8 sweep: every mechanism over every size."""
     return {mechanism: [run_microbench(mechanism, size,
-                                       iterations=iterations, cost=cost)
+                                       iterations=iterations, cost=cost,
+                                       config=config)
                         for size in sizes]
             for mechanism in mechanisms}

@@ -11,10 +11,7 @@ recalibration, say), re-record these constants in that PR and say so
 in its description.
 """
 
-from dataclasses import replace
-
 from repro.distributed import run_training_benchmark
-from repro.distributed.runner import comm_config, swap_comm_config
 from repro.models import get_model
 from repro.workloads import run_microbench
 
@@ -52,13 +49,9 @@ def _iteration_reprs(num_servers, strategy, priority_sched, qp_mode="rc"):
         kwargs["strategy"] = strategy
     if priority_sched:
         kwargs["priority_sched"] = True
-    previous = swap_comm_config(replace(comm_config(), qp_mode=qp_mode))
-    try:
-        bench = run_training_benchmark(get_model("GRU"), "RDMA",
-                                       num_servers=num_servers, batch_size=8,
-                                       iterations=2, **kwargs)
-    finally:
-        swap_comm_config(previous)
+    bench = run_training_benchmark(get_model("GRU"), "RDMA",
+                                   num_servers=num_servers, batch_size=8,
+                                   iterations=2, qp_mode=qp_mode, **kwargs)
     assert (bench.sim_events
             == GOLDEN_GRU_EVENTS[(num_servers, strategy, priority_sched)])
     return [repr(t) for t in bench.stats.iteration_times]

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import RdmaCommRuntime
-from repro.distributed import (MECHANISMS, make_mechanism,
+from repro.distributed import (MECHANISMS, RunConfig, make_mechanism,
                                run_training_benchmark)
-from repro.models import get_model
+from repro.models import MB, get_model
 from repro.models.convergence import sentence_embedding_spec
 
 
@@ -94,6 +94,51 @@ class TestRunner:
                                              batch_size=8, iterations=3)
                    for n in (2, 4)}
         assert (results[4].throughput * 4) > (results[2].throughput * 2)
+
+
+class TestConfigAndOverrides:
+    """``config=`` and per-call overrides are two spellings of one run."""
+
+    SHAPE = dict(topology="fat-tree", hosts_per_rack=4, oversubscription=4.0,
+                 fusion_bytes=8 * MB)
+
+    def test_config_and_overrides_agree(self, fcn5):
+        common = dict(num_servers=8, batch_size=8, iterations=2,
+                      strategy="hierarchical", collect_metrics=True)
+        by_config = run_training_benchmark(
+            fcn5, "RDMA", config=RunConfig(**self.SHAPE), **common)
+        by_override = run_training_benchmark(fcn5, "RDMA", **self.SHAPE,
+                                             **common)
+        flat = run_training_benchmark(fcn5, "RDMA", hosts_per_rack=4,
+                                      **common)
+        assert by_config.step_time == by_override.step_time
+        assert by_config.sim_events == by_override.sim_events
+        assert (by_config.wire_bytes_per_worker()
+                == by_override.wire_bytes_per_worker())
+        assert by_config.step_time != flat.step_time  # the shape arrived
+
+    def test_override_wins_over_config(self, fcn5):
+        result = run_training_benchmark(
+            fcn5, "RDMA", num_servers=2, batch_size=8, iterations=2,
+            strategy="ring", config=RunConfig(fusion_bytes=64 * MB),
+            fusion_bytes=1 * MB)
+        wide = run_training_benchmark(
+            fcn5, "RDMA", num_servers=2, batch_size=8, iterations=2,
+            strategy="ring", config=RunConfig(fusion_bytes=64 * MB))
+        assert result.sim_events != wide.sim_events
+
+    def test_unknown_override_is_a_type_error(self, fcn5):
+        with pytest.raises(TypeError, match="fusion_byts"):
+            run_training_benchmark(fcn5, "RDMA", num_servers=2,
+                                   batch_size=8, fusion_byts=1 * MB)
+
+    def test_bad_override_raises_the_configs_own_error(self, fcn5):
+        with pytest.raises(ValueError) as constructed:
+            RunConfig(oversubscription=0.5)
+        with pytest.raises(ValueError) as overridden:
+            run_training_benchmark(fcn5, "RDMA", num_servers=2,
+                                   batch_size=8, oversubscription=0.5)
+        assert str(overridden.value) == str(constructed.value)
 
 
 class TestStepTimePercentiles:

@@ -202,16 +202,8 @@ def test_innetwork_loss_retransmit_byte_identity(fcn5):
 def test_loss_free_metrics_identical_in_shared_qp_mode(fcn5):
     """Same transfers, same roles, same bytes: the shared-endpoint data
     plane moves identical wire traffic to RC when nothing is lost."""
-    from dataclasses import replace
-
-    from repro.distributed.runner import comm_config, swap_comm_config
-
     rc = _run(fcn5, "ring", 4)
-    previous = swap_comm_config(replace(comm_config(), qp_mode="shared"))
-    try:
-        shared = _run(fcn5, "ring", 4)
-    finally:
-        swap_comm_config(previous)
+    shared = _run(fcn5, "ring", 4, qp_mode="shared")
     assert _total_bytes_by_role(shared) == _total_bytes_by_role(rc)
     assert shared.stats.iteration_times == rc.stats.iteration_times
 

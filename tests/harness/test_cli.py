@@ -2,7 +2,33 @@
 
 import pytest
 
+from repro.distributed import RunConfig
+from repro.harness import cli
 from repro.harness.cli import main
+from repro.serving import ServingConfig
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The config ``main`` hands to ``execute``, once per experiment."""
+    configs = []
+    execute = cli.execute
+
+    def spy(entry, grid, bench_dir, config):
+        configs.append(config)
+        return execute(entry, grid, bench_dir, config)
+    monkeypatch.setattr(cli, "execute", spy)
+    return configs
+
+
+def usage_error(argv, capsys) -> str:
+    """``main(argv)`` must exit 2 with argparse's one-line ``error:``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    return err
 
 
 class TestCli:
@@ -40,7 +66,7 @@ class TestRegistryReaders:
         grids = []
         entry = ALL_EXPERIMENTS[name]
         monkeypatch.setitem(ALL_EXPERIMENTS, name, replace(
-            entry, run=lambda **grid: iter([grids.append(grid)]),
+            entry, run=lambda config, **grid: iter([grids.append(grid)]),
             headlines=lambda payload: list(violated),
             table=lambda payload: ExperimentResult(name, "stub", [])))
         return entry, grids
@@ -69,132 +95,137 @@ class TestRegistryReaders:
 
 
 class TestCommFlags:
-    def teardown_method(self):
-        from repro.distributed import reset_comm_config
-        reset_comm_config()
-
-    def test_flags_configure_comm(self, capsys):
-        from repro.distributed import comm_config
+    def test_flags_configure_comm(self, capsys, handed):
         assert main(["--num-cqs", "2", "--qps-per-peer", "8",
-                     "--backend", "gRPC.TCP", "table2"]) == 0
-        config = comm_config()
-        assert config.num_cqs == 2
-        assert config.num_qps_per_peer == 8
-        assert config.backend == "gRPC.TCP"
+                     "table2"]) == 0
+        assert handed == [RunConfig(num_cqs=2, num_qps_per_peer=8)]
 
-    def test_defaults_untouched_without_flags(self, capsys):
-        from repro.distributed import CommConfig, comm_config
-        assert main(["table2"]) == 0
-        assert comm_config() == CommConfig()
+    def test_defaults_untouched_without_flags(self, capsys, handed):
+        assert main(["table2", "figure7"]) == 0
+        assert handed == [RunConfig(), RunConfig()]
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--backend", "carrier-pigeon", "table2"])
+    def test_invalid_backend_rejected(self, capsys):
+        # the knob nothing read is gone, not merely ignored
+        assert "--backend" in usage_error(["--backend", "RDMA", "table2"],
+                                          capsys)
 
-    def test_invalid_cq_count_rejected(self):
-        with pytest.raises(ValueError):
-            main(["--num-cqs", "0", "table2"])
+    def test_invalid_cq_count_rejected(self, capsys):
+        assert "num_cqs" in usage_error(["--num-cqs", "0", "table2"], capsys)
 
-    def test_scheduler_flags_configure_comm(self, capsys):
-        from repro.distributed import comm_config
+    def test_scheduler_flags_configure_comm(self, capsys, handed):
         assert main(["--fusion-mb", "4", "--priority-sched",
                      "--no-eager-flush", "table2"]) == 0
-        config = comm_config()
+        (config,) = handed
         assert config.fusion_bytes == 4 * 1024 * 1024
         assert config.priority_sched is True
         assert config.eager_flush is False
 
-    def test_fractional_fusion_mb(self, capsys):
-        from repro.distributed import comm_config
+    def test_fractional_fusion_mb(self, capsys, handed):
         assert main(["--fusion-mb", "0.5", "table2"]) == 0
-        assert comm_config().fusion_bytes == 512 * 1024
+        assert handed[0].fusion_bytes == 512 * 1024
 
-    def test_eager_flush_default_untouched(self, capsys):
-        from repro.distributed import comm_config
+    def test_eager_flush_default_untouched(self, capsys, handed):
         assert main(["table2"]) == 0
         # no flag given: the config keeps its defaults
-        assert comm_config().eager_flush is True
-        assert comm_config().priority_sched is False
-        assert comm_config().fusion_bytes is None
+        (config,) = handed
+        assert config.eager_flush is True
+        assert config.priority_sched is False
+        assert config.fusion_bytes is None
 
-    def test_invalid_fusion_mb_rejected(self):
-        with pytest.raises(ValueError):
-            main(["--fusion-mb", "0", "table2"])
+    def test_invalid_fusion_mb_rejected(self, capsys):
+        assert "fusion_bytes" in usage_error(["--fusion-mb", "0", "table2"],
+                                             capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--qps-per-peer", "0"], ["--retry-limit", "-1"],
+        ["--retry-timeout", "-1"], ["--racks", "0"],
+        ["--topology", "fat-tree", "--racks", "2",
+         "--oversubscription", "0.5"],
+        ["--qps", "0"], ["--max-batch", "0"], ["--kv-budget-mb", "0"],
+        ["--max-width", "0"], ["--fault-spec", "bogus:x=1"],
+        ["--loss", "1.0"],
+    ], ids=lambda flags: flags[-2])
+    def test_bad_flag_values_are_usage_errors(self, flags, capsys):
+        usage_error([*flags, "table2"], capsys)
+
+
+class TestNoAmbientState:
+    """A run is a function of its own command line, nothing before it."""
+
+    def test_a_run_cannot_inherit_the_previous_runs_flags(self, capsys):
+        assert main(["--topology", "fat-tree", "--racks", "2",
+                     "--loss", "0.01", "table2"]) == 0
+        capsys.readouterr()
+        assert "add --topology fat-tree" in usage_error(
+            ["--racks", "4", "table2"], capsys)
+
+    def test_gate_after_a_flagged_run_sees_the_defaults(self, capsys,
+                                                        recorded):
+        from repro.harness import ALL_EXPERIMENTS, regress
+        assert main(["--replicas", "3", "--max-batch", "4", "--num-cqs", "2",
+                     "--pipeline-stages", "2", "table2"]) == 0
+        report = regress.GateReport()
+        for name in ("serving", "llmtrain"):
+            regress.probe(report, ALL_EXPERIMENTS[name], recorded.directory,
+                          0.05)
+        assert report.errors == []
 
 
 class TestPipelineFlags:
-    def teardown_method(self):
-        from repro.distributed import reset_comm_config
-        reset_comm_config()
-
-    def test_flags_configure_comm(self, capsys):
-        from repro.distributed import comm_config
+    def test_flags_configure_comm(self, capsys, handed):
         assert main(["--pipeline-stages", "8", "--microbatches", "2",
                      "--schedule", "gpipe", "table2"]) == 0
-        config = comm_config()
-        assert config.pipeline_stages == 8
-        assert config.microbatches == 2
-        assert config.schedule == "gpipe"
+        assert handed == [RunConfig(pipeline_stages=8, microbatches=2,
+                                    schedule="gpipe")]
 
-    def test_defaults_stay_unpinned(self, capsys):
-        from repro.distributed import comm_config
+    def test_defaults_stay_unpinned(self, capsys, handed):
         assert main(["table2"]) == 0
-        assert comm_config().pipeline_stages is None
-        assert comm_config().microbatches is None
-        assert comm_config().schedule is None
+        (config,) = handed
+        assert config.pipeline_stages is None
+        assert config.microbatches is None
+        assert config.schedule is None
 
-    def test_invalid_stage_count_rejected(self):
-        with pytest.raises(ValueError, match="pipeline_stages"):
-            main(["--pipeline-stages", "0", "table2"])
+    def test_invalid_stage_count_rejected(self, capsys):
+        assert "pipeline_stages" in usage_error(
+            ["--pipeline-stages", "0", "table2"], capsys)
 
-    def test_invalid_microbatches_rejected(self):
-        with pytest.raises(ValueError, match="microbatches"):
-            main(["--microbatches", "0", "table2"])
+    def test_invalid_microbatches_rejected(self, capsys):
+        assert "microbatches" in usage_error(
+            ["--microbatches", "0", "table2"], capsys)
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(SystemExit):
             main(["--schedule", "zero-bubble", "table2"])
 
     def test_pinned_flags_narrow_llmtrain(self, capsys):
-        from repro.distributed import configure_comm
         from repro.harness.experiments import ALL_EXPERIMENTS, execute
-        configure_comm(pipeline_stages=2, microbatches=2,
-                       schedule="1f1b")
         entry = ALL_EXPERIMENTS["llmtrain"]
         result = entry.table(execute(entry, dict(
             model="TF-Tiny", stage_counts=(2, 4, 8), batch_size=4,
-            iterations=2)))
+            iterations=2), config=RunConfig(
+                pipeline_stages=2, microbatches=2, schedule="1f1b")))
         assert result.column("stages") == [2]
         assert result.column("schedule") == ["1f1b"]
         # single-schedule run: no gpipe cell, so no headline note
         assert not any("every stage count" in n for n in result.notes)
 
     def test_pinned_microbatches_reach_runner(self, capsys):
-        from repro.distributed import configure_comm
         from repro.distributed.runner import run_training_benchmark
         from repro.models import get_model
-        configure_comm(microbatches=2, schedule="gpipe")
         bench = run_training_benchmark(
             get_model("TF-Tiny"), "RDMA", num_servers=2, batch_size=4,
-            iterations=2, strategy="llm")
+            iterations=2, strategy="llm",
+            config=RunConfig(microbatches=2, schedule="gpipe"))
         assert bench.pipeline.microbatches == 2
         assert bench.pipeline.schedule == "gpipe"
 
 
 class TestLlmServingFlags:
-    def teardown_method(self):
-        from repro.serving import reset_serving_config
-        from repro.distributed import reset_comm_config
-        reset_serving_config()
-        reset_comm_config()
-
-    def test_flags_configure_serving(self, capsys):
-        from repro.serving import serving_config
+    def test_flags_configure_serving(self, capsys, handed):
         assert main(["--kv-budget-mb", "256", "--max-width", "32",
                      "table2"]) == 0
-        config = serving_config()
-        assert config.kv_budget_mb == 256.0
-        assert config.max_width == 32
+        assert handed == [RunConfig(serving=ServingConfig(
+            kv_budget_mb=256.0, max_width=32))]
 
 
 class TestCaptureFlags:
@@ -235,9 +266,7 @@ class TestCaptureFlags:
 
 class TestTelemetryFlags:
     def teardown_method(self):
-        from repro.distributed import reset_comm_config
         from repro.observability import reset_capture
-        reset_comm_config()
         reset_capture()
 
     def test_budget_flags_need_a_capture_sink(self):
@@ -269,14 +298,11 @@ class TestTelemetryFlags:
                   str(tmp_path / "t.json"), "table2"])
         assert "--trace-hosts" in capsys.readouterr().err
 
-    def test_budget_flags_configure_comm(self, capsys, tmp_path):
-        from repro.distributed import comm_config
+    def test_budget_flags_configure_comm(self, capsys, tmp_path, handed):
         assert main(["stallreport", "--telemetry-out",
                      str(tmp_path / "t.json"), "--trace-sample", "0.5",
                      "--trace-hosts", "server0"]) == 0
-        config = comm_config()
-        assert config.trace_sample == 0.5
-        assert config.trace_hosts == "server0"
+        assert handed == [RunConfig(trace_sample=0.5, trace_hosts="server0")]
 
     def test_telemetry_out_written(self, capsys, tmp_path):
         import json
@@ -293,10 +319,6 @@ class TestTelemetryFlags:
 
 
 class TestCollectiveFlags:
-    def teardown_method(self):
-        from repro.distributed import reset_comm_config
-        reset_comm_config()
-
     def test_innetwork_requires_fat_tree(self, capsys):
         with pytest.raises(SystemExit):
             main(["--collective", "innetwork", "table2"])
@@ -310,54 +332,32 @@ class TestCollectiveFlags:
                   "table2"])
         assert "fat-tree" in capsys.readouterr().err
 
-    def test_innetwork_on_fat_tree_accepted(self, capsys):
-        from repro.distributed import comm_config
+    def test_innetwork_on_fat_tree_accepted(self, capsys, handed):
         assert main(["--collective", "innetwork", "--topology", "fat-tree",
                      "--hosts-per-rack", "4", "table2"]) == 0
-        config = comm_config()
-        assert config.collective == "innetwork"
-        assert config.topology == "fat-tree"
-        assert config.hosts_per_rack == 4
-
-    def test_configured_innetwork_default_still_checked(self, capsys):
-        # The cross-check consults the configured default, not just the
-        # flag: a session-level innetwork collective on a flat topology
-        # is the same mistake.
-        from repro.distributed import configure_comm
-        configure_comm(collective="innetwork")
-        with pytest.raises(SystemExit):
-            main(["table2"])
-        assert "fat-tree" in capsys.readouterr().err
+        assert handed == [RunConfig(collective="innetwork",
+                                    topology="fat-tree", hosts_per_rack=4)]
 
     def test_other_collectives_unaffected(self, capsys):
         assert main(["--collective", "hierarchical", "table2"]) == 0
 
 
 class TestServingFlags:
-    def teardown_method(self):
-        from repro.serving import reset_serving_config
-        reset_serving_config()
-
-    def test_flags_configure_serving(self, capsys):
-        from repro.serving import serving_config
+    def test_flags_configure_serving(self, capsys, handed):
         assert main(["--replicas", "3", "--qps", "900", "--max-batch", "4",
                      "--batch-timeout", "0.001", "--slo-ms", "30",
                      "table2"]) == 0
-        config = serving_config()
-        assert config.replicas == 3
-        assert config.qps == 900.0
-        assert config.max_batch == 4
-        assert config.batch_timeout == 0.001
-        assert config.slo_ms == 30.0
+        assert handed[0].serving == ServingConfig(
+            replicas=3, qps=900.0, max_batch=4, batch_timeout=0.001,
+            slo_ms=30.0)
 
-    def test_defaults_untouched_without_flags(self, capsys):
-        from repro.serving import ServingConfig, serving_config
+    def test_defaults_untouched_without_flags(self, capsys, handed):
         assert main(["table2"]) == 0
-        assert serving_config() == ServingConfig()
+        assert handed[0].serving == ServingConfig()
 
-    def test_invalid_replica_count_rejected(self):
-        with pytest.raises(ValueError):
-            main(["--replicas", "0", "table2"])
+    def test_invalid_replica_count_rejected(self, capsys):
+        assert "replicas" in usage_error(["--replicas", "0", "table2"],
+                                         capsys)
 
     def test_unknown_experiment_lists_known_names(self, capsys):
         with pytest.raises(SystemExit):

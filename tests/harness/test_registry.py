@@ -1,11 +1,14 @@
 """The experiment table: grids bind, tables render cells, headlines are
 pure functions of a payload."""
 
+import ast
 import copy
 import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness.experiments import ALL_EXPERIMENTS, EXPERIMENTS
 
 from .conftest import TINY
@@ -71,6 +74,35 @@ class TestGrids:
     def test_every_results_owner_is_recorded_at_a_tiny_grid(self):
         assert set(TINY) == set(BENCH)
         assert all(entry.bench for entry in EXPERIMENTS if entry.gate)
+
+
+class TestConfigIsThreaded:
+    """The refactor's own failure modes, checked on the source."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_every_simulating_call_forwards_the_config(self):
+        # a site that forgot ``config=`` would silently ignore every flag
+        runners = {"run_training_benchmark", "run_serving_benchmark",
+                   "run_llm_serving_benchmark", "sweep_microbench"}
+        tree = ast.parse((self.SRC / "harness" / "experiments.py").read_text())
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in runners]
+        assert len(calls) >= 24
+        assert [call.lineno for call in calls
+                if "config" not in {kw.arg for kw in call.keywords}] == []
+
+    def test_no_module_level_mutable_config(self):
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{node.lineno}"
+            for package in ("distributed", "serving", "llm", "harness",
+                            "workloads")
+            for path in sorted((self.SRC / package).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Global)]
+        assert offenders == []
 
 
 class TestPayloadReaders:

@@ -8,10 +8,8 @@ what the telemetry digest sees — and never, ever, the simulated clock.
 
 import pytest
 
-from repro.distributed.runner import (reset_comm_config,
-                                      resolve_trace_hosts,
-                                      run_training_benchmark,
-                                      swap_comm_config, comm_config)
+from repro.distributed.runner import (RunConfig, resolve_trace_hosts,
+                                      run_training_benchmark)
 from repro.models.spec import ModelSpec, VariableSpec
 from repro.observability import Telemetry, TraceBudget, Tracer
 
@@ -172,27 +170,18 @@ def _tiny_spec():
 
 
 class TestBudgetedRunEndToEnd:
-    def teardown_method(self):
-        reset_comm_config()
-
     def test_budgeted_clocks_bit_identical_and_invariant_holds(self):
         """The acceptance criterion: sampling never perturbs timing,
         and the stall report still sums to the measured step time."""
-        from dataclasses import replace
-
         spec = _tiny_spec()
         common = dict(num_servers=4, batch_size=1, iterations=2,
                       strategy="ring")
         bare = run_training_benchmark(spec, "RDMA", **common)
         full = run_training_benchmark(spec, "RDMA", collect_trace=True,
                                       **common)
-        previous = swap_comm_config(
-            replace(comm_config(), trace_sample=0.05, trace_hosts="2"))
-        try:
-            budgeted = run_training_benchmark(spec, "RDMA",
-                                              collect_trace=True, **common)
-        finally:
-            swap_comm_config(previous)
+        budgeted = run_training_benchmark(
+            spec, "RDMA", collect_trace=True, **common,
+            config=RunConfig(trace_sample=0.05, trace_hosts="2"))
         assert (full.stats.iteration_times
                 == bare.stats.iteration_times)
         assert (budgeted.stats.iteration_times

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.llm import run_llm_serving_benchmark
-from repro.models import get_model
+from repro.models import MB, get_model
 
 
 TINY = get_model("TF-Tiny")
@@ -63,7 +63,7 @@ class TestKVPressure:
         # ~3 MB holds two mid-flight requests at most: growth denials
         # must preempt (evict + requeue), never deadlock or leak.
         run = run_llm_serving_benchmark(
-            TINY, mode="continuous", kv_budget_bytes=3 * 1024 * 1024,
+            TINY, mode="continuous", kv_budget_mb=3,
             **COMMON)
         assert run.completed + run.shed == COMMON["requests"]
         assert run.preemptions > 0 or run.kv["denials"] > 0
@@ -73,7 +73,7 @@ class TestKVPressure:
     def test_impossible_request_shed_not_hung(self):
         # Budget below a single prompt's footprint: everything sheds.
         run = run_llm_serving_benchmark(
-            TINY, mode="continuous", kv_budget_bytes=16 * 4096, **COMMON)
+            TINY, mode="continuous", kv_budget_mb=16 * 4096 / MB, **COMMON)
         assert run.completed + run.shed == COMMON["requests"]
         assert run.kv_leaked_bytes == 0
 
@@ -90,7 +90,7 @@ class TestStaticBaseline:
         # worst-case (prompt + max_new) footprints allow.
         run = run_llm_serving_benchmark(
             TINY, mode="static", batch_timeout=50e-3,
-            kv_budget_bytes=4 * 1024 * 1024, **COMMON)
+            kv_budget_mb=4, **COMMON)
         assert run.completed + run.shed == COMMON["requests"]
         assert run.kv["peak_bytes"] <= 4 * 1024 * 1024
         assert run.kv_leaked_bytes == 0
