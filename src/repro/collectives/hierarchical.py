@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence
 
 from ..graph.builder import GraphBuilder
 from ..graph.node import NodeOutput
+from ..simnet.fabric import rack_groups
 from .fragments import (_check_inputs, _forwarding_all_gather,
                         halving_doubling_allreduce,
                         halving_doubling_wire_bytes, ring_allreduce,
@@ -51,13 +52,6 @@ from .fragments import (_check_inputs, _forwarding_all_gather,
 
 #: inter-rack (cross-fabric) collectives selectable by name
 INTER_RACK_ALGORITHMS = ("ring", "halving-doubling")
-
-
-def _rack_groups(n: int, hosts_per_rack: int) -> List[List[int]]:
-    if hosts_per_rack < 1:
-        raise ValueError(f"hosts_per_rack must be >= 1, got {hosts_per_rack}")
-    return [list(range(lo, min(lo + hosts_per_rack, n)))
-            for lo in range(0, n, hosts_per_rack)]
 
 
 def _inter_collective(inter_algorithm: str):
@@ -77,18 +71,18 @@ def hierarchical_allreduce(builder: GraphBuilder,
     """Rack-hierarchical allreduce over one flat fusion buffer.
 
     Workers are assigned to racks in index order, ``hosts_per_rack`` at
-    a time (the same fill order as :func:`repro.simnet.fabric.rack_of`,
-    so graph placement and physical placement agree).  Multi-rack
-    shapes must tile evenly — the inter-rack phase pairs member ``j``
-    of every rack, so every rack needs a member ``j``.  Returns the
-    reduced buffer on every worker.
+    a time (:func:`repro.simnet.fabric.rack_groups`, the fabric's own
+    fill order, so graph placement and physical placement agree).
+    Multi-rack shapes must tile evenly — the inter-rack phase pairs
+    member ``j`` of every rack, so every rack needs a member ``j``.
+    Returns the reduced buffer on every worker.
     """
     n = len(devices)
     _check_inputs(builder, inputs, devices)
     inter = _inter_collective(inter_algorithm)
     if n == 1:
         return list(inputs)
-    groups = _rack_groups(n, hosts_per_rack)
+    groups = rack_groups(n, hosts_per_rack)
     if len(groups) == 1:
         # Single rack: the intra-rack ring is the whole reduction.
         return ring_allreduce(builder, inputs, devices, name=name)
@@ -153,7 +147,7 @@ def hierarchical_wire_bytes(nbytes: int, num_workers: int,
         return 0.0
     inter_predict = (ring_allreduce_wire_bytes if inter_algorithm == "ring"
                      else halving_doubling_wire_bytes)
-    groups = _rack_groups(n, hosts_per_rack)
+    groups = rack_groups(n, hosts_per_rack)
     if len(groups) == 1:
         return ring_allreduce_wire_bytes(nbytes, n)
     if hosts_per_rack == 1:

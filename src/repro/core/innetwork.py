@@ -25,8 +25,9 @@ Fallback
 Two conditions push work off the switches, both onto a deterministic
 **host-tree** path that reduces at the rack leaders and the global
 root with the *same combination order* as the switches (member order
-within a rack, rack order across racks — so results are bit-identical
-and a run that degrades mid-way stays numerically consistent):
+within a rack, rack order across racks) and the switches' own
+:func:`~repro.simnet.fabric.combine` — so results are bit-identical
+and a run that degrades mid-way stays numerically consistent:
 
 * **backpressure spill** — the plane's slot reservation fails for one
   chunk; just that chunk takes the host path (sent exactly once, so
@@ -44,12 +45,10 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from ..graph.executor import Executor
 from ..graph.tensor import Tensor
 from ..graph.transfer_api import Outcome
-from ..simnet.fabric import AggregationPlane, rack_groups
+from ..simnet.fabric import AggregationPlane, combine, rack_groups
 from ..simnet.nic import record_wire
 from ..simnet.verbs import (ROLE_COLLECTIVE_CHUNK, ROLE_INNETWORK_AGGREGATE,
                             ROLE_INNETWORK_RESULT, ROLE_RETRANSMIT, Opcode,
@@ -412,8 +411,8 @@ class InNetworkGroup:
             return
         del self._tree_rack[key]
         entries.sort()
-        partial = self._combine([e[1] for e in entries])
-        ready = max(e[2] for e in entries) + self._combine_time(size)
+        partial = combine([e[1] for e in entries])
+        ready = max(e[2] for e in entries) + self._host_combine_time(size)
         leader = self.members[self.leaders[rack]]
         root = self.members[self.root]
         if leader.index == root.index:
@@ -434,8 +433,8 @@ class InNetworkGroup:
             return
         del self._tree_root[key]
         entries.sort()
-        result = self._combine([e[1] for e in entries])
-        ready = max(e[2] for e in entries) + self._combine_time(size)
+        result = combine([e[1] for e in entries])
+        ready = max(e[2] for e in entries) + self._host_combine_time(size)
         root = self.members[self.root]
         offset, _ = self.chunks[chunk_index]
         for rack_index, group in enumerate(self.racks):
@@ -495,18 +494,9 @@ class InNetworkGroup:
 
         src.nic.egress.book(size, self.sim.now, sent, self.priority)
 
-    def _combine_time(self, size: int) -> float:
+    def _host_combine_time(self, size: int) -> float:
         return self.cost.op_overhead + \
             (size // self.dtype.size) / self.cost.gpu_elementwise
-
-    @staticmethod
-    def _combine(payloads: List) -> Optional[np.ndarray]:
-        if any(p is None for p in payloads):
-            return None
-        result = payloads[0].copy()
-        for payload in payloads[1:]:
-            result += payload
-        return result
 
     # -- helpers ------------------------------------------------------------------
 

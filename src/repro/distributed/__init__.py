@@ -2,7 +2,7 @@
 
 from .allreduce import (ALLREDUCE_ALGORITHMS, AllreduceTrainingJob,
                         build_allreduce_training_graph)
-from .model_parallel import (ModelParallelJob, build_model_parallel_graph,
+from .model_parallel import (PipelineJob, build_model_parallel_graph,
                              split_stages)
 from .placement import (greedy_placement, placement_balance,
                         round_robin_placement)
@@ -14,7 +14,7 @@ from .runner import (MECHANISMS, STRATEGIES, BenchmarkResult, RunConfig,
 __all__ = [
     "ALLREDUCE_ALGORITHMS", "AllreduceTrainingJob", "BenchmarkResult",
     "GrpcCommRuntime", "MECHANISMS", "RunConfig", "STRATEGIES",
-    "TrainingJob", "ModelParallelJob", "build_allreduce_training_graph",
+    "TrainingJob", "PipelineJob", "build_allreduce_training_graph",
     "build_model_parallel_graph", "build_training_graph",
     "greedy_placement", "make_mechanism", "split_stages",
     "placement_balance", "round_robin_placement", "run_training_benchmark",

@@ -13,11 +13,11 @@ puts only ``≈ 2 × model_bytes × (N-1)/N`` on the wire, there are no
 PS processes at all, and every chunk transfer is a statically-placed
 one-sided RDMA write.
 
-``build_allreduce_training_graph`` mirrors
-:func:`repro.distributed.replication.build_training_graph` — same
-forward/backward synthetic-compute split, same learning-rate constant —
-so PS-vs-collective comparisons differ only in the communication
-pattern.
+``build_allreduce_training_graph`` builds each worker's forward/backward
+chain with the PS graph's own
+:func:`repro.distributed.replication.worker_replica` and applies at the
+same learning-rate constant, so PS-vs-collective comparisons differ
+only in the communication pattern.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..graph.dtypes import DType
 from ..graph.node import Graph, NodeOutput
 from ..graph.shapes import Shape
 from ..models.spec import ModelSpec
-from .replication import _LR
+from .replication import _LR, worker_replica
 
 
 #: collective algorithms selectable from the harness
@@ -140,40 +140,14 @@ def build_allreduce_training_graph(
          for var in spec.variables}
         for i, worker in enumerate(workers)]
 
-    # The same proportional compute split as the PS graph (replication
-    # module): layer k's share of forward/backward time follows its
-    # size, so transfers overlap compute identically in both graphs.
-    total_bytes = max(spec.model_bytes, 1)
-    step_compute = spec.compute_time(batch_size)
-    half = step_compute / 2.0
-    weights = [v.nbytes / total_bytes for v in spec.variables]
-
-    # grads[i][var.name]: worker i's local gradient for the variable.
+    # grads[i][var.name]: worker i's local gradient for the variable,
+    # recorded for bucketing as the replica's backward emits it.
     grads: List[dict] = [{} for _ in range(num_workers)]
     #: worker i's final backward stage — the barrier for eager_flush=False
-    last_bwd: List[NodeOutput] = []
-    for i, worker in enumerate(workers):
-        reads = [builder.identity(variable_outputs[i][v.name],
-                                  name=f"w{i}/read/{v.name}", device=worker)
-                 for v in spec.variables]
-        previous = None
-        for k, var in enumerate(spec.variables):
-            inputs = [reads[k]]
-            if previous is not None:
-                inputs.append(previous)
-            previous = builder.synthetic_compute(
-                half * weights[k], inputs=inputs,
-                name=f"w{i}/fwd/{var.name}", device=worker)
-        for k in reversed(range(len(spec.variables))):
-            var = spec.variables[k]
-            stage = builder.synthetic_compute(
-                half * weights[k],
-                outputs=[(DType.float32, Shape(var.shape))],
-                inputs=[previous],
-                name=f"w{i}/bwd/{var.name}", device=worker)
-            previous = stage
-            grads[i][var.name] = stage
-        last_bwd.append(previous)
+    last_bwd: List[NodeOutput] = [
+        worker_replica(builder, spec, batch_size, i, worker,
+                       variable_outputs[i], grads[i].__setitem__)
+        for i, worker in enumerate(workers)]
 
     # Bucketize in gradient-ready (reverse layer) order and reduce.
     ready_order = list(reversed(spec.variables))

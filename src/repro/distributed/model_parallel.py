@@ -11,39 +11,32 @@ between adjacent stages — all through the same Send/Recv machinery,
 so every transfer mechanism (gRPC or the paper's RDMA protocols)
 applies unchanged.
 
-Two build modes:
-
-* **layer-sequential** (``microbatches=None``): the original one-
-  minibatch pipeline — one forward/backward node per layer, a single
-  activation in flight.  Kept byte-for-byte so existing golden runs
-  stay bit-identical.
-* **microbatched schedules** (``microbatches >= 1``): the mini-batch
-  is cut into microbatches and every stage executes an explicit
-  per-stage order — GPipe (all forwards, then all backwards, with
-  activation rematerialization paying an extra forward inside each
-  backward) or 1F1B (warmup forwards, steady-state one-forward-one-
-  backward, drain), the schedule Megatron/PipeDream-Flush run.  The
-  order is pinned into the dataflow graph itself via chain edges, so
-  the unmodified executor reproduces it and the stall report's per-
-  stage ``op`` accounting measures exactly the useful compute —
-  everything else in the iteration window is pipeline bubble (see
-  :func:`pipeline_bubble_report`).
+The mini-batch is cut into microbatches and every stage executes an
+explicit per-stage order — GPipe (all forwards, then all backwards,
+with activation rematerialization paying an extra forward inside each
+backward) or 1F1B (warmup forwards, steady-state one-forward-one-
+backward, drain), the schedule Megatron/PipeDream-Flush run.  One
+microbatch is the plain layer pipeline: a single activation in flight,
+down the stages and back.  The order is pinned into the dataflow graph
+itself via chain edges, so the unmodified executor reproduces it and
+the stall report's per-stage ``op`` accounting measures exactly the
+useful compute — everything else in the iteration window is pipeline
+bubble (see :func:`pipeline_bubble_report`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..graph.builder import GraphBuilder
 from ..graph.dtypes import DType
-from ..graph.node import Graph
+from ..graph.node import Graph, NodeOutput
 from ..graph.shapes import Shape
 from ..models.spec import ModelSpec
+from .replication import _LR
 
-
-_LR = 0.01
 
 #: microbatched pipeline schedules (the CLI's ``--schedule``)
 SCHEDULES = ("gpipe", "1f1b")
@@ -54,25 +47,8 @@ _FORWARD_SHARE = 1.0 / 3.0
 
 
 @dataclass
-class ModelParallelJob:
-    """A built pipeline-parallel training graph."""
-
-    graph: Graph
-    spec: ModelSpec
-    num_stages: int
-    batch_size: int
-    devices: List[str]
-    activation_bytes: int
-
-    @property
-    def cross_stage_bytes_per_step(self) -> int:
-        """Activations forward + gradients backward per boundary."""
-        return 2 * self.activation_bytes * (self.num_stages - 1)
-
-
-@dataclass
-class PipelineJob(ModelParallelJob):
-    """A microbatched pipeline graph plus its analytic cost model.
+class PipelineJob:
+    """A built pipeline-parallel training graph plus its analytic cost model.
 
     ``activation_bytes`` is the size of one *microbatch* boundary
     transfer; per-stage forward/backward times are recorded so the
@@ -80,21 +56,30 @@ class PipelineJob(ModelParallelJob):
     without re-deriving the synthetic cost model.
     """
 
-    microbatches: int = 1
-    schedule: str = "1f1b"
-    rematerialize: bool = False
-    stage_layers: List[List[int]] = None  # type: ignore[assignment]
+    graph: Graph
+    spec: ModelSpec
+    num_stages: int
+    batch_size: int
+    devices: List[str]
+    activation_bytes: int
+    microbatches: int
+    schedule: str
+    stage_layers: List[List[int]]
     #: per-stage forward / backward compute for ONE microbatch (s);
     #: backward excludes the rematerialization surcharge
-    stage_forward_s: List[float] = None   # type: ignore[assignment]
-    stage_backward_s: List[float] = None  # type: ignore[assignment]
+    stage_forward_s: List[float]
+    stage_backward_s: List[float]
 
     @property
-    def microbatch_size(self) -> int:
-        return self.batch_size // self.microbatches
+    def rematerialize(self) -> bool:
+        """GPipe stores only boundary activations and recomputes the
+        rest inside each backward (per the GPipe paper); 1F1B bounds
+        live activations at the stage depth instead."""
+        return self.schedule == "gpipe"
 
     @property
     def cross_stage_bytes_per_step(self) -> int:
+        """Activations forward + gradients backward per boundary."""
         return (2 * self.activation_bytes * (self.num_stages - 1)
                 * self.microbatches)
 
@@ -103,12 +88,6 @@ class PipelineJob(ModelParallelJob):
         if not self.rematerialize:
             return 0.0
         return self.microbatches * self.stage_forward_s[stage]
-
-    @property
-    def useful_seconds(self) -> float:
-        """Per-step compute that advances training, summed over stages."""
-        return self.microbatches * (sum(self.stage_forward_s)
-                                    + sum(self.stage_backward_s))
 
     @property
     def ideal_step_seconds(self) -> float:
@@ -186,105 +165,33 @@ def schedule_order(schedule: str, num_stages: int, stage: int,
 def build_model_parallel_graph(
         spec: ModelSpec, num_stages: int, batch_size: int,
         activation_elements_per_sample: int = 4096,
-        microbatches: Optional[int] = None,
-        schedule: str = "1f1b",
-        rematerialize: Optional[bool] = None) -> ModelParallelJob:
-    """Build the pipeline: stage i computes its layers, ships the
-    activation tensor to stage i+1; the backward pass returns.
+        microbatches: int = 1,
+        schedule: str = "1f1b") -> PipelineJob:
+    """Build the pipeline: stage i computes its layers on each
+    microbatch and ships the activation tensor to stage i+1; the
+    backward pass returns the activation gradient.
 
-    With ``microbatches`` set, the graph becomes a microbatched
-    schedule (see module docstring) and the result is a
-    :class:`PipelineJob`.  ``rematerialize`` defaults to True for
-    GPipe (which stores only boundary activations and recomputes the
-    rest, per the GPipe paper) and False for 1F1B (which bounds live
-    activations at the stage depth instead).
+    Every stage runs ``schedule``'s order (:func:`schedule_order`);
+    under GPipe each backward also pays the recomputed forward
+    (:attr:`PipelineJob.rematerialize`).
     """
-    if microbatches is not None:
-        return _build_scheduled_pipeline(
-            spec, num_stages, batch_size, activation_elements_per_sample,
-            microbatches, schedule, rematerialize)
-    stages = split_stages(spec, num_stages)
-    num_stages = len(stages)
-    builder = GraphBuilder(f"{spec.name}-model-parallel")
-    half = spec.compute_time(batch_size) / 2.0
-    total_bytes = max(spec.model_bytes, 1)
-    activation_shape = Shape([batch_size, activation_elements_per_sample])
-    activation_bytes = batch_size * activation_elements_per_sample * 4
-
-    # Stage-local variables.
-    variable_outputs = {}
-    for stage_index, layer_indices in enumerate(stages):
-        device = f"stage{stage_index}"
-        for layer in layer_indices:
-            var = spec.variables[layer]
-            variable_outputs[layer] = builder.variable(
-                Shape(var.shape), DType.float32, name=var.name,
-                device=device)
-
-    # Forward pipeline.
-    previous = None
-    stage_tail = {}
-    for stage_index, layer_indices in enumerate(stages):
-        device = f"stage{stage_index}"
-        for layer in layer_indices:
-            var = spec.variables[layer]
-            inputs = [variable_outputs[layer]]
-            if previous is not None:
-                inputs.append(previous)
-            share = half * var.nbytes / total_bytes
-            previous = builder.synthetic_compute(
-                share, inputs=inputs,
-                outputs=[(DType.float32, activation_shape)],
-                name=f"fwd/{var.name}", device=device)
-        stage_tail[stage_index] = previous
-
-    # Backward pipeline (reverse stage order); each layer's stage
-    # applies its own gradient locally — no parameter server.
-    for stage_index in reversed(range(len(stages))):
-        device = f"stage{stage_index}"
-        for layer in reversed(stages[stage_index]):
-            var = spec.variables[layer]
-            share = half * var.nbytes / total_bytes
-            grad_stage = builder.synthetic_compute(
-                share, inputs=[previous],
-                outputs=[(DType.float32, activation_shape),
-                         (DType.float32, Shape(var.shape))],
-                name=f"bwd/{var.name}", device=device)
-            previous = grad_stage
-            builder.apply_gradient(
-                variable_outputs[layer], grad_stage.node.output(1),
-                lr=_LR, name=f"apply/{var.name}", device=device)
-
-    graph = builder.finalize()
-    return ModelParallelJob(
-        graph=graph, spec=spec, num_stages=num_stages,
-        batch_size=batch_size,
-        devices=sorted({n.device for n in graph}),
-        activation_bytes=activation_bytes)
-
-
-def _build_scheduled_pipeline(
-        spec: ModelSpec, num_stages: int, batch_size: int,
-        activation_elements_per_sample: int, microbatches: int,
-        schedule: str, rematerialize: Optional[bool]) -> PipelineJob:
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}; have {SCHEDULES}")
     if microbatches < 1:
         raise ValueError("need at least one microbatch")
     if batch_size % microbatches:
         raise ValueError(f"batch size {batch_size} not divisible by "
                          f"{microbatches} microbatches")
-    if rematerialize is None:
-        rematerialize = schedule == "gpipe"
     stages = split_stages(spec, num_stages)
     num_stages = len(stages)
+    orders = [schedule_order(schedule, num_stages, s, microbatches)
+              for s in range(num_stages)]
+    rematerialize = schedule == "gpipe"
     mb_size = batch_size // microbatches
     builder = GraphBuilder(
         f"{spec.name}-pipeline-{schedule}-m{microbatches}")
     total_bytes = max(spec.model_bytes, 1)
     # One microbatch's full fwd+bwd compute, split across stages by
-    # parameter bytes (the same proportionality the sequential path
-    # uses), then 1:2 between forward and backward.
+    # parameter bytes (the proportionality the data-parallel replicas
+    # use per layer), then 1:2 between forward and backward.
     mb_compute = spec.sample_time * max(
         1.0, (batch_size / microbatches) / spec.batch_saturation)
     stage_share = [sum(spec.variables[i].nbytes for i in layer_indices)
@@ -297,7 +204,7 @@ def _build_scheduled_pipeline(
     activation_bytes = mb_size * activation_elements_per_sample * 4
 
     # Stage-local variables.
-    variable_outputs: Dict[int, object] = {}
+    variable_outputs: Dict[int, NodeOutput] = {}
     for stage_index, layer_indices in enumerate(stages):
         device = f"stage{stage_index}"
         for layer in layer_indices:
@@ -312,19 +219,53 @@ def _build_scheduled_pipeline(
     # static RDMA transfers.  Backward cells before the last also emit
     # only the activation gradient — gradients accumulate in place and
     # the final backward materializes the per-variable gradients.
-    forward_nodes: Dict[Tuple[int, int], object] = {}
-    backward_nodes: Dict[Tuple[int, int], object] = {}
-    orders = {s: schedule_order(schedule, num_stages, s, microbatches)
-              for s in range(num_stages)}
+    forward_nodes: Dict[Tuple[int, int], NodeOutput] = {}
+    backward_nodes: Dict[Tuple[int, int], NodeOutput] = {}
+
+    def emit_cell(stage_index: int, position: int) -> None:
+        device = f"stage{stage_index}"
+        kind, mb = orders[stage_index][position]
+        if position == 0:
+            # Anchor the stage's first cell on its variables so nothing
+            # runs before initialization.
+            inputs = [variable_outputs[layer]
+                      for layer in stages[stage_index]]
+        else:
+            prev_kind, prev_mb = orders[stage_index][position - 1]
+            inputs = [(forward_nodes if prev_kind == "F"
+                       else backward_nodes)[(stage_index, prev_mb)]]
+        if kind == "F":
+            if stage_index > 0:
+                inputs.append(forward_nodes[(stage_index - 1, mb)])
+            forward_nodes[(stage_index, mb)] = builder.synthetic_compute(
+                stage_forward[stage_index], inputs=inputs,
+                outputs=[(DType.float32, activation_shape)],
+                name=f"fwd/s{stage_index}/m{mb}", device=device)
+            return
+        if stage_index < num_stages - 1:
+            inputs.append(backward_nodes[(stage_index + 1, mb)])
+        else:
+            inputs.append(forward_nodes[(stage_index, mb)])
+        cost = stage_backward[stage_index]
+        if rematerialize:
+            # GPipe recomputes the stage forward before differentiating.
+            cost += stage_forward[stage_index]
+        outputs = [(DType.float32, activation_shape)]
+        if mb == microbatches - 1:
+            outputs += [(DType.float32, Shape(spec.variables[layer].shape))
+                        for layer in stages[stage_index]]
+        backward_nodes[(stage_index, mb)] = builder.synthetic_compute(
+            cost, inputs=inputs, outputs=outputs,
+            name=f"bwd/s{stage_index}/m{mb}", device=device)
+
     # Topological emission: walk cells stage-by-stage in schedule
     # order, deferring any cell whose cross-stage input isn't built
     # yet.  The schedules are causally valid, so this always drains.
-    cursors = {s: 0 for s in range(num_stages)}
-    remaining = sum(len(order) for order in orders.values())
+    cursors = [0] * num_stages
+    remaining = sum(len(order) for order in orders)
     while remaining:
         progressed = False
-        for stage_index in range(num_stages):
-            order = orders[stage_index]
+        for stage_index, order in enumerate(orders):
             while cursors[stage_index] < len(order):
                 kind, mb = order[cursors[stage_index]]
                 if kind == "F" and stage_index > 0 \
@@ -333,10 +274,7 @@ def _build_scheduled_pipeline(
                 if kind == "B" and stage_index < num_stages - 1 \
                         and (stage_index + 1, mb) not in backward_nodes:
                     break
-                _emit_cell(builder, spec, stages, stage_index, kind, mb,
-                           orders, forward_nodes, backward_nodes,
-                           variable_outputs, stage_forward, stage_backward,
-                           activation_shape, rematerialize, microbatches)
+                emit_cell(stage_index, cursors[stage_index])
                 cursors[stage_index] += 1
                 remaining -= 1
                 progressed = True
@@ -362,51 +300,8 @@ def _build_scheduled_pipeline(
         devices=sorted({n.device for n in graph}),
         activation_bytes=activation_bytes,
         microbatches=microbatches, schedule=schedule,
-        rematerialize=rematerialize,
         stage_layers=[list(layer_indices) for layer_indices in stages],
         stage_forward_s=stage_forward, stage_backward_s=stage_backward)
-
-
-def _emit_cell(builder, spec, stages, stage_index, kind, mb, orders,
-               forward_nodes, backward_nodes, variable_outputs,
-               stage_forward, stage_backward, activation_shape,
-               rematerialize, microbatches) -> None:
-    device = f"stage{stage_index}"
-    order = orders[stage_index]
-    position = order.index((kind, mb))
-    inputs = []
-    if position == 0:
-        # Anchor the stage's first cell on its variables so nothing
-        # runs before initialization.
-        inputs += [variable_outputs[layer] for layer in stages[stage_index]]
-    else:
-        prev_kind, prev_mb = order[position - 1]
-        prev = (forward_nodes if prev_kind == "F"
-                else backward_nodes)[(stage_index, prev_mb)]
-        inputs.append(prev)
-    if kind == "F":
-        if stage_index > 0:
-            inputs.append(forward_nodes[(stage_index - 1, mb)])
-        forward_nodes[(stage_index, mb)] = builder.synthetic_compute(
-            stage_forward[stage_index], inputs=inputs,
-            outputs=[(DType.float32, activation_shape)],
-            name=f"fwd/s{stage_index}/m{mb}", device=device)
-        return
-    if stage_index < len(stages) - 1:
-        inputs.append(backward_nodes[(stage_index + 1, mb)])
-    else:
-        inputs.append(forward_nodes[(stage_index, mb)])
-    cost = stage_backward[stage_index]
-    if rematerialize:
-        # GPipe recomputes the stage forward before differentiating.
-        cost += stage_forward[stage_index]
-    outputs = [(DType.float32, activation_shape)]
-    if mb == microbatches - 1:
-        outputs += [(DType.float32, Shape(spec.variables[layer].shape))
-                    for layer in stages[stage_index]]
-    backward_nodes[(stage_index, mb)] = builder.synthetic_compute(
-        cost, inputs=inputs, outputs=outputs,
-        name=f"bwd/s{stage_index}/m{mb}", device=device)
 
 
 def pipeline_bubble_report(job: PipelineJob, report,

@@ -14,18 +14,18 @@ communication-volume characterization (§5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, List, Mapping, Optional
 
 from ..graph.builder import GraphBuilder
 from ..graph.dtypes import DType
-from ..graph.node import Graph
+from ..graph.node import Graph, NodeOutput
 from ..graph.shapes import Shape
 from ..models.spec import ModelSpec
 from .placement import greedy_placement, round_robin_placement
 
 
-#: simulated time for a PS shard to apply one gradient (per byte cost
-#: is charged by the ApplyGradient op itself)
+#: learning rate of every ApplyGradient the training graphs emit (the
+#: simulated cost is per byte, charged by the op itself)
 _LR = 0.01
 
 
@@ -43,6 +43,56 @@ class TrainingJob:
     @property
     def bytes_per_worker_per_step(self) -> int:
         return 2 * self.spec.model_bytes
+
+
+def worker_replica(builder: GraphBuilder, spec: ModelSpec, batch_size: int,
+                   index: int, device: str,
+                   weights: Mapping[str, NodeOutput],
+                   on_gradient: Callable[[str, NodeOutput], None]
+                   ) -> NodeOutput:
+    """Emit worker ``index``'s GenGrad chain on ``device``.
+
+    The worker reads ``weights`` (variable name -> current value), runs
+    the forward chain over the layers, then the backward chain in
+    reverse layer order, calling ``on_gradient(name, gradient)`` right
+    after each layer's backward stage.  Returns the last backward stage.
+
+    Both data-parallel graphs (this module's PS graph and
+    :mod:`repro.distributed.allreduce`) build their replicas here, so a
+    PS-vs-collective comparison charges the same compute.  Each
+    variable's share of the forward (and backward) pass is proportional
+    to its size, so big layers take longer — and transfers overlap
+    compute exactly as in a real dataflow execution (layer k+1's
+    weights stream in while layer k computes; early gradients ship
+    while later layers are still in backward).
+    """
+    total_bytes = max(spec.model_bytes, 1)
+    half = spec.compute_time(batch_size) / 2.0
+    shares = [v.nbytes / total_bytes for v in spec.variables]
+    # Read the current weights (PS -> worker transfers in the PS graph).
+    reads = [builder.identity(weights[v.name],
+                              name=f"w{index}/read/{v.name}", device=device)
+             for v in spec.variables]
+    # Forward chain: layer i needs its weights and layer i-1.
+    previous = None
+    for i, var in enumerate(spec.variables):
+        inputs = [reads[i]]
+        if previous is not None:
+            inputs.append(previous)
+        previous = builder.synthetic_compute(
+            half * shares[i], inputs=inputs,
+            name=f"w{index}/fwd/{var.name}", device=device)
+    # Backward chain (reverse order), each stage emitting its layer's
+    # gradient.
+    for i in reversed(range(len(spec.variables))):
+        var = spec.variables[i]
+        previous = builder.synthetic_compute(
+            half * shares[i],
+            outputs=[(DType.float32, Shape(var.shape))],
+            inputs=[previous],
+            name=f"w{index}/bwd/{var.name}", device=device)
+        on_gradient(var.name, previous)
+    return previous
 
 
 def build_training_graph(spec: ModelSpec, num_workers: int,
@@ -81,50 +131,19 @@ def build_training_graph(spec: ModelSpec, num_workers: int,
             variable_outputs[var.name] = out
             variable_device[var.name] = device
 
-    # Per-layer compute-time split: each variable's share of the
-    # forward (and backward) pass is proportional to its size, so big
-    # layers take longer — and transfers overlap compute exactly as in
-    # a real dataflow execution (layer k+1's weights stream in while
-    # layer k computes; early gradients ship while later layers are
-    # still in backward).
-    total_bytes = max(spec.model_bytes, 1)
-    step_compute = spec.compute_time(batch_size)
-    half = step_compute / 2.0
-    weights = [v.nbytes / total_bytes for v in spec.variables]
-
     for worker_index in range(num_workers):
-        worker = "local0" if local else f"worker{worker_index}"
-        # Workers read the current weights (PS -> worker transfers).
-        reads = [builder.identity(variable_outputs[v.name],
-                                  name=f"w{worker_index}/read/{v.name}",
-                                  device=worker)
-                 for v in spec.variables]
-        # Forward chain: layer i needs its weights and layer i-1.
-        previous = None
-        forward_stages = []
-        for i, var in enumerate(spec.variables):
-            inputs = [reads[i]]
-            if previous is not None:
-                inputs.append(previous)
-            stage = builder.synthetic_compute(
-                half * weights[i], inputs=inputs,
-                name=f"w{worker_index}/fwd/{var.name}", device=worker)
-            forward_stages.append(stage)
-            previous = stage
-        # Backward chain (reverse order), each stage emitting its
-        # layer's gradient, which ships to the PS immediately.
-        for i in reversed(range(len(spec.variables))):
-            var = spec.variables[i]
-            stage = builder.synthetic_compute(
-                half * weights[i],
-                outputs=[(DType.float32, Shape(var.shape))],
-                inputs=[previous],
-                name=f"w{worker_index}/bwd/{var.name}", device=worker)
-            previous = stage
+        def apply(name: str, gradient: NodeOutput,
+                  worker_index: int = worker_index) -> None:
+            # The gradient ships to its PS shard right after its
+            # backward stage.
             builder.apply_gradient(
-                variable_outputs[var.name], stage, lr=_LR,
-                name=f"w{worker_index}/apply/{var.name}",
-                device=variable_device[var.name])
+                variable_outputs[name], gradient, lr=_LR,
+                name=f"w{worker_index}/apply/{name}",
+                device=variable_device[name])
+
+        worker_replica(builder, spec, batch_size, worker_index,
+                       "local0" if local else f"worker{worker_index}",
+                       variable_outputs, apply)
 
     graph = builder.finalize()
     devices = sorted({node.device for node in graph})

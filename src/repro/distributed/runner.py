@@ -21,6 +21,7 @@ cleanly to the hierarchical host collective everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from string import ascii_letters
 from typing import Dict, List, Optional, Tuple
 
 from ..core.device import QP_MODES
@@ -132,7 +133,6 @@ class RunConfig:
     #: recovery-layer overrides; None keeps ``RetryPolicy`` defaults
     retry_limit: Optional[int] = None
     retry_timeout: Optional[float] = None
-    retry_backoff: Optional[float] = None
     tcp_fallback: Optional[bool] = None
     #: cluster fabric shape: ``"flat"`` is the historical full-bisection
     #: model (bit-identical timing), ``"fat-tree"`` builds the two-tier
@@ -192,8 +192,6 @@ class RunConfig:
             raise ValueError("retry_limit must be non-negative")
         if self.retry_timeout is not None and self.retry_timeout <= 0:
             raise ValueError("retry_timeout must be positive")
-        if self.retry_backoff is not None and self.retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; "
                              f"have {TOPOLOGIES}")
@@ -261,7 +259,7 @@ class RunConfig:
     def retry_policy(self) -> Optional[RetryPolicy]:
         """The configured recovery policy (None = library defaults)."""
         if (self.retry_limit is None and self.retry_timeout is None
-                and self.retry_backoff is None and self.tcp_fallback is None):
+                and self.tcp_fallback is None):
             return None
         default = RetryPolicy()
         return RetryPolicy(
@@ -269,8 +267,6 @@ class RunConfig:
                          else default.max_retries),
             timeout_base=(self.retry_timeout if self.retry_timeout is not None
                           else default.timeout_base),
-            backoff_base=(self.retry_backoff if self.retry_backoff is not None
-                          else default.backoff_base),
             tcp_fallback=(self.tcp_fallback if self.tcp_fallback is not None
                           else default.tcp_fallback))
 
@@ -536,17 +532,10 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
             budget=None if local else config.trace_budget(num_servers),
             telemetry=Telemetry(
                 hosts_per_rack=rack_width or max(num_servers, 1)))
-    device_hosts = {}
-    for device in job.devices:
-        if device == "local0":
-            device_hosts[device] = cluster.hosts[0]
-        elif device.startswith("stage"):
-            # Pipeline stages: stripping the worker/ps letter set would
-            # eat the "s"/"e" of "stage", so peel the prefix exactly.
-            device_hosts[device] = cluster.hosts[int(device[len("stage"):])]
-        else:
-            index = int(device.lstrip("workerps"))
-            device_hosts[device] = cluster.hosts[index]
+    # Every builder names a device <letters><host index>: local0, ps3,
+    # worker3, stage3.
+    device_hosts = {device: cluster.hosts[int(device.lstrip(ascii_letters))]
+                    for device in job.devices}
     worker_hosts = tuple(sorted({host.name
                                  for host in device_hosts.values()}))
     comm = comm or make_mechanism(mechanism, config)
@@ -605,5 +594,4 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
                            sim_events=cluster.sim.event_count,
                            incidents=incidents,
                            innetwork=innetwork_snapshot,
-                           pipeline=(job if isinstance(job, PipelineJob)
-                                     else None))
+                           pipeline=job if strategy == "llm" else None)

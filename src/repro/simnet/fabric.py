@@ -581,7 +581,7 @@ class AggregationPlane:
         partials: List[Tuple[int, object, float]] = []
         for rack_index in range(len(plan.racks)):
             entries = sorted(state.arrivals[rack_index])
-            payload = self._combine([e[1] for e in entries])
+            payload = combine([e[1] for e in entries])
             ready = max(e[2] for e in entries) + cost.switch_agg_latency
             partials.append((rack_index, payload, ready))
 
@@ -605,7 +605,7 @@ class AggregationPlane:
             arrivals.append((rack_index, payload, end + link.latency))
             self._record(link, size, start, end + link.latency)
             self._release_one_at(plan.tors[rack_index], end, state)
-        combined = self._combine([p for _, p, _ in sorted(arrivals)])
+        combined = combine([p for _, p, _ in sorted(arrivals)])
         result_ready = (max(t for _, _, t in arrivals)
                         + cost.switch_agg_latency)
 
@@ -648,16 +648,6 @@ class AggregationPlane:
                 "RDMA_WRITE", link.src.name, link.dst.name, size,
                 start, end, role="in-network-trunk")
 
-    @staticmethod
-    def _combine(payloads: List[object]):
-        """Element-wise sum, None when any contribution is virtual."""
-        if any(p is None for p in payloads):
-            return None
-        result = payloads[0].copy()
-        for payload in payloads[1:]:
-            result += payload
-        return result
-
     def _release_at(self, names: List[str], when: float) -> None:
         # A lossy-fabric retransmit can complete a chunk *after* other
         # racks' partials already cleared their switch: their slots
@@ -683,6 +673,22 @@ class AggregationPlane:
             "spilled_chunks": dict(self.spilled_chunks),
             "degraded_groups": list(self.degraded_groups),
         }
+
+
+def combine(payloads: List[object]):
+    """Element-wise sum in list order, None when any contribution is virtual.
+
+    The one reduction both the switch plane and the host fallback tree
+    (:mod:`repro.core.innetwork`) perform: a degraded round must be
+    bit-identical to a switched one, so both sum the same partials in
+    the same order with the same arithmetic.
+    """
+    if any(p is None for p in payloads):
+        return None
+    result = payloads[0].copy()
+    for payload in payloads[1:]:
+        result += payload
+    return result
 
 
 def rack_of(host_index: int, hosts_per_rack: int) -> int:

@@ -1,12 +1,15 @@
 """Tests for the allreduce training graph and the strategy runner path."""
 
+import re
+
 import pytest
 
 from dataclasses import FrozenInstanceError, replace
 
 from repro.distributed import (ALLREDUCE_ALGORITHMS, STRATEGIES, RunConfig,
                                build_allreduce_training_graph,
-                               make_mechanism, run_training_benchmark)
+                               build_training_graph, make_mechanism,
+                               run_training_benchmark)
 from repro.graph.partition import partition
 from repro.models import get_model
 from repro.serving import ServingConfig
@@ -125,6 +128,38 @@ class TestScheduleConstruction:
                  if n.op_type == "_Send"]
         assert sends
         assert any(n.attrs.get("priority", 0) > 0 for n in sends)
+
+
+def _replica_chain(graph):
+    """Every worker's read/fwd/bwd nodes in graph order, as comparable
+    tuples.  A read's input is the PS variable in one graph and the
+    worker's own ``w<i>/`` copy in the other; only that prefix is
+    dropped."""
+    def source(output):
+        name = output.node.name
+        if output.node.op_type == "Variable":
+            name = re.sub(r"^w\d+/", "", name)
+        return f"{name}:{output.index}"
+
+    return [(node.name, node.op_type, node.attrs.get("time"),
+             tuple(source(i) for i in node.inputs))
+            for node in graph
+            if re.match(r"w\d+/(read|fwd|bwd)/", node.name)]
+
+
+class TestSharedReplica:
+    """The PS and the allreduce graph emit the same GenGrad replica, so a
+    PS-vs-collective comparison charges the same compute."""
+
+    @pytest.mark.parametrize("model", ["FCN-5", "GRU"])
+    def test_ps_and_ring_replicas_identical(self, model):
+        spec = get_model(model)
+        ps = build_training_graph(spec, num_workers=4, batch_size=8)
+        ring = build_allreduce_training_graph(spec, num_workers=4,
+                                              batch_size=8)
+        chain = _replica_chain(ps.graph)
+        assert len(chain) == 4 * 3 * spec.num_variables
+        assert chain == _replica_chain(ring.graph)
 
 
 class TestRunnerStrategies:

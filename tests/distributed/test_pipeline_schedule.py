@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import RdmaCommRuntime
-from repro.distributed.model_parallel import (PipelineJob,
-                                              build_model_parallel_graph,
+from repro.distributed.model_parallel import (build_model_parallel_graph,
                                               pipeline_bubble_report,
                                               schedule_order)
 from repro.distributed.runner import run_training_benchmark
@@ -86,14 +85,6 @@ class TestScheduledGraph:
         with pytest.raises(ValueError):
             build_model_parallel_graph(get_model("TF-Tiny"), num_stages=2,
                                        batch_size=6, microbatches=4)
-
-    def test_legacy_path_unchanged(self):
-        # microbatches=None keeps the original single-shot graph shape
-        # (the golden-clock suites run through this path).
-        job = build_model_parallel_graph(get_model("FCN-5"), num_stages=4,
-                                         batch_size=8)
-        assert not isinstance(job, PipelineJob)
-        assert len(partition(job.graph).transfers) == 2 * 3
 
     def test_runs_over_rdma(self):
         job = build_model_parallel_graph(get_model("TF-Tiny"), num_stages=2,

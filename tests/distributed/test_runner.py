@@ -95,6 +95,29 @@ class TestRunner:
                    for n in (2, 4)}
         assert (results[4].throughput * 4) > (results[2].throughput * 2)
 
+    @pytest.mark.parametrize("strategy,mechanism,shape", [
+        ("ps", "RDMA", {}),
+        ("ring", "RDMA", {}),
+        ("halving-doubling", "RDMA", {}),
+        ("hierarchical", "RDMA", {"hosts_per_rack": 2}),
+        ("innetwork", "RDMA", {"topology": "fat-tree", "hosts_per_rack": 2}),
+        ("llm", "RDMA", {}),
+        ("ps", "Local", {}),
+    ], ids=["ps", "ring", "halving-doubling", "hierarchical", "innetwork",
+            "llm", "Local"])
+    def test_every_strategy_maps_devices_to_hosts(self, strategy, mechanism,
+                                                  shape):
+        # Every builder names its devices <letters><host index> (ps3,
+        # worker3, stage3, local0); the runner places each on the host
+        # with that index.
+        result = run_training_benchmark(
+            get_model("TF-Tiny"), mechanism, num_servers=4, batch_size=4,
+            iterations=2, strategy=strategy, **shape)
+        assert not result.crashed, result.crash_reason
+        expected = 1 if mechanism == "Local" else 4
+        assert result.worker_hosts == tuple(f"server{i}"
+                                            for i in range(expected))
+
 
 class TestConfigAndOverrides:
     """``config=`` and per-call overrides are two spellings of one run."""
