@@ -44,20 +44,6 @@ def broadcast_hops(num_replicas: int, mode: str = "direct"
                      f"have {BROADCAST_MODES}")
 
 
-def upstream_of(num_replicas: int, mode: str, rank: int) -> int:
-    """The rank a replica receives the snapshot from (-1 = trainer)."""
-    for src, dst in broadcast_hops(num_replicas, mode):
-        if dst == rank:
-            return src
-    raise ValueError(f"rank {rank} not in a {num_replicas}-replica schedule")
-
-
-def downstream_of(num_replicas: int, mode: str, rank: int) -> List[int]:
-    """The ranks a node forwards the snapshot to (root passes -1)."""
-    return [dst for src, dst in broadcast_hops(num_replicas, mode)
-            if src == rank]
-
-
 def root_egress_bytes(num_replicas: int, mode: str,
                       model_bytes: int) -> int:
     """Bytes the trainer's NIC sends per publish under a schedule."""

@@ -15,9 +15,9 @@ Implemented primitives:
 
 * :func:`ring_reduce_scatter`  — N-1 steps; worker *i* ends up owning
   the fully reduced chunk ``(i+1) % N``;
-* :func:`ring_all_gather`      — N-1 forwarding steps around the ring;
-* :func:`ring_allreduce`       — reduce-scatter + all-gather + in-place
-  reassembly: ``2·B·(N-1)/N`` bytes on the wire per worker;
+* :func:`ring_allreduce`       — reduce-scatter + an N-1 step
+  forwarding all-gather + in-place reassembly: ``2·B·(N-1)/N`` bytes
+  on the wire per worker;
 * :func:`halving_doubling_allreduce` — recursive vector halving with
   distance doubling (Rabenseifner), ``2·log2(P)`` steps for the
   power-of-two core ``P``; non-power-of-two worker counts fold the
@@ -188,28 +188,6 @@ def _forwarding_all_gather(builder: GraphBuilder,
             gathered[i][slot] = landed
         last = [(slot, landed) for _, slot, landed in incoming]
     return gathered
-
-
-def ring_all_gather(builder: GraphBuilder,
-                    inputs: Sequence[NodeOutput],
-                    devices: Sequence[str],
-                    name: str = "ag") -> List[List[NodeOutput]]:
-    """All-gather: every worker ends with every worker's tensor.
-
-    ``result[i][j]`` is worker j's contribution materialized on worker
-    i's device.  Contributions may have distinct shapes: all-gather
-    only moves tensors, it never reduces them.
-    """
-    if len(inputs) != len(devices):
-        raise ValueError(f"{len(inputs)} inputs for {len(devices)} devices")
-    if not inputs:
-        raise ValueError("collective needs at least one participant")
-    if len(devices) == 1:
-        return [[inputs[0]]]
-    gathered = _forwarding_all_gather(
-        builder, list(enumerate(inputs)), devices, name)
-    return [[gathered[i][j] for j in range(len(devices))]
-            for i in range(len(devices))]
 
 
 def ring_allreduce(builder: GraphBuilder,

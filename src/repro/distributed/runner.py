@@ -32,7 +32,6 @@ from ..serving.config import ServingConfig
 from ..simnet.faults import FaultInjector, parse_fault_spec
 from ..observability.anomaly import Incident, detect_run_anomalies
 from ..observability.capture import capture_enabled, capture_run
-from ..observability.registry import Histogram
 from ..observability.stall import StallReport, build_stall_report
 from ..observability.timeseries import Telemetry
 from ..observability.tracer import TraceBudget, Tracer
@@ -355,36 +354,6 @@ class BenchmarkResult:
     def throughput(self) -> float:
         """Mini-batches per second (per worker, steady state)."""
         return self.stats.throughput
-
-    @property
-    def samples_per_second(self) -> float:
-        """Aggregate samples/s across all workers."""
-        return self.throughput * self.batch_size * self.num_servers
-
-    def step_time_percentiles(self,
-                              percentiles: Optional[Tuple[float, ...]] = None
-                              ) -> Dict[str, float]:
-        """Per-iteration step-time distribution (p50/p90/p99/p99.9).
-
-        Excludes iteration 0 (warm-up staging and tracing), matching
-        :attr:`step_time`'s steady-state convention.  Returns an empty
-        dict for crashed or zero-iteration runs.
-        """
-        steady = self.stats.iteration_times[1:] or self.stats.iteration_times
-        if not steady:
-            return {}
-        histogram = Histogram("step_time_s", percentiles=percentiles)
-        for value in steady:
-            histogram.observe(value)
-        return histogram.to_dict()
-
-    @property
-    def step_time_p50(self) -> float:
-        return self.step_time_percentiles().get("p50", 0.0)
-
-    @property
-    def step_time_p99(self) -> float:
-        return self.step_time_percentiles().get("p99", 0.0)
 
     def wire_bytes_per_worker(self) -> Optional[float]:
         """Measured mean egress bytes per worker per steady-state step.

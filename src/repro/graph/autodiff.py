@@ -6,9 +6,9 @@ pass and call :func:`minimize` — the backward pass then flows through
 the same partitioning/transfer machinery, which is exactly how
 gradients end up crossing servers in the paper's training runs.
 
-Coverage: the dense operators (MatMul, Add/Sub/Mul, BiasAdd, Sigmoid,
-Tanh, Relu, Square, Identity, Reshape, Flatten, Transpose, ReduceSum,
-ReduceMean, SoftmaxCrossEntropy).  Unsupported operators raise a
+Coverage: the dense operators (MatMul, Add/Sub/Mul, Sigmoid, Tanh,
+Relu, Square, Identity, Reshape, Transpose, ReduceSum, ReduceMean,
+SoftmaxCrossEntropy).  Unsupported operators raise a
 clear :class:`GraphError` rather than silently mis-training.
 """
 
@@ -65,16 +65,6 @@ def _grad_mul(b, node, grads):
             b.mul(g, a, device=node.device)]
 
 
-@register_gradient("BiasAdd")
-def _grad_bias_add(b, node, grads):
-    g = grads[0]
-    rank = node.output_shapes[0].rank
-    bias_grad = g
-    for _ in range(rank - 1):
-        bias_grad = b.reduce_sum(bias_grad, axis=0, device=node.device)
-    return [g, bias_grad]
-
-
 def _reduce_to_shape(b, grad, target: NodeOutput, node: Node):
     """Sum a broadcast gradient back down to the target's shape."""
     grad_rank = grad.shape.rank
@@ -128,11 +118,6 @@ def _grad_identity(b, node, grads):
 
 @register_gradient("Reshape")
 def _grad_reshape(b, node, grads):
-    return [b.reshape(grads[0], node.inputs[0].shape, device=node.device)]
-
-
-@register_gradient("Flatten")
-def _grad_flatten(b, node, grads):
     return [b.reshape(grads[0], node.inputs[0].shape, device=node.device)]
 
 

@@ -102,9 +102,6 @@ class GraphBuilder:
     def identity(self, x: NodeOutput, name=None, device=None) -> NodeOutput:
         return self._add("Identity", [x], name=name, device=device)
 
-    def softmax(self, x: NodeOutput, name=None, device=None) -> NodeOutput:
-        return self._add("Softmax", [x], name=name, device=device)
-
     def reduce_max(self, x: NodeOutput, axis=None, name=None, device=None) -> NodeOutput:
         return self._add("ReduceMax", [x], attrs={"axis": axis}, name=name,
                          device=device)
@@ -123,52 +120,6 @@ class GraphBuilder:
 
     def transpose(self, x: NodeOutput, name=None, device=None) -> NodeOutput:
         return self._add("Transpose", [x], name=name, device=device)
-
-    # -- neural-network layers (see nn_ops) ---------------------------------------
-
-    def conv2d(self, x: NodeOutput, kernel: NodeOutput, stride: int = 1,
-               padding: str = "same", name=None, device=None) -> NodeOutput:
-        return self._add("Conv2D", [x, kernel],
-                         attrs={"stride": stride, "padding": padding},
-                         name=name, device=device)
-
-    def max_pool(self, x: NodeOutput, window: int = 2,
-                 stride: Optional[int] = None, name=None,
-                 device=None) -> NodeOutput:
-        return self._add("MaxPool2D", [x],
-                         attrs={"window": window,
-                                "stride": stride or window},
-                         name=name, device=device)
-
-    def avg_pool(self, x: NodeOutput, window: int = 2,
-                 stride: Optional[int] = None, name=None,
-                 device=None) -> NodeOutput:
-        return self._add("AvgPool2D", [x],
-                         attrs={"window": window,
-                                "stride": stride or window},
-                         name=name, device=device)
-
-    def bias_add(self, x: NodeOutput, bias: NodeOutput, name=None,
-                 device=None) -> NodeOutput:
-        return self._add("BiasAdd", [x, bias], name=name, device=device)
-
-    def batch_norm(self, x: NodeOutput, gamma: NodeOutput, beta: NodeOutput,
-                   epsilon: float = 1e-5, name=None,
-                   device=None) -> NodeOutput:
-        return self._add("BatchNorm", [x, gamma, beta],
-                         attrs={"epsilon": epsilon}, name=name,
-                         device=device)
-
-    def dropout(self, x: NodeOutput, rate: float = 0.5,
-                training: bool = True, seed: int = 0, name=None,
-                device=None) -> NodeOutput:
-        return self._add("Dropout", [x],
-                         attrs={"rate": rate, "training": training,
-                                "seed": seed},
-                         name=name, device=device)
-
-    def flatten(self, x: NodeOutput, name=None, device=None) -> NodeOutput:
-        return self._add("Flatten", [x], name=name, device=device)
 
     # -- training ---------------------------------------------------------------------
 

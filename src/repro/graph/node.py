@@ -60,10 +60,6 @@ class Node:
             raise GraphError(f"{self.name} cannot depend on itself")
         self.control_inputs.append(node)
 
-    @property
-    def num_outputs(self) -> int:
-        return len(self.output_shapes) or int(self.attrs.get("num_outputs", 1))
-
     def __repr__(self) -> str:
         return f"Node({self.name!r}, {self.op_type})"
 
@@ -118,11 +114,6 @@ class Graph:
 
     def nodes_of_type(self, op_type: str) -> List[Node]:
         return [n for n in self if n.op_type == op_type]
-
-    def consumers(self, node: Node) -> List[Node]:
-        """Nodes consuming any output of ``node`` (data edges only)."""
-        return [n for n in self
-                if any(src.node is node for src in n.inputs)]
 
     # -- ordering -----------------------------------------------------------------
 

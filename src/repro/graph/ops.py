@@ -136,9 +136,6 @@ OPS["Square"] = OpDef("Square", _infer_unary,
                       lambda n, i: [i[0] * i[0]], _default_cost)
 OPS["Identity"] = OpDef("Identity", _infer_unary,
                         lambda n, i: [i[0]], _default_cost)
-OPS["Softmax"] = OpDef(
-    "Softmax", _infer_unary,
-    lambda n, i: [_softmax(i[0])], _default_cost)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -225,10 +222,6 @@ def _infer_noop(node, in_shapes, in_dtypes):
 
 
 # ----------------------------------------------------------------- transfer markers
-
-def _infer_transfer(node, in_shapes, in_dtypes):
-    _set(node, [in_shapes[0]], [in_dtypes[0]])
-
 
 # _Send consumes a tensor; produces nothing locally.
 @register("_Send", cost=lambda node, cm: 0.0)

@@ -41,12 +41,6 @@ class RunStats:
     faults: Optional[Dict] = None
 
     @property
-    def mean_iteration_time(self) -> float:
-        if not self.iteration_times:
-            return 0.0
-        return sum(self.iteration_times) / len(self.iteration_times)
-
-    @property
     def steady_state_time(self) -> float:
         """Mean iteration time excluding the first (warm-up/tracing)."""
         tail = self.iteration_times[1:] or self.iteration_times

@@ -72,13 +72,6 @@ class Shape:
                 raise ShapeError(f"dimension conflict: {self} vs {other}")
         return Shape(merged)
 
-    def compatible_with(self, other: "Shape") -> bool:
-        try:
-            self.merge(other)
-            return True
-        except ShapeError:
-            return False
-
     def matmul(self, other: "Shape") -> "Shape":
         """Shape of a rank-2 matrix product self @ other."""
         if self.rank != 2 or other.rank != 2:
@@ -105,23 +98,6 @@ class Shape:
             else:
                 raise ShapeError(f"cannot broadcast {self} with {other}")
         return Shape(out[::-1])
-
-    def with_batch(self, batch: DimLike) -> "Shape":
-        """Prepend a batch dimension."""
-        return Shape((batch,) + self.dims)
-
-    def concat_axis(self, other: "Shape", axis: int) -> "Shape":
-        if self.rank != other.rank:
-            raise ShapeError("concat rank mismatch")
-        out: List[DimLike] = []
-        for i, (a, b) in enumerate(zip(self.dims, other.dims)):
-            if i == axis:
-                out.append(None if (a is None or b is None) else a + b)
-            else:
-                if a is not None and b is not None and a != b:
-                    raise ShapeError("concat non-axis dims differ")
-                out.append(a if a is not None else b)
-        return Shape(out)
 
     # -- conversions -------------------------------------------------------------------
 
@@ -167,7 +143,3 @@ def as_shape(value: ShapeLike) -> Shape:
 def scalar() -> Shape:
     return Shape(())
 
-
-def unknown(rank: int) -> Shape:
-    """A shape with known rank but all dimensions unknown."""
-    return Shape([None] * rank)

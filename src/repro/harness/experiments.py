@@ -1697,9 +1697,3 @@ def execute(entry: Experiment, grid: Dict, bench_dir: Optional[str] = None,
                 json.dump(payload, handle, indent=2)
                 handle.write("\n")
     return payload
-
-
-def run_all() -> Dict[str, ExperimentResult]:
-    """Regenerate every table and figure at its smoke grid."""
-    return {entry.name: entry.table(execute(entry, entry.smoke))
-            for entry in EXPERIMENTS}

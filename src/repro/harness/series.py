@@ -3,7 +3,7 @@
 Every experiment in :mod:`repro.harness.experiments` returns an
 :class:`ExperimentResult`: a named table of rows that renders to
 aligned text (the library has no plotting dependency; the *series*
-are the figures) and can be exported as CSV.
+are the figures).
 """
 
 from __future__ import annotations
@@ -75,12 +75,3 @@ class ExperimentResult:
         out += [line(row) for row in cells]
         out += [f"  note: {n}" for n in self.notes]
         return "\n".join(out)
-
-    def to_csv(self) -> str:
-        import csv
-        import io
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buffer.getvalue()

@@ -92,10 +92,6 @@ class TrainResult:
     metric_name: str                 # "perplexity" or "loss"
     values: List[float]
 
-    @property
-    def steps(self) -> int:
-        return len(self.values)
-
     def first_step_reaching(self, threshold: float) -> int:
         """First step index at which the metric drops to ``threshold``."""
         for step, value in enumerate(self.values):

@@ -40,9 +40,7 @@ first-class subsystem instead of ad-hoc prints:
 from .anomaly import (Incident, detect_link_hotspots, detect_outliers,
                       detect_run_anomalies, detect_stragglers,
                       mad_zscores, slo_burn_alerts)
-from .chrome_trace import (ChromeTraceStream, chrome_trace_events,
-                           to_chrome_trace, write_chrome_trace,
-                           write_merged_trace)
+from .chrome_trace import ChromeTraceStream, chrome_trace_events
 from .registry import (Counter, DEFAULT_PERCENTILES, Gauge,
                        Histogram, MetricsRegistry)
 from .stall import StallReport, build_stall_report
@@ -51,7 +49,7 @@ from .timeseries import (P2Quantile, QuantileSketch, RingSeries,
 from .tracer import (CATEGORIES, EXECUTOR_CATEGORIES, Span, TraceBudget,
                      Tracer, executor_track, protocol_track)
 from .capture import (capture_enabled, capture_run, configure_capture,
-                      flush_capture, reset_capture, telemetry_enabled)
+                      flush_capture, reset_capture)
 
 __all__ = [
     "CATEGORIES", "ChromeTraceStream", "Counter", "DEFAULT_PERCENTILES",
@@ -62,6 +60,5 @@ __all__ = [
     "chrome_trace_events", "configure_capture", "detect_link_hotspots",
     "detect_outliers", "detect_run_anomalies", "detect_stragglers",
     "executor_track", "flush_capture", "mad_zscores", "protocol_track",
-    "rack_label", "reset_capture", "slo_burn_alerts", "telemetry_enabled",
-    "to_chrome_trace", "write_chrome_trace", "write_merged_trace",
+    "rack_label", "reset_capture", "slo_burn_alerts",
 ]

@@ -67,11 +67,6 @@ def capture_enabled() -> bool:
             or _telemetry_out is not None)
 
 
-def telemetry_enabled() -> bool:
-    """True when the telemetry summary sink is configured."""
-    return _telemetry_out is not None
-
-
 def capture_run(label: str, tracer: Tracer,
                 meta: Optional[Dict[str, object]] = None,
                 incidents: Optional[List[Dict[str, object]]] = None) -> None:

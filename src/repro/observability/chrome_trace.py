@@ -81,16 +81,6 @@ def chrome_trace_events(tracer: Tracer, pid_base: int = 1,
     return list(_span_events(tracer, pid_base, label))
 
 
-def to_chrome_trace(tracer: Tracer, label: str = "") -> dict:
-    """The full JSON-object form of the trace file."""
-    return {
-        "traceEvents": chrome_trace_events(tracer, label=label),
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.observability",
-                      "clock": "simulated"},
-    }
-
-
 class ChromeTraceStream:
     """Incremental trace-file writer with an optional event cap.
 
@@ -149,23 +139,3 @@ class ChromeTraceStream:
             '"otherData": {"generator": "repro.observability", '
             '"clock": "simulated"}}')
         self._handle.close()
-
-    def __enter__(self) -> "ChromeTraceStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def write_chrome_trace(tracer: Tracer, path: str, label: str = "",
-                       max_events: Optional[int] = None) -> None:
-    """Serialize the trace to ``path`` (overwrites), streaming."""
-    with ChromeTraceStream(path, max_events=max_events) as stream:
-        stream.add_run(tracer, label=label)
-
-
-def write_merged_trace(events: List[dict], path: str) -> None:
-    """Write an already-merged multi-run event list to ``path``."""
-    with ChromeTraceStream(path) as stream:
-        for event in events:
-            stream.add_event(event)

@@ -72,9 +72,6 @@ class Gauge:
         if value > self.high_water:
             self.high_water = value
 
-    def add(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
     def sample(self, t: float, value: float) -> None:
         """Set the gauge and append (t, value) to the bounded history."""
         self.set(value)

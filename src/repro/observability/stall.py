@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .tracer import EXECUTOR_CATEGORIES, Tracer
+from .tracer import Tracer
 
 
 @dataclass
@@ -34,10 +34,6 @@ class ExecutorBreakdown:
     @property
     def total(self) -> float:
         return sum(self.components.values())
-
-    def fraction(self, category: str) -> float:
-        total = self.total
-        return self.components.get(category, 0.0) / total if total else 0.0
 
 
 @dataclass
@@ -179,58 +175,6 @@ class StallReport:
                 for it in self.iterations
             ],
         }
-
-    def render(self) -> str:
-        """A fixed-width table, one row per iteration plus totals."""
-        columns = [c for c in EXECUTOR_CATEGORIES
-                   if any(c in it.components for it in self.iterations)]
-        header = (["iter", "measured_ms"]
-                  + [f"{c}_ms" for c in columns]
-                  + ["coverage", "overlap_ser_ms"])
-        rows = [header]
-        for it in self.iterations:
-            rows.append(
-                [str(it.iteration), f"{it.duration * 1e3:.3f}"]
-                + [f"{it.components.get(c, 0.0) * 1e3:.3f}" for c in columns]
-                + [f"{it.coverage * 100:.2f}%",
-                   f"{it.overlapped_serialization * 1e3:.3f}"])
-        totals = self.totals()
-        measured = sum(it.duration for it in self.iterations)
-        accounted = sum(totals.values())
-        rows.append(
-            ["total", f"{measured * 1e3:.3f}"]
-            + [f"{totals.get(c, 0.0) * 1e3:.3f}" for c in columns]
-            + [f"{(accounted / measured * 100) if measured else 0.0:.2f}%",
-               f"{sum(it.overlapped_serialization for it in self.iterations) * 1e3:.3f}"])
-        widths = [max(len(row[i]) for row in rows)
-                  for i in range(len(header))]
-        lines = ["  ".join(cell.rjust(width)
-                           for cell, width in zip(row, widths))
-                 for row in rows]
-        fractions = self.fractions()
-        if fractions:
-            share = ", ".join(f"{c}={fractions[c] * 100:.1f}%"
-                              for c in columns if c in fractions)
-            lines.append(f"stall shares (critical path): {share}")
-        efficiency = self.overlap_efficiency()
-        if efficiency is not None:
-            wire = sum(it.wire_busy for it in self.iterations)
-            lines.append(f"overlap efficiency: {efficiency * 100:.1f}% "
-                         f"of {wire * 1e3:.3f}ms wire time hidden")
-        contention = self.link_contention()
-        if contention > 0.0:
-            lines.append(f"link contention: {contention * 1e3:.3f}ms "
-                         f"queued behind busy fabric uplinks")
-        if self.faults:
-            by_kind = self.faults.get("by_kind", {})
-            kinds = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items()))
-            lines.append(
-                f"faults: {self.faults.get('injected', 0)} injected"
-                + (f" ({kinds})" if kinds else "")
-                + f", {self.faults.get('retries', 0)} retries "
-                f"({self.faults.get('retry_seconds', 0.0) * 1e3:.3f}ms)")
-        return "\n".join(lines)
-
 
 def _wire_busy_union(intervals: List[tuple], start: float,
                      end: float) -> float:

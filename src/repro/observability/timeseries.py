@@ -228,9 +228,6 @@ class RingSeries:
     def max(self) -> float:
         return self._max if self.count else 0.0
 
-    def values(self) -> List[float]:
-        return [v for _, v in self.points]
-
     def to_dict(self, include_points: bool = False) -> Dict[str, object]:
         out: Dict[str, object] = {
             "count": self.count, "sum": self.total, "min": self.min,

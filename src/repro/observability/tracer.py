@@ -318,39 +318,3 @@ class Tracer:
         for span in self.spans:
             out[span.category] = out.get(span.category, 0) + 1
         return out
-
-    def total(self, category: str) -> float:
-        """Total recorded duration of one category across all spans."""
-        return sum(s.duration for s in self.spans if s.category == category)
-
-    def breakdown(self, host: Optional[str] = None,
-                  track: Optional[str] = None,
-                  iteration: Optional[int] = None) -> Dict[str, float]:
-        """Merged category sums over matching accumulator keys."""
-        out: Dict[str, float] = {}
-        for (h, t, i), bucket in self.breakdowns.items():
-            if host is not None and h != host:
-                continue
-            if track is not None and t != track:
-                continue
-            if iteration is not None and i != iteration:
-                continue
-            for category, seconds in bucket.items():
-                out[category] = out.get(category, 0.0) + seconds
-        return out
-
-    def reset(self) -> None:
-        self.spans = []
-        self.metrics = MetricsRegistry(
-            histogram_max_samples=(BUDGETED_HISTOGRAM_SAMPLES
-                                   if self.budget is not None else None))
-        self.breakdowns = {}
-        self.iteration_windows = []
-        self.dropped_spans = 0
-        self.flight = {}
-        self._sample_counts = {}
-        if self.telemetry is not None:
-            self.telemetry = Telemetry(
-                hosts_per_rack=self.telemetry.hosts_per_rack,
-                series_capacity=self.telemetry.series_capacity,
-                percentiles=self.telemetry.percentiles)

@@ -107,11 +107,6 @@ class RpcEndpoint:
         sender.add_callback(on_sender_done)
         return future
 
-    def call_proc(self, method: str, request: Optional[Message] = None) -> Generator:
-        """Process form of :meth:`call`: ``reply = yield from ep.call_proc(...)``."""
-        reply = yield self.call(method, request)
-        return reply
-
     # -- internals -------------------------------------------------------------------
 
     def _send_one(self, method: str, req_id: int, kind: int,

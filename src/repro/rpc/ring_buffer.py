@@ -17,7 +17,7 @@ therefore costs nothing to create, whatever its capacity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 #: bytes of length prefix stored before each record
 RECORD_OVERHEAD = 4
@@ -81,14 +81,3 @@ class RingBuffer:
         self._tail += RECORD_OVERHEAD + len(record)
         self.records_read += 1
         return record
-
-    def peek(self) -> Optional[bytes]:
-        """Return the oldest record without consuming it."""
-        return self._records[0] if self._records else None
-
-    def drain(self) -> List[bytes]:
-        """Pop every queued record."""
-        out: List[bytes] = []
-        while self._records:
-            out.append(self.pop())
-        return out

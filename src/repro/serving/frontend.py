@@ -108,10 +108,6 @@ class Router:
             resp_channel=replica.device.get_channel(self.device.endpoint, 0),
             resp_remote=resp_region.descriptor())
 
-    @property
-    def alive_replicas(self) -> int:
-        return sum(1 for link in self.links if link.alive)
-
     # -- admission ----------------------------------------------------------------
 
     def submit(self, request: Request) -> None:

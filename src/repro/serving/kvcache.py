@@ -112,15 +112,3 @@ class KVCache:
         """Free a *running* request's cache under budget pressure."""
         self.release(tracker)
         self.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "budget_bytes": self.budget_bytes,
-            "used_bytes": self.used,
-            "peak_bytes": self.peak,
-            "outstanding": self.outstanding,
-            "admissions": self.admissions,
-            "denials": self.denials,
-            "evictions": self.evictions,
-            "grown_tokens": self.grown_tokens,
-        }

@@ -1,4 +1,4 @@
-"""Simulated cluster substrate: event engine, RDMA NICs, TCP, GPUs.
+"""Simulated cluster substrate: event engine, RDMA NICs, TCP.
 
 This package replaces the paper's physical testbed (8 servers with
 100 Gbps Mellanox InfiniBand NICs and Tesla P100 GPUs) with a
@@ -9,13 +9,12 @@ substitution rationale.
 from .costmodel import CostModel, DEFAULT_COST_MODEL, KB, MB, GB
 from .faults import (FaultInjector, FaultRule, FaultSpecError, FaultVerdict,
                      parse_fault_spec)
-from .gpu import GpuDevice
 from .metrics import MetricsCollector, TransferRecord
 from .memory import (AddressSpace, Backing, Buffer, DenseBacking, MemoryError_,
                      MemoryRegion, MrTable, VirtualBacking)
 from .nic import CompletionQueue, Pipe, QueuePair, RdmaNic
-from .simulator import (AllOf, AnyOf, Event, Interrupt, Process, Resource,
-                        SimulationError, Simulator, Store, Timeout)
+from .simulator import (AllOf, AnyOf, Event, Process, SimulationError,
+                        Simulator, Store, Timeout)
 from .tcp import Listener, Socket, TcpError, TcpMessage, TcpStack
 from .topology import Cluster, Endpoint, Host
 from .verbs import Completion, Opcode, WcStatus, WorkRequest
@@ -24,10 +23,10 @@ __all__ = [
     "AddressSpace", "AllOf", "AnyOf", "Backing", "Buffer", "Cluster",
     "Completion", "CompletionQueue", "CostModel", "DEFAULT_COST_MODEL",
     "DenseBacking", "Endpoint", "Event", "FaultInjector", "FaultRule",
-    "FaultSpecError", "FaultVerdict", "GB", "GpuDevice", "Host",
-    "Interrupt", "KB", "Listener", "MB", "MemoryError_", "MemoryRegion", "MetricsCollector",
-    "MrTable", "Opcode", "Pipe", "Process", "QueuePair", "RdmaNic",
-    "Resource", "SimulationError", "Simulator", "Socket", "Store",
-    "TcpError", "TcpMessage", "TcpStack", "Timeout", "TransferRecord", "VirtualBacking",
-    "WcStatus", "WorkRequest", "parse_fault_spec",
+    "FaultSpecError", "FaultVerdict", "GB", "Host", "KB", "Listener", "MB",
+    "MemoryError_", "MemoryRegion", "MetricsCollector", "MrTable", "Opcode",
+    "Pipe", "Process", "QueuePair", "RdmaNic", "SimulationError",
+    "Simulator", "Socket", "Store", "TcpError", "TcpMessage", "TcpStack",
+    "Timeout", "TransferRecord", "VirtualBacking", "WcStatus", "WorkRequest",
+    "parse_fault_spec",
 ]

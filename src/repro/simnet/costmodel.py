@@ -136,7 +136,6 @@ class CostModel:
     # ---- GPU (Tesla P100 over PCIe 3.0 x16) ----
     pcie_bandwidth: float = 10e9               # host<->device staging copy
     pcie_base: float = 5.0e-6                  # cudaMemcpy launch
-    gpu_kernel_launch: float = 6.0e-6
 
     # ---- operator compute (effective rates on the P100) ----
     op_overhead: float = 2.0e-6                # dispatch + launch per op

@@ -28,10 +28,6 @@ class CpuEngine:
         self._lanes: List[float] = [0.0] * lanes
         self.busy_seconds = 0.0
 
-    @property
-    def num_lanes(self) -> int:
-        return len(self._lanes)
-
     def reserve(self, duration: float) -> float:
         """Book ``duration`` seconds of work; returns the finish time."""
         if duration <= 0:

@@ -2,9 +2,9 @@
 
 A :class:`MetricsCollector` (enabled via ``Cluster.enable_metrics()``)
 records every wire transfer the NICs and TCP stacks perform, giving
-experiments per-host traffic accounting, link-utilization estimates,
-and transfer timelines — the observability layer a systems paper's
-"we measured..." sentences rest on.
+experiments per-host, per-kind and per-role traffic accounting — the
+observability layer a systems paper's "we measured..." sentences rest
+on.
 
 Collection is off by default; when disabled the fast paths pay a
 single attribute check.
@@ -13,7 +13,7 @@ single attribute check.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -32,10 +32,6 @@ class TransferRecord:
     #: separating §3.2 static traffic from §3.3 dynamic traffic
     role: str = ""
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 class MetricsCollector:
     """Accumulates transfer records and answers summary queries."""
@@ -51,9 +47,6 @@ class MetricsCollector:
         self.transfers.append(TransferRecord(
             kind=kind, src_host=src_host, dst_host=dst_host,
             nbytes=nbytes, start=start, end=max(end, start), role=role))
-
-    def reset(self) -> None:
-        self.transfers = []
 
     # -- queries ------------------------------------------------------------------------
 
@@ -101,68 +94,3 @@ class MetricsCollector:
                 continue
             total += t.nbytes
         return total
-
-    def bytes_by_host(self, direction: str = "egress") -> Dict[str, int]:
-        """Per-host byte totals; direction 'egress' or 'ingress'."""
-        if direction not in ("egress", "ingress"):
-            raise ValueError("direction must be 'egress' or 'ingress'")
-        out: Dict[str, int] = defaultdict(int)
-        for t in self.transfers:
-            host = t.src_host if direction == "egress" else t.dst_host
-            out[host] += t.nbytes
-        return dict(out)
-
-    def hottest_host(self, direction: str = "egress") -> Optional[str]:
-        totals = self.bytes_by_host(direction)
-        if not totals:
-            return None
-        return max(totals, key=totals.get)
-
-    def utilization(self, host: str, bandwidth: float,
-                    window: Optional[Tuple[float, float]] = None,
-                    direction: str = "egress") -> float:
-        """Fraction of a host link's capacity used over a window."""
-        if window is None:
-            if not self.transfers:
-                return 0.0
-            window = (min(t.start for t in self.transfers),
-                      max(t.end for t in self.transfers))
-        lo, hi = window
-        span = hi - lo
-        if span <= 0:
-            return 0.0
-        key = "src_host" if direction == "egress" else "dst_host"
-        carried = sum(
-            t.nbytes for t in self.transfers
-            if getattr(t, key) == host and t.start < hi and t.end > lo)
-        return carried / (bandwidth * span)
-
-    def timeline(self, bucket: float) -> List[Tuple[float, int]]:
-        """(bucket_start, bytes finishing in bucket) pairs, sorted."""
-        if bucket <= 0:
-            raise ValueError("bucket must be positive")
-        buckets: Dict[int, int] = defaultdict(int)
-        for t in self.transfers:
-            buckets[int(t.end / bucket)] += t.nbytes
-        return [(index * bucket, size)
-                for index, size in sorted(buckets.items())]
-
-    def summary(self) -> str:
-        """A short human-readable traffic report."""
-        if not self.transfers:
-            return "no transfers recorded"
-        lines = [f"{self.count()} transfers, "
-                 f"{self.total_bytes() / 1e6:.1f} MB total"]
-        kinds = sorted({t.kind for t in self.transfers})
-        for kind in kinds:
-            lines.append(f"  {kind}: {self.count(kind)} transfers, "
-                         f"{self.total_bytes(kind) / 1e6:.1f} MB")
-        roles = self.bytes_by_role()
-        for role, nbytes in sorted(roles.items()):
-            if role:
-                lines.append(f"  role {role}: "
-                             f"{self.count(role=role)} transfers, "
-                             f"{nbytes / 1e6:.1f} MB")
-        for host, nbytes in sorted(self.bytes_by_host().items()):
-            lines.append(f"  {host} egress: {nbytes / 1e6:.1f} MB")
-        return "\n".join(lines)

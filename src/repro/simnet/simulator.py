@@ -8,8 +8,7 @@ executes deterministically inside one OS process.
 
 The design follows the classic process-interaction style (as in SimPy)
 but is intentionally minimal: events, timeouts, processes, and a FIFO
-:class:`Resource` for modelling contended capacities such as network
-links.
+:class:`Store` for passing messages between processes.
 """
 
 from __future__ import annotations
@@ -126,36 +125,15 @@ class Process(Event):
     ``result = yield sim.spawn(child())``
     """
 
-    __slots__ = ("generator", "name", "_target", "_wait_token", "_suspended")
+    __slots__ = ("generator", "name", "_suspended")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        #: invalidates in-flight plain-delay wake-ups on interrupt
-        self._wait_token = 0
         self._suspended = False
         # Bootstrap: resume the generator at the current time.
         sim.call_at(sim.now, lambda: self._resume(None, None))
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        self._wait_token += 1  # cancel any pending plain-delay wake-up
-        target = self._target
-        if target is not None and not target._triggered:
-            # Detach from the event we were waiting on.
-            try:
-                target.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-        self.sim.call_at(self.sim.now, lambda: self._resume(None, Interrupt(cause)))
 
     def resume(self, value: Any = None,
                exception: Optional[BaseException] = None) -> None:
@@ -182,7 +160,6 @@ class Process(Event):
     def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
         if self._triggered:
             return
-        self._target = None
         self._suspended = False
         sim = self.sim
         caller, sim.active_process = sim.active_process, self
@@ -193,10 +170,6 @@ class Process(Event):
                 target = self.generator.send(value)
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            # The process let an interrupt escape: treat as clean exit.
-            self.succeed(None)
             return
         except BaseException as exc:  # noqa: BLE001 - fault isolation
             # An uncaught exception ends the process; waiters see it.
@@ -213,12 +186,11 @@ class Process(Event):
             # large-cluster sweeps).
             if type(target) is float or type(target) is int:
                 if target >= 0:
-                    self._wait_token = token = self._wait_token + 1
                     sim._seq += 1
                     heapq.heappush(
                         sim._queue,
                         (sim._now + target, sim._seq, None,
-                         lambda: self._delay_wake(token)))
+                         lambda: self._resume(None, None)))
                     return
                 self.generator.close()
                 self.fail(SimulationError(
@@ -235,21 +207,7 @@ class Process(Event):
             self.generator.close()
             self.fail(SimulationError(f"process {self.name!r} waits on itself"))
             return
-        self._target = target
         target.add_callback(self._on_event)
-
-    def _delay_wake(self, token: int) -> None:
-        """Resume after a plain-delay yield, unless interrupted since."""
-        if token == self._wait_token and not self._triggered:
-            self._resume(None, None)
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class AllOf(Event):
@@ -422,63 +380,6 @@ class Simulator:
             for callback in callbacks:
                 callback(fired)
         return event.value
-
-
-class Resource:
-    """A FIFO resource with integer capacity (e.g. a network link slot).
-
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        try:
-            ... hold the resource ...
-        finally:
-            resource.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: List[Event] = []
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def request(self) -> Event:
-        """Return an event that fires when the resource is granted."""
-        event = self.sim.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiting.append(event)
-        return event
-
-    def release(self, request: Event) -> None:
-        """Release a previously granted request."""
-        if not request.triggered:
-            # The holder gave up before being granted; drop from queue.
-            try:
-                self._waiting.remove(request)
-                return
-            except ValueError:
-                raise SimulationError("releasing a request that was never made")
-        if self._in_use <= 0:
-            raise SimulationError("release without a matching grant")
-        if self._waiting:
-            nxt = self._waiting.pop(0)
-            nxt.succeed()
-        else:
-            self._in_use -= 1
 
 
 class Store:

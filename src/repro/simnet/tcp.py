@@ -109,10 +109,6 @@ class Socket:
             self.stack.cost.tcp_recv_time(message.size))
         return message
 
-    def pending(self) -> int:
-        """Messages delivered to this endpoint but not yet read."""
-        return len(self.inbox)
-
     def close(self) -> None:
         self.closed = True
         if self.peer is not None:

@@ -1,10 +1,9 @@
 """Workload generators: the micro-benchmark and synthetic datasets."""
 
 from .microbench import MicrobenchResult, run_microbench, sweep_microbench
-from .synthetic import (random_batch, random_tensor, synthetic_minibatches,
-                        variable_length_batches)
+from .synthetic import variable_length_batches
 
 __all__ = [
-    "MicrobenchResult", "random_batch", "random_tensor", "run_microbench",
-    "sweep_microbench", "synthetic_minibatches", "variable_length_batches",
+    "MicrobenchResult", "run_microbench", "sweep_microbench",
+    "variable_length_batches",
 ]

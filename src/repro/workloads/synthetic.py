@@ -4,38 +4,9 @@ generated on the fly, which can avoid the overhead of data loading").
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import List
 
 import numpy as np
-
-
-def random_tensor(shape: Sequence[int], seed: int = 0,
-                  dtype=np.float32) -> np.ndarray:
-    """A deterministic random tensor of the given shape."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(size=tuple(shape)).astype(dtype)
-
-
-def random_batch(batch_size: int, feature_dim: int, num_classes: int,
-                 seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """One (features, one-hot labels) classification mini-batch."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(size=(batch_size, feature_dim)).astype(np.float32)
-    labels = rng.integers(0, num_classes, size=batch_size)
-    y = np.zeros((batch_size, num_classes), dtype=np.float32)
-    y[np.arange(batch_size), labels] = 1.0
-    return x, y
-
-
-def synthetic_minibatches(batch_size: int, feature_dim: int,
-                          num_classes: int,
-                          seed: int = 0) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """An endless stream of mini-batches, generated on the fly."""
-    step = 0
-    while True:
-        yield random_batch(batch_size, feature_dim, num_classes,
-                           seed=seed + step)
-        step += 1
 
 
 def variable_length_batches(max_length: int, feature_dim: int,

@@ -41,7 +41,8 @@ def _install(cluster, fault_spec, seed):
         cluster.install_faults(FaultInjector.from_spec(fault_spec, seed=seed))
 
 
-def _run_ps_training(fault_spec=None, seed=0, force_dynamic=False):
+def _run_ps_training(fault_spec=None, seed=0, force_dynamic=False,
+                     qp_mode="rc"):
     """PS-style training: static writes (or dynamic metadata+read)."""
     cluster = Cluster(2)
     _install(cluster, fault_spec, seed)
@@ -55,7 +56,7 @@ def _run_ps_training(fault_spec=None, seed=0, force_dynamic=False):
     loss, _ = b.softmax_cross_entropy(logits, y, name="loss",
                                       device="worker0")
     minimize(b, loss, lr=0.5)
-    comm = RdmaCommRuntime(force_dynamic=force_dynamic)
+    comm = RdmaCommRuntime(force_dynamic=force_dynamic, qp_mode=qp_mode)
     session = Session(cluster, b.finalize(),
                       {"ps0": cluster.hosts[0], "worker0": cluster.hosts[1]},
                       comm=comm)
@@ -69,8 +70,9 @@ def _run_ps_training(fault_spec=None, seed=0, force_dynamic=False):
     return numerics, cluster, comm
 
 
-def _run_static(fault_spec=None, seed=0):
-    return _run_ps_training(fault_spec, seed, force_dynamic=False)
+def _run_static(fault_spec=None, seed=0, qp_mode="rc"):
+    return _run_ps_training(fault_spec, seed, force_dynamic=False,
+                            qp_mode=qp_mode)
 
 
 def _run_dynamic(fault_spec=None, seed=0):
@@ -162,13 +164,20 @@ def test_sweep_actually_injects_faults():
 
 
 class TestChaosOtherKinds:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_qp_break_heals_to_identical_numerics(self, seed):
+    # a broken shared endpoint heals through SharedChannel.reconnect,
+    # a broken RC pair through RdmaChannel.reconnect; both back to the
+    # RC run's numerics
+    @pytest.mark.parametrize("qp_mode,seed", [
+        *[pytest.param("rc", seed, id=str(seed)) for seed in range(5)],
+        *[pytest.param("shared", seed, id=f"shared-{seed}")
+          for seed in range(5)]])
+    def test_qp_break_heals_to_identical_numerics(self, qp_mode, seed):
         numerics, cluster, comm = _run_static(
-            f"qp_break:count=1,skip={seed * 3}", seed)
+            f"qp_break:count=1,skip={seed * 3}", seed, qp_mode=qp_mode)
         assert numerics == _baseline("static")
         recovery = comm.recovery_snapshot()
         assert recovery["qp_reconnects"] >= 1
+        assert recovery["gave_up"] == 0
         assert cluster.fault_plane.counts_by_kind() == {"qp_break": 1}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

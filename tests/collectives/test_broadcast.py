@@ -3,8 +3,7 @@
 import pytest
 
 from repro.collectives import (BROADCAST_MODES, broadcast_hops,
-                               downstream_of, root_egress_bytes,
-                               upstream_of)
+                               root_egress_bytes)
 
 
 class TestSchedules:
@@ -31,20 +30,6 @@ class TestSchedules:
 
 
 class TestTopologyQueries:
-    def test_upstream(self):
-        assert upstream_of(4, "direct", 3) == -1
-        assert upstream_of(4, "chain", 0) == -1
-        assert upstream_of(4, "chain", 3) == 2
-        with pytest.raises(ValueError):
-            upstream_of(2, "chain", 5)
-
-    def test_downstream(self):
-        assert downstream_of(3, "direct", -1) == [0, 1, 2]
-        assert downstream_of(3, "direct", 0) == []
-        assert downstream_of(3, "chain", -1) == [0]
-        assert downstream_of(3, "chain", 1) == [2]
-        assert downstream_of(3, "chain", 2) == []
-
     def test_root_egress(self):
         model = 100
         assert root_egress_bytes(5, "direct", model) == 500

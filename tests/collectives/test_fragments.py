@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.collectives import (halving_doubling_allreduce,
-                               halving_doubling_wire_bytes, ring_all_gather,
-                               ring_allreduce, ring_allreduce_wire_bytes,
-                               ring_reduce_scatter)
+                               halving_doubling_wire_bytes, ring_allreduce,
+                               ring_allreduce_wire_bytes, ring_reduce_scatter)
 from repro.collectives.bucketing import chunk_ranges
 from repro.core import RdmaCommRuntime
 from repro.graph import GraphBuilder, Session
@@ -96,19 +95,6 @@ def test_reduce_scatter_ownership_and_values():
         np.testing.assert_array_equal(
             session.numpy(ref.value.node.name, ref.value.index),
             expected[ref.begin:ref.begin + ref.size])
-
-
-def test_all_gather_replicates_every_contribution():
-    arrays = [np.full(4, i, dtype=np.float32) for i in range(3)]
-    builder = GraphBuilder("ag")
-    inputs, devices = worker_inputs(builder, arrays)
-    gathered = ring_all_gather(builder, inputs, devices)
-    session = run_fragment(builder, devices)
-    for i in range(3):
-        for j in range(3):
-            out = gathered[i][j]
-            np.testing.assert_array_equal(
-                session.numpy(out.node.name, out.index), arrays[j])
 
 
 class TestSingleWorker:

@@ -80,12 +80,6 @@ class TestAgainstNumericGradients:
             return b.reduce_sum(b.mul(flat, flat))
         self._check(build, (2, 3))
 
-    def test_bias_add(self):
-        def build(b, x):
-            bias = b.constant(np.array([0.5, -1.0], dtype=np.float32))
-            return b.reduce_sum(b.square(b.bias_add(x, bias)))
-        self._check(build, (3, 2))
-
     def test_axis_reduce(self):
         def build(b, x):
             col_sums = b.reduce_sum(x, axis=0)
@@ -183,9 +177,8 @@ class TestErrors:
 
     def test_unsupported_op_rejected(self):
         b = GraphBuilder()
-        x = b.placeholder([2, 2, 2, 1], name="x")
-        pooled = b.max_pool(x, window=2)
-        loss = b.reduce_sum(pooled)
+        x = b.placeholder([2, 2], name="x")
+        loss = b.reduce_max(x)
         with pytest.raises(GraphError, match="no gradient registered"):
             gradients(b, loss, [x])
 

@@ -60,12 +60,6 @@ class TestGraphStructure:
         with pytest.raises(GraphError):
             node.add_control_input(node)
 
-    def test_consumers(self):
-        b, y = small_forward()
-        w1 = b.graph.node("W1")
-        consumers = b.graph.consumers(w1)
-        assert any(n.op_type == "MatMul" for n in consumers)
-
     def test_foreign_input_rejected(self):
         b1, y1 = small_forward()
         b2 = GraphBuilder()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.dtypes import DType
-from repro.graph.shapes import Shape, ShapeError, as_shape, scalar, unknown
+from repro.graph.shapes import Shape, ShapeError, as_shape, scalar
 
 
 class TestShapeBasics:
@@ -48,11 +48,6 @@ class TestShapeBasics:
         assert as_shape(shape) is shape
         assert as_shape([2, 2]) == Shape([2, 2])
 
-    def test_unknown(self):
-        shape = unknown(3)
-        assert shape.rank == 3
-        assert not shape.is_fully_defined
-
 
 class TestShapeAlgebra:
     def test_merge_fills_unknowns(self):
@@ -86,17 +81,6 @@ class TestShapeAlgebra:
     def test_broadcast_incompatible(self):
         with pytest.raises(ShapeError):
             Shape([2]).broadcast(Shape([3]))
-
-    def test_with_batch(self):
-        assert Shape([10]).with_batch(32) == (32, 10)
-        assert Shape([10]).with_batch(None) == (None, 10)
-
-    def test_concat_axis(self):
-        assert Shape([2, 3]).concat_axis(Shape([2, 5]), axis=1) == (2, 8)
-
-    def test_compatible_with(self):
-        assert Shape([None, 2]).compatible_with(Shape([7, 2]))
-        assert not Shape([3, 2]).compatible_with(Shape([7, 2]))
 
 
 class TestDType:

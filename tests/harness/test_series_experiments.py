@@ -45,11 +45,6 @@ class TestExperimentResult:
         result.add_row(None)
         assert "-" in result.render().splitlines()[-1]
 
-    def test_csv(self):
-        csv_text = self._sample().to_csv()
-        assert csv_text.splitlines()[0] == "a,b"
-        assert "x,1.5" in csv_text
-
     def test_registry_covers_all_tables_and_figures(self):
         assert set(ALL_EXPERIMENTS) == {
             "table2", "figure7", "figure8", "figure9", "figure10",

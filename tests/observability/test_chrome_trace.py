@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.observability import (ChromeTraceStream, TraceBudget, Tracer,
-                                 chrome_trace_events, to_chrome_trace,
-                                 write_chrome_trace)
+                                 chrome_trace_events)
 from repro.observability.capture import (capture_enabled, capture_run,
                                          configure_capture, flush_capture,
                                          reset_capture)
@@ -60,14 +59,11 @@ class TestChromeExport:
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert names == {"runA/server0", "runA/server1"}
 
-    def test_to_chrome_trace_shape(self):
-        trace = to_chrome_trace(_sample_tracer())
-        assert "traceEvents" in trace
-        assert trace["displayTimeUnit"] == "ms"
-
     def test_write_round_trips(self, tmp_path):
         path = tmp_path / "out.trace.json"
-        write_chrome_trace(_sample_tracer(), str(path))
+        stream = ChromeTraceStream(str(path))
+        stream.add_run(_sample_tracer())
+        stream.close()
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) > 0
 
@@ -76,8 +72,9 @@ class TestStreamingExport:
     def test_stream_matches_in_memory_export(self, tmp_path):
         tracer = _sample_tracer()
         path = tmp_path / "stream.trace.json"
-        with ChromeTraceStream(str(path)) as stream:
-            stream.add_run(tracer)
+        stream = ChromeTraceStream(str(path))
+        stream.add_run(tracer)
+        stream.close()
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"] == chrome_trace_events(tracer)
         assert loaded["displayTimeUnit"] == "ms"
@@ -88,8 +85,9 @@ class TestStreamingExport:
             tracer.record("op", f"op{i}", "server0", "executor:w0",
                           float(i), float(i) + 0.5)
         path = tmp_path / "capped.trace.json"
-        with ChromeTraceStream(str(path), max_events=5) as stream:
-            stream.add_run(tracer)
+        stream = ChromeTraceStream(str(path), max_events=5)
+        stream.add_run(tracer)
+        stream.close()
         loaded = json.loads(path.read_text())
         spans = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == 5
@@ -100,8 +98,9 @@ class TestStreamingExport:
 
     def test_metadata_exempt_from_cap(self, tmp_path):
         path = tmp_path / "meta.trace.json"
-        with ChromeTraceStream(str(path), max_events=1) as stream:
-            stream.add_run(_sample_tracer())
+        stream = ChromeTraceStream(str(path), max_events=1)
+        stream.add_run(_sample_tracer())
+        stream.close()
         loaded = json.loads(path.read_text())
         names = {e["args"]["name"] for e in loaded["traceEvents"]
                  if e.get("ph") == "M" and e["name"] == "process_name"}

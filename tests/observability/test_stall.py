@@ -48,10 +48,8 @@ class TestStallReportUnit:
         assert fractions["op"] == pytest.approx(0.7)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
-    def test_render_and_to_dict(self):
+    def test_to_dict(self):
         report = build_stall_report(self._tracer())
-        text = report.render()
-        assert "measured_ms" in text and "coverage" in text
         data = report.to_dict()
         assert data["iterations"][0]["coverage"] == pytest.approx(1.0)
 
@@ -59,7 +57,6 @@ class TestStallReportUnit:
         report = build_stall_report(Tracer())
         assert report.iterations == []
         assert report.fractions() == {}
-        assert "stall shares" not in report.render()
 
 
 class TestEndToEndAcceptance:
@@ -159,7 +156,6 @@ class TestOverlapEfficiencyUnit:
         report = build_stall_report(tracer)
         assert report.iterations[0].overlap_efficiency is None
         assert report.overlap_efficiency() is None
-        assert "overlap efficiency" not in report.render()
 
 
 class TestPrioritySchedulerAcceptance:

@@ -146,19 +146,6 @@ class TestFlightRecorder:
         tracer.record("verb", "a", "server0", "nic:qp0", 1.0, 2.0)
         assert [s.name for s in tracer.flight_dump()] == ["a", "b"]
 
-    def test_reset_clears_flight_and_counters(self):
-        budget = make_budget(default_rate=0.5)
-        tracer = Tracer(budget=budget,
-                        telemetry=Telemetry(hosts_per_rack=2))
-        for _ in range(10):
-            tracer.record("verb", "v", "server0", "nic:qp0", 0.0, 1.0)
-        tracer.reset()
-        assert tracer.spans == []
-        assert tracer.dropped_spans == 0
-        assert tracer.flight == {}
-        assert tracer.telemetry.sketches == {}
-        assert tracer.telemetry.hosts_per_rack == 2
-
 
 def _tiny_spec():
     return ModelSpec(

@@ -69,15 +69,14 @@ class TestTracer:
         tracer.account("h", "executor:w0", 0, "op", 0.0, 1.0)
         tracer.account("h", "executor:w0", 0, "op", 2.0, 2.5)
         tracer.account("h", "executor:w0", 1, "op", 3.0, 4.0)
-        assert tracer.breakdown(iteration=0) == {"op": 1.5}
-        assert tracer.breakdown() == {"op": 2.5}
-        assert tracer.breakdown(host="other") == {}
+        assert tracer.breakdowns == {("h", "executor:w0", 0): {"op": 1.5},
+                                     ("h", "executor:w0", 1): {"op": 1.0}}
 
     def test_account_emit_false_skips_span(self):
         tracer = Tracer()
         tracer.account("h", "t", 0, "sched", 0.0, 1.0, emit=False)
         assert tracer.spans == []
-        assert tracer.breakdown()["sched"] == 1.0
+        assert tracer.breakdowns == {("h", "t", 0): {"sched": 1.0}}
 
     def test_account_zero_duration_is_noop(self):
         tracer = Tracer()
@@ -99,19 +98,6 @@ class TestTracer:
         tracer.record("op", "c", "h1", "t1", 1.0, 3.0)
         assert tracer.tracks() == [("h1", "t1"), ("h2", "t2")]
         assert tracer.categories() == {"op": 2, "verb": 1}
-        assert tracer.total("op") == 3.0
-
-    def test_reset_clears_everything(self):
-        tracer = Tracer()
-        tracer.record("op", "a", "h", "t", 0.0, 1.0)
-        tracer.account("h", "t", 0, "op", 0.0, 1.0)
-        tracer.metrics.counter("c").add()
-        tracer.mark_iteration(0, 0.0, 1.0)
-        tracer.reset()
-        assert tracer.spans == []
-        assert tracer.breakdowns == {}
-        assert tracer.iteration_windows == []
-        assert tracer.metrics.counters == {}
 
     def test_track_helpers(self):
         assert executor_track("worker0") == "executor:worker0"

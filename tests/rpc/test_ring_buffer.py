@@ -14,12 +14,6 @@ class TestBasics:
         assert ring.pop() == b"two"
         assert ring.pop() is None
 
-    def test_peek_does_not_consume(self):
-        ring = RingBuffer(128)
-        ring.push(b"record")
-        assert ring.peek() == b"record"
-        assert ring.pop() == b"record"
-
     def test_empty_pop_none(self):
         assert RingBuffer(64).pop() is None
 
@@ -30,13 +24,6 @@ class TestBasics:
         ring.pop()
         assert ring.records_written == 5
         assert ring.records_read == 1
-
-    def test_drain(self):
-        ring = RingBuffer(256)
-        for i in range(4):
-            ring.push(bytes([i]) * 3)
-        assert ring.drain() == [b"\x00" * 3, b"\x01" * 3, b"\x02" * 3, b"\x03" * 3]
-        assert ring.used == 0
 
     def test_capacity_too_small(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,8 @@
-"""Unit tests for the CPU copy engine and the simulated GPU."""
+"""Unit tests for the CPU copy engine."""
 
 import pytest
 
-from repro.simnet import Cluster
 from repro.simnet.cpu import CpuEngine
-from repro.simnet.gpu import GpuDevice
 from repro.simnet.simulator import Simulator
 
 
@@ -60,33 +58,3 @@ class TestCpuEngine:
         with pytest.raises(ValueError):
             CpuEngine(Simulator(), lanes=0)
 
-
-class TestGpuDevice:
-    @pytest.fixture
-    def host(self):
-        return Cluster(1).hosts[0]
-
-    def test_allocation_tagged_as_device_memory(self, host):
-        gpu = GpuDevice(host, index=0)
-        buf = gpu.allocate(1024)
-        assert gpu.owns(buf)
-        assert not gpu.owns(host.allocate(1024))
-
-    def test_staging_copy_cost(self, host):
-        gpu = GpuDevice(host)
-        small = gpu.staging_copy_time(4 * 1024)
-        large = gpu.staging_copy_time(64 * 1024 * 1024)
-        assert 0 < small < large
-
-    def test_free(self, host):
-        gpu = GpuDevice(host)
-        buf = gpu.allocate(256)
-        gpu.free(buf)
-        assert not gpu.owns(buf)
-
-    def test_name(self, host):
-        assert GpuDevice(host, index=1).name.endswith("/gpu1")
-
-    def test_gpudirect_capability_flag(self, host):
-        assert GpuDevice(host).gpudirect_capable
-        assert not GpuDevice(host, gpudirect_capable=False).gpudirect_capable

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.simnet.simulator import (
-    SUSPEND, AllOf, AnyOf, Event, Interrupt, Resource, SimulationError,
-    Simulator, Store, Timeout)
+    SUSPEND, AllOf, AnyOf, Event, SimulationError, Simulator, Store,
+    Timeout)
 
 
 @pytest.fixture
@@ -286,29 +286,6 @@ class TestProcesses:
         sim.run()
         assert caught == ["child died"]
 
-    def test_interrupt_reaches_process(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as inter:
-                log.append((sim.now, inter.cause))
-
-        proc = sim.spawn(sleeper())
-        sim.call_after(1, lambda: proc.interrupt("wake"))
-        sim.run()
-        assert log == [(1.0, "wake")]
-
-    def test_is_alive(self, sim):
-        def proc():
-            yield sim.timeout(5)
-
-        p = sim.spawn(proc())
-        assert p.is_alive
-        sim.run()
-        assert not p.is_alive
-
     def test_run_until_complete_returns_value(self, sim):
         def proc():
             yield sim.timeout(3)
@@ -342,7 +319,7 @@ class TestProcesses:
         p = sim.spawn(proc())
         with pytest.raises(SimulationError, match="time limit"):
             sim.run_until_complete(p, limit=1.0)
-        assert sim.now == 0.0 and p.is_alive  # the late entry stays queued
+        assert sim.now == 0.0 and not p.triggered  # the late entry stays queued
 
     def test_spawn_requires_generator(self, sim):
         with pytest.raises(SimulationError):
@@ -377,7 +354,7 @@ class TestSuspendAndResume:
         proc = self._suspended(sim, [])
         # one entry ran (the bootstrap); suspending pushed nothing
         assert (sim.event_count, len(sim._queue)) == (1, 0)
-        assert proc.is_alive
+        assert not proc.triggered
 
     def test_resume_runs_generator_inside_the_callers_entry(self, sim):
         log = []
@@ -385,7 +362,7 @@ class TestSuspendAndResume:
 
         def waker():
             proc.resume("flag")
-            log.append(("back in waker", sim.event_count, proc.is_alive))
+            log.append(("back in waker", sim.event_count, not proc.triggered))
 
         sim.call_at(2.0, waker)
         sim.run()
@@ -403,7 +380,7 @@ class TestSuspendAndResume:
         with pytest.raises(KeyError):
             sim.run_until_complete(barrier)
         assert log == [("raised", boom)]
-        assert not proc.is_alive and not proc.ok
+        assert proc.triggered and not proc.ok
 
     def test_resume_requires_a_suspended_process(self, sim):
         def on_event():
@@ -423,20 +400,6 @@ class TestSuspendAndResume:
         proc.resume(1)
         proc.resume(2)
         assert log == [("got", 1)]
-
-    def test_interrupt_reaches_suspended_process(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield SUSPEND
-            except Interrupt as inter:
-                log.append((sim.now, inter.cause))
-
-        proc = sim.spawn(sleeper())
-        sim.call_at(1.0, lambda: proc.interrupt("wake"))
-        sim.run()
-        assert log == [(1.0, "wake")] and not proc.is_alive
 
     def test_active_process_nests(self, sim):
         seen = []
@@ -498,62 +461,6 @@ class TestCombinators:
     def test_any_of_requires_events(self, sim):
         with pytest.raises(SimulationError):
             sim.any_of([])
-
-
-class TestResource:
-    def test_serializes_access(self, sim):
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(tag):
-            req = res.request()
-            yield req
-            log.append(("start", tag, sim.now))
-            yield sim.timeout(2)
-            res.release(req)
-            log.append(("end", tag, sim.now))
-
-        sim.spawn(user("a"))
-        sim.spawn(user("b"))
-        sim.run()
-        assert log == [("start", "a", 0.0), ("end", "a", 2.0),
-                       ("start", "b", 2.0), ("end", "b", 4.0)]
-
-    def test_capacity_two_overlaps(self, sim):
-        res = Resource(sim, capacity=2)
-        starts = []
-
-        def user():
-            req = res.request()
-            yield req
-            starts.append(sim.now)
-            yield sim.timeout(1)
-            res.release(req)
-
-        for _ in range(3):
-            sim.spawn(user())
-        sim.run()
-        assert starts == [0.0, 0.0, 1.0]
-
-    def test_release_without_grant_raises(self, sim):
-        res = Resource(sim)
-        granted = res.request()
-        res.release(granted)
-        with pytest.raises(SimulationError):
-            res.release(granted)
-
-    def test_bad_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
-    def test_queue_length(self, sim):
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        res.request()
-        assert res.queue_length == 1
-        assert res.in_use == 1
-        res.release(first)
-        assert res.queue_length == 0
 
 
 class TestStore:

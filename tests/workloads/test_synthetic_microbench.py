@@ -1,12 +1,8 @@
 """Unit tests for workload generators and the micro-benchmark."""
 
-import itertools
-
-import numpy as np
 import pytest
 
-from repro.workloads import (random_batch, random_tensor, run_microbench,
-                             sweep_microbench, synthetic_minibatches,
+from repro.workloads import (run_microbench, sweep_microbench,
                              variable_length_batches)
 from repro.workloads.microbench import MICRO_MECHANISMS
 
@@ -15,23 +11,6 @@ MB = 1024 * 1024
 
 
 class TestSyntheticData:
-    def test_random_tensor_deterministic(self):
-        a = random_tensor([4, 4], seed=1)
-        b = random_tensor([4, 4], seed=1)
-        assert np.array_equal(a, b)
-        assert a.dtype == np.float32
-
-    def test_random_batch_one_hot(self):
-        x, y = random_batch(16, 8, 4, seed=0)
-        assert x.shape == (16, 8)
-        assert y.shape == (16, 4)
-        assert np.array_equal(y.sum(axis=1), np.ones(16))
-
-    def test_minibatch_stream_varies(self):
-        stream = synthetic_minibatches(4, 8, 2, seed=0)
-        (x1, _), (x2, _) = next(stream), next(stream)
-        assert not np.array_equal(x1, x2)
-
     def test_variable_length_batches(self):
         batches = variable_length_batches(max_length=10, feature_dim=3,
                                           count=20, seed=0)
