@@ -118,6 +118,8 @@ class Executor:
         self.iteration = -1
         self.ops_executed = 0
         self.poll_misses = 0
+        #: this executor's place among same-instant poll-chain entries
+        self.index = self.sim.poll_index()
         self._order = graph.topological_order()
         self._wake: Optional[Event] = None
         # Remote one-sided writes landing in this host's memory wake
@@ -222,6 +224,7 @@ class Executor:
         poll_check = self.cost.poll_check
         poll_requeue = self.cost.poll_requeue
         graph_node = self.graph.node
+        index = self.index
         #: count of queued nodes NOT in their polling phase — the O(1)
         #: replacement for sweeping the whole queue on every poll miss
         fresh_in_queue = len(ready)
@@ -271,7 +274,7 @@ class Executor:
                 return
             self.poll_misses += 1
             t0 = t2 + poll_requeue  # where the next visit starts
-            sim.call_at(t0, requeue)
+            sim.call_poll(t0, index, requeue)
 
         def requeue() -> None:
             nonlocal node, outcome, t2, sweep_misses
@@ -289,7 +292,7 @@ class Executor:
                 me.resume()  # a fresh node: the generator runs it
             else:
                 t2 = t0 + sched_dispatch + poll_check
-                sim.call_at(t2, check)
+                sim.call_poll(t2, index, check)
 
         while completed < total:
             if not ready:
@@ -309,7 +312,7 @@ class Executor:
             outcome = polling.get(node.name)
             if outcome is not None:
                 t2 = t0 + sched_dispatch + poll_check
-                sim.call_at(t2, check)
+                sim.call_poll(t2, index, check)
                 if (yield SUSPEND):  # until ``node`` is a hit or fresh, or:
                     # A whole sweep of pollers missed and nothing
                     # else is runnable: idle with growing backoff so

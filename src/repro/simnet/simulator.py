@@ -115,6 +115,11 @@ class Timeout(Event):
 #: :meth:`Process.resume`, inside the caller's own heap entry.
 SUSPEND = object()
 
+#: Tie-break base of poll-chain entries (:meth:`Simulator.call_poll`):
+#: above every push counter, so at one instant they run after every
+#: ordinary entry, in executor-index order.
+POLL_BASE = 1 << 62
+
 
 class Process(Event):
     """A running generator coroutine; also an event that fires on return.
@@ -261,7 +266,13 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, seq) ordered events."""
+    """The event loop: a priority queue of (time, tie) ordered events.
+
+    An ordinary entry's tie is its push counter ``seq``, so same-instant
+    entries run in the order they were scheduled.  A poll-chain entry's
+    tie is ``POLL_BASE`` plus its executor's index: what it is, not how
+    many pushes came before it.
+    """
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -269,6 +280,7 @@ class Simulator:
         self._seq = 0
         #: the process whose generator is running right now, if any
         self.active_process: Optional[Process] = None
+        self._poll_indices = 0
 
     @property
     def now(self) -> float:
@@ -298,6 +310,24 @@ class Simulator:
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callback ``delay`` seconds from now."""
         self.call_at(self._now + delay, fn)
+
+    def poll_index(self) -> int:
+        """A fresh executor index for :meth:`call_poll`."""
+        self._poll_indices += 1
+        return self._poll_indices - 1
+
+    def call_poll(self, when: float, executor_index: int,
+                  fn: Callable[[], None]) -> None:
+        """Run a poll-chain callback of executor ``executor_index`` at ``when``.
+
+        Its key is ``(when, POLL_BASE + executor_index)``: after every
+        ordinary entry at ``when``, before the poll entries of higher
+        indices.  The push counter still advances (it keeps
+        :attr:`event_count` exact and orders two entries of one key).
+        """
+        self._seq += 1
+        heapq.heappush(self._queue,
+                       (when, POLL_BASE + executor_index, self._seq, fn))
 
     # -- user-facing API ---------------------------------------------------------
 

@@ -534,6 +534,20 @@ class TestCallbacks:
         sim.spawn(proc())
         sim.run()
 
+    def test_poll_entries_sort_by_executor_index_after_ordinary_ones(self, sim):
+        """A poll-chain entry's tie is its executor index, not its push
+        order: at one instant every ordinary entry runs first, then the
+        poll entries by index, whoever pushed first."""
+        order = []
+        sim.call_poll(1.0, 2, lambda: order.append("poll2"))
+        sim.call_poll(1.0, 0, lambda: order.append("poll0"))
+        sim.call_at(1.0, lambda: order.append("at"))
+        sim.call_poll(0.5, 1, lambda: order.append("early poll1"))
+        sim.run()
+        assert order == ["early poll1", "at", "poll0", "poll2"]
+        assert sim.event_count == 4
+        assert [sim.poll_index() for _ in range(3)] == [0, 1, 2]
+
     def test_event_count_increases(self, sim):
         sim.call_after(1, lambda: None)
         sim.run()
