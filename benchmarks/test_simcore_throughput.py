@@ -27,9 +27,10 @@ here before it shows up as wall-clock.
 
 Beside it, the event the repository simulates most: a polling-async
 miss.  One executor holds 1 or 32 scripted pollers that miss a fixed
-number of times, tracer off and on, and the test pins the heap events
-a visit costs (2 per miss — the flag check and the requeue — and 1 per
-hit) and bounds its host microseconds.
+number of sweeps, tracer off and on, and the test pins the heap events
+a visit costs (none per miss — a run of misses is replayed as
+arithmetic — 1 per hit and 3 per park) and bounds its host
+microseconds.
 
 A third group bounds the host cost of each layer of the gRPC baseline
 (codec, framing, one call over gRPC.TCP, one over gRPC.RDMA) as
@@ -202,25 +203,52 @@ def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
 # -- host cost and heap events per poll visit ---------------------------------------
 #
 # A polling-async recv (paper section 4) is visited until its flag is
-# set.  A miss is two heap events - ``check`` where dispatch + flag read
-# end, ``requeue`` where the op has rejoined the tail of the ready queue
-# - and a hit is one: the op completes inside its ``check``.  When a whole
-# sweep of the queue has missed the executor parks with backoff: a
-# ``Timeout`` and the ``AnyOf`` it wakes.  The counts are pinned so that
-# eliding miss chains (ROADMAP item 1b) has to change them on purpose.
+# set.  Its misses are no heap entries: the executor plans the run of
+# visits up to the first one that needs it - a hit, or the requeue that
+# parks after a whole sweep has missed - pushes one entry there and
+# replays the misses before it in bulk (traced: one by one, for the
+# stall accounting).  A hit is one entry, where its flag check ends.  A
+# park is three: the requeue that parks, then a ``Timeout`` and the
+# ``AnyOf`` it wakes.  Before misses were elided a miss was two entries
+# (``check``, ``requeue``) and a park two (66 033 events for 32 pollers x
+# 1 000 sweeps, 3 033 after).
 
-EVENTS_PER_MISS, EVENTS_PER_HIT, EVENTS_PER_PARK = 2, 1, 2
+EVENTS_PER_MISS, EVENTS_PER_HIT, EVENTS_PER_PARK = 0, 1, 3
 
 
 class _ScriptedFlags(CommRuntime):
-    """Every recv polls: ``misses`` misses, then a hit (after
-    ``tests/graph/test_polling_async.py::ScriptedComm``); with
-    ``misses=None`` the recv completes at once, visited never."""
+    """Every recv polls a flag byte of its own (after
+    ``tests/graph/test_polling_async.py::ScriptedComm``).  The flags land
+    together - written and announced to the host in one commit - when
+    ps0's executor parks for the ``sweeps``-th time, so every poller
+    misses once per sweep; with ``sweeps=None`` the recv completes at
+    once, visited never."""
 
     name = "scripted"
 
-    def __init__(self, misses) -> None:
-        self.misses = misses
+    def __init__(self, sweeps) -> None:
+        self.sweeps = sweeps
+        self.flags = []
+
+    def prepare(self, session) -> None:
+        if self.sweeps is None:
+            return
+        executor = session.executor_for("ps0")
+        host, sim, wait = executor.host, executor.sim, executor._wait_for_wake
+        parks = []
+
+        def land() -> None:
+            for backing in self.flags:
+                backing.write(0, b"\x01")
+                host.notify_memory_commit(backing, 0, 1)
+
+        def counted(timeout=None):
+            if timeout is not None:
+                parks.append(sim.now)
+                if len(parks) == self.sweeps:
+                    sim.call_at(sim.now, land)
+            return wait(timeout)
+        executor._wait_for_wake = counted
 
     def execute_send(self, executor, node, tensor):
         return Outcome.done([])
@@ -228,17 +256,15 @@ class _ScriptedFlags(CommRuntime):
     def execute_recv(self, executor, node):
         done = Outcome.done([executor.allocate_output(
             node, 0, DType.float32, Shape([4]), dense=False)])
-        if self.misses is None:
+        if self.sweeps is None:
             return done
-        left = [self.misses]
-
-        def poll() -> bool:
-            left[0] -= 1
-            return left[0] < 0
-        return Outcome.polling(poll=poll, complete=lambda: done)
+        backing = executor.host.allocate(1, dense=True).backing
+        self.flags.append(backing)
+        return Outcome.polling(poll=lambda: backing.read_byte(0) == 1,
+                               complete=lambda: done, flag=(backing, 0))
 
 
-def _poller_session(pollers: int, misses, traced: bool) -> Session:
+def _poller_session(pollers: int, sweeps, traced: bool) -> Session:
     """``pollers`` cut edges worker0 -> ps0: ps0's executor polls them."""
     cluster = Cluster(2)
     if traced:
@@ -250,14 +276,15 @@ def _poller_session(pollers: int, misses, traced: bool) -> Session:
         b.synthetic_compute(0.0, inputs=[x], name=f"sink{i}", device="ps0")
     return Session(cluster, b.finalize(),
                    {"worker0": cluster.hosts[0], "ps0": cluster.hosts[1]},
-                   comm=_ScriptedFlags(misses))
+                   comm=_ScriptedFlags(sweeps))
 
 
-# Measured user us/miss: 1 poller 5.9 untraced / 10.9 traced (every miss
-# is a whole sweep, so each is followed by a park: two generator round
-# trips, a Timeout and an AnyOf), 32 pollers 1.1 / 2.2 (one park per 32
-# misses; traced, three account() calls per visit).  While a visit was
-# two generator round trips: 9.3 / 12.9 and 3.0 / 4.4.
+# Measured user us/miss: 1 poller 5.9 untraced / 10.9 traced while a miss
+# was two heap entries (every miss is a whole sweep there, so each is
+# followed by a park: two generator round trips, a Timeout and an
+# AnyOf), 32 pollers 1.1 / 2.2 (one park per 32 misses; traced, three
+# account() calls per visit).  While a visit was two generator round
+# trips: 9.3 / 12.9 and 3.0 / 4.4.
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("pollers,sweeps,ceiling_us", [
     (1, 20_000, {False: 12.0, True: 22.0}),
@@ -282,8 +309,8 @@ def test_poll_visit_host_cost_and_events(benchmark, pollers, sweeps,
           f"us/miss, {visit_events[0]} heap events for {misses} misses, "
           f"{pollers} hits and {sweeps} parks")
     assert [s.executor_for("ps0").poll_misses for s in sessions] == [misses] * 3
-    # + 1: the first completion notifies the wake event the last park
-    # left pending
+    # + 1: the commit that lands the flags (it wakes the last park, whose
+    # Timeout is still queued when the run ends)
     assert visit_events == [misses * EVENTS_PER_MISS
                             + pollers * EVENTS_PER_HIT
                             + sweeps * EVENTS_PER_PARK + 1] * 3

@@ -214,7 +214,8 @@ class RdmaChannel:
             if tail:
                 dst_buf.backing.write(dst_off + size - len(tail), tail)
         self.bytes_transferred += size
-        dst_host.notify_memory_commit()
+        dst_host.notify_memory_commit(dst_buf.backing, dst_off,
+                                      dst_off + size)
 
     def memcpy(self, local_addr: int, local_region: Optional[MemRegion],
                remote_addr: int, remote_region: RemoteMemRegion, size: int,

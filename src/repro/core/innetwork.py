@@ -211,7 +211,8 @@ class InNetworkGroup:
             self._member_done(round_id)
             return Outcome.done([member.tensor])
 
-        return Outcome.polling(poll=poll, complete=complete)
+        return Outcome.polling(poll=poll, complete=complete,
+                               flag=(backing, member.flag_offset))
 
     # -- member upstream --------------------------------------------------------
 
@@ -369,9 +370,11 @@ class InNetworkGroup:
             event.succeed()
         if count == len(self.chunks):
             del self._committed[key]
-            member.tensor.buffer.backing.write(
-                member.flag_offset, bytes([_round_epoch(round_id)]))
-            member.host.notify_memory_commit()
+            backing = member.tensor.buffer.backing
+            backing.write(member.flag_offset,
+                          bytes([_round_epoch(round_id)]))
+            member.host.notify_memory_commit(backing, member.flag_offset,
+                                             member.flag_offset + 1)
 
     def _member_done(self, round_id: int) -> None:
         done = self._round_done.get(round_id, 0) + 1

@@ -70,7 +70,7 @@ def park_until(sim: Simulator, host: Host, predicate: Callable[[], bool],
     while not predicate():
         wake = sim.event()
 
-        def _notify(event=wake) -> None:
+        def _notify(*_landed, event=wake) -> None:
             if not event.triggered:
                 event.succeed()
 

@@ -273,7 +273,9 @@ class StaticReceiver:
                 yield (extra_delay)
                 return [self.tensor]
             return Outcome.wait(executor.sim.spawn(stage()))
-        return Outcome.polling(poll=self.poll, complete=complete)
+        return Outcome.polling(
+            poll=self.poll, complete=complete,
+            flag=(self.tensor.buffer.backing, self.flag_offset))
 
 
 class DynamicSender:
@@ -500,4 +502,6 @@ class DynamicReceiver:
                     yield (extra_delay)
                 return [tensor]
             return Outcome.wait(executor.sim.spawn(fetch()))
-        return Outcome.polling(poll=self.poll, complete=complete)
+        return Outcome.polling(
+            poll=self.poll, complete=complete,
+            flag=(self.meta_region.buffer.backing, self.flag_offset))

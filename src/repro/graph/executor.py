@@ -21,13 +21,16 @@ to steer traced allocation sites into the RDMA arena.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Generator, Iterator, List,
+                    Optional, Set, Tuple)
 
 import numpy as np
 
 from ..observability.tracer import executor_track
+from ..simnet.memory import Backing
 from ..simnet.simulator import SUSPEND, Event, Simulator
 from ..simnet.topology import Host
 from .allocator import ArenaAllocator, BaseAllocator, HostAllocator
@@ -117,7 +120,7 @@ class Executor:
         self.values: Dict[Tuple[str, int], Tensor] = {}
         self.iteration = -1
         self.ops_executed = 0
-        self.poll_misses = 0
+        self._poll_misses = 0
         #: this executor's place among same-instant poll-chain entries
         self.index = self.sim.poll_index()
         self._order = graph.topological_order()
@@ -127,8 +130,22 @@ class Executor:
         # their idle backoff (the backoff only bounds simulator events;
         # a real spinning poller sees the flag within its poll interval).
         host.wake_listeners.append(self._notify)
+        #: the running iteration's reaction to a commit, and its replay
+        #: of the planned misses the event loop has passed
+        self._on_commit: Optional[Callable[[Optional[Backing], int, int],
+                                           None]] = None
+        self._catch_up: Optional[Callable[[], None]] = None
         #: per-iteration allocations, reclaimed at the next iteration
         self._transient: List[Tuple[BaseAllocator, Tensor]] = []
+
+    @property
+    def poll_misses(self) -> int:
+        """Poll visits that missed so far, exact whenever read: the
+        running iteration's planned misses that the event loop has
+        passed are replayed first."""
+        if self._catch_up is not None:
+            self._catch_up()
+        return self._poll_misses
 
     # -- allocation -----------------------------------------------------------------
 
@@ -202,6 +219,16 @@ class Executor:
         total = len(self._order)
         #: nodes currently in their polling phase: node -> Outcome
         polling: Dict[str, Outcome] = {}
+        #: the pollers whose last flag read was not a miss (a hit, or a
+        #: ``poll()`` that raised).  By ``Outcome.polling``'s contract a
+        #: read can change only where a commit notifies the host, so a
+        #: flag is read when its poller enters the queue and again only
+        #: at a commit whose range covers it: ``watched`` maps a backing
+        #: to its pollers' (flag offset, name) pairs, sorted; ``blind``
+        #: holds the pollers naming no flag.
+        hot: Set[str] = set()
+        watched: Dict[Backing, List[Tuple[int, str]]] = {}
+        blind: Set[str] = set()
         idle_backoff = self.cost.idle_poll_interval
         #: misses since the last wake-up/hit; the executor only parks
         #: after a full sweep of the pollers has missed, so one wake-up
@@ -216,47 +243,169 @@ class Executor:
         hostname = self.host.name
         iteration = self.iteration
         polls_since_park = 0
-        # Hot-path locals: the loop and the poll callbacks below run
-        # once per node visit (every poll miss included), so attribute
-        # loads add up at 100+ simulated hosts.
         sim = self.sim
         sched_dispatch = self.cost.sched_dispatch
         poll_check = self.cost.poll_check
         poll_requeue = self.cost.poll_requeue
+        visit_costs = (sched_dispatch, poll_check, poll_requeue)
         graph_node = self.graph.node
-        index = self.index
+        poll_index = self.index
         #: count of queued nodes NOT in their polling phase — the O(1)
         #: replacement for sweeping the whole queue on every poll miss
         fresh_in_queue = len(ready)
 
-        def finish(node: Node, outputs: List[Tensor]) -> None:
-            nonlocal completed, fresh_in_queue
-            for index, tensor in enumerate(outputs):
-                self.values[(node.name, index)] = tensor
-            completed += 1
-            for dependent in dependents[node.name]:
-                pending[dependent] -= 1
-                if pending[dependent] == 0:
-                    ready.append(graph_node(dependent))
-                    fresh_in_queue += 1
-            self._notify()
-
-        # A poll visit is two plain heap callbacks, not two generator
-        # round trips: ``check`` when the dispatch and the flag read end,
-        # ``requeue`` when a miss has rejoined the tail.  Meanwhile the
-        # generator is suspended, with no heap entry of its own, until a
-        # visit hits, pops a fresh node, or a whole sweep has missed.
-        # The callbacks make exactly the pushes the two yields made, at
-        # the same instants in the same order, so every (when, seq) in
-        # the heap — hence every clock — is what it was.
-        # They share the loop's ``node`` and its polling ``outcome``, and
-        # the visit's clock, carried so that no callback reads it: the
-        # span being accounted starts at t0, the flag is read at t2.
+        # The polling phase (§4) is a chain of steps: a visit's ``check``
+        # where dispatch + flag read end at t2 = t0 + sched_dispatch +
+        # poll_check, and on a miss its ``requeue`` at t0 = t2 +
+        # poll_requeue, where the poller has rejoined the tail and the
+        # next queued node is popped.  While the chain runs the generator
+        # sits on ``yield SUSPEND`` and most steps are never heap entries:
+        # ``plan`` walks forward from the next step, consulting ``hot``,
+        # to the first step that needs the generator (a hit, a raising
+        # poll, a park after a whole missed sweep, a fresh node), keeps
+        # every step's time in ``steps`` and pushes one poll-chain entry
+        # at that step's key.  A poll-chain key is (time, executor index),
+        # not push history, so the entry runs exactly where that step
+        # would have run as an entry of its own.  The misses before it
+        # are replayed (``replay``) only when something could change what
+        # follows them — a commit flipping a flag, or ``finish`` queueing
+        # a fresh node — and when the entry fires: in bulk untraced, step
+        # by step traced, so the ``account`` float sums stay identical.
         me = sim.active_process
-        fifo = ready._fifo
+        fifo, urgent = ready._fifo, ready._urgent
+        #: times of the planned steps, the next one first, alternating
+        #: check and requeue from a check iff ``at_check``; the last one
+        #: is the live entry's
+        steps: List[float] = []
+        at_check = True
+        live: Optional[Callable[[], None]] = None
+        live_at = 0.0
+
+        def read(name: str) -> bool:
+            """Read ``name``'s flag into ``hot``; whether that moved it."""
+            try:
+                missed = not polling[name].poll()
+            except Exception:  # noqa: BLE001 - raised again at its visit
+                missed = False
+            if missed == (name not in hot):
+                return False
+            if missed:
+                hot.discard(name)
+            else:
+                hot.add(name)
+            return True
+
+        def plan() -> None:
+            del steps[:]
+            if at_check:
+                steps.append(t2)
+                if node.name in hot:
+                    return arm()
+                when = t2 + poll_requeue
+            else:
+                when = t0
+            # ``when`` is the next requeue.  The requeues pop an urgent
+            # send first, else fifo[0], fifo[1], ... and never wrap: with
+            # nothing fresh queued, a whole sweep of misses parks.  Count
+            # the pollers popped, visited and missed before the requeue
+            # that pops a fresh node or parks, or the visit that hits.
+            visits, hit = 0, False
+            if not urgent:
+                limit = len(fifo)
+                if fresh_in_queue == 0:
+                    limit -= sweep_misses
+                for visit in itertools.islice(fifo, max(limit, 0)):
+                    name = visit.name
+                    if name not in polling:
+                        break
+                    if name in hot:
+                        hit = True
+                        break
+                    visits += 1
+            # The step times are the running sums of the visits' costs
+            # (the chain above, add by add), less each dispatch's end.
+            chain = list(itertools.accumulate(
+                itertools.islice(itertools.cycle(visit_costs),
+                                 3 * visits + 2 * hit), initial=when))
+            del chain[1::3]
+            steps.extend(chain)
+            arm()
+
+        def arm() -> None:
+            nonlocal live, live_at
+            when = steps[-1]
+            if live is not None and live_at == when:
+                return  # the live entry already sits at this step's key
+
+            def entry() -> None:
+                if live is entry:  # else superseded by a later plan
+                    fire()
+            live, live_at = entry, when
+            sim.call_poll(when, poll_index, entry)
+
+        def replay(count: int) -> None:
+            """Run the first ``count`` planned steps, all of them misses."""
+            nonlocal node, outcome, t0, t2, at_check, sweep_misses, \
+                polls_since_park
+            if count <= 0:
+                return
+            if tracer is None:
+                checks = (count + at_check) // 2
+                requeues = count - checks
+                self._poll_misses += checks
+                if requeues:
+                    sweep_misses += requeues
+                    fifo.append(node)
+                    fifo.rotate(-requeues)
+                    node = fifo.pop()
+                    outcome = polling[node.name]
+            else:
+                checking = at_check
+                for when in steps[:count]:
+                    if checking:
+                        t1 = t0 + sched_dispatch
+                        tracer.account(hostname, track, iteration, "sched",
+                                       t0, t1, emit=False)
+                        tracer.account(hostname, track, iteration, "poll",
+                                       t1, when, emit=False)
+                        polls_since_park += 1
+                        self._poll_misses += 1
+                        t2 = when
+                    else:
+                        tracer.account(hostname, track, iteration, "poll",
+                                       t2, when, emit=False)
+                        t0 = when
+                        fifo.append(node)
+                        sweep_misses += 1
+                        node = fifo.popleft()
+                        outcome = polling[node.name]
+                    checking = not checking
+            odd = count % 2 == 1
+            if odd == at_check:  # the last step run was a check
+                t2, t0 = steps[count - 1], steps[count]
+            else:
+                t0, t2 = steps[count - 1], steps[count]
+            at_check = at_check != odd
+            del steps[:count]
+
+        def catch_up() -> None:
+            """Replay the planned steps whose key the loop has passed."""
+            if live is not None:
+                passed = (bisect_right if sim.poll_passed(poll_index)
+                          else bisect_left)(steps, sim.now)
+                replay(min(passed, len(steps) - 1))
+
+        def fire() -> None:
+            nonlocal live
+            live = None
+            replay(len(steps) - 1)
+            if at_check:
+                check()
+            else:
+                requeue()
 
         def check() -> None:
-            nonlocal t0, polls_since_park
+            nonlocal polls_since_park
             if tracer is not None:
                 t1 = t0 + sched_dispatch
                 tracer.account(hostname, track, iteration, "sched",
@@ -272,12 +421,13 @@ class Executor:
             if hit:
                 me.resume()
                 return
-            self.poll_misses += 1
-            t0 = t2 + poll_requeue  # where the next visit starts
-            sim.call_poll(t0, index, requeue)
+            me.resume(exception=ExecutorError(
+                f"executor {self.device}: {node.name} was planned as a hit "
+                f"but its poll missed (a poll may turn into a hit only "
+                f"where a memory commit notifies the host)"))
 
         def requeue() -> None:
-            nonlocal node, outcome, t2, sweep_misses
+            nonlocal node, outcome, t2, at_check, sweep_misses
             if tracer is not None:
                 tracer.account(hostname, track, iteration, "poll",
                                t2, t0, emit=False)
@@ -290,82 +440,139 @@ class Executor:
             outcome = polling.get(node.name)
             if outcome is None:
                 me.resume()  # a fresh node: the generator runs it
-            else:
-                t2 = t0 + sched_dispatch + poll_check
-                sim.call_poll(t2, index, check)
+                return
+            t2 = t0 + sched_dispatch + poll_check
+            at_check = True
+            plan()
 
-        while completed < total:
-            if not ready:
-                # Nothing runnable: wait for an async completion.
-                if in_flight == 0:
-                    raise ExecutorError(
-                        f"executor {self.device} stalled at "
-                        f"{completed}/{total} nodes")
-                t0 = sim.now
-                yield self._wait_for_wake()
-                if tracer is not None:
-                    tracer.account(hostname, track, iteration, "wire_wait",
-                                   t0, sim.now)
-                continue
-            node = ready.popleft()
-            t0 = sim.now
-            outcome = polling.get(node.name)
-            if outcome is not None:
-                t2 = t0 + sched_dispatch + poll_check
-                sim.call_poll(t2, index, check)
-                if (yield SUSPEND):  # until ``node`` is a hit or fresh, or:
-                    # A whole sweep of pollers missed and nothing
-                    # else is runnable: idle with growing backoff so
-                    # polling does not monopolize the simulated CPU.
+        def on_commit(backing: Optional[Backing], lo: int, hi: int) -> None:
+            if backing is None:
+                names = list(polling)
+            else:
+                names = list(blind)
+                flags = watched.get(backing)
+                if flags:
+                    i = bisect_left(flags, (lo,))
+                    while i < len(flags) and flags[i][0] < hi:
+                        names.append(flags[i][1])
+                        i += 1
+            changed = False
+            for name in names:
+                changed |= read(name)
+            if changed and live is not None:
+                catch_up()
+                plan()
+
+        def finish(node: Node, outputs: List[Tensor]) -> None:
+            nonlocal completed, fresh_in_queue
+            for i, tensor in enumerate(outputs):
+                self.values[(node.name, i)] = tensor
+            completed += 1
+            woken = []
+            for dependent in dependents[node.name]:
+                pending[dependent] -= 1
+                if pending[dependent] == 0:
+                    woken.append(graph_node(dependent))
+            if woken:
+                catch_up()
+                for dependent in woken:
+                    ready.append(dependent)
+                fresh_in_queue += len(woken)
+            self._wake_up()
+            if woken and live is not None:
+                plan()
+
+        self._on_commit, self._catch_up = on_commit, catch_up
+        try:
+            while completed < total:
+                if not ready:
+                    # Nothing runnable: wait for an async completion.
+                    if in_flight == 0:
+                        raise ExecutorError(
+                            f"executor {self.device} stalled at "
+                            f"{completed}/{total} nodes")
                     t0 = sim.now
-                    yield self._wait_for_wake(timeout=idle_backoff)
+                    yield self._wait_for_wake()
                     if tracer is not None:
                         tracer.account(hostname, track, iteration,
-                                       "poll_wait", t0, sim.now)
-                        tracer.metrics.histogram(
-                            "poll_iterations_per_wake").observe(
-                                polls_since_park)
-                        polls_since_park = 0
-                    idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
-                    sweep_misses = 0
+                                       "wire_wait", t0, sim.now)
                     continue
-            if outcome is not None:  # the visit hit
-                idle_backoff = self.cost.idle_poll_interval
-                sweep_misses = 0
-                del polling[node.name]
-                in_flight -= 1
-                next_outcome = outcome.complete()
-            else:
-                yield sched_dispatch
-                if tracer is not None:
-                    tracer.account(hostname, track, iteration, "sched",
-                                   t0, sim.now, emit=False)
-                fresh_in_queue -= 1
+                node = ready.popleft()
                 t0 = sim.now
-                next_outcome = yield from self._execute(node, feeds)
-                if tracer is not None:
-                    tracer.account(hostname, track, iteration, "op",
-                                   t0, sim.now,
-                                   name=f"{node.op_type}:{node.name}")
-
-            if next_outcome.kind == "sync":
-                self.ops_executed += 1
-                finish(node, next_outcome.outputs or [])
-            elif next_outcome.kind == "async":
-                in_flight += 1
-
-                def on_done(event, node=node) -> None:
-                    nonlocal in_flight
+                outcome = polling.get(node.name)
+                if outcome is not None:
+                    t2 = t0 + sched_dispatch + poll_check
+                    at_check = True
+                    plan()
+                    if (yield SUSPEND):  # until ``node`` is a hit or fresh, or:
+                        # A whole sweep of pollers missed and nothing
+                        # else is runnable: idle with growing backoff so
+                        # polling does not monopolize the simulated CPU.
+                        t0 = sim.now
+                        yield self._wait_for_wake(timeout=idle_backoff)
+                        if tracer is not None:
+                            tracer.account(hostname, track, iteration,
+                                           "poll_wait", t0, sim.now)
+                            tracer.metrics.histogram(
+                                "poll_iterations_per_wake").observe(
+                                    polls_since_park)
+                            polls_since_park = 0
+                        idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
+                        sweep_misses = 0
+                        continue
+                if outcome is not None:  # the visit hit
+                    idle_backoff = self.cost.idle_poll_interval
+                    sweep_misses = 0
+                    del polling[node.name]
+                    hot.discard(node.name)
+                    if outcome.flag is None:
+                        blind.discard(node.name)
+                    else:
+                        backing, offset = outcome.flag
+                        watched[backing].remove((offset, node.name))
                     in_flight -= 1
+                    next_outcome = outcome.complete()
+                else:
+                    yield sched_dispatch
+                    if tracer is not None:
+                        tracer.account(hostname, track, iteration, "sched",
+                                       t0, sim.now, emit=False)
+                    fresh_in_queue -= 1
+                    t0 = sim.now
+                    next_outcome = yield from self._execute(node, feeds)
+                    if tracer is not None:
+                        tracer.account(hostname, track, iteration, "op",
+                                       t0, sim.now,
+                                       name=f"{node.op_type}:{node.name}")
+
+                if next_outcome.kind == "sync":
                     self.ops_executed += 1
-                    finish(node, event.value or [])
-                next_outcome.event.add_callback(on_done)
-            elif next_outcome.kind == "poll":
-                polling[node.name] = next_outcome
-                in_flight += 1
-                ready.append(node, retry=True)
-            else:  # pragma: no cover - defensive
-                raise ExecutorError(f"bad outcome kind {next_outcome.kind}")
+                    finish(node, next_outcome.outputs or [])
+                elif next_outcome.kind == "async":
+                    in_flight += 1
+
+                    def on_done(event, node=node) -> None:
+                        nonlocal in_flight
+                        in_flight -= 1
+                        self.ops_executed += 1
+                        finish(node, event.value or [])
+                    next_outcome.event.add_callback(on_done)
+                elif next_outcome.kind == "poll":
+                    polling[node.name] = next_outcome
+                    read(node.name)
+                    if next_outcome.flag is None:
+                        blind.add(node.name)
+                    else:
+                        backing, offset = next_outcome.flag
+                        insort(watched.setdefault(backing, []),
+                               (offset, node.name))
+                    in_flight += 1
+                    ready.append(node, retry=True)
+                else:  # pragma: no cover - defensive
+                    raise ExecutorError(
+                        f"bad outcome kind {next_outcome.kind}")
+        finally:
+            self._on_commit = self._catch_up = None
 
     def _wait_for_wake(self, timeout: Optional[float] = None) -> Event:
         if self._wake is None or self._wake.triggered:
@@ -374,9 +581,17 @@ class Executor:
             return self._wake
         return self.sim.any_of([self._wake, self.sim.timeout(timeout)])
 
-    def _notify(self) -> None:
+    def _wake_up(self) -> None:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
+
+    def _notify(self, backing: Optional[Backing] = None, lo: int = 0,
+                hi: int = 0) -> None:
+        """Host listener: data landed in ``[lo, hi)`` of ``backing``
+        (``None``: somewhere on the host)."""
+        self._wake_up()
+        if self._on_commit is not None:
+            self._on_commit(backing, lo, hi)
 
     # -- op dispatch ------------------------------------------------------------------------
 

@@ -11,16 +11,18 @@ An op execution returns an :class:`Outcome`:
 * ``sync``  — finished; outputs available now;
 * ``async`` — an event will fire with the outputs (gRPC replies,
   RDMA write completions);
-* ``poll``  — the *polling-async* mode of §4: the executor repeatedly
-  calls ``poll()`` from its ready queue, re-enqueuing itself at the
-  tail on misses, and calls ``complete()`` once the poll succeeds.
+* ``poll``  — the *polling-async* mode of §4: the executor visits the
+  op from its ready queue, re-enqueuing it at the tail on misses, and
+  calls ``complete()`` once the poll succeeds (``Outcome.polling``
+  states what ``poll()`` may do).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
+from ..simnet.memory import Backing
 from ..simnet.simulator import Event
 from .tensor import Tensor
 
@@ -38,6 +40,7 @@ class Outcome:
     event: Optional[Event] = None              # async: fires with outputs
     poll: Optional[Callable[[], bool]] = None  # poll phase predicate
     complete: Optional[Callable[[], "Outcome"]] = None  # after poll success
+    flag: Optional[Tuple[Backing, int]] = None  # poll: the byte it reads
 
     @classmethod
     def done(cls, outputs: List[Tensor]) -> "Outcome":
@@ -49,8 +52,24 @@ class Outcome:
 
     @classmethod
     def polling(cls, poll: Callable[[], bool],
-                complete: Callable[[], "Outcome"]) -> "Outcome":
-        return cls(kind="poll", poll=poll, complete=complete)
+                complete: Callable[[], "Outcome"],
+                flag: Optional[Tuple[Backing, int]] = None) -> "Outcome":
+        """The polling-async mode, under one contract.
+
+        ``poll`` is a pure read: it changes nothing, and its answer may
+        turn into a hit only inside a handler that then calls the
+        receiving host's :meth:`~repro.simnet.topology.Host.notify_memory_commit`
+        (the NIC's final-chunk commit, a local memcpy, the in-network
+        flag write).  The executor relies on it: between two commits it
+        replays a run of misses as arithmetic instead of calling
+        ``poll`` once per visit, and a visit it planned as a hit that
+        reads as a miss fails the iteration with ``ExecutorError``.
+
+        ``flag`` names the byte ``poll`` reads as ``(backing, offset)``;
+        a commit whose range misses it is not re-read.  Without it every
+        commit on the host re-reads this poller.
+        """
+        return cls(kind="poll", poll=poll, complete=complete, flag=flag)
 
 
 class CommRuntime:

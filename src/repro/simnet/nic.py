@@ -846,7 +846,8 @@ class RdmaNic:
         the real ``head``/``tail`` windows are applied with the first
         and last chunks so protocol headers and flag bytes land.
         ``wake_host``'s parked executors are notified when the tail
-        chunk commits (the moment a spinning flag poller would see it).
+        chunk commits (the moment a spinning flag poller would see it),
+        with the tail chunk's range.
         """
         if size == 0:
             return
@@ -874,5 +875,6 @@ class RdmaNic:
                     if final and tail:
                         backing.write(offset + size - len(tail), tail)
                 if final and wake_host is not None:
-                    wake_host.notify_memory_commit()
+                    wake_host.notify_memory_commit(backing, offset + lo,
+                                                   offset + hi)
             self.sim.call_at(when, commit)

@@ -281,6 +281,9 @@ class Simulator:
         #: the process whose generator is running right now, if any
         self.active_process: Optional[Process] = None
         self._poll_indices = 0
+        #: key of the last poll-chain entry run: (time, tie)
+        self._poll_at = -1.0
+        self._poll_tie = -1
 
     @property
     def now(self) -> float:
@@ -329,6 +332,19 @@ class Simulator:
         heapq.heappush(self._queue,
                        (when, POLL_BASE + executor_index, self._seq, fn))
 
+    def poll_passed(self, executor_index: int) -> bool:
+        """Whether a poll-chain entry of ``executor_index`` keyed at the
+        current instant would have run by now.
+
+        Poll-chain entries of one instant run in index order, after the
+        ordinary entries queued for it; an ordinary entry pushed at the
+        instant once some of them ran comes after those.  So an entry
+        ``(now, POLL_BASE + i)`` has run iff the last poll-chain entry
+        run was at ``now`` with a tie of at least its own.
+        """
+        return (self._poll_at == self._now
+                and POLL_BASE + executor_index <= self._poll_tie)
+
     # -- user-facing API ---------------------------------------------------------
 
     def event(self) -> Event:
@@ -355,9 +371,11 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next scheduled entry."""
-        when, _seq, event, fn = heapq.heappop(self._queue)
+        when, tie, event, fn = heapq.heappop(self._queue)
         self._now = when
         if fn is not None:
+            if tie >= POLL_BASE:
+                self._poll_at, self._poll_tie = when, tie
             fn()
             return
         assert event is not None
@@ -401,8 +419,10 @@ class Simulator:
                 raise SimulationError(
                     f"deadlock: {what} never completed" if not queue else
                     f"time limit {limit}s exceeded waiting for {what}")
-            self._now, _seq, fired, fn = heappop(queue)
+            self._now, tie, fired, fn = heappop(queue)
             if fn is not None:
+                if tie >= POLL_BASE:
+                    self._poll_at, self._poll_tie = self._now, tie
                 fn()
                 continue
             fired._processed = True

@@ -18,7 +18,7 @@ from .cpu import CpuEngine
 from .fabric import Fabric
 from .faults import FaultInjector
 from .metrics import MetricsCollector
-from .memory import AddressSpace, Buffer
+from .memory import AddressSpace, Backing, Buffer
 from .nic import RdmaNic
 from .simulator import Simulator
 from .tcp import TcpStack
@@ -53,13 +53,21 @@ class Host:
         #: into this host's memory.  Pollers (the flag-byte receivers of
         #: §3.2) park on idle backoff purely to bound simulator events; a
         #: real spinning poller would observe the flag within its poll
-        #: interval, so arrival wakes them immediately.
-        self.wake_listeners: List[Callable[[], None]] = []
+        #: interval, so arrival wakes them immediately.  Each is called
+        #: as ``listener(backing, lo, hi)``.
+        self.wake_listeners: List[Callable[[Optional[Backing], int, int],
+                                           None]] = []
 
-    def notify_memory_commit(self) -> None:
-        """Wake parked executors: remote data just landed in memory."""
+    def notify_memory_commit(self, backing: Optional[Backing] = None,
+                             lo: int = 0, hi: int = 0) -> None:
+        """Wake parked executors: data just landed in memory.
+
+        ``backing`` and the byte range ``[lo, hi)`` name what landed, so
+        a poller whose flag lies elsewhere need not look again; without
+        them every poller on the host re-reads its flag.
+        """
         for listener in self.wake_listeners:
-            listener()
+            listener(backing, lo, hi)
 
     def allocate(self, size: int, label: str = "",
                  dense: Optional[bool] = None) -> Buffer:

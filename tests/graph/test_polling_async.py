@@ -1,52 +1,73 @@
 """Focused tests for the polling-async execution mode (paper §4).
 
-Uses a scripted CommRuntime whose recv outcomes poll under test
-control, verifying the scheduler behaviour the paper specifies: a
-poll-miss re-enqueues the operator at the *tail* of the ready queue
-(other ready work runs first), poll hits complete the op, and an
-executor with only pollers left advances time with bounded back-off
-instead of spinning.
+Uses a scripted CommRuntime whose recv outcomes poll a flag byte the
+matching send lands — written and announced to the host, as the NIC's
+final-chunk commit does — verifying the scheduler behaviour the paper
+specifies: a poll-miss re-enqueues the operator at the *tail* of the
+ready queue (other ready work runs first), poll hits complete the op,
+and an executor with only pollers left advances time with bounded
+back-off instead of spinning.  What is asserted is what a run shows:
+when an op hit or ran, in which order, and the executor's miss count.
 """
 
 import numpy as np
 import pytest
 
 from repro.graph import GraphBuilder, Outcome, Session
+from repro.graph.executor import ExecutorError
 from repro.graph.transfer_api import CommRuntime
 from repro.simnet import Cluster, SimulationError
 
 
 class ScriptedComm(CommRuntime):
-    """Recv polls succeed once the simulated clock passes a deadline."""
+    """Every recv polls a flag byte of its own on the receiving host; the
+    matching send lands it at ``ready_at``, or at once if it runs later.
+    Landing writes the byte and notifies the host, so ``poll`` is the
+    pure read ``Outcome.polling`` asks for."""
 
     name = "scripted"
 
     def __init__(self, ready_at: float) -> None:
         self.ready_at = ready_at
-        self.poll_calls = 0
         self.send_log = []
-        self._session = None
+        #: (key, simulated time) of every completed recv, in order
+        self.hits = []
         self._tensors = {}
+        self._flags = {}
 
     def prepare(self, session) -> None:
-        self._session = session
+        for executor in session.executors.values():
+            for node in executor.graph.nodes_of_type("_Recv"):
+                flag = executor.host.allocate(1, dense=True)
+                self._flags[node.attrs["key"]] = (executor.host, flag.backing)
+
+    def land(self, key: str) -> None:
+        host, backing = self._flags[key]
+        backing.write(0, b"\x01")
+        host.notify_memory_commit(backing, 0, 1)
 
     def execute_send(self, executor, node, tensor):
-        self.send_log.append((executor.sim.now, node.attrs["key"]))
-        self._tensors[node.attrs["key"]] = tensor
+        key = node.attrs["key"]
+        sim = executor.sim
+        self.send_log.append((sim.now, key))
+        self._tensors[key] = tensor
+        sim.call_at(max(sim.now, self.ready_at), lambda: self.land(key))
         return Outcome.done([])
 
     def execute_recv(self, executor, node):
         key = node.attrs["key"]
+        _, backing = self._flags[key]
         sim = executor.sim
 
         def poll() -> bool:
-            self.poll_calls += 1
-            return sim.now >= self.ready_at and key in self._tensors
+            return backing.read_byte(0) == 1
 
         def complete() -> Outcome:
+            backing.write(0, b"\x00")
+            self.hits.append((key, sim.now))
             return Outcome.done([self._tensors[key]])
-        return Outcome.polling(poll=poll, complete=complete)
+        return Outcome.polling(poll=poll, complete=complete,
+                               flag=(backing, 0))
 
 
 def build_session(comm, extra_work: float = 0.0):
@@ -63,13 +84,34 @@ def build_session(comm, extra_work: float = 0.0):
     return cluster, session
 
 
+def count_parks(executor):
+    """Count the executor's idle-backoff parks (a whole sweep missed)."""
+    parks = []
+    original = executor._wait_for_wake
+
+    def counted(timeout=None):
+        if timeout is not None:
+            parks.append(executor.sim.now)
+        return original(timeout)
+    executor._wait_for_wake = counted
+    return parks
+
+
+def visit(cost, t0):
+    """(check, requeue) times of a poll visit that starts at ``t0``."""
+    check = t0 + cost.sched_dispatch + cost.poll_check
+    return check, check + cost.poll_requeue
+
+
 class TestPollingAsync:
     def test_poll_misses_then_completes(self):
         comm = ScriptedComm(ready_at=0.001)
         cluster, session = build_session(comm)
+        executor = session.executor_for("ps0")
         session.run(feeds={"x": np.arange(4, dtype=np.float32)})
-        assert comm.poll_calls > 1          # missed at least once
-        assert cluster.sim.now >= 0.001     # completed only after ready
+        assert executor.poll_misses > 0     # missed at least once
+        (_, hit_at), = comm.hits
+        assert hit_at >= 0.001              # completed only after ready
         np.testing.assert_allclose(session.numpy("out"),
                                    [0, 1, 2, 3])
 
@@ -96,15 +138,23 @@ class TestPollingAsync:
         times: the exponential back-off caps the sweep rate."""
         comm = ScriptedComm(ready_at=0.050)
         cluster, session = build_session(comm)
+        executor = session.executor_for("ps0")
         session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
-        assert comm.poll_calls < 500
+        assert executor.poll_misses < 500
+        assert cluster.sim.event_count < 2000
 
     def test_executor_poll_miss_counter(self):
+        """A lone poller's every miss is a whole sweep, so each one
+        parks; the commit wakes the park and the next visit hits."""
         comm = ScriptedComm(ready_at=0.002)
         cluster, session = build_session(comm)
         executor = session.executor_for("ps0")
+        parks = count_parks(executor)
         session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
-        assert executor.poll_misses == comm.poll_calls - 1
+        assert executor.poll_misses == len(parks) > 0
+        assert parks[-1] < 0.002
+        (_, hit_at), = comm.hits
+        assert hit_at == visit(cluster.cost, 0.002)[0]
 
     def test_immediate_readiness_needs_no_backoff(self):
         comm = ScriptedComm(ready_at=0.0)
@@ -121,26 +171,55 @@ class TestPollingAsync:
         session.run(iterations=3,
                     feeds={"x": np.zeros(4, dtype=np.float32)})
         assert len(comm.send_log) == 3
+        assert len(comm.hits) == 3
 
     def test_poll_that_raises_fails_the_run(self):
         """The flag read runs in a heap callback; its exception must
         still fail the executor's process — and so the run — instead of
-        escaping through the event loop."""
+        escaping through the event loop.  It raises at the first visit
+        after the commit that unmapped the flag."""
         class BrokenFlag(ScriptedComm):
-            def execute_recv(self, executor, node):
-                def poll() -> bool:
-                    self.poll_calls += 1
-                    if self.poll_calls == 3:
-                        raise KeyError("flag region unmapped")
-                    return False
-                return Outcome.polling(poll=poll, complete=None)
+            unmapped = False
 
-        comm = BrokenFlag(ready_at=0.0)
+            def execute_recv(self, executor, node):
+                outcome = super().execute_recv(executor, node)
+                key = node.attrs["key"]
+                host, backing = self._flags[key]
+
+                def unmap() -> None:
+                    self.unmapped = True
+                    host.notify_memory_commit(backing, 0, 1)
+                executor.sim.call_at(0.001, unmap)
+
+                def poll() -> bool:
+                    if self.unmapped:
+                        raise KeyError("flag region unmapped")
+                    return outcome.poll()
+                return Outcome.polling(poll=poll, complete=outcome.complete,
+                                       flag=outcome.flag)
+
+        comm = BrokenFlag(ready_at=1.0)
         cluster, session = build_session(comm)
         executor = session.executor_for("ps0")
+        parks = count_parks(executor)
         with pytest.raises(KeyError, match="flag region unmapped"):
             session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
-        assert (comm.poll_calls, executor.poll_misses) == (3, 2)
+        assert cluster.sim.now == visit(cluster.cost, 0.001)[0]
+        assert executor.poll_misses == len(parks) > 0
+        assert comm.hits == []
+
+    def test_a_planned_hit_that_reads_as_a_miss_fails_the_run(self):
+        """A flag cleared behind the executor's back, with no commit to
+        announce it, breaks the contract the elided misses rest on: the
+        visit planned as a hit fails the run instead of missing."""
+        comm = ScriptedComm(ready_at=0.001)
+        cluster, session = build_session(comm)
+        key, = comm._flags
+        _, backing = comm._flags[key]
+        cluster.sim.call_at(0.001 + cluster.cost.sched_dispatch,
+                            lambda: backing.write(0, b"\x00"))
+        with pytest.raises(ExecutorError, match="planned as a hit"):
+            session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
 
     def test_wait_nobody_triggers_is_a_deadlock_naming_the_iteration(self):
         class NeverArrives(ScriptedComm):
@@ -154,32 +233,24 @@ class TestPollingAsync:
 
 
 class SweepComm(ScriptedComm):
-    """Pollers ``a`` and ``b`` never hit before ``ready_at``; the recv of
-    ``c`` is asynchronous and completes when ``a`` is polled the third
-    time — mid-sweep, with ``a`` in flight and ``b`` queued."""
-
-    def __init__(self, ready_at: float) -> None:
-        super().__init__(ready_at)
-        self.log = []
-        self.hits = 0
-        self._arrived = self._c_key = None
+    """Pollers ``a`` and ``b`` land at ``ready_at``; the recv of ``c`` is
+    asynchronous and completes in the middle of the first sweep — after
+    ``a``'s flag check and before its requeue, with ``b`` queued."""
 
     def execute_recv(self, executor, node):
         key = node.attrs["key"]
-        source = key[0]  # keys start with the producer's name: a, b, c
-        if source == "c":
-            self._arrived, self._c_key = executor.sim.event(), key
-            return Outcome.wait(self._arrived)
-        outcome = super().execute_recv(executor, node)
-
-        def poll() -> bool:
-            self.log.append(f"poll:{source}")
-            if source == "a" and self.log.count("poll:a") == 3:
-                self._arrived.succeed([self._tensors[self._c_key]])
-            hit = outcome.poll()
-            self.hits += hit
-            return hit
-        return Outcome.polling(poll=poll, complete=outcome.complete)
+        if key[0] != "c":  # keys start with the producer's name
+            return super().execute_recv(executor, node)
+        sim, cost = executor.sim, executor.cost
+        # the sweep of a and b starts now: nothing else is runnable
+        self.sweep_start = sim.now
+        check, requeue = visit(cost, sim.now)
+        tensor = executor.allocate_output(node, 0, node.attrs["dtype"],
+                                          node.attrs["shape"])
+        arrived = sim.event()
+        sim.call_at(check + (requeue - check) / 2,
+                    lambda: arrived.succeed([tensor]))
+        return Outcome.wait(arrived)
 
 
 class TestSweepOrder:
@@ -197,35 +268,44 @@ class TestSweepOrder:
                            "ps0": cluster.hosts[1]}, comm=comm)
         executor = session.executor_for("ps0")
         original = executor._execute
+        runs = {}
 
         def logged(node, feeds):
-            comm.log.append(f"run:{node.name}")
-            return (yield from original(node, feeds))
+            start = executor.sim.now
+            result = yield from original(node, feeds)
+            runs[node.name] = (start, executor.sim.now)
+            return result
         executor._execute = logged
+        parks = count_parks(executor)
         feed = np.zeros(4, dtype=np.float32)
         session.run(feeds={name: feed for name in "abc"})
-        return comm, executor
+        return comm, executor, runs, parks
 
     def test_fresh_node_appended_mid_sweep_waits_its_turn(self):
         """`finish()` appends the dependent of an async completion at
         the tail while the pollers are being swept: it runs after the
-        poller queued ahead of it, before any poller is visited again,
-        and the sweep then resumes in queue order."""
-        comm, _ = self._run()
-        log = comm.log
-        arrival = [i for i, entry in enumerate(log)
-                   if entry == "poll:a"][2]
-        assert log[arrival:arrival + 7] == [
-            "poll:a",            # c arrives; a is in flight, b queued
-            "poll:b",            # queued ahead of the fresh node
-            "run:out_c",         # popped by the requeue of b's miss
-            "poll:a", "poll:b",  # out_c made busy ready: behind both
-            "run:busy",
-            "poll:a"]
+        poller queued ahead of it, before any poller is visited again;
+        the node it makes ready runs after both pollers' next visits."""
+        comm, executor, runs, parks = self._run()
+        cost = executor.cost
+        _, a_requeue = visit(cost, comm.sweep_start)
+        _, b_requeue = visit(cost, a_requeue)      # pops out_c
+        assert runs["out_c"][0] == b_requeue + cost.sched_dispatch
+        _, a_requeue = visit(cost, runs["out_c"][1])
+        _, b_requeue = visit(cost, a_requeue)      # pops busy
+        assert runs["busy"][0] == b_requeue + cost.sched_dispatch
+        assert not parks or parks[0] > runs["busy"][1]
 
     def test_miss_counter_with_two_pollers(self):
-        comm, executor = self._run()
-        polls = sum(entry.startswith("poll:") for entry in comm.log)
-        assert comm.hits == 2
-        assert executor.poll_misses == polls - comm.hits
+        """Every visit before the flags land misses: two per sweep that
+        ends in a fresh node, then one — the misses since the last hit
+        or wake-up already fill a sweep, so the executor parks after
+        ``a`` alone — and two per later park, ``b`` first.  After the
+        landing both pollers hit at their first visits."""
+        comm, executor, runs, parks = self._run()
+        assert executor.poll_misses == 2 * 2 + 1 + 2 * (len(parks) - 1)
+        assert parks[0] == visit(executor.cost, runs["busy"][1])[1]
+        b_hit = visit(executor.cost, 0.004)[0]
+        assert comm.hits == [("b:0->ps0", b_hit),
+                             ("a:0->ps0", visit(executor.cost, b_hit)[0])]
         assert executor.ops_executed == len(executor.graph)

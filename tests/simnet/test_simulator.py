@@ -548,6 +548,27 @@ class TestCallbacks:
         assert sim.event_count == 4
         assert [sim.poll_index() for _ in range(3)] == [0, 1, 2]
 
+    def test_poll_passed_follows_the_last_poll_entry_of_the_instant(self, sim):
+        """Whether executor i's poll entry keyed at ``now`` has run: not
+        before any poll entry of the instant, and after one of index
+        >= i — also inside an ordinary entry that one pushed at ``now``."""
+        seen = []
+
+        def probe(tag):
+            seen.append((tag, [sim.poll_passed(i) for i in range(3)]))
+
+        def poll1():
+            probe("poll1")
+            sim.call_at(1.0, lambda: probe("pushed by poll1"))
+        sim.call_at(1.0, lambda: probe("queued"))
+        sim.call_poll(1.0, 1, poll1)
+        sim.call_at(2.0, lambda: probe("next instant"))
+        sim.run()
+        assert seen == [("queued", [False, False, False]),
+                        ("poll1", [True, True, False]),
+                        ("pushed by poll1", [True, True, False]),
+                        ("next instant", [False, False, False])]
+
     def test_event_count_increases(self, sim):
         sim.call_after(1, lambda: None)
         sim.run()
