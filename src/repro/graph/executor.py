@@ -224,16 +224,16 @@ class Executor:
         #: read can change only where a commit notifies the host, so a
         #: flag is read when its poller enters the queue and again only
         #: at a commit whose range covers it: ``watched`` maps a backing
-        #: to its pollers' (flag offset, name) pairs, sorted; ``blind``
-        #: holds the pollers naming no flag.
+        #: to its pollers' (flag offset, name) pairs, sorted.
         hot: Set[str] = set()
         watched: Dict[Backing, List[Tuple[int, str]]] = {}
-        blind: Set[str] = set()
         idle_backoff = self.cost.idle_poll_interval
         #: misses since the last wake-up/hit; the executor only parks
         #: after a full sweep of the pollers has missed, so one wake-up
         #: (arriving data) gets every flag checked, not just one
         sweep_misses = 0
+        #: parks at the backoff cap that ended by timeout, not a wake-up
+        timeouts = 0
         # Every yield below is bracketed with tracer.account() so the
         # per-category sums partition this iteration's wall time exactly
         # (sim time only advances across yields) — the invariant the
@@ -449,7 +449,7 @@ class Executor:
             if backing is None:
                 names = list(polling)
             else:
-                names = list(blind)
+                names = []
                 flags = watched.get(backing)
                 if flags:
                     i = bisect_left(flags, (lo,))
@@ -510,6 +510,21 @@ class Executor:
                         # polling does not monopolize the simulated CPU.
                         t0 = sim.now
                         yield self._wait_for_wake(timeout=idle_backoff)
+                        if idle_backoff == _IDLE_BACKOFF_MAX \
+                                and not self._wake.triggered:
+                            # Timed out: no commit came, so no flag may
+                            # have moved.  One that moved anyway breaks
+                            # the contract and leaves the executor
+                            # parking at the capped backoff until the
+                            # time limit; there, each timeout re-reads
+                            # one queued poller, in turn.
+                            timeouts += 1
+                            suspect = fifo[timeouts % len(fifo)].name
+                            if read(suspect):
+                                raise ExecutorError(
+                                    f"executor {self.device}: the poll of "
+                                    f"{suspect} changed with no memory "
+                                    f"commit notifying the host")
                         if tracer is not None:
                             tracer.account(hostname, track, iteration,
                                            "poll_wait", t0, sim.now)
@@ -525,11 +540,8 @@ class Executor:
                     sweep_misses = 0
                     del polling[node.name]
                     hot.discard(node.name)
-                    if outcome.flag is None:
-                        blind.discard(node.name)
-                    else:
-                        backing, offset = outcome.flag
-                        watched[backing].remove((offset, node.name))
+                    backing, offset = outcome.flag
+                    watched[backing].remove((offset, node.name))
                     in_flight -= 1
                     next_outcome = outcome.complete()
                 else:
@@ -560,12 +572,9 @@ class Executor:
                 elif next_outcome.kind == "poll":
                     polling[node.name] = next_outcome
                     read(node.name)
-                    if next_outcome.flag is None:
-                        blind.add(node.name)
-                    else:
-                        backing, offset = next_outcome.flag
-                        insort(watched.setdefault(backing, []),
-                               (offset, node.name))
+                    backing, offset = next_outcome.flag
+                    insort(watched.setdefault(backing, []),
+                           (offset, node.name))
                     in_flight += 1
                     ready.append(node, retry=True)
                 else:  # pragma: no cover - defensive

@@ -53,7 +53,7 @@ class Outcome:
     @classmethod
     def polling(cls, poll: Callable[[], bool],
                 complete: Callable[[], "Outcome"],
-                flag: Optional[Tuple[Backing, int]] = None) -> "Outcome":
+                flag: Tuple[Backing, int]) -> "Outcome":
         """The polling-async mode, under one contract.
 
         ``poll`` is a pure read: it changes nothing, and its answer may
@@ -66,8 +66,10 @@ class Outcome:
         reads as a miss fails the iteration with ``ExecutorError``.
 
         ``flag`` names the byte ``poll`` reads as ``(backing, offset)``;
-        a commit whose range misses it is not re-read.  Without it every
-        commit on the host re-reads this poller.
+        a commit whose range misses it is not re-read.  Once the idle
+        backoff is at its cap, each park that times out re-reads one
+        queued flag, in turn: one that moved with no commit to announce
+        it fails the iteration with ``ExecutorError`` naming the poller.
         """
         return cls(kind="poll", poll=poll, complete=complete, flag=flag)
 

@@ -879,13 +879,13 @@ def _netreduce_run(worker_counts: Sequence[int], models: Sequence[str],
     host path.  The flat ring's transfer chain grows ~N× faster than
     the others', so it only runs up to ``max_flat_ring_workers``.
 
-    The committed grid is the 28 MB GRU and the 205 MB FCN-5 (7.4 GiB
-    peak, at FCN-5 / 128 workers).  The *hierarchical comparator's*
-    wire-metrics capture grows with model size, tensor count and
-    workers: Inception-v3 (196 tensors) was OOM-killed at 15.3 GiB in
-    its 128-worker cell and the 512 MB VGGNet-16 is larger still, so
-    neither is in a grid every 16 GB machine must be able to
-    regenerate; run them at 8-64 workers explicitly if wanted.
+    The committed grid is the 28 MB GRU and the 205 MB FCN-5.  Its
+    largest cells are GRU's at 128 workers (3.7 GB peak RSS each, run
+    alone); one process running the whole grid holds more.  A sweep
+    reaching Inception-v3's 128-worker cell was OOM-killed at 15.3 GiB
+    and the 512 MB VGGNet-16 is larger still, so neither is in a grid
+    every 16 GB machine must be able to regenerate; run them at 8-64
+    workers explicitly if wanted.
     """
     payload = _payload("netreduce", dict(locals()))
     for name in models:

@@ -266,7 +266,6 @@ def scenarios(draw):
     for e in range(2):
         pollers = [SimpleNamespace(
             land=draw(instants),
-            named=draw(st.booleans()),
             followers=draw(st.integers(0, 2)),
             # on completion, land poller (executor, index) at once
             pokes=draw(st.none() | st.tuples(st.integers(0, 1),
@@ -383,7 +382,7 @@ class ScriptComm(CommRuntime):
                                  lambda: self.land(*poller.pokes))
             return Outcome.done([tensor])
         return Outcome.polling(poll=poll, complete=complete,
-                               flag=(backing, 0) if poller.named else None)
+                               flag=(backing, 0))
 
 
 def _play(base, scenario):
@@ -412,7 +411,7 @@ def _play(base, scenario):
 
 
 def _poller(land, pokes=None):
-    return SimpleNamespace(land=land, named=True, followers=0, pokes=pokes)
+    return SimpleNamespace(land=land, followers=0, pokes=pokes)
 
 
 def _scenario(*executors, priority_sched=False):

@@ -10,11 +10,13 @@ back-off instead of spinning.  What is asserted is what a run shows:
 when an op hit or ran, in which order, and the executor's miss count.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.graph import GraphBuilder, Outcome, Session
-from repro.graph.executor import ExecutorError
+from repro.graph.executor import _IDLE_BACKOFF_MAX, ExecutorError
 from repro.graph.transfer_api import CommRuntime
 from repro.simnet import Cluster, SimulationError
 
@@ -220,6 +222,25 @@ class TestPollingAsync:
                             lambda: backing.write(0, b"\x00"))
         with pytest.raises(ExecutorError, match="planned as a hit"):
             session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
+
+    def test_a_flag_set_without_a_commit_fails_the_run(self):
+        """The other way to break the contract: a flag written with no
+        commit to announce it.  Once the idle backoff is at its cap, each
+        park that times out reads a queued flag again, so the next one
+        fails the run, naming the poller, instead of parking until the
+        landing a second later."""
+        comm = ScriptedComm(ready_at=1.0)
+        cluster, session = build_session(comm)
+        executor = session.executor_for("ps0")
+        recv, = executor.graph.nodes_of_type("_Recv")
+        _, backing = comm._flags[recv.attrs["key"]]
+        cluster.sim.call_at(0.001, lambda: backing.write(0, b"\x01"))
+        with pytest.raises(ExecutorError,
+                           match=f"poll of {re.escape(recv.name)} changed "
+                                 f"with no memory commit"):
+            session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
+        assert 0.001 < cluster.sim.now <= 0.001 + _IDLE_BACKOFF_MAX
+        assert comm.hits == []
 
     def test_wait_nobody_triggers_is_a_deadlock_naming_the_iteration(self):
         class NeverArrives(ScriptedComm):

@@ -123,7 +123,9 @@ class TestOutcomeApi:
         event = cluster.sim.event()
         asynco = Outcome.wait(event)
         assert asynco.kind == "async" and asynco.event is event
+        flag = cluster.hosts[0].allocate(1, dense=True).backing
         polling = Outcome.polling(poll=lambda: True,
-                                  complete=lambda: Outcome.done([]))
-        assert polling.kind == "poll"
+                                  complete=lambda: Outcome.done([]),
+                                  flag=(flag, 0))
+        assert polling.kind == "poll" and polling.flag[0] is flag
         assert polling.poll()
