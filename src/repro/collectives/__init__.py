@@ -9,7 +9,6 @@ many-small-tensor workloads (Figure 7) into a few large transfers.
 """
 
 from . import ops  # noqa: F401  (registers the fusion/chunk operators)
-from .broadcast import BROADCAST_MODES, broadcast_hops, root_egress_bytes
 from .bucketing import (DEFAULT_FUSION_BYTES, GradientBucket, chunk_ranges,
                         plan_buckets)
 from .fragments import (ChunkRef, halving_doubling_allreduce,
@@ -21,12 +20,12 @@ from .innetwork import (innetwork_allreduce, innetwork_uplink_bytes,
                         innetwork_wire_bytes)
 
 __all__ = [
-    "BROADCAST_MODES", "ChunkRef", "DEFAULT_FUSION_BYTES", "GradientBucket", "chunk_ranges",
+    "ChunkRef", "DEFAULT_FUSION_BYTES", "GradientBucket", "chunk_ranges",
     "INTER_RACK_ALGORITHMS",
     "halving_doubling_allreduce", "halving_doubling_wire_bytes",
     "hierarchical_allreduce", "hierarchical_wire_bytes",
     "rack_uplink_bytes",
     "innetwork_allreduce", "innetwork_uplink_bytes", "innetwork_wire_bytes",
     "plan_buckets", "ring_allreduce", "ring_allreduce_wire_bytes",
-    "ring_reduce_scatter", "broadcast_hops", "root_egress_bytes",
+    "ring_reduce_scatter",
 ]

@@ -20,10 +20,8 @@ reads a complete snapshot and **never a torn one**:
   its active arena equals the active version — the torn-read check the
   chaos sweep exercises.
 
-Distribution follows a :mod:`repro.collectives.broadcast` schedule:
-``direct`` (trainer writes every replica) or ``chain`` (replica ``r``
-store-and-forwards the snapshot to ``r + 1``, keeping the root's
-egress at one model per publish regardless of replica count).
+The trainer writes every replica's arenas itself, so its egress is one
+model per replica per publish.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
-from ..collectives.broadcast import broadcast_hops
 from ..models.spec import ModelSpec
 from ..simnet.simulator import Simulator
 from ..simnet.topology import Host
@@ -119,36 +116,23 @@ class PublicationLayout:
 
 
 class SnapshotWriter:
-    """Writes versioned snapshots into one peer's arena pair.
-
-    Shared by the trainer-side publisher and by chain-forwarding
-    subscribers.  ``source_region``/``source_offsets`` say where the
-    payload bytes live locally; ``relay_stamps`` distinguishes the
-    trainer (synthesizes each stamp from the version being published)
-    from a forwarder (relays the stamp bytes already in its own arena,
-    so a corrupted hop stays detectable at the end of the chain).
-    """
+    """Writes the trainer's versioned snapshots into one replica's arena
+    pair.  ``source_region``/``source_offsets`` say where the payload
+    bytes live on the trainer; each stamp is the version published."""
 
     def __init__(self, channel: RdmaChannel, layout: PublicationLayout,
                  arenas: Tuple[RemoteMemRegion, RemoteMemRegion],
-                 ack_region: MemRegion,
-                 recovery: Optional[RecoveryManager] = None,
-                 relay_stamps: bool = False,
-                 priority: int = PUBLICATION_PRIORITY) -> None:
+                 ack_region: MemRegion, source_region: MemRegion,
+                 source_offsets: Sequence[int],
+                 recovery: Optional[RecoveryManager] = None) -> None:
         self.channel = channel
         self.layout = layout
         self.arenas = arenas
         self.ack_region = ack_region
+        self.source_region = source_region
+        self.source_offsets = list(source_offsets)
         self.recovery = recovery
-        self.relay_stamps = relay_stamps
-        self.priority = priority
-        self.source_region: Optional[MemRegion] = None
-        self.source_offsets: Sequence[int] = ()
         self._epochs = [0, 0]  # per-arena flag epoch lane
-
-    def set_source(self, region: MemRegion, offsets: Sequence[int]) -> None:
-        self.source_region = region
-        self.source_offsets = list(offsets)
 
     def acked_version(self) -> int:
         """Last version the target acknowledged swapping onto."""
@@ -168,23 +152,23 @@ class SnapshotWriter:
                 local_region=local_region, remote_addr=remote_addr,
                 remote_region=remote_region, size=size,
                 direction=Direction.LOCAL_TO_REMOTE,
-                inline_data=inline_data, role=role, priority=self.priority)
+                inline_data=inline_data, role=role,
+                priority=PUBLICATION_PRIORITY)
         elif awaited:
             yield self.channel.memcpy_event(
                 local_addr, local_region, remote_addr, remote_region, size,
                 Direction.LOCAL_TO_REMOTE, inline_data=inline_data,
-                role=role, priority=self.priority)
+                role=role, priority=PUBLICATION_PRIORITY)
         else:
             # Fault-free fabric: per-QP FIFO commits in post order, so
             # intermediate verbs need no completion wait of their own.
             self.channel.memcpy(
                 local_addr, local_region, remote_addr, remote_region, size,
                 Direction.LOCAL_TO_REMOTE, inline_data=inline_data,
-                role=role, priority=self.priority)
+                role=role, priority=PUBLICATION_PRIORITY)
 
     def write_snapshot(self, version: int) -> Generator:
         """Process: land snapshot ``version``, then arm the arena flag."""
-        assert self.source_region is not None, "set_source before writing"
         arena_idx = version % 2
         arena = self.arenas[arena_idx]
         for slot, src_off in zip(self.layout.slots, self.source_offsets):
@@ -194,14 +178,10 @@ class SnapshotWriter:
                 local_addr=self.source_region.addr + src_off,
                 local_region=self.source_region,
                 role=ROLE_WEIGHT_PUBLISH, awaited=False)
-            if self.relay_stamps:
-                stamp = self.source_region.read(slot.stamp_offset,
-                                                STAMP_BYTES)
-            else:
-                stamp = pack_version(version)
             yield from self._transfer(
                 remote_addr=arena.addr + slot.stamp_offset,
-                remote_region=arena, size=STAMP_BYTES, inline_data=stamp,
+                remote_region=arena, size=STAMP_BYTES,
+                inline_data=pack_version(version),
                 role=ROLE_WEIGHT_STAMP, awaited=False)
         self._epochs[arena_idx] = _next_epoch(self._epochs[arena_idx])
         trailer = pack_version(version) + bytes([self._epochs[arena_idx]])
@@ -215,14 +195,14 @@ class SnapshotWriter:
 
 
 class WeightSubscriber:
-    """Replica-side arena pair: swap on flag, ack, forward, verify."""
+    """Replica-side arena pair: swap on flag, ack, verify."""
 
     def __init__(self, rank: int, host: Host, layout: PublicationLayout,
                  arenas: Tuple[MemRegion, MemRegion],
                  ack_channel: RdmaChannel, ack_remote: RemoteMemRegion,
+                 latest_version: Callable[[], int],
                  recovery: Optional[RecoveryManager] = None,
-                 metrics=None,
-                 latest_version: Optional[Callable[[], int]] = None) -> None:
+                 metrics=None) -> None:
         self.rank = rank
         self.host = host
         self.sim = host.sim
@@ -232,19 +212,13 @@ class WeightSubscriber:
         self.ack_remote = ack_remote
         self.recovery = recovery
         self.metrics = metrics
-        self.latest_version = latest_version or (lambda: 0)
+        self.latest_version = latest_version
         #: the arena a forward pass reads from; None until first publish
         self.active: Optional[int] = None
         self.active_version = 0
         self.swaps = 0
         self._expect = [1, 1]
         self._stopped = False
-        #: chain mode: downstream writer fed from this replica's arenas
-        self.forward: Optional[SnapshotWriter] = None
-
-    def link_downstream(self, writer: SnapshotWriter) -> None:
-        """Chain broadcast: forward every activated snapshot downstream."""
-        self.forward = writer
 
     # -- state -------------------------------------------------------------------
 
@@ -313,22 +287,7 @@ class WeightSubscriber:
                 self.metrics.counter("serving.weight_swaps").add(1)
                 self.metrics.histogram("serving.staleness_versions").observe(
                     self.staleness())
-            if self.forward is not None:
-                yield from self._forward_downstream(version, idx)
             yield from self._ack(version)
-
-    def _forward_downstream(self, version: int, arena_idx: int) -> Generator:
-        # Chain hop: wait until downstream swapped off the target arena
-        # (its ack >= version - 1), then relay this arena's snapshot.
-        writer = self.forward
-        writer.set_source(self.arenas[arena_idx],
-                          [slot.offset for slot in self.layout.slots])
-        yield from park_until(
-            self.sim, self.host,
-            lambda: self._stopped or writer.acked_version() >= version - 1)
-        if self._stopped:
-            return
-        yield from writer.write_snapshot(version)
 
     def _ack(self, version: int) -> Generator:
         payload = pack_version(version)
@@ -346,16 +305,12 @@ class WeightSubscriber:
 
 
 class WeightPublisher:
-    """Trainer-side snapshot source driving a broadcast schedule."""
+    """Trainer-side snapshot source writing to every replica."""
 
-    def __init__(self, host: Host, layout: PublicationLayout,
-                 source_region: MemRegion,
-                 writers: Sequence[SnapshotWriter],
+    def __init__(self, host: Host, writers: Sequence[SnapshotWriter],
                  metrics=None) -> None:
         self.host = host
         self.sim = host.sim
-        self.layout = layout
-        self.source_region = source_region
         self.writers = list(writers)
         self.metrics = metrics
         #: latest snapshot version the trainer has produced
@@ -368,13 +323,13 @@ class WeightPublisher:
         self.host.notify_memory_commit()
 
     def publish(self) -> Generator:
-        """Process: one publish round over every root-attached target."""
+        """Process: one publish round over every replica."""
         self.version += 1
         version = self.version
         started = self.sim.now
         for writer in self.writers:
             # Double-buffer gate: never touch an arena the target may
-            # still be serving (or forwarding) from.
+            # still be serving from.
             yield from park_until(
                 self.sim, self.host,
                 lambda w=writer: self._stopped
@@ -398,21 +353,18 @@ class WeightPublisher:
 
 
 def build_publication(trainer_device, replica_devices, spec: ModelSpec,
-                      mode: str = "direct",
                       recovery: Optional[RecoveryManager] = None,
                       metrics=None, qp_idx: int = 0
                       ) -> Tuple[WeightPublisher, List[WeightSubscriber]]:
     """Wire the publication plane over already-created RDMA devices.
 
     Allocates the trainer's snapshot source, each replica's arena pair
-    and the per-link ack slots, then connects writers along the
-    ``direct`` or ``chain`` broadcast schedule.  Descriptor exchange
-    happens at build time (the vanilla-RPC setup path of §3.1), never
-    on the serving critical path.
+    and its ack slot on the trainer, then connects one writer per
+    replica.  Descriptor exchange happens at build time (the
+    vanilla-RPC setup path of §3.1), never on the serving critical
+    path.
     """
     layout = PublicationLayout(spec)
-    hops = broadcast_hops(len(replica_devices), mode)
-
     source = trainer_device.allocate_mem_region(
         max(layout.payload_bytes, 1), label="publish-src", dense=False)
     source_offsets: List[int] = []
@@ -428,43 +380,27 @@ def build_publication(trainer_device, replica_devices, spec: ModelSpec,
         for device in replica_devices
     ]
 
-    publisher_writers: List[SnapshotWriter] = []
-    writer_for = {}   # dst rank -> (src rank, SnapshotWriter)
-    for src_rank, dst_rank in hops:
-        src_device = (trainer_device if src_rank == -1
-                      else replica_devices[src_rank])
-        dst_device = replica_devices[dst_rank]
-        ack_region = src_device.allocate_mem_region(
-            STAMP_BYTES, label=f"weight-ack[{dst_rank}]", dense=True)
-        writer = SnapshotWriter(
-            channel=src_device.get_channel(dst_device.endpoint, qp_idx),
-            layout=layout,
-            arenas=tuple(r.descriptor() for r in arena_pairs[dst_rank]),
-            ack_region=ack_region, recovery=recovery,
-            relay_stamps=src_rank >= 0)
-        if src_rank == -1:
-            writer.set_source(source, source_offsets)
-            publisher_writers.append(writer)
-        writer_for[dst_rank] = (src_rank, writer)
-
-    publisher = WeightPublisher(trainer_device.host, layout, source,
-                                publisher_writers, metrics=metrics)
-
-    subscribers: List[WeightSubscriber] = []
+    writers: List[SnapshotWriter] = []
     for rank, device in enumerate(replica_devices):
-        src_rank, writer = writer_for[rank]
-        upstream_device = (trainer_device if src_rank == -1
-                           else replica_devices[src_rank])
-        subscribers.append(WeightSubscriber(
+        ack_region = trainer_device.allocate_mem_region(
+            STAMP_BYTES, label=f"weight-ack[{rank}]", dense=True)
+        writers.append(SnapshotWriter(
+            channel=trainer_device.get_channel(device.endpoint, qp_idx),
+            layout=layout,
+            arenas=tuple(r.descriptor() for r in arena_pairs[rank]),
+            ack_region=ack_region, source_region=source,
+            source_offsets=source_offsets, recovery=recovery))
+
+    publisher = WeightPublisher(trainer_device.host, writers,
+                                metrics=metrics)
+    subscribers = [
+        WeightSubscriber(
             rank=rank, host=device.host, layout=layout,
             arenas=arena_pairs[rank],
-            ack_channel=device.get_channel(upstream_device.endpoint, qp_idx),
+            ack_channel=device.get_channel(trainer_device.endpoint, qp_idx),
             ack_remote=writer.ack_region.descriptor(), recovery=recovery,
-            metrics=metrics, latest_version=lambda: publisher.version))
-
-    # Chain mode: replica r owns the writer that feeds r + 1.
-    for dst_rank, (src_rank, writer) in writer_for.items():
-        if src_rank >= 0:
-            subscribers[src_rank].link_downstream(writer)
-
+            metrics=metrics, latest_version=lambda: publisher.version)
+        for rank, (device, writer) in enumerate(zip(replica_devices,
+                                                    writers))
+    ]
     return publisher, subscribers

@@ -89,14 +89,13 @@ class RdmaCommRuntime(CommRuntime):
 
         plane = session.cluster.fault_plane
         if plane is not None and plane.armed:
+            # Lossy fabrics drop individual packets rather than whole
+            # verbs: recover at chunk granularity instead of re-sending
+            # whole transfers.
             self.recovery = RecoveryManager(
                 session.sim, session.cluster.cost,
-                policy=self.retry_policy, tracer=session.cluster.tracer)
-            # Lossy fabrics drop individual packets rather than whole
-            # transfers: recover at chunk granularity (selective repeat)
-            # instead of go-back-N.  Gated on the fault spec so classic
-            # crash/partition chaos keeps its exact legacy accounting.
-            self.recovery.selective_repeat = plane.has_loss
+                policy=self.retry_policy, tracer=session.cluster.tracer,
+                lossy=plane.has_loss)
 
         for index, device_name in enumerate(sorted(session.executors)):
             executor = session.executors[device_name]

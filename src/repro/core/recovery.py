@@ -28,30 +28,36 @@ the flag carries an *epoch* (1..255, cycling) instead of a bare 1, so a
 stale duplicate from a timed-out-but-delivered attempt can never be
 consumed twice (see ``transfer.py``).
 
-Selective repeat (lossy fabrics)
---------------------------------
-Retrying the whole transfer is the transport equivalent of go-back-N:
-fine when faults are rare whole-verb events, quadratically wasteful on
-a PFC-less fabric that drops individual packets.  When a ``loss`` fault
-rule is armed the comm runtime flips :attr:`RecoveryManager.
-selective_repeat` on, and large transfers switch to
-*communication-semantic-aware* selective repeat: the payload is cut
-into ``CostModel.loss_chunk_bytes`` chunks tracked by a per-transfer
-landed bitmap, and each round re-issues **only the chunks the fabric
-actually lost**, tagged :data:`~repro.simnet.verbs.ROLE_RETRANSMIT` on
-the wire.  Recovery cost is O(lost bytes), not O(window); the epoch
-flag still trails the whole payload (the protocols post it after
-``reliable_memcpy`` returns), so consumers never observe a partially
-repaired tensor.
+Selective repeat
+----------------
+There is one retry loop: selective repeat over a per-transfer landed
+bitmap, where each round re-issues **only the chunks that did not
+land**.  What the fabric decides is how a transfer is cut:
+
+* on a fault plane without ``loss`` rules, faults are rare whole-verb
+  events and a transfer is *one* chunk: selective repeat with one
+  chunk is whole-transfer retry.  A re-issue keeps its protocol role,
+  so a role-addressed fault rule keeps matching it;
+* on a PFC-less fabric that drops individual packets
+  (``RecoveryManager(lossy=True)``, which the comm runtime passes when
+  a ``loss`` rule is armed) a transfer without inline data is cut into
+  ``CostModel.loss_chunk_bytes`` chunks, and every re-issue is tagged
+  :data:`~repro.simnet.verbs.ROLE_RETRANSMIT` on the wire, so
+  retransmitted bytes equal lost bytes: recovery costs O(lost bytes),
+  not O(window).
+
+The epoch flag still trails the whole payload (the protocols post it
+after ``reliable_memcpy`` returns), so consumers never observe a
+partially repaired tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..simnet.costmodel import CostModel
-from ..simnet.simulator import Simulator
+from ..simnet.simulator import Event, Simulator
 from ..simnet.verbs import ROLE_RETRANSMIT
 from .device import DeviceError, Direction, MemRegion, RdmaChannel, RemoteMemRegion
 
@@ -108,7 +114,7 @@ class RecoveryStats:
     #: backoff window — goodput, not loss; never re-issued (the
     #: retry-accounting dedupe)
     late_completions: int = 0
-    #: selective-repeat re-issues (chunks or small whole transfers)
+    #: chunks re-issued on a lossy fabric
     retransmits: int = 0
     #: bytes re-sent under ROLE_RETRANSMIT — the O(lost) invariant the
     #: lossy chaos suite bounds against injected-loss bytes
@@ -136,19 +142,15 @@ class RecoveryManager:
 
     def __init__(self, sim: Simulator, cost: CostModel,
                  policy: Optional[RetryPolicy] = None,
-                 tracer=None) -> None:
+                 tracer=None, lossy: bool = False) -> None:
         self.sim = sim
         self.cost = cost
         self.policy = policy or RetryPolicy()
         self.tracer = tracer
         self.stats = RecoveryStats()
-        #: chunk-granular selective repeat; flipped on by the comm
-        #: runtime only when a ``loss`` fault rule is armed, so every
-        #: other configuration keeps the legacy whole-transfer loop
-        #: (and its exact-count chaos invariants) bit-identical
-        self.selective_repeat = False
-        #: sequence-number granularity of the chunk bitmap
-        self.chunk_bytes = cost.loss_chunk_bytes
+        #: the fabric drops packets, not whole verbs: cut transfers into
+        #: ``loss_chunk_bytes`` chunks and tag re-issues ROLE_RETRANSMIT
+        self.lossy = lossy
 
     # -- the retry loop ----------------------------------------------------------
 
@@ -164,109 +166,24 @@ class RecoveryManager:
         """Process: one logical transfer, retried until it lands.
 
         Use as ``yield from recovery.reliable_memcpy(...)``.  Returns
-        once the bytes are at the destination — over RDMA if any
-        attempt succeeds, over TCP once the channel degrades.  Raises
-        :class:`DeviceError` only when the budget is exhausted and TCP
-        fallback is disabled.
+        once the bytes are at the destination — over RDMA if every
+        chunk lands within the budget, over TCP for the chunks still
+        out once the channel degrades.  Raises :class:`DeviceError`
+        only when the budget is exhausted and TCP fallback is disabled.
+
+        Each round posts every pending chunk as its own verb (per-QP
+        FIFO keeps them in sequence order) and waits until all of them
+        settle — error CQEs included — or the per-transfer timeout fires
+        (a blackhole produces no CQE at all).  Chunks that landed are
+        marked; only the rest are re-issued, at the original priority.
+        A chunk whose completion arrives during the backoff window is
+        goodput, not loss, and is never re-sent.
         """
         policy = self.policy
-        if (self.selective_repeat and inline_data is None
-                and size > self.chunk_bytes):
-            yield from self._selective_memcpy(
-                channel, local_addr=local_addr, local_region=local_region,
-                remote_addr=remote_addr, remote_region=remote_region,
-                size=size, direction=direction, role=role,
-                priority=priority)
-            return
-        limit = policy.attempt_timeout(size)
-        attempt = 0
-        while True:
-            if channel.degraded:
-                yield from self._fallback(channel, local_addr, remote_addr,
-                                          size, direction, inline_data, role)
-                return
-            # In selective-repeat mode even single-chunk re-issues carry
-            # the retransmit role so lossy-wire accounting stays exact.
-            retransmit = self.selective_repeat and attempt > 0
-            if retransmit:
-                self.stats.retransmits += 1
-                self.stats.retransmitted_bytes += size
-            event = channel.memcpy_event(
-                local_addr, local_region, remote_addr, remote_region, size,
-                direction, inline_data=inline_data,
-                role=ROLE_RETRANSMIT if retransmit else role,
-                priority=priority)
-            started = self.sim.now
-            failure: Optional[str] = None
-            try:
-                result = yield self.sim.any_of(
-                    [event, self.sim.timeout(limit, _TIMEOUT)])
-            except DeviceError as exc:
-                self.stats.failed_completions += 1
-                failure = str(exc)
-            else:
-                if result is _TIMEOUT:
-                    # No CQE at all (blackholed verb, or a straggler
-                    # pushed past the deadline); the attempt is written
-                    # off and re-issued — idempotent, because success is
-                    # never signaled without the bytes committing.
-                    self.stats.timeouts += 1
-                    failure = "timeout"
-            if failure is None:
-                return
-            attempt += 1
-            if attempt > policy.max_retries:
-                self.stats.gave_up += 1
-                if not policy.tcp_fallback:
-                    raise DeviceError(
-                        f"transfer failed after {policy.max_retries} "
-                        f"retries: {failure}")
-                if not channel.degraded:
-                    channel.degraded = True
-                    self.stats.channels_degraded += 1
-                continue
-            yield (policy.backoff_delay(attempt))
-            if failure == "timeout" and event.ok:
-                # The "lost" attempt was merely late: its completion
-                # landed during the backoff window.  Re-issuing would
-                # double-count a retry and re-send bytes that already
-                # committed — record the race and stop instead.
-                self.stats.late_completions += 1
-                return
-            self.stats.retries += 1
-            self.stats.retries_by_role[role] = \
-                self.stats.retries_by_role.get(role, 0) + 1
-            if channel.broken:
-                yield (self.cost.qp_reestablish_time)
-                channel.reconnect()
-                self.stats.qp_reconnects += 1
-            self._trace_retry(channel, role, size, attempt, failure, started,
-                              retransmit=self.selective_repeat)
-
-    def _selective_memcpy(self, channel: RdmaChannel, *,
-                          local_addr: int,
-                          local_region: Optional[MemRegion],
-                          remote_addr: int,
-                          remote_region: Optional[RemoteMemRegion],
-                          size: int, direction: Direction,
-                          role: str, priority: int) -> Generator:
-        """Chunk-granular selective repeat for one large transfer.
-
-        The payload is cut into ``chunk_bytes`` chunks, each posted as
-        its own verb (per-QP FIFO keeps them in sequence order).  A
-        round completes when every outstanding chunk settles — error
-        CQEs from lost chunks included — or the per-transfer timeout
-        fires (blackholes produce no CQE at all).  Chunks that landed
-        are marked in the bitmap; only the rest are re-issued, tagged
-        ``ROLE_RETRANSMIT`` at the original priority.  Chunks whose
-        completion arrives during the backoff window are goodput, not
-        loss, and are never re-sent.  Exhausting the round budget
-        degrades the remaining chunks (only) to the TCP path.
-        """
-        policy = self.policy
-        chunk = max(int(self.chunk_bytes), 1)
-        bounds = [(lo, min(lo + chunk, size))
-                  for lo in range(0, size, chunk)]
+        step = (self.cost.loss_chunk_bytes
+                if self.lossy and inline_data is None else max(size, 1))
+        bounds = ([(lo, min(lo + step, size)) for lo in range(0, size, step)]
+                  or [(0, size)])
         pending = list(range(len(bounds)))
         limit = policy.attempt_timeout(size)
         attempt = 0
@@ -276,55 +193,52 @@ class RecoveryManager:
                     lo, hi = bounds[index]
                     yield from self._fallback(
                         channel, local_addr + lo, remote_addr + lo,
-                        hi - lo, direction, None, role)
+                        hi - lo, direction, inline_data, role)
                 return
-            wire_role = role if attempt == 0 else ROLE_RETRANSMIT
-            events: List[Tuple[int, object]] = []
+            retransmit = self.lossy and attempt > 0
+            events: List[Tuple[int, Event]] = []
             for index in pending:
                 lo, hi = bounds[index]
-                if attempt > 0:
+                if retransmit:
                     self.stats.retransmits += 1
                     self.stats.retransmitted_bytes += hi - lo
                 events.append((index, channel.memcpy_event(
                     local_addr + lo, local_region, remote_addr + lo,
-                    remote_region, hi - lo, direction, role=wire_role,
+                    remote_region, hi - lo, direction,
+                    inline_data=inline_data,
+                    role=ROLE_RETRANSMIT if retransmit else role,
                     priority=priority)))
             started = self.sim.now
-            # Gather every chunk's settling (success *or* error CQE)
-            # behind one gate event: AllOf would fail fast on the first
-            # lost chunk and hide the fate of the rest of the round.
-            state = {"unsettled": len(events), "gate": self.sim.event()}
-
-            def settle(_event, state=state) -> None:
-                state["unsettled"] -= 1
-                if state["unsettled"] == 0 and not state["gate"].triggered:
-                    state["gate"].succeed()
-
-            for _index, event in events:
-                event.add_callback(settle)
-            result = yield self.sim.any_of(
-                [state["gate"], self.sim.timeout(limit, _TIMEOUT)])
+            # A one-chunk transfer races its verb itself; a chunked one
+            # races a gate over the whole round.
+            settled = (events[0][1] if len(bounds) == 1
+                       else self._all_settled([e for _i, e in events]))
+            try:
+                result = yield self.sim.any_of(
+                    [settled, self.sim.timeout(limit, _TIMEOUT)])
+            except DeviceError:
+                result = None  # the chunk's error CQE, counted below
             timed_out = result is _TIMEOUT
             if timed_out:
+                # No CQE (a blackholed verb, or a straggler pushed past
+                # the deadline): re-issuing is idempotent, because
+                # success is never signaled without the bytes committing.
                 self.stats.timeouts += 1
-            still_out: List[Tuple[int, object]] = []
-            failed = 0
-            for index, event in events:
-                if event.ok:
-                    continue
-                if event.triggered:
-                    failed += 1
-                still_out.append((index, event))
-            self.stats.failed_completions += failed
+            still_out = [(index, event) for index, event in events
+                         if not event.ok]
+            self.stats.failed_completions += sum(
+                1 for _index, event in still_out if event.triggered)
             if not still_out:
                 return
+            cause = "timeout" if timed_out else "error CQE"
             attempt += 1
             if attempt > policy.max_retries:
                 self.stats.gave_up += 1
                 if not policy.tcp_fallback:
                     raise DeviceError(
-                        f"{len(still_out)} chunks still lost after "
-                        f"{policy.max_retries} retransmit rounds")
+                        f"transfer failed after {policy.max_retries} "
+                        f"retries: {len(still_out)} of {len(bounds)} "
+                        f"chunks still out ({cause})")
                 if not channel.degraded:
                     channel.degraded = True
                     self.stats.channels_degraded += 1
@@ -334,7 +248,8 @@ class RecoveryManager:
             pending = []
             for index, event in still_out:
                 if event.ok:
-                    # Landed during the backoff: late goodput, no re-send.
+                    # Merely late: the completion landed during the
+                    # backoff.  Goodput, never re-sent or counted a retry.
                     self.stats.late_completions += 1
                 else:
                     pending.append(index)
@@ -348,9 +263,24 @@ class RecoveryManager:
                 channel.reconnect()
                 self.stats.qp_reconnects += 1
             lost = sum(bounds[i][1] - bounds[i][0] for i in pending)
-            self._trace_retry(channel, role, lost, attempt,
-                              "timeout" if timed_out else "chunk-loss",
-                              started, retransmit=True)
+            self._trace_retry(channel, role, lost, attempt, cause, started)
+
+    def _all_settled(self, events: Sequence[Event]) -> Event:
+        """An event that succeeds once every one of ``events`` has
+        triggered, failed or not: AllOf would fail fast on the first
+        lost chunk and hide the fate of the rest of the round."""
+        gate = self.sim.event()
+        unsettled = len(events)
+
+        def settle(_event) -> None:
+            nonlocal unsettled
+            unsettled -= 1
+            if unsettled == 0:
+                gate.succeed()
+
+        for event in events:
+            event.add_callback(settle)
+        return gate
 
     def _fallback(self, channel: RdmaChannel, local_addr: int,
                   remote_addr: int, size: int, direction: Direction,
@@ -363,8 +293,7 @@ class RecoveryManager:
             direction=direction, inline_data=inline_data, role=role)
 
     def _trace_retry(self, channel: RdmaChannel, role: str, size: int,
-                     attempt: int, failure: str, started: float,
-                     retransmit: bool = False) -> None:
+                     attempt: int, failure: str, started: float) -> None:
         if self.tracer is None:
             return
         host = channel.device.host.name
@@ -373,9 +302,9 @@ class RecoveryManager:
             f"recovery:{host}", started, self.sim.now,
             args={"role": role, "size": size, "attempt": attempt,
                   "cause": failure, "peer": str(channel.peer),
-                  "retransmit": retransmit})
+                  "retransmit": self.lossy})
         self.tracer.metrics.counter("transfer_retries").add(1)
-        if retransmit:
+        if self.lossy:
             self.tracer.metrics.counter("retransmitted_bytes").add(size)
 
     # -- reporting ---------------------------------------------------------------

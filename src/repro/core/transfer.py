@@ -27,7 +27,7 @@ arrange.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from ..observability.tracer import protocol_track
 from ..graph.allocator import ArenaAllocator
@@ -93,7 +93,6 @@ class StaticSender:
     def __init__(self, channel: RdmaChannel, remote: RemoteMemRegion,
                  nbytes: int, arena: ArenaAllocator, arena_region: MemRegion,
                  state: TransferState,
-                 staging_delay: Callable[[int], float] = None,
                  role: str = "static-write", key: str = "",
                  priority: int = 0,
                  recovery: Optional[RecoveryManager] = None) -> None:

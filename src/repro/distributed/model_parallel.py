@@ -304,8 +304,7 @@ def build_model_parallel_graph(
         stage_forward_s=stage_forward, stage_backward_s=stage_backward)
 
 
-def pipeline_bubble_report(job: PipelineJob, report,
-                           skip_warmup: bool = True) -> Dict[str, object]:
+def pipeline_bubble_report(job: PipelineJob, report) -> Dict[str, object]:
     """Bubble-time accounting on top of the stall report.
 
     For every stage executor the stall report already partitions the
@@ -326,7 +325,7 @@ def pipeline_bubble_report(job: PipelineJob, report,
     from ..observability.tracer import executor_track
 
     iterations = report.iterations
-    if skip_warmup and len(iterations) > 1:
+    if len(iterations) > 1:  # the first one pays warm-up allocation
         iterations = iterations[1:]
     if not iterations:
         raise ValueError("stall report has no iterations; "

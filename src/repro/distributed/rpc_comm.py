@@ -20,7 +20,7 @@ lengths.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Tuple
 
 import numpy as np
 
@@ -68,12 +68,10 @@ class _Rendezvous:
 class GrpcCommRuntime(CommRuntime):
     """Tensor transfer over the RPC substrate (the baselines)."""
 
-    def __init__(self, transport: str = "tcp",
-                 gpu_tensors: bool = False) -> None:
+    def __init__(self, transport: str = "tcp") -> None:
         if transport not in ("tcp", "rdma"):
             raise ValueError(f"unknown transport {transport!r}")
         self.transport = transport
-        self.gpu_tensors = gpu_tensors
         self.name = "gRPC.TCP" if transport == "tcp" else "gRPC.RDMA"
         self.servers: Dict[str, object] = {}
         self.rendezvous: Dict[str, _Rendezvous] = {}
@@ -147,16 +145,6 @@ class GrpcCommRuntime(CommRuntime):
     def execute_send(self, executor: Executor, node: Node, tensor: Tensor):
         """Send is a local rendezvous deposit (TF semantics): cheap."""
         self.bytes_sent += tensor.nbytes
-        if self.gpu_tensors:
-            # Without GPUDirect the tensor must be staged to host memory
-            # before the RPC layer can serialize it.
-            def deposit() -> Generator:
-                yield (
-                    executor.cost.pcie_copy_time(tensor.nbytes))
-                self.rendezvous[executor.device].produce(
-                    node.attrs["key"], executor.iteration, tensor)
-                return Outcome.done([])
-            return deposit()
         self.rendezvous[executor.device].produce(
             node.attrs["key"], executor.iteration, tensor)
         return Outcome.done([])
@@ -191,8 +179,5 @@ class GrpcCommRuntime(CommRuntime):
                 tensor.copy_from(
                     np.frombuffer(payload.data, dtype=dtype.np).reshape(
                         shape.as_tuple()))
-            if self.gpu_tensors:
-                yield (
-                    executor.cost.pcie_copy_time(payload.size))
             return [tensor]
         return Outcome.wait(executor.sim.spawn(fetch(), name=f"recv-{key}"))

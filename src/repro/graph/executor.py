@@ -100,8 +100,7 @@ class Executor:
     """Runs one partition subgraph on one simulated host, repeatedly."""
 
     def __init__(self, host: Host, graph: Graph, device: str,
-                 comm: CommRuntime, allocation_policy=None,
-                 priority_sched: bool = False) -> None:
+                 comm: CommRuntime, priority_sched: bool = False) -> None:
         self.host = host
         self.sim: Simulator = host.sim
         self.cost = host.cost
@@ -112,8 +111,9 @@ class Executor:
         self.heap = HostAllocator(host, name=f"heap:{device}")
         #: the RDMA arena; installed by the analyzer when RDMA is in play
         self.arena: Optional[ArenaAllocator] = None
-        #: (node_name, alloc_index) -> BaseAllocator override
-        self.allocation_policy = allocation_policy or (lambda node, idx: None)
+        #: (node_name, alloc_index) -> BaseAllocator override; the
+        #: allocation-site tracer installs one
+        self.allocation_policy = lambda node, idx: None
         self.variables: Dict[str, Tensor] = {}
         #: receiver-side tensors preallocated by the analyzer (key -> Tensor)
         self.preallocated_recv: Dict[str, Tensor] = {}

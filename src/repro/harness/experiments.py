@@ -634,10 +634,7 @@ def _serving_run(requests: int, model: str = "FCN-5", seed: int = 7,
     cfg = config.serving
     spec = get_model(model)
     deployment = dict(replicas=cfg.replicas, qps=cfg.qps,
-                      batch_timeout=cfg.batch_timeout, slo_ms=cfg.slo_ms,
-                      arrival=cfg.arrival,
-                      admission_limit=cfg.admission_limit,
-                      broadcast=cfg.broadcast)
+                      batch_timeout=cfg.batch_timeout, slo_ms=cfg.slo_ms)
     variants = {
         "batch-1": dict(max_batch=1, priority_sched=True),
         f"batch-{cfg.max_batch}": dict(priority_sched=True),
@@ -1385,9 +1382,8 @@ def _llmserve_run(model: str, requests: int, qps: float,
 
     cfg = config.serving
     spec = get_model(model)
-    deployment = dict(replicas=cfg.replicas, arrival=cfg.arrival,
-                      admission_limit=cfg.admission_limit,
-                      max_batch=cfg.max_batch, max_width=cfg.max_width)
+    deployment = dict(replicas=cfg.replicas, max_batch=cfg.max_batch,
+                      max_width=cfg.max_width)
     payload = _payload("llmserve", grid, kv_budget_mb=cfg.kv_budget_mb,
                        **deployment)
     for mode in [dict(mode="continuous")] + [

@@ -34,8 +34,8 @@ def run_llm_serving_benchmark(
         time_limit: float = 3600.0, **overrides) -> LLMServingResult:
     """Run one LLM serving deployment to completion.
 
-    The deployment shape (replicas, arrival process, KV budget, batch
-    width, batcher, admission limit) is ``config`` with ``overrides``
+    The deployment shape (replicas, KV budget, batch width, batcher)
+    is ``config`` with ``overrides``
     applied — :class:`~repro.serving.config.ServingConfig` fields by
     name, validated like any other construction.  The offered load is
     this call's ``qps``, not the config's.
@@ -46,7 +46,7 @@ def run_llm_serving_benchmark(
     if mode not in LLM_MODES:
         raise ValueError(f"unknown llm mode {mode!r}; have {LLM_MODES}")
     config = replace(config, **overrides)
-    replicas, arrival = config.replicas, config.arrival
+    replicas = config.replicas
     max_width, max_batch = config.max_width, config.max_batch
     batch_timeout = config.batch_timeout
     kv_budget_bytes = int(config.kv_budget_mb * MB)
@@ -60,11 +60,9 @@ def run_llm_serving_benchmark(
                    batch_timeout=batch_timeout, metrics=metrics)
         for rank in range(replicas)
     ]
-    frontend = LLMFrontend(replica_objs,
-                           admission_limit=config.admission_limit,
-                           metrics=metrics)
+    frontend = LLMFrontend(replica_objs, metrics=metrics)
     load = LLMLoadGenerator(sim, frontend, cluster.hosts[0], qps=qps,
-                            count=requests, seed=seed, arrival=arrival,
+                            count=requests, seed=seed,
                             prompt_range=prompt_range,
                             output_range=output_range)
     for replica in replica_objs:
@@ -101,7 +99,7 @@ def run_llm_serving_benchmark(
     }
     return LLMServingResult(
         model=spec.name, mode=mode, replicas=replicas, qps=qps, seed=seed,
-        arrival=arrival, kv_budget_bytes=kv_budget_bytes,
+        kv_budget_bytes=kv_budget_bytes,
         max_width=max_width, max_batch=max_batch,
         batch_timeout=batch_timeout, total=requests,
         completed=sum(r.completed for r in replica_objs),

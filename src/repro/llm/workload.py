@@ -17,7 +17,7 @@ import random
 from typing import Generator, List, Tuple
 
 from ..serving.llm import LLMFrontend, LLMRequest
-from ..simnet.arrivals import make_gaps
+from ..simnet.arrivals import poisson_gaps
 from ..simnet.simulator import Simulator
 from ..simnet.topology import Host
 
@@ -34,7 +34,6 @@ class LLMLoadGenerator:
 
     def __init__(self, sim: Simulator, frontend: LLMFrontend, host: Host, *,
                  qps: float, count: int, seed: int = 0,
-                 arrival: str = "poisson",
                  prompt_range: Tuple[int, int] = DEFAULT_PROMPT_RANGE,
                  output_range: Tuple[int, int] = DEFAULT_OUTPUT_RANGE
                  ) -> None:
@@ -48,7 +47,6 @@ class LLMLoadGenerator:
         self.qps = qps
         self.count = count
         self.seed = seed
-        self.arrival = arrival
         self.prompt_range = prompt_range
         self.output_range = output_range
         self.requests: List[LLMRequest] = []
@@ -57,7 +55,7 @@ class LLMLoadGenerator:
     def run(self) -> Generator:
         """Process: emit ``count`` requests, then trigger :attr:`done`."""
         rng = random.Random(self.seed)
-        gaps = make_gaps(self.arrival, rng, self.qps)
+        gaps = poisson_gaps(rng, self.qps)
         pending = []
         for req_id in range(self.count):
             yield (next(gaps))

@@ -270,8 +270,8 @@ def detect_run_anomalies(tracer: Tracer,
                          now: float = 0.0,
                          threshold: float = DEFAULT_Z_THRESHOLD,
                          min_excess: float = DEFAULT_MIN_EXCESS,
-                         min_points: int = DEFAULT_MIN_POINTS,
-                         attach_flight: bool = True) -> List[Incident]:
+                         min_points: int = DEFAULT_MIN_POINTS
+                         ) -> List[Incident]:
     """End-of-run sweep: stragglers from telemetry + fabric hotspots.
 
     Straggler incidents get the offending host's flight-recorder dump
@@ -289,12 +289,11 @@ def detect_run_anomalies(tracer: Tracer,
         incidents.extend(detect_link_hotspots(
             link_utilization, now, threshold=threshold,
             min_excess=min_excess, min_points=min_points))
-    if attach_flight:
-        for incident in incidents:
-            if incident.kind != "straggler":
-                continue
-            incident.flight = [
-                {"category": s.category, "name": s.name, "host": s.host,
-                 "track": s.track, "start": s.start, "end": s.end}
-                for s in tracer.flight_dump(incident.subject)]
+    for incident in incidents:
+        if incident.kind != "straggler":
+            continue
+        incident.flight = [
+            {"category": s.category, "name": s.name, "host": s.host,
+             "track": s.track, "start": s.start, "end": s.end}
+            for s in tracer.flight_dump(incident.subject)]
     return incidents

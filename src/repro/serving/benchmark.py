@@ -56,11 +56,9 @@ class ServingResult:
     max_batch: int
     batch_timeout: float
     slo_ms: float
-    arrival: str
     seed: int
     priority_sched: bool
     background_training: bool
-    broadcast: str
     fault_spec: Optional[str]
     total: int
     completed: int
@@ -85,10 +83,10 @@ class ServingResult:
             "model": self.model, "replicas": self.replicas,
             "qps": self.qps, "max_batch": self.max_batch,
             "batch_timeout": self.batch_timeout, "slo_ms": self.slo_ms,
-            "arrival": self.arrival, "seed": self.seed,
+            "seed": self.seed,
             "priority_sched": self.priority_sched,
             "background_training": self.background_training,
-            "broadcast": self.broadcast, "fault_spec": self.fault_spec,
+            "fault_spec": self.fault_spec,
             "total": self.total, "completed": self.completed,
             "shed": self.shed, "failed": self.failed,
             "makespan": self.makespan,
@@ -105,9 +103,9 @@ class ServingResult:
 
 def run_serving_benchmark(
         spec: ModelSpec, *, config: ServingConfig = ServingConfig(),
-        requests: int = 400, seed: int = 0, transport: str = "tcp",
+        requests: int = 400, seed: int = 0,
         priority_sched: bool = True, background_training: bool = False,
-        background_bytes: int = 32 * MB, publish: bool = True,
+        background_bytes: int = 32 * MB,
         publish_interval: float = 25e-3,
         fault_spec: Optional[str] = None, fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
@@ -118,10 +116,10 @@ def run_serving_benchmark(
         time_limit: float = 600.0, **overrides) -> ServingResult:
     """Run one serving deployment to completion; returns its result.
 
-    The deployment shape (replicas, offered qps, batcher, SLO, arrival
-    process, admission limit, broadcast schedule) is ``config`` with
-    ``overrides`` applied — :class:`~repro.serving.config.ServingConfig`
-    fields by name, validated like any other construction.
+    The deployment shape (replicas, offered qps, batcher, SLO) is
+    ``config`` with ``overrides`` applied —
+    :class:`~repro.serving.config.ServingConfig` fields by name,
+    validated like any other construction.
 
     ``kill_replica=(rank, at)`` crashes one replica mid-run to
     exercise the router's timeout detection and rerouting.  A fault
@@ -149,12 +147,9 @@ def run_serving_benchmark(
 
     recovery = (RecoveryManager(sim, cost, policy=retry_policy)
                 if fault_spec else None)
-    publisher = None
-    subscribers: List = [None] * replicas
-    if publish:
-        publisher, subscribers = build_publication(
-            trainer_device, replica_devices, spec, mode=config.broadcast,
-            recovery=recovery, metrics=metrics, qp_idx=0)
+    publisher, subscribers = build_publication(
+        trainer_device, replica_devices, spec, recovery=recovery,
+        metrics=metrics, qp_idx=0)
 
     replica_objs = [
         Replica(rank, cluster, device, spec, max_batch=max_batch,
@@ -167,14 +162,11 @@ def run_serving_benchmark(
     router = Router(router_device, batcher, max_batch=max_batch,
                     request_bytes=request_bytes,
                     response_bytes=response_bytes,
-                    admission_limit=config.admission_limit,
                     dispatch_timeout=dispatch_timeout, metrics=metrics)
     for replica in replica_objs:
         router.attach_replica(replica)
     load = LoadGenerator(sim, router, qps=config.qps, count=requests,
-                         seed=seed, arrival=config.arrival,
-                         transport=transport,
-                         request_bytes=request_bytes,
+                         seed=seed, request_bytes=request_bytes,
                          response_bytes=response_bytes)
 
     background_stop = {"flag": False}
@@ -193,15 +185,13 @@ def run_serving_benchmark(
                       name=f"train-sync-{rank}")
 
     for subscriber in subscribers:
-        if subscriber is not None:
-            sim.spawn(subscriber.watch(), name=f"sub-{subscriber.rank}")
+        sim.spawn(subscriber.watch(), name=f"sub-{subscriber.rank}")
     for replica in replica_objs:
         sim.spawn(replica.serve(), name=f"serve-{replica.rank}")
     sim.spawn(batcher.run(), name="batcher")
     sim.spawn(router.dispatcher(), name="dispatcher")
     sim.spawn(router.response_poller(), name="resp-poller")
-    if publisher is not None:
-        sim.spawn(publisher.run(publish_interval), name="publisher")
+    sim.spawn(publisher.run(publish_interval), name="publisher")
     sim.spawn(load.run(), name="load")
     if kill_replica is not None:
         rank, at = kill_replica
@@ -216,11 +206,9 @@ def run_serving_benchmark(
                            limit=time_limit)
     makespan = sim.now
     background_stop["flag"] = True
-    if publisher is not None:
-        publisher.stop()
+    publisher.stop()
     for subscriber in subscribers:
-        if subscriber is not None:
-            subscriber.stop()
+        subscriber.stop()
     for replica in replica_objs:
         replica.stop()
     router.stop()
@@ -237,10 +225,9 @@ def run_serving_benchmark(
     return ServingResult(
         model=spec.name, replicas=replicas, qps=config.qps,
         max_batch=max_batch, batch_timeout=config.batch_timeout,
-        slo_ms=config.slo_ms, arrival=config.arrival,
+        slo_ms=config.slo_ms,
         seed=seed, priority_sched=priority_sched,
         background_training=background_training,
-        broadcast=config.broadcast,
         fault_spec=fault_spec, total=requests,
         completed=router.completed, shed=router.shed, failed=router.failed,
         makespan=makespan,
@@ -250,8 +237,8 @@ def run_serving_benchmark(
                         if router.latencies else 0.0),
         latency=hist.to_dict(),
         mean_batch_size=batch_hist.mean if batch_hist is not None else 0.0,
-        publishes=publisher.publishes if publisher is not None else 0,
-        swaps=sum(s.swaps for s in subscribers if s is not None),
+        publishes=publisher.publishes,
+        swaps=sum(s.swaps for s in subscribers),
         torn_serves=sum(r.torn_serves for r in replica_objs),
         staleness=(staleness_hist.to_dict()
                    if staleness_hist is not None else {}),

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..collectives.broadcast import BROADCAST_MODES
-from ..simnet.arrivals import ARRIVAL_KINDS
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -31,14 +28,6 @@ class ServingConfig:
     batch_timeout: float = 2e-3
     #: latency objective used for SLO-attainment accounting (ms)
     slo_ms: float = 25.0
-    #: arrival process of the load generator (see
-    #: :data:`repro.simnet.arrivals.ARRIVAL_KINDS`)
-    arrival: str = "poisson"
-    #: admission control: shed new requests once this many are in the
-    #: system (queued + dispatched)
-    admission_limit: int = 128
-    #: weight-broadcast schedule ("direct" or "chain")
-    broadcast: str = "direct"
     #: per-replica KV-cache byte budget for LLM serving (MB);
     #: admission reserves the prompt's footprint against it
     kv_budget_mb: float = 2048.0
@@ -56,14 +45,6 @@ class ServingConfig:
             raise ValueError("batch_timeout must be non-negative")
         if self.slo_ms <= 0:
             raise ValueError("slo_ms must be positive")
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(f"unknown arrival kind {self.arrival!r}; "
-                             f"have {ARRIVAL_KINDS}")
-        if self.admission_limit < 1:
-            raise ValueError("admission_limit must be at least 1")
-        if self.broadcast not in BROADCAST_MODES:
-            raise ValueError(f"unknown broadcast mode {self.broadcast!r}; "
-                             f"have {BROADCAST_MODES}")
         if self.kv_budget_mb <= 0:
             raise ValueError("kv_budget_mb must be positive")
         if self.max_width < 1:

@@ -32,6 +32,14 @@ from .replica import (META_FLAG_OFFSET, META_SIZE, META_STRUCT,
                       Replica)
 
 
+#: admission control: shed new requests once this many are in the
+#: system (queued + dispatched), the classic open-loop overload guard
+ADMISSION_LIMIT = 128
+
+#: unanswered dispatches after which the router marks a replica dead
+MAX_STRIKES = 2
+
+
 class _ReplicaLink:
     """Router-side state for one attached replica."""
 
@@ -59,8 +67,7 @@ class Router:
 
     def __init__(self, device: RdmaDevice, batcher: DynamicBatcher, *,
                  max_batch: int, request_bytes: int, response_bytes: int,
-                 admission_limit: int = 128, dispatch_timeout: float = 0.1,
-                 max_strikes: int = 2, metrics=None) -> None:
+                 dispatch_timeout: float = 0.1, metrics=None) -> None:
         self.device = device
         self.host = device.host
         self.sim = self.host.sim
@@ -68,9 +75,7 @@ class Router:
         self.max_batch = max_batch
         self.request_bytes = request_bytes
         self.response_bytes = response_bytes
-        self.admission_limit = admission_limit
         self.dispatch_timeout = dispatch_timeout
-        self.max_strikes = max_strikes
         self.metrics = metrics
         self.links: List[_ReplicaLink] = []
         # Payload staging the dispatch write reads from (virtual).
@@ -113,7 +118,7 @@ class Router:
     def submit(self, request: Request) -> None:
         """Admit or shed one request (called by the load generator)."""
         self.submitted += 1
-        if self.in_system >= self.admission_limit:
+        if self.in_system >= ADMISSION_LIMIT:
             request.shed = True
             self.shed += 1
             if self.metrics is not None:
@@ -231,7 +236,7 @@ class Router:
                 self.metrics.gauge("serving.in_system").set(self.in_system)
         else:
             link.strikes += 1
-            if link.strikes >= self.max_strikes and link.alive:
+            if link.strikes >= MAX_STRIKES and link.alive:
                 link.alive = False
                 self.replica_deaths += 1
                 if self.metrics is not None:

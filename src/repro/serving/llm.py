@@ -34,6 +34,7 @@ from ..models.transformer import TransformerSpec
 from ..observability.registry import MetricsRegistry
 from ..simnet.simulator import Simulator
 from .batcher import DynamicBatcher
+from .frontend import ADMISSION_LIMIT
 from .kvcache import KVCache, KVTracker
 
 
@@ -95,8 +96,7 @@ class LLMReplica:
                  kv_budget_bytes: int, max_width: int = 16,
                  mode: str = "continuous", max_batch: int = 8,
                  batch_timeout: float = 2e-3,
-                 metrics: Optional[MetricsRegistry] = None,
-                 frontend: Optional["LLMFrontend"] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if mode not in LLM_MODES:
             raise ValueError(f"unknown llm mode {mode!r}; have {LLM_MODES}")
         if max_width < 1:
@@ -108,7 +108,8 @@ class LLMReplica:
         self.max_width = max_width
         self.cache = KVCache(kv_budget_bytes)
         self.metrics = metrics
-        self.frontend = frontend
+        #: set by the :class:`LLMFrontend` the replica serves
+        self.frontend: Optional[LLMFrontend] = None
         self.queue: Deque[LLMRequest] = collections.deque()
         self.running: List[Tuple[LLMRequest, KVTracker]] = []
         self.batcher = (DynamicBatcher(sim, max_batch, batch_timeout,
@@ -323,10 +324,8 @@ class LLMFrontend:
     """Admission + least-loaded dispatch over the LLM replicas."""
 
     def __init__(self, replicas: List[LLMReplica],
-                 admission_limit: int = 128,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.replicas = replicas
-        self.admission_limit = admission_limit
         self.metrics = metrics
         self.in_system = 0
         self.submitted = 0
@@ -337,7 +336,7 @@ class LLMFrontend:
 
     def submit(self, request: LLMRequest, now: float) -> None:
         self.submitted += 1
-        if self.in_system >= self.admission_limit:
+        if self.in_system >= ADMISSION_LIMIT:
             request.shed = True
             self.shed += 1
             self.finished.append(request)
@@ -367,7 +366,6 @@ class LLMServingResult:
     replicas: int
     qps: float
     seed: int
-    arrival: str
     kv_budget_bytes: int
     max_width: int
     max_batch: int
@@ -396,7 +394,6 @@ class LLMServingResult:
         return {
             "model": self.model, "mode": self.mode,
             "replicas": self.replicas, "qps": self.qps, "seed": self.seed,
-            "arrival": self.arrival,
             "kv_budget_bytes": self.kv_budget_bytes,
             "max_width": self.max_width, "max_batch": self.max_batch,
             "batch_timeout": self.batch_timeout,

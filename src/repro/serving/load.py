@@ -1,20 +1,20 @@
 """Open-loop load generation for the serving plane.
 
-Clients issue requests on a seeded arrival process (Poisson by
-default) *independently of completions* — an overloaded system keeps
+Clients issue requests on a seeded Poisson arrival process
+*independently of completions* — an overloaded system keeps
 receiving requests, which is what makes queueing delay and admission
 control observable at all.  Each request is delivered to the router
-over the simulated client-facing transport (kernel TCP by default;
-an RDMA ingest path is modeled for clients inside the fabric).
+over kernel TCP: clients live outside the RDMA fabric, the paper's
+front-end case.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional
 
-from ..simnet.arrivals import make_gaps
+from ..simnet.arrivals import poisson_gaps
 from ..simnet.simulator import Simulator
 
 
@@ -50,29 +50,17 @@ class Request:
 
 
 class LoadGenerator:
-    """Seeded open-loop client population feeding one router.
-
-    ``transport`` models the client leg: ``"tcp"`` charges the kernel
-    receive path and books the router's TCP ingress pipe (clients live
-    outside the RDMA fabric, the paper's front-end case); ``"rdma"``
-    charges a one-sided write's latency only (clients co-located on
-    the fabric).
-    """
+    """Seeded open-loop client population feeding one router."""
 
     def __init__(self, sim: Simulator, router, *, qps: float, count: int,
-                 seed: int = 0, arrival: str = "poisson",
-                 transport: str = "tcp",
+                 seed: int = 0,
                  request_bytes: int = DEFAULT_REQUEST_BYTES,
                  response_bytes: int = DEFAULT_RESPONSE_BYTES) -> None:
-        if transport not in ("tcp", "rdma"):
-            raise ValueError(f"unknown client transport {transport!r}")
         self.sim = sim
         self.router = router
         self.qps = qps
         self.count = count
         self.seed = seed
-        self.arrival = arrival
-        self.transport = transport
         self.request_bytes = request_bytes
         self.response_bytes = response_bytes
         self.requests: List[Request] = []
@@ -81,7 +69,7 @@ class LoadGenerator:
     def run(self) -> Generator:
         """Process: emit ``count`` requests, then trigger :attr:`done`."""
         rng = random.Random(self.seed)
-        gaps = make_gaps(self.arrival, rng, self.qps)
+        gaps = poisson_gaps(rng, self.qps)
         pending = []
         for req_id in range(self.count):
             yield (next(gaps))
@@ -100,18 +88,13 @@ class LoadGenerator:
     def _deliver(self, request: Request) -> Generator:
         host = self.router.host
         cost = host.cost
-        if self.transport == "tcp":
-            # Kernel path into the router: wire time through the
-            # router's shared TCP ingress pipe, then the syscall+copy
-            # receive cost on a router CPU lane.
-            ready = self.sim.now + cost.tcp_wire_time(request.nbytes)
-            end = host.tcp.ingress.reserve_after(self.sim.now,
-                                                 request.nbytes, ready)
-            yield (end - self.sim.now)
-            yield from host.cpu.run(cost.tcp_recv_time(request.nbytes))
-        else:
-            # Fabric-resident client: one-sided write into a router
-            # ring buffer; no kernel, no router CPU on the data path.
-            yield (cost.rdma_write_time(request.nbytes))
+        # Kernel path into the router: wire time through the router's
+        # shared TCP ingress pipe, then the syscall+copy receive cost on
+        # a router CPU lane.
+        ready = self.sim.now + cost.tcp_wire_time(request.nbytes)
+        end = host.tcp.ingress.reserve_after(self.sim.now, request.nbytes,
+                                             ready)
+        yield (end - self.sim.now)
+        yield from host.cpu.run(cost.tcp_recv_time(request.nbytes))
         request.admitted = self.sim.now
         self.router.submit(request)

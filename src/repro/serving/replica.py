@@ -24,7 +24,7 @@ never arm it):
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
+from typing import Generator
 
 from ..core.device import Direction, RdmaDevice
 from ..core.publication import WeightSubscriber, park_until
@@ -61,8 +61,7 @@ class Replica:
     def __init__(self, rank: int, cluster, device: RdmaDevice,
                  spec: ModelSpec, *, max_batch: int,
                  request_bytes: int, response_bytes: int,
-                 subscriber: Optional[WeightSubscriber] = None,
-                 metrics=None) -> None:
+                 subscriber: WeightSubscriber, metrics=None) -> None:
         self.rank = rank
         self.device = device
         self.host = device.host
@@ -121,9 +120,7 @@ class Replica:
         timeouts (the same end-to-end evidence the recovery layer
         uses), never by peeking at remote state.
         """
-        if self.subscriber is not None:
-            return self.subscriber.ready
-        return True
+        return self.subscriber.ready
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -158,7 +155,7 @@ class Replica:
             # Decode + per-batch activation allocation on a CPU lane.
             yield from self.host.cpu.run(cost.sched_dispatch
                                          + cost.malloc_time(nbytes))
-            if self.subscriber is not None and self.subscriber.ready:
+            if self.subscriber.ready:
                 # The zero-copy torn-read assertion: every stamp in the
                 # active arena must match the active version.
                 if not self.subscriber.snapshot_consistent():

@@ -1,20 +1,13 @@
-"""Seeded request-arrival processes for open-loop workloads.
+"""Seeded request arrivals for open-loop workloads.
 
 The serving plane drives the cluster with an *open-loop* load: request
-arrival times are drawn up front from a seeded generator and do not
-depend on how fast the system answers (closed-loop generators hide
-queueing collapse; see the "coordinated omission" literature).  Two
-arrival disciplines are modelled:
+arrival times are drawn from a seeded generator and do not depend on
+how fast the system answers (closed-loop generators hide queueing
+collapse; see the "coordinated omission" literature).  Arrivals are
+Poisson — exponential interarrival gaps at a fixed rate, the classic
+memoryless approximation of many independent clients.
 
-* ``poisson`` — exponential interarrival gaps at a fixed rate, the
-  classic memoryless approximation of many independent clients;
-* ``bursty``  — a two-phase Markov-modulated Poisson process: an ON
-  phase at ``burst_factor`` times the base rate alternating with an
-  OFF phase whose rate is scaled down so the long-run average still
-  matches ``rate``.  This is the diurnal-peak/flash-crowd shape that
-  stresses admission control and batching.
-
-Everything is a pure function of ``(seed, rate, ...)`` via one
+Everything is a pure function of ``(seed, rate)`` via one
 ``random.Random``; the simulator never adds randomness of its own, so
 a workload is exactly reproducible from its seed.
 """
@@ -22,10 +15,7 @@ a workload is exactly reproducible from its seed.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
-
-
-ARRIVAL_KINDS = ("poisson", "bursty", "uniform")
+from typing import Iterator
 
 
 def poisson_gaps(rng: random.Random, rate: float) -> Iterator[float]:
@@ -34,78 +24,3 @@ def poisson_gaps(rng: random.Random, rate: float) -> Iterator[float]:
         raise ValueError(f"arrival rate must be positive, got {rate}")
     while True:
         yield rng.expovariate(rate)
-
-
-def uniform_gaps(rng: random.Random, rate: float) -> Iterator[float]:
-    """Deterministic fixed-gap arrivals (a perfectly paced client)."""
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
-    gap = 1.0 / rate
-    while True:
-        yield gap
-
-
-def bursty_gaps(rng: random.Random, rate: float, burst_factor: float = 4.0,
-                on_fraction: float = 0.25,
-                phase_time: float = 50e-3) -> Iterator[float]:
-    """Markov-modulated gaps: ON bursts at ``burst_factor * rate``.
-
-    Phases alternate ON/OFF with mean durations ``phase_time *
-    on_fraction`` and ``phase_time * (1 - on_fraction)``; the OFF rate
-    is solved so the long-run mean rate equals ``rate`` (and clamped to
-    a tiny positive floor when the burst carries more than the whole
-    budget).
-    """
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
-    if burst_factor < 1.0:
-        raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
-    if not 0.0 < on_fraction < 1.0:
-        raise ValueError(f"on_fraction must be in (0, 1), got {on_fraction}")
-    on_rate = rate * burst_factor
-    off_rate = max(rate * (1.0 - burst_factor * on_fraction)
-                   / (1.0 - on_fraction), rate * 1e-3)
-    clock = 0.0
-    on_phase = True
-    phase_left = rng.expovariate(1.0 / (phase_time * on_fraction))
-    while True:
-        current = on_rate if on_phase else off_rate
-        gap = rng.expovariate(current)
-        # Phase switches are evaluated at arrival granularity: a gap
-        # that overruns the phase boundary flips the phase for the
-        # *next* draw, which keeps the process simple and still bursty.
-        clock += gap
-        phase_left -= gap
-        if phase_left <= 0.0:
-            on_phase = not on_phase
-            mean = phase_time * (on_fraction if on_phase
-                                 else 1.0 - on_fraction)
-            phase_left = rng.expovariate(1.0 / mean)
-        yield gap
-
-
-def make_gaps(kind: str, rng: random.Random, rate: float,
-              **kwargs) -> Iterator[float]:
-    """Interarrival-gap generator for an arrival discipline by name."""
-    if kind == "poisson":
-        return poisson_gaps(rng, rate)
-    if kind == "bursty":
-        return bursty_gaps(rng, rate, **kwargs)
-    if kind == "uniform":
-        return uniform_gaps(rng, rate)
-    raise ValueError(f"unknown arrival kind {kind!r}; have {ARRIVAL_KINDS}")
-
-
-def arrival_times(kind: str, seed: int, rate: float, count: int,
-                  **kwargs) -> List[float]:
-    """The first ``count`` absolute arrival times of a seeded process."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    rng = random.Random(seed)
-    gaps = make_gaps(kind, rng, rate, **kwargs)
-    times: List[float] = []
-    clock = 0.0
-    for _ in range(count):
-        clock += next(gaps)
-        times.append(clock)
-    return times

@@ -9,7 +9,6 @@ of ``tests/graph/test_content_tracking.py``; reads the same
 """
 
 import numpy as np
-import pytest
 
 from repro.distributed.replication import build_training_graph
 from repro.distributed.rpc_comm import GrpcCommRuntime
@@ -75,7 +74,7 @@ def test_lstm_grpc_tcp_gradient_pushes_allocate_nothing():
     assert _dense_bytes(cluster) - before <= 2 * pulled + 64 * 1024
 
 
-def _train_small_dense(transport, gpu_tensors=False):
+def _train_small_dense(transport):
     """Two workers push real gradients of two dense weights to one PS."""
     builder = GraphBuilder("small-dense")
     rng = np.random.default_rng(5)
@@ -94,7 +93,7 @@ def _train_small_dense(transport, gpu_tensors=False):
                                    name=f"{worker}/apply/{name}",
                                    device="ps0")
     cluster = Cluster(3)
-    comm = GrpcCommRuntime(transport=transport, gpu_tensors=gpu_tensors)
+    comm = GrpcCommRuntime(transport=transport)
     session = Session(cluster, builder.finalize(),
                       {"ps0": cluster.hosts[0], "worker1": cluster.hosts[1],
                        "worker2": cluster.hosts[2]}, comm=comm)
@@ -111,9 +110,8 @@ def test_small_dense_model_trains_to_the_same_bytes_on_both_transports():
         assert trained.tobytes() == rdma.variable(name).array.tobytes()
 
 
-@pytest.mark.parametrize("gpu_tensors", [False, True])
-def test_bytes_sent_counts_every_sent_tensor(gpu_tensors):
-    _, session, comm = _train_small_dense("tcp", gpu_tensors=gpu_tensors)
+def test_bytes_sent_counts_every_sent_tensor():
+    _, session, comm = _train_small_dense("tcp")
     per_step = sum(edge.nbytes_static
                    for edge in session.partitioned.transfers)
     assert per_step > 0

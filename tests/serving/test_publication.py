@@ -17,12 +17,12 @@ def tiny_spec(num_vars: int = 3, elements: int = 1024) -> ModelSpec:
         sample_time=1e-3, batch_saturation=8)
 
 
-def build(replicas: int, mode: str = "direct"):
+def build(replicas: int):
     cluster = Cluster(1 + replicas, name_prefix="pub")
     devices = [RdmaDevice.create(host, 2, 2, Endpoint(host.name, 7400 + i))
                for i, host in enumerate(cluster.hosts)]
     publisher, subscribers = build_publication(
-        devices[0], devices[1:], tiny_spec(), mode=mode)
+        devices[0], devices[1:], tiny_spec())
     return cluster, publisher, subscribers
 
 
@@ -63,7 +63,7 @@ class TestLayout:
 
 class TestDirectPublication:
     def test_replicas_converge(self):
-        cluster, publisher, subscribers = build(replicas=3, mode="direct")
+        cluster, publisher, subscribers = build(replicas=3)
         run_to_version(cluster, publisher, subscribers, version=4)
         for subscriber in subscribers:
             assert subscriber.active_version >= 4
@@ -71,7 +71,7 @@ class TestDirectPublication:
             assert subscriber.swaps >= 4
 
     def test_staleness_bounded_by_double_buffer(self):
-        cluster, publisher, subscribers = build(replicas=2, mode="direct")
+        cluster, publisher, subscribers = build(replicas=2)
         run_to_version(cluster, publisher, subscribers, version=5)
         # The ack-gated double buffer keeps a replica at most one
         # version behind the last fully published snapshot.
@@ -79,29 +79,11 @@ class TestDirectPublication:
             assert publisher.version - subscriber.active_version <= 1
 
     def test_stamps_match_active_version(self):
-        cluster, publisher, subscribers = build(replicas=2, mode="direct")
+        cluster, publisher, subscribers = build(replicas=2)
         run_to_version(cluster, publisher, subscribers, version=3)
         for subscriber in subscribers:
             stamps = subscriber.stamps()
             assert stamps == [subscriber.active_version] * len(stamps)
-
-
-class TestChainPublication:
-    def test_replicas_converge_via_relay(self):
-        cluster, publisher, subscribers = build(replicas=3, mode="chain")
-        run_to_version(cluster, publisher, subscribers, version=4)
-        for subscriber in subscribers:
-            assert subscriber.active_version >= 4
-            assert subscriber.snapshot_consistent()
-
-    def test_chain_root_egress_is_one_snapshot(self):
-        from repro.collectives import broadcast_hops, root_egress_bytes
-        spec = tiny_spec()
-        assert root_egress_bytes(4, "chain", spec.model_bytes) == \
-            spec.model_bytes
-        assert root_egress_bytes(4, "direct", spec.model_bytes) == \
-            4 * spec.model_bytes
-        assert broadcast_hops(3, "chain") == [(-1, 0), (0, 1), (1, 2)]
 
 
 class TestTornReadChaosSweep:

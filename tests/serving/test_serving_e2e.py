@@ -45,8 +45,7 @@ class TestCompletion:
 
 class TestDeterminism:
     def test_same_seed_same_result(self, fcn5):
-        kwargs = dict(replicas=2, qps=1400.0, requests=150, seed=11,
-                      arrival="bursty")
+        kwargs = dict(replicas=2, qps=1400.0, requests=150, seed=11)
         first = run_serving_benchmark(fcn5, **kwargs)
         second = run_serving_benchmark(fcn5, **kwargs)
         assert first.to_dict() == second.to_dict()
@@ -88,8 +87,7 @@ class TestSloPriority:
 class TestAdmissionControl:
     def test_overload_sheds_instead_of_collapsing(self, fcn5):
         result = run_serving_benchmark(fcn5, replicas=1, qps=4000.0,
-                                       requests=200, seed=5, max_batch=1,
-                                       admission_limit=16)
+                                       requests=200, seed=5, max_batch=1)
         assert result.shed > 0
         assert result.completed + result.shed + result.failed == 200
         # Completed requests still saw bounded queueing: at most the

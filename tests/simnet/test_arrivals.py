@@ -1,90 +1,30 @@
-"""Unit tests for the seeded open-loop arrival processes."""
+"""Unit tests for the seeded open-loop arrival process."""
 
+import itertools
 import random
 
 import pytest
 
-from repro.simnet.arrivals import (ARRIVAL_KINDS, arrival_times, bursty_gaps,
-                                   make_gaps, poisson_gaps, uniform_gaps)
+from repro.simnet.arrivals import poisson_gaps
+
+
+def _times(seed: int, rate: float, count: int):
+    gaps = poisson_gaps(random.Random(seed), rate)
+    return list(itertools.accumulate(itertools.islice(gaps, count)))
 
 
 class TestPoisson:
     def test_mean_gap_matches_rate(self):
-        times = arrival_times("poisson", seed=0, rate=1000.0, count=5000)
+        times = _times(seed=0, rate=1000.0, count=5000)
         mean_gap = times[-1] / len(times)
         assert mean_gap == pytest.approx(1e-3, rel=0.1)
 
     def test_seeded_reproducibility(self):
-        assert arrival_times("poisson", seed=42, rate=500.0, count=100) == \
-            arrival_times("poisson", seed=42, rate=500.0, count=100)
-        assert arrival_times("poisson", seed=42, rate=500.0, count=100) != \
-            arrival_times("poisson", seed=43, rate=500.0, count=100)
+        assert _times(seed=42, rate=500.0, count=100) == \
+            _times(seed=42, rate=500.0, count=100)
+        assert _times(seed=42, rate=500.0, count=100) != \
+            _times(seed=43, rate=500.0, count=100)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             next(poisson_gaps(random.Random(0), 0.0))
-
-
-class TestUniform:
-    def test_fixed_gaps(self):
-        times = arrival_times("uniform", seed=0, rate=100.0, count=5)
-        assert times == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
-
-    def test_seed_irrelevant(self):
-        assert arrival_times("uniform", seed=1, rate=100.0, count=10) == \
-            arrival_times("uniform", seed=99, rate=100.0, count=10)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            next(uniform_gaps(random.Random(0), -1.0))
-
-
-class TestBursty:
-    def test_long_run_rate_preserved(self):
-        # Non-degenerate parameters (burst_factor * on_fraction < 1):
-        # the OFF rate is solved so the long-run mean matches `rate`.
-        # The default shape clamps the OFF rate instead (the burst
-        # carries the whole budget), which the docstring documents.
-        times = arrival_times("bursty", seed=3, rate=1000.0, count=20000,
-                              burst_factor=2.0, on_fraction=0.25)
-        mean_gap = times[-1] / len(times)
-        assert mean_gap == pytest.approx(1e-3, rel=0.25)
-
-    def test_burstier_than_poisson(self):
-        # Squared coefficient of variation of the gaps: 1 for Poisson,
-        # strictly larger for the modulated process.
-        def cv2(kind):
-            times = arrival_times(kind, seed=5, rate=1000.0, count=20000)
-            gaps = [b - a for a, b in zip(times, times[1:])]
-            mean = sum(gaps) / len(gaps)
-            var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-            return var / mean ** 2
-        assert cv2("bursty") > cv2("poisson") * 1.2
-
-    def test_parameter_validation(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            next(bursty_gaps(rng, 100.0, burst_factor=0.5))
-        with pytest.raises(ValueError):
-            next(bursty_gaps(rng, 100.0, on_fraction=1.5))
-        with pytest.raises(ValueError):
-            next(bursty_gaps(rng, 0.0))
-
-
-class TestFactory:
-    def test_all_kinds_constructible(self):
-        for kind in ARRIVAL_KINDS:
-            gaps = make_gaps(kind, random.Random(0), 100.0)
-            assert next(gaps) > 0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_gaps("pareto", random.Random(0), 100.0)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            arrival_times("poisson", seed=0, rate=1.0, count=-1)
-
-    def test_times_strictly_increasing(self):
-        times = arrival_times("bursty", seed=9, rate=2000.0, count=500)
-        assert all(b > a for a, b in zip(times, times[1:]))

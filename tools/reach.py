@@ -43,8 +43,6 @@ RULES = {
     "e": "interface declaration, registered op or gradient implementation, "
          "__repr__ or other data-model method, or the release half of an "
          "acquire production makes",
-    "later": "fenced: a knob with no CLI flag or production setter whose "
-             "removal waits for a named ROADMAP item",
 }
 
 #: rule -> every function no production run enters that stays under it,
@@ -81,7 +79,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "simnet/simulator.py:Store.fail_all",
     ),
     "b": (
-        "collectives/broadcast.py:root_egress_bytes",
         "collectives/hierarchical.py:rack_uplink_bytes",
         "collectives/innetwork.py:innetwork_uplink_bytes",
         "distributed/replication.py:TrainingJob.bytes_per_worker_per_step",
@@ -102,6 +99,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "graph/builder.py:GraphBuilder.reduce_sum",
         "graph/builder.py:GraphBuilder.reduce_mean",
         "graph/builder.py:GraphBuilder.reshape",
+        "graph/executor.py:Executor.poll_misses",
         "graph/node.py:Graph.__contains__",
         "graph/session.py:Session.variable",
         "graph/tensor.py:Tensor.is_materialized",
@@ -196,17 +194,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "simnet/topology.py:Host.__repr__",
         "simnet/topology.py:Cluster.__len__",
         "simnet/topology.py:Cluster.__iter__",
-    ),
-    "later": (
-        # ServingConfig.broadcast="chain" (ROADMAP item 6)
-        "core/publication.py:WeightSubscriber.link_downstream",
-        "core/publication.py:WeightSubscriber._forward_downstream",
-        # the gRPC baselines' gpu_tensors staging: no mechanism sets it
-        "distributed/rpc_comm.py:GrpcCommRuntime.execute_send.<locals>.deposit",
-        # ServingConfig.arrival="bursty"/"uniform" (ROADMAP item 6)
-        "simnet/arrivals.py:uniform_gaps",
-        "simnet/arrivals.py:bursty_gaps",
-        "simnet/arrivals.py:arrival_times",
     ),
 }
 
