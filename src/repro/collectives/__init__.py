@@ -14,14 +14,13 @@ from .bucketing import (DEFAULT_FUSION_BYTES, GradientBucket, chunk_ranges,
 from .fragments import (ChunkRef, halving_doubling_allreduce,
                         halving_doubling_wire_bytes, ring_allreduce,
                         ring_allreduce_wire_bytes, ring_reduce_scatter)
-from .hierarchical import (INTER_RACK_ALGORITHMS, hierarchical_allreduce,
-                           hierarchical_wire_bytes, rack_uplink_bytes)
+from .hierarchical import (hierarchical_allreduce, hierarchical_wire_bytes,
+                           rack_uplink_bytes)
 from .innetwork import (innetwork_allreduce, innetwork_uplink_bytes,
                         innetwork_wire_bytes)
 
 __all__ = [
     "ChunkRef", "DEFAULT_FUSION_BYTES", "GradientBucket", "chunk_ranges",
-    "INTER_RACK_ALGORITHMS",
     "halving_doubling_allreduce", "halving_doubling_wire_bytes",
     "hierarchical_allreduce", "hierarchical_wire_bytes",
     "rack_uplink_bytes",

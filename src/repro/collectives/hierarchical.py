@@ -13,7 +13,7 @@ broadcasts back down — the classic three-phase decomposition:
    members at full access-link rate; member ``j`` ends up owning the
    rack-wide sum of chunk ``(j+1) % H``;
 2. **inter-rack allreduce, one per chunk position** — member ``j`` of
-   every rack runs a ring (or halving-doubling) with its counterparts
+   every rack runs a ring with its counterparts
    in the other racks over just its owned chunk.  All ``H`` position
    collectives proceed in parallel, so a rack's full uplink aggregate
    is in play, and the rack as a whole exchanges
@@ -28,8 +28,8 @@ Per worker that is ``2·M·(H-1)/H`` bytes at access rate plus
 ``≈ 2·H + 2·R - 4`` steps versus the flat ring's ``2·(N-1)``.
 
 Degenerate shapes fall back to the flat collectives: one rack runs a
-plain intra-rack ring, one-host racks run the inter-rack collective
-over all workers directly, and a single worker is a no-op — so the
+plain intra-rack ring, one-host racks run the inter-rack ring over
+all workers directly, and a single worker is a no-op — so the
 builder never emits a hop the topology does not need.
 
 Reduction order differs from the flat ring (per-rack partial sums are
@@ -46,27 +46,14 @@ from ..graph.builder import GraphBuilder
 from ..graph.node import NodeOutput
 from ..simnet.fabric import rack_groups
 from .fragments import (_check_inputs, _forwarding_all_gather,
-                        halving_doubling_allreduce,
-                        halving_doubling_wire_bytes, ring_allreduce,
-                        ring_allreduce_wire_bytes, ring_reduce_scatter)
-
-#: inter-rack (cross-fabric) collectives selectable by name
-INTER_RACK_ALGORITHMS = ("ring", "halving-doubling")
-
-
-def _inter_collective(inter_algorithm: str):
-    if inter_algorithm not in INTER_RACK_ALGORITHMS:
-        raise ValueError(f"unknown inter-rack algorithm "
-                         f"{inter_algorithm!r}; have {INTER_RACK_ALGORITHMS}")
-    return (ring_allreduce if inter_algorithm == "ring"
-            else halving_doubling_allreduce)
+                        ring_allreduce, ring_allreduce_wire_bytes,
+                        ring_reduce_scatter)
 
 
 def hierarchical_allreduce(builder: GraphBuilder,
                            inputs: Sequence[NodeOutput],
                            devices: Sequence[str],
                            hosts_per_rack: int,
-                           inter_algorithm: str = "ring",
                            name: str = "hier") -> List[NodeOutput]:
     """Rack-hierarchical allreduce over one flat fusion buffer.
 
@@ -79,16 +66,14 @@ def hierarchical_allreduce(builder: GraphBuilder,
     """
     n = len(devices)
     _check_inputs(builder, inputs, devices)
-    inter = _inter_collective(inter_algorithm)
     if n == 1:
         return list(inputs)
     groups = rack_groups(n, hosts_per_rack)
-    if len(groups) == 1:
-        # Single rack: the intra-rack ring is the whole reduction.
+    if len(groups) == 1 or hosts_per_rack == 1:
+        # Single rack: the intra-rack ring is the whole reduction.  One
+        # host per rack: every worker fronts its rack; the inter-rack
+        # ring is the whole reduction.
         return ring_allreduce(builder, inputs, devices, name=name)
-    if hosts_per_rack == 1:
-        # One host per rack: every worker fronts its rack; go flat.
-        return inter(builder, inputs, devices, name=name)
     if n % hosts_per_rack != 0:
         raise ValueError(
             f"hierarchical allreduce needs racks of equal size; "
@@ -111,8 +96,8 @@ def hierarchical_allreduce(builder: GraphBuilder,
         position_values = [rack_owned[r][j].value
                            for r in range(len(groups))]
         position_devices = [devices[group[j]] for group in groups]
-        reduced = inter(builder, position_values, position_devices,
-                        name=f"{name}/inter{j}")
+        reduced = ring_allreduce(builder, position_values, position_devices,
+                                 name=f"{name}/inter{j}")
         for r in range(len(groups)):
             reduced_chunks[r][j] = reduced[r]
 
@@ -133,25 +118,20 @@ def hierarchical_allreduce(builder: GraphBuilder,
 
 
 def hierarchical_wire_bytes(nbytes: int, num_workers: int,
-                            hosts_per_rack: int,
-                            inter_algorithm: str = "ring") -> float:
+                            hosts_per_rack: int) -> float:
     """Mean payload bytes each worker puts on the wire per allreduce.
 
     Mirrors the builder's phase structure (including its degenerate
     fallbacks) so the prediction matches the emitted graph exactly:
     ``2·M·(H-1)/H`` for the intra-rack rings plus a ``1/H`` share of
-    the inter-rack collective's per-participant volume.
+    the inter-rack ring's per-participant volume.
     """
     n = num_workers
     if n <= 1:
         return 0.0
-    inter_predict = (ring_allreduce_wire_bytes if inter_algorithm == "ring"
-                     else halving_doubling_wire_bytes)
     groups = rack_groups(n, hosts_per_rack)
-    if len(groups) == 1:
+    if len(groups) == 1 or hosts_per_rack == 1:
         return ring_allreduce_wire_bytes(nbytes, n)
-    if hosts_per_rack == 1:
-        return inter_predict(nbytes, n)
     if n % hosts_per_rack != 0:
         raise ValueError(
             f"hierarchical allreduce needs racks of equal size; "
@@ -159,7 +139,7 @@ def hierarchical_wire_bytes(nbytes: int, num_workers: int,
     h = hosts_per_rack
     num_racks = len(groups)
     intra = 2.0 * nbytes * (h - 1) / h
-    inter = inter_predict(nbytes, num_racks) / h
+    inter = ring_allreduce_wire_bytes(nbytes, num_racks) / h
     return intra + inter
 
 

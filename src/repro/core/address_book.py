@@ -33,6 +33,9 @@ _RECV_SLOT = 512
 #: dedicated QP index for address traffic, by convention QP 0
 ADDRESS_QP = 0
 
+#: sim seconds a lookup waits before asking again for an unpublished key
+LOOKUP_RETRY_INTERVAL = 50e-6
+
 
 class AddressBook:
     """Per-device registry of published regions, remotely queryable."""
@@ -100,12 +103,12 @@ class AddressBook:
     # -- remote lookup --------------------------------------------------------------------
 
     def lookup(self, peer: Endpoint, key: str,
-               retry_interval: float = 50e-6,
                max_retries: int = 200) -> Generator:
         """Process: fetch a remote region descriptor from ``peer``.
 
-        Retries while the peer has not published the key yet (setup
-        races are expected: both sides prepare concurrently).
+        Retries every :data:`LOOKUP_RETRY_INTERVAL` while the peer has
+        not published the key yet (setup races are expected: both sides
+        prepare concurrently).
         Usage: ``descriptor = yield from book.lookup(peer, key)``.
 
         Lookups toward one peer must be issued sequentially from the
@@ -125,7 +128,7 @@ class AddressBook:
             _type, found, addr, rkey, size = _REPLY.unpack(raw[:_REPLY.size])
             if found:
                 return RemoteMemRegion(addr=addr, rkey=rkey, size=size)
-            yield (retry_interval)
+            yield (LOOKUP_RETRY_INTERVAL)
         raise DeviceError(
             f"address lookup for {key!r} on {peer} never succeeded")
 

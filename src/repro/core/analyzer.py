@@ -110,11 +110,8 @@ class RdmaGraphAnalyzer:
     """Produces a :class:`DevicePlan` per partition of a session."""
 
     def __init__(self, partitioned: PartitionedGraph,
-                 dynamic_headroom: int = 0,
                  force_dynamic: bool = False) -> None:
         self.partitioned = partitioned
-        #: extra arena bytes on top of the per-edge estimates
-        self.dynamic_headroom = dynamic_headroom
         #: treat every edge as dynamic — used by GPUDirect (§3.5 always
         #: transfers via the dynamic protocol) and by ablations
         self.force_dynamic = force_dynamic
@@ -132,7 +129,6 @@ class RdmaGraphAnalyzer:
 
         size = FIXED_SLACK
         edge_plans: List[EdgePlan] = []
-        any_dynamic_in = False
         for edge in edges_in:
             if edge.static_shape and not self.force_dynamic:
                 size += _aligned(edge.nbytes_static + 1)
@@ -145,7 +141,6 @@ class RdmaGraphAnalyzer:
                     _estimate_dynamic_nbytes(edge, graph))
                 edge_plans.append(EdgePlan(edge=edge, static=False,
                                            ndims=ndims))
-                any_dynamic_in = True
         # Sender side: room for traced tensors plus an equal-size
         # staging reserve (iteration one stages everything).
         out_bytes = 0
@@ -157,8 +152,6 @@ class RdmaGraphAnalyzer:
                     _estimate_dynamic_nbytes(
                         edge, self.partitioned.subgraphs[edge.dst_device]))
         size += 2 * out_bytes
-        if any_dynamic_in or any(e.nbytes_static is None for e in edges_out):
-            size += self.dynamic_headroom
 
         plan = DevicePlan(device=device, arena_size=size,
                           edges_in=edge_plans, edges_out=list(edges_out))

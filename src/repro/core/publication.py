@@ -52,9 +52,13 @@ def read_version(data: bytes) -> int:
     return _VERSION_STRUCT.unpack(data)[0]
 
 
-def park_until(sim: Simulator, host: Host, predicate: Callable[[], bool],
-               backoff_base: float = 2e-6,
-               backoff_max: float = 50e-6) -> Generator:
+#: first and largest idle-backoff timer of :func:`park_until`, sim s
+PARK_BACKOFF_BASE = 2e-6
+PARK_BACKOFF_MAX = 50e-6
+
+
+def park_until(sim: Simulator, host: Host,
+               predicate: Callable[[], bool]) -> Generator:
     """Process: poll ``predicate``, parking on the host's commit wakeups.
 
     The flag-byte poller idiom of §3.2 outside the executor: check,
@@ -63,7 +67,7 @@ def park_until(sim: Simulator, host: Host, predicate: Callable[[], bool],
     bounds simulator events; a real spinning poller would see the flag
     within its poll interval).  Returns once ``predicate()`` is true.
     """
-    backoff = backoff_base
+    backoff = PARK_BACKOFF_BASE
     while not predicate():
         wake = sim.event()
 
@@ -76,7 +80,7 @@ def park_until(sim: Simulator, host: Host, predicate: Callable[[], bool],
             yield sim.any_of([wake, sim.timeout(backoff)])
         finally:
             host.wake_listeners.remove(_notify)
-        backoff = min(backoff * 2, backoff_max)
+        backoff = min(backoff * 2, PARK_BACKOFF_MAX)
 
 
 @dataclass(frozen=True)

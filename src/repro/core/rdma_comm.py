@@ -41,7 +41,6 @@ class RdmaCommRuntime(CommRuntime):
     def __init__(self, zero_copy: bool = True, num_cqs: int = 4,
                  num_qps_per_peer: int = 4, gpu_tensors: bool = False,
                  gpudirect: bool = False, force_dynamic: bool = False,
-                 dynamic_headroom: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  qp_mode: str = "rc") -> None:
         if gpudirect and not gpu_tensors:
@@ -54,7 +53,6 @@ class RdmaCommRuntime(CommRuntime):
         self.gpudirect = gpudirect
         # GPUDirect always transfers through the dynamic protocol (§3.5).
         self.force_dynamic = force_dynamic or gpudirect
-        self.dynamic_headroom = dynamic_headroom
         self.name = "RDMA" if zero_copy else "RDMA.cp"
         if gpudirect:
             self.name += "+GDR"
@@ -78,14 +76,8 @@ class RdmaCommRuntime(CommRuntime):
     # -- setup -------------------------------------------------------------------------
 
     def prepare(self, session) -> None:
-        partitioned = session.partitioned
-        kwargs = {}
-        if self.dynamic_headroom is not None:
-            kwargs["dynamic_headroom"] = self.dynamic_headroom
-        analyzer = RdmaGraphAnalyzer(partitioned,
-                                     force_dynamic=self.force_dynamic,
-                                     **kwargs)
-        plans = analyzer.plan()
+        plans = RdmaGraphAnalyzer(session.partitioned,
+                                  force_dynamic=self.force_dynamic).plan()
 
         plane = session.cluster.fault_plane
         if plane is not None and plane.armed:

@@ -127,8 +127,11 @@ class Executor:
         self._wake: Optional[Event] = None
         # Remote one-sided writes landing in this host's memory wake
         # the ready loop so flag pollers re-check without waiting out
-        # their idle backoff (the backoff only bounds simulator events;
-        # a real spinning poller sees the flag within its poll interval).
+        # their idle backoff.  The backoff can still decide when a poll
+        # hits: a flag that lands mid-sweep, before the sweep's last
+        # miss, does not stop the park that ends the sweep, and that
+        # park waits out its timer (the lost wake
+        # ``test_polling_async.py::TestLostWake`` pins as an xfail).
         host.wake_listeners.append(self._notify)
         #: the running iteration's reaction to a commit, and its replay
         #: of the planned misses the event loop has passed

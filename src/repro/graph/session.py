@@ -9,7 +9,7 @@ then mini-batch iterations execute until done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -89,23 +89,18 @@ class Session:
 
     def run(self, iterations: int = 1,
             feeds: Optional[Dict[str, np.ndarray]] = None,
-            feeds_fn: Optional[Callable[[int], Dict[str, np.ndarray]]] = None,
             time_limit: float = 3600.0) -> RunStats:
         """Execute ``iterations`` mini-batches; returns timing stats.
 
-        ``feeds`` are static placeholder feeds; ``feeds_fn(iteration)``
-        produces per-iteration feeds (e.g. fresh mini-batches).
+        ``feeds`` are the placeholder feeds of every iteration.
         """
         stats = RunStats(iterations=iterations)
         start_total = self.sim.now
         for iteration in range(iterations):
             self.comm.on_iteration_start(self, iteration)
-            iteration_feeds = dict(feeds or {})
-            if feeds_fn is not None:
-                iteration_feeds.update(feeds_fn(iteration))
             start = self.sim.now
             procs = [
-                self.sim.spawn(executor.run_iteration(iteration_feeds),
+                self.sim.spawn(executor.run_iteration(feeds),
                                name=f"exec-{device}-it{iteration}")
                 for device, executor in self.executors.items()
             ]

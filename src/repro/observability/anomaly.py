@@ -3,8 +3,8 @@
 Three detectors, all cheap enough to run at the end of every traced
 run (and, for serving, on a sliding window while the run executes):
 
-* **Stragglers** — robust MAD z-scores over a per-host statistic
-  (default: mean NIC verb latency, post-to-completion).  A straggler
+* **Stragglers** — robust MAD z-scores over a per-host statistic,
+  the mean NIC verb latency (post-to-completion).  A straggler
   fault delays verbs *posted by* the slow host, so its own latency
   distribution shifts while its peers merely wait — the per-host
   series separates cause from victims, which iteration wall time (a
@@ -20,10 +20,10 @@ run (and, for serving, on a sliding window while the run executes):
 Robust-z details: with a symmetric simulated fleet the raw MAD is
 frequently ~0 (every host identical), which would flag femtosecond
 noise.  The MAD is therefore floored at a fraction of the median
-(``mad_floor_frac``), and an outlier must additionally exceed the
-median by a *relative* margin (``min_excess``) — "3.5 sigma AND at
-least 25% slower than the median host".  Fault-free runs at default
-thresholds stay silent; the seeded chaos sweep in
+(:data:`MAD_FLOOR_FRAC`), and an outlier must additionally exceed the
+median by a *relative* margin (:data:`MIN_EXCESS`) — "3.5 sigma AND at
+least 25% slower than the median host".  Fault-free runs stay
+silent; the seeded chaos sweep in
 ``tests/chaos/test_straggler_detection.py`` holds both directions.
 
 Every detection is emitted as a structured, sim-time-stamped
@@ -41,29 +41,35 @@ from .tracer import Tracer
 #: MAD-to-sigma consistency constant for normal data
 MAD_SCALE = 0.6745
 
-#: default robust z-score threshold (the classic Iglewicz-Hoaglin 3.5)
-DEFAULT_Z_THRESHOLD = 3.5
+#: robust z-score threshold (the classic Iglewicz-Hoaglin 3.5)
+Z_THRESHOLD = 3.5
 
 #: an outlier must also exceed the median by this relative margin
-DEFAULT_MIN_EXCESS = 0.25
+MIN_EXCESS = 0.25
 
 #: MAD floor as a fraction of the median (symmetric-fleet guard)
-DEFAULT_MAD_FLOOR_FRAC = 0.05
+MAD_FLOOR_FRAC = 0.05
 
 #: minimum population for a MAD screen to be meaningful
-DEFAULT_MIN_POINTS = 4
+MIN_POINTS = 4
+
+#: the per-host statistic the straggler screen runs over
+STRAGGLER_METRIC = "verb_latency"
 
 #: links quieter than this never count as hotspots
-DEFAULT_UTIL_FLOOR = 0.25
+UTIL_FLOOR = 0.25
 
 #: links busier than this alert regardless of their peers
-DEFAULT_UTIL_ABSOLUTE = 0.95
+UTIL_ABSOLUTE = 0.95
+
+#: width of one tumbling SLO burn-rate window, sim seconds
+BURN_WINDOW = 0.25
 
 #: SLO-violation fraction per window that trips a burn alert
-DEFAULT_BURN_THRESHOLD = 0.25
+BURN_THRESHOLD = 0.25
 
 #: minimum samples per window for a burn verdict
-DEFAULT_BURN_MIN_SAMPLES = 20
+BURN_MIN_SAMPLES = 20
 
 
 @dataclass
@@ -105,13 +111,12 @@ def _median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def mad_zscores(stats: Mapping[str, float],
-                mad_floor_frac: float = DEFAULT_MAD_FLOOR_FRAC
+def mad_zscores(stats: Mapping[str, float]
                 ) -> Dict[str, Tuple[float, float, float]]:
     """Robust z-scores: name -> (value, median, z).
 
     ``z = MAD_SCALE * (value - median) / mad`` with the MAD floored at
-    ``mad_floor_frac * |median|`` (and a tiny absolute epsilon) so a
+    ``MAD_FLOOR_FRAC * |median|`` (and a tiny absolute epsilon) so a
     perfectly symmetric population cannot divide by zero.
     """
     if not stats:
@@ -119,104 +124,85 @@ def mad_zscores(stats: Mapping[str, float],
     values = list(stats.values())
     median = _median(values)
     mad = _median([abs(v - median) for v in values])
-    floor = max(mad_floor_frac * abs(median), 1e-12)
+    floor = max(MAD_FLOOR_FRAC * abs(median), 1e-12)
     mad = max(mad, floor)
     return {name: (value, median, MAD_SCALE * (value - median) / mad)
             for name, value in stats.items()}
 
 
-def detect_outliers(stats: Mapping[str, float],
-                    threshold: float = DEFAULT_Z_THRESHOLD,
-                    min_excess: float = DEFAULT_MIN_EXCESS,
-                    min_points: int = DEFAULT_MIN_POINTS,
-                    mad_floor_frac: float = DEFAULT_MAD_FLOOR_FRAC
+def detect_outliers(stats: Mapping[str, float]
                     ) -> List[Tuple[str, float, float, float]]:
     """High-side MAD outliers: (name, value, median, z), worst first."""
-    if len(stats) < min_points:
+    if len(stats) < MIN_POINTS:
         return []
     out = []
-    for name, (value, median, z) in mad_zscores(
-            stats, mad_floor_frac=mad_floor_frac).items():
-        if z < threshold:
+    for name, (value, median, z) in mad_zscores(stats).items():
+        if z < Z_THRESHOLD:
             continue
-        if median > 0 and value < median * (1.0 + min_excess):
+        if median > 0 and value < median * (1.0 + MIN_EXCESS):
             continue
         out.append((name, value, median, z))
     out.sort(key=lambda item: -item[3])
     return out
 
 
-def detect_stragglers(host_stats: Mapping[str, float], now: float,
-                      metric: str = "verb_latency",
-                      threshold: float = DEFAULT_Z_THRESHOLD,
-                      min_excess: float = DEFAULT_MIN_EXCESS,
-                      min_points: int = DEFAULT_MIN_POINTS
+def detect_stragglers(host_stats: Mapping[str, float], now: float
                       ) -> List[Incident]:
-    """MAD straggler screen over one per-host statistic."""
+    """MAD straggler screen over the per-host :data:`STRAGGLER_METRIC`."""
     incidents = []
-    for host, value, median, z in detect_outliers(
-            host_stats, threshold=threshold, min_excess=min_excess,
-            min_points=min_points):
+    for host, value, median, z in detect_outliers(host_stats):
         incidents.append(Incident(
             kind="straggler", subject=host, time=now,
-            severity="critical" if z >= 2 * threshold else "warning",
+            severity="critical" if z >= 2 * Z_THRESHOLD else "warning",
             value=value, baseline=median, zscore=z,
-            details={"metric": metric, "hosts": len(host_stats)}))
+            details={"metric": STRAGGLER_METRIC,
+                     "hosts": len(host_stats)}))
     return incidents
 
 
-def detect_link_hotspots(link_utilization: Mapping[str, float], now: float,
-                         threshold: float = DEFAULT_Z_THRESHOLD,
-                         min_excess: float = DEFAULT_MIN_EXCESS,
-                         min_points: int = DEFAULT_MIN_POINTS,
-                         util_floor: float = DEFAULT_UTIL_FLOOR,
-                         util_absolute: float = DEFAULT_UTIL_ABSOLUTE
+def detect_link_hotspots(link_utilization: Mapping[str, float], now: float
                          ) -> List[Incident]:
     """Hotspot screen over per-trunk-link utilization gauges.
 
     A link alerts when it is a high-side MAD outlier among its peers
-    *and* above ``util_floor``, or unconditionally when it exceeds
-    ``util_absolute`` (a saturated link is a hotspot even if every
+    *and* above :data:`UTIL_FLOOR`, or unconditionally when it exceeds
+    :data:`UTIL_ABSOLUTE` (a saturated link is a hotspot even if every
     link is saturated).
     """
     incidents: List[Incident] = []
     flagged: Dict[str, Incident] = {}
     eligible = {name: util for name, util in link_utilization.items()
-                if util >= util_floor}
-    for name, value, median, z in detect_outliers(
-            eligible, threshold=threshold, min_excess=min_excess,
-            min_points=min_points):
+                if util >= UTIL_FLOOR}
+    for name, value, median, z in detect_outliers(eligible):
         flagged[name] = Incident(
             kind="link_hotspot", subject=name, time=now,
             severity="warning", value=value, baseline=median, zscore=z,
             details={"links": len(link_utilization),
-                     "util_floor": util_floor})
+                     "util_floor": UTIL_FLOOR})
     median_all = (_median(list(link_utilization.values()))
                   if link_utilization else 0.0)
     for name, util in link_utilization.items():
-        if util >= util_absolute and name not in flagged:
+        if util >= UTIL_ABSOLUTE and name not in flagged:
             flagged[name] = Incident(
                 kind="link_hotspot", subject=name, time=now,
                 severity="critical", value=util, baseline=median_all,
                 details={"links": len(link_utilization),
-                         "util_absolute": util_absolute})
-        elif name in flagged and util >= util_absolute:
+                         "util_absolute": UTIL_ABSOLUTE})
+        elif name in flagged and util >= UTIL_ABSOLUTE:
             flagged[name].severity = "critical"
     incidents.extend(flagged.values())
     incidents.sort(key=lambda inc: -inc.value)
     return incidents
 
 
-def slo_burn_alerts(samples: Sequence[Tuple[float, float]], slo: float,
-                    window: float = 0.25,
-                    burn_threshold: float = DEFAULT_BURN_THRESHOLD,
-                    min_samples: int = DEFAULT_BURN_MIN_SAMPLES
+def slo_burn_alerts(samples: Sequence[Tuple[float, float]], slo: float
                     ) -> List[Incident]:
     """Burn-rate alerts over (completion time, latency) samples.
 
-    Samples are bucketed into tumbling ``window``-second windows; a
-    window with at least ``min_samples`` completions alerts when its
-    violation fraction (latency > ``slo``) exceeds ``burn_threshold``.
+    Samples are bucketed into tumbling :data:`BURN_WINDOW`-second
+    windows; a window with at least :data:`BURN_MIN_SAMPLES` completions
+    alerts when its violation fraction (latency > ``slo``) exceeds
+    :data:`BURN_THRESHOLD`.
     Consecutive alerting windows merge into one incident whose span is
     reported in ``details`` — a sustained burn is one incident, not
     one per window.
@@ -225,15 +211,15 @@ def slo_burn_alerts(samples: Sequence[Tuple[float, float]], slo: float,
         return []
     buckets: Dict[int, List[float]] = {}
     for t, latency in samples:
-        buckets.setdefault(int(t // window), []).append(latency)
+        buckets.setdefault(int(t // BURN_WINDOW), []).append(latency)
     alerting: List[Tuple[int, float, int]] = []
     for index in sorted(buckets):
         latencies = buckets[index]
-        if len(latencies) < min_samples:
+        if len(latencies) < BURN_MIN_SAMPLES:
             continue
         violations = sum(1 for latency in latencies if latency > slo)
         fraction = violations / len(latencies)
-        if fraction > burn_threshold:
+        if fraction > BURN_THRESHOLD:
             alerting.append((index, fraction, len(latencies)))
     incidents: List[Incident] = []
     run_start = None
@@ -244,11 +230,12 @@ def slo_burn_alerts(samples: Sequence[Tuple[float, float]], slo: float,
         if run_start is not None and (index is None
                                       or index != prev_index + 1):
             incidents.append(Incident(
-                kind="slo_burn", subject="serving", time=run_start * window,
-                severity=("critical" if worst > 2 * burn_threshold
+                kind="slo_burn", subject="serving",
+                time=run_start * BURN_WINDOW,
+                severity=("critical" if worst > 2 * BURN_THRESHOLD
                           else "warning"),
-                value=worst, baseline=burn_threshold,
-                details={"slo_s": slo, "window_s": window,
+                value=worst, baseline=BURN_THRESHOLD,
+                details={"slo_s": slo, "window_s": BURN_WINDOW,
                          "windows": prev_index - run_start + 1,
                          "samples": count}))
             run_start = None
@@ -267,11 +254,7 @@ def slo_burn_alerts(samples: Sequence[Tuple[float, float]], slo: float,
 def detect_run_anomalies(tracer: Tracer,
                          link_utilization: Optional[Mapping[str, float]]
                          = None,
-                         now: float = 0.0,
-                         threshold: float = DEFAULT_Z_THRESHOLD,
-                         min_excess: float = DEFAULT_MIN_EXCESS,
-                         min_points: int = DEFAULT_MIN_POINTS
-                         ) -> List[Incident]:
+                         now: float = 0.0) -> List[Incident]:
     """End-of-run sweep: stragglers from telemetry + fabric hotspots.
 
     Straggler incidents get the offending host's flight-recorder dump
@@ -281,14 +264,10 @@ def detect_run_anomalies(tracer: Tracer,
     incidents: List[Incident] = []
     telemetry = tracer.telemetry
     if telemetry is not None:
-        host_stats = telemetry.host_statistic("verb_latency", "mean")
-        incidents.extend(detect_stragglers(
-            host_stats, now, threshold=threshold, min_excess=min_excess,
-            min_points=min_points))
+        host_stats = telemetry.host_statistic(STRAGGLER_METRIC, "mean")
+        incidents.extend(detect_stragglers(host_stats, now))
     if link_utilization:
-        incidents.extend(detect_link_hotspots(
-            link_utilization, now, threshold=threshold,
-            min_excess=min_excess, min_points=min_points))
+        incidents.extend(detect_link_hotspots(link_utilization, now))
     for incident in incidents:
         if incident.kind != "straggler":
             continue

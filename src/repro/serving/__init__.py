@@ -19,12 +19,11 @@ from .batcher import DynamicBatcher
 from .benchmark import ServingResult, run_serving_benchmark
 from .config import ServingConfig
 from .frontend import Router
-from .load import (DEFAULT_REQUEST_BYTES, DEFAULT_RESPONSE_BYTES,
-                   LoadGenerator, Request)
+from .load import REQUEST_BYTES, RESPONSE_BYTES, LoadGenerator, Request
 from .replica import Replica, forward_time
 
 __all__ = [
-    "DEFAULT_REQUEST_BYTES", "DEFAULT_RESPONSE_BYTES", "DynamicBatcher",
-    "LoadGenerator", "Replica", "Request", "Router", "ServingConfig",
+    "DynamicBatcher", "LoadGenerator", "REQUEST_BYTES", "RESPONSE_BYTES",
+    "Replica", "Request", "Router", "ServingConfig",
     "ServingResult", "forward_time", "run_serving_benchmark",
 ]

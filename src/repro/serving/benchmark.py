@@ -37,13 +37,18 @@ from ..simnet.verbs import ROLE_TRAIN_SYNC, TRAIN_SYNC_PRIORITY
 from .batcher import DynamicBatcher
 from .config import ServingConfig
 from .frontend import Router
-from .load import (DEFAULT_REQUEST_BYTES, DEFAULT_RESPONSE_BYTES,
-                   LoadGenerator)
+from .load import LoadGenerator
 from .replica import Replica
 
 
 #: base port for the per-host serving RDMA devices
 _SERVING_PORT = 7300
+
+#: bytes of one background training-sync transfer to each replica
+BACKGROUND_BYTES = 32 * MB
+
+#: sim seconds between two weight snapshots the trainer publishes
+PUBLISH_INTERVAL = 25e-3
 
 
 @dataclass
@@ -105,13 +110,9 @@ def run_serving_benchmark(
         spec: ModelSpec, *, config: ServingConfig = ServingConfig(),
         requests: int = 400, seed: int = 0,
         priority_sched: bool = True, background_training: bool = False,
-        background_bytes: int = 32 * MB,
-        publish_interval: float = 25e-3,
         fault_spec: Optional[str] = None, fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         dispatch_timeout: float = 0.1,
-        request_bytes: int = DEFAULT_REQUEST_BYTES,
-        response_bytes: int = DEFAULT_RESPONSE_BYTES,
         kill_replica: Optional[Tuple[int, float]] = None,
         time_limit: float = 600.0, **overrides) -> ServingResult:
     """Run one serving deployment to completion; returns its result.
@@ -153,34 +154,30 @@ def run_serving_benchmark(
 
     replica_objs = [
         Replica(rank, cluster, device, spec, max_batch=max_batch,
-                request_bytes=request_bytes, response_bytes=response_bytes,
                 subscriber=subscribers[rank], metrics=metrics)
         for rank, device in enumerate(replica_devices)
     ]
     batcher = DynamicBatcher(sim, max_batch, config.batch_timeout,
                              metrics=metrics)
     router = Router(router_device, batcher, max_batch=max_batch,
-                    request_bytes=request_bytes,
-                    response_bytes=response_bytes,
                     dispatch_timeout=dispatch_timeout, metrics=metrics)
     for replica in replica_objs:
         router.attach_replica(replica)
     load = LoadGenerator(sim, router, qps=config.qps, count=requests,
-                         seed=seed, request_bytes=request_bytes,
-                         response_bytes=response_bytes)
+                         seed=seed)
 
     background_stop = {"flag": False}
     if background_training:
         bg_src = trainer_device.allocate_mem_region(
-            background_bytes, label="train-sync-src", dense=False)
+            BACKGROUND_BYTES, label="train-sync-src", dense=False)
         for rank, device in enumerate(replica_devices):
             sink = device.allocate_mem_region(
-                background_bytes, label=f"train-sync-sink[{rank}]",
+                BACKGROUND_BYTES, label=f"train-sync-sink[{rank}]",
                 dense=False)
             channel = trainer_device.get_channel(device.endpoint, 1)
             sim.spawn(_background_traffic(sim, channel, bg_src,
                                           sink.descriptor(),
-                                          background_bytes,
+                                          BACKGROUND_BYTES,
                                           background_stop),
                       name=f"train-sync-{rank}")
 
@@ -191,7 +188,7 @@ def run_serving_benchmark(
     sim.spawn(batcher.run(), name="batcher")
     sim.spawn(router.dispatcher(), name="dispatcher")
     sim.spawn(router.response_poller(), name="resp-poller")
-    sim.spawn(publisher.run(publish_interval), name="publisher")
+    sim.spawn(publisher.run(PUBLISH_INTERVAL), name="publisher")
     sim.spawn(load.run(), name="load")
     if kill_replica is not None:
         rank, at = kill_replica

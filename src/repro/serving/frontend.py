@@ -26,7 +26,7 @@ from ..core.publication import park_until
 from ..core.transfer import FLAG_CLEAR, _next_epoch
 from ..simnet.verbs import ROLE_SERVING_REQUEST, SERVING_PRIORITY
 from .batcher import DynamicBatcher
-from .load import Request
+from .load import REQUEST_BYTES, RESPONSE_BYTES, Request
 from .replica import (META_FLAG_OFFSET, META_SIZE, META_STRUCT,
                       RESP_FLAG_OFFSET, RESP_RECORD_SIZE, RESP_STRUCT,
                       Replica)
@@ -66,21 +66,19 @@ class Router:
     """Admission + dynamic batching + SLO-tagged dispatch + health."""
 
     def __init__(self, device: RdmaDevice, batcher: DynamicBatcher, *,
-                 max_batch: int, request_bytes: int, response_bytes: int,
-                 dispatch_timeout: float = 0.1, metrics=None) -> None:
+                 max_batch: int, dispatch_timeout: float = 0.1,
+                 metrics=None) -> None:
         self.device = device
         self.host = device.host
         self.sim = self.host.sim
         self.batcher = batcher
         self.max_batch = max_batch
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
         self.dispatch_timeout = dispatch_timeout
         self.metrics = metrics
         self.links: List[_ReplicaLink] = []
         # Payload staging the dispatch write reads from (virtual).
         self._payload_src = self.device.allocate_mem_region(
-            max(max_batch * request_bytes, 1), label="dispatch-src",
+            max_batch * REQUEST_BYTES, label="dispatch-src",
             dense=False)
         self._outstanding: Dict[int, Tuple] = {}  # batch_id -> (event, link)
         self._next_batch_id = 1
@@ -105,7 +103,7 @@ class Router:
         """Connect one replica: channels + slot descriptors, both ways."""
         channel = self.device.get_channel(replica.device.endpoint, 0)
         resp_region = self.device.allocate_mem_region(
-            RESP_RECORD_SIZE + self.max_batch * self.response_bytes,
+            RESP_RECORD_SIZE + self.max_batch * RESPONSE_BYTES,
             label=f"resp-slot[{replica.rank}]", dense=True)
         link = _ReplicaLink(replica, channel, resp_region)
         self.links.append(link)
@@ -195,7 +193,7 @@ class Router:
         self._next_batch_id += 1
         response = self.sim.event()
         self._outstanding[batch_id] = (response, link)
-        total_nbytes = sum(request.nbytes for request in batch)
+        total_nbytes = len(batch) * REQUEST_BYTES
         ok = False
         try:
             # Payload, then meta+flag, same QP: the armed flag implies

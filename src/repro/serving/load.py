@@ -20,8 +20,8 @@ from ..simnet.simulator import Simulator
 
 #: per-request payload sizes: a few KB of input features in, a small
 #: prediction out — serving traffic is latency-, not bandwidth-bound
-DEFAULT_REQUEST_BYTES = 4 * 1024
-DEFAULT_RESPONSE_BYTES = 512
+REQUEST_BYTES = 4 * 1024
+RESPONSE_BYTES = 512
 
 
 @dataclass
@@ -31,8 +31,6 @@ class Request:
     req_id: int
     #: when the client issued it (latency is measured from here)
     created: float
-    nbytes: int = DEFAULT_REQUEST_BYTES
-    resp_nbytes: int = DEFAULT_RESPONSE_BYTES
     #: when the router admitted it (post client->router transport)
     admitted: Optional[float] = None
     #: when its response left the router back toward the client
@@ -53,16 +51,12 @@ class LoadGenerator:
     """Seeded open-loop client population feeding one router."""
 
     def __init__(self, sim: Simulator, router, *, qps: float, count: int,
-                 seed: int = 0,
-                 request_bytes: int = DEFAULT_REQUEST_BYTES,
-                 response_bytes: int = DEFAULT_RESPONSE_BYTES) -> None:
+                 seed: int = 0) -> None:
         self.sim = sim
         self.router = router
         self.qps = qps
         self.count = count
         self.seed = seed
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
         self.requests: List[Request] = []
         self.done = sim.event()
 
@@ -73,9 +67,7 @@ class LoadGenerator:
         pending = []
         for req_id in range(self.count):
             yield (next(gaps))
-            request = Request(req_id=req_id, created=self.sim.now,
-                              nbytes=self.request_bytes,
-                              resp_nbytes=self.response_bytes)
+            request = Request(req_id=req_id, created=self.sim.now)
             self.requests.append(request)
             # Open loop: delivery runs as its own process so a slow
             # ingest path never delays the next arrival.
@@ -91,10 +83,10 @@ class LoadGenerator:
         # Kernel path into the router: wire time through the router's
         # shared TCP ingress pipe, then the syscall+copy receive cost on
         # a router CPU lane.
-        ready = self.sim.now + cost.tcp_wire_time(request.nbytes)
-        end = host.tcp.ingress.reserve_after(self.sim.now, request.nbytes,
+        ready = self.sim.now + cost.tcp_wire_time(REQUEST_BYTES)
+        end = host.tcp.ingress.reserve_after(self.sim.now, REQUEST_BYTES,
                                              ready)
         yield (end - self.sim.now)
-        yield from host.cpu.run(cost.tcp_recv_time(request.nbytes))
+        yield from host.cpu.run(cost.tcp_recv_time(REQUEST_BYTES))
         request.admitted = self.sim.now
         self.router.submit(request)

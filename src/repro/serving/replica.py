@@ -34,6 +34,7 @@ from ..graph.transfer_api import NullComm
 from ..core.transfer import FLAG_CLEAR, _next_epoch
 from ..models.spec import ModelSpec
 from ..simnet.verbs import ROLE_SERVING_RESPONSE, SERVING_PRIORITY
+from .load import REQUEST_BYTES, RESPONSE_BYTES
 
 
 META_STRUCT = struct.Struct("<IHI")
@@ -60,7 +61,6 @@ class Replica:
 
     def __init__(self, rank: int, cluster, device: RdmaDevice,
                  spec: ModelSpec, *, max_batch: int,
-                 request_bytes: int, response_bytes: int,
                  subscriber: WeightSubscriber, metrics=None) -> None:
         self.rank = rank
         self.device = device
@@ -69,18 +69,17 @@ class Replica:
         self.spec = spec
         self.subscriber = subscriber
         self.metrics = metrics
-        self.response_bytes = response_bytes
         # Router-writable request slots (descriptors go to the router
         # at attach time, the setup path is out-of-band RPC).
         self.meta_region = device.allocate_mem_region(
             META_SIZE, label=f"serve-meta[{rank}]", dense=True)
         self.input_region = device.allocate_mem_region(
-            max(max_batch * request_bytes, 1),
+            max_batch * REQUEST_BYTES,
             label=f"serve-input[{rank}]", dense=False)
         # Local staging the response write reads from (virtual: only
         # timing moves, plus 64-byte edge windows).
         self.resp_src = device.allocate_mem_region(
-            max(max_batch * response_bytes, 1),
+            max_batch * RESPONSE_BYTES,
             label=f"serve-resp-src[{rank}]", dense=False)
         # Filled in by Router.attach_replica().
         self.resp_channel = None
@@ -176,7 +175,7 @@ class Replica:
         return self.meta_region.read_byte(META_FLAG_OFFSET) == self._meta_expect
 
     def _respond(self, batch_id: int, count: int) -> Generator:
-        resp_nbytes = count * self.response_bytes
+        resp_nbytes = count * RESPONSE_BYTES
         # Payload first, record+flag second, same QP: FIFO commit order
         # is the correctness argument, exactly like the request side.
         self.resp_channel.memcpy(

@@ -713,13 +713,13 @@ def rack_groups(num_hosts: int, hosts_per_rack: int) -> List[List[int]]:
 
 def build_fat_tree(num_hosts: int, hosts_per_rack: int,
                    oversubscription: float = 1.0,
-                   num_spines: Optional[int] = None,
                    cost: Optional[CostModel] = None,
                    name_prefix: str = "server") -> Fabric:
     """A two-tier leaf/spine fabric (the folded-Clos "fat tree").
 
     Every host gets a full-rate access link to its rack's ToR; each ToR
-    connects to every spine.  The rack's aggregate uplink capacity is
+    connects to every spine, of which there are ``num_racks // 2``,
+    clamped to 1..4.  The rack's aggregate uplink capacity is
     ``hosts_per_rack * host_bandwidth / oversubscription``, split
     evenly across the spines — so ``oversubscription=4`` means four
     hosts' worth of traffic contend for one host's worth of uplink, the
@@ -737,10 +737,7 @@ def build_fat_tree(num_hosts: int, hosts_per_rack: int,
         raise FabricError(f"oversubscription must be >= 1, "
                           f"got {oversubscription}")
     num_racks = (num_hosts + hosts_per_rack - 1) // hosts_per_rack
-    if num_spines is None:
-        num_spines = max(1, min(4, num_racks // 2)) if num_racks > 1 else 1
-    if num_spines < 1:
-        raise FabricError("need at least one spine")
+    num_spines = max(1, min(4, num_racks // 2))
 
     fabric = Fabric(cost=cost)
     host_bw = cost.rdma_bandwidth

@@ -11,8 +11,7 @@ import pytest
 
 from repro.collectives import (hierarchical_allreduce,
                                hierarchical_wire_bytes, rack_uplink_bytes,
-                               ring_allreduce, ring_allreduce_wire_bytes,
-                               halving_doubling_wire_bytes)
+                               ring_allreduce, ring_allreduce_wire_bytes)
 from repro.core import RdmaCommRuntime
 from repro.graph import GraphBuilder, Session
 from repro.simnet import Cluster
@@ -69,22 +68,6 @@ def test_hierarchical_matches_flat_ring_bitwise(n, hosts_per_rack):
         assert ring_tensor.tobytes() == hier_tensor.tobytes()
 
 
-@pytest.mark.parametrize("algorithm", ["ring", "halving-doubling"])
-def test_hierarchical_inter_algorithms(algorithm):
-    # 8 workers, 2 racks of 4: exercise both inter-rack collectives.
-    arrays = _integer_arrays(8, seed=31)
-    expected = np.sum(arrays, axis=0)
-    builder = GraphBuilder(f"hier-inter-{algorithm}")
-    inputs, devices = worker_inputs(builder, arrays)
-    outputs = hierarchical_allreduce(builder, inputs, devices,
-                                     hosts_per_rack=4,
-                                     inter_algorithm=algorithm)
-    session = run_fragment(builder, devices)
-    for out in outputs:
-        np.testing.assert_array_equal(
-            session.numpy(out.node.name, out.index), expected)
-
-
 def test_single_rack_degenerates_to_ring():
     # hosts_per_rack >= n: one rack, so the builder must emit a plain
     # intra-rack ring (no inter phase, no concat wrapper).
@@ -138,15 +121,13 @@ def test_wire_bytes_predictor_structure():
             == ring_allreduce_wire_bytes(M, 4))
     assert (hierarchical_wire_bytes(M, 4, 1)
             == ring_allreduce_wire_bytes(M, 4))
-    assert (hierarchical_wire_bytes(M, 4, 1, "halving-doubling")
-            == halving_doubling_wire_bytes(M, 4))
     # Multi-rack: intra share plus a 1/H share of the inter collective.
     h, racks = 8, 4
     n = h * racks
     expected = (2.0 * M * (h - 1) / h
                 + ring_allreduce_wire_bytes(M, racks) / h)
     assert hierarchical_wire_bytes(M, n, h) == pytest.approx(expected)
-    # With a ring inter-collective the per-worker volume equals the
+    # With the ring inter-collective the per-worker volume equals the
     # flat ring's bandwidth-optimal 2·M·(N-1)/N exactly — the
     # hierarchical win is *where* the bytes flow (mostly intra-rack),
     # not how many there are.

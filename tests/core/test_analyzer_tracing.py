@@ -63,12 +63,6 @@ class TestAnalyzerPlans:
         plans = RdmaGraphAnalyzer(two_device_graph(send_variable=True)).plan()
         assert ("w", 0) in plans["ps0"].static_variable_sites
 
-    def test_headroom_parameter(self):
-        base = RdmaGraphAnalyzer(two_device_graph(static=False)).plan()
-        padded = RdmaGraphAnalyzer(two_device_graph(static=False),
-                                   dynamic_headroom=1 << 20).plan()
-        assert padded["ps0"].arena_size >= base["ps0"].arena_size + (1 << 20)
-
 
 class TestFindStaticSource:
     def test_direct_variable(self):

@@ -330,3 +330,59 @@ class TestSweepOrder:
         assert comm.hits == [("b:0->ps0", b_hit),
                              ("a:0->ps0", visit(executor.cost, b_hit)[0])]
         assert executor.ops_executed == len(executor.graph)
+
+
+class LostWakeComm(ScriptedComm):
+    """Pollers ``a`` and ``b``, nothing else runnable: ``b`` lands at
+    ``ready_at``; ``a`` lands, with a notifying commit, inside the first
+    sweep — after ``a``'s flag check and before ``b``'s."""
+
+    def execute_send(self, executor, node, tensor):
+        key = node.attrs["key"]
+        if key[0] != "a":  # keys start with the producer's name
+            return super().execute_send(executor, node, tensor)
+        self._tensors[key] = tensor  # landed by execute_recv's schedule
+        return Outcome.done([])
+
+    def execute_recv(self, executor, node):
+        outcome = super().execute_recv(executor, node)
+        if node.attrs["key"][0] == "b":
+            # b is the last poller queued: the sweep a, b starts now
+            sim = executor.sim
+            self.sweep_start = sim.now
+            a_check, a_requeue = visit(executor.cost, sim.now)
+            a_key, = (key for key in self._flags if key[0] == "a")
+            sim.call_at((a_check + a_requeue) / 2,
+                        lambda: self.land(a_key))
+        return outcome
+
+
+class TestLostWake:
+    @pytest.mark.xfail(strict=True, reason=(
+        "lost wake: a commit that lands mid-sweep does not stop the park "
+        "that ends the sweep, and the park waits out its idle backoff"))
+    def test_a_flag_landing_mid_sweep_hits_at_the_next_visit(self):
+        """``a`` is already hot when ``b``'s requeue closes the sweep, so
+        the executor must visit ``a`` next and hit.  Today it parks: the
+        park test counts a whole sweep of misses without asking whether
+        a poller turned hot meanwhile, and the commit's ``_wake_up()``
+        found no untriggered ``_wake`` to end that park — so ``a`` hits
+        one idle backoff later."""
+        comm = LostWakeComm(ready_at=0.004)
+        cluster = Cluster(2)
+        b = GraphBuilder()
+        # ps0 computes first, so both sends have run when the sweep starts
+        b.synthetic_compute(0.001, name="busy", device="ps0")
+        for name in "ab":
+            x = b.placeholder([4], name=name, device="worker0")
+            b.identity(x, name=f"out_{name}", device="ps0")
+        session = Session(cluster, b.finalize(),
+                          {"worker0": cluster.hosts[0],
+                           "ps0": cluster.hosts[1]}, comm=comm)
+        feed = np.zeros(4, dtype=np.float32)
+        session.run(feeds={name: feed for name in "ab"})
+        cost = cluster.cost
+        _, a_requeue = visit(cost, comm.sweep_start)
+        _, b_requeue = visit(cost, a_requeue)
+        a_hit = dict(comm.hits)["a:0->ps0"]
+        assert a_hit == visit(cost, b_requeue)[0]

@@ -99,21 +99,6 @@ class TestExecutorScheduling:
         with pytest.raises(SimulationError, match="time limit"):
             session.run(time_limit=1.0)
 
-    def test_feeds_fn_called_per_iteration(self):
-        b = GraphBuilder()
-        x = b.placeholder([1], name="x", device="d")
-        b.identity(x, name="out", device="d")
-        session = self._session(b)
-        seen = []
-
-        def feeds_fn(iteration):
-            seen.append(iteration)
-            return {"x": np.array([float(iteration)], dtype=np.float32)}
-
-        session.run(iterations=3, feeds_fn=feeds_fn)
-        assert seen == [0, 1, 2]
-        assert session.numpy("out")[0] == 2.0
-
 
 class TestOutcomeApi:
     def test_constructors(self):

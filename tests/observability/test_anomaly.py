@@ -33,7 +33,7 @@ class TestMadZscores:
 class TestDetectOutliers:
     def test_min_points_guard(self):
         stats = {"a": 1.0, "b": 1.0, "c": 100.0}
-        assert detect_outliers(stats, min_points=4) == []
+        assert detect_outliers(stats) == []
 
     def test_min_excess_guard(self):
         # Statistically extreme but only 10% above the median: a fleet
@@ -111,7 +111,7 @@ class TestSloBurn:
 
     def test_sustained_burn_is_one_incident(self):
         samples = self._samples(1000, latency=0.5)  # every request violates
-        incidents = slo_burn_alerts(samples, slo=0.025, window=0.25)
+        incidents = slo_burn_alerts(samples, slo=0.025)
         assert len(incidents) == 1
         incident = incidents[0]
         assert incident.kind == "slo_burn"
@@ -127,8 +127,7 @@ class TestSloBurn:
     def test_partial_violation_below_threshold(self):
         good = self._samples(400, latency=0.005)
         bad = self._samples(40, latency=0.5, spacing=0.01)
-        incidents = slo_burn_alerts(sorted(good + bad), slo=0.025,
-                                    burn_threshold=0.25)
+        incidents = slo_burn_alerts(sorted(good + bad), slo=0.025)
         assert incidents == []
 
     def test_separate_bursts_separate_incidents(self):
@@ -136,7 +135,7 @@ class TestSloBurn:
         burst2 = self._samples(100, latency=0.5, t0=2.0)
         calm = self._samples(100, latency=0.001, t0=1.0)
         incidents = slo_burn_alerts(sorted(burst1 + calm + burst2),
-                                    slo=0.025, window=0.25)
+                                    slo=0.025)
         assert len(incidents) == 2
         assert incidents[0].time < incidents[1].time
 

@@ -46,8 +46,6 @@ def test_build_fat_tree_validation():
         build_fat_tree(4, hosts_per_rack=0)
     with pytest.raises(FabricError):
         build_fat_tree(4, hosts_per_rack=2, oversubscription=0.5)
-    with pytest.raises(FabricError):
-        build_fat_tree(4, hosts_per_rack=2, num_spines=0)
 
 
 def test_intra_rack_latency_matches_flat():
@@ -69,8 +67,9 @@ def test_intra_rack_traverse_charges_no_trunk():
 
 def test_ecmp_routing_deterministic():
     # Same construction => same routes, across independent instances.
-    a = build_fat_tree(16, hosts_per_rack=4, num_spines=4)
-    b = build_fat_tree(16, hosts_per_rack=4, num_spines=4)
+    # Eight racks derive four spines.
+    a = build_fat_tree(32, hosts_per_rack=4)
+    b = build_fat_tree(32, hosts_per_rack=4)
     for src in a.hosts():
         for dst in a.hosts():
             if src == dst:
@@ -86,7 +85,8 @@ def test_ecmp_routing_deterministic():
 
 
 def test_ecmp_spreads_flows():
-    fabric = build_fat_tree(32, hosts_per_rack=8, num_spines=4)
+    # Eight racks derive four spines.
+    fabric = build_fat_tree(64, hosts_per_rack=8)
     spines = set()
     for dst in range(8, 16):
         for link in fabric.route("server0", f"server{dst}"):
@@ -99,8 +99,8 @@ def test_ecmp_spreads_flows():
 def test_oversubscribed_uplink_queues():
     # Two flows from the same rack race for one skinny uplink: the
     # second booking must wait for the first and record queueing.
-    fabric = build_fat_tree(8, hosts_per_rack=4, oversubscription=4.0,
-                            num_spines=1)
+    # Two racks derive one spine.
+    fabric = build_fat_tree(8, hosts_per_rack=4, oversubscription=4.0)
     size = 8 << 20
     first = fabric.traverse("server0", "server4", 0.0, 1e-6, size)
     second = fabric.traverse("server1", "server5", 0.0, 1e-6, size)
