@@ -68,6 +68,22 @@ def test_hierarchical_matches_flat_ring_bitwise(n, hosts_per_rack):
         assert ring_tensor.tobytes() == hier_tensor.tobytes()
 
 
+@pytest.mark.parametrize("algorithm", ["ring"])
+def test_hierarchical_inter_algorithms(algorithm):
+    # 8 workers, 2 racks of 4: the inter-rack phase runs the ring, the
+    # one inter-rack collective the builder emits.
+    arrays = _integer_arrays(8, seed=31)
+    expected = np.sum(arrays, axis=0)
+    builder = GraphBuilder(f"hier-inter-{algorithm}")
+    inputs, devices = worker_inputs(builder, arrays)
+    outputs = hierarchical_allreduce(builder, inputs, devices,
+                                     hosts_per_rack=4)
+    session = run_fragment(builder, devices)
+    for out in outputs:
+        np.testing.assert_array_equal(
+            session.numpy(out.node.name, out.index), expected)
+
+
 def test_single_rack_degenerates_to_ring():
     # hosts_per_rack >= n: one rack, so the builder must emit a plain
     # intra-rack ring (no inter phase, no concat wrapper).
