@@ -36,6 +36,9 @@ ADDRESS_QP = 0
 #: sim seconds a lookup waits before asking again for an unpublished key
 LOOKUP_RETRY_INTERVAL = 50e-6
 
+#: lookup attempts before an unpublished key is an error
+LOOKUP_MAX_RETRIES = 200
+
 
 class AddressBook:
     """Per-device registry of published regions, remotely queryable."""
@@ -102,12 +105,12 @@ class AddressBook:
 
     # -- remote lookup --------------------------------------------------------------------
 
-    def lookup(self, peer: Endpoint, key: str,
-               max_retries: int = 200) -> Generator:
+    def lookup(self, peer: Endpoint, key: str) -> Generator:
         """Process: fetch a remote region descriptor from ``peer``.
 
-        Retries every :data:`LOOKUP_RETRY_INTERVAL` while the peer has
-        not published the key yet (setup races are expected: both sides
+        Retries every :data:`LOOKUP_RETRY_INTERVAL`, up to
+        :data:`LOOKUP_MAX_RETRIES` times, while the peer has not
+        published the key yet (setup races are expected: both sides
         prepare concurrently).
         Usage: ``descriptor = yield from book.lookup(peer, key)``.
 
@@ -121,7 +124,7 @@ class AddressBook:
         channel = self._ensure_demux(peer)
         replies = self._replies[peer]
 
-        for _attempt in range(max_retries):
+        for _attempt in range(LOOKUP_MAX_RETRIES):
             request = bytes([_MSG_REQUEST]) + key.encode("utf-8")
             self.device.post_send_message(channel, request)
             raw = yield replies.get()

@@ -31,7 +31,7 @@ from ..graph.session import RunStats, Session
 from ..serving.config import ServingConfig
 from ..simnet.faults import FaultInjector, parse_fault_spec
 from ..observability.anomaly import Incident, detect_run_anomalies
-from ..observability.capture import capture_enabled, capture_run
+from ..observability.capture import Capture
 from ..observability.stall import StallReport, build_stall_report
 from ..observability.timeseries import Telemetry
 from ..observability.tracer import TraceBudget, Tracer
@@ -165,6 +165,12 @@ class RunConfig:
     schedule: Optional[str] = None
     #: the inference serving plane's knobs (``--replicas`` ...)
     serving: ServingConfig = ServingConfig()
+    #: the sink traced runs register with (``--trace-out``,
+    #: ``--metrics-json``, ``--telemetry-out``); every run handed one
+    #: traces.  An accumulator, not a setting: it takes no part in
+    #: equality, hashing or repr
+    capture: Optional[Capture] = field(default=None, compare=False,
+                                       hash=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_cqs < 1:
@@ -236,10 +242,8 @@ class RunConfig:
         if self.trace_hosts is not None:
             hosts = resolve_trace_hosts(self.trace_hosts, num_servers,
                                         name_prefix=name_prefix)
-        return TraceBudget(default_rate=(self.trace_sample
-                                         if self.trace_sample is not None
-                                         else 1.0),
-                           sample_rates={"iteration": 1.0},
+        return TraceBudget(rate=(self.trace_sample
+                                 if self.trace_sample is not None else 1.0),
                            hosts=hosts)
 
     def rack_width(self, num_servers: int) -> Optional[int]:
@@ -410,9 +414,9 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
     builds the post-barrier collective baseline.
 
     ``collect_trace`` enables the observability layer for this run;
-    tracing also turns on automatically while a harness capture sink is
-    configured (``--trace-out``/``--metrics-json``), and traced runs
-    register themselves with that sink.
+    tracing also turns on when ``config.capture`` holds a sink
+    (``--trace-out``/``--metrics-json``/``--telemetry-out``), and the
+    run registers itself with it.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
@@ -490,7 +494,7 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
     if fault_spec:
         cluster.install_faults(
             FaultInjector.from_spec(fault_spec, seed=config.fault_seed))
-    tracing = collect_trace or capture_enabled()
+    tracing = collect_trace or config.capture is not None
     collector = (cluster.enable_metrics()
                  if collect_metrics or tracing else None)
     tracer = None
@@ -540,15 +544,16 @@ def run_training_benchmark(spec: ModelSpec, mechanism: str,
         incidents = detect_run_anomalies(tracer,
                                          link_utilization=link_utilization,
                                          now=cluster.sim.now)
-        capture_run(
-            label=(f"{spec.name}/{mechanism}/{strategy}/"
-                   f"n{num_servers}/b{batch_size}"),
-            tracer=tracer,
-            meta={"model": spec.name, "mechanism": mechanism,
-                  "strategy": strategy, "num_servers": num_servers,
-                  "batch_size": batch_size, "iterations": iterations,
-                  "step_time": stats.steady_state_time},
-            incidents=[incident.to_dict() for incident in incidents])
+        if config.capture is not None:
+            config.capture.add(
+                label=(f"{spec.name}/{mechanism}/{strategy}/"
+                       f"n{num_servers}/b{batch_size}"),
+                tracer=tracer,
+                meta={"model": spec.name, "mechanism": mechanism,
+                      "strategy": strategy, "num_servers": num_servers,
+                      "batch_size": batch_size, "iterations": iterations,
+                      "step_time": stats.steady_state_time},
+                incidents=[incident.to_dict() for incident in incidents])
     innetwork_snapshot = None
     runtime = getattr(session.comm, "innetwork", None)
     if runtime is not None:

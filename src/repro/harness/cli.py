@@ -18,13 +18,13 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from ..core.device import QP_MODES
 from ..distributed.runner import SCHEDULES, TOPOLOGIES, RunConfig
 from ..distributed.allreduce import ALLREDUCE_ALGORITHMS
 from ..serving.config import ServingConfig
-from ..observability.capture import (configure_capture, flush_capture,
-                                     reset_capture)
+from ..observability.capture import Capture
 from .experiments import ALL_EXPERIMENTS, execute
 
 
@@ -287,34 +287,27 @@ def main(argv=None) -> int:
         for path in (args.trace_out, args.metrics_json, args.telemetry_out):
             if path is not None:
                 os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        from ..observability.capture import DEFAULT_TRACE_EVENT_CAP
-        configure_capture(trace_out=args.trace_out,
-                          metrics_json=args.metrics_json,
-                          telemetry_out=args.telemetry_out,
-                          trace_event_cap=(args.trace_event_cap
-                                           if args.trace_event_cap is not None
-                                           else DEFAULT_TRACE_EVENT_CAP))
+        config = replace(config, capture=Capture(
+            trace_out=args.trace_out, metrics_json=args.metrics_json,
+            telemetry_out=args.telemetry_out,
+            **given(trace_event_cap=args.trace_event_cap)))
 
     violated = []
-    try:
-        for name in args.experiments or ALL_EXPERIMENTS:
-            entry = ALL_EXPERIMENTS[name]
-            started = time.time()
-            grid = entry.full if args.full else entry.smoke
-            payload = execute(entry, grid, args.bench_dir, config)
-            print(f"[{name} regenerated in {time.time() - started:.1f}s]",
-                  file=sys.stderr)
-            print(entry.table(payload).render())
-            print()
-            violated += [f"{name}: {headline}"
-                         for headline in entry.headlines(payload)]
+    for name in args.experiments or ALL_EXPERIMENTS:
+        entry = ALL_EXPERIMENTS[name]
+        started = time.time()
+        grid = entry.full if args.full else entry.smoke
+        payload = execute(entry, grid, args.bench_dir, config)
+        print(f"[{name} regenerated in {time.time() - started:.1f}s]",
+              file=sys.stderr)
+        print(entry.table(payload).render())
+        print()
+        violated += [f"{name}: {headline}"
+                     for headline in entry.headlines(payload)]
 
-        if capturing:
-            for kind, path in flush_capture().items():
-                print(f"[{kind} written to {path}]", file=sys.stderr)
-    finally:
-        if capturing:
-            reset_capture()
+    if config.capture is not None:
+        for kind, path in config.capture.flush().items():
+            print(f"[{kind} written to {path}]", file=sys.stderr)
 
     for headline in violated:
         print(f"[headline violated] {headline}", file=sys.stderr)

@@ -12,9 +12,10 @@ first-class subsystem instead of ad-hoc prints:
   ``Cluster.enable_tracing()``; when disabled every instrumented fast
   path pays a single attribute check (the ``MetricsCollector``
   pattern).  A :class:`TraceBudget` bounds what a tracer *retains*
-  (per-category sampling, host subsets, a hard span cap, a per-host
-  flight-recorder ring) without ever touching what it *accounts* —
-  the sum-to-step-time invariant survives any budget.
+  (1-in-k sampling, a host subset) without ever touching what it
+  *accounts*, its per-host flight-recorder ring, or the spans its
+  stall report reads — the sum-to-step-time invariant survives any
+  budget.
 * :class:`MetricsRegistry` — counters, gauges (with bounded history
   sampling), and histograms (transfer-size distribution, poll
   iterations per wake, CQ depth, arena bytes registered) attached to
@@ -33,8 +34,9 @@ first-class subsystem instead of ad-hoc prints:
   (compute / wire / poll-wait / serialization), i.e. a programmatic
   Figure-8-style breakdown whose components sum to the measured
   iteration time by construction.
-* :mod:`~repro.observability.capture` — the harness-facing sink behind
-  ``--trace-out`` / ``--metrics-json`` / ``--telemetry-out``.
+* :class:`Capture` — the harness-facing sink behind ``--trace-out`` /
+  ``--metrics-json`` / ``--telemetry-out``, handed to runs on
+  ``RunConfig.capture``.
 """
 
 from .anomaly import (Incident, detect_link_hotspots, detect_outliers,
@@ -48,17 +50,15 @@ from .timeseries import (P2Quantile, QuantileSketch, RingSeries,
                          Telemetry, rack_label)
 from .tracer import (CATEGORIES, EXECUTOR_CATEGORIES, Span, TraceBudget,
                      Tracer, executor_track, protocol_track)
-from .capture import (capture_enabled, capture_run, configure_capture,
-                      flush_capture, reset_capture)
+from .capture import Capture
 
 __all__ = [
-    "CATEGORIES", "ChromeTraceStream", "Counter", "DEFAULT_PERCENTILES",
-    "EXECUTOR_CATEGORIES", "Gauge", "Histogram", "Incident",
-    "MetricsRegistry", "P2Quantile", "QuantileSketch", "RingSeries",
-    "Span", "StallReport", "Telemetry", "TraceBudget", "Tracer",
-    "build_stall_report", "capture_enabled", "capture_run",
-    "chrome_trace_events", "configure_capture", "detect_link_hotspots",
-    "detect_outliers", "detect_run_anomalies", "detect_stragglers",
-    "executor_track", "flush_capture", "mad_zscores", "protocol_track",
-    "rack_label", "reset_capture", "slo_burn_alerts",
+    "CATEGORIES", "Capture", "ChromeTraceStream", "Counter",
+    "DEFAULT_PERCENTILES", "EXECUTOR_CATEGORIES", "Gauge", "Histogram",
+    "Incident", "MetricsRegistry", "P2Quantile", "QuantileSketch",
+    "RingSeries", "Span", "StallReport", "Telemetry", "TraceBudget",
+    "Tracer", "build_stall_report", "chrome_trace_events",
+    "detect_link_hotspots", "detect_outliers", "detect_run_anomalies",
+    "detect_stragglers", "executor_track", "mad_zscores",
+    "protocol_track", "rack_label", "slo_burn_alerts",
 ]

@@ -201,13 +201,18 @@ def _wire_busy_union(intervals: List[tuple], start: float,
 
 
 def build_stall_report(tracer: Tracer) -> StallReport:
-    """Assemble the report from a tracer's accumulators and windows."""
+    """Assemble the report from a tracer's accumulators and windows.
+
+    Wire, link-queue, fault and retry figures come from
+    ``tracer.stall_spans``, which holds every span of those categories
+    whatever the retention budget: a sampled trace reports the same
+    stalls as a full one.
+    """
     report = StallReport()
-    wire_spans = sorted(
-        ((s.start, s.end) for s in tracer.spans if s.category == "wire"),
-        key=lambda iv: iv[0])
-    queue_spans = [(s.start, s.end) for s in tracer.spans
-                   if s.category == "link_queue"]
+    spans = tracer.stall_spans
+    wire_spans = sorted(((s.start, s.end) for s in spans["wire"]),
+                        key=lambda iv: iv[0])
+    queue_spans = [(s.start, s.end) for s in spans["link_queue"]]
     for window in tracer.iteration_windows:
         executors = [
             ExecutorBreakdown(host=host, track=track,
@@ -234,8 +239,7 @@ def build_stall_report(tracer: Tracer) -> StallReport:
                                max(0.0, min(end, window.end)
                                    - max(start, window.start))
                                for start, end in queue_spans)))
-    fault_spans = [s for s in tracer.spans if s.category == "fault"]
-    retry_spans = [s for s in tracer.spans if s.category == "retry"]
+    fault_spans, retry_spans = spans["fault"], spans["retry"]
     if fault_spans or retry_spans:
         by_kind: Dict[str, int] = {}
         for span in fault_spans:

@@ -23,8 +23,8 @@ would dominate the trace file while being individually meaningless.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
 from .timeseries import Telemetry
@@ -95,61 +95,42 @@ class IterationWindow:
         return self.end - self.start
 
 
-#: spans kept per host in the flight recorder ring (budgeted tracers)
+#: spans kept per host in the flight recorder ring
 DEFAULT_FLIGHT_LEN = 64
 
 #: histogram sample cap applied to a budgeted tracer's registry
 BUDGETED_HISTOGRAM_SAMPLES = 65536
+
+#: categories the stall report reads; kept in full whatever the budget
+STALL_CATEGORIES = ("wire", "link_queue", "fault", "retry")
 
 
 @dataclass(frozen=True)
 class TraceBudget:
     """Bounds on what a tracer *retains* (never on what it accounts).
 
-    The PR 2 tracer stored every span — O(events) memory, built for
-    n=2–4 hosts.  A budget makes retention explicit so 256-worker runs
-    stay bounded:
+    The two settings ``--trace-sample`` and ``--trace-hosts`` set:
 
-    * ``sample_rates``/``default_rate`` — per-category deterministic
-      1-in-k sampling of emitted spans (k = round(1/rate)).  Sampling
-      uses a per-category counter, not randomness, so two runs of the
-      same configuration retain the same spans.
+    * ``rate`` — deterministic 1-in-k sampling of emitted spans
+      (k = round(1/rate)), counted per category, not drawn at random,
+      so two runs of the same configuration retain the same spans.
+      ``iteration`` spans (one per step, the timeline's anchors) are
+      never sampled out.
     * ``hosts`` — only spans from these hosts are retained (``None``
       keeps every host).  Host-less timelines (``cluster`` iteration
       markers, ``fabric`` link queues) are always kept.
-    * ``span_cap`` — hard ceiling on retained spans; the overflow
-      count is exported as an explicit "truncated" marker.
-    * ``flight_len`` — per-host ring of the *most recent* spans,
-      fed before sampling, dumped on incident for post-mortems.
 
-    Breakdown accounting (``account``) always runs in full — the
-    sum-to-step-time invariant holds on every host regardless of the
-    budget; a budget only thins the span list backing trace export.
+    Breakdown accounting (``account``), the telemetry digest, the
+    flight recorder and the stall report's span lists always see every
+    span; a budget only thins the span list backing trace export.
     """
 
-    sample_rates: Mapping[str, float] = field(default_factory=dict)
-    default_rate: float = 1.0
+    rate: float = 1.0
     hosts: Optional[frozenset] = None
-    span_cap: Optional[int] = None
-    flight_len: int = DEFAULT_FLIGHT_LEN
 
     def __post_init__(self) -> None:
-        for category, rate in dict(self.sample_rates).items():
-            if not 0.0 < rate <= 1.0:
-                raise ValueError(f"sample rate for {category!r} must be in "
-                                 f"(0, 1], got {rate}")
-        if not 0.0 < self.default_rate <= 1.0:
-            raise ValueError(f"default_rate must be in (0, 1], "
-                             f"got {self.default_rate}")
-        if self.span_cap is not None and self.span_cap < 1:
-            raise ValueError("span_cap must be positive")
-        if self.flight_len < 0:
-            raise ValueError("flight_len cannot be negative")
-
-    def stride(self, category: str) -> int:
-        """Keep every ``stride``-th span of this category."""
-        rate = self.sample_rates.get(category, self.default_rate)
-        return max(1, int(round(1.0 / rate)))
+        if not 0.0 < self.rate <= 1.0:
+            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
 
 
 #: tracks that are not tied to a simulated host; never host-filtered
@@ -177,11 +158,16 @@ class Tracer:
         #: (host, track, iteration) -> {category: seconds}
         self.breakdowns: Dict[Tuple[str, str, int], Dict[str, float]] = {}
         self.iteration_windows: List[IterationWindow] = []
-        #: spans not retained because of the budget (sampled out,
-        #: host-filtered, or over the cap)
+        #: spans not retained because of the budget (sampled out or
+        #: host-filtered)
         self.dropped_spans = 0
-        #: per-host ring of recent spans (budgeted tracers only)
+        #: per-host ring of the most recent spans, fed before retention
         self.flight: Dict[str, Deque[Span]] = {}
+        #: every span of the :data:`STALL_CATEGORIES`, fed before retention
+        self.stall_spans: Dict[str, List[Span]] = {
+            category: [] for category in STALL_CATEGORIES}
+        self._stride = (1 if budget is None
+                        else max(1, int(round(1.0 / budget.rate))))
         self._sample_counts: Dict[str, int] = {}
 
     @property
@@ -199,15 +185,11 @@ class Tracer:
         if (budget.hosts is not None and host not in budget.hosts
                 and host not in _HOSTLESS):
             return False
-        stride = budget.stride(category)
-        if stride > 1:
+        if self._stride > 1 and category != "iteration":
             count = self._sample_counts.get(category, 0)
             self._sample_counts[category] = count + 1
-            if count % stride != 0:
+            if count % self._stride != 0:
                 return False
-        if (budget.span_cap is not None
-                and len(self.spans) >= budget.span_cap):
-            return False
         return True
 
     def record(self, category: str, name: str, host: str, track: str,
@@ -215,62 +197,31 @@ class Tracer:
                args: Optional[Dict[str, object]] = None) -> Optional[Span]:
         """Append one retrospective span; returns it (None if sampled out).
 
-        The telemetry digest and the flight recorder always see the
-        span; only retention in :attr:`spans` is subject to the budget.
+        The telemetry digest, the flight recorder and the stall
+        report's span lists always see the span; only retention in
+        :attr:`spans` is subject to the budget.
         """
         end = max(end, start)
         if self.telemetry is not None:
             self.telemetry.observe_span(category, host, track, start, end)
-        budget = self.budget
-        if budget is None:
-            span = Span(category=category, name=name, host=host, track=track,
-                        start=start, end=end, args=args)
-            self.spans.append(span)
-            return span
         span = Span(category=category, name=name, host=host, track=track,
                     start=start, end=end, args=args)
-        if budget.flight_len > 0:
-            ring = self.flight.get(host)
-            if ring is None:
-                ring = self.flight[host] = deque(maxlen=budget.flight_len)
-            ring.append(span)
+        ring = self.flight.get(host)
+        if ring is None:
+            ring = self.flight[host] = deque(maxlen=DEFAULT_FLIGHT_LEN)
+        ring.append(span)
+        stall = self.stall_spans.get(category)
+        if stall is not None:
+            stall.append(span)
         if not self._retain(category, host):
             self.dropped_spans += 1
             return None
         self.spans.append(span)
         return span
 
-    def flight_dump(self, host: Optional[str] = None) -> List[Span]:
-        """Recent spans from the flight recorder (one host or all).
-
-        An unbudgeted tracer retains every span, so the same window is
-        synthesized from the full span list — incident post-mortems get
-        identical evidence whether or not a budget thinned retention.
-        """
-        if self.budget is None:
-            length = DEFAULT_FLIGHT_LEN
-            if host is not None:
-                matching = [s for s in self.spans
-                            if s.host == host and s.host not in _HOSTLESS]
-                return matching[-length:]
-            recent: Dict[str, Deque[Span]] = {}
-            for span in self.spans:
-                if span.host in _HOSTLESS:
-                    continue
-                ring = recent.get(span.host)
-                if ring is None:
-                    ring = recent[span.host] = deque(maxlen=length)
-                ring.append(span)
-            out = [span for ring in recent.values() for span in ring]
-            out.sort(key=lambda s: s.start)
-            return out
-        if host is not None:
-            return list(self.flight.get(host, ()))
-        out = []
-        for ring in self.flight.values():
-            out.extend(ring)
-        out.sort(key=lambda s: s.start)
-        return out
+    def flight_dump(self, host: str) -> List[Span]:
+        """The flight recorder's most recent spans on ``host``."""
+        return list(self.flight.get(host, ()))
 
     def account(self, host: str, track: str, iteration: int, category: str,
                 start: float, end: float, name: Optional[str] = None,

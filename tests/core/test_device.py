@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import (DeviceError, Direction, RdmaDevice,
                         attach_address_book)
+from repro.core.address_book import (LOOKUP_MAX_RETRIES,
+                                     LOOKUP_RETRY_INTERVAL)
 from repro.simnet import Cluster, Endpoint
 
 
@@ -223,9 +225,11 @@ class TestAddressBook:
         book_a = attach_address_book(dev_a)
         attach_address_book(dev_b)
         fetch = cluster.sim.spawn(
-            book_a.lookup(dev_b.endpoint, "never", max_retries=3))
+            book_a.lookup(dev_b.endpoint, "never"))
         cluster.sim.run()
         assert fetch.triggered
+        # every attempt waited out its retry interval first
+        assert cluster.sim.now >= LOOKUP_MAX_RETRIES * LOOKUP_RETRY_INTERVAL
         with pytest.raises(DeviceError):
             _ = fetch.value
 

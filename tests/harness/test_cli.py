@@ -229,11 +229,7 @@ class TestLlmServingFlags:
 
 
 class TestCaptureFlags:
-    def teardown_method(self):
-        from repro.observability import reset_capture
-        reset_capture()
-
-    def test_trace_and_metrics_written(self, capsys, tmp_path):
+    def test_trace_and_metrics_written(self, capsys, tmp_path, handed):
         import json
 
         # neither directory exists yet (CI writes into a fresh artifacts/)
@@ -256,19 +252,14 @@ class TestCaptureFlags:
         assert run["metrics"]["counters"]["arena_bytes_registered"] > 0
         assert run["stall"]["iterations"][0]["coverage"] == \
             pytest.approx(1.0, abs=0.01)
-
-    def test_capture_state_cleared_after_run(self, capsys, tmp_path):
-        from repro.observability import capture_enabled
-        assert main(["table2", "--metrics-json",
-                     str(tmp_path / "m.json")]) == 0
-        assert not capture_enabled()
+        # the sink travels on the config, beside (not inside) its value
+        (config,) = handed
+        assert config.capture.trace_out == str(trace_path)
+        assert config.capture.metrics_json == str(metrics_path)
+        assert config == RunConfig() and "capture" not in repr(config)
 
 
 class TestTelemetryFlags:
-    def teardown_method(self):
-        from repro.observability import reset_capture
-        reset_capture()
-
     def test_budget_flags_need_a_capture_sink(self):
         with pytest.raises(SystemExit):
             main(["--trace-sample", "0.1", "table2"])

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.observability import (ChromeTraceStream, TraceBudget, Tracer,
-                                 chrome_trace_events)
-from repro.observability.capture import (capture_enabled, capture_run,
-                                         configure_capture, flush_capture,
-                                         reset_capture)
+from repro.distributed.runner import RunConfig, run_training_benchmark
+from repro.models import get_model
+from repro.observability import (Capture, ChromeTraceStream, TraceBudget,
+                                 Tracer, chrome_trace_events)
 
 
 def _sample_tracer():
@@ -111,7 +110,7 @@ class TestStreamingExport:
             ChromeTraceStream(str(tmp_path / "x.json"), max_events=0)
 
     def test_budget_truncation_marker_in_events(self):
-        tracer = Tracer(budget=TraceBudget(span_cap=2))
+        tracer = Tracer(budget=TraceBudget(rate=0.2))
         for i in range(10):
             tracer.record("op", f"op{i}", "server0", "executor:w0",
                           float(i), float(i) + 0.5)
@@ -122,24 +121,29 @@ class TestStreamingExport:
 
 
 class TestCaptureSink:
-    def teardown_method(self):
-        reset_capture()
-
-    def test_disabled_by_default(self):
-        reset_capture()
-        assert not capture_enabled()
-        capture_run("x", _sample_tracer())  # no-op, must not raise
-        assert flush_capture() == {}
+    def test_disabled_by_default(self, tmp_path):
+        # only a run handed a sink traces, and only into that sink
+        assert RunConfig().capture is None
+        common = dict(num_servers=2, batch_size=4, iterations=2)
+        bare = run_training_benchmark(get_model("FCN-5"), "RDMA", **common)
+        assert bare.tracer is None
+        sink = Capture(metrics_json=str(tmp_path / "m.json"))
+        run = run_training_benchmark(get_model("FCN-5"), "RDMA", **common,
+                                     config=RunConfig(capture=sink))
+        assert run.tracer is not None
+        sink.flush()
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert [r["label"] for r in metrics["runs"]] == \
+            ["FCN-5/RDMA/ps/n2/b4"]
 
     def test_merged_multi_run_trace(self, tmp_path):
         trace_path = tmp_path / "merged.trace.json"
         metrics_path = tmp_path / "runs.metrics.json"
-        configure_capture(trace_out=str(trace_path),
-                          metrics_json=str(metrics_path))
-        assert capture_enabled()
-        capture_run("run0", _sample_tracer(), meta={"servers": 2})
-        capture_run("run1", _sample_tracer())
-        written = flush_capture()
+        sink = Capture(trace_out=str(trace_path),
+                       metrics_json=str(metrics_path))
+        sink.add("run0", _sample_tracer(), meta={"servers": 2})
+        sink.add("run1", _sample_tracer())
+        written = sink.flush()
         assert set(written) == {"trace", "metrics"}
 
         trace = json.loads(trace_path.read_text())
@@ -157,17 +161,19 @@ class TestCaptureSink:
 
     def test_metrics_only_capture(self, tmp_path):
         metrics_path = tmp_path / "only.metrics.json"
-        configure_capture(metrics_json=str(metrics_path))
-        capture_run("solo", _sample_tracer())
-        written = flush_capture()
+        sink = Capture(metrics_json=str(metrics_path))
+        sink.add("solo", _sample_tracer())
+        written = sink.flush()
         assert written == {"metrics": str(metrics_path)}
         assert json.loads(metrics_path.read_text())["runs"][0]["label"] == \
             "solo"
 
-    def test_configure_resets_buffers(self, tmp_path):
-        trace_path = tmp_path / "t.trace.json"
-        configure_capture(trace_out=str(trace_path))
-        capture_run("old", _sample_tracer())
-        configure_capture(trace_out=str(trace_path))
-        flush_capture()
-        assert json.loads(trace_path.read_text())["traceEvents"] == []
+    def test_each_sink_keeps_its_own_runs(self, tmp_path):
+        armed = Capture(trace_out=str(tmp_path / "armed.json"))
+        armed.add("run0", _sample_tracer())
+        Capture(trace_out=str(tmp_path / "fresh.json")).flush()
+        armed.flush()
+        fresh = json.loads((tmp_path / "fresh.json").read_text())
+        assert fresh["traceEvents"] == []
+        armed_events = json.loads((tmp_path / "armed.json").read_text())
+        assert armed_events["traceEvents"]

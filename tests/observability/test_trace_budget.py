@@ -1,4 +1,4 @@
-"""TraceBudget: sampling, host subsets, caps, flight recorder.
+"""TraceBudget: sampling, host subsets, flight recorder, stall spans.
 
 The contract under test: a budget bounds what the tracer *retains*
 (the span list behind trace export) while never touching what it
@@ -12,6 +12,7 @@ from repro.distributed.runner import (RunConfig, resolve_trace_hosts,
                                       run_training_benchmark)
 from repro.models.spec import ModelSpec, VariableSpec
 from repro.observability import Telemetry, TraceBudget, Tracer
+from repro.observability.tracer import DEFAULT_FLIGHT_LEN
 
 
 def make_budget(**kwargs):
@@ -21,27 +22,27 @@ def make_budget(**kwargs):
 class TestBudgetValidation:
     def test_rates_must_be_in_unit_interval(self):
         with pytest.raises(ValueError):
-            make_budget(default_rate=0.0)
+            make_budget(rate=0.0)
         with pytest.raises(ValueError):
-            make_budget(default_rate=1.5)
+            make_budget(rate=1.5)
         with pytest.raises(ValueError):
-            make_budget(sample_rates={"verb": -0.1})
-
-    def test_span_cap_positive(self):
-        with pytest.raises(ValueError):
-            make_budget(span_cap=0)
+            make_budget(rate=-0.1)
 
     def test_stride_from_rate(self):
-        budget = make_budget(default_rate=0.1,
-                             sample_rates={"verb": 1.0, "wire": 0.25})
-        assert budget.stride("verb") == 1
-        assert budget.stride("wire") == 4
-        assert budget.stride("op") == 10
+        # 1-in-10 for every category but the iteration anchors
+        tracer = Tracer(budget=make_budget(rate=0.1))
+        for i in range(20):
+            tracer.record("op", f"op{i}", "server0", "executor:w0",
+                          float(i), float(i) + 0.5)
+            tracer.mark_iteration(i, float(i), float(i) + 1.0)
+        assert [s.name for s in tracer.spans_by_category("op")] == \
+            ["op0", "op10"]
+        assert len(tracer.spans_by_category("iteration")) == 20
 
 
 class TestSampling:
     def test_deterministic_one_in_k(self):
-        tracer = Tracer(budget=make_budget(default_rate=0.25))
+        tracer = Tracer(budget=make_budget(rate=0.25))
         for i in range(100):
             tracer.record("verb", f"v{i}", "server0", "nic:qp0",
                           float(i), float(i) + 0.5)
@@ -52,13 +53,13 @@ class TestSampling:
         assert [s.name for s in tracer.spans[:3]] == ["v0", "v4", "v8"]
 
     def test_per_category_rates_independent(self):
-        budget = make_budget(sample_rates={"verb": 0.5}, default_rate=1.0)
-        tracer = Tracer(budget=budget)
+        # each category counts its own 1-in-k, however they interleave
+        tracer = Tracer(budget=make_budget(rate=0.5))
         for i in range(10):
             tracer.record("verb", "v", "server0", "nic:qp0", 0.0, 1.0)
-            tracer.record("wire", "w", "server0", "nic:wire", 0.0, 1.0)
+            tracer.record("op", "o", "server0", "executor:w0", 0.0, 1.0)
         assert len(tracer.spans_by_category("verb")) == 5
-        assert len(tracer.spans_by_category("wire")) == 10
+        assert len(tracer.spans_by_category("op")) == 5
 
     def test_unbudgeted_tracer_keeps_everything(self):
         tracer = Tracer()
@@ -88,18 +89,9 @@ class TestHostSubset:
         assert tracer.dropped_spans == 0
 
 
-class TestSpanCap:
-    def test_cap_is_hard_ceiling(self):
-        tracer = Tracer(budget=make_budget(span_cap=10))
-        for i in range(50):
-            tracer.record("verb", "v", "server0", "nic:qp0", 0.0, 1.0)
-        assert len(tracer.spans) == 10
-        assert tracer.dropped_spans == 40
-
-
 class TestAccountingSurvivesBudget:
     def test_breakdowns_full_even_when_spans_sampled(self):
-        budget = make_budget(default_rate=0.01)
+        budget = make_budget(rate=0.01)
         tracer = Tracer(budget=budget)
         for i in range(200):
             tracer.account("server0", "executor:worker0", 0, "op",
@@ -119,7 +111,7 @@ class TestAccountingSurvivesBudget:
 
 class TestTelemetrySeesEverything:
     def test_digest_before_sampling(self):
-        budget = make_budget(default_rate=0.1)
+        budget = make_budget(rate=0.1)
         tracer = Tracer(budget=budget, telemetry=Telemetry(hosts_per_rack=4))
         for i in range(100):
             tracer.record("verb", "v", "server0", "nic:qp0",
@@ -131,20 +123,24 @@ class TestTelemetrySeesEverything:
 
 class TestFlightRecorder:
     def test_ring_keeps_most_recent(self):
-        budget = make_budget(default_rate=0.01, flight_len=4)
+        budget = make_budget(rate=0.01)
         tracer = Tracer(budget=budget)
-        for i in range(20):
+        total = DEFAULT_FLIGHT_LEN + 4
+        for i in range(total):
             tracer.record("verb", f"v{i}", "server0", "nic:qp0",
                           float(i), float(i) + 0.5)
         dump = tracer.flight_dump("server0")
-        assert [s.name for s in dump] == ["v16", "v17", "v18", "v19"]
+        assert [s.name for s in dump] == \
+            [f"v{i}" for i in range(4, total)]
 
-    def test_dump_all_hosts_sorted_by_start(self):
-        budget = make_budget(flight_len=8)
+    @pytest.mark.parametrize("budget", [None, TraceBudget(rate=0.01)],
+                             ids=["unbudgeted", "budgeted"])
+    def test_every_tracer_keeps_the_ring(self, budget):
         tracer = Tracer(budget=budget)
-        tracer.record("verb", "b", "server1", "nic:qp0", 2.0, 3.0)
-        tracer.record("verb", "a", "server0", "nic:qp0", 1.0, 2.0)
-        assert [s.name for s in tracer.flight_dump()] == ["a", "b"]
+        tracer.record("verb", "a", "server0", "nic:qp0", 0.0, 1.0)
+        tracer.record("verb", "b", "server1", "nic:qp0", 1.0, 2.0)
+        assert [s.name for s in tracer.flight_dump("server1")] == ["b"]
+        assert tracer.flight_dump("server7") == []
 
 
 def _tiny_spec():
@@ -178,6 +174,25 @@ class TestBudgetedRunEndToEnd:
         report = budgeted.stall_report()
         for it in report.iterations:
             assert it.coverage == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", [
+        dict(strategy="ring"),
+        dict(strategy="hierarchical", topology="fat-tree", hosts_per_rack=2,
+             oversubscription=4.0)], ids=["flat", "fat-tree"])
+    def test_budget_never_thins_the_stall_report(self, shape):
+        """Wire, link-queue and fault figures come from every span, not
+        from the sampled ones the trace file keeps."""
+        common = dict(num_servers=4, batch_size=1, iterations=2,
+                      collect_trace=True, **shape)
+        full = run_training_benchmark(_tiny_spec(), "RDMA", **common)
+        budgeted = run_training_benchmark(_tiny_spec(), "RDMA", **common,
+                                          trace_sample=0.05, trace_hosts="1")
+        assert budgeted.tracer.dropped_spans > 0
+        report = full.stall_report().to_dict()
+        assert report["overlap_efficiency"] is not None
+        if "topology" in shape:
+            assert report["link_contention_seconds"] > 0.0
+        assert budgeted.stall_report().to_dict() == report
 
 
 class TestResolveTraceHosts:
