@@ -16,9 +16,10 @@ zero-copy transfer — and each iteration runs one *round*:
   reduced chunk clears that member's ToR;
 * the result chunk books the member's NIC ingress, commits in
   ascending address order, and — once every chunk of the round has
-  landed — the flag byte is set to the round's epoch (cycling 1..255,
-  so a stale flag from the previous round is never double-consumed)
-  and parked executors are woken.
+  landed — the flag byte is set to the round's epoch (the
+  member's :class:`~repro.core.transfer.EpochLane`, so a stale flag
+  from the previous round is never double-consumed) and parked
+  executors are woken.
 
 Fallback
 --------
@@ -54,18 +55,14 @@ from ..simnet.verbs import (ROLE_COLLECTIVE_CHUNK, ROLE_INNETWORK_AGGREGATE,
                             ROLE_INNETWORK_RESULT, ROLE_RETRANSMIT, Opcode,
                             WorkRequest)
 from .device import DeviceError
-
-
-def _round_epoch(round_id: int) -> int:
-    """Flag epoch of a round, cycling 1..255 (0 is always "empty")."""
-    return (round_id - 1) % 255 + 1
+from .transfer import CompletionFlag, EpochLane
 
 
 class _Member:
     """Per-worker state of one reduction group."""
 
     __slots__ = ("index", "device", "executor", "host", "nic", "tensor",
-                 "flag_offset", "round", "egress_tail", "up_link",
+                 "flag", "lane", "round", "egress_tail", "up_link",
                  "down_link", "window_event")
 
     def __init__(self, index: int, device: str, executor: Executor,
@@ -77,7 +74,10 @@ class _Member:
         self.host = executor.host
         self.nic = executor.host.nic
         self.tensor = tensor
-        self.flag_offset = flag_offset
+        #: the receive region's tail flag, polled by the executor ...
+        self.flag = CompletionFlag(tensor.buffer.backing, flag_offset)
+        #: ... and the epochs the plane writes into it, one per round
+        self.lane = EpochLane()
         self.round = 0
         #: tail of this member's uplink bookings: the quantum server's
         #: per-member FIFO chain (a pipe hands back none)
@@ -200,19 +200,15 @@ class InNetworkGroup:
         self._committed[(round_id, member_index)] = 0
         self.sim.spawn(self._member_send(member, tensor, round_id),
                        name=f"innet-send:{self.group_id}:w{member_index}")
-        epoch = _round_epoch(round_id)
-        backing = member.tensor.buffer.backing
-
-        def poll() -> bool:
-            return backing.read_byte(member.flag_offset) == epoch
+        flag = member.flag
 
         def complete() -> Outcome:
-            backing.write(member.flag_offset, b"\x00")
+            flag.consume()
             self._member_done(round_id)
             return Outcome.done([member.tensor])
 
-        return Outcome.polling(poll=poll, complete=complete,
-                               flag=(backing, member.flag_offset))
+        return Outcome.polling(poll=flag.armed, complete=complete,
+                               flag=(flag.backing, flag.offset))
 
     # -- member upstream --------------------------------------------------------
 
@@ -370,11 +366,10 @@ class InNetworkGroup:
             event.succeed()
         if count == len(self.chunks):
             del self._committed[key]
-            backing = member.tensor.buffer.backing
-            backing.write(member.flag_offset,
-                          bytes([_round_epoch(round_id)]))
-            member.host.notify_memory_commit(backing, member.flag_offset,
-                                             member.flag_offset + 1)
+            flag = member.flag
+            flag.backing.write(flag.offset, bytes([member.lane.advance()]))
+            member.host.notify_memory_commit(flag.backing, flag.offset,
+                                             flag.offset + 1)
 
     def _member_done(self, round_id: int) -> None:
         done = self._round_done.get(round_id, 0) + 1

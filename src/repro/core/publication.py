@@ -36,8 +36,8 @@ from ..simnet.topology import Host
 from ..simnet.verbs import (PUBLICATION_PRIORITY, ROLE_WEIGHT_ACK,
                             ROLE_WEIGHT_PUBLISH, ROLE_WEIGHT_STAMP)
 from .device import Direction, MemRegion, RdmaChannel, RemoteMemRegion
-from .recovery import RecoveryManager
-from .transfer import FLAG_CLEAR, _next_epoch
+from .recovery import RecoveryManager, land
+from .transfer import CompletionFlag, EpochLane
 
 
 STAMP_BYTES = 4
@@ -63,9 +63,11 @@ def park_until(sim: Simulator, host: Host,
 
     The flag-byte poller idiom of §3.2 outside the executor: check,
     then sleep until either remote data commits into this host's
-    memory or an exponential-backoff timer fires (the timer only
-    bounds simulator events; a real spinning poller would see the flag
-    within its poll interval).  Returns once ``predicate()`` is true.
+    memory or an exponential-backoff timer fires.  Returns once
+    ``predicate()`` is true.  A predicate that a commit turns true is
+    seen at that commit; one that turns true any other way (in a
+    callback, such as a drain count) is seen only when the timer
+    fires, up to ``PARK_BACKOFF_MAX`` late.
     """
     backoff = PARK_BACKOFF_BASE
     while not predicate():
@@ -136,66 +138,46 @@ class SnapshotWriter:
         self.source_region = source_region
         self.source_offsets = list(source_offsets)
         self.recovery = recovery
-        self._epochs = [0, 0]  # per-arena flag epoch lane
+        self._lanes = (EpochLane(), EpochLane())  # one per arena
 
     def acked_version(self) -> int:
         """Last version the target acknowledged swapping onto."""
         return read_version(self.ack_region.read(0, STAMP_BYTES))
 
-    def _transfer(self, *, remote_addr: int, remote_region: RemoteMemRegion,
-                  size: int, local_addr: int = 0,
-                  local_region: Optional[MemRegion] = None,
-                  inline_data: Optional[bytes] = None, role: str,
-                  awaited: bool = True) -> Generator:
-        if self.recovery is not None:
-            # Recovery mode confirms every completion before the next
-            # verb goes out, which is what keeps "flag last" true even
-            # through retries and QP re-establishment.
-            yield from self.recovery.reliable_memcpy(
-                self.channel, local_addr=local_addr,
-                local_region=local_region, remote_addr=remote_addr,
-                remote_region=remote_region, size=size,
-                direction=Direction.LOCAL_TO_REMOTE,
-                inline_data=inline_data, role=role,
-                priority=PUBLICATION_PRIORITY)
-        elif awaited:
-            yield self.channel.memcpy_event(
-                local_addr, local_region, remote_addr, remote_region, size,
-                Direction.LOCAL_TO_REMOTE, inline_data=inline_data,
-                role=role, priority=PUBLICATION_PRIORITY)
-        else:
-            # Fault-free fabric: per-QP FIFO commits in post order, so
-            # intermediate verbs need no completion wait of their own.
-            self.channel.memcpy(
-                local_addr, local_region, remote_addr, remote_region, size,
-                Direction.LOCAL_TO_REMOTE, inline_data=inline_data,
-                role=role, priority=PUBLICATION_PRIORITY)
-
     def write_snapshot(self, version: int) -> Generator:
         """Process: land snapshot ``version``, then arm the arena flag."""
         arena_idx = version % 2
         arena = self.arenas[arena_idx]
+        # Recovery mode confirms every completion before the next verb
+        # goes out, which keeps "flag last" true through retries and QP
+        # re-establishment; fault-free, only the trailer is awaited.
         for slot, src_off in zip(self.layout.slots, self.source_offsets):
-            yield from self._transfer(
-                remote_addr=arena.addr + slot.offset, remote_region=arena,
-                size=slot.nbytes,
+            yield from land(
+                self.recovery, self.channel,
                 local_addr=self.source_region.addr + src_off,
                 local_region=self.source_region,
-                role=ROLE_WEIGHT_PUBLISH, awaited=False)
-            yield from self._transfer(
+                remote_addr=arena.addr + slot.offset, remote_region=arena,
+                size=slot.nbytes, direction=Direction.LOCAL_TO_REMOTE,
+                role=ROLE_WEIGHT_PUBLISH, priority=PUBLICATION_PRIORITY,
+                wait=False)
+            yield from land(
+                self.recovery, self.channel,
                 remote_addr=arena.addr + slot.stamp_offset,
                 remote_region=arena, size=STAMP_BYTES,
-                inline_data=pack_version(version),
-                role=ROLE_WEIGHT_STAMP, awaited=False)
-        self._epochs[arena_idx] = _next_epoch(self._epochs[arena_idx])
-        trailer = pack_version(version) + bytes([self._epochs[arena_idx]])
+                direction=Direction.LOCAL_TO_REMOTE,
+                inline_data=pack_version(version), role=ROLE_WEIGHT_STAMP,
+                priority=PUBLICATION_PRIORITY, wait=False)
+        trailer = (pack_version(version)
+                   + bytes([self._lanes[arena_idx].advance()]))
         # Version + flag travel in one small inline verb with the flag
         # byte last: partial commits land ascending prefixes, so a torn
         # trailer can never show an armed flag over a stale version.
-        yield from self._transfer(
+        yield from land(
+            self.recovery, self.channel,
             remote_addr=arena.addr + self.layout.version_offset,
-            remote_region=arena, size=len(trailer), inline_data=trailer,
-            role=ROLE_WEIGHT_PUBLISH, awaited=True)
+            remote_region=arena, size=len(trailer),
+            direction=Direction.LOCAL_TO_REMOTE, inline_data=trailer,
+            role=ROLE_WEIGHT_PUBLISH, priority=PUBLICATION_PRIORITY)
 
 
 class WeightSubscriber:
@@ -221,7 +203,9 @@ class WeightSubscriber:
         self.active: Optional[int] = None
         self.active_version = 0
         self.swaps = 0
-        self._expect = [1, 1]
+        self._flags = tuple(
+            CompletionFlag(arena.buffer.backing, layout.flag_offset)
+            for arena in arenas)
         self._stopped = False
 
     # -- state -------------------------------------------------------------------
@@ -261,8 +245,7 @@ class WeightSubscriber:
 
     def _armed_arena(self) -> Optional[int]:
         for idx in (0, 1):
-            flag = self.arenas[idx].read_byte(self.layout.flag_offset)
-            if flag == self._expect[idx]:
+            if self._flags[idx].armed():
                 return idx
         return None
 
@@ -278,8 +261,7 @@ class WeightSubscriber:
             if idx is None:  # pragma: no cover - racing stop()
                 continue
             arena = self.arenas[idx]
-            arena.write(FLAG_CLEAR, self.layout.flag_offset)
-            self._expect[idx] = _next_epoch(self._expect[idx])
+            self._flags[idx].consume()
             version = read_version(
                 arena.read(self.layout.version_offset, STAMP_BYTES))
             # Zero-copy version swap: forward passes read the new arena
@@ -294,18 +276,12 @@ class WeightSubscriber:
             yield from self._ack(version)
 
     def _ack(self, version: int) -> Generator:
-        payload = pack_version(version)
-        if self.recovery is not None:
-            yield from self.recovery.reliable_memcpy(
-                self.ack_channel, remote_addr=self.ack_remote.addr,
-                remote_region=self.ack_remote, size=STAMP_BYTES,
-                direction=Direction.LOCAL_TO_REMOTE, inline_data=payload,
-                role=ROLE_WEIGHT_ACK, priority=PUBLICATION_PRIORITY)
-        else:
-            yield self.ack_channel.memcpy_event(
-                0, None, self.ack_remote.addr, self.ack_remote, STAMP_BYTES,
-                Direction.LOCAL_TO_REMOTE, inline_data=payload,
-                role=ROLE_WEIGHT_ACK, priority=PUBLICATION_PRIORITY)
+        yield from land(
+            self.recovery, self.ack_channel,
+            remote_addr=self.ack_remote.addr, remote_region=self.ack_remote,
+            size=STAMP_BYTES, direction=Direction.LOCAL_TO_REMOTE,
+            inline_data=pack_version(version), role=ROLE_WEIGHT_ACK,
+            priority=PUBLICATION_PRIORITY)
 
 
 class WeightPublisher:

@@ -66,8 +66,8 @@ class RdmaCommRuntime(CommRuntime):
         self.registration_seconds = 0.0
         self.retry_policy = retry_policy
         #: built in :meth:`prepare` iff the cluster's fault plane is
-        #: armed; None keeps every protocol on its legacy (bit-identical)
-        #: code path
+        #: armed: then every transfer is retried until its bytes land,
+        #: payload confirmed before its flag; None posts each verb once
         self.recovery: Optional[RecoveryManager] = None
         #: built in :meth:`prepare` iff the graph contains
         #: ``InNetworkReduce`` nodes (switch-aggregated allreduce)
@@ -146,8 +146,7 @@ class RdmaCommRuntime(CommRuntime):
                                 recv_node.attrs["shape"],
                                 arena_buffer, offset=offset)
                 receiver = StaticReceiver(tensor,
-                                          flag_offset_in_buffer=offset + nbytes,
-                                          epochs=self.recovery is not None)
+                                          flag_offset_in_buffer=offset + nbytes)
                 book.publish_raw(edge.key, addr=tensor.addr,
                                  rkey=region.rkey, size=nbytes + 1)
                 executor.preallocated_recv[edge.key] = tensor
@@ -164,7 +163,6 @@ class RdmaCommRuntime(CommRuntime):
                     arena=executor.arena, arena_region=region,
                     dtype=recv_node.attrs["dtype"],
                     priority=recv_node.attrs.get("priority", 0),
-                    epochs=self.recovery is not None,
                     recovery=self.recovery)
                 book.publish(f"{edge.key}#meta", slot)
             self.receivers[edge.key] = receiver

@@ -23,10 +23,10 @@ channel memcpy in a retry loop:
 Safety against torn writes comes from the protocols, not from here:
 the NIC commits in ascending address order and an injected partial
 write never lands the tail window, so a receiver polling the trailing
-flag byte can never observe a half-landed payload.  In recovery mode
-the flag carries an *epoch* (1..255, cycling) instead of a bare 1, so a
-stale duplicate from a timed-out-but-delivered attempt can never be
-consumed twice (see ``transfer.py``).
+flag byte can never observe a half-landed payload.  Every flag carries
+an *epoch* (1..255, cycling; ``transfer.EpochLane``), so a stale
+duplicate from a timed-out-but-delivered attempt can never be consumed
+twice.
 
 Selective repeat
 ----------------
@@ -49,6 +49,10 @@ land**.  What the fabric decides is how a transfer is cut:
 The epoch flag still trails the whole payload (the protocols post it
 after ``reliable_memcpy`` returns), so consumers never observe a
 partially repaired tensor.
+
+:func:`land` is the one place a protocol picks how a transfer's bytes
+are confirmed: retried until they land when the fault plane is armed,
+otherwise posted once and, if asked, awaited.
 """
 
 from __future__ import annotations
@@ -311,3 +315,32 @@ class RecoveryManager:
 
     def snapshot(self) -> Dict[str, object]:
         return self.stats.to_dict()
+
+
+def land(recovery: Optional[RecoveryManager], channel: RdmaChannel, *,
+         local_addr: int = 0, local_region: Optional[MemRegion] = None,
+         remote_addr: int, remote_region: RemoteMemRegion, size: int,
+         direction: Direction, inline_data: Optional[bytes] = None,
+         role: str, priority: int, wait: bool = True) -> Generator:
+    """Process: move one transfer's bytes (``yield from`` it).
+
+    With a recovery manager — the fault plane is armed — the bytes are
+    retried until they land, confirming every completion before the
+    next verb goes out.  Otherwise the verb is posted once, and awaited
+    only with ``wait``: per-QP FIFO commits in post order, so a verb
+    followed by an awaited one on the same QP needs no wait of its own.
+    """
+    if recovery is not None:
+        yield from recovery.reliable_memcpy(
+            channel, local_addr=local_addr, local_region=local_region,
+            remote_addr=remote_addr, remote_region=remote_region, size=size,
+            direction=direction, inline_data=inline_data, role=role,
+            priority=priority)
+    elif wait:
+        yield channel.memcpy_event(
+            local_addr, local_region, remote_addr, remote_region, size,
+            direction, inline_data=inline_data, role=role, priority=priority)
+    else:
+        channel.memcpy(
+            local_addr, local_region, remote_addr, remote_region, size,
+            direction, inline_data=inline_data, role=role, priority=priority)

@@ -3,12 +3,13 @@
 **Static placement** (:class:`StaticSender`/:class:`StaticReceiver`):
 the receiver-side tensor is preallocated in an RDMA region and its
 address distributed ahead of time.  The sender writes the payload with
-one-sided WRITEs and finally sets a one-byte flag at the *tail* of the
-receive region; because RDMA writes commit in ascending address order
-(and verbs on one QP execute FIFO), a set flag proves the payload is
-complete.  The receiver polls the flag (polling-async execution mode),
-clears it for reuse, and hands the tensor — already in place — to its
-consumers.  No copies anywhere.
+one-sided WRITEs and finally sets a one-byte flag — the edge's next
+epoch, see :class:`EpochLane` — at the *tail* of the receive region;
+because RDMA writes commit in ascending address order (and verbs on
+one QP execute FIFO), a set flag proves the payload is complete.  The
+receiver polls the flag (polling-async execution mode), clears it for
+reuse, and hands the tensor — already in place — to its consumers.
+No copies anywhere.
 
 **Dynamic allocation** (:class:`DynamicSender`/:class:`DynamicReceiver`):
 when shapes vary between mini-batches, only the fixed-size metadata
@@ -33,28 +34,65 @@ from ..observability.tracer import protocol_track
 from ..graph.allocator import ArenaAllocator
 from ..graph.dtypes import DType
 from ..graph.executor import Executor
-from ..graph.shapes import Shape
-from ..graph.tensor import META_FLAG_SIZE, Tensor, TensorMeta
+from ..graph.tensor import Tensor, TensorMeta
 from ..graph.transfer_api import Outcome
+from ..simnet.memory import Backing
 from ..simnet.simulator import Event
 from .device import (DeviceError, Direction, MemRegion, RdmaChannel,
                      RemoteMemRegion)
-from .recovery import RecoveryManager
+from .recovery import RecoveryManager, land
 
 
-FLAG_SET = b"\x01"
 FLAG_CLEAR = b"\x00"
 
 
-def _next_epoch(epoch: int) -> int:
-    """Advance a flag epoch, cycling 1..255 (0 is always "empty").
+class EpochLane:
+    """The flag bytes one slot carries, in order: 1, 2, ..., 255, then
+    1 again (0 is always "empty").
 
-    In recovery mode the flag byte carries an epoch rather than a bare
-    1: a retried attempt re-writes the *same* epoch, so a stale
-    duplicate that lands after the receiver consumed it (and after the
-    sender moved on) can never be mistaken for the next transfer.
+    Every flag exchange sends epochs, not a bare 1: a re-issued write
+    carries the *same* epoch, so a stale duplicate that lands after the
+    receiver consumed it can never be mistaken for the next transfer.
+    A sender takes each flag's byte from its own lane; a receiver's
+    :class:`CompletionFlag` walks a lane of the bytes it expects.
     """
-    return epoch % 255 + 1
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        #: the byte the next flag on this lane carries
+        self.next = 1
+
+    def advance(self) -> int:
+        """Take the lane's next epoch."""
+        epoch = self.next
+        self.next = epoch % 255 + 1
+        return epoch
+
+
+class CompletionFlag:
+    """Receiver side of one flag byte, ``offset`` in ``backing``.
+
+    The NIC commits the flag after the payload it guards, so an armed
+    flag proves the transfer landed.  :meth:`armed` is a pure read
+    (``Outcome.polling``'s contract); :meth:`consume` clears the byte
+    for reuse and moves on to the next epoch.
+    """
+
+    __slots__ = ("backing", "offset", "lane")
+
+    def __init__(self, backing: Backing, offset: int) -> None:
+        self.backing = backing
+        self.offset = offset
+        self.lane = EpochLane()
+
+    def armed(self) -> bool:
+        """Whether the byte holds the next expected epoch."""
+        return self.backing.read_byte(self.offset) == self.lane.next
+
+    def consume(self) -> None:
+        self.backing.write(self.offset, FLAG_CLEAR)
+        self.lane.advance()
 
 
 class TransferState:
@@ -87,6 +125,42 @@ def _account_serialization(executor: Executor, start: float,
                        executor.sim.now, name=name)
 
 
+def _source(executor: Executor, tensor: Tensor, force_copy: bool,
+            arena: ArenaAllocator, arena_region: MemRegion,
+            state: TransferState) -> Generator:
+    """Process: where a send's payload leaves from.
+
+    Returns ``(addr, staging offset)``.  A tensor already in the
+    registered arena goes out in place (offset None); otherwise — the
+    RDMA.cp path — it is copied into a fresh arena staging block
+    first, which the caller frees once nothing reads it any more.
+    """
+    if _in_region(tensor, arena_region) and not force_copy:
+        state.zero_copy_sends += 1
+        return tensor.addr, None
+    nbytes = tensor.nbytes
+    offset = arena.allocate_block(max(nbytes, 1))
+    staging_start = executor.sim.now
+    yield (executor.cost.malloc_time(nbytes))
+    # The staging copy is CPU work contending with every other
+    # concurrent copy on this host (the cost the analyzer's
+    # zero-copy placement removes).
+    yield from executor.host.cpu.run(executor.cost.memcpy_time(nbytes))
+    _account_serialization(executor, staging_start, "staging-copy")
+    if tensor.is_dense:
+        arena_region.buffer.backing.write(offset, tensor.array.tobytes())
+    state.staged_sends += 1
+    return arena_region.addr + offset, offset
+
+
+def _settle(event: Event, done: Event) -> None:
+    """Pass a posted verb's outcome on to the send's own event."""
+    if event._exception is not None:
+        done.fail(event._exception)
+    else:
+        done.succeed([])
+
+
 class StaticSender:
     """Sender half of the static-placement protocol for one edge."""
 
@@ -106,7 +180,7 @@ class StaticSender:
         self.key = key
         self.priority = priority
         self.recovery = recovery
-        self._epoch = 0
+        self.lane = EpochLane()
         if remote.size < nbytes + 1:
             raise DeviceError(
                 f"remote region of {remote.size} bytes cannot hold "
@@ -122,38 +196,20 @@ class StaticSender:
                 f"got {tensor.nbytes} (shape changed on a static edge?)")
         if extra_delay > 0:
             yield (extra_delay)
-        zero_copy = _in_region(tensor, self.arena_region) and not force_copy
-        staging_offset: Optional[int] = None
-        if zero_copy:
-            local_addr = tensor.addr
-            self.state.zero_copy_sends += 1
-        else:
-            # RDMA.cp path: extra allocation + copy into registered memory.
-            staging_offset = self.arena.allocate_block(self.nbytes)
-            local_addr = self.arena_region.addr + staging_offset
-            staging_start = executor.sim.now
-            yield (
-                executor.cost.malloc_time(self.nbytes))
-            # The staging copy is CPU work contending with every other
-            # concurrent copy on this host (the cost the analyzer's
-            # zero-copy placement removes).
-            yield from executor.host.cpu.run(
-                executor.cost.memcpy_time(self.nbytes))
-            _account_serialization(executor, staging_start, "staging-copy")
-            if tensor.is_dense:
-                self.arena_region.buffer.backing.write(
-                    staging_offset, tensor.array.tobytes())
-            self.state.staged_sends += 1
+        local_addr, staging_offset = yield from _source(
+            executor, tensor, force_copy, self.arena, self.arena_region,
+            self.state)
         self.state.bytes_sent += self.nbytes
         # Payload write (unsignaled) then the tail flag (signaled): QP
         # FIFO order plus ascending-address commit give the paper's
         # "flag is the last byte delivered" guarantee.
         wr_local_region = _RegionRef(self.arena_region, local_addr)
         proto_start = executor.sim.now
+        epoch = self.lane.advance()
         if self.recovery is not None:
             return Outcome.wait(executor.sim.spawn(
                 self._send_reliable(executor, wr_local_region, local_addr,
-                                    staging_offset, proto_start),
+                                    staging_offset, proto_start, epoch),
                 name=f"reliable-send-{self.key or self.role}"))
         self.channel.memcpy(
             local_addr=local_addr, local_region=wr_local_region,
@@ -165,39 +221,25 @@ class StaticSender:
             remote_addr=self.remote.addr + self.nbytes,
             remote_region=self.remote,
             size=1, direction=Direction.LOCAL_TO_REMOTE,
-            inline_data=FLAG_SET, role=self.role, priority=self.priority)
+            inline_data=bytes([epoch]), role=self.role,
+            priority=self.priority)
         done = executor.sim.event()
-        tracer = executor.host.cluster.tracer
-        hostname = executor.host.name
-        track = protocol_track(executor.device)
 
         def on_flag(event: Event) -> None:
-            if staging_offset is not None:
-                self.arena.free_block(staging_offset)
-            if tracer is not None:
-                category = ("collective" if self.role == "collective-chunk"
-                            else "protocol")
-                tracer.record(
-                    category, self.key or f"static {self.nbytes}B",
-                    hostname, track, proto_start, executor.sim.now,
-                    args={"nbytes": self.nbytes, "role": self.role,
-                          "phase": "write+flag"})
-            if event._exception is not None:
-                done.fail(event._exception)
-            else:
-                done.succeed([])
+            self._finish(executor, staging_offset, proto_start, epoch)
+            _settle(event, done)
         flag_event.add_callback(on_flag)
         return Outcome.wait(done)
 
     def _send_reliable(self, executor: Executor, wr_local_region,
                        local_addr: int, staging_offset: Optional[int],
-                       proto_start: float) -> Generator:
+                       proto_start: float, epoch: int) -> Generator:
         """Recovery-mode tail of :meth:`send` (fault plane armed).
 
         The payload is confirmed (its own CQE, retried as needed)
         *before* the flag is posted, so a lost payload can never be
-        hidden behind a flag that landed; the flag then carries this
-        edge's next epoch.
+        hidden behind a flag that landed; a retried flag re-sends the
+        same epoch.
         """
         yield from self.recovery.reliable_memcpy(
             self.channel, local_addr=local_addr,
@@ -205,13 +247,18 @@ class StaticSender:
             remote_region=self.remote, size=self.nbytes,
             direction=Direction.LOCAL_TO_REMOTE, role=self.role,
             priority=self.priority)
-        self._epoch = _next_epoch(self._epoch)
         yield from self.recovery.reliable_memcpy(
             self.channel, remote_addr=self.remote.addr + self.nbytes,
             remote_region=self.remote, size=1,
             direction=Direction.LOCAL_TO_REMOTE,
-            inline_data=bytes([self._epoch]), role=self.role,
+            inline_data=bytes([epoch]), role=self.role,
             priority=self.priority)
+        self._finish(executor, staging_offset, proto_start, epoch)
+        return []
+
+    def _finish(self, executor: Executor, staging_offset: Optional[int],
+                proto_start: float, epoch: int) -> None:
+        """The flag landed: free the staging block, record the span."""
         if staging_offset is not None:
             self.arena.free_block(staging_offset)
         tracer = executor.host.cluster.tracer
@@ -223,8 +270,7 @@ class StaticSender:
                 executor.host.name, protocol_track(executor.device),
                 proto_start, executor.sim.now,
                 args={"nbytes": self.nbytes, "role": self.role,
-                      "phase": "write+flag", "epoch": self._epoch})
-        return []
+                      "phase": "write+flag", "epoch": epoch})
 
 
 class _RegionRef:
@@ -238,32 +284,24 @@ class _RegionRef:
 class StaticReceiver:
     """Receiver half: preallocated tensor + tail flag, polled.
 
-    With ``epochs`` (recovery mode) the flag byte must equal the next
-    expected epoch, not merely be non-zero: a stale duplicate flag from
-    a retried attempt carries an already-consumed epoch and is ignored.
+    The flag byte must equal the next expected epoch, not merely be
+    non-zero, so a stale duplicate of a consumed flag — a retried write
+    landing late — never completes a second receive.
     """
 
-    def __init__(self, tensor: Tensor, flag_offset_in_buffer: int,
-                 epochs: bool = False) -> None:
+    def __init__(self, tensor: Tensor, flag_offset_in_buffer: int) -> None:
         self.tensor = tensor
-        self.flag_offset = flag_offset_in_buffer
-        self.epochs = epochs
-        self._expect = 1
+        self.flag = CompletionFlag(tensor.buffer.backing,
+                                   flag_offset_in_buffer)
         self.receives = 0
-
-    def poll(self) -> bool:
-        byte = self.tensor.buffer.backing.read_byte(self.flag_offset)
-        if self.epochs:
-            return byte == self._expect
-        return byte == 1
 
     def make_outcome(self, executor: Executor,
                      extra_delay: float = 0.0) -> Outcome:
+        flag = self.flag
+
         def complete() -> Outcome:
             # Clear the flag for the next iteration's transfer.
-            self.tensor.buffer.backing.write(self.flag_offset, FLAG_CLEAR)
-            if self.epochs:
-                self._expect = _next_epoch(self._expect)
+            flag.consume()
             self.receives += 1
             if extra_delay <= 0:
                 return Outcome.done([self.tensor])
@@ -272,9 +310,8 @@ class StaticReceiver:
                 yield (extra_delay)
                 return [self.tensor]
             return Outcome.wait(executor.sim.spawn(stage()))
-        return Outcome.polling(
-            poll=self.poll, complete=complete,
-            flag=(self.tensor.buffer.backing, self.flag_offset))
+        return Outcome.polling(poll=flag.armed, complete=complete,
+                               flag=(flag.backing, flag.offset))
 
 
 class DynamicSender:
@@ -294,7 +331,9 @@ class DynamicSender:
         self.key = key
         self.priority = priority
         self.recovery = recovery
-        self._epoch = 0
+        self.lane = EpochLane()
+        #: staging blocks the receiver's READ may still be reading
+        self._pending_staging: List[int] = []
         expected = TensorMeta.slot_size(ndims)
         if meta_slot.size < expected:
             raise DeviceError(
@@ -309,30 +348,16 @@ class DynamicSender:
                 f"{self.ndims} (the paper's protocol fixes the rank)")
         if extra_delay > 0:
             yield (extra_delay)
-        zero_copy = _in_region(tensor, self.arena_region) and not force_copy
-        source_addr = tensor.addr
-        if not zero_copy:
-            staging_offset = self.arena.allocate_block(max(tensor.nbytes, 1))
-            source_addr = self.arena_region.addr + staging_offset
-            staging_start = executor.sim.now
-            yield (
-                executor.cost.malloc_time(tensor.nbytes))
-            yield from executor.host.cpu.run(
-                executor.cost.memcpy_time(tensor.nbytes))
-            _account_serialization(executor, staging_start, "staging-copy")
-            if tensor.is_dense:
-                self.arena_region.buffer.backing.write(
-                    staging_offset, tensor.array.tobytes())
-            self.state.staged_sends += 1
-            # Note: the staging block stays live until the receiver's
-            # READ completes; the iteration barrier bounds its lifetime,
-            # so it is freed at the next send from this edge.
-            self._pending_staging = getattr(self, "_pending_staging", [])
-            self._release_staging()
-            self._pending_staging.append(staging_offset)
-        else:
-            self.state.zero_copy_sends += 1
-            self._release_staging()
+        source_addr, staging_offset = yield from _source(
+            executor, tensor, force_copy, self.arena, self.arena_region,
+            self.state)
+        # A staging block stays live until the receiver's READ
+        # completes; the iteration barrier bounds its lifetime, so it is
+        # freed at the next send from this edge.
+        for offset in self._pending_staging:
+            self.arena.free_block(offset)
+        self._pending_staging = ([] if staging_offset is None
+                                 else [staging_offset])
         self.state.bytes_sent += tensor.nbytes
         meta = TensorMeta(dtype=tensor.dtype,
                           dims=tensor.shape.as_tuple(),
@@ -341,12 +366,10 @@ class DynamicSender:
         # Pack the (small, fixed-size) metadata — §3.3 counts this as
         # the protocol's extra overhead versus static placement.  It is
         # a fixed struct, not a general serializer: near-memcpy cost.
-        if self.recovery is not None:
-            self._epoch = _next_epoch(self._epoch)
-            flag = bytes([self._epoch])
-        else:
-            flag = FLAG_SET
-        encoded = meta.encode() + flag
+        # The flag trails the metadata in one write, so a torn write
+        # never exposes a flag without its metadata.
+        epoch = self.lane.advance()
+        encoded = meta.encode() + bytes([epoch])
         pack_start = executor.sim.now
         yield (
             executor.cost.memcpy_time(len(encoded)))
@@ -354,7 +377,7 @@ class DynamicSender:
         proto_start = executor.sim.now
         if self.recovery is not None:
             return Outcome.wait(executor.sim.spawn(
-                self._send_reliable(executor, encoded, proto_start),
+                self._send_reliable(executor, encoded, proto_start, epoch),
                 name=f"reliable-meta-{self.key or 'dynamic'}"))
         event = self.channel.memcpy_event(
             local_addr=0, local_region=None,
@@ -363,52 +386,36 @@ class DynamicSender:
             inline_data=encoded, role="dynamic-metadata",
             priority=self.priority)
         done = executor.sim.event()
-        tracer = executor.host.cluster.tracer
-        hostname = executor.host.name
-        track = protocol_track(executor.device)
 
         def on_meta(e: Event) -> None:
-            if tracer is not None:
-                tracer.record(
-                    "protocol", self.key or "dynamic-meta", hostname, track,
-                    proto_start, executor.sim.now,
-                    args={"nbytes": len(encoded),
-                          "role": "dynamic-metadata",
-                          "phase": "metadata-write"})
-            if e._exception is not None:
-                done.fail(e._exception)
-            else:
-                done.succeed([])
+            self._record(executor, len(encoded), proto_start, epoch)
+            _settle(e, done)
         event.add_callback(on_meta)
         return Outcome.wait(done)
 
     def _send_reliable(self, executor: Executor, encoded: bytes,
-                       proto_start: float) -> Generator:
-        """Recovery-mode metadata write (single inline meta+flag write).
-
-        The flag trails the metadata in one write, so a torn write
-        never exposes a flag without its metadata; a retry re-sends the
-        identical bytes (same epoch), which is idempotent.
-        """
+                       proto_start: float, epoch: int) -> Generator:
+        """Recovery-mode metadata write (single inline meta+flag write);
+        a retry re-sends the identical bytes (same epoch), which is
+        idempotent."""
         yield from self.recovery.reliable_memcpy(
             self.channel, remote_addr=self.meta_slot.addr,
             remote_region=self.meta_slot, size=len(encoded),
             direction=Direction.LOCAL_TO_REMOTE, inline_data=encoded,
             role="dynamic-metadata", priority=self.priority)
+        self._record(executor, len(encoded), proto_start, epoch)
+        return []
+
+    def _record(self, executor: Executor, nbytes: int, proto_start: float,
+                epoch: int) -> None:
         tracer = executor.host.cluster.tracer
         if tracer is not None:
             tracer.record(
                 "protocol", self.key or "dynamic-meta", executor.host.name,
                 protocol_track(executor.device), proto_start,
                 executor.sim.now,
-                args={"nbytes": len(encoded), "role": "dynamic-metadata",
-                      "phase": "metadata-write", "epoch": self._epoch})
-        return []
-
-    def _release_staging(self) -> None:
-        for offset in getattr(self, "_pending_staging", []):
-            self.arena.free_block(offset)
-        self._pending_staging = []
+                args={"nbytes": nbytes, "role": "dynamic-metadata",
+                      "phase": "metadata-write", "epoch": epoch})
 
 
 class DynamicReceiver:
@@ -417,7 +424,7 @@ class DynamicReceiver:
     def __init__(self, meta_region: MemRegion, ndims: int,
                  channel: RdmaChannel, arena: ArenaAllocator,
                  arena_region: MemRegion, dtype: DType,
-                 priority: int = 0, epochs: bool = False,
+                 priority: int = 0,
                  recovery: Optional[RecoveryManager] = None) -> None:
         self.meta_region = meta_region
         self.ndims = ndims
@@ -426,26 +433,19 @@ class DynamicReceiver:
         self.arena_region = arena_region
         self.dtype = dtype
         self.priority = priority
-        self.epochs = epochs
         self.recovery = recovery
-        self._expect = 1
-        self.flag_offset = TensorMeta.encoded_size(ndims)
+        self.flag = CompletionFlag(meta_region.buffer.backing,
+                                   TensorMeta.encoded_size(ndims))
         self.receives = 0
         self._last_tensor: Optional[Tensor] = None
 
-    def poll(self) -> bool:
-        byte = self.meta_region.buffer.backing.read_byte(self.flag_offset)
-        if self.epochs:
-            return byte == self._expect
-        return byte == 1
-
     def make_outcome(self, executor: Executor, node_name: str,
                      extra_delay: float = 0.0) -> Outcome:
+        flag = self.flag
+
         def complete() -> Outcome:
-            self.meta_region.buffer.backing.write(self.flag_offset, FLAG_CLEAR)
-            if self.epochs:
-                self._expect = _next_epoch(self._expect)
-            raw = self.meta_region.read(0, self.flag_offset)
+            flag.consume()
+            raw = self.meta_region.read(0, flag.offset)
             meta = TensorMeta.decode(raw)
             self.receives += 1
 
@@ -469,25 +469,13 @@ class DynamicReceiver:
                                          rkey=meta.remote_rkey,
                                          size=meta.data_nbytes)
                 read_start = executor.sim.now
-                if self.recovery is not None:
-                    yield from self.recovery.reliable_memcpy(
-                        self.channel, local_addr=tensor.addr,
-                        local_region=_RegionRef(self.arena_region,
-                                                tensor.addr),
-                        remote_addr=meta.remote_addr, remote_region=remote,
-                        size=meta.data_nbytes,
-                        direction=Direction.REMOTE_TO_LOCAL,
-                        role="dynamic-payload-read", priority=self.priority)
-                else:
-                    read_done = self.channel.memcpy_event(
-                        local_addr=tensor.addr,
-                        local_region=_RegionRef(self.arena_region,
-                                                tensor.addr),
-                        remote_addr=meta.remote_addr, remote_region=remote,
-                        size=meta.data_nbytes,
-                        direction=Direction.REMOTE_TO_LOCAL,
-                        role="dynamic-payload-read", priority=self.priority)
-                    yield read_done
+                yield from land(
+                    self.recovery, self.channel, local_addr=tensor.addr,
+                    local_region=_RegionRef(self.arena_region, tensor.addr),
+                    remote_addr=meta.remote_addr, remote_region=remote,
+                    size=meta.data_nbytes,
+                    direction=Direction.REMOTE_TO_LOCAL,
+                    role="dynamic-payload-read", priority=self.priority)
                 tracer = executor.host.cluster.tracer
                 if tracer is not None:
                     tracer.record(
@@ -501,6 +489,5 @@ class DynamicReceiver:
                     yield (extra_delay)
                 return [tensor]
             return Outcome.wait(executor.sim.spawn(fetch()))
-        return Outcome.polling(
-            poll=self.poll, complete=complete,
-            flag=(self.meta_region.buffer.backing, self.flag_offset))
+        return Outcome.polling(poll=flag.armed, complete=complete,
+                               flag=(flag.backing, flag.offset))

@@ -23,7 +23,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.device import DeviceError, Direction, RdmaDevice
 from ..core.publication import park_until
-from ..core.transfer import FLAG_CLEAR, _next_epoch
+from ..core.transfer import CompletionFlag, EpochLane
 from ..simnet.verbs import ROLE_SERVING_REQUEST, SERVING_PRIORITY
 from .batcher import DynamicBatcher
 from .load import REQUEST_BYTES, RESPONSE_BYTES, Request
@@ -49,8 +49,9 @@ class _ReplicaLink:
         self.meta_remote = replica.meta_region.descriptor()
         self.input_remote = replica.input_region.descriptor()
         self.resp_region = resp_region
-        self.meta_epoch = 0
-        self.resp_expect = 1
+        self.meta_lane = EpochLane()
+        self.resp_flag = CompletionFlag(resp_region.buffer.backing,
+                                        RESP_FLAG_OFFSET)
         self.busy = False
         #: the router's own belief, earned from dispatch timeouts —
         #: never read off the (possibly crashed) replica itself
@@ -203,10 +204,9 @@ class Router:
                 link.input_remote.addr, link.input_remote,
                 max(total_nbytes, 1), Direction.LOCAL_TO_REMOTE,
                 role=ROLE_SERVING_REQUEST, priority=SERVING_PRIORITY)
-            link.meta_epoch = _next_epoch(link.meta_epoch)
             meta = (META_STRUCT.pack(batch_id, len(batch), total_nbytes)
                     + b"\x00" * (META_FLAG_OFFSET - META_STRUCT.size)
-                    + bytes([link.meta_epoch]))
+                    + bytes([link.meta_lane.advance()]))
             link.channel.memcpy(
                 0, None, link.meta_remote.addr, link.meta_remote,
                 len(meta), Direction.LOCAL_TO_REMOTE, inline_data=meta,
@@ -263,8 +263,7 @@ class Router:
                 continue
             batch_id, _count = RESP_STRUCT.unpack(
                 link.resp_region.read(0, RESP_STRUCT.size))
-            link.resp_region.write(FLAG_CLEAR, RESP_FLAG_OFFSET)
-            link.resp_expect = _next_epoch(link.resp_expect)
+            link.resp_flag.consume()
             entry = self._outstanding.get(batch_id)
             if entry is not None:
                 event, _link = entry
@@ -274,6 +273,6 @@ class Router:
 
     def _armed_link(self) -> Optional[_ReplicaLink]:
         for link in self.links:
-            if link.resp_region.read_byte(RESP_FLAG_OFFSET) == link.resp_expect:
+            if link.resp_flag.armed():
                 return link
         return None

@@ -31,7 +31,7 @@ from ..core.publication import WeightSubscriber, park_until
 from ..graph.builder import GraphBuilder
 from ..graph.session import Session
 from ..graph.transfer_api import NullComm
-from ..core.transfer import FLAG_CLEAR, _next_epoch
+from ..core.transfer import CompletionFlag, EpochLane
 from ..models.spec import ModelSpec
 from ..simnet.verbs import ROLE_SERVING_RESPONSE, SERVING_PRIORITY
 from .load import REQUEST_BYTES, RESPONSE_BYTES
@@ -84,8 +84,9 @@ class Replica:
         # Filled in by Router.attach_replica().
         self.resp_channel = None
         self.resp_remote = None
-        self._resp_epoch = 0
-        self._meta_expect = 1
+        self._resp_lane = EpochLane()
+        self._meta_flag = CompletionFlag(self.meta_region.buffer.backing,
+                                         META_FLAG_OFFSET)
         self._stopped = False
         self.crashed = False
         self.batches_served = 0
@@ -144,13 +145,12 @@ class Replica:
         while not self._stopped:
             yield from park_until(
                 self.sim, self.host,
-                lambda: self._stopped or self._meta_armed())
+                lambda: self._stopped or self._meta_flag.armed())
             if self._stopped:
                 return
             batch_id, count, nbytes = META_STRUCT.unpack(
                 self.meta_region.read(0, META_STRUCT.size))
-            self.meta_region.write(FLAG_CLEAR, META_FLAG_OFFSET)
-            self._meta_expect = _next_epoch(self._meta_expect)
+            self._meta_flag.consume()
             # Decode + per-batch activation allocation on a CPU lane.
             yield from self.host.cpu.run(cost.sched_dispatch
                                          + cost.malloc_time(nbytes))
@@ -171,9 +171,6 @@ class Replica:
                 return
             yield from self._respond(batch_id, count)
 
-    def _meta_armed(self) -> bool:
-        return self.meta_region.read_byte(META_FLAG_OFFSET) == self._meta_expect
-
     def _respond(self, batch_id: int, count: int) -> Generator:
         resp_nbytes = count * RESPONSE_BYTES
         # Payload first, record+flag second, same QP: FIFO commit order
@@ -183,10 +180,9 @@ class Replica:
             self.resp_remote.addr + RESP_RECORD_SIZE, self.resp_remote,
             resp_nbytes, Direction.LOCAL_TO_REMOTE,
             role=ROLE_SERVING_RESPONSE, priority=SERVING_PRIORITY)
-        self._resp_epoch = _next_epoch(self._resp_epoch)
         record = (RESP_STRUCT.pack(batch_id, count)
                   + b"\x00" * (RESP_FLAG_OFFSET - RESP_STRUCT.size)
-                  + bytes([self._resp_epoch]))
+                  + bytes([self._resp_lane.advance()]))
         yield self.resp_channel.memcpy_event(
             0, None, self.resp_remote.addr, self.resp_remote, len(record),
             Direction.LOCAL_TO_REMOTE, inline_data=record,

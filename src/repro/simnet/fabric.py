@@ -114,6 +114,28 @@ class FabricLink:
             return 0.0
         return min(self.busy_seconds() / horizon, 1.0)
 
+    def book(self, earliest: float, size: int, tracer, src: str,
+             dst: str) -> Tuple[float, float]:
+        """Reserve ``size`` bytes on this trunk's pipe from ``earliest``.
+
+        Counts the bytes and the transfer, adds any wait to
+        :attr:`queue_seconds` and, traced, records it as a
+        ``link_queue`` span whose args name ``src`` and ``dst``.
+        Returns the booked ``(start, end)``.
+        """
+        start, end = self.pipe.reserve(earliest, size)
+        self.bytes_carried += size
+        self.transfers += 1
+        waited = start - earliest
+        if waited > 0:
+            self.queue_seconds += waited
+            if tracer is not None:
+                tracer.record(
+                    "link_queue", f"{size}B queued", "fabric",
+                    f"link:{self.name}", earliest, start,
+                    args={"src": src, "dst": dst, "nbytes": size})
+        return start, end
+
     def __repr__(self) -> str:
         return (f"FabricLink({self.name}, {self.bandwidth / 1e9:.1f}GB/s, "
                 f"{self.latency * 1e6:.2f}us)")
@@ -280,22 +302,17 @@ class Fabric:
         first = start
         ready = egress_end
         for link in links:
-            link.bytes_carried += size
-            link.transfers += 1
             if link.trunk:
-                booked_start, booked_end = link.pipe.reserve(first, size)
+                booked_start, booked_end = link.book(first, size,
+                                                     self.tracer, src, dst)
                 waited = booked_start - first
                 if waited > 0:
                     queueing += waited
-                    link.queue_seconds += waited
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            "link_queue", f"{size}B queued", "fabric",
-                            f"link:{link.name}", first, booked_start,
-                            args={"src": src, "dst": dst, "nbytes": size})
                 first = booked_start + link.latency
                 ready = max(booked_end, ready) + link.latency
             else:
+                link.bytes_carried += size
+                link.transfers += 1
                 first += link.latency
                 ready += link.latency
             total_latency += link.latency
@@ -601,7 +618,8 @@ class AggregationPlane:
         arrivals: List[Tuple[int, object, float]] = []
         for rack_index, payload, ready in partials:
             link = self.fabric.links[(plan.tors[rack_index], spine)]
-            start, end = self._book_trunk(link, ready, size)
+            start, end = link.book(ready, size, self.fabric.tracer,
+                                   link.src.name, link.dst.name)
             arrivals.append((rack_index, payload, end + link.latency))
             self._record(link, size, start, end + link.latency)
             self._release_one_at(plan.tors[rack_index], end, state)
@@ -614,7 +632,8 @@ class AggregationPlane:
         spine_free = result_ready
         for rack_index in range(len(plan.racks)):
             link = self.fabric.links[(spine, plan.tors[rack_index])]
-            start, end = self._book_trunk(link, result_ready, size)
+            start, end = link.book(result_ready, size, self.fabric.tracer,
+                                   link.src.name, link.dst.name)
             at_tor = end + link.latency
             self._record(link, size, start, at_tor)
             spine_free = max(spine_free, end)
@@ -624,22 +643,6 @@ class AggregationPlane:
         self._release_one_at(spine, spine_free, state)
 
     # -- helpers ------------------------------------------------------------------
-
-    def _book_trunk(self, link: FabricLink, earliest: float,
-                    size: int) -> Tuple[float, float]:
-        start, end = link.pipe.reserve(earliest, size)
-        link.bytes_carried += size
-        link.transfers += 1
-        waited = start - earliest
-        if waited > 0:
-            link.queue_seconds += waited
-            if self.fabric.tracer is not None:
-                self.fabric.tracer.record(
-                    "link_queue", f"{size}B queued", "fabric",
-                    f"link:{link.name}", earliest, start,
-                    args={"src": link.src.name, "dst": link.dst.name,
-                          "nbytes": size})
-        return start, end
 
     def _record(self, link: FabricLink, size: int, start: float,
                 end: float) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import RdmaCommRuntime
-from repro.core.transfer import _next_epoch
+from repro.core.transfer import EpochLane
 from repro.graph import GraphBuilder, Session, minimize
 from repro.simnet import Cluster, FaultInjector
 from repro.simnet.faults import FaultRule
@@ -112,21 +112,24 @@ class TestRecoveryStateMachine:
 
 
 class TestEpochProtocol:
-    @given(start=st.integers(min_value=1, max_value=255),
-           steps=st.integers(min_value=1, max_value=600))
-    def test_epochs_cycle_without_touching_empty(self, start, steps):
-        epoch = start
-        for _ in range(steps):
-            nxt = _next_epoch(epoch)
-            assert 1 <= nxt <= 255      # 0 always means "no flag yet"
-            assert nxt != epoch         # a duplicate is always stale
-            epoch = nxt
+    """The one epoch lane every flag exchange takes its bytes from."""
 
-    @given(epoch=st.integers(min_value=0, max_value=255))
-    def test_epoch_advance_is_a_255_cycle(self, epoch):
-        seen = set()
-        current = _next_epoch(epoch)
-        while current not in seen:
-            seen.add(current)
-            current = _next_epoch(current)
-        assert len(seen) == 255
+    @given(steps=st.integers(min_value=1, max_value=600))
+    def test_epochs_cycle_without_touching_empty(self, steps):
+        lane = EpochLane()
+        previous = None
+        for n in range(1, steps + 1):
+            epoch = lane.advance()
+            assert 1 <= epoch <= 255    # 0 always means "no flag yet"
+            assert epoch != previous    # a duplicate is always stale
+            assert epoch == (n - 1) % 255 + 1
+            previous = epoch
+
+    @given(skip=st.integers(min_value=0, max_value=600))
+    def test_epoch_advance_is_a_255_cycle(self, skip):
+        lane = EpochLane()
+        for _ in range(skip):
+            lane.advance()
+        cycle = [lane.advance() for _ in range(255)]
+        assert sorted(cycle) == list(range(1, 256))
+        assert lane.advance() == cycle[0]
