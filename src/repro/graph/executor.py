@@ -184,14 +184,22 @@ class Executor:
     # -- variables ---------------------------------------------------------------------
 
     def initialize_variables(self) -> None:
-        """Allocate persistent variable storage (iteration -1 work)."""
+        """Allocate persistent variable storage (iteration -1 work).
+
+        Storage follows content here too: a variable gets real bytes
+        only if an ``initializer`` gives it some (and it fits
+        ``DENSE_LIMIT``); an uninitialized one is size-only whatever
+        its size, since nothing could read its zeros.
+        """
         for node in self.graph.nodes_of_type("Variable"):
             shape = node.attrs["shape"]
             dtype = node.attrs["dtype"]
             if not shape.is_fully_defined:
                 raise ExecutorError(f"variable {node.name} needs static shape")
-            tensor = self.allocate_output(node, 0, dtype, shape)
             init = node.attrs.get("initializer")
+            tensor = self.allocate_output(
+                node, 0, dtype, shape,
+                dense=None if init is not None else False)
             if init is not None and tensor.is_dense:
                 tensor.copy_from(init)
             self.variables[node.name] = tensor

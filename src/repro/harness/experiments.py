@@ -876,13 +876,8 @@ def _netreduce_run(worker_counts: Sequence[int], models: Sequence[str],
     host path.  The flat ring's transfer chain grows ~N× faster than
     the others', so it only runs up to ``max_flat_ring_workers``.
 
-    The committed grid is the 28 MB GRU and the 205 MB FCN-5.  Its
-    largest cells are GRU's at 128 workers (3.7 GB peak RSS each, run
-    alone); one process running the whole grid holds more.  A sweep
-    reaching Inception-v3's 128-worker cell was OOM-killed at 15.3 GiB
-    and the 512 MB VGGNet-16 is larger still, so neither is in a grid
-    every 16 GB machine must be able to regenerate; run them at 8-64
-    workers explicitly if wanted.
+    The committed grid is the 28 MB GRU, the 205 MB FCN-5 and the
+    93 MB Inception-v3.
     """
     payload = _payload("netreduce", dict(locals()))
     for name in models:
@@ -1599,7 +1594,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "netreduce", _netreduce_run, table=_netreduce_table,
         headlines=_netreduce_headlines, bench=True,
         # GRU first: the gate's n=64 slice then costs 30 s, not 70
-        full=dict(worker_counts=(8, 64, 128), models=("GRU", "FCN-5")),
+        full=dict(worker_counts=(8, 64, 128),
+                  models=("GRU", "FCN-5", "Inception-v3")),
         smoke=dict(worker_counts=(8, 64), models=("FCN-5",)),
         gate=Gate(
             narrow=lambda committed: dict(

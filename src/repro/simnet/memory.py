@@ -13,7 +13,8 @@ headers) are stored for real, in pages created on demand.
 
 The allocator's default picks by size (``DENSE_LIMIT``); a caller that
 knows nobody can read the content (the graph executor, for outputs
-downstream of an untracked tensor) asks for size-only storage outright.
+downstream of an untracked tensor and for variables no initializer
+fills) asks for size-only storage outright.
 
 RDMA registration is modelled by :class:`MemoryRegion` entries in the
 NIC's :class:`MrTable`, which enforces the hardware cap on the number

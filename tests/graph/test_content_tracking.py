@@ -3,9 +3,11 @@
 An op whose inputs are untracked (size-only), or that computes nothing
 (``SyntheticCompute``), produces size-only outputs whatever their size,
 so the slices, reductions and concats of a collective over an untracked
-fusion buffer do no numpy work.  Variables, feeds and every op whose
-inputs are all dense keep real bytes (the collective suites check their
-sums bit for bit).
+fusion buffer do no numpy work.  Variables follow the same rule: one
+gets real bytes only if an ``initializer`` gives it content, so a model
+zoo variable (none has one) is size-only at any size.  Initialized
+variables, feeds and every op whose inputs are all dense keep real bytes
+(the collective suites check their sums bit for bit).
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from repro.distributed import build_allreduce_training_graph
 from repro.distributed.runner import make_mechanism
 from repro.graph import GraphBuilder, Session
 from repro.harness.experiments import _scale_spec
-from repro.models import MB
+from repro.models import MB, get_model
 from repro.simnet import Cluster
 from repro.simnet.fabric import build_fat_tree
 from repro.simnet.memory import DENSE_LIMIT
@@ -23,9 +25,10 @@ WORKERS = 16
 HOSTS_PER_RACK = 8
 
 
-def _hierarchical_session():
+def _hierarchical_session(spec=None):
     job = build_allreduce_training_graph(
-        _scale_spec(num_variables=1), num_workers=WORKERS, batch_size=1, algorithm="hierarchical",
+        spec or _scale_spec(num_variables=1), num_workers=WORKERS,
+        batch_size=1, algorithm="hierarchical",
         hosts_per_rack=HOSTS_PER_RACK, fusion_bytes=64 * MB)
     cluster = Cluster(WORKERS, fabric=build_fat_tree(
         WORKERS, HOSTS_PER_RACK, oversubscription=4.0))
@@ -95,3 +98,34 @@ def test_bucket_mixing_dense_and_size_only_is_untracked():
     # An all-dense bucket keeps its bytes.
     np.testing.assert_array_equal(session.numpy(only_small.node.name), init)
     np.testing.assert_array_equal(session.variable("small").array, init)
+
+
+def test_variables_get_real_bytes_only_from_an_initializer():
+    init = np.random.default_rng(3).standard_normal(1024).astype(np.float32)
+    builder = GraphBuilder("variables", default_device="worker0")
+    builder.variable((1024,), name="small")              # 4 KiB
+    builder.variable((2 * 1024 * 1024,), name="large")   # 8 MiB
+    builder.variable(init.shape, name="initialized", initializer=init)
+    cluster = Cluster(1)
+    session = Session(cluster, builder.finalize(),
+                      {"worker0": cluster.hosts[0]})
+
+    # Both fit DENSE_LIMIT, yet no initializer gives them content.
+    assert session.variable("small").nbytes == 4 * 1024
+    assert session.variable("large").nbytes == 8 * 1024 * 1024
+    assert not session.variable("small").is_dense
+    assert not session.variable("large").is_dense
+    initialized = session.variable("initialized")
+    assert initialized.is_dense
+    assert initialized.array.tobytes() == init.tobytes()
+    assert (cluster.hosts[0].address_space.dense_bytes_allocated
+            == init.nbytes)
+
+
+def test_gru_hierarchical_allreduce_holds_no_model_bytes():
+    # GRU's 11 variables are each below DENSE_LIMIT; sized by the limit
+    # alone they and their collective copies held 84 MB on every host.
+    cluster, session = _hierarchical_session(get_model("GRU"))
+    session.run(iterations=2)
+    for host in cluster.hosts:
+        assert host.address_space.dense_bytes_allocated <= 64 * 1024
