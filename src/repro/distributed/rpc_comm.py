@@ -34,7 +34,6 @@ from ..rpc.core import RpcEndpoint, RpcError
 from ..rpc.serialization import Message, Payload
 from ..rpc.transport_rdma import GrpcRdmaServer, connect_grpc_rdma
 from ..rpc.transport_tcp import GrpcTcpServer, connect_grpc_tcp
-from ..simnet.memory import DENSE_LIMIT
 from ..simnet.simulator import Store
 from ..simnet.topology import Endpoint
 
@@ -119,16 +118,6 @@ class GrpcCommRuntime(CommRuntime):
                 # A snapshot: ApplyGradient updates variables in place,
                 # so the payload must not alias the live array.
                 payload = Payload(data=tensor.array.tobytes())
-            elif (self.transport == "rdma"
-                  and tensor.buffer.size <= DENSE_LIMIT):
-                # gRPC.RDMA only: framing.py puts concrete and virtual
-                # spans in separate fragments, so the payload kind
-                # decides the fragment count and with it the simulated
-                # clock (TCP books one message of the total size and
-                # never sees the kind).  Over RDMA the kind therefore
-                # stays pinned to the buffer's size: an untracked tensor
-                # that fits DENSE_LIMIT travels as concrete (zero) bytes.
-                payload = Payload(data=bytes(tensor.nbytes))
             else:
                 payload = Payload(size=tensor.nbytes)
             dims = [int(d) for d in tensor.shape.dims]

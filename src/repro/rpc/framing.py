@@ -4,27 +4,32 @@ The paper (§2.2) points out that an RPC library with fixed in-library
 receive buffers must split messages larger than the buffer into
 fragments, each carrying a header for reassembly, which costs an extra
 copy at the sender.  This module implements exactly that: fragments
-have a real 24-byte header and reassembly validates ordering and
+have a real 25-byte header and reassembly validates ordering and
 completeness.  The extra copy is charged by the transport, not made
-here: a concrete fragment body is a list of views over the message's
-parts, and reassembly hands the bodies back as parts.
+here: a fragment's concrete prefix is a list of views over the
+message's parts, and reassembly hands the prefixes back as parts.
 
-Fragment payloads may be virtual (size-only) just like message
-payloads; reassembly then reconstructs a virtual body of the right
-total size.
+A message is one byte stream, as real gRPC serializes it: its real
+(concrete) bytes, then its size-only bytes.  The stream is cut into
+``max(1, ceil((c + p) / F))`` fragments for ``c`` concrete and ``p``
+size-only bytes and a largest body ``F``, so one fragment body may mix
+the two kinds: a concrete prefix (whose length the header carries) and
+a size-only remainder.  Reassembly rebuilds the real prefix and the
+size-only byte count of the whole message.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .serialization import Part
 
 
-# msg_id, frag_index, frag_count, body_size, concrete-flag
-HEADER = struct.Struct("<QIIQB")
+# msg_id, frag_index, frag_count, body_size, concrete-prefix length; the
+# pad byte keeps the header at 25 bytes
+HEADER = struct.Struct("<QIIIIx")
 HEADER_SIZE = HEADER.size
 
 
@@ -34,16 +39,20 @@ class FramingError(ValueError):
 
 @dataclass
 class Fragment:
-    """One fragment: header fields plus a (possibly virtual) body."""
+    """One fragment: header fields plus a body's concrete prefix.
+
+    The first ``concrete`` bytes of the body are real; the remaining
+    ``body_size - concrete`` are size-only.
+    """
 
     msg_id: int
     index: int
     count: int
     body_size: int
-    #: views whose concatenation is the body; None = virtual
-    body: Optional[Sequence[Part]] = None
-    #: set by :meth:`parse_header`: what the wire header claimed
-    header_says_concrete: Optional[bool] = None
+    concrete: int = 0
+    #: views whose concatenation is the concrete prefix (the receiver
+    #: attaches them after :meth:`parse_header`)
+    body: Sequence[Part] = ()
 
     @property
     def wire_size(self) -> int:
@@ -51,57 +60,58 @@ class Fragment:
 
     def header_bytes(self) -> bytes:
         return HEADER.pack(self.msg_id, self.index, self.count,
-                           self.body_size, 1 if self.body is not None else 0)
+                           self.body_size, self.concrete)
 
     @classmethod
     def parse_header(cls, raw: bytes) -> "Fragment":
-        """Parse header fields; body stays unset (caller attaches it if
-        the concrete flag says real bytes follow)."""
+        """Parse header fields; the body stays empty (the caller attaches
+        the ``concrete`` real bytes that follow the header)."""
         if len(raw) < HEADER_SIZE:
             raise FramingError("fragment shorter than its header")
         msg_id, index, count, body_size, concrete = HEADER.unpack(raw[:HEADER_SIZE])
-        frag = cls(msg_id=msg_id, index=index, count=count, body_size=body_size)
-        frag.header_says_concrete = bool(concrete)
-        return frag
+        if concrete > body_size:
+            raise FramingError(
+                f"concrete prefix of {concrete} bytes exceeds the "
+                f"{body_size}-byte body")
+        return cls(msg_id=msg_id, index=index, count=count,
+                   body_size=body_size, concrete=concrete)
 
 
 def fragment(msg_id: int, control: Union[Part, Sequence[Part]],
              virtual_size: int, max_fragment_body: int) -> List[Fragment]:
     """Split a wire message into fragments of bounded body size.
 
-    The message body is ``control`` (real bytes, flat or as parts)
-    followed by ``virtual_size`` virtual bytes.  Real and virtual spans
-    are kept in separate fragments where they meet, so each fragment
-    body is either fully concrete or fully virtual.
+    The message is one stream: ``control`` (real bytes, flat or as
+    parts) followed by ``virtual_size`` size-only bytes, cut every
+    ``max_fragment_body`` bytes.  The fragment where the two kinds meet
+    carries both: a concrete prefix, then size-only bytes.
     """
-    if max_fragment_body < 1:
-        raise FramingError("max_fragment_body must be positive")
+    if not 1 <= max_fragment_body < 1 << 32:
+        raise FramingError("max_fragment_body must be in [1, 2**32)")
     parts = [control] if isinstance(control, (bytes, memoryview)) else control
-    spans: List[Tuple[int, Optional[List[Part]]]] = []
-    views: List[Part] = []  # the concrete body being filled
+    prefixes: List[List[Part]] = [[]]  # each fragment's concrete views
     room = max_fragment_body
     for part in parts:
         rest = memoryview(part)
         while len(rest):
-            piece, rest = rest[:room], rest[room:]
-            views.append(piece)
-            room -= len(piece)
             if not room:
-                spans.append((max_fragment_body, views))
-                views, room = [], max_fragment_body
-    if views:
-        spans.append((max_fragment_body - room, views))
-    remaining = virtual_size
-    while remaining > 0:
-        body = min(remaining, max_fragment_body)
-        spans.append((body, None))
-        remaining -= body
-    if not spans:
-        spans.append((0, []))
-    count = len(spans)
-    return [Fragment(msg_id=msg_id, index=i, count=count,
-                     body_size=size, body=body)
-            for i, (size, body) in enumerate(spans)]
+                prefixes.append([])
+                room = max_fragment_body
+            piece, rest = rest[:room], rest[room:]
+            prefixes[-1].append(piece)
+            room -= len(piece)
+    concrete = sum(map(len, parts))
+    total = concrete + virtual_size
+    count = max(1, -(-total // max_fragment_body))
+    fragments = []
+    for index in range(count):
+        offset = index * max_fragment_body
+        fragments.append(Fragment(
+            msg_id=msg_id, index=index, count=count,
+            body_size=min(max_fragment_body, total - offset),
+            concrete=min(max_fragment_body, max(0, concrete - offset)),
+            body=prefixes[index] if index < len(prefixes) else ()))
+    return fragments
 
 
 @dataclass
@@ -152,13 +162,12 @@ class Reassembler:
         parts: List[Part] = []
         virtual = 0
         for piece in ordered:
-            if piece.body is not None:
+            if piece.concrete:
                 if virtual:
                     raise FramingError(
-                        "concrete fragment after virtual span; "
+                        "real bytes after size-only bytes; "
                         "senders keep real bytes first")
                 parts.extend(piece.body)
-            else:
-                virtual += piece.body_size
+            virtual += piece.body_size - piece.concrete
         return AssembledMessage(msg_id=frag.msg_id, parts=parts,
                                 virtual_size=virtual)

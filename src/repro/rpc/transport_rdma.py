@@ -4,15 +4,17 @@ This is the "RPC implementation optimized for RDMA" the paper measures
 against (the gRPC.RDMA curves).  It rides RDMA SEND/RECV verbs but
 keeps the RPC abstraction's structural costs:
 
-* messages are serialized, then **copied into a private registered
-  staging buffer** on the sender (the NIC can only transmit from
+* messages are serialized, then **copied into private registered
+  staging memory** on the sender (the NIC can only transmit from
   registered memory, and the RPC library cannot know the caller's
-  buffer ahead of time);
+  buffer ahead of time); the copy is charged as ``memcpy_time(total)``
+  and performed as each fragment's join of header and concrete prefix;
 * the receiver lands fragments in a **fixed-size ring buffer** per
   channel (FaRM-style, §2.3) and **copies each record out** to the
-  application;
-* messages larger than the ring are **fragmented**, each fragment
-  carrying a real header for reassembly;
+  application (the record is the header and the concrete prefix);
+* messages larger than the ring are **fragmented** as one byte stream
+  (real bytes first, then size-only bytes), each fragment carrying a
+  real header for reassembly;
 * credit-based flow control stops a sender from overrunning the ring;
 * messages above ``rpc_max_message_size`` crash the call — faithfully
   reproducing TensorFlow's gRPC.RDMA failure at 1 GB (paper §5.1).
@@ -73,7 +75,7 @@ class CreditGate:
 
 
 class _ConnectionSide:
-    """Per-direction state: QP, staging buffers, recv slots, ring."""
+    """Per-direction state: QP, recv slot, ring."""
 
     def __init__(self, host: Host, name: str) -> None:
         self.host = host
@@ -85,16 +87,11 @@ class _ConnectionSide:
         self.qp = nic.create_qp(self.cq)
         ring_cap = self.cost.rpc_ring_buffer_size
         self.frag_body_max = max(4096, ring_cap // 4 - HEADER_SIZE)
-        # Private registered staging area for outgoing fragments.  The
-        # library registers it once at connection setup (not per call).
-        self.staging: Buffer = host.allocate(
-            self.frag_body_max + HEADER_SIZE, label=f"{name}-staging",
-            dense=False)
-        self.staging_mr = nic.register_memory(self.staging)
         # Receive ring (the in-library fixed buffer of §2.2).
         self.ring = RingBuffer(ring_cap)
         self.records: Store = Store(self.sim)  # record sizes, FIFO w/ ring
-        # The recv slot is dense so concrete fragments round-trip exactly.
+        # The recv slot is dense so concrete fragments round-trip
+        # exactly; only real bytes (header + concrete prefix) touch it.
         self.recv_region: Buffer = host.allocate(
             self.frag_body_max + HEADER_SIZE, label=f"{name}-recvslot",
             dense=True)
@@ -132,15 +129,14 @@ class _ConnectionSide:
                     continue
                 if not completion.ok:
                     raise RpcError(f"recv failed: {completion.status}")
-                record = self.recv_region.read(0, HEADER_SIZE)
-                frag = Fragment.parse_header(record)
-                if frag.header_says_concrete:
-                    # The one copy out of the slot is the ring record;
-                    # the fragment body is a view of it.
-                    record = self.recv_region.read(0, frag.wire_size)
-                    frag.body = [memoryview(record)[HEADER_SIZE:]]
-                # (A virtual body's record is only the header: byte
-                # occupancy is enforced by the peer's CreditGate.)
+                frag = Fragment.parse_header(
+                    self.recv_region.read(0, HEADER_SIZE))
+                # The one copy out of the slot is the ring record: the
+                # header and the concrete prefix, of which the fragment
+                # body is a view.  (Size-only bytes are not recorded:
+                # byte occupancy is enforced by the peer's CreditGate.)
+                record = self.recv_region.read(0, HEADER_SIZE + frag.concrete)
+                frag.body = [memoryview(record)[HEADER_SIZE:]]
                 self.ring.push(record)
                 self._post_recv()
                 self.records.put(frag)
@@ -170,7 +166,7 @@ class GrpcRdmaLink(WireLink):
                              self.side.frag_body_max)
         # The RPC library cannot transmit from the caller's buffer: it
         # copies the whole serialized message into registered staging
-        # (charged here; performed per fragment as the gather below).
+        # (charged here; performed per fragment as the join below).
         yield from self.host.cpu.run(self.cost.memcpy_time(total))
         assert self.side.credits is not None, "link not connected"
         for frag in fragments:
@@ -178,18 +174,11 @@ class GrpcRdmaLink(WireLink):
             # record; credits must cover it or a burst can overflow.
             yield from self.side.credits.acquire(
                 frag.wire_size + RECORD_OVERHEAD)
-            if frag.body is not None:
-                self.side.qp.post_send(WorkRequest(
-                    opcode=Opcode.SEND,
-                    inline_data=b"".join((frag.header_bytes(), *frag.body))))
-            else:
-                # Virtual fragment: header really lands via the staging
-                # region's head window; the body moves as timing only.
-                self.side.staging.write(frag.header_bytes())
-                self.side.qp.post_send(WorkRequest(
-                    opcode=Opcode.SEND, size=frag.wire_size,
-                    local_addr=self.side.staging.addr,
-                    lkey=self.side.staging_mr.lkey))
+            # One SEND per fragment: the header and concrete prefix land
+            # as its real head, the size-only rest moves as timing only.
+            self.side.qp.post_send(WorkRequest(
+                opcode=Opcode.SEND, size=frag.wire_size,
+                inline_data=b"".join((frag.header_bytes(), *frag.body))))
         # Completions are drained by the peer's recv loop; the sender
         # does not block on them (gRPC pipelines requests).
 
@@ -251,7 +240,7 @@ def connect_grpc_rdma(client_host: Host, server_endpoint: Endpoint,
                       name: str = "") -> RpcEndpoint:
     """Dial a :class:`GrpcRdmaServer`; returns a started client endpoint.
 
-    Builds the QP pair, staging/ring resources on both sides, and wires
+    Builds the QP pair, recv slot and ring on both sides, and wires
     credit gates (connection setup is off the measured critical path).
     """
     listener = client_host.cluster.services.get(server_endpoint)

@@ -712,6 +712,8 @@ class RdmaNic:
                 source_off = wr.local_addr - source.addr
             if source is None:
                 payload, head, tail = bytes(wr.inline_data), b"", b""
+                if len(payload) < size:  # real head of a size-only payload
+                    payload, head = None, payload
             else:
                 payload, head, tail = self._edge_payload(
                     source.backing, source_off, size)

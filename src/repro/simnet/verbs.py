@@ -125,7 +125,11 @@ class WorkRequest:
         if self.size < 0:
             raise ValueError("work request size must be non-negative")
         if self.inline_data is not None:
-            self.size = len(self.inline_data)
+            # A larger size makes the inline bytes the real head of a
+            # size-only payload: the rest moves as timing only.
+            if 0 < self.size < len(self.inline_data):
+                raise ValueError("inline data longer than the work request")
+            self.size = self.size or len(self.inline_data)
 
 
 @dataclass

@@ -1,18 +1,20 @@
 """Storage-kind clock pinning: golden fat-tree and gRPC step times.
 
 Whether a tensor's buffer holds real bytes or only a size is a host
-memory decision and must not move a simulated clock.  It can in exactly
-one place: ``rpc/framing.py`` puts concrete and virtual spans in
-separate fragments, so over gRPC.RDMA ``distributed/rpc_comm.py`` pins
-the payload kind to the buffer's size instead of following the tensor
-(left to follow it, the FCN-5 gRPC.RDMA step below becomes 253.82 ms
-over 7360 verbs).  gRPC.TCP books one message of the total size
-whatever the kind, so there untracked tensors travel as lengths; the
-gRPC.TCP constants below were captured while they still travelled as
-zero bytes.  All constants are exact ``repr()`` captures from the
-commit before the storage rule they guard changed; re-record them only
-in a PR that *intends* to change fat-tree or gRPC timing, and say so
-there.
+memory decision and must not move a simulated clock.  Both gRPC
+transports see one byte stream per message whatever its kind: gRPC.TCP
+books one message of the total size, and gRPC.RDMA (``rpc/framing.py``)
+cuts the stream (real bytes first, then size-only bytes) into
+``max(1, ceil(total / F))`` fragments, so untracked tensors travel as
+lengths on both.  The gRPC.TCP constants below were captured while
+untracked tensors still travelled as zero bytes.  The FCN-5 gRPC.RDMA
+constants were re-recorded when gRPC.RDMA began sending one stream per
+message (two streams, concrete and virtual, gave 0.2535015876558077 s
+over 7264 verbs and 72033 events): its > 16 MiB weights lost the
+fragment that started their virtual span.  All other constants are
+exact ``repr()`` captures from the commit before the storage rule they
+guard changed; re-record them only in a PR that *intends* to change
+fat-tree or gRPC timing, and say so there.
 
 The ``*_EVENTS`` constants pin the event stream itself: the heap entries
 each run processes (``BenchmarkResult.sim_events``).  A change to the
@@ -32,9 +34,9 @@ from repro.models import MB, get_model
 GOLDEN_HIER16_SYNTH24 = ["0.014562679480000059", "0.011614363480000466"]
 GOLDEN_HIER16_SYNTH24_EVENTS = 28623  # 110755 -> 28623
 
-GOLDEN_FCN5_GRPC_RDMA = ["0.2535015876558077", "0.25350158765579384"]
-GOLDEN_FCN5_GRPC_RDMA_VERBS = 7264
-GOLDEN_FCN5_GRPC_RDMA_EVENTS = 72033
+GOLDEN_FCN5_GRPC_RDMA = ["0.25355023383275194", "0.25355023383273806"]
+GOLDEN_FCN5_GRPC_RDMA_VERBS = 7136  # 7264 -> 7136
+GOLDEN_FCN5_GRPC_RDMA_EVENTS = 71003  # 72033 -> 71003
 
 #: model -> (iteration time reprs, TCP messages recorded)
 GOLDEN_GRPC_TCP = {

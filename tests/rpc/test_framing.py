@@ -20,11 +20,14 @@ class TestFragment:
         assert all(f.body is not None for f in frags)
 
     def test_virtual_tail_fragments(self):
+        # One stream: the control bytes open the first body and the
+        # virtual bytes fill it up, so 2051 bytes take 3 fragments.
         frags = fragment(3, b"ctl", 2048, max_fragment_body=1024)
         assert len(frags) == 3
         assert b"".join(frags[0].body) == b"ctl"
-        assert frags[1].body is None and frags[1].body_size == 1024
-        assert frags[2].body is None and frags[2].body_size == 1024
+        assert [f.concrete for f in frags] == [3, 0, 0]
+        assert [f.body_size for f in frags] == [1024, 1024, 3]
+        assert all(not f.body for f in frags[1:])
 
     def test_empty_message_gets_one_fragment(self):
         frags = fragment(4, b"", 0, max_fragment_body=64)
@@ -40,16 +43,18 @@ class TestFragment:
             fragment(6, b"x", 0, max_fragment_body=0)
 
     def test_header_roundtrip_concrete(self):
-        frag = Fragment(msg_id=9, index=2, count=5, body_size=77, body=b"x" * 77)
+        frag = Fragment(msg_id=9, index=2, count=5, body_size=77,
+                        concrete=40, body=[b"x" * 40])
         parsed = Fragment.parse_header(frag.header_bytes() + b"pad")
-        assert (parsed.msg_id, parsed.index, parsed.count, parsed.body_size) \
-            == (9, 2, 5, 77)
-        assert parsed.header_says_concrete is True
+        assert (parsed.msg_id, parsed.index, parsed.count, parsed.body_size,
+                parsed.concrete) == (9, 2, 5, 77, 40)
+        assert len(frag.header_bytes()) == HEADER_SIZE == 25
 
     def test_header_roundtrip_virtual(self):
         frag = Fragment(msg_id=9, index=0, count=1, body_size=1 << 20)
         parsed = Fragment.parse_header(frag.header_bytes())
-        assert parsed.header_says_concrete is False
+        assert (parsed.body_size, parsed.concrete) == (1 << 20, 0)
+        assert not parsed.body
 
     def test_short_header_rejected(self):
         with pytest.raises(FramingError):
@@ -109,6 +114,19 @@ class TestReassembler:
         with pytest.raises(FramingError):
             assembler.add(Fragment(msg_id=1, index=3, count=3, body_size=0,
                                    body=b""))
+
+    def test_real_bytes_after_size_only_bytes_rejected(self):
+        assembler = Reassembler()
+        assembler.add(Fragment(msg_id=60, index=0, count=2, body_size=8))
+        with pytest.raises(FramingError, match="size-only"):
+            assembler.add(Fragment(msg_id=60, index=1, count=2, body_size=8,
+                                   concrete=8, body=[b"x" * 8]))
+
+    def test_prefix_longer_than_body_rejected(self):
+        raw = Fragment(msg_id=1, index=0, count=1, body_size=4,
+                       concrete=5).header_bytes()
+        with pytest.raises(FramingError, match="exceeds"):
+            Fragment.parse_header(raw)
 
     def test_partial_count_tracking(self):
         frags = fragment(50, b"y" * 100, 0, max_fragment_body=30)

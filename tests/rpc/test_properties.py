@@ -86,6 +86,30 @@ class TestFramingProperties:
         assert outcome.control == control
         assert outcome.virtual_size == virtual
 
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.binary(max_size=700), max_size=6),
+           virtual=st.integers(min_value=0, max_value=6000),
+           max_body=st.integers(min_value=1, max_value=2048))
+    def test_one_stream_layout(self, parts, virtual, max_body):
+        """A message is one stream: ceil((c + p) / F) fragments (at
+        least one), concrete prefixes summing to c in the leading
+        fragments only, and reassembly gives the stream back."""
+        concrete = sum(map(len, parts))
+        frags = fragment(7, parts, virtual, max_fragment_body=max_body)
+        assert len(frags) == max(1, -(-(concrete + virtual) // max_body))
+        assert sum(f.body_size for f in frags) == concrete + virtual
+        assert sum(f.concrete for f in frags) == concrete
+        assert all(sum(map(len, f.body)) == f.concrete for f in frags)
+        # Real bytes lead: every fragment holding some comes first, and
+        # each of those but the last holds nothing else.
+        leading = frags[:sum(1 for f in frags if f.concrete)]
+        assert all(f.concrete for f in leading)
+        assert all(f.concrete == f.body_size for f in leading[:-1])
+        assembler = Reassembler()
+        outcome = [assembler.add(f) for f in frags][-1]
+        assert outcome.control == b"".join(parts)
+        assert outcome.virtual_size == virtual
+
 
 class TestRingBufferProperties:
     @settings(max_examples=60)

@@ -283,6 +283,38 @@ class TestSendRecv:
         assert cq_b.poll()[0].ok
         assert dst.read(0, 7) == b"inline!"
 
+    @staticmethod
+    def _send_and_receive(wr):
+        cluster = Cluster(2)
+        a, b = cluster.hosts
+        qp_a = a.nic.create_qp(a.nic.create_cq())
+        cq_b = b.nic.create_cq()
+        qp_b = b.nic.create_qp(cq_b)
+        qp_a.connect(qp_b)
+        dst, dst_mr = register(b, 4096, dense=True)
+        dst.write(b"\xee" * 4096)
+        qp_b.post_recv(WorkRequest(opcode=Opcode.RECV, size=4096,
+                                   local_addr=dst.addr, lkey=dst_mr.lkey))
+        qp_a.post_send(wr)
+        cluster.sim.run()
+        (comp,) = cq_b.poll()
+        return comp, dst.read(0, 4096)
+
+    def test_short_inline_is_the_head_of_a_size_only_send(self):
+        """Inline bytes shorter than ``size`` land as the real head of a
+        size-only payload, on the clock of a full-size inline SEND."""
+        comp, landed = self._send_and_receive(WorkRequest(
+            opcode=Opcode.SEND, size=4096, inline_data=b"head"))
+        full, _ = self._send_and_receive(WorkRequest(
+            opcode=Opcode.SEND, inline_data=bytes(4096)))
+        assert comp.ok and comp.byte_len == 4096
+        assert landed == b"head" + b"\xee" * 4092
+        assert comp.timestamp == full.timestamp
+
+    def test_inline_longer_than_size_rejected(self):
+        with pytest.raises(ValueError, match="inline"):
+            WorkRequest(opcode=Opcode.SEND, size=2, inline_data=b"abc")
+
 
 class TestQpCq:
     def test_unconnected_qp_raises(self):
