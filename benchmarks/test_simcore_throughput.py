@@ -204,25 +204,28 @@ def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
 #
 # A polling-async recv (paper section 4) is visited until its flag is
 # set.  Its misses are no heap entries: the executor plans the run of
-# visits up to the first one that needs it - a hit, or the requeue that
-# parks after a whole sweep has missed - pushes one entry there and
+# visits up to the first one that needs it - a hit, or the end of the
+# park after a whole sweep has missed - pushes one entry there and
 # replays the misses before it in bulk (traced: one by one, for the
 # stall accounting).  A hit is one entry, where its flag check ends.  A
-# park is three: the requeue that parks, then a ``Timeout`` and the
-# ``AnyOf`` it wakes.  Before misses were elided a miss was two entries
+# park is one, where it ends: the requeue that parks is a planned step
+# like a miss.  Before misses were elided a miss was two entries
 # (``check``, ``requeue``) and a park two (66 033 events for 32 pollers x
-# 1 000 sweeps, 3 033 after).
+# 1 000 sweeps, 3 033 after); while parks waited on a ``Timeout`` and an
+# ``AnyOf`` a park was three (the requeue that parks, the ``Timeout``,
+# the ``AnyOf``'s hop): 3 033 -> 1 033.
 
-EVENTS_PER_MISS, EVENTS_PER_HIT, EVENTS_PER_PARK = 0, 1, 3
+EVENTS_PER_MISS, EVENTS_PER_HIT, EVENTS_PER_PARK = 0, 1, 1
 
 
 class _ScriptedFlags(CommRuntime):
     """Every recv polls a flag byte of its own (after
     ``tests/graph/test_polling_async.py::ScriptedComm``).  The flags land
-    together - written and announced to the host in one commit - when
-    ps0's executor parks for the ``sweeps``-th time, so every poller
-    misses once per sweep; with ``sweeps=None`` the recv completes at
-    once, visited never."""
+    together - written and announced to the host in one commit - where
+    ps0's executor records its ``sweeps``-th park (at that park's end:
+    nothing wakes it, so the planned chain runs it there), so every
+    poller misses once per sweep; with ``sweeps=None`` the recv
+    completes at once, visited never."""
 
     name = "scripted"
 
@@ -234,7 +237,7 @@ class _ScriptedFlags(CommRuntime):
         if self.sweeps is None:
             return
         executor = session.executor_for("ps0")
-        host, sim, wait = executor.host, executor.sim, executor._wait_for_wake
+        host, sim = executor.host, executor.sim
         parks = []
 
         def land() -> None:
@@ -242,13 +245,11 @@ class _ScriptedFlags(CommRuntime):
                 backing.write(0, b"\x01")
                 host.notify_memory_commit(backing, 0, 1)
 
-        def counted(timeout=None):
-            if timeout is not None:
-                parks.append(sim.now)
-                if len(parks) == self.sweeps:
-                    sim.call_at(sim.now, land)
-            return wait(timeout)
-        executor._wait_for_wake = counted
+        def counted(at: float) -> None:
+            parks.append(at)
+            if len(parks) == self.sweeps:
+                sim.call_at(sim.now, land)
+        executor._parked = counted
 
     def execute_send(self, executor, node, tensor):
         return Outcome.done([])
@@ -284,7 +285,10 @@ def _poller_session(pollers: int, sweeps, traced: bool) -> Session:
 # followed by a park: two generator round trips, a Timeout and an
 # AnyOf), 32 pollers 1.1 / 2.2 (one park per 32 misses; traced, three
 # account() calls per visit).  While a visit was two generator round
-# trips: 9.3 / 12.9 and 3.0 / 4.4.
+# trips: 9.3 / 12.9 and 3.0 / 4.4.  Since a park is one planned step (no
+# generator round trip, no Timeout, no AnyOf), on a busy 2-core Xeon
+# where the version before read 17.6-21.9 / 25.6-29.8 and 0.71-1.14 /
+# 3.0-3.7: 9.3 / 19.0-19.7 and 0.64-0.69 / 3.7.
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("pollers,sweeps,ceiling_us", [
     (1, 20_000, {False: 12.0, True: 22.0}),
@@ -309,8 +313,7 @@ def test_poll_visit_host_cost_and_events(benchmark, pollers, sweeps,
           f"us/miss, {visit_events[0]} heap events for {misses} misses, "
           f"{pollers} hits and {sweeps} parks")
     assert [s.executor_for("ps0").poll_misses for s in sessions] == [misses] * 3
-    # + 1: the commit that lands the flags (it wakes the last park, whose
-    # Timeout is still queued when the run ends)
+    # + 1: the commit that lands the flags, after the last park's end
     assert visit_events == [misses * EVENTS_PER_MISS
                             + pollers * EVENTS_PER_HIT
                             + sweeps * EVENTS_PER_PARK + 1] * 3

@@ -10,7 +10,11 @@ Implements the three operator execution modes of §4:
   is re-enqueued at the *tail* of the ready queue so other ready work
   runs first; when the queue holds only pollers, the executor backs
   off with exponentially growing idle waits (bounded), so polling
-  neither starves real work nor spins the simulated CPU.
+  neither starves real work nor spins the simulated CPU.  The polling
+  phase is planned, not run: its visits and its idle parks are steps
+  of one chain that costs a heap entry only where it needs the
+  executor — a hit, a fresh node, the end of a park (see
+  :meth:`Executor.run_iteration`).
 
 Each executor owns the allocators for its device; allocation of every
 op output goes through :meth:`allocate_output`, which consults the
@@ -124,14 +128,17 @@ class Executor:
         #: this executor's place among same-instant poll-chain entries
         self.index = self.sim.poll_index()
         self._order = graph.topological_order()
+        #: what an iteration with nothing runnable waits on: the next
+        #: async completion or memory commit
         self._wake: Optional[Event] = None
-        # Remote one-sided writes landing in this host's memory wake
-        # the ready loop so flag pollers re-check without waiting out
-        # their idle backoff.  The backoff can still decide when a poll
-        # hits: a flag that lands mid-sweep, before the sweep's last
-        # miss, does not stop the park that ends the sweep, and that
-        # park waits out its timer (the lost wake
-        # ``test_polling_async.py::TestLostWake`` pins as an xfail).
+        # Remote one-sided writes landing in this host's memory, like
+        # async completions, end an idle-backoff park that has begun,
+        # so flag pollers re-check without waiting out their backoff.
+        # The backoff can still decide when a poll hits: a flag that
+        # lands mid-sweep, before the sweep's last miss, does not stop
+        # the park that ends the sweep, and that park waits out its
+        # backoff (the lost wake ``test_polling_async.py::TestLostWake``
+        # pins as an xfail).
         host.wake_listeners.append(self._notify)
         #: the running iteration's reaction to a commit, and its replay
         #: of the planned misses the event loop has passed
@@ -269,19 +276,27 @@ class Executor:
         # where dispatch + flag read end at t2 = t0 + sched_dispatch +
         # poll_check, and on a miss its ``requeue`` at t0 = t2 +
         # poll_requeue, where the poller has rejoined the tail and the
-        # next queued node is popped.  While the chain runs the generator
-        # sits on ``yield SUSPEND`` and most steps are never heap entries:
-        # ``plan`` walks forward from the next step, consulting ``hot``,
-        # to the first step that needs the generator (a hit, a raising
-        # poll, a park after a whole missed sweep, a fresh node), keeps
-        # every step's time in ``steps`` and pushes one poll-chain entry
-        # at that step's key.  A poll-chain key is (time, executor index),
-        # not push history, so the entry runs exactly where that step
-        # would have run as an entry of its own.  The misses before it
-        # are replayed (``replay``) only when something could change what
-        # follows them — a commit flipping a flag, or ``finish`` queueing
-        # a fresh node — and when the entry fires: in bulk untraced, step
-        # by step traced, so the ``account`` float sums stay identical.
+        # next queued node is popped — or, once a whole sweep has missed
+        # with nothing else queued, the executor parks until t0 +
+        # idle_backoff, the park's end, unless a wake ends it sooner.
+        # While the chain runs the generator sits on ``yield SUSPEND``
+        # and most steps are never heap entries: ``plan`` walks forward
+        # from the next step, consulting ``hot``, to the first step that
+        # needs the executor (a hit, a raising poll, a fresh node, a
+        # park's end), keeps every step's time in ``steps`` and pushes
+        # one poll-chain entry at that step's key.  A poll-chain key is
+        # (time, executor index), not push history, so the entry runs
+        # exactly where that step would have run as an entry of its own.
+        # The misses before it are replayed (``replay``) only when
+        # something could change what follows them — a commit flipping a
+        # flag, ``finish`` queueing a fresh node, a wake ending a park
+        # that has begun — and when the entry fires: in bulk untraced,
+        # step by step traced, so the ``account`` float sums stay
+        # identical.  A park ended by a wake ends two ordinary entries
+        # later, at ``now`` (``wake``): where a park that waited on a
+        # ``Timeout`` or the wake event resumed its generator, through
+        # the wake's entry and the ``AnyOf``'s, so same-instant entries
+        # keep their order.
         me = sim.active_process
         fifo, urgent = ready._fifo, ready._urgent
         #: times of the planned steps, the next one first, alternating
@@ -289,6 +304,9 @@ class Executor:
         #: is the live entry's
         steps: List[float] = []
         at_check = True
+        #: whether the plan ends in a park: its last step is the park's
+        #: end, the one before it the requeue that parks
+        parking = False
         live: Optional[Callable[[], None]] = None
         live_at = 0.0
 
@@ -307,7 +325,9 @@ class Executor:
             return True
 
         def plan() -> None:
+            nonlocal parking
             del steps[:]
+            parking = False
             if at_check:
                 steps.append(t2)
                 if node.name in hot:
@@ -321,7 +341,11 @@ class Executor:
             # the pollers popped, visited and missed before the requeue
             # that pops a fresh node or parks, or the visit that hits.
             visits, hit = 0, False
-            if not urgent:
+            if fresh_in_queue == 0 and not hot:
+                # only pollers queued, none hot: the sweep misses through
+                # (the walk every park's end would otherwise make)
+                visits = max(len(fifo) - sweep_misses, 0)
+            elif not urgent:
                 limit = len(fifo)
                 if fresh_in_queue == 0:
                     limit -= sweep_misses
@@ -340,6 +364,11 @@ class Executor:
                                  3 * visits + 2 * hit), initial=when))
             del chain[1::3]
             steps.extend(chain)
+            if not hit and fresh_in_queue == 0:
+                # The last requeue parks; the park's end is the step
+                # after it, where the chain needs the executor again.
+                parking = True
+                steps.append(steps[-1] + idle_backoff)
             arm()
 
         def arm() -> None:
@@ -355,11 +384,13 @@ class Executor:
             sim.call_poll(when, poll_index, entry)
 
         def replay(count: int) -> None:
-            """Run the first ``count`` planned steps, all of them misses."""
+            """Run the first ``count`` planned steps, all of them misses
+            (the last a requeue that parks, if it is the park's)."""
             nonlocal node, outcome, t0, t2, at_check, sweep_misses, \
                 polls_since_park
             if count <= 0:
                 return
+            parks = parking and count == len(steps) - 1
             if tracer is None:
                 checks = (count + at_check) // 2
                 requeues = count - checks
@@ -367,12 +398,15 @@ class Executor:
                 if requeues:
                     sweep_misses += requeues
                     fifo.append(node)
-                    fifo.rotate(-requeues)
-                    node = fifo.pop()
-                    outcome = polling[node.name]
+                    if parks:  # the parking requeue pops nothing
+                        fifo.rotate(1 - requeues)
+                    else:
+                        fifo.rotate(-requeues)
+                        node = fifo.pop()
+                        outcome = polling[node.name]
             else:
                 checking = at_check
-                for when in steps[:count]:
+                for i, when in enumerate(steps[:count], 1 - count):
                     if checking:
                         t1 = t0 + sched_dispatch
                         tracer.account(hostname, track, iteration, "sched",
@@ -388,8 +422,9 @@ class Executor:
                         t0 = when
                         fifo.append(node)
                         sweep_misses += 1
-                        node = fifo.popleft()
-                        outcome = polling[node.name]
+                        if i or not parks:
+                            node = fifo.popleft()
+                            outcome = polling[node.name]
                     checking = not checking
             odd = count % 2 == 1
             if odd == at_check:  # the last step run was a check
@@ -398,6 +433,9 @@ class Executor:
                 t0, t2 = steps[count - 1], steps[count]
             at_check = at_check != odd
             del steps[:count]
+            if parks:  # parked since ``t0``, until ``steps[0]`` or a wake
+                node = None
+                self._parked(t0)
 
         def catch_up() -> None:
             """Replay the planned steps whose key the loop has passed."""
@@ -410,10 +448,63 @@ class Executor:
             nonlocal live
             live = None
             replay(len(steps) - 1)
-            if at_check:
+            if node is None:
+                end_park(timed_out=True)
+            elif at_check:
                 check()
             else:
                 requeue()
+
+        def wake() -> None:
+            """A completion or a commit: end a park that has begun, at
+            ``now``, in two hops (where a woken ``Timeout``/``AnyOf``
+            park resumed its generator: the wake's entry, then the
+            ``AnyOf``'s).  The park's own entry is superseded."""
+            nonlocal live
+            if live is None or not parking:
+                return
+            catch_up()
+            if node is None:
+                live = None
+                sim.call_at(sim.now, hop)
+
+        def hop() -> None:
+            sim.call_at(sim.now, end_park)
+
+        def end_park(timed_out: bool = False) -> None:
+            nonlocal node, outcome, t0, t2, at_check, idle_backoff, \
+                sweep_misses, timeouts, polls_since_park
+            if timed_out and idle_backoff == _IDLE_BACKOFF_MAX:
+                # Timed out: no commit came, so no flag may have moved.
+                # One that moved anyway breaks the contract and leaves
+                # the executor parking at the capped backoff until the
+                # time limit; there, each timeout re-reads one queued
+                # poller, in turn.
+                timeouts += 1
+                suspect = fifo[timeouts % len(fifo)].name
+                if read(suspect):
+                    me.resume(exception=ExecutorError(
+                        f"executor {self.device}: the poll of {suspect} "
+                        f"changed with no memory commit notifying the "
+                        f"host"))
+                    return
+            if tracer is not None:
+                tracer.account(hostname, track, iteration, "poll_wait",
+                               t0, sim.now)
+                tracer.metrics.histogram(
+                    "poll_iterations_per_wake").observe(polls_since_park)
+                polls_since_park = 0
+            idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
+            sweep_misses = 0
+            node = ready.popleft()
+            t0 = sim.now
+            outcome = polling.get(node.name)
+            if outcome is None:
+                me.resume()  # a fresh node: the generator runs it
+                return
+            t2 = t0 + sched_dispatch + poll_check
+            at_check = True
+            plan()
 
         def check() -> None:
             nonlocal polls_since_park
@@ -438,25 +529,20 @@ class Executor:
                 f"where a memory commit notifies the host)"))
 
         def requeue() -> None:
-            nonlocal node, outcome, t2, at_check, sweep_misses
+            nonlocal node, outcome, sweep_misses
             if tracer is not None:
                 tracer.account(hostname, track, iteration, "poll",
                                t2, t0, emit=False)
             fifo.append(node)  # at the tail: a retry never jumps the line
             sweep_misses += 1
-            if fresh_in_queue == 0 and sweep_misses >= len(fifo):
-                me.resume(True)  # a whole sweep missed: park
-                return
+            # ``plan`` ends a chain at a requeue only where it pops a
+            # fresh node (one that would park ends at its park instead)
             node = ready.popleft()
-            outcome = polling.get(node.name)
-            if outcome is None:
-                me.resume()  # a fresh node: the generator runs it
-                return
-            t2 = t0 + sched_dispatch + poll_check
-            at_check = True
-            plan()
+            outcome = None
+            me.resume()  # the generator runs it
 
         def on_commit(backing: Optional[Backing], lo: int, hi: int) -> None:
+            wake()
             if backing is None:
                 names = list(polling)
             else:
@@ -490,6 +576,7 @@ class Executor:
                     ready.append(dependent)
                 fresh_in_queue += len(woken)
             self._wake_up()
+            wake()
             if woken and live is not None:
                 plan()
 
@@ -515,37 +602,7 @@ class Executor:
                     t2 = t0 + sched_dispatch + poll_check
                     at_check = True
                     plan()
-                    if (yield SUSPEND):  # until ``node`` is a hit or fresh, or:
-                        # A whole sweep of pollers missed and nothing
-                        # else is runnable: idle with growing backoff so
-                        # polling does not monopolize the simulated CPU.
-                        t0 = sim.now
-                        yield self._wait_for_wake(timeout=idle_backoff)
-                        if idle_backoff == _IDLE_BACKOFF_MAX \
-                                and not self._wake.triggered:
-                            # Timed out: no commit came, so no flag may
-                            # have moved.  One that moved anyway breaks
-                            # the contract and leaves the executor
-                            # parking at the capped backoff until the
-                            # time limit; there, each timeout re-reads
-                            # one queued poller, in turn.
-                            timeouts += 1
-                            suspect = fifo[timeouts % len(fifo)].name
-                            if read(suspect):
-                                raise ExecutorError(
-                                    f"executor {self.device}: the poll of "
-                                    f"{suspect} changed with no memory "
-                                    f"commit notifying the host")
-                        if tracer is not None:
-                            tracer.account(hostname, track, iteration,
-                                           "poll_wait", t0, sim.now)
-                            tracer.metrics.histogram(
-                                "poll_iterations_per_wake").observe(
-                                    polls_since_park)
-                            polls_since_park = 0
-                        idle_backoff = min(idle_backoff * 2, _IDLE_BACKOFF_MAX)
-                        sweep_misses = 0
-                        continue
+                    yield SUSPEND  # until ``node`` is a hit or fresh
                 if outcome is not None:  # the visit hit
                     idle_backoff = self.cost.idle_poll_interval
                     sweep_misses = 0
@@ -594,12 +651,16 @@ class Executor:
         finally:
             self._on_commit = self._catch_up = None
 
-    def _wait_for_wake(self, timeout: Optional[float] = None) -> Event:
+    def _wait_for_wake(self) -> Event:
         if self._wake is None or self._wake.triggered:
             self._wake = self.sim.event()
-        if timeout is None:
-            return self._wake
-        return self.sim.any_of([self._wake, self.sim.timeout(timeout)])
+        return self._wake
+
+    def _parked(self, at: float) -> None:
+        """An idle-backoff park began at ``at``: a whole sweep of
+        pollers missed with nothing else runnable.  Called once per park,
+        when the planned chain runs the requeue that parks (which may be
+        later than ``at``); the seam where tests count parks."""
 
     def _wake_up(self) -> None:
         if self._wake is not None and not self._wake.triggered:

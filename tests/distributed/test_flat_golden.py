@@ -28,14 +28,16 @@ GOLDEN_GRU = {
 #: heap entries each GRU run processes (``BenchmarkResult.sim_events``),
 #: RC and shared-QP alike.  The event stream is part of the golden: a
 #: host-cost change makes the same pushes, so an added or dropped one
-#: moves these before it moves a clock.  Re-pinned on purpose when poll
-#: misses stopped being heap entries (two per miss before, none after;
-#: the clocks above did not move): before -> after in each comment.
+#: moves these before it moves a clock.  Re-pinned on purpose twice, the
+#: clocks above not moving either time: when poll misses stopped being
+#: heap entries (two per miss before, none after), then when an idle
+#: park became a step of the poll chain (a timed-out park three entries
+#: before, one after): before -> between -> after in each comment.
 GOLDEN_GRU_EVENTS = {
-    (2, "ps", False): 4176,                # 11968 -> 4176
-    (4, "ring", False): 3981,              # 9225 -> 3981
-    (4, "halving-doubling", False): 3169,  # 6041 -> 3169
-    (3, "ring", True): 3295,               # 5341 -> 3295
+    (2, "ps", False): 3149,                # 11968 -> 4176 -> 3149
+    (4, "ring", False): 3117,              # 9225 -> 3981 -> 3117
+    (4, "halving-doubling", False): 2545,  # 6041 -> 3169 -> 2545
+    (3, "ring", True): 2863,               # 5341 -> 3295 -> 2863
 }
 
 

@@ -141,7 +141,8 @@ class TwoCallbackExecutor(Executor):
                 sim.call_poll(t2, index, check)
                 if (yield SUSPEND):
                     t0 = sim.now
-                    yield self._wait_for_wake(timeout=idle_backoff)
+                    yield sim.any_of([self._wait_for_wake(),
+                                      sim.timeout(idle_backoff)])
                     if tracer is not None:
                         tracer.account(hostname, track, iteration,
                                        "poll_wait", t0, sim.now)

@@ -87,15 +87,10 @@ def build_session(comm, extra_work: float = 0.0):
 
 
 def count_parks(executor):
-    """Count the executor's idle-backoff parks (a whole sweep missed)."""
+    """Count the executor's idle-backoff parks (a whole sweep missed),
+    by the time each one began."""
     parks = []
-    original = executor._wait_for_wake
-
-    def counted(timeout=None):
-        if timeout is not None:
-            parks.append(executor.sim.now)
-        return original(timeout)
-    executor._wait_for_wake = counted
+    executor._parked = parks.append
     return parks
 
 
@@ -137,13 +132,18 @@ class TestPollingAsync:
 
     def test_idle_backoff_bounds_event_count(self):
         """Waiting 50 ms on a single poller must not poll millions of
-        times: the exponential back-off caps the sweep rate."""
+        times: the exponential back-off caps the sweep rate, and a park
+        that times out is one heap entry, where it ends."""
         comm = ScriptedComm(ready_at=0.050)
         cluster, session = build_session(comm)
         executor = session.executor_for("ps0")
         session.run(feeds={"x": np.zeros(4, dtype=np.float32)})
         assert executor.poll_misses < 500
-        assert cluster.sim.event_count < 2000
+        # 107 parks: 106 time out (one entry each) and the landing wakes
+        # the last (two hops; its own entry is still queued at the end);
+        # then the hit (one) and the 11 entries a run with no poller
+        # makes.  While a park waited on a Timeout and an AnyOf: 333.
+        assert cluster.sim.event_count == 106 + 2 + 1 + 11
 
     def test_executor_poll_miss_counter(self):
         """A lone poller's every miss is a whole sweep, so each one
