@@ -235,7 +235,6 @@ class InNetworkGroup:
                 self.rounds_degraded += 1
 
         dense = tensor.is_dense
-        flat = tensor.array if dense else None
         item = self.dtype.size
         window = max(1, cost.switch_agg_window)
         committed_key = (round_id, member.index)
@@ -253,7 +252,11 @@ class InNetworkGroup:
             yield cost.rdma_verb_overhead
             payload = None
             if dense:
-                payload = flat[offset // item:(offset + size) // item].copy()
+                # Read each chunk when it goes out: results may be
+                # landing in this tensor, and a view kept across yields
+                # would miss chunks that commit in between.
+                payload = tensor.array[offset // item:
+                                       (offset + size) // item].copy()
             path = self._chunk_route(round_id, chunk_index, size)
             if path == "switch":
                 self._send_up(member, round_id, chunk_index, size, payload)
@@ -353,11 +356,15 @@ class InNetworkGroup:
             record_wire(self.cluster, "RDMA_WRITE", src_name,
                         member.host.name, size, start, end, role)
         raw = payload.tobytes() if payload is not None else None
-        member.nic._schedule_ascending_commit(
-            member.tensor.buffer.backing, offset, size, raw, start, end)
-        self.sim.call_at(end, lambda: self._chunk_committed(member, round_id))
+        member.nic._faulted_commit(
+            None, member.tensor.buffer.backing, offset, size, raw, start,
+            end, b"", b"",
+            lambda _backing, _lo, _hi: self._chunk_committed(member,
+                                                             round_id))
 
     def _chunk_committed(self, member: _Member, round_id: int) -> None:
+        """The landing's last step: count the chunk, and once the round's
+        last one is in, raise the flag and wake the member's executor."""
         key = (round_id, member.index)
         count = self._committed[key] + 1
         self._committed[key] = count

@@ -16,6 +16,11 @@ knows nobody can read the content (the graph executor, for outputs
 downstream of an untracked tensor and for variables no initializer
 fills) asks for size-only storage outright.
 
+A DMA write in flight is a :class:`Landing` on its backing: the NIC
+schedules one heap entry at the write's end, and every accessor first
+commits the ascending prefix due by the current instant, so a reader
+in mid-window sees exactly what one entry per chunk would have shown.
+
 RDMA registration is modelled by :class:`MemoryRegion` entries in the
 NIC's :class:`MrTable`, which enforces the hardware cap on the number
 of registered regions.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,31 +44,215 @@ class MemoryError_(RuntimeError):
     """Simulated memory fault (bad address, protection, exhaustion)."""
 
 
+class Landing:
+    """A DMA write still landing in a backing, in ascending address order.
+
+    ``[offset, offset + size)`` commits in ``chunks`` pieces (equal
+    steps, the last one taking the remainder).  Chunk ``i`` is due at
+    ``max(start + (i + 1) / chunks * (end - start), posted)``, the last
+    one at ``max(end, posted)``, where ``posted`` is the instant the
+    landing was scheduled.  Only the last chunk has a heap entry of its
+    own (:meth:`finish`, pushed right after the landing was made); the
+    earlier ones commit when something touches the backing: every
+    accessor first applies the chunks due by then, in one write.
+
+    *Due* follows the order the chunks' own entries would have run in.
+    A chunk due before ``now`` is due; one due exactly at ``now`` is due
+    iff the landing was made before the running entry was pushed — or,
+    for a poll-chain entry, before it began: ``seq < sim._tie``, with
+    ``seq`` the push counter at scheduling.
+
+    A size-only landing (``payload`` None) counts its bytes and carries
+    only its real ``head`` and ``tail`` windows, which commit with the
+    first and the last chunk.
+    """
+
+    __slots__ = ("backing", "sim", "offset", "size", "payload", "head",
+                 "tail", "start", "end", "posted", "seq", "chunks", "done",
+                 "next_at", "wake")
+
+    def __init__(self, backing: "Backing", sim, offset: int, size: int,
+                 payload: Optional[bytes], start: float, end: float,
+                 head: bytes, tail: bytes, chunks: int, wake) -> None:
+        self.backing = backing
+        self.sim = sim
+        self.offset = offset
+        self.size = size
+        self.payload = payload
+        self.head = head
+        self.tail = tail
+        self.start = start
+        self.end = end
+        self.posted = sim._now
+        self.seq = sim._seq
+        self.chunks = chunks
+        #: chunks committed so far (always a prefix)
+        self.done = 0
+        #: when the next chunk an accessor may commit is due
+        self.next_at = self.due(0) if chunks > 1 else _NEVER
+        #: ``wake(backing, lo, hi)`` after the last chunk, with its range
+        self.wake = wake
+        backing._admit(self)
+
+    def due(self, i: int) -> float:
+        """When chunk ``i`` commits."""
+        n = self.chunks
+        if i == n - 1:
+            return max(self.end, self.posted)
+        return max(self.start + (i + 1) / n * max(self.end - self.start, 0.0),
+                   self.posted)
+
+    def due_now(self) -> int:
+        """How many chunks are due for the running entry, short of the
+        last one (only :meth:`finish` commits that)."""
+        sim = self.sim
+        now, ahead = sim._now, self.seq < sim._tie
+        i, last = self.done, self.chunks - 1
+        while i < last:
+            when = self.due(i)
+            if when > now or (when == now and not ahead):
+                break
+            i += 1
+        return i
+
+    def apply(self, upto: int) -> None:
+        """Commit chunks ``[done, upto)``: one write, or one per chunk
+        where a size-only backing keeps the edge windows of each."""
+        first, self.done = self.done, upto
+        n, size, offset = self.chunks, self.size, self.offset
+        self.next_at = self.due(upto) if upto < n - 1 else _NEVER
+        step = size // n
+        lo = first * step
+        hi = size if upto == n else upto * step
+        backing, payload = self.backing, self.payload
+        if payload is not None:
+            if upto - first == 1 or isinstance(backing, DenseBacking):
+                backing._put(offset + lo, payload[lo:hi])
+            else:
+                for i in range(first, upto):
+                    a, b = i * step, size if i == n - 1 else (i + 1) * step
+                    backing._put(offset + a, payload[a:b])
+            return
+        backing._put_virtual(offset + lo, hi - lo)
+        if first == 0 and self.head:
+            backing._put(offset, self.head)
+        if upto == n and self.tail:
+            backing._put(offset + size - len(self.tail), self.tail)
+
+    def finish(self) -> None:
+        """The landing's one heap entry: commit what is left, then wake."""
+        backing = self.backing
+        if backing._tangled:
+            backing._catch_up_all()
+        self.apply(self.chunks)
+        backing._release(self)
+        if self.wake is not None:
+            n = self.chunks
+            self.wake(backing, self.offset + (n - 1) * (self.size // n),
+                      self.offset + self.size)
+
+
+_landing_offset = operator.attrgetter("offset")
+
+
+_NEVER = float("inf")
+
+
 class Backing:
-    """Storage behind a buffer.  Subclasses define read/write semantics."""
+    """Storage behind a buffer.  Subclasses define read/write semantics.
+
+    Every accessor first commits what the landings in flight here owe
+    by now (:class:`Landing`); with none in flight that is one
+    attribute test.
+    """
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise MemoryError_(f"backing size must be positive, got {size}")
         self.size = size
+        #: landings in flight, sorted by offset
+        self._landings: List[Landing] = []
+        #: two of them overlap: commit every due chunk in due order
+        self._tangled = False
 
     def read(self, offset: int, length: int) -> bytes:
         raise NotImplementedError
 
     def write(self, offset: int, data: bytes) -> None:
-        raise NotImplementedError
+        if self._landings:
+            self._catch_up(offset, offset + len(data))
+        self._put(offset, data)
 
     def write_virtual(self, offset: int, length: int) -> None:
         """Record that ``length`` bytes were written without content."""
-        raise NotImplementedError
+        if self._landings:
+            self._catch_up(offset, offset + length)
+        self._put_virtual(offset, length)
 
     def read_byte(self, offset: int) -> int:
         return self.read(offset, 1)[0]
+
+    def _put(self, offset: int, data: bytes) -> None:
+        raise NotImplementedError
+
+    def _put_virtual(self, offset: int, length: int) -> None:
+        raise NotImplementedError
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
             raise MemoryError_(
                 f"access [{offset}, {offset + length}) outside backing of size {self.size}")
+
+    # -- landings in flight ----------------------------------------------------------
+
+    def _admit(self, landing: Landing) -> None:
+        landings = self._landings
+        index = bisect.bisect_right(landings, landing.offset,
+                                    key=_landing_offset)
+        if not self._tangled:
+            end = landing.offset + landing.size
+            before = landings[index - 1] if index else None
+            after = landings[index] if index < len(landings) else None
+            self._tangled = (
+                (before is not None
+                 and before.offset + before.size > landing.offset)
+                or (after is not None and after.offset < end))
+        landings.insert(index, landing)
+
+    def _release(self, landing: Landing) -> None:
+        landings = self._landings
+        landings.remove(landing)
+        if not landings:
+            self._tangled = False
+
+    def _catch_up(self, lo: int, hi: int) -> None:
+        """Commit the due chunks of every landing overlapping ``[lo, hi)``."""
+        if self._tangled:
+            self._catch_up_all()
+            return
+        landings = self._landings
+        now = landings[0].sim._now
+        # Disjoint and sorted: the first candidate is the last landing
+        # starting at or before ``lo``.
+        first = bisect.bisect_right(landings, lo, key=_landing_offset)
+        for index in range(first - 1 if first else 0, len(landings)):
+            landing = landings[index]
+            if landing.offset >= hi:
+                break
+            if landing.next_at <= now and landing.offset + landing.size > lo:
+                upto = landing.due_now()
+                if upto > landing.done:
+                    landing.apply(upto)
+
+    def _catch_up_all(self) -> None:
+        """Overlapping landings: commit every due chunk here, one chunk
+        at a time, in the order their own entries would have run."""
+        due = [(landing.due(i), landing.seq, i, landing)
+               for landing in self._landings
+               for i in range(landing.done, landing.due_now())]
+        due.sort(key=lambda item: item[:3])
+        for _when, _seq, i, landing in due:
+            landing.apply(i + 1)
 
 
 class DenseBacking(Backing):
@@ -73,25 +263,33 @@ class DenseBacking(Backing):
         self.array = np.zeros(size, dtype=np.uint8)
 
     def read(self, offset: int, length: int) -> bytes:
+        if self._landings:
+            self._catch_up(offset, offset + length)
         self._check(offset, length)
         return self.array[offset:offset + length].tobytes()
 
-    def write(self, offset: int, data: bytes) -> None:
+    def _put(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self.array[offset:offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
-    def write_virtual(self, offset: int, length: int) -> None:
+    def _put_virtual(self, offset: int, length: int) -> None:
         # A virtual write into dense storage leaves content unchanged;
         # it only models that the DMA engine touched the range.
         self._check(offset, length)
 
     def read_byte(self, offset: int) -> int:
         # Flag pollers call this every sweep; skip the slice+tobytes.
+        if self._landings:
+            self._catch_up(offset, offset + 1)
         self._check(offset, 1)
         return int(self.array[offset])
 
     def view(self, offset: int, length: int) -> np.ndarray:
-        """A zero-copy numpy view of the backing range."""
+        """A zero-copy numpy view of the backing range, holding what has
+        landed by now: chunks that come due later commit on the next
+        access, so do not keep the view across simulated time."""
+        if self._landings:
+            self._catch_up(offset, offset + length)
         self._check(offset, length)
         return self.array[offset:offset + length]
 
@@ -118,6 +316,8 @@ class VirtualBacking(Backing):
         self.bytes_written = 0
 
     def read(self, offset: int, length: int) -> bytes:
+        if self._landings:
+            self._catch_up(offset, offset + length)
         self._check(offset, length)
         pages = self._pages
         if not pages:
@@ -143,6 +343,9 @@ class VirtualBacking(Backing):
     def write(self, offset: int, data: bytes) -> None:
         if not isinstance(data, (bytes, bytearray)):
             data = bytes(data)
+        super().write(offset, data)
+
+    def _put(self, offset: int, data: bytes) -> None:
         length = len(data)
         self._check(offset, length)
         self.bytes_written += length
@@ -174,12 +377,14 @@ class VirtualBacking(Backing):
             index += 1
             start = 0
 
-    def write_virtual(self, offset: int, length: int) -> None:
+    def _put_virtual(self, offset: int, length: int) -> None:
         self._check(offset, length)
         self.bytes_written += length
 
     def read_byte(self, offset: int) -> int:
         # Flag pollers call this every sweep (60-90 times per verb).
+        if self._landings:
+            self._catch_up(offset, offset + 1)
         if not 0 <= offset < self.size:
             self._check(offset, 1)
         page = self._pages.get(offset // self.page_size)

@@ -14,9 +14,9 @@ Each direction of a port is a *link server* answering ``book(size,
 ready, then, priority, after)``; ``CostModel.wire_quantum_bytes`` picks
 which.  :class:`Pipe` (0) books one contiguous interval, backfills idle
 gaps and resolves at booking time with no heap events (64 KiB WRITE /
-READ / SEND: 5 / 5 / 3 events).  :class:`WireScheduler` serves a quantum
+READ / SEND: 2 / 2 / 3 events).  :class:`WireScheduler` serves a quantum
 at a time in (priority, arrival) order so an urgent transfer preempts a
-bulk one mid-flight, at 4 more events per verb (9 / 9 / 7) and ~70 %
+bulk one mid-flight, at 4 more events per verb (6 / 6 / 7) and ~70 %
 more host time; alone on the wire it reproduces the pipe's clock.  Each
 does what the other cannot, so both stay, and only the verbs'
 cut-through booking (``_book_wire_*``) knows which one it talks to.
@@ -27,9 +27,11 @@ One-sided WRITEs commit into the destination address space in
 **ascending address order**, in several chunks spread across the
 transfer window — exactly the property the paper's flag-byte completion
 protocol relies on (§3.2).  A concurrent reader observes a committed
-prefix.  READs pull remote memory with an extra request leg.  SENDs
-require a posted RECV on the destination queue pair and consume it in
-FIFO order.
+prefix.  The landing is one heap entry, at its end: the chunks before
+the last commit when the backing is touched
+(:class:`~repro.simnet.memory.Landing`).  READs pull remote memory with
+an extra request leg.  SENDs require a posted RECV on the destination
+queue pair and consume it in FIFO order.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .costmodel import CostModel
 from .faults import FaultVerdict
-from .memory import Backing, DenseBacking, MemoryRegion, MrTable, MemoryError_
+from .memory import (Backing, DenseBacking, Landing, MemoryRegion, MrTable,
+                     MemoryError_)
 from .simulator import Event, Simulator
 from .verbs import Completion, Opcode, WcStatus, WorkRequest
 
@@ -50,8 +53,8 @@ from .verbs import Completion, Opcode, WcStatus, WorkRequest
 #: What a link server calls when a booking resolves: ``(start, end)``.
 Then = Callable[[float, float], None]
 
-#: Maximum number of commit chunks per WRITE/READ; bounds event count so
-#: large simulated transfers stay cheap to simulate.
+#: Commit chunks per WRITE/READ landing over ``SINGLE_CHUNK_LIMIT``: how
+#: finely a reader in mid-window sees the ascending prefix grow.
 MAX_COMMIT_CHUNKS = 4
 #: Writes at or below this size commit in a single chunk.
 SINGLE_CHUNK_LIMIT = 4096
@@ -638,11 +641,25 @@ class RdmaNic:
     def _faulted_commit(self, verdict: Optional[FaultVerdict],
                         backing: Backing, offset: int, size: int,
                         payload: Optional[bytes], start: float, end: float,
-                        head: bytes, tail: bytes, wake_host) -> None:
-        """Ascending commit honouring a fault verdict's committed prefix.
+                        head: bytes, tail: bytes, wake) -> None:
+        """Land a transfer in ``backing`` in ascending address order,
+        honouring a fault verdict's committed prefix.
 
-        A torn write commits a strict prefix — never the tail window
-        where the protocols keep their flag byte — and wakes nobody.
+        The range commits in chunks whose times are spread across
+        (start, end]; the tail chunk (which carries any flag byte)
+        always commits exactly at ``end``.  For virtual payloads, the
+        real ``head``/``tail`` windows are applied with the first and
+        last chunks so protocol headers and flag bytes land.
+
+        The transfer is one :class:`~repro.simnet.memory.Landing` on
+        the backing and one heap entry at ``end``, which commits what is
+        left and then calls ``wake(backing, lo, hi)`` with the tail
+        chunk's range (the moment a spinning flag poller would see it).
+        A reader in mid-window sees the prefix due by then.
+
+        A torn write is the same landing cut at its prefix: a strict
+        prefix — never the tail window where the protocols keep their
+        flag byte — that wakes nobody.
         """
         commit = size if verdict is None else verdict.commit_size(size)
         if commit <= 0:
@@ -651,10 +668,12 @@ class RdmaNic:
             payload = payload[:commit] if payload is not None else None
             head = head[:commit]
             tail = b""
-            wake_host = None
-        self._schedule_ascending_commit(backing, offset, commit, payload,
-                                        start, end, head, tail,
-                                        wake_host=wake_host)
+            wake = None
+        sim = self.sim
+        chunks = 1 if commit <= SINGLE_CHUNK_LIMIT else MAX_COMMIT_CHUNKS
+        landing = Landing(backing, sim, offset, commit, payload, start, end,
+                          head, tail, chunks, wake)
+        sim.call_at(max(end, sim.now), landing.finish)
 
     def _fabric_traverse(self, dst_nic: "RdmaNic", start: float,
                          egress_end: float, size: int):
@@ -733,7 +752,7 @@ class RdmaNic:
             if dest_backing is not None:
                 self._faulted_commit(verdict, dest_backing, dest_off, size,
                                      payload, start, end, head, tail,
-                                     wake_host=dst_nic.host)
+                                     dst_nic.host.notify_memory_commit)
             elif ok:
                 # A faulted SEND never reaches the remote RECV queue:
                 # the message vanishes and only the error CQE reports it.
@@ -834,49 +853,3 @@ class RdmaNic:
                 f"nic:qp{qp.qp_num}", posted, completed,
                 args={"wr_id": wr.wr_id, "nbytes": wr.size, "role": wr.role,
                       "signaled": wr.signaled})
-
-    def _schedule_ascending_commit(self, backing: Backing, offset: int, size: int,
-                                   payload: Optional[bytes], start: float,
-                                   end: float, head: bytes = b"",
-                                   tail: bytes = b"",
-                                   wake_host=None) -> None:
-        """Commit a transfer into ``backing`` in ascending address order.
-
-        The range is split into chunks whose commit times are spread
-        across (start, end]; the tail chunk (which carries any flag
-        byte) always commits exactly at ``end``.  For virtual payloads,
-        the real ``head``/``tail`` windows are applied with the first
-        and last chunks so protocol headers and flag bytes land.
-        ``wake_host``'s parked executors are notified when the tail
-        chunk commits (the moment a spinning flag poller would see it),
-        with the tail chunk's range.
-        """
-        if size == 0:
-            return
-        if size <= SINGLE_CHUNK_LIMIT:
-            chunk_bounds = [(0, size)]
-        else:
-            n = MAX_COMMIT_CHUNKS
-            step = size // n
-            chunk_bounds = [(i * step, (i + 1) * step if i < n - 1 else size)
-                            for i in range(n)]
-        duration = max(end - start, 0.0)
-        last = len(chunk_bounds) - 1
-        for i, (lo, hi) in enumerate(chunk_bounds):
-            frac = (i + 1) / len(chunk_bounds)
-            when = max(end if i == last else start + frac * duration, self.sim.now)
-
-            def commit(lo: int = lo, hi: int = hi, first: bool = (i == 0),
-                       final: bool = (i == last)) -> None:
-                if payload is not None:
-                    backing.write(offset + lo, payload[lo:hi])
-                else:
-                    backing.write_virtual(offset + lo, hi - lo)
-                    if first and head:
-                        backing.write(offset, head)
-                    if final and tail:
-                        backing.write(offset + size - len(tail), tail)
-                if final and wake_host is not None:
-                    wake_host.notify_memory_commit(backing, offset + lo,
-                                                   offset + hi)
-            self.sim.call_at(when, commit)

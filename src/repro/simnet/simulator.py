@@ -284,6 +284,13 @@ class Simulator:
         #: key of the last poll-chain entry run: (time, tie)
         self._poll_at = -1.0
         self._poll_tie = -1
+        #: where the running entry sits among same-instant pushes: an
+        #: ordinary entry's push counter; for a poll-chain entry (or a
+        #: stop of :meth:`run`), the counter when it began.  A
+        #: :class:`~repro.simnet.memory.Landing` made while the counter
+        #: read ``s`` shows its chunks due at this instant iff ``s <
+        #: _tie``, as if each had had an entry pushed right then.
+        self._tie = 0
 
     @property
     def now(self) -> float:
@@ -376,8 +383,11 @@ class Simulator:
         if fn is not None:
             if tie >= POLL_BASE:
                 self._poll_at, self._poll_tie = when, tie
+                tie = self._seq
+            self._tie = tie
             fn()
             return
+        self._tie = tie
         assert event is not None
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
@@ -392,7 +402,7 @@ class Simulator:
         processed = 0
         while self._queue:
             if until is not None and self._queue[0][0] > until:
-                self._now = until
+                self._now, self._tie = until, self._seq
                 break
             if max_events is not None and processed >= max_events:
                 break
@@ -400,7 +410,7 @@ class Simulator:
             processed += 1
         else:
             if until is not None:
-                self._now = until
+                self._now, self._tie = until, self._seq
         return self._now
 
     def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
@@ -423,8 +433,11 @@ class Simulator:
             if fn is not None:
                 if tie >= POLL_BASE:
                     self._poll_at, self._poll_tie = self._now, tie
+                    tie = self._seq
+                self._tie = tie
                 fn()
                 continue
+            self._tie = tie
             fired._processed = True
             callbacks, fired.callbacks = fired.callbacks, []
             for callback in callbacks:

@@ -28,16 +28,18 @@ GOLDEN_GRU = {
 #: heap entries each GRU run processes (``BenchmarkResult.sim_events``),
 #: RC and shared-QP alike.  The event stream is part of the golden: a
 #: host-cost change makes the same pushes, so an added or dropped one
-#: moves these before it moves a clock.  Re-pinned on purpose twice, the
-#: clocks above not moving either time: when poll misses stopped being
-#: heap entries (two per miss before, none after), then when an idle
+#: moves these before it moves a clock.  Re-pinned on purpose three
+#: times, the clocks above not moving any time: when poll misses stopped
+#: being heap entries (two per miss before, none after), when an idle
 #: park became a step of the poll chain (a timed-out park three entries
-#: before, one after): before -> between -> after in each comment.
+#: before, one after), then when a landing became one heap entry (a
+#: landing over 4 KiB four entries before, one after): each comment
+#: reads before -> ... -> after.
 GOLDEN_GRU_EVENTS = {
-    (2, "ps", False): 3149,                # 11968 -> 4176 -> 3149
-    (4, "ring", False): 3117,              # 9225 -> 3981 -> 3117
-    (4, "halving-doubling", False): 2545,  # 6041 -> 3169 -> 2545
-    (3, "ring", True): 2863,               # 5341 -> 3295 -> 2863
+    (2, "ps", False): 2981,                # 11968 -> 4176 -> 3149 -> 2981
+    (4, "ring", False): 2973,              # 9225 -> 3981 -> 3117 -> 2973
+    (4, "halving-doubling", False): 2449,  # 6041 -> 3169 -> 2545 -> 2449
+    (3, "ring", True): 2791,               # 5341 -> 3295 -> 2863 -> 2791
 }
 
 

@@ -490,3 +490,145 @@ class TestVerbSpan:
                                                                False)
         assert repr(untraced.timestamp) == repr(comp.timestamp)
         assert repr(untraced_now) == repr(traced_now)
+
+
+class TestMidWindowAccess:
+    """What a reader or writer sees of a landing in mid-window.
+
+    A 1 MiB dense WRITE commits in ``MAX_COMMIT_CHUNKS`` ascending
+    chunks, chunk ``i`` due at ``start + (i + 1) / n * (end - start)``
+    and the last one at ``end``.  A chunk due at exactly an entry's
+    instant is visible to it iff that entry was pushed after the
+    landing or is a poll-chain entry.
+    """
+
+    SIZE = 1024 * 1024
+    BYTE = 0xee
+
+    @classmethod
+    def _window(cls):
+        """The landing's (start, end), read off a traced twin run."""
+        cluster = Cluster(2)
+        tracer = cluster.enable_tracing()
+        a, b = cluster.hosts
+        qp_a = a.nic.create_qp(a.nic.create_cq())
+        qp_a.connect(b.nic.create_qp(b.nic.create_cq()))
+        cls._post(a, b, qp_a)
+        (span,) = tracer.spans_by_category("wire")
+        return span.start, span.end
+
+    @classmethod
+    def _post(cls, a, b, qp_a):
+        src, src_mr = register(a, cls.SIZE, dense=True)
+        dst, dst_mr = register(b, cls.SIZE, dense=True)
+        src.write(bytes([cls.BYTE]) * cls.SIZE)
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=cls.SIZE, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
+        return dst
+
+    @classmethod
+    def _chunk_times(cls):
+        start, end = cls._window()
+        n = MAX_COMMIT_CHUNKS
+        return [start + (i + 1) / n * (end - start) if i < n - 1 else end
+                for i in range(n)]
+
+    @property
+    def step(self):
+        return self.SIZE // MAX_COMMIT_CHUNKS
+
+    def test_read_at_a_chunk_time_follows_push_order(self, pair):
+        cluster, a, b, qp_a, *_ = pair
+        sim = cluster.sim
+        t0 = self._chunk_times()[0]
+        seen = {}
+        dst = None
+
+        def look(name):
+            seen[name] = (dst.read_byte(0), dst.read_byte(self.step))
+
+        sim.call_at(t0, lambda: look("before"))
+        sim.call_poll(t0, sim.poll_index(), lambda: look("poll"))
+        dst = self._post(a, b, qp_a)
+        sim.call_at(t0, lambda: look("after"))
+        sim.run()
+        assert seen["before"] == (0, 0)
+        assert seen["after"] == (self.BYTE, 0)
+        assert seen["poll"] == (self.BYTE, 0)
+
+    def test_write_in_mid_window_is_ordered_against_chunks(self, pair):
+        cluster, a, b, qp_a, *_ = pair
+        sim = cluster.sim
+        t0, t1, t2, _ = self._chunk_times()
+        step = self.step
+        dst = None
+
+        def scribble(offset, mark):
+            dst.write(mark * 16, offset=offset - 8)
+
+        # Pushed before the landing: chunk 2 (due at t2) overwrites it.
+        sim.call_at(t2, lambda: scribble(3 * step, b"P"))
+        dst = self._post(a, b, qp_a)
+        # In mid-window, straddling chunks 1 and 2: chunk 2 lands later.
+        sim.call_at((t1 + t2) / 2, lambda: scribble(2 * step, b"M"))
+        # Pushed after the landing at chunk 1's instant: it wins.
+        sim.call_at(t1, lambda: scribble(step, b"A"))
+        sim.run()
+        assert dst.read(step - 8, 16) == b"A" * 16
+        assert dst.read(2 * step - 8, 16) == b"M" * 8 + bytes([self.BYTE]) * 8
+        assert dst.read(3 * step - 8, 16) == bytes([self.BYTE]) * 16
+        assert dst.read(0, step - 8) == bytes([self.BYTE]) * (step - 8)
+
+    def test_view_array_and_read_see_the_due_prefix(self, pair):
+        from repro.graph.dtypes import DType
+        from repro.graph.shapes import Shape
+        from repro.graph.tensor import Tensor
+        cluster, a, b, qp_a, *_ = pair
+        sim = cluster.sim
+        _, t1, t2, _ = self._chunk_times()
+        step = self.step
+        dst = self._post(a, b, qp_a)
+        tensor = Tensor(DType.uint8, Shape([self.SIZE]), dst)
+        seen = {}
+
+        def look():
+            seen["view"] = dst.backing.view(0, self.SIZE).tobytes()
+            seen["array"] = tensor.array.tobytes()
+            seen["read"] = dst.read(0, self.SIZE)
+
+        sim.call_at((t1 + t2) / 2, look)
+        sim.run()
+        due = bytes([self.BYTE]) * (2 * step) + bytes(self.SIZE - 2 * step)
+        assert seen == {"view": due, "array": due, "read": due}
+
+    def test_run_until_a_chunk_time_commits_it(self, pair):
+        cluster, a, b, qp_a, *_ = pair
+        t0 = self._chunk_times()[0]
+        dst = self._post(a, b, qp_a)
+        cluster.sim.run(until=t0)
+        assert (dst.read_byte(0), dst.read_byte(self.step)) == (self.BYTE, 0)
+
+    def test_reads_between_runs(self, pair):
+        cluster, a, b, qp_a, *_ = pair
+        sim = cluster.sim
+        t0, t1, *_ = self._chunk_times()
+        early, late = sim.event(), sim.event()
+        sim.call_at(t0, early.succeed)
+        dst = self._post(a, b, qp_a)
+        sim.call_at(t1, late.succeed)
+        step = self.step
+        # The entry that triggers ``early`` was pushed before the
+        # landing: chunk 0's commit at the same instant is still queued.
+        sim.run_until_complete(early)
+        assert sim.now == t0
+        assert (dst.read_byte(0), dst.read_byte(step)) == (0, 0)
+        sim.run(until=t0)
+        assert (dst.read_byte(0), dst.read_byte(step)) == (self.BYTE, 0)
+        # ``late`` was pushed after the landing: chunk 1 has committed.
+        sim.run_until_complete(late)
+        assert sim.now == t1
+        assert dst.read_byte(step) == self.BYTE
+        assert dst.read_byte(2 * step) == 0
+        sim.run()
+        assert dst.read(0, self.SIZE) == bytes([self.BYTE]) * self.SIZE

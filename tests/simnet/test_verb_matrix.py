@@ -12,7 +12,11 @@ a faulted verb leaves behind.
 The values in ``verb_matrix_golden.json`` were captured at the commit
 before the six ``_execute_*`` methods were folded into one pipeline;
 regenerate with ``PYTHONPATH=src python tests/simnet/test_verb_matrix.py``
-only for a change that is meant to move a clock.
+only for a change that is meant to move a clock.  ``events`` was
+re-pinned on purpose, every clock unmoved, when a landing became one
+heap entry: the 64 WRITE/READ cells lost three entries per landing over
+4 KiB (pipe none/straggler/partial 10 -> 4, loss 6 -> 3; quantum 32 ->
+26 and 28 -> 25); the SEND cells did not move.
 """
 
 import itertools
