@@ -66,7 +66,7 @@ def run_send_notification(size: int) -> float:
     cluster, dev_a, dev_b = _setup()
     src = dev_a.allocate_mem_region(size)
     dst = dev_b.allocate_mem_region(size)
-    notify_slot = dev_b.allocate_mem_region(64, dense=True)
+    notify_slot = dev_b.allocate_mem_region(64)
     channel_a = dev_a.get_channel(dev_b.endpoint, 1)
     channel_b = dev_b.get_channel(dev_a.endpoint, 1)
 

@@ -17,9 +17,10 @@ silently doubling the scale-sweep CI budget.
 
 One layer up, a verb-level bandwidth test (after blue-rdma's
 ``testcase_bandwidth_test.py``) posts WRITEs of 64 B / 64 KiB / 4 MiB
-between two size-only regions and between two dense ones and bounds
-the *host* microseconds each costs: a size-only verb must cost the
-same whatever it moves, a dense one may grow with its bytes.  A second
+from an unwritten source and from one written with real bytes (into
+a destination they cover, one array, or one they do not, pages) and
+bounds the *host* microseconds each costs: a size-only verb must cost
+the same whatever it moves, a real one may grow with its bytes.  A second
 table runs WRITE / READ / SEND through both link servers (the
 backfilling pipe and the 512 KiB quantum server) and pins the heap
 events each verb costs exactly, so a stray push on either path fails
@@ -124,9 +125,15 @@ def test_event_wait_throughput(benchmark):
     assert rate > 100_000
 
 
-def _run_verbs(opcode: Opcode, quantum: int, size: int, dense: bool,
+def _run_verbs(opcode: Opcode, quantum: int, size: int, storage: str,
                verbs: int) -> int:
-    """Post ``verbs`` verbs one at a time; returns the heap events used."""
+    """Post ``verbs`` verbs one at a time; returns the heap events used.
+
+    A "size-only" source is never written.  An "array" or "pages"
+    source holds real bytes, which land in a remote buffer of the same
+    size (they cover it: one array) or one byte larger (they never do:
+    pages).
+    """
     cluster = Cluster(2, cost=replace(DEFAULT_COST_MODEL,
                                       wire_quantum_bytes=quantum))
     a, b = cluster.hosts
@@ -135,8 +142,10 @@ def _run_verbs(opcode: Opcode, quantum: int, size: int, dense: bool,
     qp_a = a.nic.create_qp(cq)
     qp_b = b.nic.create_qp(recv_cq)
     qp_a.connect(qp_b)
-    local = a.allocate(size, dense=dense)
-    remote = b.allocate(size, dense=dense)
+    local = a.allocate(size)
+    remote = b.allocate(size + (storage == "pages"))
+    if storage != "size-only":
+        local.write(b"\x5a" * size)
     local_mr = a.nic.register_memory(local)
     remote_mr = b.nic.register_memory(remote)
     for _ in range(verbs):
@@ -155,19 +164,23 @@ def _run_verbs(opcode: Opcode, quantum: int, size: int, dense: bool,
     return cluster.sim.event_count
 
 
-# Measured 14 / 22 / 21 us size-only and 14 / 30 / 930 us dense; the
+# Measured 18 / 28 / 26 us size-only, 23 / 26 / 1140 us into an array
+# and 20 / 51 / 2860 us into pages (one loop step per 4 KiB page); the
 # ceilings trip on a per-byte loop, not on a slow CI minute.
 @pytest.mark.parametrize("storage,size,verbs,ceiling_us", [
     ("size-only", 64, 500, 150.0),
     ("size-only", 64 << 10, 500, 250.0),
     ("size-only", 4 << 20, 500, 250.0),
-    ("dense", 64, 500, 150.0),
-    ("dense", 64 << 10, 500, 400.0),
-    ("dense", 4 << 20, 50, 10_000.0),
+    ("array", 64, 500, 150.0),
+    ("array", 64 << 10, 500, 400.0),
+    ("array", 4 << 20, 50, 10_000.0),
+    ("pages", 64, 500, 150.0),
+    ("pages", 64 << 10, 500, 400.0),
+    ("pages", 4 << 20, 50, 10_000.0),
 ])
 def test_write_host_cost_per_verb(benchmark, storage, size, verbs, ceiling_us):
     benchmark.pedantic(_run_verbs, rounds=3, iterations=1, args=(
-        Opcode.WRITE, 0, size, storage == "dense", verbs))
+        Opcode.WRITE, 0, size, storage, verbs))
     per_verb_us = benchmark.stats.stats.min / verbs * 1e6
     print(f"\nWRITE {size} B {storage}: {per_verb_us:.1f} host us/verb "
           f"= {size / per_verb_us:.1f} MB/s of simulated payload")
@@ -194,7 +207,8 @@ def test_verb_host_cost_and_events(benchmark, opcode, quantum, ceiling_us,
     verbs, size = 500, 64 << 10
     counts = []
     benchmark.pedantic(
-        lambda: counts.append(_run_verbs(opcode, quantum, size, False, verbs)),
+        lambda: counts.append(_run_verbs(opcode, quantum, size, "size-only",
+                                          verbs)),
         rounds=3, iterations=1)
     per_verb_us = benchmark.stats.stats.min / verbs * 1e6
     print(f"\n{opcode.name} {size} B size-only, quantum {quantum}: "
@@ -260,10 +274,10 @@ class _ScriptedFlags(CommRuntime):
 
     def execute_recv(self, executor, node):
         done = Outcome.done([executor.allocate_output(
-            node, 0, DType.float32, Shape([4]), dense=False)])
+            node, 0, DType.float32, Shape([4]))])
         if self.sweeps is None:
             return done
-        backing = executor.host.allocate(1, dense=True).backing
+        backing = executor.host.allocate(1).backing
         self.flags.append(backing)
         return Outcome.polling(poll=lambda: backing.read_byte(0) == 1,
                                complete=lambda: done, flag=(backing, 0))

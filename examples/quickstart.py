@@ -33,8 +33,8 @@ def main() -> None:
     # -- Table 1: AllocateMemRegion -----------------------------------------------
     tensor = np.arange(1024, dtype=np.float32)
     nbytes = tensor.nbytes
-    src = sender.allocate_mem_region(nbytes, dense=True)
-    dst = receiver.allocate_mem_region(nbytes + 1, dense=True)  # +flag byte
+    src = sender.allocate_mem_region(nbytes)
+    dst = receiver.allocate_mem_region(nbytes + 1)  # +flag byte
     src.write(tensor.tobytes())
     print(f"allocated {nbytes} B on each side "
           f"(rkeys {src.rkey}/{dst.rkey})")

@@ -80,7 +80,7 @@ class AddressBook:
         self._demux_running[peer] = True
         self._replies.setdefault(peer, Store(self.sim))
         slot = self.device.allocate_mem_region(
-            _RECV_SLOT, label=f"addrbook-rx:{peer}", dense=True)
+            _RECV_SLOT, label=f"addrbook-rx:{peer}")
 
         def on_message(completion: Completion) -> None:
             raw = slot.read(0, completion.byte_len)

@@ -179,11 +179,11 @@ class RdmaChannel:
             src_addr, dst_addr = remote_addr, local_addr
         if inline_data is not None:
             payload: Optional[bytes] = bytes(inline_data)
-            head = tail = b""
+            pieces = ()
         else:
             src_buf, src_off = src_host.address_space.resolve(
                 src_addr, max(size, 1))
-            payload, head, tail = RdmaNic._edge_payload(
+            payload, pieces = RdmaNic._edge_payload(
                 src_buf.backing, src_off, size)
         yield from src_host.cpu.run(cost.tcp_send_time(size))
         start, _ = src_host.tcp.egress.reserve(sim.now, size)
@@ -208,11 +208,7 @@ class RdmaChannel:
         if payload is not None:
             dst_buf.backing.write(dst_off, payload)
         else:
-            dst_buf.backing.write_virtual(dst_off, size)
-            if head:
-                dst_buf.backing.write(dst_off, head)
-            if tail:
-                dst_buf.backing.write(dst_off + size - len(tail), tail)
+            dst_buf.backing.write_virtual(dst_off, size, pieces)
         self.bytes_transferred += size
         dst_host.notify_memory_commit(dst_buf.backing, dst_off,
                                       dst_off + size)
@@ -397,11 +393,10 @@ class RdmaDevice:
 
     # -- Table 1 interface ------------------------------------------------------------
 
-    def allocate_mem_region(self, size_in_bytes: int, label: str = "",
-                            dense: Optional[bool] = None) -> MemRegion:
+    def allocate_mem_region(self, size_in_bytes: int,
+                            label: str = "") -> MemRegion:
         """AllocateMemRegion: RDMA-accessible memory on this device."""
-        buffer = self.host.allocate(size_in_bytes, label=label or "memregion",
-                                    dense=dense)
+        buffer = self.host.allocate(size_in_bytes, label=label or "memregion")
         region = self.host.nic.register_memory(buffer)
         mem = MemRegion(self, buffer, region)
         self.regions.append(mem)

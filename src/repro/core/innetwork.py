@@ -358,7 +358,7 @@ class InNetworkGroup:
         raw = payload.tobytes() if payload is not None else None
         member.nic._faulted_commit(
             None, member.tensor.buffer.backing, offset, size, raw, start,
-            end, b"", b"",
+            end, (),
             lambda _backing, _lo, _hi: self._chunk_committed(member,
                                                              round_id))
 

@@ -346,7 +346,7 @@ def build_publication(trainer_device, replica_devices, spec: ModelSpec,
     """
     layout = PublicationLayout(spec)
     source = trainer_device.allocate_mem_region(
-        max(layout.payload_bytes, 1), label="publish-src", dense=False)
+        max(layout.payload_bytes, 1), label="publish-src")
     source_offsets: List[int] = []
     cursor = 0
     for slot in layout.slots:
@@ -355,7 +355,7 @@ def build_publication(trainer_device, replica_devices, spec: ModelSpec,
 
     arena_pairs: List[Tuple[MemRegion, MemRegion]] = [
         tuple(device.allocate_mem_region(layout.size,
-                                         label=f"weights[{i}]", dense=False)
+                                         label=f"weights[{i}]")
               for i in range(2))
         for device in replica_devices
     ]
@@ -363,7 +363,7 @@ def build_publication(trainer_device, replica_devices, spec: ModelSpec,
     writers: List[SnapshotWriter] = []
     for rank, device in enumerate(replica_devices):
         ack_region = trainer_device.allocate_mem_region(
-            STAMP_BYTES, label=f"weight-ack[{rank}]", dense=True)
+            STAMP_BYTES, label=f"weight-ack[{rank}]")
         writers.append(SnapshotWriter(
             channel=trainer_device.get_channel(device.endpoint, qp_idx),
             layout=layout,

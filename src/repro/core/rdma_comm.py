@@ -154,7 +154,7 @@ class RdmaCommRuntime(CommRuntime):
                 ndims = recv_node.attrs["shape"].rank
                 slot = device.allocate_mem_region(
                     TensorMeta.slot_size(ndims),
-                    label=f"meta:{edge.key}", dense=True)
+                    label=f"meta:{edge.key}")
                 channel = device.get_channel(
                     self.endpoints[edge.src_device],
                     self._qp_for(edge.key))

@@ -156,15 +156,13 @@ class GrpcCommRuntime(CommRuntime):
             shape = Shape(reply["dims"])
             # The receive tensor follows the payload: a virtual payload
             # is an untracked tensor, size-only whatever its size.
-            tensor = executor.allocate_output(
-                node, 0, dtype, shape,
-                dense=False if payload.is_virtual else None)
+            tensor = executor.allocate_output(node, 0, dtype, shape)
             # The RPC path cannot deliver into the consumer's buffer:
             # one more copy from the deserialized message into the
             # freshly allocated tensor.
             yield from executor.host.cpu.run(
                 executor.cost.memcpy_time(payload.size))
-            if tensor.is_dense and payload.data is not None:
+            if payload.data is not None:
                 tensor.copy_from(
                     np.frombuffer(payload.data, dtype=dtype.np).reshape(
                         shape.as_tuple()))

@@ -61,10 +61,7 @@ class BaseAllocator:
 
     def allocate_tensor(self, dtype: DType, shape: Shape,
                         node_name: Optional[str] = None,
-                        alloc_index: int = 0,
-                        dense: Optional[bool] = None) -> Tensor:
-        """Allocate a tensor; ``dense`` asks for real bytes (True),
-        size-only storage (False) or the allocator's default (None)."""
+                        alloc_index: int = 0) -> Tensor:
         raise NotImplementedError
 
     def free_tensor(self, tensor: Tensor) -> None:
@@ -81,11 +78,9 @@ class HostAllocator(BaseAllocator):
 
     def allocate_tensor(self, dtype: DType, shape: Shape,
                         node_name: Optional[str] = None,
-                        alloc_index: int = 0,
-                        dense: Optional[bool] = None) -> Tensor:
+                        alloc_index: int = 0) -> Tensor:
         nbytes = tensor_nbytes(dtype, shape)
-        buf = self.host.allocate(max(nbytes, 1), label=node_name or "tensor",
-                                 dense=dense)
+        buf = self.host.allocate(max(nbytes, 1), label=node_name or "tensor")
         tensor = Tensor(dtype, shape, buf)
         self.bytes_live += nbytes
         self._notify(tensor, node_name, alloc_index)
@@ -182,10 +177,7 @@ class ArenaAllocator(BaseAllocator):
 
     def allocate_tensor(self, dtype: DType, shape: Shape,
                         node_name: Optional[str] = None,
-                        alloc_index: int = 0,
-                        dense: Optional[bool] = None) -> Tensor:
-        # ``dense`` is ignored: a tensor carved from the arena shares
-        # the storage kind of the arena's one registered buffer.
+                        alloc_index: int = 0) -> Tensor:
         nbytes = tensor_nbytes(dtype, shape)
         offset = self.allocate_block(max(nbytes, 1))
         tensor = Tensor(dtype, shape, self.backing, offset=offset)

@@ -166,7 +166,7 @@ class Executor:
         return self.heap
 
     def allocate_output(self, node: Node, index: int, dtype: DType,
-                        shape: Shape, dense: Optional[bool] = None) -> Tensor:
+                        shape: Shape) -> Tensor:
         """Allocate storage for output ``index`` of ``node``.
 
         Allocations made during an iteration are transient: their
@@ -174,16 +174,15 @@ class Executor:
         the runtime's per-step tensor lifetime).  Variable storage is
         allocated before iteration 0 and lives forever.
 
-        Storage follows content: a caller whose output nothing can read
-        (its inputs are untracked, or the op computes nothing) passes
-        ``dense=False`` and gets a size-only buffer whatever its size;
-        ``None`` leaves the choice to the allocator (real bytes up to
-        ``DENSE_LIMIT``).
+        Storage follows content: the tensor holds no bytes until real
+        values are written into it, so an output nobody computes (its
+        inputs are untracked, or the op computes nothing) stays
+        size-only whatever its size.
         """
         allocator = self.pick_allocator(node.name, index)
         tensor = allocator.allocate_tensor(dtype, shape,
                                            node_name=node.name,
-                                           alloc_index=index, dense=dense)
+                                           alloc_index=index)
         if self.iteration >= 0:
             self._transient.append((allocator, tensor))
         return tensor
@@ -194,9 +193,8 @@ class Executor:
         """Allocate persistent variable storage (iteration -1 work).
 
         Storage follows content here too: a variable gets real bytes
-        only if an ``initializer`` gives it some (and it fits
-        ``DENSE_LIMIT``); an uninitialized one is size-only whatever
-        its size, since nothing could read its zeros.
+        only if an ``initializer`` gives it some; an uninitialized one
+        is size-only whatever its size, since nothing writes it.
         """
         for node in self.graph.nodes_of_type("Variable"):
             shape = node.attrs["shape"]
@@ -204,10 +202,8 @@ class Executor:
             if not shape.is_fully_defined:
                 raise ExecutorError(f"variable {node.name} needs static shape")
             init = node.attrs.get("initializer")
-            tensor = self.allocate_output(
-                node, 0, dtype, shape,
-                dense=None if init is not None else False)
-            if init is not None and tensor.is_dense:
+            tensor = self.allocate_output(node, 0, dtype, shape)
+            if init is not None:
                 tensor.copy_from(init)
             self.variables[node.name] = tensor
 
@@ -720,7 +716,7 @@ class Executor:
         if op_type == "ApplyGradient":
             return Outcome.done([self._apply_gradient(node, inputs)])
         if op_type == "SyntheticCompute":
-            outputs = [self.allocate_output(node, i, dtype, shape, dense=False)
+            outputs = [self.allocate_output(node, i, dtype, shape)
                        for i, (dtype, shape)
                        in enumerate(zip(node.output_dtypes, node.output_shapes))]
             return Outcome.done(outputs)
@@ -744,8 +740,7 @@ class Executor:
                             dtype=node.output_dtypes[0].np)
         tensor = self.allocate_output(node, 0, node.output_dtypes[0],
                                       Shape(values.shape))
-        if tensor.is_dense:
-            tensor.copy_from(values)
+        tensor.copy_from(values)
         return tensor
 
     def _apply_gradient(self, node: Node, inputs: List[Tensor]) -> Tensor:
@@ -774,14 +769,14 @@ class Executor:
                 tensor = self.allocate_output(node, index,
                                               node.output_dtypes[index],
                                               Shape(array.shape))
-                if tensor.is_dense:
-                    tensor.copy_from(array)
+                tensor.copy_from(array)
                 outputs.append(tensor)
             return outputs
-        # Virtual path: contents are not tracked, so the outputs are
-        # size-only whatever their size and everything downstream of
-        # them does no byte work; partially-unknown static shapes are
-        # resolved from the runtime input shapes.
+        # Virtual path: contents are not tracked, so nothing writes the
+        # outputs, they stay size-only whatever their size and
+        # everything downstream of them does no byte work;
+        # partially-unknown static shapes are resolved from the runtime
+        # input shapes.
         if not all(s.is_fully_defined for s in node.output_shapes):
             op.infer(node, [t.shape for t in inputs],
                      [t.dtype for t in inputs])
@@ -792,6 +787,5 @@ class Executor:
                 raise ExecutorError(
                     f"{node.name}: could not resolve a concrete shape "
                     f"for output {index} ({shape})")
-            outputs.append(self.allocate_output(node, index, dtype, shape,
-                                                dense=False))
+            outputs.append(self.allocate_output(node, index, dtype, shape))
         return outputs

@@ -4,14 +4,14 @@ A tensor is the unit of data flowing along graph edges and of
 cross-server transfer.  Its storage is a :class:`~repro.simnet.memory.Buffer`
 in some host's simulated address space:
 
-* *dense* buffers expose the bytes as a zero-copy numpy view
-  (:attr:`Tensor.array`), so computation writes directly into the very
-  memory the NIC transfers — this is what makes the zero-copy claims
-  testable end to end;
-* *virtual* buffers carry only a size: the large benchmark models,
-  and every tensor computed from one (storage follows content — see
-  ``Executor.allocate_output``), where content is irrelevant but
-  timing is not.
+* a *dense* tensor's range was wholly written with real bytes, which
+  :attr:`Tensor.array` exposes as a zero-copy numpy view, so
+  computation writes directly into the very memory the NIC transfers —
+  this is what makes the zero-copy claims testable end to end;
+* any other tensor carries only a size: the large benchmark models,
+  and every tensor computed from one (nothing writes it, so it holds
+  no bytes — see ``Executor.allocate_output``), where content is
+  irrelevant but timing is not.
 
 :class:`TensorMeta` is the fixed-size metadata block of §3.3 (number
 of dimensions, per-dimension sizes, element type, remote data address)
@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..simnet.memory import Buffer, DenseBacking
+from ..simnet.memory import Buffer
 from .dtypes import DType
 from .shapes import Shape, as_shape
 
@@ -69,8 +69,9 @@ class Tensor:
 
     @property
     def is_dense(self) -> bool:
+        """Whether the tensor's range was wholly written with real bytes."""
         return (self.buffer is not None
-                and isinstance(self.buffer.backing, DenseBacking))
+                and self.buffer.backing.is_real(self.offset, self.nbytes))
 
     # -- value access -------------------------------------------------------------------
 
@@ -79,8 +80,7 @@ class Tensor:
         """Zero-copy numpy view of the underlying bytes (dense only)."""
         if not self.is_dense:
             raise ValueError("array view requires dense storage")
-        backing: DenseBacking = self.buffer.backing  # type: ignore[assignment]
-        raw = backing.view(self.offset, self.nbytes)
+        raw = self.buffer.backing.view(self.offset, self.nbytes)
         return raw.view(self.dtype.np).reshape(self.shape.as_tuple())
 
     def copy_from(self, values: np.ndarray) -> None:
@@ -88,7 +88,9 @@ class Tensor:
         values = np.asarray(values, dtype=self.dtype.np)
         if values.shape != self.shape.as_tuple():
             raise ValueError(f"shape mismatch: {values.shape} vs {self.shape}")
-        self.array[...] = values
+        if self.buffer is None:
+            raise ValueError("tensor has no storage")
+        self.buffer.write(values.tobytes(), self.offset)
 
     def __repr__(self) -> str:
         where = "unmaterialized"

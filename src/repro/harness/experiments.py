@@ -719,7 +719,7 @@ def _scale_spec(variable_mb: float = 24.0, num_variables: int = 2,
                 sample_time: float = 0.004) -> ModelSpec:
     """A synthetic model sized for the scale sweep.
 
-    Every variable exceeds the 16 MiB dense limit, so its replicas are
+    No initializer gives a variable content, so its replicas are
     size-only and — storage follows content — so are the gradients,
     fusion buffers and chunks computed from them, whatever their size:
     a 256-worker run costs simulator events, not numpy arithmetic or

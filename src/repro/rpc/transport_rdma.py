@@ -90,11 +90,10 @@ class _ConnectionSide:
         # Receive ring (the in-library fixed buffer of §2.2).
         self.ring = RingBuffer(ring_cap)
         self.records: Store = Store(self.sim)  # record sizes, FIFO w/ ring
-        # The recv slot is dense so concrete fragments round-trip
-        # exactly; only real bytes (header + concrete prefix) touch it.
+        # Concrete fragments round-trip exactly through the recv slot;
+        # only real bytes (header + concrete prefix) touch it.
         self.recv_region: Buffer = host.allocate(
-            self.frag_body_max + HEADER_SIZE, label=f"{name}-recvslot",
-            dense=True)
+            self.frag_body_max + HEADER_SIZE, label=f"{name}-recvslot")
         self.recv_mr = nic.register_memory(self.recv_region)
         self.credits: Optional[CreditGate] = None  # credits for *sending*
         self._recv_loop_started = False

@@ -169,11 +169,10 @@ def run_serving_benchmark(
     background_stop = {"flag": False}
     if background_training:
         bg_src = trainer_device.allocate_mem_region(
-            BACKGROUND_BYTES, label="train-sync-src", dense=False)
+            BACKGROUND_BYTES, label="train-sync-src")
         for rank, device in enumerate(replica_devices):
             sink = device.allocate_mem_region(
-                BACKGROUND_BYTES, label=f"train-sync-sink[{rank}]",
-                dense=False)
+                BACKGROUND_BYTES, label=f"train-sync-sink[{rank}]")
             channel = trainer_device.get_channel(device.endpoint, 1)
             sim.spawn(_background_traffic(sim, channel, bg_src,
                                           sink.descriptor(),

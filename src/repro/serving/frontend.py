@@ -79,8 +79,7 @@ class Router:
         self.links: List[_ReplicaLink] = []
         # Payload staging the dispatch write reads from (virtual).
         self._payload_src = self.device.allocate_mem_region(
-            max_batch * REQUEST_BYTES, label="dispatch-src",
-            dense=False)
+            max_batch * REQUEST_BYTES, label="dispatch-src")
         self._outstanding: Dict[int, Tuple] = {}  # batch_id -> (event, link)
         self._next_batch_id = 1
         self._rr = 0
@@ -105,7 +104,7 @@ class Router:
         channel = self.device.get_channel(replica.device.endpoint, 0)
         resp_region = self.device.allocate_mem_region(
             RESP_RECORD_SIZE + self.max_batch * RESPONSE_BYTES,
-            label=f"resp-slot[{replica.rank}]", dense=True)
+            label=f"resp-slot[{replica.rank}]")
         link = _ReplicaLink(replica, channel, resp_region)
         self.links.append(link)
         replica.connect_router(

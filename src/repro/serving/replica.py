@@ -72,15 +72,15 @@ class Replica:
         # Router-writable request slots (descriptors go to the router
         # at attach time, the setup path is out-of-band RPC).
         self.meta_region = device.allocate_mem_region(
-            META_SIZE, label=f"serve-meta[{rank}]", dense=True)
+            META_SIZE, label=f"serve-meta[{rank}]")
         self.input_region = device.allocate_mem_region(
             max_batch * REQUEST_BYTES,
-            label=f"serve-input[{rank}]", dense=False)
+            label=f"serve-input[{rank}]")
         # Local staging the response write reads from (virtual: only
         # timing moves, plus 64-byte edge windows).
         self.resp_src = device.allocate_mem_region(
             max_batch * RESPONSE_BYTES,
-            label=f"serve-resp-src[{rank}]", dense=False)
+            label=f"serve-resp-src[{rank}]")
         # Filled in by Router.attach_replica().
         self.resp_channel = None
         self.resp_remote = None

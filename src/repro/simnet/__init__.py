@@ -10,8 +10,8 @@ from .costmodel import CostModel, DEFAULT_COST_MODEL, KB, MB, GB
 from .faults import (FaultInjector, FaultRule, FaultSpecError, FaultVerdict,
                      parse_fault_spec)
 from .metrics import MetricsCollector, TransferRecord
-from .memory import (AddressSpace, Backing, Buffer, DenseBacking, MemoryError_,
-                     MemoryRegion, MrTable, VirtualBacking)
+from .memory import (AddressSpace, Backing, Buffer, MemoryError_,
+                     MemoryRegion, MrTable)
 from .nic import CompletionQueue, Pipe, QueuePair, RdmaNic
 from .simulator import (AllOf, AnyOf, Event, Process, SimulationError,
                         Simulator, Store, Timeout)
@@ -22,11 +22,11 @@ from .verbs import Completion, Opcode, WcStatus, WorkRequest
 __all__ = [
     "AddressSpace", "AllOf", "AnyOf", "Backing", "Buffer", "Cluster",
     "Completion", "CompletionQueue", "CostModel", "DEFAULT_COST_MODEL",
-    "DenseBacking", "Endpoint", "Event", "FaultInjector", "FaultRule",
+    "Endpoint", "Event", "FaultInjector", "FaultRule",
     "FaultSpecError", "FaultVerdict", "GB", "Host", "KB", "Listener", "MB",
     "MemoryError_", "MemoryRegion", "MetricsCollector", "MrTable", "Opcode",
     "Pipe", "Process", "QueuePair", "RdmaNic", "SimulationError",
     "Simulator", "Socket", "Store", "TcpError", "TcpMessage", "TcpStack",
-    "Timeout", "TransferRecord", "VirtualBacking", "WcStatus", "WorkRequest",
+    "Timeout", "TransferRecord", "WcStatus", "WorkRequest",
     "parse_fault_spec",
 ]

@@ -1,20 +1,14 @@
 """Simulated host memory: address spaces, backings, registered regions.
 
-Each simulated host owns a flat virtual :class:`AddressSpace`.  Buffers
-carved out of it are backed either by a real ``numpy`` byte array
-(:class:`DenseBacking`) — used for control data, metadata slots, flag
-bytes, and any tensor whose content is tracked and small enough to
-verify byte-exactly — or by a :class:`VirtualBacking` that tracks which
-ranges have been written without storing payload bytes.  Virtual
-backings let the benchmarks move multi-hundred-megabyte "tensors" per
-iteration without exhausting real RAM; the flag-byte completion
-protocol still works because small explicit writes (the flag, metadata
-headers) are stored for real, in pages created on demand.
-
-The allocator's default picks by size (``DENSE_LIMIT``); a caller that
-knows nobody can read the content (the graph executor, for outputs
-downstream of an untracked tensor and for variables no initializer
-fills) asks for size-only storage outright.
+Each simulated host owns a flat virtual :class:`AddressSpace`.  Every
+buffer carved out of it has one :class:`Backing` whose storage follows
+the bytes written: nothing until a nonzero real byte arrives, pages
+holding the span of nonzero bytes written into them for partial real
+content, one contiguous numpy array once real bytes cover the buffer.
+A size-only write (a transfer of an untracked tensor) moves timing and
+the real bytes of its source, so the benchmarks move
+multi-hundred-megabyte "tensors" per iteration without exhausting real
+RAM, while flag bytes and metadata headers are stored for real.
 
 A DMA write in flight is a :class:`Landing` on its backing: the NIC
 schedules one heap entry at the write's end, and every accessor first
@@ -37,17 +31,32 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 
-DENSE_LIMIT = 16 * 1024 * 1024  # regions <= 16 MiB get real byte storage
-
-
 class MemoryError_(RuntimeError):
     """Simulated memory fault (bad address, protection, exhaustion)."""
+
+
+#: the bytes a size-only transfer carries, as ``(at, data, real)`` with
+#: ``at`` relative to the range's start: its edge windows (not real)
+#: and the real bytes its source held (real)
+Pieces = Tuple[Tuple[int, bytes, bool], ...]
+
+
+def clip_pieces(pieces: Pieces, lo: int, hi: int) -> Pieces:
+    """The parts of ``pieces`` inside ``[lo, hi)``, relative to ``lo``."""
+    if not pieces:
+        return ()
+    clipped = []
+    for at, data, real in pieces:
+        a, b = max(at, lo), min(at + len(data), hi)
+        if a < b:
+            clipped.append((a - lo, data[a - at:b - at], real))
+    return tuple(clipped)
 
 
 class Landing:
     """A DMA write still landing in a backing, in ascending address order.
 
-    ``[offset, offset + size)`` commits in ``chunks`` pieces (equal
+    ``[offset, offset + size)`` commits in ``chunks`` parts (equal
     steps, the last one taking the remainder).  Chunk ``i`` is due at
     ``max(start + (i + 1) / chunks * (end - start), posted)``, the last
     one at ``max(end, posted)``, where ``posted`` is the instant the
@@ -63,24 +72,23 @@ class Landing:
     ``seq`` the push counter at scheduling.
 
     A size-only landing (``payload`` None) counts its bytes and carries
-    only its real ``head`` and ``tail`` windows, which commit with the
-    first and the last chunk.
+    its ``pieces``, each committing with the chunks it falls in (see
+    :meth:`Backing.write_virtual`).
     """
 
-    __slots__ = ("backing", "sim", "offset", "size", "payload", "head",
-                 "tail", "start", "end", "posted", "seq", "chunks", "done",
+    __slots__ = ("backing", "sim", "offset", "size", "payload", "pieces",
+                 "start", "end", "posted", "seq", "chunks", "done",
                  "next_at", "wake")
 
     def __init__(self, backing: "Backing", sim, offset: int, size: int,
                  payload: Optional[bytes], start: float, end: float,
-                 head: bytes, tail: bytes, chunks: int, wake) -> None:
+                 pieces: Pieces, chunks: int, wake) -> None:
         self.backing = backing
         self.sim = sim
         self.offset = offset
         self.size = size
         self.payload = payload
-        self.head = head
-        self.tail = tail
+        self.pieces = pieces
         self.start = start
         self.end = end
         self.posted = sim._now
@@ -116,8 +124,7 @@ class Landing:
         return i
 
     def apply(self, upto: int) -> None:
-        """Commit chunks ``[done, upto)``: one write, or one per chunk
-        where a size-only backing keeps the edge windows of each."""
+        """Commit chunks ``[done, upto)`` in one write."""
         first, self.done = self.done, upto
         n, size, offset = self.chunks, self.size, self.offset
         self.next_at = self.due(upto) if upto < n - 1 else _NEVER
@@ -126,18 +133,12 @@ class Landing:
         hi = size if upto == n else upto * step
         backing, payload = self.backing, self.payload
         if payload is not None:
-            if upto - first == 1 or isinstance(backing, DenseBacking):
-                backing._put(offset + lo, payload[lo:hi])
-            else:
-                for i in range(first, upto):
-                    a, b = i * step, size if i == n - 1 else (i + 1) * step
-                    backing._put(offset + a, payload[a:b])
+            backing._put(offset + lo, payload[lo:hi])
             return
-        backing._put_virtual(offset + lo, hi - lo)
-        if first == 0 and self.head:
-            backing._put(offset, self.head)
-        if upto == n and self.tail:
-            backing._put(offset + size - len(self.tail), self.tail)
+        pieces = self.pieces
+        if hi - lo < size:
+            pieces = clip_pieces(pieces, lo, hi)
+        backing._put_virtual(offset + lo, hi - lo, pieces)
 
     def finish(self) -> None:
         """The landing's one heap entry: commit what is left, then wake."""
@@ -155,48 +156,262 @@ class Landing:
 _landing_offset = operator.attrgetter("offset")
 
 
+def _nonzero_span(piece: bytes) -> Tuple[int, int]:
+    """Where the nonzero bytes of ``piece`` begin and end; ``(n, n)``
+    for ``n`` zeros."""
+    first = 0 if piece[0] else len(piece) - len(piece.lstrip(b"\0"))
+    end = len(piece) if piece[-1] else len(piece.rstrip(b"\0"))
+    return first, max(end, first)
+
+
 _NEVER = float("inf")
 
 
 class Backing:
-    """Storage behind a buffer.  Subclasses define read/write semantics.
+    """Storage behind a buffer: real bytes only where real bytes landed.
+
+    Nothing is stored until a nonzero real byte arrives.  Partial real
+    content lives in ``page_size`` pages, each holding one span: the
+    bytes from the first to the last nonzero byte written into it, so
+    a 1-byte flag costs 1 byte and a header its length.  Once real bytes cover the whole buffer, or a caller asks
+    for :meth:`view`, the pages become one contiguous numpy ``array``.
+    The pages' bytes as they grow, and the array once made, are
+    charged to ``space``'s ``dense_bytes_allocated``.  Never-stored
+    bytes read as zero.
+
+    ``_real`` lists the ranges last written with real bytes, sorted and
+    merged, flattened as ``[lo0, hi0, lo1, hi1, ...]``.  A size-only
+    write (:meth:`write_virtual`, a size-only landing's body) neither
+    grants nor revokes real-ness, so it only ever grows; only its real
+    ``pieces`` grant it.  Bytes outside ``_real`` therefore read zero.
 
     Every accessor first commits what the landings in flight here owe
     by now (:class:`Landing`); with none in flight that is one
     attribute test.
     """
 
-    def __init__(self, size: int) -> None:
+    page_size = 4096
+
+    def __init__(self, size: int, space: Optional["AddressSpace"] = None
+                 ) -> None:
         if size <= 0:
             raise MemoryError_(f"backing size must be positive, got {size}")
         self.size = size
+        self._space = space
+        #: contiguous storage, once real bytes cover the buffer or a view
+        #: was asked for; until then content lives in ``_pages``
+        self.array: Optional[np.ndarray] = None
+        #: page index -> ``[lo, span]``: ``span`` holds the page's bytes
+        #: from ``lo``; the rest of the page reads zero
+        self._pages: Dict[int, list] = {}
+        self._real: List[int] = []
+        self.bytes_written = 0
         #: landings in flight, sorted by offset
         self._landings: List[Landing] = []
         #: two of them overlap: commit every due chunk in due order
         self._tangled = False
 
     def read(self, offset: int, length: int) -> bytes:
-        raise NotImplementedError
+        if self._landings:
+            self._catch_up(offset, offset + length)
+        self._check(offset, length)
+        return self._get(offset, length)
+
+    def _get(self, offset: int, length: int) -> bytes:
+        if self.array is not None:
+            return self.array[offset:offset + length].tobytes()
+        pages = self._pages
+        if not pages:
+            return bytes(length)
+        page_size = self.page_size
+        index, start = divmod(offset, page_size)
+        if start + length <= page_size:
+            # The 64-byte head/tail windows every size-only verb reads.
+            page = pages.get(index)
+            if page is None:
+                return bytes(length)
+            lo, span = page
+            if lo <= start and start + length <= lo + len(span):
+                return bytes(span[start - lo:start - lo + length])
+        out = bytearray(length)
+        pos = 0
+        while pos < length:
+            take = min(page_size - start, length - pos)
+            page = pages.get(index)
+            if page is not None:
+                lo, span = page
+                a, b = max(start, lo), min(start + take, lo + len(span))
+                if a < b:
+                    out[pos + a - start:pos + b - start] = span[a - lo:b - lo]
+            pos += take
+            index += 1
+            start = 0
+        return bytes(out)
 
     def write(self, offset: int, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            data = bytes(data)
         if self._landings:
             self._catch_up(offset, offset + len(data))
         self._put(offset, data)
 
-    def write_virtual(self, offset: int, length: int) -> None:
-        """Record that ``length`` bytes were written without content."""
+    def write_virtual(self, offset: int, length: int,
+                      pieces: Pieces = ()) -> None:
+        """Record that ``length`` bytes were written without content: a
+        size-only transfer, whose ``pieces`` still land (only the real
+        ones as real bytes)."""
         if self._landings:
             self._catch_up(offset, offset + length)
-        self._put_virtual(offset, length)
+        self._put_virtual(offset, length, pieces)
 
     def read_byte(self, offset: int) -> int:
-        return self.read(offset, 1)[0]
+        # Flag pollers call this every sweep (60-90 times per verb).
+        if self._landings:
+            self._catch_up(offset, offset + 1)
+        if not 0 <= offset < self.size:
+            self._check(offset, 1)
+        if self.array is not None:
+            return int(self.array[offset])
+        page = self._pages.get(offset // self.page_size)
+        if page is None:
+            return 0
+        lo, span = page
+        at = offset % self.page_size - lo
+        return span[at] if 0 <= at < len(span) else 0
+
+    def view(self, offset: int, length: int) -> np.ndarray:
+        """A zero-copy numpy view of the backing range, holding what has
+        landed by now: chunks that come due later commit on the next
+        access, so do not keep the view across simulated time.
+
+        A backing still in pages first becomes one array of its whole
+        size, however short the range: a small tensor viewed in a large
+        arena costs the arena."""
+        if self._landings:
+            self._catch_up(offset, offset + length)
+        self._check(offset, length)
+        array = self.array if self.array is not None else self._materialize()
+        return array[offset:offset + length]
+
+    def is_real(self, offset: int, length: int) -> bool:
+        """Whether ``[offset, offset + length)`` was wholly written with
+        real bytes (by now: due landing chunks commit first)."""
+        if self._landings:
+            self._catch_up(offset, offset + length)
+        real = self._real
+        index = bisect.bisect_right(real, offset)
+        return (index & 1 == 1 and offset + length <= real[index]
+                or length == 0)
+
+    def real_pieces(self, offset: int, length: int) -> Pieces:
+        """The real bytes in ``[offset, offset + length)`` as pieces."""
+        if self._landings:
+            self._catch_up(offset, offset + length)
+        real = self._real
+        if not real:
+            return ()
+        end = offset + length
+        index = bisect.bisect_right(real, offset)
+        index -= index & 1
+        pieces = []
+        while index < len(real) and real[index] < end:
+            lo, hi = max(real[index], offset), min(real[index + 1], end)
+            pieces.append((lo - offset, self._get(lo, hi - lo), True))
+            index += 2
+        return tuple(pieces)
 
     def _put(self, offset: int, data: bytes) -> None:
-        raise NotImplementedError
+        self._check(offset, len(data))
+        self.bytes_written += len(data)
+        self._overlay(offset, data, True)
 
-    def _put_virtual(self, offset: int, length: int) -> None:
-        raise NotImplementedError
+    def _put_virtual(self, offset: int, length: int,
+                     pieces: Pieces = ()) -> None:
+        self._check(offset, length)
+        self.bytes_written += length
+        for at, data, real in pieces:
+            self._overlay(offset + at, data, real)
+
+    def _overlay(self, offset: int, data: bytes, real: bool) -> None:
+        """Store ``data`` at ``offset``, granting real-ness if ``real``."""
+        length = len(data)
+        if not length:
+            return
+        if real:
+            ranges = self._real
+            lo = bisect.bisect_left(ranges, offset)
+            hi = bisect.bisect_right(ranges, offset + length)
+            ranges[lo:hi] = ([offset] if lo & 1 == 0 else []) + (
+                [offset + length] if hi & 1 == 0 else [])
+            # Real bytes now cover the buffer, some of them nonzero.
+            if (self.array is None and ranges[0] == 0
+                    and ranges[1] == self.size
+                    and (self._pages or data.count(0) != length)):
+                self._materialize()
+        if self.array is None:
+            if self._pages or data.count(0) != length:
+                self._store(offset, data)
+        else:
+            self.array[offset:offset + length] = np.frombuffer(
+                data, dtype=np.uint8)
+
+    def _store(self, offset: int, data: bytes) -> None:
+        """Copy ``data`` into the pages, stretching a page's span over
+        the nonzero bytes written into it."""
+        pages = self._pages
+        page_size = self.page_size
+        length = len(data)
+        index, start = divmod(offset, page_size)
+        pos = 0
+        grown = 0
+        while pos < length:
+            take = min(page_size - start, length - pos)
+            piece = data if take == length else data[pos:pos + take]
+            page = pages.get(index)
+            if page is None:
+                first, end = _nonzero_span(piece)
+                if first < end:
+                    pages[index] = [start + first,
+                                    bytearray(piece[first:end])]
+                    grown += end - first
+            else:
+                lo, span = page
+                at = start - lo
+                if at >= 0 and at + take <= len(span):
+                    span[at:at + take] = piece
+                else:  # past the span: stretch it over the nonzero bytes
+                    first, end = _nonzero_span(piece)
+                    if first < end:
+                        below = max(lo - start - first, 0)
+                        above = max(start + end - lo - len(span), 0)
+                        if below:
+                            span[:0] = bytes(below)
+                            page[0] = lo = lo - below
+                        if above:
+                            span.extend(bytes(above))
+                        grown += below + above
+                    a, b = max(start, lo), min(start + take, lo + len(span))
+                    if a < b:
+                        span[a - lo:b - lo] = piece[a - start:b - start]
+            pos += take
+            index += 1
+            start = 0
+        if grown and self._space is not None:
+            self._space.dense_bytes_allocated += grown
+
+    def _materialize(self) -> np.ndarray:
+        """Move the pages into one contiguous array."""
+        array = np.zeros(self.size, dtype=np.uint8)
+        page_size = self.page_size
+        for index, (lo, span) in self._pages.items():
+            start = index * page_size + lo
+            array[start:start + len(span)] = np.frombuffer(span,
+                                                           dtype=np.uint8)
+        self._pages = {}
+        if self._space is not None:
+            self._space.dense_bytes_allocated += self.size
+        self.array = array
+        return array
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
@@ -255,142 +470,6 @@ class Backing:
             landing.apply(i + 1)
 
 
-class DenseBacking(Backing):
-    """Real bytes in a numpy array; supports exact round-trips."""
-
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self.array = np.zeros(size, dtype=np.uint8)
-
-    def read(self, offset: int, length: int) -> bytes:
-        if self._landings:
-            self._catch_up(offset, offset + length)
-        self._check(offset, length)
-        return self.array[offset:offset + length].tobytes()
-
-    def _put(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
-        self.array[offset:offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
-
-    def _put_virtual(self, offset: int, length: int) -> None:
-        # A virtual write into dense storage leaves content unchanged;
-        # it only models that the DMA engine touched the range.
-        self._check(offset, length)
-
-    def read_byte(self, offset: int) -> int:
-        # Flag pollers call this every sweep; skip the slice+tobytes.
-        if self._landings:
-            self._catch_up(offset, offset + 1)
-        self._check(offset, 1)
-        return int(self.array[offset])
-
-    def view(self, offset: int, length: int) -> np.ndarray:
-        """A zero-copy numpy view of the backing range, holding what has
-        landed by now: chunks that come due later commit on the next
-        access, so do not keep the view across simulated time."""
-        if self._landings:
-            self._catch_up(offset, offset + length)
-        self._check(offset, length)
-        return self.array[offset:offset + length]
-
-
-class VirtualBacking(Backing):
-    """Size-only storage: content dropped, small explicit writes kept.
-
-    Reads of never-written bytes return 0.  Writes of at most
-    ``sparse_limit`` bytes are stored for real (flag bytes, metadata
-    headers); larger writes only record their byte count and keep their
-    head and tail windows.
-
-    Kept bytes live in ``page_size`` pages created on first non-zero
-    write, so an access costs O(pages touched) however many bytes it
-    covers, and a region nobody writes content into holds no pages.
-    """
-
-    sparse_limit = 64 * 1024
-    page_size = 4096
-
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self._pages: Dict[int, bytearray] = {}
-        self.bytes_written = 0
-
-    def read(self, offset: int, length: int) -> bytes:
-        if self._landings:
-            self._catch_up(offset, offset + length)
-        self._check(offset, length)
-        pages = self._pages
-        if not pages:
-            return bytes(length)
-        page_size = self.page_size
-        index, start = divmod(offset, page_size)
-        if start + length <= page_size:
-            # The 64-byte head/tail windows every size-only verb reads.
-            page = pages.get(index)
-            return bytes(length) if page is None else bytes(page[start:start + length])
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            take = min(page_size - start, length - pos)
-            page = pages.get(index)
-            if page is not None:
-                out[pos:pos + take] = page[start:start + take]
-            pos += take
-            index += 1
-            start = 0
-        return bytes(out)
-
-    def write(self, offset: int, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            data = bytes(data)
-        super().write(offset, data)
-
-    def _put(self, offset: int, data: bytes) -> None:
-        length = len(data)
-        self._check(offset, length)
-        self.bytes_written += length
-        if length <= self.sparse_limit:
-            self._store(offset, data)
-        else:
-            # Content intentionally dropped, but keep the head and tail
-            # windows for real: protocol headers and flag bytes live
-            # there.  Bytes stored earlier under the middle stay.
-            keep = 64
-            self._store(offset, data[:keep])
-            self._store(offset + length - keep, data[length - keep:])
-
-    def _store(self, offset: int, data: bytes) -> None:
-        pages = self._pages
-        page_size = self.page_size
-        length = len(data)
-        index, start = divmod(offset, page_size)
-        pos = 0
-        while pos < length:
-            take = min(page_size - start, length - pos)
-            piece = data if take == length else data[pos:pos + take]
-            page = pages.get(index)
-            if page is None and piece.count(0) != take:
-                page = pages[index] = bytearray(page_size)
-            if page is not None:
-                page[start:start + take] = piece
-            pos += take
-            index += 1
-            start = 0
-
-    def _put_virtual(self, offset: int, length: int) -> None:
-        self._check(offset, length)
-        self.bytes_written += length
-
-    def read_byte(self, offset: int) -> int:
-        # Flag pollers call this every sweep (60-90 times per verb).
-        if self._landings:
-            self._catch_up(offset, offset + 1)
-        if not 0 <= offset < self.size:
-            self._check(offset, 1)
-        page = self._pages.get(offset // self.page_size)
-        return 0 if page is None else page[offset % self.page_size]
-
-
 @dataclass
 class Buffer:
     """A contiguous range of a host's virtual address space."""
@@ -434,23 +513,17 @@ class AddressSpace:
         self._next_addr = base_index << 44  # 16 TiB apart per host
         self._buffers: List[Buffer] = []    # sorted by addr
         self._addrs: List[int] = []         # parallel sorted start addresses
-        #: bytes of real storage ever handed out (never decremented):
-        #: the host memory the simulator itself pays for this host
+        #: bytes of real storage its backings ever created, pages and
+        #: arrays, each counted once (never decremented): the host
+        #: memory the simulator itself pays for this host
         self.dense_bytes_allocated = 0
 
-    def allocate(self, size: int, label: str = "",
-                 dense: Optional[bool] = None) -> Buffer:
-        """Carve a new buffer; dense backing by default for small sizes."""
+    def allocate(self, size: int, label: str = "") -> Buffer:
+        """Carve a new buffer; it holds no storage until real bytes land."""
         if size <= 0:
             raise MemoryError_(f"allocation size must be positive, got {size}")
-        if dense is None:
-            dense = size <= DENSE_LIMIT
-        if dense:
-            backing: Backing = DenseBacking(size)
-            self.dense_bytes_allocated += size
-        else:
-            backing = VirtualBacking(size)
-        buf = Buffer(addr=self._next_addr, size=size, backing=backing,
+        buf = Buffer(addr=self._next_addr, size=size,
+                     backing=Backing(size, self),
                      host_name=self.host_name, label=label)
         # Align the next allocation to 64 bytes, like a cache-line allocator.
         self._next_addr += (size + 63) & ~63

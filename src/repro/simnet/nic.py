@@ -37,6 +37,7 @@ queue pair and consume it in FIFO order.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_right
 from collections import defaultdict, deque
 from heapq import heappop, heappush
@@ -44,8 +45,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .costmodel import CostModel
 from .faults import FaultVerdict
-from .memory import (Backing, DenseBacking, Landing, MemoryRegion, MrTable,
-                     MemoryError_)
+from .memory import (Backing, Landing, MemoryRegion, MrTable, MemoryError_,
+                     Pieces, clip_pieces)
 from .simulator import Event, Simulator
 from .verbs import Completion, Opcode, WcStatus, WorkRequest
 
@@ -58,6 +59,8 @@ Then = Callable[[float, float], None]
 MAX_COMMIT_CHUNKS = 4
 #: Writes at or below this size commit in a single chunk.
 SINGLE_CHUNK_LIMIT = 4096
+
+_interval_end = operator.itemgetter(1)
 
 
 def record_wire(cluster, kind: str, src: str, dst: str, size: int,
@@ -108,7 +111,7 @@ class Pipe:
         # are sorted and disjoint, so once the walk below advances the
         # cursor past an interval's end, no later interval can satisfy
         # ``busy_end <= cursor`` again.
-        index = bisect_right(self._busy, cursor, key=lambda iv: iv[1])
+        index = bisect_right(self._busy, cursor, key=_interval_end)
         while index < len(self._busy):
             busy_start, busy_end = self._busy[index]
             if busy_start >= cursor + duration:
@@ -431,9 +434,9 @@ class QueuePair:
             raise ValueError("post_recv requires a RECV work request")
         self._recv_queue.append(wr)
         if self._pending_sends:
-            send_wr, data, arrival, head, tail = self._pending_sends.popleft()
+            send_wr, data, arrival, pieces = self._pending_sends.popleft()
             self._deliver_send(send_wr, data, max(arrival, self.nic.sim.now),
-                               head, tail)
+                               pieces)
 
     def post_send(self, wr: WorkRequest) -> None:
         """Post a WRITE, READ, or SEND; executes asynchronously."""
@@ -444,16 +447,16 @@ class QueuePair:
     # -- send/recv matching (called by the remote NIC) ----------------------------
 
     def _incoming_send(self, wr: WorkRequest, data: bytes, arrival: float,
-                       head: bytes = b"", tail: bytes = b"") -> None:
+                       pieces: Pieces = ()) -> None:
         if self._recv_queue:
-            self._deliver_send(wr, data, arrival, head, tail)
+            self._deliver_send(wr, data, arrival, pieces)
         else:
             # Receiver-not-ready: the message waits for a posted RECV,
             # modelling RNR retries without failing the connection.
-            self._pending_sends.append((wr, data, arrival, head, tail))
+            self._pending_sends.append((wr, data, arrival, pieces))
 
     def _deliver_send(self, send_wr: WorkRequest, data: bytes, arrival: float,
-                      head: bytes = b"", tail: bytes = b"") -> None:
+                      pieces: Pieces = ()) -> None:
         recv_wr = self._recv_queue.popleft()
         sim = self.nic.sim
         # A size-only payload arrives as b"": its length is the WR's.
@@ -472,14 +475,10 @@ class QueuePair:
             if data:
                 space.write(recv_wr.local_addr, data)
             else:
+                # Size-only payload: its pieces still land, carrying
+                # headers and flags.
                 buf, off = space.resolve(recv_wr.local_addr, max(size, 1))
-                buf.backing.write_virtual(off, size)
-                # Virtual payload: the real head/tail windows still land,
-                # carrying protocol headers and flags.
-                if head:
-                    buf.backing.write(off, head)
-                if tail:
-                    buf.backing.write(off + size - len(tail), tail)
+                buf.backing.write_virtual(off, size, pieces)
             self.recv_cq.push(Completion(
                 wr_id=recv_wr.wr_id, opcode=Opcode.RECV,
                 status=WcStatus.SUCCESS, byte_len=size,
@@ -586,24 +585,28 @@ class RdmaNic:
 
     # -- internal verb execution ---------------------------------------------------
 
-    #: bytes at each end of a virtual transfer that still move for real,
+    #: bytes at each end of a size-only transfer that still move for real,
     #: so flag bytes (tail) and metadata headers (head) are preserved.
     EDGE_WINDOW = 64
 
     @staticmethod
-    def _edge_payload(backing: Backing, offset: int, size: int) -> Tuple[Optional[bytes], bytes, bytes]:
-        """Fetch outgoing bytes as (full_payload, head_window, tail_window).
+    def _edge_payload(backing: Backing, offset: int, size: int
+                      ) -> Tuple[Optional[bytes], Pieces]:
+        """Fetch outgoing bytes as (full_payload, pieces).
 
-        ``full_payload`` is None for size-only sources: they move timing,
-        not bytes — except the head/tail windows, which carry real
-        content.
+        ``full_payload`` is None unless the source range is wholly real:
+        a size-only source moves timing and its pieces — the head and
+        tail windows, not real, and the real bytes it holds (flag
+        bytes, headers), never a zero in their place.
         """
-        if isinstance(backing, DenseBacking):
-            return backing.read(offset, size), b"", b""
+        if backing.is_real(offset, size):
+            return backing.read(offset, size), ()
         win = min(RdmaNic.EDGE_WINDOW, size)
-        head = backing.read(offset, win)
-        tail = backing.read(offset + size - win, win) if size > win else b""
-        return None, head, tail
+        pieces = ((0, backing.read(offset, win), False),)
+        if size > win:
+            pieces += ((size - win, backing.read(offset + size - win, win),
+                        False),)
+        return None, pieces + backing.real_pieces(offset, size)
 
     def _fail(self, qp: QueuePair, wr: WorkRequest, status: WcStatus) -> None:
         comp = Completion(wr_id=wr.wr_id, opcode=wr.opcode, status=status,
@@ -641,15 +644,15 @@ class RdmaNic:
     def _faulted_commit(self, verdict: Optional[FaultVerdict],
                         backing: Backing, offset: int, size: int,
                         payload: Optional[bytes], start: float, end: float,
-                        head: bytes, tail: bytes, wake) -> None:
+                        pieces: Pieces, wake) -> None:
         """Land a transfer in ``backing`` in ascending address order,
         honouring a fault verdict's committed prefix.
 
         The range commits in chunks whose times are spread across
         (start, end]; the tail chunk (which carries any flag byte)
-        always commits exactly at ``end``.  For virtual payloads, the
-        real ``head``/``tail`` windows are applied with the first and
-        last chunks so protocol headers and flag bytes land.
+        always commits exactly at ``end``.  A size-only payload's
+        ``pieces`` commit with the chunks they fall in, so protocol
+        headers and flag bytes land.
 
         The transfer is one :class:`~repro.simnet.memory.Landing` on
         the backing and one heap entry at ``end``, which commits what is
@@ -658,21 +661,20 @@ class RdmaNic:
         A reader in mid-window sees the prefix due by then.
 
         A torn write is the same landing cut at its prefix: a strict
-        prefix — never the tail window where the protocols keep their
-        flag byte — that wakes nobody.
+        prefix — never the last byte, where the protocols keep their
+        flag — that wakes nobody.
         """
         commit = size if verdict is None else verdict.commit_size(size)
         if commit <= 0:
             return
         if commit < size:
             payload = payload[:commit] if payload is not None else None
-            head = head[:commit]
-            tail = b""
+            pieces = clip_pieces(pieces, 0, commit)
             wake = None
         sim = self.sim
         chunks = 1 if commit <= SINGLE_CHUNK_LIMIT else MAX_COMMIT_CHUNKS
         landing = Landing(backing, sim, offset, commit, payload, start, end,
-                          head, tail, chunks, wake)
+                          pieces, chunks, wake)
         sim.call_at(max(end, sim.now), landing.finish)
 
     def _fabric_traverse(self, dst_nic: "RdmaNic", start: float,
@@ -730,11 +732,11 @@ class RdmaNic:
                     wr.lkey, wr.local_addr, size).buffer
                 source_off = wr.local_addr - source.addr
             if source is None:
-                payload, head, tail = bytes(wr.inline_data), b"", b""
+                payload, pieces = bytes(wr.inline_data), ()
                 if len(payload) < size:  # real head of a size-only payload
-                    payload, head = None, payload
+                    payload, pieces = None, ((0, payload, True),)
             else:
-                payload, head, tail = self._edge_payload(
+                payload, pieces = self._edge_payload(
                     source.backing, source_off, size)
             if opcode is Opcode.WRITE:
                 dst_nic.mr_table.lookup(wr.rkey, wr.remote_addr, size)
@@ -751,14 +753,14 @@ class RdmaNic:
             ok = status is WcStatus.SUCCESS
             if dest_backing is not None:
                 self._faulted_commit(verdict, dest_backing, dest_off, size,
-                                     payload, start, end, head, tail,
+                                     payload, start, end, pieces,
                                      dst_nic.host.notify_memory_commit)
             elif ok:
                 # A faulted SEND never reaches the remote RECV queue:
                 # the message vanishes and only the error CQE reports it.
                 data = payload if payload is not None else b""
                 self.sim.call_at(end, lambda: remote_qp._incoming_send(
-                    wr, data, end, head, tail))
+                    wr, data, end, pieces))
             record_wire(self.host.cluster, opcode.value, src_nic.host.name,
                         dst_nic.host.name, size, start, end, wr.role)
             completed = end

@@ -69,10 +69,9 @@ class Host:
         for listener in self.wake_listeners:
             listener(backing, lo, hi)
 
-    def allocate(self, size: int, label: str = "",
-                 dense: Optional[bool] = None) -> Buffer:
+    def allocate(self, size: int, label: str = "") -> Buffer:
         """Allocate host memory (not yet RDMA-registered)."""
-        return self.address_space.allocate(size, label=label, dense=dense)
+        return self.address_space.allocate(size, label=label)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r})"

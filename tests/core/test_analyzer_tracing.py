@@ -103,7 +103,7 @@ class TestTracer:
         graph = b.finalize()
         executor = Executor(cluster.hosts[0], graph, "d", NullComm())
         executor.arena = ArenaAllocator(
-            cluster.hosts[0].allocate(1 << 16, dense=True))
+            cluster.hosts[0].allocate(1 << 16))
         return executor
 
     def test_latest_allocation_wins(self):

@@ -105,8 +105,8 @@ class TestChannels:
 class TestMemcpy:
     def test_write_moves_data(self, rig):
         cluster, dev_a, dev_b = rig
-        src = dev_a.allocate_mem_region(64, dense=True)
-        dst = dev_b.allocate_mem_region(64, dense=True)
+        src = dev_a.allocate_mem_region(64)
+        dst = dev_b.allocate_mem_region(64)
         src.write(b"device-api-bytes")
         channel = dev_a.get_channel(dev_b.endpoint, 0)
         event = channel.memcpy_event(
@@ -119,8 +119,8 @@ class TestMemcpy:
 
     def test_read_pulls_data(self, rig):
         cluster, dev_a, dev_b = rig
-        local = dev_a.allocate_mem_region(64, dense=True)
-        remote = dev_b.allocate_mem_region(64, dense=True)
+        local = dev_a.allocate_mem_region(64)
+        remote = dev_b.allocate_mem_region(64)
         remote.write(b"pull-me")
         channel = dev_a.get_channel(dev_b.endpoint, 2)
         channel.memcpy_event(
@@ -132,8 +132,8 @@ class TestMemcpy:
 
     def test_callback_fires_on_completion(self, rig):
         cluster, dev_a, dev_b = rig
-        src = dev_a.allocate_mem_region(64, dense=True)
-        dst = dev_b.allocate_mem_region(64, dense=True)
+        src = dev_a.allocate_mem_region(64)
+        dst = dev_b.allocate_mem_region(64)
         channel = dev_a.get_channel(dev_b.endpoint, 0)
         fired = []
         channel.memcpy(local_addr=src.addr, local_region=src,
@@ -146,7 +146,7 @@ class TestMemcpy:
     def test_bad_remote_region_fails_event(self, rig):
         cluster, dev_a, dev_b = rig
         from repro.core import RemoteMemRegion
-        src = dev_a.allocate_mem_region(64, dense=True)
+        src = dev_a.allocate_mem_region(64)
         channel = dev_a.get_channel(dev_b.endpoint, 0)
         event = channel.memcpy_event(
             local_addr=src.addr, local_region=src,
@@ -159,7 +159,7 @@ class TestMemcpy:
 
     def test_inline_write(self, rig):
         cluster, dev_a, dev_b = rig
-        dst = dev_b.allocate_mem_region(64, dense=True)
+        dst = dev_b.allocate_mem_region(64)
         channel = dev_a.get_channel(dev_b.endpoint, 0)
         channel.memcpy_event(
             local_addr=0, local_region=None,

@@ -93,7 +93,7 @@ class TestProtocolMisuse:
         peer = RdmaDevice.create(peer_host, 1, 2,
                                  Endpoint(peer_host.name, 7910))
         channel = device.get_channel(peer.endpoint, 1)
-        arena_buf = host.allocate(1 << 16, dense=True)
+        arena_buf = host.allocate(1 << 16)
         arena = ArenaAllocator(arena_buf)
         region = device.register_existing(arena_buf)
         return cluster, channel, arena, region, peer
@@ -125,8 +125,7 @@ class TestProtocolMisuse:
         cluster, channel, arena, region, peer = self._sender_rig()
         from repro.core.transfer import TransferState
         from repro.graph.tensor import TensorMeta
-        slot = peer.allocate_mem_region(TensorMeta.slot_size(2),
-                                        dense=True).descriptor()
+        slot = peer.allocate_mem_region(TensorMeta.slot_size(2)).descriptor()
         sender = DynamicSender(channel=channel, meta_slot=slot, ndims=2,
                                arena=arena, arena_region=region,
                                state=TransferState())
@@ -140,7 +139,7 @@ class TestProtocolMisuse:
     def test_dynamic_sender_rejects_small_meta_slot(self):
         cluster, channel, arena, region, peer = self._sender_rig()
         from repro.core.transfer import TransferState
-        slot = peer.allocate_mem_region(4, dense=True).descriptor()
+        slot = peer.allocate_mem_region(4).descriptor()
         with pytest.raises(DeviceError, match="too small"):
             DynamicSender(channel=channel, meta_slot=slot, ndims=3,
                           arena=arena, arena_region=region,
@@ -246,7 +245,7 @@ class TestInFlightFaults:
 class TestAllocatorFailureEdges:
     def test_exhaustion_message_mentions_fragmentation(self):
         cluster = Cluster(1)
-        arena = ArenaAllocator(cluster.hosts[0].allocate(1024, dense=True))
+        arena = ArenaAllocator(cluster.hosts[0].allocate(1024))
         a = arena.allocate_block(256)
         b = arena.allocate_block(256)
         arena.free_block(a)

@@ -30,8 +30,8 @@ def _rig(policy):
     dev_a = RdmaDevice.create(a, 1, 1, Endpoint(a.name, 7950))
     dev_b = RdmaDevice.create(b, 1, 1, Endpoint(b.name, 7951))
     channel = dev_a.get_channel(dev_b.endpoint, 0)
-    src = dev_a.allocate_mem_region(SIZE, dense=True)
-    dst = dev_b.allocate_mem_region(SIZE, dense=True)
+    src = dev_a.allocate_mem_region(SIZE)
+    dst = dev_b.allocate_mem_region(SIZE)
     src.write(b"\xab" * 256)
     recovery = RecoveryManager(cluster.sim, cluster.cost, policy=policy)
     return cluster, metrics, channel, src, dst, recovery

@@ -19,7 +19,8 @@ from repro.harness.experiments import _scale_spec
 from repro.models import MB, get_model
 from repro.simnet import Cluster
 from repro.simnet.fabric import build_fat_tree
-from repro.simnet.memory import DENSE_LIMIT
+
+DENSE_LIMIT = 16 * 1024 * 1024
 
 WORKERS = 16
 HOSTS_PER_RACK = 8

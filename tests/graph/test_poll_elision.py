@@ -325,7 +325,7 @@ class ScriptComm(CommRuntime):
         for e, spec in enumerate(scenario.executors):
             host = cluster.hosts[e]
             for j, poller in enumerate(spec.pollers):
-                backing = host.allocate(8, dense=True).backing
+                backing = host.allocate(8).backing
                 self.flags[(e, j)] = (host, backing)
                 self.sim.call_at(poller.land,
                                  lambda e=e, j=j: self.land(e, j))
@@ -360,8 +360,7 @@ class ScriptComm(CommRuntime):
 
     def execute_recv(self, executor, node):
         e, kind, j = node.attrs["key"]
-        tensor = executor.allocate_output(node, 0, DType.float32, Shape([1]),
-                                          dense=False)
+        tensor = executor.allocate_output(node, 0, DType.float32, Shape([1]))
         if kind == "a":
             arrived = self.sim.event()
             self.sim.call_at(

@@ -40,7 +40,7 @@ class ScriptedComm(CommRuntime):
     def prepare(self, session) -> None:
         for executor in session.executors.values():
             for node in executor.graph.nodes_of_type("_Recv"):
-                flag = executor.host.allocate(1, dense=True)
+                flag = executor.host.allocate(1)
                 self._flags[node.attrs["key"]] = (executor.host, flag.backing)
 
     def land(self, key: str) -> None:

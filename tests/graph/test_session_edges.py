@@ -108,7 +108,7 @@ class TestOutcomeApi:
         event = cluster.sim.event()
         asynco = Outcome.wait(event)
         assert asynco.kind == "async" and asynco.event is event
-        flag = cluster.hosts[0].allocate(1, dense=True).backing
+        flag = cluster.hosts[0].allocate(1).backing
         polling = Outcome.polling(poll=lambda: True,
                                   complete=lambda: Outcome.done([]),
                                   flag=(flag, 0))

@@ -32,6 +32,7 @@ class TestTensor:
     def test_array_view_is_zero_copy(self, host):
         buf = host.allocate(8)
         tensor = Tensor(DType.float32, Shape([2]), buf)
+        tensor.copy_from(np.zeros(2, dtype=np.float32))  # real content
         tensor.array[0] = 7.0
         # The bytes live in the simulated buffer itself.
         assert np.frombuffer(buf.read(0, 4), dtype=np.float32)[0] == 7.0
@@ -105,7 +106,7 @@ class TestHostAllocator:
         allocator.add_observer(lambda t, node, idx: seen.append((node, idx)))
         tensor = allocator.allocate_tensor(DType.float32, Shape([4]),
                                            node_name="matmul", alloc_index=1)
-        assert tensor.is_dense
+        assert not tensor.is_dense  # no bytes until something writes it
         assert seen == [("matmul", 1)]
         assert allocator.allocation_count == 1
 
@@ -127,7 +128,7 @@ class TestHostAllocator:
 
 class TestArenaAllocator:
     def _arena(self, host, size=4096):
-        return ArenaAllocator(host.allocate(size, dense=True))
+        return ArenaAllocator(host.allocate(size))
 
     def test_allocate_within_arena(self, host):
         arena = self._arena(host)

@@ -2,86 +2,148 @@
 
 import pytest
 
-from repro.simnet.memory import (
-    AddressSpace, DenseBacking, MemoryError_, MrTable, VirtualBacking)
+from repro.graph.dtypes import DType
+from repro.graph.tensor import Tensor
+from repro.simnet.memory import AddressSpace, Backing, MemoryError_, MrTable
+
+MiB = 1024 * 1024
+PAGE = Backing.page_size
 
 
 class TestDenseBacking:
+    """A small backing: real writes, views, bounds."""
+
     def test_roundtrip(self):
-        backing = DenseBacking(64)
+        backing = Backing(64)
         backing.write(10, b"hello")
         assert backing.read(10, 5) == b"hello"
 
     def test_initial_zeroes(self):
-        backing = DenseBacking(16)
+        backing = Backing(16)
         assert backing.read(0, 16) == b"\x00" * 16
 
     def test_out_of_bounds_read(self):
-        backing = DenseBacking(8)
+        backing = Backing(8)
         with pytest.raises(MemoryError_):
             backing.read(4, 8)
 
     def test_out_of_bounds_write(self):
-        backing = DenseBacking(8)
+        backing = Backing(8)
         with pytest.raises(MemoryError_):
             backing.write(6, b"xyz")
 
     def test_read_byte(self):
-        backing = DenseBacking(4)
+        backing = Backing(4)
         backing.write(3, b"\x07")
         assert backing.read_byte(3) == 7
 
     def test_view_is_zero_copy(self):
-        backing = DenseBacking(32)
+        backing = Backing(32)
         view = backing.view(8, 4)
         view[:] = 255
         assert backing.read(8, 4) == b"\xff\xff\xff\xff"
 
     def test_zero_size_rejected(self):
         with pytest.raises(MemoryError_):
-            DenseBacking(0)
+            Backing(0)
 
     def test_write_virtual_leaves_content(self):
-        backing = DenseBacking(16)
+        backing = Backing(16)
         backing.write(0, b"abcd")
         backing.write_virtual(0, 4)
         assert backing.read(0, 4) == b"abcd"
+        assert backing.is_real(0, 4)
 
 
 class TestVirtualBacking:
+    """A large backing: no storage until real bytes arrive."""
+
     def test_small_write_kept(self):
-        backing = VirtualBacking(1 << 30)  # 1 GiB costs no real RAM
+        backing = Backing(1 << 30)  # 1 GiB costs no real RAM
         backing.write(100, b"flag")
         assert backing.read(100, 4) == b"flag"
 
     def test_unwritten_reads_zero(self):
-        backing = VirtualBacking(1024)
+        backing = Backing(1024)
         assert backing.read(0, 8) == b"\x00" * 8
 
-    def test_large_write_keeps_head_and_tail(self):
-        backing = VirtualBacking(1 << 24)
-        data = bytes(range(256)) * 1024  # 256 KiB > sparse limit
-        backing.write(0, data)
-        assert backing.read(0, 64) == data[:64]
-        assert backing.read(len(data) - 64, 64) == data[-64:]
-
-    def test_large_write_drops_middle(self):
-        backing = VirtualBacking(1 << 24)
-        data = b"\xaa" * (256 * 1024)
-        backing.write(0, data)
-        mid = len(data) // 2
-        assert backing.read(mid, 1) == b"\x00"
-
     def test_bytes_written_accounting(self):
-        backing = VirtualBacking(1 << 24)
+        backing = Backing(1 << 24)
         backing.write(0, b"x" * 100)
         backing.write_virtual(1000, 5000)
         assert backing.bytes_written == 5100
 
     def test_bounds_checked(self):
-        backing = VirtualBacking(128)
+        backing = Backing(128)
         with pytest.raises(MemoryError_):
             backing.write(120, b"too long!")
+
+
+class TestStorageFollowsWrites:
+    def test_large_real_write_reads_back_whole(self):
+        space = AddressSpace("hostA")
+        buf = space.allocate(64 * MiB)
+        data = bytes(range(1, 256)) * (MiB // 255 + 1)
+        data = data[:MiB]
+        buf.write(data, 5 * MiB + 7)
+        assert buf.read(5 * MiB + 7, MiB) == data
+        assert buf.backing.is_real(5 * MiB + 7, MiB)
+        assert not buf.backing.is_real(5 * MiB + 6, MiB)
+        # Partial content stays in pages, which hold the bytes written:
+        # no contiguous storage yet.
+        assert buf.backing.array is None
+        assert space.dense_bytes_allocated == MiB
+
+    def test_real_bytes_covering_the_buffer_become_one_array(self):
+        space = AddressSpace("hostA")
+        buf = space.allocate(3 * 4096)
+        buf.write(b"\x01" * 4096, 0)
+        assert buf.backing.array is None
+        buf.write(b"\x02" * 8192, 4096)
+        assert buf.backing.array is not None and not buf.backing._pages
+        assert buf.read() == b"\x01" * 4096 + b"\x02" * 8192
+        # The first write's pages, then the array.
+        assert space.dense_bytes_allocated == 4096 + 3 * 4096
+
+    def test_flag_write_into_a_large_buffer_creates_one_page(self):
+        space = AddressSpace("hostA")
+        buf = space.allocate(64 * MiB)
+        tensor = Tensor(DType.float32, (16 * MiB,), buf)
+        buf.write(b"\x01", 64 * MiB - 1)
+        backing = buf.backing
+        assert backing._pages == {64 * MiB // PAGE - 1: [PAGE - 1,
+                                                         bytearray(b"\x01")]}
+        assert space.dense_bytes_allocated == 1
+        assert backing.array is None
+        assert not tensor.is_dense
+
+    def test_a_page_holds_the_span_of_its_nonzero_bytes(self):
+        space = AddressSpace("hostA")
+        buf = space.allocate(3 * PAGE)
+        buf.write(b"\x00\x00hdr\x00", PAGE + 100)
+        assert buf.backing._pages == {1: [102, bytearray(b"hdr")]}
+        buf.write(b"\x07", PAGE + 90)   # grows the span down ...
+        buf.write(b"\x00" * 20, PAGE + 110)  # ... zeros past it do not
+        buf.write(b"\x09", PAGE + 106)  # ... a byte past it grows it up
+        assert buf.backing._pages == {
+            1: [90, bytearray(b"\x07" + bytes(11) + b"hdr\x00\x09")]}
+        assert space.dense_bytes_allocated == 17
+        assert buf.read(PAGE + 88, 22) == (bytes(2) + b"\x07" + bytes(11)
+                                           + b"hdr\x00\x09" + bytes(3))
+        assert buf.read_byte(PAGE + 90) == 7
+        assert buf.read_byte(PAGE + 89) == buf.read_byte(PAGE + 107) == 0
+
+    def test_size_only_write_lands_windows_and_real_pieces(self):
+        backing = Backing(4096)
+        backing.write_virtual(0, 4096, ((0, b"\x07" * 64, False),
+                                         (4032, b"\x09" * 64, False),
+                                         (1000, b"abc", True)))
+        assert backing.read(0, 64) == b"\x07" * 64
+        assert backing.read(4032, 64) == b"\x09" * 64
+        assert backing.read(1000, 3) == b"abc"
+        # Only the pieces were real at the source.
+        assert backing._real == [1000, 1003]
+        assert backing.bytes_written == 4096
 
 
 class TestAddressSpace:
@@ -134,15 +196,6 @@ class TestAddressSpace:
         space.free(buf)
         with pytest.raises(MemoryError_):
             space.free(buf)
-
-    def test_dense_flag_controls_backing(self):
-        space = AddressSpace("hostA")
-        small = space.allocate(1024)
-        big = space.allocate(64 * 1024 * 1024)
-        forced = space.allocate(64 * 1024 * 1024, dense=True)
-        assert isinstance(small.backing, DenseBacking)
-        assert isinstance(big.backing, VirtualBacking)
-        assert isinstance(forced.backing, DenseBacking)
 
     def test_zero_size_allocation_rejected(self):
         with pytest.raises(MemoryError_):

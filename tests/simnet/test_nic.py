@@ -20,8 +20,8 @@ def pair():
     return cluster, a, b, qp_a, qp_b, cq_a, cq_b
 
 
-def register(host, size, dense=None):
-    buf = host.allocate(size, dense=dense)
+def register(host, size):
+    buf = host.allocate(size)
     region = host.nic.register_memory(buf)
     return buf, region
 
@@ -44,11 +44,66 @@ class TestWrite:
         assert len(comps) == 1 and comps[0].ok
         assert dst.read(0, 12) == b"tensor-bytes"
 
+    def test_large_real_write_arrives_whole(self, pair):
+        """1 MiB of real bytes into a 32 MiB region nothing wrote: every
+        byte lands, not just the edge windows of a size-only verb."""
+        cluster, a, b, qp_a, _, cq_a, _ = pair
+        size = 1024 * 1024
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, 32 * size)
+        payload = bytes(range(1, 252)) * (size // 251 + 1)
+        src.write(payload[:size])
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=size, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr + 4096,
+            rkey=dst_mr.rkey))
+        comps = drain(cluster, cq_a)
+        assert len(comps) == 1 and comps[0].ok
+        assert dst.read(4096, size) == payload[:size]
+        assert dst.backing.is_real(4096, size)
+        assert dst.read(0, 4096) == bytes(4096)
+
+    def test_partly_real_source_moves_its_real_bytes(self, pair):
+        """A source only partly written with real bytes is a size-only
+        verb, yet every real byte in it lands, real, and nothing else
+        becomes real: not the zeros of its edge windows."""
+        cluster, a, b, qp_a, _, cq_a, _ = pair
+        size = 1024 * 1024
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, size)
+        src.write(b"\xab" * 256)
+        src.write(b"\x01", size // 2)
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=size, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
+        comps = drain(cluster, cq_a)
+        assert len(comps) == 1 and comps[0].ok
+        assert dst.read(0, 257) == b"\xab" * 256 + b"\x00"
+        assert dst.read_byte(size // 2) == 1
+        assert dst.backing._real == [0, 256, size // 2, size // 2 + 1]
+
+    def test_size_only_transfer_leaves_a_small_tensor_virtual(self, pair):
+        """The edge windows of a 100-byte size-only WRITE cover the
+        whole destination, but carry no real bytes."""
+        from repro.graph.dtypes import DType
+        from repro.graph.shapes import Shape
+        from repro.graph.tensor import Tensor
+        cluster, a, b, qp_a, _, cq_a, _ = pair
+        src, src_mr = register(a, 100)
+        dst, dst_mr = register(b, 100)
+        qp_a.post_send(WorkRequest(
+            opcode=Opcode.WRITE, size=100, local_addr=src.addr,
+            lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
+        assert drain(cluster, cq_a)[0].ok
+        tensor = Tensor(DType.uint8, Shape([100]), dst)
+        assert not tensor.is_dense
+        assert not dst.backing._pages and dst.backing.array is None
+
     def test_write_timing_matches_cost_model(self, pair):
         cluster, a, b, qp_a, _, cq_a, _ = pair
         size = 1024 * 1024
-        src, src_mr = register(a, size, dense=True)
-        dst, dst_mr = register(b, size, dense=True)
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, size)
         qp_a.post_send(WorkRequest(
             opcode=Opcode.WRITE, size=size, local_addr=src.addr,
             lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey))
@@ -104,8 +159,8 @@ class TestWrite:
         the head: the flag-byte protocol depends on this."""
         cluster, a, b, qp_a, _, cq_a, _ = pair
         size = 1024 * 1024
-        src, src_mr = register(a, size, dense=True)
-        dst, dst_mr = register(b, size, dense=True)
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, size)
         src.write(b"\xff" * size)
         qp_a.post_send(WorkRequest(
             opcode=Opcode.WRITE, size=size, local_addr=src.addr,
@@ -128,8 +183,8 @@ class TestWrite:
         """Mid-transfer, some chunks are visible but the tail is not."""
         cluster, a, b, qp_a, _, _, _ = pair
         size = 1024 * 1024
-        src, src_mr = register(a, size, dense=True)
-        dst, dst_mr = register(b, size, dense=True)
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, size)
         src.write(b"\xee" * size)
         qp_a.post_send(WorkRequest(
             opcode=Opcode.WRITE, size=size, local_addr=src.addr,
@@ -242,6 +297,23 @@ class TestSendRecv:
         assert cq_b.poll()[0].ok
         assert dst.read(0, 5) == b"early"
 
+    def test_send_before_recv_keeps_a_partly_real_source(self, pair):
+        """A size-only SEND that waits for its RECV still lands the real
+        bytes its source held, past the 64-byte head window."""
+        cluster, a, b, qp_a, qp_b, cq_a, cq_b = pair
+        src, src_mr = register(a, 8192)
+        dst, dst_mr = register(b, 8192)
+        src.write(b"\x5a" * 300, 100)
+        qp_a.post_send(WorkRequest(opcode=Opcode.SEND, size=8192,
+                                   local_addr=src.addr, lkey=src_mr.lkey))
+        cluster.sim.run()
+        qp_b.post_recv(WorkRequest(opcode=Opcode.RECV, size=8192,
+                                   local_addr=dst.addr, lkey=dst_mr.lkey))
+        cluster.sim.run()
+        assert cq_b.poll()[0].ok
+        assert dst.read(0, 8192) == src.read(0, 8192)
+        assert dst.backing._real == [100, 400]
+
     def test_recv_buffer_too_small_errors(self, pair):
         cluster, a, b, qp_a, qp_b, _, cq_b = pair
         src, src_mr = register(a, 64)
@@ -259,7 +331,7 @@ class TestSendRecv:
         """A size-only payload carries no bytes to measure, so the RECV
         length check must use the SEND's declared size."""
         cluster, a, b, qp_a, qp_b, _, cq_b = pair
-        src, src_mr = register(a, 4096, dense=False)
+        src, src_mr = register(a, 4096)
         dst, dst_mr = register(b, 64)
         dst.write(b"\xee" * 64)
         qp_b.post_recv(WorkRequest(opcode=Opcode.RECV, size=8,
@@ -291,7 +363,7 @@ class TestSendRecv:
         cq_b = b.nic.create_cq()
         qp_b = b.nic.create_qp(cq_b)
         qp_a.connect(qp_b)
-        dst, dst_mr = register(b, 4096, dense=True)
+        dst, dst_mr = register(b, 4096)
         dst.write(b"\xee" * 4096)
         qp_b.post_recv(WorkRequest(opcode=Opcode.RECV, size=4096,
                                    local_addr=dst.addr, lkey=dst_mr.lkey))
@@ -469,8 +541,8 @@ class TestVerbSpan:
         qp_a = a.nic.create_qp(cq)
         qp_a.connect(b.nic.create_qp(b.nic.create_cq()))
         size = 64 * 1024
-        src, src_mr = register(a, size, dense=True)
-        dst, dst_mr = register(b, size, dense=True)
+        src, src_mr = register(a, size)
+        dst, dst_mr = register(b, size)
         qp_a.post_send(WorkRequest(
             opcode=Opcode.WRITE, size=size, local_addr=src.addr,
             lkey=src_mr.lkey, remote_addr=dst.addr, rkey=dst_mr.rkey,
@@ -519,8 +591,8 @@ class TestMidWindowAccess:
 
     @classmethod
     def _post(cls, a, b, qp_a):
-        src, src_mr = register(a, cls.SIZE, dense=True)
-        dst, dst_mr = register(b, cls.SIZE, dense=True)
+        src, src_mr = register(a, cls.SIZE)
+        dst, dst_mr = register(b, cls.SIZE)
         src.write(bytes([cls.BYTE]) * cls.SIZE)
         qp_a.post_send(WorkRequest(
             opcode=Opcode.WRITE, size=cls.SIZE, local_addr=src.addr,
@@ -589,7 +661,8 @@ class TestMidWindowAccess:
         _, t1, t2, _ = self._chunk_times()
         step = self.step
         dst = self._post(a, b, qp_a)
-        tensor = Tensor(DType.uint8, Shape([self.SIZE]), dst)
+        # A tensor over the due prefix: real by then, so it has an array.
+        tensor = Tensor(DType.uint8, Shape([2 * step]), dst)
         seen = {}
 
         def look():
@@ -600,7 +673,7 @@ class TestMidWindowAccess:
         sim.call_at((t1 + t2) / 2, look)
         sim.run()
         due = bytes([self.BYTE]) * (2 * step) + bytes(self.SIZE - 2 * step)
-        assert seen == {"view": due, "array": due, "read": due}
+        assert seen == {"view": due, "array": due[:2 * step], "read": due}
 
     def test_run_until_a_chunk_time_commits_it(self, pair):
         cluster, a, b, qp_a, *_ = pair

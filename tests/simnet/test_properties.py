@@ -3,8 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet import Cluster, Opcode, WorkRequest
-from repro.simnet.memory import (AddressSpace, DenseBacking, MemoryError_,
-                                 VirtualBacking)
+from repro.simnet.memory import AddressSpace, Backing, MemoryError_
 from repro.simnet.faults import FaultVerdict
 from repro.simnet.nic import MAX_COMMIT_CHUNKS, SINGLE_CHUNK_LIMIT, Pipe
 from repro.simnet.simulator import Simulator
@@ -75,7 +74,7 @@ class TestMemoryProperties:
     @given(st.data())
     def test_dense_backing_read_your_writes(self, data):
         size = data.draw(st.integers(min_value=16, max_value=512))
-        backing = DenseBacking(size)
+        backing = Backing(size)
         model = bytearray(size)
         for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
             off = data.draw(st.integers(min_value=0, max_value=size - 1))
@@ -88,15 +87,16 @@ class TestMemoryProperties:
     @given(st.data())
     def test_virtual_backing_preserves_edges(self, data):
         size = data.draw(st.integers(min_value=256 * 1024, max_value=1 << 22))
-        backing = VirtualBacking(size)
+        backing = Backing(size)
         seed = data.draw(st.binary(min_size=64, max_size=256))
-        # Build a payload larger than the sparse limit from a small seed.
+        # A payload of many pages, built from a small seed.
         content = (seed * (130 * 1024 // len(seed) + 1))[:130 * 1024]
         off = data.draw(st.integers(min_value=0,
                                     max_value=size - len(content)))
         backing.write(off, content)
         assert backing.read(off, 64) == content[:64]
         assert backing.read(off + len(content) - 64, 64) == content[-64:]
+        assert backing.read(off, len(content)) == content
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=1 << 20),
                           min_size=1, max_size=40))
@@ -108,49 +108,57 @@ class TestMemoryProperties:
             assert e1 <= a2
 
 
-class _PerByteVirtualBacking:
-    """Reference model: ``VirtualBacking`` as it was before the paged
-    store — one dict entry per kept byte, Python loops throughout."""
+class _PerByteBacking:
+    """Reference model: every real byte kept in a dict entry of its
+    own, and the set of bytes last written with real content, Python
+    loops throughout."""
 
-    def __init__(self, sparse_limit):
-        self.sparse_limit = sparse_limit
-        self._sparse = {}
+    def __init__(self):
+        self._bytes = {}
+        self._real = set()
         self.bytes_written = 0
 
     def read(self, offset, length):
-        return bytes(self._sparse.get(offset + i, 0) for i in range(length))
+        return bytes(self._bytes.get(offset + i, 0) for i in range(length))
 
     def write(self, offset, data):
         self.bytes_written += len(data)
-        if len(data) <= self.sparse_limit:
-            for i, b in enumerate(data):
-                self._sparse[offset + i] = b
-        else:
-            keep = 64
-            for i in range(keep):
-                self._sparse[offset + i] = data[i]
-            for i in range(len(data) - keep, len(data)):
-                self._sparse[offset + i] = data[i]
+        for i, b in enumerate(data):
+            self._bytes[offset + i] = b
+            self._real.add(offset + i)
 
-    def write_virtual(self, offset, length):
+    def write_virtual(self, offset, length, pieces=()):
+        """A size-only write: its pieces overwrite bytes, and only the
+        real ones make them real."""
         self.bytes_written += length
+        for at, data, real in pieces:
+            for i, b in enumerate(data):
+                self._bytes[offset + at + i] = b
+                if real:
+                    self._real.add(offset + at + i)
 
     def read_byte(self, offset):
-        return self._sparse.get(offset, 0)
+        return self._bytes.get(offset, 0)
+
+    def is_real(self, offset, length):
+        return all(offset + i in self._real for i in range(length))
 
 
 class TestVirtualBackingAgainstPerByteModel:
-    SIZE = 128 * 1024
-    LIMIT = VirtualBacking.sparse_limit
-    PAGE = VirtualBacking.page_size
+    """The one backing against a model that keeps every real byte, in
+    page storage and across the move to one array (real bytes covering
+    the buffer, or a view)."""
 
-    #: lengths either side of the sparse limit, of the 64-byte edge
-    #: windows and of a page
+    SIZE = 128 * 1024
+    PAGE = Backing.page_size
+    LARGE = 64 * 1024
+
+    #: lengths around the 64-byte edge windows, a page and many pages
     lengths = st.one_of(
         st.integers(min_value=0, max_value=200),
         st.sampled_from([PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 7,
-                         LIMIT - 1, LIMIT, LIMIT + 1, LIMIT + 129,
-                         LIMIT + PAGE + 5]))
+                         LARGE - 1, LARGE, LARGE + 1, LARGE + 129,
+                         LARGE + PAGE + 5]))
     #: positions at, just before and just after page boundaries, where
     #: a range either starts or ends
     anchors = st.one_of(
@@ -162,36 +170,64 @@ class TestVirtualBackingAgainstPerByteModel:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_operation_sequences_agree(self, data):
-        real = VirtualBacking(self.SIZE)
-        model = _PerByteVirtualBacking(self.LIMIT)
+        # The small sizes let real writes cover the whole buffer.
+        size = data.draw(st.sampled_from([self.SIZE, 3 * self.PAGE + 100,
+                                          300]))
+        real = Backing(size)
+        model = _PerByteBacking()
         steps = data.draw(st.integers(min_value=1, max_value=12))
         for _ in range(steps):
             op = data.draw(st.sampled_from(
-                ["write", "write", "write_virtual", "read", "read_byte"]))
-            length = 1 if op == "read_byte" else data.draw(self.lengths)
+                ["write", "write", "write_virtual", "read", "read_byte",
+                 "is_real", "view"]))
+            length = 1 if op == "read_byte" else min(
+                data.draw(self.lengths), size)
             anchor = data.draw(self.anchors)
             if data.draw(st.booleans()):
                 anchor -= length  # the range *ends* at the anchor
-            offset = max(0, min(anchor, self.SIZE - length))
+            offset = max(0, min(anchor, size - length))
             if op == "write":
                 seed = data.draw(st.binary(min_size=1, max_size=97))
                 content = (seed * (length // len(seed) + 1))[:length]
                 real.write(offset, content)
                 model.write(offset, content)
             elif op == "write_virtual":
-                real.write_virtual(offset, length)
-                model.write_virtual(offset, length)
+                seed = data.draw(st.binary(min_size=1, max_size=97))
+                content = (seed * (length // len(seed) + 1))[:length]
+                win = min(64, length)
+                pieces = ()
+                if data.draw(st.booleans()):  # a size-only verb's edges
+                    pieces = ((0, content[:win], False),
+                              (length - win, content[length - win:], False))
+                if length and data.draw(st.booleans()):
+                    at = data.draw(st.integers(min_value=0,
+                                               max_value=length - 1))
+                    end = data.draw(st.integers(min_value=at + 1,
+                                                max_value=length))
+                    pieces += ((at, content[at:end], True),)
+                real.write_virtual(offset, length, pieces)
+                model.write_virtual(offset, length, pieces)
             elif op == "read":
                 assert real.read(offset, length) == model.read(offset, length)
+            elif op == "is_real":
+                assert (real.is_real(offset, length)
+                        == model.is_real(offset, length))
+            elif op == "view":
+                assert (real.view(offset, length).tobytes()
+                        == model.read(offset, length))
             else:
                 assert real.read_byte(offset) == model.read_byte(offset)
         assert real.bytes_written == model.bytes_written
-        assert real.read(0, self.SIZE) == model.read(0, self.SIZE)
+        assert real.read(0, size) == model.read(0, size)
+        assert real.is_real(0, size) == model.is_real(0, size)
+        if model.is_real(0, size) and model.read(0, size).count(0) < size:
+            assert real.array is not None and not real._pages
 
     def test_every_range_around_a_page_boundary_agrees(self):
         page = self.PAGE
-        real = VirtualBacking(4 * page)
-        model = _PerByteVirtualBacking(self.LIMIT)
+        # One byte more than the pattern covers: the pages stay pages.
+        real = Backing(4 * page + 1)
+        model = _PerByteBacking()
         pattern = bytes(range(1, 252)) * (4 * page // 251 + 1)
         for backing in (real, model):
             backing.write(0, pattern[:4 * page])
@@ -206,25 +242,30 @@ class TestVirtualBackingAgainstPerByteModel:
                     backing.write(start, b"\xff" * length)
                     backing.write(start + page, bytes(length))
         assert real.read(0, 4 * page) == model.read(0, 4 * page)
+        assert real.array is None and len(real._pages) == 4
 
     def test_read_byte_bounds_checked(self):
         import pytest
-        backing = VirtualBacking(128)
+        backing = Backing(128)
         assert backing.read_byte(127) == 0
         for bad in (-1, 128):
             with pytest.raises(MemoryError_):
                 backing.read_byte(bad)
 
     def test_zero_writes_allocate_nothing(self):
-        backing = VirtualBacking(1 << 30)
+        backing = Backing(1 << 30)
         backing.write(12345, bytes(64))
-        backing.write(1 << 20, bytes(self.LIMIT + 1))
+        backing.write(1 << 20, bytes(self.LARGE + 1))
         assert backing.read(12345, 64) == bytes(64)
-        assert not backing._pages
+        assert backing.is_real(12345, 64)
+        assert not backing._pages and backing.array is None
+        flag = Backing(1)
+        flag.write(0, b"\x00")
+        assert flag.is_real(0, 1) and not flag._pages and flag.array is None
 
     def test_non_bytes_buffers_accepted(self):
         import numpy as np
-        backing = VirtualBacking(1024)
+        backing = Backing(1024)
         backing.write(10, memoryview(b"abc"))
         backing.write(20, np.arange(1, 5, dtype=np.uint8))
         assert backing.read(10, 3) == b"abc"
@@ -242,8 +283,8 @@ class TestWriteCommitProperties:
         qp_a = a.nic.create_qp(cq)
         qp_b = b.nic.create_qp(b.nic.create_cq())
         qp_a.connect(qp_b)
-        src = a.allocate(size, dense=True)
-        dst = b.allocate(size, dense=True)
+        src = a.allocate(size)
+        dst = b.allocate(size)
         src_mr = a.nic.register_memory(src)
         dst_mr = b.nic.register_memory(dst)
         payload = (pattern * (size // len(pattern) + 1))[:size]
@@ -268,8 +309,8 @@ class TestWriteCommitProperties:
         qp_a.connect(qp_b)
         wr_ids = []
         for _ in range(n_writes):
-            src = a.allocate(size, dense=True)
-            dst = b.allocate(size, dense=True)
+            src = a.allocate(size)
+            dst = b.allocate(size)
             src_mr = a.nic.register_memory(src)
             dst_mr = b.nic.register_memory(dst)
             wr = WorkRequest(
@@ -282,15 +323,26 @@ class TestWriteCommitProperties:
         assert [c.wr_id for c in comps] == wr_ids
 
 
+def _pieces_within(pieces, lo, hi):
+    """The pieces' bytes inside ``[lo, hi)``, relative to ``lo``."""
+    within = []
+    for at, data, real in pieces:
+        a, b = max(at, lo), min(at + len(data), hi)
+        if a < b:
+            within.append((a - lo, data[a - at:b - at], real))
+    return tuple(within)
+
+
 def _four_entry_commit(sim, backing, offset, size, payload, start, end,
-                       head=b"", tail=b"", wake=None):
+                       pieces=(), wake=None):
     """Reference model: the ascending commit as one heap entry per chunk.
 
     Up to ``MAX_COMMIT_CHUNKS`` chunks (one at or below
     ``SINGLE_CHUNK_LIMIT``), chunk ``i`` due at
     ``max(start + (i + 1) / n * (end - start), now)``, the last at
-    ``max(end, now)``; the head window lands with the first chunk, the
-    tail window and ``wake(backing, lo, hi)`` with the last.
+    ``max(end, now)``; each piece of a size-only payload lands with
+    the chunks it falls in, ``wake(backing, lo, hi)`` runs with the
+    last.
     """
     if size <= SINGLE_CHUNK_LIMIT:
         bounds = [(0, size)]
@@ -304,32 +356,29 @@ def _four_entry_commit(sim, backing, offset, size, payload, start, end,
         frac = (i + 1) / len(bounds)
         when = max(end if i == last else start + frac * duration, sim.now)
 
-        def commit(lo=lo, hi=hi, first=(i == 0), final=(i == last)):
+        def commit(lo=lo, hi=hi, final=(i == last)):
             if payload is not None:
                 backing.write(offset + lo, payload[lo:hi])
             else:
-                backing.write_virtual(offset + lo, hi - lo)
-                if first and head:
-                    backing.write(offset, head)
-                if final and tail:
-                    backing.write(offset + size - len(tail), tail)
+                backing.write_virtual(offset + lo, hi - lo,
+                                      _pieces_within(pieces, lo, hi))
             if final and wake is not None:
                 wake(backing, offset + lo, offset + hi)
         sim.call_at(when, commit)
 
 
 def _reference_landing(sim, verdict, backing, offset, size, payload, start,
-                       end, head, tail, wake):
+                       end, pieces, wake):
     """``RdmaNic._faulted_commit`` over the reference model: a torn
-    write is a strict prefix with no tail window and no wake."""
+    write is a strict prefix and wakes nobody."""
     commit = size if verdict is None else verdict.commit_size(size)
     if commit <= 0:
         return
     if commit < size:
         payload = payload[:commit] if payload is not None else None
-        head, tail, wake = head[:commit], b"", None
+        pieces, wake = _pieces_within(pieces, 0, commit), None
     _four_entry_commit(sim, backing, offset, commit, payload, start, end,
-                       head, tail, wake)
+                       pieces, wake)
 
 
 class TestLandingAgainstFourEntryModel:
@@ -360,16 +409,22 @@ class TestLandingAgainstFourEntryModel:
         seed = data.draw(st.binary(min_size=1, max_size=13))
         content = (seed * (size // len(seed) + 1))[:size]
         if data.draw(st.booleans()):
-            payload, head, tail = content, b"", b""
+            payload, pieces = content, ()
         else:
             win = min(64, size)
-            payload, head = None, content[:win]
-            tail = content[size - win:] if size > win else b""
+            payload = None
+            pieces = ((0, content[:win], False),
+                      (size - win, content[size - win:], False))
+            # Real bytes of a partly real source, maybe across chunks.
+            cuts = sorted(data.draw(st.lists(
+                st.integers(min_value=0, max_value=size), max_size=4)))
+            pieces += tuple((a, content[a:b], True)
+                            for a, b in zip(cuts[::2], cuts[1::2]) if a < b)
         frac = data.draw(st.sampled_from([None, 0.1, 0.5, 0.9]))
         verdict = None if frac is None else FaultVerdict(kind="partial",
                                                          frac=frac)
-        return (posted, (verdict, offset, size, payload, start, end, head,
-                         tail))
+        return (posted, (verdict, offset, size, payload, start, end,
+                         pieces))
 
     def _draw_access(self, data, dense, times):
         when = data.draw(st.one_of(
@@ -402,10 +457,9 @@ class TestLandingAgainstFourEntryModel:
         entries, order, stop = script
         cluster = Cluster(1)
         sim, nic = cluster.sim, cluster.hosts[0].nic
-        backing = DenseBacking(size) if dense else VirtualBacking(size)
-        # Chunks above this keep only their edge windows, so merging two
-        # chunks into one write would show.
-        backing.sparse_limit = 1024
+        backing = Backing(size)
+        if dense:
+            backing.view(0, size)  # array storage from the start
         seen, wakes = [], []
         events = [sim.event() for _ in entries]
 
@@ -440,7 +494,7 @@ class TestLandingAgainstFourEntryModel:
         mid = (sim.now, backing.read(0, size))
         sim.run()
         return (seen, wakes, mid, backing.read(0, size),
-                getattr(backing, "bytes_written", None))
+                backing.bytes_written, backing._real)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -477,8 +531,8 @@ class TestLandingAgainstFourEntryModel:
         B's second chunk, due at 4 us too, lands over it: B was made
         after A."""
         us = self.US
-        a = (None, 0, 8192, b"A" * 8192, 0.0, 4 * us, b"", b"")
-        b = (None, 6144, 6144, b"B" * 6144, 0.0, 8 * us, b"", b"")
+        a = (None, 0, 8192, b"A" * 8192, 0.0, 4 * us, ())
+        b = (None, 6144, 6144, b"B" * 6144, 0.0, 8 * us, ())
         peek = ("read", 0, self.SIZE, b"")
         for stop in (("until", 2 * us), ("until", 4 * us), ("event", 2)):
             script = ([(0.0, False, [("land", a)]),
@@ -497,7 +551,7 @@ class TestLandingAgainstFourEntryModel:
         landings = [(i * us / 2, i * us / 2 + 8 * us) for i in range(count)]
         entries = [(0.0, False, [("land", (None, 5000 * i, size,
                                            bytes([i + 1]) * size, start,
-                                           end, b"", b""))])
+                                           end, ()))])
                    for i, (start, end) in enumerate(landings)]
         times = sorted({t for start, end in landings
                         for t in self._chunk_times(0.0, size, start, end)})

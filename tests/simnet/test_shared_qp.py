@@ -22,8 +22,8 @@ from repro.simnet import Cluster, MemoryError_, Opcode, WorkRequest
 from repro.simnet.topology import Endpoint
 
 
-def register(host, size, dense=None):
-    buf = host.allocate(size, dense=dense)
+def register(host, size):
+    buf = host.allocate(size)
     region = host.nic.register_memory(buf)
     return buf, region
 
@@ -143,8 +143,8 @@ class TestSharedQpSemantics:
             a, b = cluster.hosts
             cq = a.nic.create_cq()
             size = 4 * 1024 * 1024
-            src, src_mr = register(a, size, dense=True)
-            dst, dst_mr = register(b, size, dense=True)
+            src, src_mr = register(a, size)
+            dst, dst_mr = register(b, size)
             wr = dict(opcode=Opcode.WRITE, size=size, local_addr=src.addr,
                       lkey=src_mr.lkey, remote_addr=dst.addr,
                       rkey=dst_mr.rkey)

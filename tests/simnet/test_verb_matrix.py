@@ -3,8 +3,9 @@
 opcode {WRITE, READ, SEND} x link server {Pipe, quantum} x QP {RC,
 SharedQp} x topology {flat, cross-rack fat tree} x verdict {none,
 straggler, partial, loss}: every cell posts two back-to-back verbs on
-one QP (a 200000-byte dense transfer, then a 6000-byte size-only one
-whose head window and tail flag byte must still land) and pins the
+one QP (a 200000-byte transfer from a source written with real bytes,
+then a 6000-byte one from an unwritten source but for its head window
+and tail flag byte, which must still land) and pins the
 ``repr`` of every clock the pipeline produces.  The fault rules fire on
 the first verb only, so the second one exercises the QP ordering state
 a faulted verb leaves behind.
@@ -92,12 +93,12 @@ def run_cell(opcode: str, link: str, qp_kind: str, topology: str,
     # Data flows a -> b for WRITE/SEND and b -> a for READ.
     src_host, dst_host = (b, a) if opcode == "READ" else (a, b)
     transfers = []
-    for wr_id, (size, dense) in enumerate(((BIG, True), (SMALL, False)), 1):
-        src = src_host.allocate(size, dense=dense)
-        dst = dst_host.allocate(size, dense=dense)
+    for wr_id, (size, real) in enumerate(((BIG, True), (SMALL, False)), 1):
+        src = src_host.allocate(size)
+        dst = dst_host.allocate(size)
         src_mr = src_host.nic.register_memory(src)
         dst_mr = dst_host.nic.register_memory(dst)
-        if dense:
+        if real:
             src.write(bytes([FILL]) * size)
         else:
             src.write(HEAD)
@@ -109,7 +110,7 @@ def run_cell(opcode: str, link: str, qp_kind: str, topology: str,
             qp_b.post_recv(WorkRequest(
                 opcode=Opcode.RECV, size=size, local_addr=dst.addr,
                 lkey=dst_mr.lkey, wr_id=wr_id))
-        transfers.append((dst, size, dense))
+        transfers.append((dst, size, real))
         qp_a.post_send(WorkRequest(
             opcode=Opcode[opcode], size=size, local_addr=local.addr,
             lkey=local_mr.lkey, remote_addr=remote.addr,
@@ -121,8 +122,8 @@ def run_cell(opcode: str, link: str, qp_kind: str, topology: str,
                  repr(c.timestamp)] for c in cq.poll(64)]
 
     landed = []
-    for dst, size, dense in transfers:
-        if dense:
+    for dst, size, real in transfers:
+        if real:
             landed.append(_prefix(dst, size))
         else:
             landed.append([dst.read(0, len(HEAD)).hex(),

@@ -33,7 +33,7 @@ def make_pair(cost=PRIO_COST):
 
 
 def register(host, size):
-    buf = host.allocate(size, dense=True)
+    buf = host.allocate(size)
     region = host.nic.register_memory(buf)
     return buf, region
 

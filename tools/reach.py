@@ -130,8 +130,10 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "simnet/costmodel.py:CostModel.scaled",
     ),
     "e": (
+        "collectives/ops.py:_concat_compute",
         "collectives/ops.py:_pack_compute",
         "collectives/ops.py:_slice_compute",
+        "collectives/ops.py:_unpack_compute",
         "core/device.py:RdmaDevice.free_mem_region",
         "graph/allocator.py:BaseAllocator.remove_observer",
         "graph/allocator.py:BaseAllocator.allocate_tensor",
@@ -183,10 +185,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "serving/kvcache.py:KVTracker.__repr__",
         "simnet/fabric.py:FabricLink.__repr__",
         "simnet/fabric.py:Fabric.__repr__",
-        "simnet/memory.py:Backing.read",
-        "simnet/memory.py:Backing.write",
-        "simnet/memory.py:Backing.write_virtual",
-        "simnet/memory.py:Backing.read_byte",
         "simnet/memory.py:MrTable.__len__",
         "simnet/memory.py:MrTable.deregister",
         "simnet/nic.py:RdmaNic.deregister_memory",
