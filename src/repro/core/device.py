@@ -21,11 +21,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..simnet.costmodel import CostModel
 from ..simnet.memory import Buffer, MemoryRegion
-from ..simnet.nic import CompletionQueue, QueuePair, SharedQp
+from ..simnet.nic import (CompletionQueue, QueuePair, SharedQp,
+                          source_payload)
 from ..simnet.simulator import Event, Simulator
 from ..simnet.topology import Endpoint, Host
 from ..simnet.verbs import Completion, Opcode, WcStatus, WorkRequest
@@ -165,8 +167,6 @@ class RdmaChannel:
         semantically equivalent to the WRITE/READ it replaces, only
         slower.  Use as ``yield from channel.fallback_transfer(...)``.
         """
-        from ..simnet.nic import RdmaNic
-
         sim = self.device.sim
         cost = self.device.cost
         local_host = self.device.host
@@ -183,8 +183,7 @@ class RdmaChannel:
         else:
             src_buf, src_off = src_host.address_space.resolve(
                 src_addr, max(size, 1))
-            payload, pieces = RdmaNic._edge_payload(
-                src_buf.backing, src_off, size)
+            payload, pieces = source_payload(src_buf.backing, src_off, size)
         yield from src_host.cpu.run(cost.tcp_send_time(size))
         start, _ = src_host.tcp.egress.reserve(sim.now, size)
         data_ready = start + cost.tcp_base_latency + size / cost.tcp_bandwidth
@@ -228,6 +227,23 @@ class RdmaChannel:
         ``priority`` is the wire-scheduling urgency (honoured only by
         the priority quantum scheduler).
         """
+        return self.memcpy_chain(
+            ((local_addr, remote_addr, size),), local_region, remote_region,
+            direction, callback, inline_data=inline_data, role=role,
+            priority=priority)[0]
+
+    def memcpy_chain(self, spans: Sequence[Tuple[int, int, int]],
+                     local_region: Optional[MemRegion],
+                     remote_region: RemoteMemRegion, direction: Direction,
+                     callback: Optional[Callable[[Completion], None]] = None,
+                     *, inline_data: Optional[bytes] = None,
+                     role: str = "", priority: int = 0) -> List[int]:
+        """:meth:`memcpy` for each ``(local_addr, remote_addr, size)``
+        span, posted as one chain of work requests (one
+        ``ibv_post_send``), all between the same two regions.  Returns
+        the work-request ids in span order; ``callback`` fires once per
+        completion.
+        """
         if direction is Direction.LOCAL_TO_REMOTE:
             opcode = Opcode.WRITE
         elif direction is Direction.REMOTE_TO_LOCAL:
@@ -238,18 +254,20 @@ class RdmaChannel:
             raise DeviceError(f"bad direction {direction}")
         if inline_data is None and local_region is None:
             raise DeviceError("memcpy needs a local region or inline data")
-        wr = WorkRequest(
-            opcode=opcode, size=size,
-            local_addr=local_addr,
-            lkey=local_region.lkey if local_region else 0,
-            remote_addr=remote_addr, rkey=remote_region.rkey,
-            inline_data=inline_data,
-            signaled=True, role=role, priority=priority,
-            dct_target=self.wr_target())
-        self.device._register_callback(wr.wr_id, callback)
-        self.qp.post_send(wr)
-        self.bytes_transferred += wr.size
-        return wr.wr_id
+        lkey = local_region.lkey if local_region else 0
+        target = self.wr_target()
+        wrs = []
+        for local_addr, remote_addr, size in spans:
+            wr = WorkRequest(
+                opcode=opcode, size=size, local_addr=local_addr, lkey=lkey,
+                remote_addr=remote_addr, rkey=remote_region.rkey,
+                inline_data=inline_data, signaled=True, role=role,
+                priority=priority, dct_target=target)
+            self.device._register_callback(wr.wr_id, callback)
+            self.bytes_transferred += wr.size
+            wrs.append(wr)
+        self.qp.post_send(*wrs)
+        return [wr.wr_id for wr in wrs]
 
     def memcpy_event(self, *args, **kwargs) -> Event:
         """Like :meth:`memcpy` but returns an Event firing on completion.

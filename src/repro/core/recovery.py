@@ -22,8 +22,9 @@ channel memcpy in a retry loop:
 
 Safety against torn writes comes from the protocols, not from here:
 the NIC commits in ascending address order and an injected partial
-write never lands the tail window, so a receiver polling the trailing
-flag byte can never observe a half-landed payload.  Every flag carries
+write lands a strict prefix, never the last byte, so a receiver
+polling the trailing flag byte can never observe a half-landed
+payload.  Every flag carries
 an *epoch* (1..255, cycling; ``transfer.EpochLane``), so a stale
 duplicate from a timed-out-but-delivered attempt can never be consumed
 twice.
@@ -58,7 +59,7 @@ otherwise posted once and, if asked, awaited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Set
 
 from ..simnet.costmodel import CostModel
 from ..simnet.simulator import Event, Simulator
@@ -141,6 +142,31 @@ class RecoveryStats:
         }
 
 
+class _Round:
+    """One selective-repeat round: the chunks posted as one chain and
+    what became of each.  Their completion callbacks settle this
+    round's own state, so a late CQE of an earlier round can never
+    settle a later round's ``gate``; AllOf would fail fast on the first
+    lost chunk and hide the fate of the rest."""
+
+    __slots__ = ("gate", "chunks", "landed", "failed")
+
+    def __init__(self, sim: Simulator) -> None:
+        #: succeeds once every chunk of the round has a completion
+        self.gate: Event = sim.event()
+        #: work-request id -> chunk index, for the round's chunks
+        self.chunks: Dict[int, int] = {}
+        self.landed: Set[int] = set()
+        #: chunks whose completion reported an error
+        self.failed: Set[int] = set()
+
+    def settle(self, completion) -> None:
+        index = self.chunks[completion.wr_id]
+        (self.landed if completion.ok else self.failed).add(index)
+        if len(self.landed) + len(self.failed) == len(self.chunks):
+            self.gate.succeed()
+
+
 class RecoveryManager:
     """Executes channel memcpys with timeout/retry/degradation."""
 
@@ -175,13 +201,14 @@ class RecoveryManager:
         out once the channel degrades.  Raises :class:`DeviceError`
         only when the budget is exhausted and TCP fallback is disabled.
 
-        Each round posts every pending chunk as its own verb (per-QP
-        FIFO keeps them in sequence order) and waits until all of them
-        settle — error CQEs included — or the per-transfer timeout fires
-        (a blackhole produces no CQE at all).  Chunks that landed are
-        marked; only the rest are re-issued, at the original priority.
-        A chunk whose completion arrives during the backoff window is
-        goodput, not loss, and is never re-sent.
+        Each round posts every pending chunk as one chain of verbs (one
+        per chunk; per-QP FIFO keeps them in sequence order) and waits
+        until all of them settle — error CQEs included — or the
+        per-transfer timeout fires (a blackhole produces no CQE at
+        all).  Chunks that landed are marked; only the rest are
+        re-issued, at the original priority.  A chunk whose completion
+        arrives during the backoff window is goodput, not loss, and is
+        never re-sent.
         """
         policy = self.policy
         step = (self.cost.loss_chunk_bytes
@@ -200,38 +227,31 @@ class RecoveryManager:
                         hi - lo, direction, inline_data, role)
                 return
             retransmit = self.lossy and attempt > 0
-            events: List[Tuple[int, Event]] = []
+            spans = []
             for index in pending:
                 lo, hi = bounds[index]
                 if retransmit:
                     self.stats.retransmits += 1
                     self.stats.retransmitted_bytes += hi - lo
-                events.append((index, channel.memcpy_event(
-                    local_addr + lo, local_region, remote_addr + lo,
-                    remote_region, hi - lo, direction,
-                    inline_data=inline_data,
-                    role=ROLE_RETRANSMIT if retransmit else role,
-                    priority=priority)))
+                spans.append((local_addr + lo, remote_addr + lo, hi - lo))
+            round_ = _Round(self.sim)
+            round_.chunks = dict(zip(channel.memcpy_chain(
+                spans, local_region, remote_region, direction, round_.settle,
+                inline_data=inline_data,
+                role=ROLE_RETRANSMIT if retransmit else role,
+                priority=priority), pending))
             started = self.sim.now
-            # A one-chunk transfer races its verb itself; a chunked one
-            # races a gate over the whole round.
-            settled = (events[0][1] if len(bounds) == 1
-                       else self._all_settled([e for _i, e in events]))
-            try:
-                result = yield self.sim.any_of(
-                    [settled, self.sim.timeout(limit, _TIMEOUT)])
-            except DeviceError:
-                result = None  # the chunk's error CQE, counted below
+            result = yield self.sim.any_of(
+                [round_.gate, self.sim.timeout(limit, _TIMEOUT)])
             timed_out = result is _TIMEOUT
             if timed_out:
                 # No CQE (a blackholed verb, or a straggler pushed past
                 # the deadline): re-issuing is idempotent, because
                 # success is never signaled without the bytes committing.
                 self.stats.timeouts += 1
-            still_out = [(index, event) for index, event in events
-                         if not event.ok]
-            self.stats.failed_completions += sum(
-                1 for _index, event in still_out if event.triggered)
+            still_out = [index for index in pending
+                         if index not in round_.landed]
+            self.stats.failed_completions += len(round_.failed)
             if not still_out:
                 return
             cause = "timeout" if timed_out else "error CQE"
@@ -246,12 +266,12 @@ class RecoveryManager:
                 if not channel.degraded:
                     channel.degraded = True
                     self.stats.channels_degraded += 1
-                pending = [index for index, _event in still_out]
+                pending = still_out
                 continue
             yield (policy.backoff_delay(attempt))
             pending = []
-            for index, event in still_out:
-                if event.ok:
+            for index in still_out:
+                if index in round_.landed:
                     # Merely late: the completion landed during the
                     # backoff.  Goodput, never re-sent or counted a retry.
                     self.stats.late_completions += 1
@@ -268,23 +288,6 @@ class RecoveryManager:
                 self.stats.qp_reconnects += 1
             lost = sum(bounds[i][1] - bounds[i][0] for i in pending)
             self._trace_retry(channel, role, lost, attempt, cause, started)
-
-    def _all_settled(self, events: Sequence[Event]) -> Event:
-        """An event that succeeds once every one of ``events`` has
-        triggered, failed or not: AllOf would fail fast on the first
-        lost chunk and hide the fate of the rest of the round."""
-        gate = self.sim.event()
-        unsettled = len(events)
-
-        def settle(_event) -> None:
-            nonlocal unsettled
-            unsettled -= 1
-            if unsettled == 0:
-                gate.succeed()
-
-        for event in events:
-            event.add_callback(settle)
-        return gate
 
     def _fallback(self, channel: RdmaChannel, local_addr: int,
                   remote_addr: int, size: int, direction: Direction,

@@ -21,18 +21,26 @@ class ShapeError(ValueError):
 class Shape:
     """An immutable tensor shape; dims may be unknown (None)."""
 
-    __slots__ = ("dims",)
+    __slots__ = ("dims", "is_fully_defined", "_count")
 
     def __init__(self, dims: Iterable[DimLike]) -> None:
         checked: List[DimLike] = []
+        count: Optional[int] = 1
         for dim in dims:
             if dim is None:
                 checked.append(None)
+                count = None
             elif isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0:
                 checked.append(dim)
+                if count is not None:
+                    count *= dim
             else:
                 raise ShapeError(f"bad dimension {dim!r}")
         object.__setattr__(self, "dims", tuple(checked))
+        #: whether every dimension is known
+        object.__setattr__(self, "is_fully_defined", count is not None)
+        #: the element count, None while a dimension is unknown
+        object.__setattr__(self, "_count", count)
 
     def __setattr__(self, name, value):
         raise AttributeError("Shape is immutable")
@@ -43,18 +51,11 @@ class Shape:
     def rank(self) -> int:
         return len(self.dims)
 
-    @property
-    def is_fully_defined(self) -> bool:
-        return all(dim is not None for dim in self.dims)
-
     def num_elements(self) -> int:
         """Element count; raises if any dimension is unknown."""
-        if not self.is_fully_defined:
+        if self._count is None:
             raise ShapeError(f"shape {self} is not fully defined")
-        count = 1
-        for dim in self.dims:
-            count *= dim
-        return count
+        return self._count
 
     # -- algebra ----------------------------------------------------------------------
 

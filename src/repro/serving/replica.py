@@ -76,8 +76,8 @@ class Replica:
         self.input_region = device.allocate_mem_region(
             max_batch * REQUEST_BYTES,
             label=f"serve-input[{rank}]")
-        # Local staging the response write reads from (virtual: only
-        # timing moves, plus 64-byte edge windows).
+        # Local staging the response write reads from (size-only: it
+        # holds no real bytes, so only timing moves).
         self.resp_src = device.allocate_mem_region(
             max_batch * RESPONSE_BYTES,
             label=f"serve-resp-src[{rank}]")

@@ -35,10 +35,10 @@ class MemoryError_(RuntimeError):
     """Simulated memory fault (bad address, protection, exhaustion)."""
 
 
-#: the bytes a size-only transfer carries, as ``(at, data, real)`` with
-#: ``at`` relative to the range's start: its edge windows (not real)
-#: and the real bytes its source held (real)
-Pieces = Tuple[Tuple[int, bytes, bool], ...]
+#: the bytes a size-only transfer carries, as ``(at, data)`` with ``at``
+#: relative to the range's start: the real bytes its source held (flag
+#: bytes, headers, metadata), each landing as real bytes
+Pieces = Tuple[Tuple[int, bytes], ...]
 
 
 def clip_pieces(pieces: Pieces, lo: int, hi: int) -> Pieces:
@@ -46,10 +46,10 @@ def clip_pieces(pieces: Pieces, lo: int, hi: int) -> Pieces:
     if not pieces:
         return ()
     clipped = []
-    for at, data, real in pieces:
+    for at, data in pieces:
         a, b = max(at, lo), min(at + len(data), hi)
         if a < b:
-            clipped.append((a - lo, data[a - at:b - at], real))
+            clipped.append((a - lo, data[a - at:b - at]))
     return tuple(clipped)
 
 
@@ -182,8 +182,9 @@ class Backing:
     ``_real`` lists the ranges last written with real bytes, sorted and
     merged, flattened as ``[lo0, hi0, lo1, hi1, ...]``.  A size-only
     write (:meth:`write_virtual`, a size-only landing's body) neither
-    grants nor revokes real-ness, so it only ever grows; only its real
-    ``pieces`` grant it.  Bytes outside ``_real`` therefore read zero.
+    grants nor revokes real-ness, so it only ever grows; only its
+    ``pieces``, its source's real bytes, grant it.  The accessors store
+    nothing but real bytes, so bytes outside ``_real`` read zero.
 
     Every accessor first commits what the landings in flight here owe
     by now (:class:`Landing`); with none in flight that is one
@@ -226,7 +227,7 @@ class Backing:
         page_size = self.page_size
         index, start = divmod(offset, page_size)
         if start + length <= page_size:
-            # The 64-byte head/tail windows every size-only verb reads.
+            # A flag byte or a header: one page's span, one slice.
             page = pages.get(index)
             if page is None:
                 return bytes(length)
@@ -258,8 +259,7 @@ class Backing:
     def write_virtual(self, offset: int, length: int,
                       pieces: Pieces = ()) -> None:
         """Record that ``length`` bytes were written without content: a
-        size-only transfer, whose ``pieces`` still land (only the real
-        ones as real bytes)."""
+        size-only transfer, whose ``pieces`` still land as real bytes."""
         if self._landings:
             self._catch_up(offset, offset + length)
         self._put_virtual(offset, length, pieces)
@@ -316,38 +316,37 @@ class Backing:
         pieces = []
         while index < len(real) and real[index] < end:
             lo, hi = max(real[index], offset), min(real[index + 1], end)
-            pieces.append((lo - offset, self._get(lo, hi - lo), True))
+            pieces.append((lo - offset, self._get(lo, hi - lo)))
             index += 2
         return tuple(pieces)
 
     def _put(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self.bytes_written += len(data)
-        self._overlay(offset, data, True)
+        self._overlay(offset, data)
 
     def _put_virtual(self, offset: int, length: int,
                      pieces: Pieces = ()) -> None:
         self._check(offset, length)
         self.bytes_written += length
-        for at, data, real in pieces:
-            self._overlay(offset + at, data, real)
+        for at, data in pieces:
+            self._overlay(offset + at, data)
 
-    def _overlay(self, offset: int, data: bytes, real: bool) -> None:
-        """Store ``data`` at ``offset``, granting real-ness if ``real``."""
+    def _overlay(self, offset: int, data: bytes) -> None:
+        """Store real bytes ``data`` at ``offset``."""
         length = len(data)
         if not length:
             return
-        if real:
-            ranges = self._real
-            lo = bisect.bisect_left(ranges, offset)
-            hi = bisect.bisect_right(ranges, offset + length)
-            ranges[lo:hi] = ([offset] if lo & 1 == 0 else []) + (
-                [offset + length] if hi & 1 == 0 else [])
-            # Real bytes now cover the buffer, some of them nonzero.
-            if (self.array is None and ranges[0] == 0
-                    and ranges[1] == self.size
-                    and (self._pages or data.count(0) != length)):
-                self._materialize()
+        ranges = self._real
+        lo = bisect.bisect_left(ranges, offset)
+        hi = bisect.bisect_right(ranges, offset + length)
+        ranges[lo:hi] = ([offset] if lo & 1 == 0 else []) + (
+            [offset + length] if hi & 1 == 0 else [])
+        # Real bytes now cover the buffer, some of them nonzero.
+        if (self.array is None and ranges[0] == 0
+                and ranges[1] == self.size
+                and (self._pages or data.count(0) != length)):
+            self._materialize()
         if self.array is None:
             if self._pages or data.count(0) != length:
                 self._store(offset, data)

@@ -4,7 +4,11 @@ Timing model
 ------------
 Every posted verb runs one pipeline (:meth:`RdmaNic._post`): fault gate,
 resolve endpoints and payload, book the wire, land (commit or deliver,
-wire record, CQE, verb span).  A READ is a WRITE with the two NICs
+wire record, CQE, verb span).  Verbs are posted as a chain, as
+``ibv_post_send`` takes a WR list; a chain of N runs those steps N
+times in post order, exactly as N verbs posted one by one.  A CQE
+reaches a poller parked on its queue inside the push, with no heap
+entry of its own.  A READ is a WRITE with the two NICs
 swapped plus a request leg; a SEND is a WRITE delivered to the remote
 RECV queue.  The wire is a cut-through booking of the sender's egress
 and the receiver's ingress: an uncontended transfer costs one
@@ -29,7 +33,10 @@ transfer window — exactly the property the paper's flag-byte completion
 protocol relies on (§3.2).  A concurrent reader observes a committed
 prefix.  The landing is one heap entry, at its end: the chunks before
 the last commit when the backing is touched
-(:class:`~repro.simnet.memory.Landing`).  READs pull remote memory with
+(:class:`~repro.simnet.memory.Landing`).  A verb whose source range is
+not wholly real is size-only: it carries its timing and the real bytes
+its source holds there (flag bytes, headers), nothing else
+(:func:`source_payload`).  READs pull remote memory with
 an extra request leg.  SENDs require a posted RECV on the destination
 queue pair and consume it in FIFO order.
 """
@@ -41,13 +48,13 @@ import operator
 from bisect import bisect_right
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .costmodel import CostModel
 from .faults import FaultVerdict
 from .memory import (Backing, Landing, MemoryRegion, MrTable, MemoryError_,
                      Pieces, clip_pieces)
-from .simulator import Event, Simulator
+from .simulator import SUSPEND, Process, SimulationError, Simulator
 from .verbs import Completion, Opcode, WcStatus, WorkRequest
 
 
@@ -74,6 +81,29 @@ def record_wire(cluster, kind: str, src: str, dst: str, size: int,
         tracer.record("wire", f"{kind} {size}B", src, "nic:wire", start, end,
                       args={"dst": dst, "nbytes": size, "role": role})
         tracer.metrics.histogram("transfer_size_bytes").observe(size)
+
+
+def source_payload(backing: Backing, offset: int, size: int
+                   ) -> Tuple[Optional[bytes], Pieces]:
+    """What a verb reading ``[offset, offset + size)`` of ``backing``
+    carries, as ``(payload, pieces)``: the bytes when the range is
+    wholly real; otherwise None and the real bytes it holds (flag
+    bytes, headers, metadata) as pieces — a size-only verb moves its
+    timing and those, and nothing stands in for the rest."""
+    if backing.is_real(offset, size):
+        return backing.read(offset, size), ()
+    return None, backing.real_pieces(offset, size)
+
+
+def _covers(ends, src_addr: int, dst_addr: int, size: int) -> bool:
+    """Whether a WR's ranges fall inside the buffers ``ends`` (from
+    :meth:`RdmaNic._endpoints`) resolved for an earlier WR."""
+    source, dest = ends[3], ends[4]
+    return ((source is None
+             or source.addr <= src_addr and src_addr + size <= source.end)
+            and (dest is None
+                 or dest.addr <= dst_addr
+                 and dst_addr + max(size, 1) <= dest.end))
 
 
 class Pipe:
@@ -323,7 +353,8 @@ class WireScheduler:
 
 
 class CompletionQueue:
-    """A completion queue: poll for entries or register a waiter."""
+    """A completion queue: poll for entries, or park its poller until
+    one arrives."""
 
     _ids = itertools.count(1)
 
@@ -332,18 +363,22 @@ class CompletionQueue:
         self.cq_id = next(self._ids)
         self.capacity = capacity
         self._entries: Deque[Completion] = deque()
-        self._waiters: List[Event] = []
+        #: the process parked in :meth:`wait` on an empty queue
+        self._poller: Optional[Process] = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def push(self, completion: Completion) -> None:
+        """Queue a completion; a parked poller drains it right here,
+        inside the pushing heap entry."""
         if len(self._entries) >= self.capacity:
             raise MemoryError_(f"CQ {self.cq_id} overflow (capacity {self.capacity})")
         self._entries.append(completion)
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.succeed()
+        poller = self._poller
+        if poller is not None:
+            self._poller = None
+            poller.resume()
 
     def poll(self, max_entries: int = 16) -> List[Completion]:
         """Drain up to ``max_entries`` completions (non-blocking)."""
@@ -352,14 +387,19 @@ class CompletionQueue:
             out.append(self._entries.popleft())
         return out
 
-    def wait(self) -> Event:
-        """Event that fires when the CQ is (or becomes) non-empty."""
-        event = self.sim.event()
+    def wait(self):
+        """What the running process yields to wait for an entry: an
+        already-succeeded event when the queue holds one, else
+        :data:`~repro.simnet.simulator.SUSPEND`, parking the process
+        until the next :meth:`push` resumes it (one poller per queue)."""
         if self._entries:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
+            return self.sim.event().succeed()
+        process = self.sim.active_process
+        if process is None or self._poller is not None:
+            raise SimulationError(
+                f"CQ {self.cq_id}: wait() needs the one running poller")
+        self._poller = process
+        return SUSPEND
 
 
 class _Arrivals:
@@ -438,11 +478,13 @@ class QueuePair:
             self._deliver_send(send_wr, data, max(arrival, self.nic.sim.now),
                                pieces)
 
-    def post_send(self, wr: WorkRequest) -> None:
-        """Post a WRITE, READ, or SEND; executes asynchronously."""
-        if wr.opcode is Opcode.RECV:
-            raise ValueError(f"cannot post {wr.opcode} to the send queue")
-        self.nic._post(self, wr)
+    def post_send(self, *wrs: WorkRequest) -> None:
+        """Post WRITEs, READs and SENDs as one chain (``ibv_post_send``'s
+        WR list); they execute asynchronously, in order."""
+        for wr in wrs:
+            if wr.opcode is Opcode.RECV:
+                raise ValueError(f"cannot post {wr.opcode} to the send queue")
+        self.nic._post(self, wrs)
 
     # -- send/recv matching (called by the remote NIC) ----------------------------
 
@@ -585,36 +627,13 @@ class RdmaNic:
 
     # -- internal verb execution ---------------------------------------------------
 
-    #: bytes at each end of a size-only transfer that still move for real,
-    #: so flag bytes (tail) and metadata headers (head) are preserved.
-    EDGE_WINDOW = 64
-
-    @staticmethod
-    def _edge_payload(backing: Backing, offset: int, size: int
-                      ) -> Tuple[Optional[bytes], Pieces]:
-        """Fetch outgoing bytes as (full_payload, pieces).
-
-        ``full_payload`` is None unless the source range is wholly real:
-        a size-only source moves timing and its pieces — the head and
-        tail windows, not real, and the real bytes it holds (flag
-        bytes, headers), never a zero in their place.
-        """
-        if backing.is_real(offset, size):
-            return backing.read(offset, size), ()
-        win = min(RdmaNic.EDGE_WINDOW, size)
-        pieces = ((0, backing.read(offset, win), False),)
-        if size > win:
-            pieces += ((size - win, backing.read(offset + size - win, win),
-                        False),)
-        return None, pieces + backing.real_pieces(offset, size)
-
     def _fail(self, qp: QueuePair, wr: WorkRequest, status: WcStatus) -> None:
         comp = Completion(wr_id=wr.wr_id, opcode=wr.opcode, status=status,
                           byte_len=0, qp_num=qp.qp_num, timestamp=self.sim.now)
         self.sim.call_after(self.cost.rdma_verb_overhead, lambda: qp.send_cq.push(comp))
 
-    def _fault_gate(self, qp: QueuePair, wr: WorkRequest, target: QueuePair
-                    ) -> Tuple[bool, Optional[FaultVerdict]]:
+    def _fault_gate(self, qp: QueuePair, wr: WorkRequest, target: QueuePair,
+                    plane) -> Tuple[bool, Optional[FaultVerdict]]:
         """Broken-QP flush + fault-plane consult for one posted verb.
 
         Returns ``(proceed, verdict)``.  With no fault plane installed
@@ -624,7 +643,6 @@ class RdmaNic:
         if qp.broken or target.broken:
             self._fail(qp, wr, WcStatus.WR_FLUSH_ERR)
             return False, None
-        plane = self.host.cluster.fault_plane
         if plane is None:
             return True, None
         verdict = plane.on_post(self, qp, wr, dst=target.nic.host.name)
@@ -700,60 +718,96 @@ class RdmaNic:
                 return latency
         return self.cost.rdma_base_latency
 
-    def _post(self, qp: QueuePair, wr: WorkRequest) -> None:
-        """The one verb pipeline: gate, resolve, book the wire, land.
+    def _post(self, qp: QueuePair, wrs: Sequence[WorkRequest]) -> None:
+        """The one verb pipeline: gate, resolve, book the wire, land —
+        for each work request of a chain (``ibv_post_send``'s WR list;
+        a single verb is a chain of one), in post order.
 
         A READ is the same transfer as a WRITE with source and
         destination NIC swapped: the data leg leaves the *remote*
         egress one request round trip late and does not advance this
         QP's egress tail.  A SEND is a WRITE whose delivery is the
         remote QP's RECV matching instead of an ascending commit.
+
+        The chain looks up the fault plane once, and resolves the NICs
+        and the source and destination buffers once for the WRs that
+        share an opcode, keys and target and fall inside them.  Every
+        other step runs per WR, in a lone verb's order — broken-QP
+        check, fault verdict, real pieces, wire booking, landing, wire
+        record, CQE and verb span — so a chain of N draws, books and
+        pushes exactly as N verbs posted one by one.
         """
-        remote_qp = qp._require_remote(wr)
-        proceed, verdict = self._fault_gate(qp, wr, remote_qp)
-        if not proceed:
-            return
-        opcode, size = wr.opcode, wr.size
-        src_nic, dst_nic, lead = self, remote_qp.nic, 0.0
-        source = None         # stays None for an inline payload
-        dest_backing = None   # stays None for SEND: delivery is two-sided
-        try:
-            if opcode is Opcode.READ:
-                src_nic, dst_nic = dst_nic, self
-                lead = self.cost.rdma_read_extra_rtt
-                source = src_nic.mr_table.lookup(
-                    wr.rkey, wr.remote_addr, size).buffer
-                source_off = wr.remote_addr - source.addr
-                local = self.mr_table.lookup(
-                    wr.lkey, wr.local_addr, size).buffer
-                dest_backing, dest_off = local.backing, wr.local_addr - local.addr
-            elif wr.inline_data is None:
-                source = self.mr_table.lookup(
-                    wr.lkey, wr.local_addr, size).buffer
-                source_off = wr.local_addr - source.addr
-            if source is None:
+        plane = self.host.cluster.fault_plane
+        key = ends = None
+        for wr in wrs:
+            remote_qp = qp._require_remote(wr)
+            proceed, verdict = self._fault_gate(qp, wr, remote_qp, plane)
+            if not proceed:
+                continue
+            size = wr.size
+            if wr.opcode is Opcode.READ:
+                src_addr, dst_addr = wr.remote_addr, wr.local_addr
+            else:
+                src_addr, dst_addr = wr.local_addr, wr.remote_addr
+            wr_key = (wr.opcode, wr.lkey, wr.rkey, remote_qp,
+                      wr.inline_data is None)
+            if wr_key != key or not _covers(ends, src_addr, dst_addr, size):
+                try:
+                    ends = self._endpoints(wr, remote_qp)
+                except MemoryError_:
+                    key = None
+                    self._fail(qp, wr, WcStatus.REMOTE_ACCESS_ERROR)
+                    continue
+                key = wr_key
+            source = ends[3]
+            if source is None:  # an inline payload
                 payload, pieces = bytes(wr.inline_data), ()
                 if len(payload) < size:  # real head of a size-only payload
-                    payload, pieces = None, ((0, payload, True),)
+                    payload, pieces = None, ((0, payload),)
             else:
-                payload, pieces = self._edge_payload(
-                    source.backing, source_off, size)
-            if opcode is Opcode.WRITE:
-                dst_nic.mr_table.lookup(wr.rkey, wr.remote_addr, size)
-                remote, dest_off = dst_nic.host.address_space.resolve(
-                    wr.remote_addr, max(size, 1))
-                dest_backing = remote.backing
-        except MemoryError_:
-            self._fail(qp, wr, WcStatus.REMOTE_ACCESS_ERROR)
-            return
+                payload, pieces = source_payload(
+                    source.backing, src_addr - source.addr, size)
+            self._issue(qp, wr, remote_qp, verdict, ends, dst_addr, payload,
+                        pieces)
+
+    def _endpoints(self, wr: WorkRequest, remote_qp: QueuePair):
+        """``(src_nic, dst_nic, lead, source, dest)`` of one WR: the
+        source buffer is None for an inline payload, the destination
+        None for a SEND (delivery is two-sided).  Raises
+        :class:`MemoryError_` on a key or range the MR tables refuse."""
+        size = wr.size
+        if wr.opcode is Opcode.READ:
+            src_nic = remote_qp.nic
+            return (src_nic, self, self.cost.rdma_read_extra_rtt,
+                    src_nic.mr_table.lookup(
+                        wr.rkey, wr.remote_addr, size).buffer,
+                    self.mr_table.lookup(wr.lkey, wr.local_addr, size).buffer)
+        dst_nic, source, dest = remote_qp.nic, None, None
+        if wr.inline_data is None:
+            source = self.mr_table.lookup(wr.lkey, wr.local_addr, size).buffer
+        if wr.opcode is Opcode.WRITE:
+            dst_nic.mr_table.lookup(wr.rkey, wr.remote_addr, size)
+            dest, _off = dst_nic.host.address_space.resolve(
+                wr.remote_addr, max(size, 1))
+        return self, dst_nic, 0.0, source, dest
+
+    def _issue(self, qp: QueuePair, wr: WorkRequest, remote_qp: QueuePair,
+               verdict: Optional[FaultVerdict], ends, dst_addr: int,
+               payload: Optional[bytes], pieces: Pieces) -> None:
+        """Book one resolved WR on the wire; its ``land`` is the only
+        place a verb commits, records the wire, builds its CQE and
+        traces its span."""
+        src_nic, dst_nic, lead, _source, dest = ends
+        opcode, size = wr.opcode, wr.size
         posted = self.sim.now
 
         def land(start: float, end: float) -> None:
             status = WcStatus.SUCCESS if verdict is None else verdict.status
             ok = status is WcStatus.SUCCESS
-            if dest_backing is not None:
-                self._faulted_commit(verdict, dest_backing, dest_off, size,
-                                     payload, start, end, pieces,
+            if dest is not None:
+                self._faulted_commit(verdict, dest.backing,
+                                     dst_addr - dest.addr, size, payload,
+                                     start, end, pieces,
                                      dst_nic.host.notify_memory_commit)
             elif ok:
                 # A faulted SEND never reaches the remote RECV queue:

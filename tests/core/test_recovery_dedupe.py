@@ -4,8 +4,8 @@ A transfer whose completion lands *during the backoff window* — the
 verb was merely slow, not lost — used to be double-counted: the retry
 loop recorded a retry, re-issued the payload, and the chaos suite's
 ``retries == len(injected)`` identity only held because fixed schedules
-never hit the window.  The fix checks ``event.ok`` after the backoff
-sleep and records the race as a ``late_completion`` instead: no retry
+never hit the window.  The fix checks whether the chunk landed after
+the backoff sleep and records the race as a ``late_completion``: no retry
 counter, no duplicate bytes on the wire.
 
 These tests pin the race deterministically by shrinking the attempt
@@ -99,4 +99,52 @@ def test_true_blackhole_still_retries():
     assert stats.retries >= 1
     assert stats.retries_by_role.get("gradient-push", 0) >= 1
     assert metrics.count("RDMA_WRITE") >= 2
+    assert dst.read(0, 256) == b"\xab" * 256
+
+
+def _timed(sim, process):
+    """Run ``process``; return the instant it returned."""
+    yield from process
+    return sim.now
+
+
+def test_a_late_completion_never_settles_the_next_round():
+    """Selective repeat over chunks: a round that times out with two
+    chunks still in flight re-issues them at once (a backoff far
+    shorter than their wire time), so the first round's two CQEs
+    arrive while the second round waits on its own two.  Each round
+    settles only its own gate: the transfer returns after the
+    re-issued chunks land, not when the stale completions arrive."""
+    rig = _rig(RetryPolicy())
+    cluster, metrics, channel, src, dst, _ = rig
+    cost = cluster.cost
+    chunks = SIZE // cost.loss_chunk_bytes
+    clean = RecoveryManager(cluster.sim, cost, lossy=True)
+    # One clean round of every chunk, post to last completion.
+    wire = cluster.sim.run_until_complete(cluster.sim.spawn(
+        _timed(cluster.sim, _push(clean, channel, src, dst))))
+    # Times out with the last two chunks still on the wire; the second
+    # round (those two, behind the first round's copies) ends inside
+    # its own deadline.
+    timeout = wire * (chunks - 1.5) / chunks
+    policy = RetryPolicy(timeout_base=timeout, timeout_per_byte=0.0,
+                         backoff_base=1e-9, backoff_factor=1.0,
+                         backoff_max=1e-9)
+    cluster, metrics, channel, src, dst, _ = _rig(policy)
+    recovery = RecoveryManager(cluster.sim, cluster.cost, policy=policy,
+                               lossy=True)
+    returned = cluster.sim.run_until_complete(cluster.sim.spawn(
+        _timed(cluster.sim, _push(recovery, channel, src, dst))))
+    cluster.sim.run()
+    stats = recovery.stats
+    assert stats.timeouts == 1 and stats.retries == 1
+    assert stats.retransmits == 2 and stats.late_completions == 0
+    writes = metrics.transfers
+    assert len(writes) == chunks + 2
+    # Round one's last two chunks ended before round two's copies, and
+    # the transfer returned only after the copies' completions.
+    stale_end = max(t.end for t in writes[:chunks])
+    retransmit_end = max(t.end for t in writes[chunks:])
+    assert stale_end < retransmit_end
+    assert returned >= retransmit_end + cost.rdma_completion_overhead
     assert dst.read(0, 256) == b"\xab" * 256

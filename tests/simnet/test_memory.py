@@ -133,17 +133,17 @@ class TestStorageFollowsWrites:
         assert buf.read_byte(PAGE + 90) == 7
         assert buf.read_byte(PAGE + 89) == buf.read_byte(PAGE + 107) == 0
 
-    def test_size_only_write_lands_windows_and_real_pieces(self):
+    def test_size_only_write_lands_only_its_real_pieces(self):
         backing = Backing(4096)
-        backing.write_virtual(0, 4096, ((0, b"\x07" * 64, False),
-                                         (4032, b"\x09" * 64, False),
-                                         (1000, b"abc", True)))
-        assert backing.read(0, 64) == b"\x07" * 64
-        assert backing.read(4032, 64) == b"\x09" * 64
+        backing.write(4000, b"\x05" * 96)   # real bytes already there
+        backing.write_virtual(0, 4096, ((1000, b"abc"), (4095, b"\x09")))
         assert backing.read(1000, 3) == b"abc"
-        # Only the pieces were real at the source.
-        assert backing._real == [1000, 1003]
-        assert backing.bytes_written == 4096
+        assert backing.read_byte(4095) == 9
+        # Bytes the pieces do not cover keep what they held, real or not.
+        assert backing.read(4000, 95) == b"\x05" * 95
+        assert backing.read(0, 1000) == bytes(1000)
+        assert backing._real == [1000, 1003, 4000, 4096]
+        assert backing.bytes_written == 96 + 4096
 
 
 class TestAddressSpace:

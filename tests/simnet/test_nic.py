@@ -5,6 +5,8 @@ import pytest
 from repro.simnet import (
     Cluster, MemoryError_, Opcode, WcStatus, WorkRequest)
 from repro.simnet.nic import MAX_COMMIT_CHUNKS
+from repro.simnet.simulator import SimulationError
+from repro.simnet.verbs import Completion
 
 
 @pytest.fixture
@@ -45,8 +47,8 @@ class TestWrite:
         assert dst.read(0, 12) == b"tensor-bytes"
 
     def test_large_real_write_arrives_whole(self, pair):
-        """1 MiB of real bytes into a 32 MiB region nothing wrote: every
-        byte lands, not just the edge windows of a size-only verb."""
+        """1 MiB of real bytes into a 32 MiB region nothing wrote: a
+        wholly real source makes a real verb, and every byte lands."""
         cluster, a, b, qp_a, _, cq_a, _ = pair
         size = 1024 * 1024
         src, src_mr = register(a, size)
@@ -66,7 +68,7 @@ class TestWrite:
     def test_partly_real_source_moves_its_real_bytes(self, pair):
         """A source only partly written with real bytes is a size-only
         verb, yet every real byte in it lands, real, and nothing else
-        becomes real: not the zeros of its edge windows."""
+        becomes real."""
         cluster, a, b, qp_a, _, cq_a, _ = pair
         size = 1024 * 1024
         src, src_mr = register(a, size)
@@ -83,8 +85,8 @@ class TestWrite:
         assert dst.backing._real == [0, 256, size // 2, size // 2 + 1]
 
     def test_size_only_transfer_leaves_a_small_tensor_virtual(self, pair):
-        """The edge windows of a 100-byte size-only WRITE cover the
-        whole destination, but carry no real bytes."""
+        """A 100-byte size-only WRITE from a source holding no real
+        bytes stores nothing: its destination stays size-only."""
         from repro.graph.dtypes import DType
         from repro.graph.shapes import Shape
         from repro.graph.tensor import Tensor
@@ -202,7 +204,8 @@ class TestWrite:
         assert 0xee in observations
 
     def test_virtual_write_preserves_tail_flag(self, pair):
-        """Timing-only transfers still deliver real head/tail windows."""
+        """A size-only transfer still delivers the real bytes its source
+        holds: here the trailing flag byte."""
         cluster, a, b, qp_a, _, cq_a, _ = pair
         size = 32 * 1024 * 1024  # virtual backing on both sides
         src, src_mr = register(a, size)
@@ -299,7 +302,7 @@ class TestSendRecv:
 
     def test_send_before_recv_keeps_a_partly_real_source(self, pair):
         """A size-only SEND that waits for its RECV still lands the real
-        bytes its source held, past the 64-byte head window."""
+        bytes its source held."""
         cluster, a, b, qp_a, qp_b, cq_a, cq_b = pair
         src, src_mr = register(a, 8192)
         dst, dst_mr = register(b, 8192)
@@ -422,6 +425,62 @@ class TestQpCq:
                                    remote_addr=dst.addr, rkey=dst_mr.rkey))
         cluster.sim.run()
         assert len(woke) == 1 and woke[0] > 0
+
+    def test_cqe_to_a_parked_poller_drains_inside_the_push(self, pair):
+        """A poller parked on an empty CQ holds no heap entry: the push
+        resumes it in place, so the completion is drained before the
+        pushing entry returns."""
+        cluster, *_ = pair
+        sim = cluster.sim
+        cq = cluster.hosts[0].nic.create_cq()
+        drained, seen = [], []
+
+        def poller():
+            while True:
+                yield cq.wait()
+                drained.extend((c.wr_id, sim.now) for c in cq.poll())
+
+        def push(wr_id):
+            pushes = sim._seq
+            cq.push(Completion(wr_id=wr_id, opcode=Opcode.WRITE,
+                               status=WcStatus.SUCCESS, byte_len=1,
+                               qp_num=0, timestamp=sim.now))
+            seen.append((list(drained), len(cq), sim._seq - pushes))
+
+        sim.spawn(poller())
+        sim.call_at(1e-6, lambda: push(1))
+        sim.call_at(2e-6, lambda: push(2))
+        sim.run()
+        assert seen == [([(1, 1e-6)], 0, 0), ([(1, 1e-6), (2, 2e-6)], 0, 0)]
+        # Three entries: the poller's start and the two pushes.
+        assert sim.event_count == 3
+
+    def test_cq_wait_with_entries_queued_returns_a_fired_event(self, pair):
+        cluster, *_ = pair
+        cq = cluster.hosts[0].nic.create_cq()
+        cq.push(Completion(wr_id=1, opcode=Opcode.WRITE,
+                           status=WcStatus.SUCCESS, byte_len=1, qp_num=0,
+                           timestamp=0.0))
+        assert cq.wait().triggered
+
+    def test_cq_takes_one_parked_poller(self, pair):
+        cluster, *_ = pair
+        sim = cluster.sim
+        cq = cluster.hosts[0].nic.create_cq()
+        errors = []
+
+        def poller():
+            try:
+                yield cq.wait()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.spawn(poller())
+        sim.spawn(poller())
+        sim.run()
+        assert len(errors) == 1
+        with pytest.raises(SimulationError):
+            cq.wait()  # no running process to park
 
     def test_post_recv_requires_recv_opcode(self, pair):
         _, a, _, qp_a, _, _, _ = pair

@@ -1,10 +1,14 @@
 """Property-based tests (hypothesis) for the simulation substrate."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet import Cluster, Opcode, WorkRequest
+from repro.simnet.costmodel import DEFAULT_COST_MODEL, KB
+from repro.simnet.fabric import build_fat_tree
 from repro.simnet.memory import AddressSpace, Backing, MemoryError_
-from repro.simnet.faults import FaultVerdict
+from repro.simnet.faults import FaultInjector, FaultVerdict
 from repro.simnet.nic import MAX_COMMIT_CHUNKS, SINGLE_CHUNK_LIMIT, Pipe
 from repro.simnet.simulator import Simulator
 
@@ -128,14 +132,13 @@ class _PerByteBacking:
             self._real.add(offset + i)
 
     def write_virtual(self, offset, length, pieces=()):
-        """A size-only write: its pieces overwrite bytes, and only the
-        real ones make them real."""
+        """A size-only write: its pieces, its source's real bytes,
+        overwrite bytes and make them real; the rest is left alone."""
         self.bytes_written += length
-        for at, data, real in pieces:
+        for at, data in pieces:
             for i, b in enumerate(data):
                 self._bytes[offset + at + i] = b
-                if real:
-                    self._real.add(offset + at + i)
+                self._real.add(offset + at + i)
 
     def read_byte(self, offset):
         return self._bytes.get(offset, 0)
@@ -153,7 +156,7 @@ class TestVirtualBackingAgainstPerByteModel:
     PAGE = Backing.page_size
     LARGE = 64 * 1024
 
-    #: lengths around the 64-byte edge windows, a page and many pages
+    #: lengths of a flag or a header, a page and many pages
     lengths = st.one_of(
         st.integers(min_value=0, max_value=200),
         st.sampled_from([PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 7,
@@ -194,17 +197,15 @@ class TestVirtualBackingAgainstPerByteModel:
             elif op == "write_virtual":
                 seed = data.draw(st.binary(min_size=1, max_size=97))
                 content = (seed * (length // len(seed) + 1))[:length]
-                win = min(64, length)
+                # The source's real bytes: a flag, a header, or none.
                 pieces = ()
-                if data.draw(st.booleans()):  # a size-only verb's edges
-                    pieces = ((0, content[:win], False),
-                              (length - win, content[length - win:], False))
-                if length and data.draw(st.booleans()):
+                for _piece in range(data.draw(st.integers(
+                        min_value=0, max_value=2 if length else 0))):
                     at = data.draw(st.integers(min_value=0,
                                                max_value=length - 1))
                     end = data.draw(st.integers(min_value=at + 1,
                                                 max_value=length))
-                    pieces += ((at, content[at:end], True),)
+                    pieces += ((at, content[at:end]),)
                 real.write_virtual(offset, length, pieces)
                 model.write_virtual(offset, length, pieces)
             elif op == "read":
@@ -323,13 +324,133 @@ class TestWriteCommitProperties:
         assert [c.wr_id for c in comps] == wr_ids
 
 
+class TestWrChainProperties:
+    """A chain of work requests posted at once (``post_send(*wrs)``) is
+    the same N verbs posted one by one: CQE times and statuses, landed
+    bytes and real ranges, fault log, wire records and heap entries."""
+
+    REGION = 192 * KB
+    RULES = {
+        "none": None,
+        "loss": "loss:p=0.4",
+        "partial": "partial:p=0.4,frac=0.5",
+        "qp_break": "qp_break:p=0.3,frac=0.25",
+        "blackhole": "blackhole:p=0.4",
+    }
+    sizes = st.one_of(st.integers(min_value=1, max_value=80 * KB),
+                      st.sampled_from([1, 4096, 4097, 64 * KB]))
+
+    def _run(self, chained, link, qp_kind, hot, rule, seed, wrs):
+        cost = DEFAULT_COST_MODEL
+        if link == "quantum":
+            cost = replace(cost, wire_quantum_bytes=16 * KB)
+        if hot is not None:
+            fabric = build_fat_tree(4, hosts_per_rack=2,
+                                    oversubscription=4.0, cost=cost)
+            cluster = Cluster(4, cost=cost, fabric=fabric)
+            a, b = cluster.hosts[0], cluster.hosts[2]
+            # Load the trunks to ``hot`` of the ECN horizon: the chain's
+            # own bookings then carry a loss rule's odds across the mark.
+            for trunk in fabric.route(a.name, b.name):
+                if trunk.trunk:
+                    trunk.book(0.0, int(hot * cost.ecn_utilization_horizon
+                                        * trunk.pipe.bandwidth),
+                               None, a.name, b.name)
+        else:
+            cluster = Cluster(2, cost=cost)
+            a, b = cluster.hosts
+        metrics = cluster.enable_metrics()
+        injector = None
+        if self.RULES[rule] is not None:
+            injector = FaultInjector.from_spec(self.RULES[rule], seed=seed)
+            cluster.install_faults(injector)
+        cq = a.nic.create_cq()
+        if qp_kind == "rc":
+            qp = a.nic.create_qp(cq)
+            qp.connect(b.nic.create_qp(b.nic.create_cq()))
+            target = None
+        else:
+            qp = a.nic.create_shared_qp(cq)
+            target = b.nic.create_shared_qp(b.nic.create_cq())
+        regions = {}
+        for host in (a, b):
+            for kind in ("real", "sparse", "dst"):
+                buf = host.allocate(self.REGION)
+                regions[host.name, kind] = (buf,
+                                            host.nic.register_memory(buf))
+            real = regions[host.name, "real"][0]
+            real.write(bytes(range(1, 256)) * (self.REGION // 255)
+                       + b"\x01" * (self.REGION % 255))
+            sparse = regions[host.name, "sparse"][0]
+            sparse.write(b"HEAD")
+            sparse.write(b"\x07" * 300, 70 * KB)
+        posted = []
+        for wr_id, (opcode, kind, src_at, dst_at, size, over) in enumerate(
+                wrs, 1):
+            src_host, dst_host = (b, a) if opcode == "READ" else (a, b)
+            src, src_mr = regions[src_host.name, kind]
+            dst, dst_mr = regions[dst_host.name, "dst"]
+            # One byte past the region's end, on either side: the MR
+            # check refuses it (REMOTE_ACCESS_ERROR) in a chain too.
+            src_at, dst_at = (
+                self.REGION - size + 1 if over == side
+                else min(at, self.REGION - size)
+                for side, at in (("src", src_at), ("dst", dst_at)))
+            local, lkey, remote, rkey = (
+                (dst.addr + dst_at, dst_mr.lkey, src.addr + src_at,
+                 src_mr.rkey) if opcode == "READ"
+                else (src.addr + src_at, src_mr.lkey, dst.addr + dst_at,
+                      dst_mr.rkey))
+            posted.append(WorkRequest(
+                opcode=Opcode[opcode], size=size, local_addr=local,
+                lkey=lkey, remote_addr=remote, rkey=rkey,
+                dct_target=target, wr_id=wr_id))
+        if chained:
+            qp.post_send(*posted)
+        else:
+            for wr in posted:
+                qp.post_send(wr)
+        cluster.sim.run()
+        landed = [(buf.read(0, self.REGION), buf.backing._real)
+                  for (_host, kind), (buf, _mr) in sorted(regions.items())
+                  if kind == "dst"]
+        return {
+            "cqes": [(c.wr_id, c.status.name, c.byte_len, repr(c.timestamp))
+                     for c in cq.poll(256)],
+            "landed": landed,
+            "faults": injector.injected if injector is not None else [],
+            "wire": [(t.kind, t.src_host, t.dst_host, t.nbytes,
+                      repr(t.start), repr(t.end)) for t in metrics.transfers],
+            "events": cluster.sim.event_count,
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(link=st.sampled_from(["pipe", "quantum"]),
+           qp_kind=st.sampled_from(["rc", "shared"]),
+           hot=st.sampled_from([None, 0.0, 0.66, 0.69]),
+           rule=st.sampled_from(sorted(RULES)),
+           seed=st.integers(min_value=0, max_value=1000),
+           wrs=st.lists(st.tuples(
+               st.sampled_from(["WRITE", "WRITE", "READ"]),
+               st.sampled_from(["real", "sparse"]),
+               st.integers(min_value=0, max_value=REGION),
+               st.integers(min_value=0, max_value=REGION),
+               sizes,
+               st.sampled_from(["in"] * 6 + ["src", "dst"])),
+               min_size=1, max_size=6))
+    def test_chain_equals_verbs_posted_one_by_one(self, link, qp_kind, hot,
+                                                  rule, seed, wrs):
+        args = (link, qp_kind, hot, rule, seed, wrs)
+        assert self._run(True, *args) == self._run(False, *args)
+
+
 def _pieces_within(pieces, lo, hi):
     """The pieces' bytes inside ``[lo, hi)``, relative to ``lo``."""
     within = []
-    for at, data, real in pieces:
+    for at, data in pieces:
         a, b = max(at, lo), min(at + len(data), hi)
         if a < b:
-            within.append((a - lo, data[a - at:b - at], real))
+            within.append((a - lo, data[a - at:b - at]))
     return tuple(within)
 
 
@@ -411,15 +532,15 @@ class TestLandingAgainstFourEntryModel:
         if data.draw(st.booleans()):
             payload, pieces = content, ()
         else:
-            win = min(64, size)
+            # Real bytes of a partly real source, maybe across chunks,
+            # maybe its first and last bytes (a header, a flag).
             payload = None
-            pieces = ((0, content[:win], False),
-                      (size - win, content[size - win:], False))
-            # Real bytes of a partly real source, maybe across chunks.
             cuts = sorted(data.draw(st.lists(
                 st.integers(min_value=0, max_value=size), max_size=4)))
-            pieces += tuple((a, content[a:b], True)
-                            for a, b in zip(cuts[::2], cuts[1::2]) if a < b)
+            if data.draw(st.booleans()):
+                cuts = [0] + cuts + [size]
+            pieces = tuple((a, content[a:b])
+                           for a, b in zip(cuts[::2], cuts[1::2]) if a < b)
         frac = data.draw(st.sampled_from([None, 0.1, 0.5, 0.9]))
         verdict = None if frac is None else FaultVerdict(kind="partial",
                                                          frac=frac)

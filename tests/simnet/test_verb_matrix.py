@@ -4,8 +4,8 @@ opcode {WRITE, READ, SEND} x link server {Pipe, quantum} x QP {RC,
 SharedQp} x topology {flat, cross-rack fat tree} x verdict {none,
 straggler, partial, loss}: every cell posts two back-to-back verbs on
 one QP (a 200000-byte transfer from a source written with real bytes,
-then a 6000-byte one from an unwritten source but for its head window
-and tail flag byte, which must still land) and pins the
+then a 6000-byte one from a source whose only real bytes are a 4-byte
+header and the tail flag byte, which must still land) and pins the
 ``repr`` of every clock the pipeline produces.  The fault rules fire on
 the first verb only, so the second one exercises the QP ordering state
 a faulted verb leaves behind.

@@ -119,6 +119,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "simnet/memory.py:MemoryRegion.size",
         "simnet/nic.py:Pipe.available_at",
         "simnet/nic.py:RdmaNic.register_delay",
+        "simnet/simulator.py:Event.ok",
         "simnet/tcp.py:Socket.close",
     ),
     "d": (
