@@ -237,12 +237,15 @@ class RdmaChannel:
                      remote_region: RemoteMemRegion, direction: Direction,
                      callback: Optional[Callable[[Completion], None]] = None,
                      *, inline_data: Optional[bytes] = None,
-                     role: str = "", priority: int = 0) -> List[int]:
+                     role: str = "", priority: int = 0,
+                     verdicts: Optional[Sequence[object]] = None
+                     ) -> List[int]:
         """:meth:`memcpy` for each ``(local_addr, remote_addr, size)``
         span, posted as one chain of work requests (one
         ``ibv_post_send``), all between the same two regions.  Returns
         the work-request ids in span order; ``callback`` fires once per
-        completion.
+        completion.  ``verdicts``, one per span, are the fault verdicts
+        drawn for the chain's round (``WorkRequest.verdict``).
         """
         if direction is Direction.LOCAL_TO_REMOTE:
             opcode = Opcode.WRITE
@@ -266,6 +269,9 @@ class RdmaChannel:
             self.device._register_callback(wr.wr_id, callback)
             self.bytes_transferred += wr.size
             wrs.append(wr)
+        if verdicts is not None:
+            for wr, verdict in zip(wrs, verdicts):
+                wr.verdict = verdict
         self.qp.post_send(*wrs)
         return [wr.wr_id for wr in wrs]
 

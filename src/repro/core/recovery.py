@@ -47,6 +47,12 @@ land**.  What the fabric decides is how a transfer is cut:
   retransmitted bytes equal lost bytes: recovery costs O(lost bytes),
   not O(window).
 
+When the spec is one ``loss`` clause alone, a round asks the fault
+plane once which chunks it loses
+(:meth:`~repro.simnet.faults.FaultInjector.draw_round`) and posts
+each run of contiguous surviving chunks as one verb, each lost chunk
+as its own: the host pays per loss, not per chunk.
+
 The epoch flag still trails the whole payload (the protocols post it
 after ``reliable_memcpy`` returns), so consumers never observe a
 partially repaired tensor.
@@ -59,7 +65,8 @@ otherwise posted once and, if asked, awaited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional, Set
+from typing import (Dict, Generator, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..simnet.costmodel import CostModel
 from ..simnet.simulator import Event, Simulator
@@ -149,22 +156,41 @@ class _Round:
     settle a later round's ``gate``; AllOf would fail fast on the first
     lost chunk and hide the fate of the rest."""
 
-    __slots__ = ("gate", "chunks", "landed", "failed")
+    __slots__ = ("gate", "wrs", "size", "landed", "failed")
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, size: int) -> None:
         #: succeeds once every chunk of the round has a completion
         self.gate: Event = sim.event()
-        #: work-request id -> chunk index, for the round's chunks
-        self.chunks: Dict[int, int] = {}
+        #: work-request id -> the chunk indices that WR carries
+        self.wrs: Dict[int, Sequence[int]] = {}
+        #: chunks in the round
+        self.size = size
         self.landed: Set[int] = set()
         #: chunks whose completion reported an error
         self.failed: Set[int] = set()
 
     def settle(self, completion) -> None:
-        index = self.chunks[completion.wr_id]
-        (self.landed if completion.ok else self.failed).add(index)
-        if len(self.landed) + len(self.failed) == len(self.chunks):
+        chunks = self.wrs[completion.wr_id]
+        (self.landed if completion.ok else self.failed).update(chunks)
+        if len(self.landed) + len(self.failed) == self.size:
             self.gate.succeed()
+
+
+def _cut(pending: List[int], segments) -> Iterator[Tuple[List[int], object]]:
+    """The WRs of a drawn round: each maximal run of contiguous
+    pending chunks that one segment of the draw
+    (:meth:`~repro.simnet.faults.FaultInjector.draw_round`) covers,
+    with that segment's verdict; a lost chunk is a segment of its own."""
+    start = 0
+    for end, verdict in segments:
+        run = [pending[start]]
+        for index in pending[start + 1:end]:
+            if index != run[-1] + 1:
+                yield run, verdict
+                run = []
+            run.append(index)
+        yield run, verdict
+        start = end
 
 
 class RecoveryManager:
@@ -202,10 +228,10 @@ class RecoveryManager:
         only when the budget is exhausted and TCP fallback is disabled.
 
         Each round posts every pending chunk as one chain of verbs (one
-        per chunk; per-QP FIFO keeps them in sequence order) and waits
-        until all of them settle — error CQEs included — or the
-        per-transfer timeout fires (a blackhole produces no CQE at
-        all).  Chunks that landed are marked; only the rest are
+        per chunk, or one per drawn run; per-QP FIFO keeps them in
+        sequence order) and waits until all of them settle — error
+        CQEs included — or the per-transfer timeout fires (a blackhole
+        produces no CQE at all).  Chunks that landed are marked; only the rest are
         re-issued, at the original priority.  A chunk whose completion
         arrives during the backoff window is goodput, not loss, and is
         never re-sent.
@@ -227,19 +253,27 @@ class RecoveryManager:
                         hi - lo, direction, inline_data, role)
                 return
             retransmit = self.lossy and attempt > 0
+            if retransmit:
+                self.stats.retransmits += len(pending)
+                self.stats.retransmitted_bytes += sum(
+                    bounds[i][1] - bounds[i][0] for i in pending)
+            wire_role = ROLE_RETRANSMIT if retransmit else role
+            plane = channel.device.host.cluster.fault_plane
+            if self.lossy and plane is not None and plane.samples_loss:
+                groups, verdicts = zip(*_cut(pending, plane.draw_round(
+                    channel.device.host.nic, channel.peer.host, wire_role,
+                    len(pending))))
+            else:
+                groups, verdicts = [[index] for index in pending], None
             spans = []
-            for index in pending:
-                lo, hi = bounds[index]
-                if retransmit:
-                    self.stats.retransmits += 1
-                    self.stats.retransmitted_bytes += hi - lo
+            for group in groups:
+                lo, hi = bounds[group[0]][0], bounds[group[-1]][1]
                 spans.append((local_addr + lo, remote_addr + lo, hi - lo))
-            round_ = _Round(self.sim)
-            round_.chunks = dict(zip(channel.memcpy_chain(
+            round_ = _Round(self.sim, len(pending))
+            round_.wrs = dict(zip(channel.memcpy_chain(
                 spans, local_region, remote_region, direction, round_.settle,
-                inline_data=inline_data,
-                role=ROLE_RETRANSMIT if retransmit else role,
-                priority=priority), pending))
+                inline_data=inline_data, role=wire_role, priority=priority,
+                verdicts=verdicts), groups))
             started = self.sim.now
             result = yield self.sim.any_of(
                 [round_.gate, self.sim.timeout(limit, _TIMEOUT)])

@@ -106,7 +106,7 @@ class FabricLink:
 
     def busy_seconds(self) -> float:
         """Total booked wire time on this link (trunk links only)."""
-        return sum(hi - lo for lo, hi in self.pipe._busy)
+        return self.pipe.busy_seconds
 
     def utilization(self, horizon: float) -> float:
         """Fraction of capacity used over ``[0, horizon]``."""

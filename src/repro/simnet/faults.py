@@ -29,7 +29,9 @@ the NIC on every posted data verb and renders a :class:`FaultVerdict`:
   On the flat topology there are no trunk links, so ``loss`` is pure
   probabilistic wire loss.  Arming a ``loss`` rule also switches the
   recovery layer to chunk-granular selective repeat (see
-  :mod:`repro.core.recovery`).
+  :mod:`repro.core.recovery`); when that rule is the whole spec, a
+  selective-repeat round draws all its chunks' fates at once
+  (:meth:`FaultInjector.draw_round`) instead of one verb at a time.
 * ``straggler`` — a transient slowdown: the verb departs ``delay``
   seconds late but succeeds (can push a transfer past the recovery
   layer's timeout, making spurious retries reachable in tests).
@@ -41,7 +43,7 @@ the NIC on every posted data verb and renders a :class:`FaultVerdict`:
   ``spine1``; unset matches every switch).
 
 All randomness comes from one seeded ``random.Random``; draws happen in
-verb post order, which the simulator makes deterministic, so a fault
+verb (or round) post order, which the simulator makes deterministic, so a fault
 schedule is a pure function of (spec, seed, workload).  Every injected
 fault is appended to :attr:`FaultInjector.injected` so tests can match
 retry counts against the schedule exactly.
@@ -53,6 +55,7 @@ the transfer protocols.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -152,6 +155,12 @@ class FaultVerdict:
         return size
 
 
+#: the verdicts of a drawn WR the fabric neither loses nor paces, and
+#: of one it loses unpaced
+PASS = FaultVerdict(kind="pass")
+LOST = FaultVerdict(kind="loss", status=WcStatus.RETRY_EXC_ERR)
+
+
 def parse_fault_spec(spec: str) -> List[FaultRule]:
     """Parse ``"kind:key=value,...;kind:..."`` into rules.
 
@@ -240,6 +249,13 @@ class FaultInjector:
         """Whether any ``loss`` rule is armed (selective-repeat gate)."""
         return any(rule.kind == "loss" for rule in self.rules)
 
+    @property
+    def samples_loss(self) -> bool:
+        """Whether the spec is one ``loss`` clause alone: a round of
+        chunks can then be drawn at once (:meth:`draw_round`), because
+        no other rule's draw interleaves with its chunks'."""
+        return len(self.rules) == 1 and self.rules[0].kind == "loss"
+
     def _ecn_factor(self, nic, dst: Optional[str]) -> Tuple[float, float]:
         """Congestion coupling for one post: (probability multiplier,
         pacing delay).
@@ -264,6 +280,67 @@ class FaultInjector:
             return 1.0, 0.0
         return 1.0 + cost.ecn_loss_scale * over, cost.ecn_pace_delay
 
+    def draw_round(self, nic, dst: str, role: str, count: int
+                   ) -> List[Tuple[int, FaultVerdict]]:
+        """The fates of ``count`` chunk WRs posted now in one chain, for
+        a spec of one ``loss`` clause (:attr:`samples_loss`), as
+        segments ``(end, verdict)``: the positions from the previous
+        segment's end up to ``end`` take ``verdict`` (``wr.verdict``).
+        A lost chunk is a segment of its own.
+
+        Equal in distribution to ``count`` :meth:`on_post` walks at the
+        same instant, whose window, host and role cannot change: ``skip``
+        burns the first posts, each loss is one geometric gap at
+        ``p × ECN factor``, and a spent ``count`` stops the rule seeing
+        the rest.  The ECN factor is read once, before the round's own
+        bookings, and paces only the posts the rule draws for.
+        """
+        rule = self.rules[0]
+        now = nic.sim.now
+        if (role == "control" or rule.exhausted()
+                or not rule.matches(now, nic.host.name, role)):
+            return [(count, PASS)]
+        segments: List[Tuple[int, FaultVerdict]] = []
+        index = min(count, max(rule.skip - rule.seen, 0))
+        rule.seen += index
+        if index:
+            segments.append((index, PASS))
+        factor, pace = self._ecn_factor(nic, dst)
+        probability = min(1.0, rule.probability * factor)
+        clean, lost = PASS, LOST
+        if pace:
+            clean = FaultVerdict(kind="straggler", delay=pace)
+            lost = FaultVerdict(kind="loss", status=WcStatus.RETRY_EXC_ERR,
+                                delay=pace)
+        while index < count and not rule.exhausted():
+            gap = self._gap(probability, count)
+            if gap >= count - index:
+                break
+            if gap:
+                segments.append((index + gap, clean))
+            index += gap + 1
+            rule.seen += gap + 1
+            rule.fired += 1
+            segments.append((index, lost))
+        if index < count:
+            if rule.exhausted():
+                segments.append((count, PASS))
+            else:
+                rule.seen += count - index
+                segments.append((count, clean))
+        return segments
+
+    def _gap(self, probability: float, never: int) -> int:
+        """Clean posts before the next loss, Geometric(``probability``)
+        on {0, 1, ...}: one draw, by inverting a uniform in (0, 1].
+        ``never`` stands for "no loss" at probability 0."""
+        if probability >= 1.0:
+            return 0
+        if probability <= 0.0:
+            return never
+        return int(math.log(1.0 - self._rng.random())
+                   / math.log1p(-probability))
+
     def on_post(self, nic, qp, wr: WorkRequest,
                 dst: Optional[str] = None) -> Optional[FaultVerdict]:
         """Render the verdict for one posted verb (None = untouched).
@@ -273,8 +350,15 @@ class FaultInjector:
         made only for eligible probabilistic rules, in spec order, so
         the schedule is deterministic given the workload.  ``dst`` (the
         destination host name, when the caller knows it) feeds the ECN
-        congestion coupling of ``loss`` rules.
+        congestion coupling of ``loss`` rules.  A WR whose round was
+        drawn (:meth:`draw_round`) carries its verdict: it is rendered,
+        and logged if lost, without a second draw.
         """
+        drawn = wr.verdict
+        if drawn is not None:
+            if drawn.kind == "loss":
+                self._log(nic, wr, "loss", nic.sim.now)
+            return None if drawn is PASS else drawn
         if wr.role == "control" or not self.rules:
             return None
         now = nic.sim.now
@@ -300,10 +384,10 @@ class FaultInjector:
             rule.fired += 1
             if rule.kind == "straggler":
                 delay += rule.delay
-                self._log(nic, wr, rule, now)
+                self._log(nic, wr, rule.kind, now)
                 continue
             terminal = rule
-            self._log(nic, wr, rule, now)
+            self._log(nic, wr, rule.kind, now)
             break
         if terminal is None and delay == 0.0:
             return None
@@ -343,22 +427,22 @@ class FaultInjector:
             if probability < 1.0 and self._rng.random() >= probability:
                 continue
             rule.fired += 1
-            self._log(nic, wr, rule, now)
+            self._log(nic, wr, rule.kind, now)
             return True
         return False
 
-    def _log(self, nic, wr: WorkRequest, rule: FaultRule, now: float) -> None:
+    def _log(self, nic, wr: WorkRequest, kind: str, now: float) -> None:
         # wr_id is drawn from a process-global counter and so differs
         # between back-to-back runs; keep the log run-deterministic.
         self.injected.append({
-            "time": now, "kind": rule.kind, "host": nic.host.name,
+            "time": now, "kind": kind, "host": nic.host.name,
             "role": wr.role, "opcode": wr.opcode.value, "size": wr.size,
         })
         tracer = nic.host.cluster.tracer
         if tracer is not None:
-            tracer.record("fault", f"{rule.kind} {wr.role or wr.opcode.value}",
+            tracer.record("fault", f"{kind} {wr.role or wr.opcode.value}",
                           nic.host.name, "nic:faults", now, now,
-                          args={"kind": rule.kind, "role": wr.role,
+                          args={"kind": kind, "role": wr.role,
                                 "wr_id": wr.wr_id, "size": wr.size})
             tracer.metrics.counter("faults_injected").add(1)
 

@@ -120,6 +120,9 @@ class Pipe:
     def __init__(self, bandwidth: float) -> None:
         self.bandwidth = bandwidth
         self.bytes_carried = 0
+        #: total booked wire time: the intervals never overlap, so this
+        #: is their summed length, kept as they are booked
+        self.busy_seconds = 0.0
         #: sorted, disjoint busy intervals
         self._busy: List[List[float]] = []
 
@@ -135,6 +138,7 @@ class Pipe:
         duration = size / self.bandwidth
         if duration <= 0:
             return earliest, earliest
+        self.busy_seconds += duration
         cursor = earliest
         # Skip every interval that ends at or before the cursor in one
         # bisect instead of a linear scan from index 0: the intervals
@@ -638,7 +642,9 @@ class RdmaNic:
 
         Returns ``(proceed, verdict)``.  With no fault plane installed
         this is two attribute checks and schedules nothing, so clean
-        runs keep bit-identical timing.
+        runs keep bit-identical timing.  A WR drawn with its
+        selective-repeat round carries its verdict (``wr.verdict``),
+        which the plane renders without a second draw.
         """
         if qp.broken or target.broken:
             self._fail(qp, wr, WcStatus.WR_FLUSH_ERR)

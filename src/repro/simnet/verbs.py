@@ -119,6 +119,10 @@ class WorkRequest:
     #: being fixed at connect time.  ``None`` on RC QPs — the connected
     #: remote applies — which keeps the RC path bit-identical.
     dct_target: Optional[object] = None
+    #: the :class:`~repro.simnet.faults.FaultVerdict` the fault plane
+    #: drew for this WR with its selective-repeat round
+    #: (``FaultInjector.draw_round``); None asks the plane at post time
+    verdict: Optional[object] = None
     wr_id: int = field(default_factory=next_wr_id)
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.device import Direction, RdmaDevice
 from repro.core.recovery import RecoveryManager, RetryPolicy
-from repro.simnet import Cluster, Endpoint
+from repro.simnet import Cluster, Endpoint, FaultInjector
 
 SIZE = 4 << 20  # ~341us of wire at the default cost model
 
@@ -145,6 +145,53 @@ def test_a_late_completion_never_settles_the_next_round():
     # the transfer returned only after the copies' completions.
     stale_end = max(t.end for t in writes[:chunks])
     retransmit_end = max(t.end for t in writes[chunks:])
+    assert stale_end < retransmit_end
+    assert returned >= retransmit_end + cost.rdma_completion_overhead
+    assert dst.read(0, 256) == b"\xab" * 256
+
+
+def _drawn_rig(policy, spec):
+    """``_rig`` on a fabric whose spec is one ``loss`` clause: rounds
+    are drawn at once and post each clean run as one verb."""
+    cluster, metrics, channel, src, dst, _ = _rig(policy)
+    cluster.install_faults(FaultInjector.from_spec(spec, seed=0))
+    recovery = RecoveryManager(cluster.sim, cluster.cost, policy=policy,
+                               lossy=True)
+    return cluster, metrics, channel, src, dst, recovery
+
+
+def test_a_late_run_completion_never_settles_the_next_round():
+    """The same race with coalesced runs: round one posts chunks 0-61
+    as one verb, loses chunk 62 and posts chunk 63 as a run of one; it
+    times out with that run still on the wire, and round two re-sends
+    62-63 as one run.  The stale run's CQE lands while round two
+    waits and settles round one only: the transfer returns after the
+    re-sent run's completion."""
+    cluster, _metrics, channel, src, dst, recovery = _drawn_rig(
+        RetryPolicy(), "loss:p=0")
+    cost = cluster.cost
+    chunks = SIZE // cost.loss_chunk_bytes
+    # One loss-free round is one verb, post to completion.
+    wire = cluster.sim.run_until_complete(cluster.sim.spawn(
+        _timed(cluster.sim, _push(recovery, channel, src, dst))))
+    timeout = wire * (chunks - 0.5) / chunks
+    policy = RetryPolicy(timeout_base=timeout, timeout_per_byte=0.0,
+                         backoff_base=1e-9, backoff_factor=1.0,
+                         backoff_max=1e-9)
+    cluster, metrics, channel, src, dst, recovery = _drawn_rig(
+        policy, f"loss:p=1,count=1,skip={chunks - 2}")
+    returned = cluster.sim.run_until_complete(cluster.sim.spawn(
+        _timed(cluster.sim, _push(recovery, channel, src, dst))))
+    cluster.sim.run()
+    stats = recovery.stats
+    assert stats.timeouts == 1 and stats.retries == 1
+    assert stats.retransmits == 2 and stats.late_completions == 0
+    chunk = cost.loss_chunk_bytes
+    writes = metrics.transfers
+    assert [t.nbytes for t in writes] == [
+        (chunks - 2) * chunk, chunk, chunk, 2 * chunk]
+    stale_end = max(t.end for t in writes[:3])
+    retransmit_end = writes[3].end
     assert stale_end < retransmit_end
     assert returned >= retransmit_end + cost.rdma_completion_overhead
     assert dst.read(0, 256) == b"\xab" * 256
