@@ -29,7 +29,8 @@ here before it shows up as wall-clock.
 A lossy transfer of 1,024 chunks pins how its selective-repeat
 rounds post (a verb per clean run and per lost chunk, not per chunk),
 the heap events that costs exactly and its host microseconds per
-chunk.
+chunk.  A lossy switch-aggregated round of 16 members pins the same
+for the switch plane, per member-chunk.
 
 Beside it, the event the repository simulates most: a polling-async
 miss.  One executor holds 1 or 32 scripted pollers that miss a fixed
@@ -58,10 +59,14 @@ from repro.graph import (CommRuntime, DType, GraphBuilder, Outcome, Session,
 from repro.rpc import (GrpcRdmaServer, GrpcTcpServer, HEADER_SIZE, Message,
                        Payload, Reassembler, connect_grpc_rdma,
                        connect_grpc_tcp, decode_parts, encode_parts, fragment)
+from repro.collectives import innetwork_allreduce
+from repro.core import RdmaCommRuntime
 from repro.core.device import Direction, RdmaDevice
 from repro.core.recovery import RecoveryManager
+from repro.graph.tensor import Tensor
 from repro.simnet import Cluster, Endpoint, FaultInjector, Opcode, WorkRequest
 from repro.simnet.costmodel import DEFAULT_COST_MODEL
+from repro.simnet.fabric import build_fat_tree
 from repro.simnet.simulator import Simulator
 
 
@@ -296,6 +301,83 @@ def test_lossy_memcpy_host_cost_and_events(benchmark):
     assert expect == 26
     assert [r[-1] for r in runs] == [expect] * 3
     assert per_chunk_us < 5.0
+
+
+# -- host cost of an in-network round ----------------------------------------------
+#
+# One switch-aggregated round: 16 members behind four ToRs each stream a
+# size-only 24 MiB bucket up in 96 aggregation-slot chunks, on a fixed
+# lossy seed.  A member-chunk's uplink arrival is known when its egress is
+# booked, so it is no heap entry; a window wake resumes the sender inside
+# the landing that frees it.  Heap events: per member its process start
+# and end, per member-chunk its post and its landing, per chunk its one
+# completion plus a slot release on each of its four ToRs and its spine,
+# and per loss the re-issue at the lost attempt's arrival (6,543 while
+# every arrival and every window wake was an entry of its own).
+# Measured 13-14 user us per member-chunk on a 2-core box (19.6 before).
+
+INNET_MEMBERS, INNET_RACK, INNET_CHUNKS, INNET_SEED = 16, 4, 96, 4
+EVENTS_PER_MEMBER, EVENTS_PER_MEMBER_CHUNK = 2, 2
+
+
+def _innetwork_round():
+    """A session whose one reduction group has a round posted: returns
+    the simulator, the group and the fault plane."""
+    b = GraphBuilder("innet-round")
+    devices = [f"worker{i}" for i in range(INNET_MEMBERS)]
+    shape = Shape([INNET_CHUNKS * DEFAULT_COST_MODEL.switch_agg_slot_bytes
+                   // 4])
+    inputs = [b.synthetic_compute(0.0, outputs=[(DType.float32, shape)],
+                                  name=f"g{i}", device=device)
+              for i, device in enumerate(devices)]
+    innetwork_allreduce(b, inputs, devices, hosts_per_rack=INNET_RACK)
+    cluster = Cluster(INNET_MEMBERS, fabric=build_fat_tree(
+        INNET_MEMBERS, INNET_RACK, oversubscription=4.0))
+    cluster.install_faults(FaultInjector.from_spec("loss:p=0.01",
+                                                   seed=INNET_SEED))
+    session = Session(cluster, b.finalize(),
+                      dict(zip(devices, cluster.hosts)),
+                      comm=RdmaCommRuntime())
+    group = session.comm.innetwork.groups["innet"]
+    cluster.sim.run()
+    for member in group.members:
+        source = member.host.allocate(group.nbytes, label="size-only")
+        group.execute(member.executor, member.index,
+                      Tensor(group.dtype, group.shape, source, offset=0))
+    return cluster.sim, group, cluster.fault_plane
+
+
+def test_innetwork_round_host_cost_and_events(benchmark):
+    rounds = []
+
+    def setup():
+        rounds.append(_innetwork_round())
+        sim = rounds[-1][0]
+        return (sim,), {}
+    counts = []
+
+    def run(sim):
+        before = sim.event_count
+        sim.run()
+        counts.append(sim.event_count - before)
+    timed, spent = _in_user_time(run)
+    benchmark.pedantic(timed, setup=setup, rounds=3, iterations=1)
+    member_chunks = INNET_MEMBERS * INNET_CHUNKS
+    per_member_chunk_us = min(spent) / member_chunks * 1e6
+    _, group, plane = rounds[0]
+    losses = len(plane.injected)
+    releases = len(group.racks) + 1
+    print(f"\nin-network round, {INNET_MEMBERS} members x {INNET_CHUNKS} "
+          f"chunks at p=1e-2: {per_member_chunk_us:.2f} user us/member-"
+          f"chunk, {losses} losses, {counts[0]} heap events")
+    assert group.snapshot()["chunks_switched"] == INNET_CHUNKS
+    assert losses == 15
+    expect = (INNET_MEMBERS * EVENTS_PER_MEMBER
+              + member_chunks * EVENTS_PER_MEMBER_CHUNK
+              + INNET_CHUNKS * (1 + releases) + losses)
+    assert expect == 3695
+    assert counts == [expect] * 3
+    assert per_member_chunk_us < 40.0
 
 
 # -- host cost and heap events per poll visit ---------------------------------------

@@ -51,9 +51,9 @@ from ..graph.tensor import Tensor
 from ..graph.transfer_api import Outcome
 from ..simnet.fabric import AggregationPlane, combine, rack_groups
 from ..simnet.nic import record_wire
+from ..simnet.simulator import SUSPEND
 from ..simnet.verbs import (ROLE_COLLECTIVE_CHUNK, ROLE_INNETWORK_AGGREGATE,
-                            ROLE_INNETWORK_RESULT, ROLE_RETRANSMIT, Opcode,
-                            WorkRequest)
+                            ROLE_INNETWORK_RESULT, ROLE_RETRANSMIT)
 from .device import DeviceError
 from .transfer import CompletionFlag, EpochLane
 
@@ -63,7 +63,7 @@ class _Member:
 
     __slots__ = ("index", "device", "executor", "host", "nic", "tensor",
                  "flag", "lane", "round", "egress_tail", "up_link",
-                 "down_link", "window_event")
+                 "down_link", "window_sender")
 
     def __init__(self, index: int, device: str, executor: Executor,
                  tensor: Tensor, flag_offset: int, up_link,
@@ -82,8 +82,8 @@ class _Member:
         #: tail of this member's uplink bookings: the quantum server's
         #: per-member FIFO chain (a pipe hands back none)
         self.egress_tail = None
-        #: send process parked on the in-flight window, if any
-        self.window_event = None
+        #: send process parked (``SUSPEND``) on the in-flight window
+        self.window_sender = None
         #: host->ToR / ToR->host access links (latency + byte counters;
         #: their capacity *is* the NIC pipe, same as Fabric.traverse)
         self.up_link = up_link
@@ -247,8 +247,8 @@ class InNetworkGroup:
             while (chunk_index - self._committed.get(committed_key,
                                                      len(self.chunks))
                    >= window):
-                member.window_event = sim.event()
-                yield member.window_event
+                member.window_sender = sim.active_process
+                yield SUSPEND
             yield cost.rdma_verb_overhead
             payload = None
             if dense:
@@ -303,10 +303,8 @@ class InNetworkGroup:
         tor_link.bytes_carried += size
         tor_link.transfers += 1
         injector = member.host.cluster.fault_plane
-        lost = False
-        if injector is not None:
-            probe = WorkRequest(opcode=Opcode.WRITE, size=size, role=role)
-            lost = injector.on_uplink(member.nic, probe)
+        lost = (injector is not None
+                and injector.on_uplink(member.nic, role, size))
 
         def arrived(start: float, egress_end: float) -> None:
             arrival = egress_end + latency
@@ -317,9 +315,8 @@ class InNetworkGroup:
                     member, round_id, chunk_index, size, payload,
                     role=ROLE_RETRANSMIT))
                 return
-            sim.call_at(arrival, lambda: self.plane.chunk_arrival(
-                self.group_id, round_id, chunk_index, member.index, size,
-                payload, arrival))
+            self.plane.chunk_arrival(self.group_id, round_id, chunk_index,
+                                     member.index, size, payload, arrival)
 
         member.egress_tail = member.nic.egress.book(
             size, sim.now, arrived, self.priority, after=member.egress_tail)
@@ -368,9 +365,9 @@ class InNetworkGroup:
         key = (round_id, member.index)
         count = self._committed[key] + 1
         self._committed[key] = count
-        if member.window_event is not None:
-            event, member.window_event = member.window_event, None
-            event.succeed()
+        if member.window_sender is not None:
+            sender, member.window_sender = member.window_sender, None
+            sender.resume()
         if count == len(self.chunks):
             del self._committed[key]
             flag = member.flag

@@ -1621,11 +1621,12 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         bench=True, full=dict(worker_counts=(8, 64, 128)),
         smoke=dict(worker_counts=(8,)),
         gate=Gate(
-            # the loss-free cell (RC vs shared QP) and the worst rate
+            # the loss-free cell (RC vs shared QP) and the worst rate,
+            # on the host collective and on the switch plane
             narrow=lambda committed: dict(
                 worker_counts=_prefer(committed, "worker_counts", 8),
                 loss_rates=(0.0, max(committed["config"]["loss_rates"])),
-                strategies=("hierarchical",)),
+                strategies=("hierarchical", "innetwork")),
             key=("workers", "strategy", "loss_rate"),
             label="n{workers}.{strategy}.p{loss_rate:g}",
             # The fault schedule is seeded, so loss and retransmit

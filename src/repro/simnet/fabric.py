@@ -430,11 +430,14 @@ class _GroupPlan:
 class _ChunkState:
     """In-flight aggregation state of one (round, chunk)."""
 
-    __slots__ = ("arrivals", "holds")
+    __slots__ = ("arrivals", "count", "latest", "holds")
 
     def __init__(self) -> None:
         #: rack index -> list of (member_index, payload, arrival_time)
         self.arrivals: Dict[int, List[Tuple[int, object, float]]] = {}
+        #: contributions recorded so far, and the latest arrival among them
+        self.count = 0
+        self.latest = 0.0
         #: switch names whose slot this chunk holds
         self.holds: List[str] = []
 
@@ -450,8 +453,9 @@ class AggregationPlane:
        the group spans plus one on the striped spine; failure spills
        that chunk to the host-collective path (backpressure);
     2. each member's chunk arrival is announced via
-       :meth:`chunk_arrival`; when a rack's last contribution lands,
-       its partial is ready ``switch_agg_latency`` later;
+       :meth:`chunk_arrival` when its egress is booked; one heap entry
+       at the latest arrival combines the chunk, and a rack's partial
+       is ready ``switch_agg_latency`` after its last contribution;
     3. multi-rack groups book the ToR->spine trunk pipe for each rack
        partial, combine at the spine, and book the spine->ToR pipes for
        the multicast down; the group's ``deliver`` callback fires once
@@ -573,8 +577,9 @@ class AggregationPlane:
 
     def chunk_arrival(self, group_id: str, round_id: int, chunk_index: int,
                       member_index: int, size: int, payload,
-                      now: float) -> None:
-        """One member's contribution reached its ToR at ``now``."""
+                      arrival: float) -> None:
+        """One member's contribution reaches its ToR at ``arrival``, recorded
+        at egress booking; the last one schedules the chunk's completion."""
         plan = self._groups[group_id]
         key = (group_id, round_id, chunk_index)
         state = self._chunks.get(key)
@@ -582,11 +587,14 @@ class AggregationPlane:
             raise FabricError(f"chunk {key!r} arrived without a reservation")
         rack = plan.member_rack[member_index]
         state.arrivals.setdefault(rack, []).append(
-            (member_index, payload, now))
-        total = sum(len(v) for v in state.arrivals.values())
-        if total == len(plan.member_hosts):
+            (member_index, payload, arrival))
+        if arrival > state.latest:
+            state.latest = arrival
+        state.count += 1
+        if state.count == len(plan.member_hosts):
             del self._chunks[key]
-            self._complete_chunk(plan, round_id, chunk_index, size, state)
+            self.sim.call_at(state.latest, lambda: self._complete_chunk(
+                plan, round_id, chunk_index, size, state))
 
     def _complete_chunk(self, plan: _GroupPlan, round_id: int,
                         chunk_index: int, size: int,
@@ -652,9 +660,9 @@ class AggregationPlane:
                 start, end, role="in-network-trunk")
 
     def _release_at(self, names: List[str], when: float) -> None:
-        # A lossy-fabric retransmit can complete a chunk *after* other
-        # racks' partials already cleared their switch: their slots
-        # were free in the past, so a late discovery releases now.
+        # A chunk completes at its latest arrival.  When that is one
+        # rack's retransmit, other racks' partials may have cleared
+        # their switch in the past: those slots were free, release now.
         when = max(when, self.sim.now)
         for name in list(names):
             self.sim.call_at(when, self.aggregators[name].release)

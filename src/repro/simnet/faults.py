@@ -222,6 +222,8 @@ class FaultInjector:
     def __init__(self, rules: Optional[List[FaultRule]] = None,
                  seed: int = 0) -> None:
         self.rules: List[FaultRule] = list(rules or [])
+        #: the ``loss`` rules, the only ones an uplink consults
+        self._loss_rules = [rule for rule in self.rules if rule.kind == "loss"]
         self.seed = seed
         self._rng = random.Random(seed)
         #: chronological log of every injected fault (dicts, so a
@@ -247,7 +249,7 @@ class FaultInjector:
     @property
     def has_loss(self) -> bool:
         """Whether any ``loss`` rule is armed (selective-repeat gate)."""
-        return any(rule.kind == "loss" for rule in self.rules)
+        return bool(self._loss_rules)
 
     @property
     def samples_loss(self) -> bool:
@@ -357,7 +359,8 @@ class FaultInjector:
         drawn = wr.verdict
         if drawn is not None:
             if drawn.kind == "loss":
-                self._log(nic, wr, "loss", nic.sim.now)
+                self._log(nic, "loss", nic.sim.now, wr.role,
+                          wr.opcode.value, wr.size, wr.wr_id)
             return None if drawn is PASS else drawn
         if wr.role == "control" or not self.rules:
             return None
@@ -382,12 +385,12 @@ class FaultInjector:
                     self._rng.random() >= probability:
                 continue
             rule.fired += 1
+            self._log(nic, rule.kind, now, wr.role, wr.opcode.value,
+                      wr.size, wr.wr_id)
             if rule.kind == "straggler":
                 delay += rule.delay
-                self._log(nic, wr, rule.kind, now)
                 continue
             terminal = rule
-            self._log(nic, wr, rule.kind, now)
             break
         if terminal is None and delay == 0.0:
             return None
@@ -398,52 +401,45 @@ class FaultInjector:
         return FaultVerdict(kind=terminal.kind, status=status, delay=delay,
                             frac=terminal.frac)
 
-    def on_uplink(self, nic, wr: WorkRequest,
-                  dst: Optional[str] = None) -> bool:
-        """Loss-only consultation for transfers that bypass the verb path.
+    def on_uplink(self, nic, role: str, size: int) -> bool:
+        """Loss-only consultation for one switch-aggregation uplink chunk.
 
-        Switch-aggregation uplinks book the wire directly instead of
-        posting verbs, so :meth:`on_post` never sees them.  Only
-        ``loss`` rules are evaluated here — the other kinds model
-        NIC/QP failure surfaces those bookings don't traverse.  Returns
-        whether the attempt was lost (the caller re-issues it as
-        retransmit traffic); every loss is logged to :attr:`injected`
-        with its size, keeping the retransmit-byte identity exact.
-        """
-        if wr.role == "control" or not self.has_loss:
-            return False
+        These chunks book the wire directly, so :meth:`on_post` never
+        sees them; only ``loss`` rules apply, uncoupled from ECN (an
+        uplink ends at its ToR, before any trunk).  Returns whether the
+        attempt was lost (the caller re-issues it as retransmit traffic);
+        every loss is logged to :attr:`injected` with its size, keeping
+        the retransmit-byte identity exact."""
         now = nic.sim.now
         host = nic.host.name
-        for rule in self.rules:
-            if rule.kind != "loss":
-                continue
-            if rule.exhausted() or not rule.matches(now, host, wr.role):
+        for rule in self._loss_rules:
+            if rule.exhausted() or not rule.matches(now, host, role):
                 continue
             rule.seen += 1
             if rule.seen <= rule.skip:
                 continue
-            factor, _ = self._ecn_factor(nic, dst)
-            probability = min(1.0, rule.probability * factor)
-            if probability < 1.0 and self._rng.random() >= probability:
+            if rule.probability < 1.0 and \
+                    self._rng.random() >= rule.probability:
                 continue
             rule.fired += 1
-            self._log(nic, wr, rule.kind, now)
+            self._log(nic, "loss", now, role, "RDMA_WRITE", size)
             return True
         return False
 
-    def _log(self, nic, wr: WorkRequest, kind: str, now: float) -> None:
+    def _log(self, nic, kind: str, now: float, role: str, opcode: str,
+             size: int, wr_id: Optional[int] = None) -> None:
         # wr_id is drawn from a process-global counter and so differs
         # between back-to-back runs; keep the log run-deterministic.
         self.injected.append({
             "time": now, "kind": kind, "host": nic.host.name,
-            "role": wr.role, "opcode": wr.opcode.value, "size": wr.size,
+            "role": role, "opcode": opcode, "size": size,
         })
         tracer = nic.host.cluster.tracer
         if tracer is not None:
-            tracer.record("fault", f"{kind} {wr.role or wr.opcode.value}",
+            tracer.record("fault", f"{kind} {role or opcode}",
                           nic.host.name, "nic:faults", now, now,
-                          args={"kind": kind, "role": wr.role,
-                                "wr_id": wr.wr_id, "size": wr.size})
+                          args={"kind": kind, "role": role,
+                                "wr_id": wr_id, "size": size})
             tracer.metrics.counter("faults_injected").add(1)
 
     def switch_failed(self, name: str, now: float) -> bool:

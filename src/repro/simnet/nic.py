@@ -133,12 +133,26 @@ class Pipe:
 
     def reserve(self, earliest: float, size: int) -> Tuple[float, float]:
         """Reserve ``size`` bytes in the first gap that fits them and
-        starts >= ``earliest``; returns (start, end) times."""
+        starts >= ``earliest``; returns (start, end) times.  From the
+        last interval's start on that is its tail, in O(1)."""
         self.bytes_carried += size
         duration = size / self.bandwidth
         if duration <= 0:
             return earliest, earliest
         self.busy_seconds += duration
+        busy = self._busy
+        if not busy or earliest > busy[-1][1]:
+            slot = (earliest, earliest + duration)
+            busy.append([earliest, slot[1]])
+            return slot
+        last = busy[-1]
+        if earliest >= last[0]:
+            # extend the last interval, unless the duration rounds away
+            if last[0] >= earliest + duration:
+                return earliest, earliest + duration
+            start = last[1]
+            last[1] = start + duration
+            return start, last[1]
         cursor = earliest
         # Skip every interval that ends at or before the cursor in one
         # bisect instead of a linear scan from index 0: the intervals

@@ -68,7 +68,10 @@ GOLDEN_INNET16_LOSS_ROLE_BYTES = {
     "retransmit": 9699328,
 }
 
-GOLDEN_INNET16_LOSS_EVENTS = 14198
+#: re-pinned on purpose, no clock moving, when an uplink arrival stopped
+#: being a heap entry (one per member-chunk before, one per chunk after)
+#: and a window wake began to resume its sender in place: before -> after
+GOLDEN_INNET16_LOSS_EVENTS = 8502  # 14198 -> 8502
 
 
 def test_lossy_innetwork_fat_tree_clock_bit_identical():

@@ -22,7 +22,7 @@ TINY = {
                       hosts_per_rack=4, max_flat_ring_workers=0),
     "telemetry": dict(iterations=2, model="TF-Tiny"),
     "lossy": dict(worker_counts=(8,), loss_rates=(0.0, 1e-2),
-                  strategies=("hierarchical",), model="TF-Tiny"),
+                  strategies=("hierarchical", "innetwork"), model="TF-Tiny"),
     "llmtrain": dict(model="TF-Tiny", stage_counts=(4,), microbatches=2,
                      batch_size=4, iterations=2),
     "llmserve": dict(model="TF-Tiny", requests=60, qps=400.0,

@@ -45,7 +45,8 @@ DOCTORED = [
      lambda p: p["cells"][1].update(iteration_times=[0.0]),
      "tracing perturbed the simulated clock"),
     ("lossy",
-     lambda p: p["cells"][-1].update(gave_up=1),
+     lambda p: _cell(p, strategy="hierarchical",
+                     loss_rate=0.01).update(gave_up=1),
      "hierarchical n=8 p=0.01: 1 transfers exhausted their retry budget "
      "(gave_up must be 0)"),
     ("lossy",

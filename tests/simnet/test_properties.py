@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the simulation substrate."""
 
+from bisect import bisect_right
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,74 @@ class TestPipeProperties:
             pipe.reserve(0.0, size)
         assert pipe.available_at * 1e9 == pytest.approx(sum(sizes))
         assert pipe.bytes_carried == sum(sizes)
+
+    @given(data=st.data(),
+           bandwidth=st.sampled_from([1e9, 12.5e9, 1e22]),
+           count=st.integers(min_value=1, max_value=40))
+    def test_tail_booking_equals_the_gap_walk(self, data, bandwidth, count):
+        """``reserve`` books at its tail without walking; slot for slot
+        and bit for bit that must be the gap walk's result.  Each
+        booking's ``earliest`` is the last interval's end, a point
+        inside it, its start, a point past it, or a backfill into an
+        earlier gap or interval.  At 1e22 B/s a small booking's
+        duration rounds away against the clock."""
+        pipe, walk = Pipe(bandwidth), _GapWalkPipe(bandwidth)
+        for _ in range(count):
+            size = data.draw(st.integers(min_value=0, max_value=1 << 22))
+            frac = data.draw(st.floats(min_value=0.0, max_value=1.0))
+            where = data.draw(st.sampled_from(
+                ["end", "inside", "start", "past", "backfill"]))
+            if walk.busy:
+                start, end = walk.busy[-1]
+                earliest = {"end": end, "start": start,
+                            "inside": start + frac * (end - start),
+                            "past": end + frac * 1e-3,
+                            "backfill": frac * start}[where]
+            else:
+                earliest = frac * 1e-3
+            assert pipe.reserve(earliest, size) == walk.reserve(earliest,
+                                                                size)
+            assert pipe._busy == walk.busy
+            assert pipe.busy_seconds == walk.busy_seconds
+            assert pipe.bytes_carried == walk.bytes_carried
+
+
+class _GapWalkPipe:
+    """Reference: ``Pipe.reserve`` as the bisect-and-walk over every gap,
+    with insert and coalesce, that it was before the tail fast path."""
+
+    def __init__(self, bandwidth):
+        self.bandwidth = bandwidth
+        self.bytes_carried = 0
+        self.busy_seconds = 0.0
+        self.busy = []
+
+    def reserve(self, earliest, size):
+        self.bytes_carried += size
+        duration = size / self.bandwidth
+        if duration <= 0:
+            return earliest, earliest
+        self.busy_seconds += duration
+        cursor = earliest
+        index = bisect_right(self.busy, cursor, key=lambda iv: iv[1])
+        while index < len(self.busy):
+            busy_start, busy_end = self.busy[index]
+            if busy_start >= cursor + duration:
+                break
+            cursor = max(cursor, busy_end)
+            index += 1
+        slot = (cursor, cursor + duration)
+        interval = [slot[0], slot[1]]
+        self.busy.insert(index, interval)
+        if index + 1 < len(self.busy) and \
+                self.busy[index + 1][0] <= interval[1]:
+            interval[1] = max(interval[1], self.busy[index + 1][1])
+            self.busy.pop(index + 1)
+        if index > 0 and self.busy[index - 1][1] >= interval[0]:
+            self.busy[index - 1][1] = max(self.busy[index - 1][1],
+                                          interval[1])
+            self.busy.pop(index)
+        return slot
 
 
 class TestMemoryProperties:
