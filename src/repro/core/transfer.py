@@ -37,7 +37,6 @@ from ..graph.executor import Executor
 from ..graph.tensor import Tensor, TensorMeta
 from ..graph.transfer_api import Outcome
 from ..simnet.memory import Backing
-from ..simnet.simulator import Event
 from .device import (DeviceError, Direction, MemRegion, RdmaChannel,
                      RemoteMemRegion)
 from .recovery import RecoveryManager, land
@@ -153,14 +152,6 @@ def _source(executor: Executor, tensor: Tensor, force_copy: bool,
     return arena_region.addr + offset, offset
 
 
-def _settle(event: Event, done: Event) -> None:
-    """Pass a posted verb's outcome on to the send's own event."""
-    if event._exception is not None:
-        done.fail(event._exception)
-    else:
-        done.succeed([])
-
-
 class StaticSender:
     """Sender half of the static-placement protocol for one edge."""
 
@@ -189,7 +180,8 @@ class StaticSender:
     def send(self, executor: Executor, tensor: Tensor,
              force_copy: bool = False,
              extra_delay: float = 0.0) -> Generator:
-        """Process: transfer; returns Outcome waiting on the flag write."""
+        """Process: write the payload, then its epoch flag; returns the
+        send's outputs (none) once the flag landed."""
         if tensor.nbytes != self.nbytes:
             raise DeviceError(
                 f"static transfer expected {self.nbytes} bytes, "
@@ -200,65 +192,26 @@ class StaticSender:
             executor, tensor, force_copy, self.arena, self.arena_region,
             self.state)
         self.state.bytes_sent += self.nbytes
-        # Payload write (unsignaled) then the tail flag (signaled): QP
-        # FIFO order plus ascending-address commit give the paper's
-        # "flag is the last byte delivered" guarantee.
-        wr_local_region = _RegionRef(self.arena_region, local_addr)
+        # Payload write, then the tail flag: QP FIFO order plus
+        # ascending-address commit give the paper's "flag is the last
+        # byte delivered" guarantee.  Only an armed fault plane awaits
+        # the payload's CQE (``land``): it is confirmed before the flag
+        # goes out, so a lost payload never hides behind a landed flag,
+        # and a retried flag re-sends the same epoch.
         proto_start = executor.sim.now
         epoch = self.lane.advance()
-        if self.recovery is not None:
-            return Outcome.wait(executor.sim.spawn(
-                self._send_reliable(executor, wr_local_region, local_addr,
-                                    staging_offset, proto_start, epoch),
-                name=f"reliable-send-{self.key or self.role}"))
-        self.channel.memcpy(
-            local_addr=local_addr, local_region=wr_local_region,
-            remote_addr=self.remote.addr, remote_region=self.remote,
-            size=self.nbytes, direction=Direction.LOCAL_TO_REMOTE,
-            role=self.role, priority=self.priority)
-        flag_event = self.channel.memcpy_event(
-            local_addr=0, local_region=None,
-            remote_addr=self.remote.addr + self.nbytes,
-            remote_region=self.remote,
-            size=1, direction=Direction.LOCAL_TO_REMOTE,
-            inline_data=bytes([epoch]), role=self.role,
-            priority=self.priority)
-        done = executor.sim.event()
-
-        def on_flag(event: Event) -> None:
-            self._finish(executor, staging_offset, proto_start, epoch)
-            _settle(event, done)
-        flag_event.add_callback(on_flag)
-        return Outcome.wait(done)
-
-    def _send_reliable(self, executor: Executor, wr_local_region,
-                       local_addr: int, staging_offset: Optional[int],
-                       proto_start: float, epoch: int) -> Generator:
-        """Recovery-mode tail of :meth:`send` (fault plane armed).
-
-        The payload is confirmed (its own CQE, retried as needed)
-        *before* the flag is posted, so a lost payload can never be
-        hidden behind a flag that landed; a retried flag re-sends the
-        same epoch.
-        """
-        yield from self.recovery.reliable_memcpy(
-            self.channel, local_addr=local_addr,
-            local_region=wr_local_region, remote_addr=self.remote.addr,
+        yield from land(
+            self.recovery, self.channel, local_addr=local_addr,
+            local_region=self.arena_region, remote_addr=self.remote.addr,
             remote_region=self.remote, size=self.nbytes,
             direction=Direction.LOCAL_TO_REMOTE, role=self.role,
-            priority=self.priority)
-        yield from self.recovery.reliable_memcpy(
-            self.channel, remote_addr=self.remote.addr + self.nbytes,
+            priority=self.priority, wait=False)
+        yield from land(
+            self.recovery, self.channel,
+            remote_addr=self.remote.addr + self.nbytes,
             remote_region=self.remote, size=1,
-            direction=Direction.LOCAL_TO_REMOTE,
-            inline_data=bytes([epoch]), role=self.role,
-            priority=self.priority)
-        self._finish(executor, staging_offset, proto_start, epoch)
-        return []
-
-    def _finish(self, executor: Executor, staging_offset: Optional[int],
-                proto_start: float, epoch: int) -> None:
-        """The flag landed: free the staging block, record the span."""
+            direction=Direction.LOCAL_TO_REMOTE, inline_data=bytes([epoch]),
+            role=self.role, priority=self.priority)
         if staging_offset is not None:
             self.arena.free_block(staging_offset)
         tracer = executor.host.cluster.tracer
@@ -271,14 +224,7 @@ class StaticSender:
                 proto_start, executor.sim.now,
                 args={"nbytes": self.nbytes, "role": self.role,
                       "phase": "write+flag", "epoch": epoch})
-
-
-class _RegionRef:
-    """Adapter giving a MemRegion-compatible lkey for arena interiors."""
-
-    def __init__(self, region: MemRegion, addr: int) -> None:
-        self.lkey = region.lkey
-        self.addr = addr
+        return []
 
 
 class StaticReceiver:
@@ -342,6 +288,9 @@ class DynamicSender:
 
     def send(self, executor: Executor, tensor: Tensor,
              force_copy: bool = False, extra_delay: float = 0.0) -> Generator:
+        """Process: write the metadata and its trailing flag as one
+        inline write (a retry re-sends the same bytes, same epoch);
+        returns the send's outputs (none) once it landed."""
         if tensor.shape.rank != self.ndims:
             raise DeviceError(
                 f"dynamic transfer rank changed: {tensor.shape.rank} != "
@@ -371,51 +320,23 @@ class DynamicSender:
         epoch = self.lane.advance()
         encoded = meta.encode() + bytes([epoch])
         pack_start = executor.sim.now
-        yield (
-            executor.cost.memcpy_time(len(encoded)))
+        yield executor.cost.memcpy_time(len(encoded))
         _account_serialization(executor, pack_start, "meta-pack")
         proto_start = executor.sim.now
-        if self.recovery is not None:
-            return Outcome.wait(executor.sim.spawn(
-                self._send_reliable(executor, encoded, proto_start, epoch),
-                name=f"reliable-meta-{self.key or 'dynamic'}"))
-        event = self.channel.memcpy_event(
-            local_addr=0, local_region=None,
-            remote_addr=self.meta_slot.addr, remote_region=self.meta_slot,
-            size=len(encoded), direction=Direction.LOCAL_TO_REMOTE,
-            inline_data=encoded, role="dynamic-metadata",
-            priority=self.priority)
-        done = executor.sim.event()
-
-        def on_meta(e: Event) -> None:
-            self._record(executor, len(encoded), proto_start, epoch)
-            _settle(e, done)
-        event.add_callback(on_meta)
-        return Outcome.wait(done)
-
-    def _send_reliable(self, executor: Executor, encoded: bytes,
-                       proto_start: float, epoch: int) -> Generator:
-        """Recovery-mode metadata write (single inline meta+flag write);
-        a retry re-sends the identical bytes (same epoch), which is
-        idempotent."""
-        yield from self.recovery.reliable_memcpy(
-            self.channel, remote_addr=self.meta_slot.addr,
+        yield from land(
+            self.recovery, self.channel, remote_addr=self.meta_slot.addr,
             remote_region=self.meta_slot, size=len(encoded),
             direction=Direction.LOCAL_TO_REMOTE, inline_data=encoded,
             role="dynamic-metadata", priority=self.priority)
-        self._record(executor, len(encoded), proto_start, epoch)
-        return []
-
-    def _record(self, executor: Executor, nbytes: int, proto_start: float,
-                epoch: int) -> None:
         tracer = executor.host.cluster.tracer
         if tracer is not None:
             tracer.record(
                 "protocol", self.key or "dynamic-meta", executor.host.name,
                 protocol_track(executor.device), proto_start,
                 executor.sim.now,
-                args={"nbytes": nbytes, "role": "dynamic-metadata",
+                args={"nbytes": len(encoded), "role": "dynamic-metadata",
                       "phase": "metadata-write", "epoch": epoch})
+        return []
 
 
 class DynamicReceiver:
@@ -471,7 +392,7 @@ class DynamicReceiver:
                 read_start = executor.sim.now
                 yield from land(
                     self.recovery, self.channel, local_addr=tensor.addr,
-                    local_region=_RegionRef(self.arena_region, tensor.addr),
+                    local_region=self.arena_region,
                     remote_addr=meta.remote_addr, remote_region=remote,
                     size=meta.data_nbytes,
                     direction=Direction.REMOTE_TO_LOCAL,

@@ -24,6 +24,7 @@ to steer traced allocation sites into the RDMA arena.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
@@ -303,8 +304,11 @@ class Executor:
         #: whether the plan ends in a park: its last step is the park's
         #: end, the one before it the requeue that parks
         parking = False
-        live: Optional[Callable[[], None]] = None
+        #: the live entry's ticket: an entry whose ticket it is not was
+        #: superseded by a later plan
+        live: Optional[int] = None
         live_at = 0.0
+        tickets = itertools.count()
 
         def read(name: str) -> bool:
             """Read ``name``'s flag into ``hot``; whether that moved it."""
@@ -372,12 +376,12 @@ class Executor:
             when = steps[-1]
             if live is not None and live_at == when:
                 return  # the live entry already sits at this step's key
+            live, live_at = next(tickets), when
+            sim.call_poll(when, poll_index, functools.partial(entry, live))
 
-            def entry() -> None:
-                if live is entry:  # else superseded by a later plan
-                    fire()
-            live, live_at = entry, when
-            sim.call_poll(when, poll_index, entry)
+        def entry(ticket: int) -> None:
+            if live == ticket:
+                fire()
 
         def replay(count: int) -> None:
             """Run the first ``count`` planned steps, all of them misses
@@ -686,8 +690,7 @@ class Executor:
                 # copies, PCIe staging — contends on shared resources
                 # but does not stall this executor's ready queue.
                 return Outcome.wait(self.sim.spawn(
-                    self._detached_send(result),
-                    name=f"send-{node.name}"))
+                    result, name=f"send-{node.name}"))
             return result
         if op_type == "_Recv":
             result = self.comm.execute_recv(self, node)
@@ -722,16 +725,6 @@ class Executor:
             return Outcome.done(outputs)
 
         return Outcome.done(self._run_compute(node, op, inputs))
-
-    def _detached_send(self, send_generator) -> Generator:
-        """Run a send's process to completion, resolving its outcome."""
-        outcome = yield from send_generator
-        if outcome.kind == "sync":
-            return outcome.outputs or []
-        if outcome.kind == "async":
-            value = yield outcome.event
-            return value or []
-        raise ExecutorError("sends cannot use the polling mode")
 
     def _feed_tensor(self, node: Node, feeds: Dict[str, np.ndarray]) -> Tensor:
         if node.name not in feeds:

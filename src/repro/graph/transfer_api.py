@@ -10,17 +10,23 @@ An op execution returns an :class:`Outcome`:
 
 * ``sync``  — finished; outputs available now;
 * ``async`` — an event will fire with the outputs (gRPC replies,
-  RDMA write completions);
+  a dynamic receive's payload READ);
 * ``poll``  — the *polling-async* mode of §4: the executor visits the
   op from its ready queue, re-enqueuing it at the tail on misses, and
   calls ``complete()`` once the poll succeeds (``Outcome.polling``
   states what ``poll()`` may do).
+
+A send may instead return a generator: the executor runs it as the
+send's own process, detached from its ready queue, and the value the
+generator returns is the send's outputs (the RDMA senders, which post
+their verbs and wait for the last one inside it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import (Callable, Generator, List, Optional, Tuple, Union,
+                    TYPE_CHECKING)
 
 from ..simnet.memory import Backing
 from ..simnet.simulator import Event
@@ -92,7 +98,13 @@ class CommRuntime:
         """Hook at the start of every training iteration."""
 
     def execute_send(self, executor: "Executor", node: "Node",
-                     tensor: Tensor) -> Outcome:
+                     tensor: Tensor) -> Union[Outcome, Generator]:
+        """Start sending ``tensor`` along ``node``'s edge.
+
+        Returns an :class:`Outcome`, or a generator the executor spawns
+        as the send's process: it returns the send's outputs, normally
+        none, once the transfer is done.
+        """
         raise NotImplementedError
 
     def execute_recv(self, executor: "Executor", node: "Node") -> Outcome:

@@ -114,13 +114,8 @@ class FaultRule:
             raise FaultSpecError(f"frac {self.frac} must be in [0,1)")
 
     def matches(self, now: float, host: str, role: str) -> bool:
-        if not self.after <= now < self.until:
-            return False
-        if self.host is not None and self.host != host:
-            return False
-        if self.role is not None and self.role != role:
-            return False
-        return True
+        return (self.after <= now < self.until
+                and self.host in (None, host) and self.role in (None, role))
 
     def exhausted(self) -> bool:
         return self.count is not None and self.fired >= self.count
@@ -222,8 +217,10 @@ class FaultInjector:
     def __init__(self, rules: Optional[List[FaultRule]] = None,
                  seed: int = 0) -> None:
         self.rules: List[FaultRule] = list(rules or [])
-        #: the ``loss`` rules, the only ones an uplink consults
-        self._loss_rules = [rule for rule in self.rules if rule.kind == "loss"]
+        #: the rules a verb's walk consults (switch-plane rules never
+        #: touch the verb path), and the ``loss`` ones, all an uplink's does
+        self._verb_rules = [r for r in self.rules if r.kind != "switch_fail"]
+        self._loss_rules = [r for r in self.rules if r.kind == "loss"]
         self.seed = seed
         self._rng = random.Random(seed)
         #: chronological log of every injected fault (dicts, so a
@@ -258,17 +255,17 @@ class FaultInjector:
         no other rule's draw interleaves with its chunks'."""
         return len(self.rules) == 1 and self.rules[0].kind == "loss"
 
-    def _ecn_factor(self, nic, dst: Optional[str]) -> Tuple[float, float]:
+    def _ecn_factor(self, nic, dst: str) -> Tuple[float, float]:
         """Congestion coupling for one post: (probability multiplier,
         pacing delay).
 
         Walks the routed fabric path and takes the hottest trunk link's
         running utilization; beyond ``ecn_mark_threshold`` the flow is
         ECN-marked (sender pacing) and its loss probability scales with
-        the excess.  Flat topology / unknown destination → (1, 0).
+        the excess.  Flat topology / own host → (1, 0).
         """
         fabric = getattr(nic.host.cluster, "fabric", None)
-        if fabric is None or dst is None or dst == nic.host.name:
+        if fabric is None or dst == nic.host.name:
             return 1.0, 0.0
         cost = nic.cost
         now = nic.sim.now
@@ -345,16 +342,12 @@ class FaultInjector:
 
     def on_post(self, nic, qp, wr: WorkRequest,
                 dst: Optional[str] = None) -> Optional[FaultVerdict]:
-        """Render the verdict for one posted verb (None = untouched).
-
-        Straggler delays accumulate across matching rules; the first
-        terminal rule to fire wins and stops evaluation.  RNG draws are
-        made only for eligible probabilistic rules, in spec order, so
-        the schedule is deterministic given the workload.  ``dst`` (the
-        destination host name, when the caller knows it) feeds the ECN
-        congestion coupling of ``loss`` rules.  A WR whose round was
-        drawn (:meth:`draw_round`) carries its verdict: it is rendered,
-        and logged if lost, without a second draw.
+        """Render the verdict for one posted verb (None = untouched):
+        :meth:`_walk` over the verb rules, with ``dst`` (the destination
+        host name, when the caller knows it) for the ECN coupling of
+        ``loss`` rules.  A WR whose round was drawn (:meth:`draw_round`)
+        carries its verdict: it is rendered, and logged if lost, without
+        a second draw.
         """
         drawn = wr.verdict
         if drawn is not None:
@@ -362,69 +355,65 @@ class FaultInjector:
                 self._log(nic, "loss", nic.sim.now, wr.role,
                           wr.opcode.value, wr.size, wr.wr_id)
             return None if drawn is PASS else drawn
-        if wr.role == "control" or not self.rules:
+        if wr.role == "control" or not self._verb_rules:
             return None
-        now = nic.sim.now
-        host = nic.host.name
-        delay = 0.0
-        terminal: Optional[FaultRule] = None
-        for rule in self.rules:
-            if rule.kind == "switch_fail":
-                continue  # switch-plane rules never touch the verb path
-            if rule.exhausted() or not rule.matches(now, host, wr.role):
-                continue
-            rule.seen += 1
-            if rule.seen <= rule.skip:
-                continue
-            probability = rule.probability
-            if rule.kind == "loss":
-                factor, pace = self._ecn_factor(nic, dst)
-                probability = min(1.0, probability * factor)
-                delay += pace
-            if probability < 1.0 and \
-                    self._rng.random() >= probability:
-                continue
-            rule.fired += 1
-            self._log(nic, rule.kind, now, wr.role, wr.opcode.value,
-                      wr.size, wr.wr_id)
-            if rule.kind == "straggler":
-                delay += rule.delay
-                continue
-            terminal = rule
-            break
-        if terminal is None and delay == 0.0:
-            return None
-        if terminal is None:
-            return FaultVerdict(kind="straggler", delay=delay)
-        status = (WcStatus.WR_FLUSH_ERR if terminal.kind == "qp_break"
-                  else WcStatus.RETRY_EXC_ERR)
-        return FaultVerdict(kind=terminal.kind, status=status, delay=delay,
-                            frac=terminal.frac)
+        return self._walk(nic, self._verb_rules, wr.role, wr.opcode.value,
+                          wr.size, wr.wr_id, dst)
 
     def on_uplink(self, nic, role: str, size: int) -> bool:
         """Loss-only consultation for one switch-aggregation uplink chunk.
 
         These chunks book the wire directly, so :meth:`on_post` never
-        sees them; only ``loss`` rules apply, uncoupled from ECN (an
-        uplink ends at its ToR, before any trunk).  Returns whether the
-        attempt was lost (the caller re-issues it as retransmit traffic);
-        every loss is logged to :attr:`injected` with its size, keeping
-        the retransmit-byte identity exact."""
+        sees them: they take its walk over the ``loss`` rules with no
+        destination, so no ECN coupling (an uplink ends at its ToR,
+        before any trunk).  Returns whether the attempt was lost; the
+        caller re-issues it as retransmit traffic, and the loss is
+        logged with its size, so retransmitted bytes equal lost ones."""
+        return self._walk(nic, self._loss_rules, role, "RDMA_WRITE", size,
+                          None, None) is not None
+
+    def _walk(self, nic, rules: List[FaultRule], role: str, opcode: str,
+              size: int, wr_id: Optional[int], dst: Optional[str]
+              ) -> Optional[FaultVerdict]:
+        """One post's walk over ``rules``: its verdict, None if untouched.
+
+        Straggler delays accumulate across matching rules; the first
+        terminal rule to fire wins and stops the walk.  RNG draws are
+        made only for eligible probabilistic rules, in spec order, so
+        the schedule is deterministic given the workload.  A ``loss``
+        rule reads the ECN coupling only for a post with a ``dst``.
+        """
         now = nic.sim.now
         host = nic.host.name
-        for rule in self._loss_rules:
+        delay = 0.0
+        terminal: Optional[FaultRule] = None
+        for rule in rules:
             if rule.exhausted() or not rule.matches(now, host, role):
                 continue
             rule.seen += 1
             if rule.seen <= rule.skip:
                 continue
-            if rule.probability < 1.0 and \
-                    self._rng.random() >= rule.probability:
+            probability = rule.probability
+            if rule.kind == "loss" and dst is not None:
+                factor, pace = self._ecn_factor(nic, dst)
+                probability = min(1.0, probability * factor)
+                delay += pace
+            if probability < 1.0 and self._rng.random() >= probability:
                 continue
             rule.fired += 1
-            self._log(nic, "loss", now, role, "RDMA_WRITE", size)
-            return True
-        return False
+            self._log(nic, rule.kind, now, role, opcode, size, wr_id)
+            if rule.kind == "straggler":
+                delay += rule.delay
+                continue
+            terminal = rule
+            break
+        if terminal is None:
+            return None if delay == 0.0 else FaultVerdict(
+                kind="straggler", delay=delay)
+        status = (WcStatus.WR_FLUSH_ERR if terminal.kind == "qp_break"
+                  else WcStatus.RETRY_EXC_ERR)
+        return FaultVerdict(kind=terminal.kind, status=status, delay=delay,
+                            frac=terminal.frac)
 
     def _log(self, nic, kind: str, now: float, role: str, opcode: str,
              size: int, wr_id: Optional[int] = None) -> None:

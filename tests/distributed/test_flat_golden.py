@@ -28,19 +28,22 @@ GOLDEN_GRU = {
 #: heap entries each GRU run processes (``BenchmarkResult.sim_events``),
 #: RC and shared-QP alike.  The event stream is part of the golden: a
 #: host-cost change makes the same pushes, so an added or dropped one
-#: moves these before it moves a clock.  Re-pinned on purpose four
+#: moves these before it moves a clock.  Re-pinned on purpose five
 #: times, the clocks above not moving any time: when poll misses stopped
 #: being heap entries (two per miss before, none after), when an idle
 #: park became a step of the poll chain (a timed-out park three entries
 #: before, one after), when a landing became one heap entry (a landing
 #: over 4 KiB four entries before, one after), then when a completion
 #: reached its parked CQ poller inside the push (one wake entry per
-#: drain before, none after): each comment reads before -> ... -> after.
+#: drain before, none after), then when a send awaited its flag's event
+#: itself, in the process the executor spawns (one more entry per send
+#: before: the event it was passed on through): each comment reads
+#: before -> ... -> after.
 GOLDEN_GRU_EVENTS = {
-    (2, "ps", False): 2641,        # 11968 -> 4176 -> 3149 -> 2981 -> 2641
-    (4, "ring", False): 2781,      # 9225 -> 3981 -> 3117 -> 2973 -> 2781
-    (4, "halving-doubling", False): 2321,  # 6041 -> ... -> 2449 -> 2321
-    (3, "ring", True): 2695,       # 5341 -> 3295 -> 2863 -> 2791 -> 2695
+    (2, "ps", False): 2553,        # 11968 -> ... -> 2981 -> 2641 -> 2553
+    (4, "ring", False): 2733,      # 9225 -> ... -> 2973 -> 2781 -> 2733
+    (4, "halving-doubling", False): 2289,  # 6041 -> ... -> 2321 -> 2289
+    (3, "ring", True): 2671,       # 5341 -> ... -> 2791 -> 2695 -> 2671
 }
 
 

@@ -36,7 +36,7 @@ from repro.harness.experiments import _scale_spec
 from repro.models import MB, get_model
 
 GOLDEN_HIER16_SYNTH24 = ["0.014562679480000059", "0.011614363480000466"]
-GOLDEN_HIER16_SYNTH24_EVENTS = 17813  # 110755 -> ... -> 19861 -> 17813
+GOLDEN_HIER16_SYNTH24_EVENTS = 17301  # 110755 -> ... -> 17813 -> 17301
 
 GOLDEN_FCN5_GRPC_RDMA = ["0.25355023383275194", "0.25355023383273806"]
 GOLDEN_FCN5_GRPC_RDMA_VERBS = 7136  # 7264 -> 7136

@@ -12,7 +12,8 @@ agree: the iteration clocks (exact reprs), each executor's
 failing run raises and, traced, the stall accounting's float sums.
 """
 
-from types import SimpleNamespace
+import gc
+from types import FunctionType, SimpleNamespace
 from typing import Dict, List
 
 import pytest
@@ -440,3 +441,30 @@ URGENT_MID_SWEEP = _scenario(
 @example(URGENT_MID_SWEEP)
 def test_scripted_pollers_match_the_two_callback_chain(scenario):
     assert _play(Executor, scenario) == _play(TwoCallbackExecutor, scenario)
+
+
+def test_poll_chain_entries_leave_no_garbage():
+    """A poll-chain entry is a ticketed partial of one function, not a
+    closure naming itself: an armed step must leave no function/cell
+    cycle behind.  What the collector finds after a GRU ring cell is
+    each executor-iteration's own closures (about ten), where a
+    self-naming entry left one more function per armed step (900
+    functions in this cell, 80 without)."""
+    def run():
+        run_training_benchmark(get_model("GRU"), "RDMA", num_servers=4,
+                               batch_size=8, iterations=2, strategy="ring")
+
+    executor_iterations = 4 * 2
+    run()  # warm module-level caches, so only the cell's garbage counts
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        functions = sum(isinstance(obj, FunctionType) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert functions <= 12 * executor_iterations

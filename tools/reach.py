@@ -64,7 +64,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "core/innetwork.py:InNetworkGroup._tree_transfer.<locals>.sent",
         "core/innetwork.py:InNetworkGroup._host_combine_time",
         "core/recovery.py:RecoveryManager._fallback",
-        "core/transfer.py:DynamicSender._send_reliable",
         "graph/allocator.py:ArenaAllocator.check_invariants",
         "graph/shapes.py:Shape.__setattr__",
         "models/zoo.py:model_names",
