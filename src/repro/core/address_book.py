@@ -7,17 +7,20 @@ using the RDMA send/recv verbs for this auxiliary purpose"; it runs
 off the critical path (addresses are distributed before computation).
 
 Each device owns an :class:`AddressBook`.  Local regions are
-``publish``-ed under string keys; a remote peer ``lookup``-s them with
-a real request/reply over messaging verbs on a dedicated QP.  Because
-RC SEND/RECV has no tag matching, each side runs a demultiplexer on
-the shared address QP: every message carries a type byte, requests are
-answered in place, replies are routed to the waiting lookup.
+``publish``-ed under string keys; a remote peer ``lookup_many``-s every
+key it needs from that peer in one exchange over messaging verbs on a
+dedicated QP: one request names the keys and one reply carries their
+descriptors in request order, split only where either would overflow
+a receive slot.  Because RC SEND/RECV has no tag matching, each side
+runs a demultiplexer on the shared address QP: every message carries a
+type byte, requests are answered in place, replies are routed to the
+waiting lookup.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Iterator, List, Optional, Sequence
 
 from ..simnet.simulator import Store
 from ..simnet.topology import Endpoint
@@ -25,10 +28,12 @@ from ..simnet.verbs import Completion
 from .device import DeviceError, MemRegion, RdmaChannel, RdmaDevice, RemoteMemRegion
 
 
-_MSG_REQUEST = 1
-_MSG_REPLY = 2
-_REPLY = struct.Struct("<BBQIQ")   # type, found, addr, rkey, size
+_MSG_KEYS = 1      # type byte, then the keys, NUL-separated
+_MSG_ENTRIES = 2   # type byte, then one _ENTRY per key, in request order
+_ENTRY = struct.Struct("<BQIQ")   # found, addr, rkey, size
 _RECV_SLOT = 512
+#: descriptors one reply holds, so keys one request may name
+_ENTRIES_PER_REPLY = (_RECV_SLOT - 1) // _ENTRY.size
 
 #: dedicated QP index for address traffic, by convention QP 0
 ADDRESS_QP = 0
@@ -38,6 +43,22 @@ LOOKUP_RETRY_INTERVAL = 50e-6
 
 #: lookup attempts before an unpublished key is an error
 LOOKUP_MAX_RETRIES = 200
+
+
+def _batches(keys: Sequence[str]) -> Iterator[List[str]]:
+    """Split ``keys`` into requests whose keys and reply each fit a slot."""
+    batch: List[str] = []
+    size = 0
+    for key in keys:
+        cost = len(key.encode("utf-8")) + 1   # the key, its NUL or type byte
+        if batch and (size + cost > _RECV_SLOT
+                      or len(batch) == _ENTRIES_PER_REPLY):
+            yield batch
+            batch, size = [], 0
+        batch.append(key)
+        size += cost
+    if batch:
+        yield batch
 
 
 class AddressBook:
@@ -87,16 +108,14 @@ class AddressBook:
             self.device.post_recv(channel, slot, on_message)
             if not raw:
                 return
-            if raw[0] == _MSG_REQUEST:
-                key = raw[1:].decode("utf-8", errors="replace")
-                found = self._published.get(key)
-                if found is None:
-                    reply = _REPLY.pack(_MSG_REPLY, 0, 0, 0, 0)
-                else:
-                    reply = _REPLY.pack(_MSG_REPLY, 1, found.addr,
-                                        found.rkey, found.size)
-                self.device.post_send_message(channel, reply)
-            elif raw[0] == _MSG_REPLY:
+            if raw[0] == _MSG_KEYS:
+                keys = raw[1:].decode("utf-8", "replace").split("\0")
+                entries = b"".join(_ENTRY.pack(0, 0, 0, 0) if d is None else
+                                   _ENTRY.pack(1, d.addr, d.rkey, d.size)
+                                   for d in map(self._published.get, keys))
+                self.device.post_send_message(
+                    channel, bytes([_MSG_ENTRIES]) + entries)
+            elif raw[0] == _MSG_ENTRIES:
                 self._replies[peer].put(raw)
             # Unknown types are dropped (forward compatibility).
 
@@ -105,18 +124,19 @@ class AddressBook:
 
     # -- remote lookup --------------------------------------------------------------------
 
-    def lookup(self, peer: Endpoint, key: str) -> Generator:
-        """Process: fetch a remote region descriptor from ``peer``.
+    def lookup_many(self, peer: Endpoint, keys: Sequence[str]) -> Generator:
+        """Process: fetch the descriptors of ``keys`` from ``peer``.
 
-        Retries every :data:`LOOKUP_RETRY_INTERVAL`, up to
-        :data:`LOOKUP_MAX_RETRIES` times, while the peer has not
-        published the key yet (setup races are expected: both sides
-        prepare concurrently).
-        Usage: ``descriptor = yield from book.lookup(peer, key)``.
-
-        Lookups toward one peer must be issued sequentially from the
-        same device (replies are matched FIFO, as on a real RC QP);
-        the analyzer's address-distribution phase complies.
+        The keys go in as few requests as fit a receive slot (each
+        reply fitting one too), one after another, each awaiting its
+        reply.  Keys the peer has not published yet are asked again,
+        alone, every :data:`LOOKUP_RETRY_INTERVAL`, up to
+        :data:`LOOKUP_MAX_RETRIES` attempts (setup races are expected:
+        both sides prepare concurrently).  Returns the descriptors in
+        key order: ``descriptors = yield from book.lookup_many(peer,
+        keys)``.  Replies match FIFO per peer, as on an RC QP, so a
+        device runs one lookup toward a peer at a time; the runtime
+        runs one per (device, peer) pair, all pairs at once.
         """
         remote_device = RdmaDevice.lookup(self.device.host, peer)
         # Both ends must be demultiplexing before traffic flows.
@@ -124,16 +144,27 @@ class AddressBook:
         channel = self._ensure_demux(peer)
         replies = self._replies[peer]
 
+        found: Dict[str, RemoteMemRegion] = {}
+        pending = list(keys)
         for _attempt in range(LOOKUP_MAX_RETRIES):
-            request = bytes([_MSG_REQUEST]) + key.encode("utf-8")
-            self.device.post_send_message(channel, request)
-            raw = yield replies.get()
-            _type, found, addr, rkey, size = _REPLY.unpack(raw[:_REPLY.size])
-            if found:
-                return RemoteMemRegion(addr=addr, rkey=rkey, size=size)
+            for batch in _batches(pending):
+                self.device.post_send_message(channel, bytes([_MSG_KEYS])
+                                              + "\0".join(batch).encode())
+                raw = yield replies.get()
+                for key, (ok, *entry) in zip(batch,
+                                             _ENTRY.iter_unpack(raw[1:])):
+                    if ok:
+                        found[key] = RemoteMemRegion(*entry)
+            pending = [key for key in pending if key not in found]
+            if not pending:
+                return [found[key] for key in keys]
             yield (LOOKUP_RETRY_INTERVAL)
         raise DeviceError(
-            f"address lookup for {key!r} on {peer} never succeeded")
+            f"address lookup for {pending[0]!r} on {peer} never succeeded")
+
+    def lookup(self, peer: Endpoint, key: str) -> Generator:
+        """Process: one key's descriptor, a :meth:`lookup_many` of one."""
+        return (yield from self.lookup_many(peer, [key]))[0]
 
 
 def attach_address_book(device: RdmaDevice) -> AddressBook:

@@ -14,7 +14,8 @@ transfer always uses the dynamic protocol so polling stays on the CPU
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.allocator import ArenaAllocator
 from ..graph.executor import Executor
@@ -175,30 +176,36 @@ class RdmaCommRuntime(CommRuntime):
         self._bind_senders(session)
 
     def _bind_senders(self, session) -> None:
+        """Fetch the senders' remote descriptors, one exchange per (device,
+        peer) pair and all in one simulator run; build them in edge order."""
         collective_edges = getattr(session.partitioned.original,
                                    "collective_edges", frozenset())
+        wanted: Dict[Tuple[str, str], List[str]] = {}
+        for edge in session.partitioned.transfers:
+            static = edge.static_shape and not self.force_dynamic
+            wanted.setdefault((edge.src_device, edge.dst_device), []).append(
+                edge.key if static else f"{edge.key}#meta")
+        fetches = [session.sim.spawn(
+            self.devices[src].address_book.lookup_many(  # type: ignore[attr-defined]
+                self.endpoints[dst], keys), name=f"addr-lookup:{src}->{dst}")
+            for (src, dst), keys in wanted.items()]
+        fetched = session.sim.run_until_complete(session.sim.all_of(fetches))
+        descriptors = dict(zip(chain(*wanted.values()), chain(*fetched)))
         for edge in session.partitioned.transfers:
             executor = session.executors[edge.src_device]
             device = self.devices[edge.src_device]
-            book = device.address_book  # type: ignore[attr-defined]
-            dst_endpoint = self.endpoints[edge.dst_device]
-            channel = device.get_channel(dst_endpoint, self._qp_for(edge.key))
+            channel = device.get_channel(self.endpoints[edge.dst_device],
+                                         self._qp_for(edge.key))
             arena = executor.arena
             region = self.arena_regions[edge.src_device]
-            static = edge.static_shape and not self.force_dynamic
-            key = edge.key if static else f"{edge.key}#meta"
-            fetch = session.sim.spawn(
-                book.lookup(dst_endpoint, key),
-                name=f"addr-lookup:{edge.key}")
-            descriptor = session.sim.run_until_complete(fetch)
             graph = session.partitioned.subgraphs[edge.src_device]
             send_node = graph.node(edge.send_node)
             priority = send_node.attrs.get("priority", 0)
-            if static:
+            if edge.static_shape and not self.force_dynamic:
                 role = ("collective-chunk" if edge.key in collective_edges
                         else "static-write")
                 self.senders[edge.key] = StaticSender(
-                    channel=channel, remote=descriptor,
+                    channel=channel, remote=descriptors[edge.key],
                     nbytes=edge.nbytes_static, arena=arena,
                     arena_region=region, state=self.state,
                     role=role, key=edge.key, priority=priority,
@@ -206,9 +213,9 @@ class RdmaCommRuntime(CommRuntime):
             else:
                 ndims = send_node.inputs[0].shape.rank
                 self.senders[edge.key] = DynamicSender(
-                    channel=channel, meta_slot=descriptor, ndims=ndims,
-                    arena=arena, arena_region=region, state=self.state,
-                    key=edge.key, priority=priority,
+                    channel=channel, meta_slot=descriptors[f"{edge.key}#meta"],
+                    ndims=ndims, arena=arena, arena_region=region,
+                    state=self.state, key=edge.key, priority=priority,
                     recovery=self.recovery)
 
     def recovery_snapshot(self) -> Optional[Dict[str, object]]:

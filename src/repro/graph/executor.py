@@ -129,6 +129,8 @@ class Executor:
         #: this executor's place among same-instant poll-chain entries
         self.index = self.sim.poll_index()
         self._order = graph.topological_order()
+        #: built once: an iteration counts down a copy of the in-degrees
+        self._in_degree, self._dependents = graph.dependency_tables()
         #: what an iteration with nothing runnable waits on: the next
         #: async completion or memory commit
         self._wake: Optional[Event] = None
@@ -219,12 +221,8 @@ class Executor:
             allocator.free_tensor(tensor)
         self._transient = []
         feeds = feeds or {}
-        deps = self.graph.dependency_map()
-        pending: Dict[str, int] = {name: len(d) for name, d in deps.items()}
-        dependents: Dict[str, List[str]] = {name: [] for name in pending}
-        for name, dep_names in deps.items():
-            for dep in dep_names:
-                dependents[dep].append(name)
+        pending = dict(self._in_degree)
+        dependents = self._dependents
 
         ready = _ReadyQueue((node for node in self._order
                              if pending[node.name] == 0),

@@ -126,14 +126,18 @@ class Graph:
             deps[node.name] = names
         return deps
 
-    def topological_order(self) -> List[Node]:
-        """Kahn's algorithm over data + control edges; raises on cycle."""
+    def dependency_tables(self) -> Tuple[Dict[str, int], Dict[str, List[str]]]:
+        """Each node's dependency count, and its dependents in graph order."""
         deps = self.dependency_map()
         dependents: Dict[str, List[str]] = {name: [] for name in self._nodes}
         for name, dep_names in deps.items():
             for dep in dep_names:
                 dependents[dep].append(name)
-        in_degree = {name: len(dep_names) for name, dep_names in deps.items()}
+        return {name: len(d) for name, d in deps.items()}, dependents
+
+    def topological_order(self) -> List[Node]:
+        """Kahn's algorithm over data + control edges; raises on cycle."""
+        in_degree, dependents = self.dependency_tables()
         from collections import deque
         ready = deque(name for name in self._nodes if in_degree[name] == 0)
         order: List[Node] = []

@@ -26,7 +26,11 @@ became a step of the poll chain, and when a landing became one heap
 entry; the gRPC cells poll nothing and land no one-sided verb.  Both
 were re-pinned when a completion began to reach its parked CQ poller
 (the gRPC.RDMA receive loop among them) inside the push, one wake
-entry per drain fewer.  No clock moved any of these times.
+entry per drain fewer.  No clock moved any of these times.  The
+hierarchical cell was re-recorded, clock and count, when a session's
+address lookups became one exchange per (device, peer) pair: setup's
+simulated time shrank, so iteration 0 starts at another absolute time
+and its step moved in the last bits.
 """
 
 import pytest
@@ -35,8 +39,9 @@ from repro.distributed import run_training_benchmark
 from repro.harness.experiments import _scale_spec
 from repro.models import MB, get_model
 
-GOLDEN_HIER16_SYNTH24 = ["0.014562679480000059", "0.011614363480000466"]
-GOLDEN_HIER16_SYNTH24_EVENTS = 17301  # 110755 -> ... -> 17813 -> 17301
+# step 0: 0.014562679480000059 -> 0.014562679479999997
+GOLDEN_HIER16_SYNTH24 = ["0.014562679479999997", "0.011614363480000466"]
+GOLDEN_HIER16_SYNTH24_EVENTS = 15286  # 110755 -> ... -> 17301 -> 15286
 
 GOLDEN_FCN5_GRPC_RDMA = ["0.25355023383275194", "0.25355023383273806"]
 GOLDEN_FCN5_GRPC_RDMA_VERBS = 7136  # 7264 -> 7136
